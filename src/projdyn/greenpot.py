@@ -64,6 +64,9 @@ STATUS_NOT_CONVERGED = "NotConverged"
 # working scale (unit after normalization); no silent perturbation
 _SINGULAR_TOL = 1e-14
 
+# every int below 2^1023 converts to a finite float
+_FLOAT_INT_BITS = 1023
+
 
 class OrbitError(Exception):
     """Base class for orbit evaluation failures."""
@@ -297,17 +300,29 @@ def _run_orbit(f, cert, z, n_iters, precision, keep_all=False):
                 raise OrbitHitDivisor(
                     f"orbit met the extracted divisor at step {n}", step=n
                 )
-            hpart = h * degrees[lag] * g_old + E.log(ah)
+            hpart = (h * degrees[lag], E.log(ah))
         Fv = tuple(c(w_prev) for c in comps)
         nf = E.norm(Fv)
         if nf < _SINGULAR_TOL:
             raise OrbitHitIndeterminacy(
                 f"orbit met an indeterminate point at step {n}", step=n
             )
-        num = d * degrees[n - 1] * g_prev + E.log(nf)
-        if hpart is not None:
-            num -= hpart
-        gamma = num / degrees[n]
+        a, b, lg = d * degrees[n - 1], degrees[n], E.log(nf)
+        k = a.bit_length() - _FLOAT_INT_BITS
+        if k > 0 and isinstance(g_prev, float):
+            # float(a) would overflow: divide numerator and denominator by
+            # 2^k (exact int true division; power-of-two scaling commutes
+            # with rounding, so only the overflow is avoided)
+            s = 1 << k
+            num = a / s * g_prev + math.ldexp(lg, -k)
+            if hpart is not None:
+                num -= hpart[0] / s * g_old + math.ldexp(hpart[1], -k)
+            gamma = num / (b / s)
+        else:
+            num = a * g_prev + lg
+            if hpart is not None:
+                num -= hpart[0] * g_old + hpart[1]
+            gamma = num / b
         increments.append(abs(gamma - g_prev))
         w = tuple(x / nf for x in Fv)
         state.push(w, gamma)

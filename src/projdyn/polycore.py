@@ -3,7 +3,9 @@
 A polynomial is stored as a sorted tuple of ``(exponents, coefficient)``
 pairs.  Exponent vectors are plain tuples of non-negative ints, one slot
 per variable; coefficients are exact (`int` when the denominator is 1,
-`fractions.Fraction` otherwise) and never zero.  Terms are kept in
+`fractions.Fraction` otherwise) and never zero.  Inside the multiply,
+exact-division and composition kernels each exponent vector is packed
+into one int, so a monomial product is an int add.  Terms are kept in
 descending graded-lexicographic order, which for a homogeneous
 polynomial reduces to descending lexicographic order on the exponent
 tuples, so equal polynomials compare equal structurally and printing is
@@ -318,14 +320,11 @@ class HomPoly:
             self._check_arity(other)
             if self.is_zero or other.is_zero:
                 return HomPoly.zero(self.nvars)
-            deg = self._degree + other._degree
-            _guard(min(len(self.terms) * len(other.terms), _monomial_bound(deg, self.nvars)))
-            acc: dict = {}
-            for ea, ca in self.terms:
-                for eb, cb in other.terms:
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    acc[key] = acc.get(key, 0) + ca * cb
-            return HomPoly._new(self.nvars, acc, deg)
+            return HomPoly._new(
+                self.nvars,
+                _dmul(dict(self.terms), dict(other.terms)),
+                self._degree + other._degree,
+            )
         if isinstance(other, (int, Fraction)):
             if not other or self.is_zero:
                 return HomPoly.zero(self.nvars)
@@ -387,36 +386,21 @@ class HomPoly:
             return self
         out_deg = self._degree * e_deg
         _guard(_monomial_bound(out_deg, nv2))
-        comp_dicts = [dict(q.terms) for q in comps]
-        pow_cache: list[dict[int, dict]] = [
-            {0: {(0,) * nv2: 1}, 1: comp_dicts[i]} for i in range(self.nvars)
-        ]
-
-        def var_power(i: int, k: int) -> dict:
-            cache = pow_cache[i]
-            if k in cache:
-                return cache[k]
-            half = var_power(i, k // 2)
-            sq = _dmul(half, half)
-            p = _dmul(sq, comp_dicts[i]) if k & 1 else sq
-            cache[k] = p
-            return p
-
-        acc: dict = {}
-        for exps, coeff in self.terms:
-            term: dict = {(0,) * nv2: coeff}
-            for i, e in enumerate(exps):
-                if e:
-                    term = _dmul(term, var_power(i, e))
-                    if not term:
-                        break
-            for k, v in term.items():
-                s = acc.get(k, 0) + v
-                if s:
-                    acc[k] = s
-                elif k in acc:
-                    del acc[k]
-        return HomPoly._new(nv2, acc, out_deg)
+        # every intermediate below is homogeneous of degree <= out_deg
+        width = _field_width(out_deg)
+        powers = [{0: {0: 1}, 1: _pack_dict(dict(q.terms), width)} for q in comps]
+        if len(self.terms) > max(len(q.terms) for q in comps):
+            # self is the large side: Horner keeps every product large x small
+            acc = _horner(self.terms, 0, len(self.terms), 0, powers)
+        else:
+            acc = {}
+            for exps, coeff in self.terms:
+                term = {0: 1}
+                for i, e in enumerate(exps):
+                    if e:
+                        term = _pmul(term, _ppower(powers[i], e))
+                _pacc(acc, term, coeff)
+        return HomPoly._new(nv2, _unpack_dict(acc, nv2, width), out_deg)
 
     def partial(self, index: int) -> "HomPoly":
         """Formal partial derivative with respect to variable ``index``."""
@@ -461,20 +445,126 @@ class HomPoly:
 # ---------------------------------------------------------------------------
 
 
-def _dmul(a: dict, b: dict) -> dict:
+def _field_width(top: int) -> int:
+    """Bits per packed exponent field when no exponent exceeds top.
+
+    The bit above the largest value is a guard: sums of two exponents
+    stay inside their field, and a borrow shows in it.
+    """
+    return top.bit_length() + 1
+
+
+def _pack_dict(d: dict, width: int) -> dict:
+    """Term dict with each exponent tuple packed into one int.
+
+    Variable 0 takes the most significant field, so integer order is the
+    lexicographic order of the tuples.
+    """
+    if not d:
+        return {}
+    cols = zip(*d)
+    packed = next(cols)
+    for col in cols:
+        packed = [p << width | x for p, x in zip(packed, col)]
+    return dict(zip(packed, d.values()))
+
+
+def _unpack_dict(d: dict, nvars: int, width: int) -> dict:
+    """Inverse of _pack_dict."""
+    mask = (1 << width) - 1
+    shifts = range(width * (nvars - 1), -1, -width)
+    return dict(zip(zip(*[[k >> s & mask for k in d] for s in shifts]), d.values()))
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    """Product of packed term dicts, dropping cancelled terms once at the end."""
     if not a or not b:
         return {}
-    _guard(len(a) * len(b))
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+    if len(a) > len(b):
+        a, b = b, a
+    items = iter(a.items())
+    ea, ca = next(items)
+    # shifting by one monomial is injective: the first row needs no lookups
+    out = {ea + eb: ca * cb for eb, cb in b.items()}
+    get = out.get
+    row = list(b.items())
+    for ea, ca in items:
+        for eb, cb in row:
+            k = ea + eb
+            out[k] = get(k, 0) + ca * cb
+    for k in [k for k, c in out.items() if not c]:
+        del out[k]
     return out
+
+
+def _pacc(acc: dict, d: dict, c=1) -> None:
+    """acc += c * d in place, for packed term dicts."""
+    get = acc.get
+    for k, v in d.items():
+        s = get(k, 0) + c * v
+        if s:
+            acc[k] = s
+        elif k in acc:
+            del acc[k]
+
+
+def _ppower(powers: dict, k: int) -> dict:
+    """q^k by repeated squaring, memoised in powers, which holds q^0 and q^1."""
+    p = powers.get(k)
+    if p is None:
+        half = _ppower(powers, k // 2)
+        p = _pmul(half, half)
+        if k & 1:
+            p = _pmul(p, powers[1])
+        powers[k] = p
+    return p
+
+
+def _horner(terms, lo: int, hi: int, i: int, powers: list) -> dict:
+    """Packed sum of c * prod_{j >= i} q_j^(e_j) over terms[lo:hi].
+
+    The slice is in descending order and its exponents agree before slot
+    i, so it splits into runs of equal e_i.  Horner's rule in variable i
+    multiplies the running sum by a power of q_i between runs.  In the
+    last slot homogeneity leaves a single term, which takes a cached
+    power.
+    """
+    if i == len(powers) - 1:
+        e, c = terms[lo]
+        return {k: c * v for k, v in _ppower(powers[i], e[i]).items()}
+    acc: dict = {}
+    prev = 0
+    j = lo
+    while j < hi:
+        k = terms[j][0][i]
+        m = j + 1
+        while m < hi and terms[m][0][i] == k:
+            m += 1
+        inner = _horner(terms, j, m, i + 1, powers)
+        if j == lo:
+            acc = inner
+        else:
+            acc = _pmul(acc, _ppower(powers[i], prev - k))
+            _pacc(acc, inner)
+        prev = k
+        j = m
+    return _pmul(acc, _ppower(powers[i], prev)) if prev else acc
+
+
+def _dmul(a: dict, b: dict) -> dict:
+    """Product of tuple-keyed term dicts (homogeneous or not)."""
+    if not a or not b:
+        return {}
+    nv = len(next(iter(a)))
+    top = max(map(sum, a)) + max(map(sum, b))
+    pairs = len(a) * len(b)
+    if pairs > _term_cap:
+        # the output has at most as many terms as there are monomials of
+        # total degree lo..top
+        lo = min(map(sum, a)) + min(map(sum, b))
+        _guard(min(pairs, math.comb(top + nv, nv) - math.comb(lo - 1 + nv, nv)))
+    width = _field_width(top)
+    return _unpack_dict(_pmul(_pack_dict(a, width), _pack_dict(b, width)), nv, width)
 
 
 def _dadd(a: dict, b: dict) -> dict:
@@ -488,56 +578,60 @@ def _dadd(a: dict, b: dict) -> dict:
     return out
 
 
-def _dscale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-
 def _dexact_div(num: dict, den: dict):
-    """Exact multivariate division of term dicts; None when not divisible.
+    """Exact division of tuple-keyed term dicts; None when den does not divide num.
 
-    Works by cancelling graded-lex leading terms.  Valid as a
-    divisibility decision because leading terms are multiplicative in
-    an integral domain under a monomial order.
+    Cancels leading terms in lexicographic order, which is integer order
+    on packed keys; that decides divisibility because leading terms are
+    multiplicative in an integral domain under a monomial order.  With
+    every guard bit set, one subtraction gives k - lt field by field,
+    and a field with k_i < lt_i clears its guard bit.
     """
     if not den:
         raise DivisionByZero("division by the zero polynomial")
     if not num:
         return {}
-    lt_den = max(den)
-    lc_den = den[lt_den]
-    rest_den = [(e, c) for e, c in den.items() if e != lt_den]
-    rem = dict(num)
+    nvars = len(next(iter(den)))
+    width = _field_width(max(max(map(sum, num)), max(map(sum, den))))
+    guard = 0
+    for _ in range(nvars):
+        guard = guard << width | 1 << (width - 1)
+    den = _pack_dict(den, width)
+    lt = max(den)
+    lc = den[lt]
+    rest = [(e, c) for e, c in den.items() if e != lt]
+    rem = _pack_dict(num, width)
     quo: dict = {}
-    heap = [tuple(-x for x in e) for e in rem]
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     while heap:
-        neg = heapq.heappop(heap)
-        k = tuple(-x for x in neg)
-        c = rem.get(k)
+        k = -heapq.heappop(heap)
+        c = rem.pop(k, 0)
         if not c:
             continue
-        qe = tuple(a - b for a, b in zip(k, lt_den))
-        if any(x < 0 for x in qe):
+        qe = (k | guard) - lt
+        if (qe & guard) != guard:
             return None
-        if isinstance(c, int) and isinstance(lc_den, int):
-            qc = Fraction(c, lc_den)
+        qe ^= guard
+        if type(c) is int and type(lc) is int and not c % lc:
+            qc = c // lc
         else:
-            qc = Fraction(c) / Fraction(lc_den)
-        qc = _canon_coeff(qc)
+            qc = _canon_coeff(Fraction(c) / lc)
         quo[qe] = qc
-        del rem[k]
-        for e2, c2 in rest_den:
-            tgt = tuple(a + b for a, b in zip(qe, e2))
-            s = rem.get(tgt, 0) - qc * c2
+        for e2, c2 in rest:
+            t = qe + e2
+            if t & guard:
+                # an exponent outgrew the dividend's degree, which no
+                # term of an exact quotient times den can reach
+                return None
+            s = rem.get(t, 0) - qc * c2
             if s:
-                if tgt not in rem:
-                    heapq.heappush(heap, tuple(-x for x in tgt))
-                rem[tgt] = s
-            elif tgt in rem:
-                del rem[tgt]
-    return quo if not rem else None
+                if t not in rem:
+                    heapq.heappush(heap, -t)
+                rem[t] = s
+            elif t in rem:
+                del rem[t]
+    return None if rem else _unpack_dict(quo, nvars, width)
 
 
 def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
@@ -739,10 +833,6 @@ def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
     return a
-
-
-def _modp_gcd_is_constant(A: list[int], B: list[int], p: int) -> bool:
-    return len(_modp_gcd(A, B, p)) == 1
 
 
 class _CertRng:

@@ -94,6 +94,14 @@ class TestGreenEval:
         u_hp, _ = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=60, precision=160)
         assert abs(float(u_hp) - u) < 1e-12
 
+    def test_long_orbit_at_53_bits(self, stable):
+        # beyond step ~737 the exact degrees pass the float range
+        f, cert, rep = stable
+        u, hist = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=800, precision=53)
+        u_hp, _ = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=800, precision=128)
+        assert len(hist) == 800
+        assert abs(u - float(u_hp)) < 1e-9
+
     def test_input_validation(self, mono, stable):
         f, cert, rep = stable
         with pytest.raises(ZeroVector):

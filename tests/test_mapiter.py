@@ -11,8 +11,10 @@ from projdyn.polycore import (
     DegreeMismatch,
     HomPoly,
     ParseError,
+    get_term_cap,
     parse_poly,
     poly_to_text,
+    set_term_cap,
 )
 from projdyn.mapiter import (
     AllZero,
@@ -194,6 +196,18 @@ def test_extracting_cubic_depth_five(cubic_extracting):
 def test_lag1_degree_sequence(cubic_lag1):
     tr = iterate_degrees(cubic_lag1, 4)
     assert tr.degrees == (1, 3, 8, 21, 55)
+
+
+def test_lag1_degrees_under_a_small_term_cap(cubic_lag1):
+    # the largest step output, degree 63 in 3 variables, has at most
+    # 2080 terms; products of large operands must not be refused for
+    # their term pairs
+    old = get_term_cap()
+    set_term_cap(5000)
+    try:
+        assert iterate_degrees(cubic_lag1, 4).degrees == (1, 3, 8, 21, 55)
+    finally:
+        set_term_cap(old)
 
 
 def test_lag1_certificate(cubic_lag1):

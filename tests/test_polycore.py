@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from projdyn import (
     ArityMismatch,
@@ -27,7 +28,7 @@ from projdyn import (
     same_up_to_scalar,
     set_term_cap,
 )
-from projdyn.polycore import _gcd_mv, _dint_normalize
+from projdyn.polycore import _dexact_div, _dint_normalize, _dmul, _gcd_mv
 
 NAMES = ("z", "w", "t")
 
@@ -289,3 +290,155 @@ def test_term_cap_guards_blowup():
             _ = (a * a) * (a * a)
     finally:
         set_term_cap(old)
+
+
+def test_term_cap_counts_output_monomials_not_pairs():
+    s = P("z + w + t")
+    q2, q3, q4, q5 = s**2, s**3, s**4, s**5  # 6, 10, 15 and 21 terms
+    full = q4 * q4
+    # an inhomogeneous operand, as the gcd code builds: degrees 1 and 2
+    u = q2.as_dict() | {(1, 0, 0): 1}
+    mixed = (q2 * q3).as_dict() | (P("z") * q3).as_dict()
+    old = get_term_cap()
+    set_term_cap(50)
+    try:
+        # 225 term pairs, but a degree-8 form in 3 variables has at most 45 terms
+        assert q4 * q4 == full
+        # 70 pairs; degrees 4 and 5 allow 15 + 21 monomials
+        assert _dmul(u, q3.as_dict()) == mixed
+        # degree 12 allows 91 monomials
+        with pytest.raises(ResourceLimit):
+            _ = full * q4
+        # degrees 6 and 7 allow 28 + 36 monomials
+        with pytest.raises(ResourceLimit):
+            _dmul(u, q5.as_dict())
+    finally:
+        set_term_cap(old)
+
+
+# -- differential tests against sympy -------------------------------------------
+
+
+def _symbols(nvars):
+    return sympy.symbols(f"x0:{nvars}")
+
+
+def _to_sympy(p: HomPoly, xs):
+    return sympy.Add(
+        *(
+            sympy.Rational(c) * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+            for exps, c in p.terms
+        )
+    )
+
+
+def _from_sympy(expr, xs) -> dict:
+    terms = sympy.Poly(sympy.expand(expr), *xs).as_dict()
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items()}
+
+
+def _random_form(rng, nvars, degree, max_terms):
+    """A random form with Fraction coefficients."""
+    p = random_hompoly(rng, nvars, degree, max_terms, 9)
+    return HomPoly(nvars, [(e, Fraction(c, rng.randint(1, 4))) for e, c in p.terms])
+
+
+def _assert_same(p: HomPoly, expr, xs):
+    assert {e: Fraction(c) for e, c in p.terms} == _from_sympy(expr, xs)
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_compose_matches_sympy_both_directions(nvars):
+    rng = random.Random(1000 + nvars)
+    xs = _symbols(nvars)
+    for _ in range(4):
+        big = _random_form(rng, nvars, rng.randint(3, 5), 30)
+        small = [_random_form(rng, nvars, 2, 3) for _ in range(nvars)]
+        large_subs = [_random_form(rng, nvars, 3, 15) for _ in range(nvars)]
+        little = _random_form(rng, nvars, 2, 3)
+        # a many-term form of few-term substitutes (Horner's rule), and
+        # the reverse (cached powers of the substitutes)
+        assert len(big.terms) > max(len(q.terms) for q in small)
+        assert len(little.terms) <= max(len(q.terms) for q in large_subs)
+        for p, qs in ((big, small), (little, large_subs)):
+            sub = dict(zip(xs, (_to_sympy(q, xs) for q in qs)))
+            _assert_same(p.compose(qs), _to_sympy(p, xs).xreplace(sub), xs)
+
+
+def test_compose_with_zero_substitutes_matches_sympy():
+    rng = random.Random(2024)
+    xs = _symbols(3)
+    for horner in (True, False):
+        p = _random_form(rng, 3, 4, 30 if horner else 2)
+        q = _random_form(rng, 3, 2, 3 if horner else 30)
+        for zeros in ((0,), (1,), (2,), (0, 2)):
+            qs = [HomPoly.zero(3) if i in zeros else q for i in range(3)]
+            sub = dict(zip(xs, (_to_sympy(s, xs) for s in qs)))
+            _assert_same(p.compose(qs), _to_sympy(p, xs).xreplace(sub), xs)
+
+
+def test_compose_identity_shortcut():
+    rng = random.Random(5)
+    for nvars in (2, 3, 4):
+        p = _random_form(rng, nvars, 5, 20)
+        assert p.compose([HomPoly.variable(nvars, i) for i in range(nvars)]) is p
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_exact_div_matches_sympy(nvars):
+    rng = random.Random(3000 + nvars)
+    xs = _symbols(nvars)
+    for _ in range(8):
+        a = _random_form(rng, nvars, rng.randint(1, 4), 12)
+        b = _random_form(rng, nvars, rng.randint(1, 3), 6)
+        c = _random_form(rng, nvars, a.degree + b.degree, 3)
+        for num in (a * b, a * b + c):
+            q, r = sympy.div(_to_sympy(num, xs), _to_sympy(b, xs), *xs)
+            if sympy.expand(r) == 0:
+                _assert_same(exact_div(num, b), q, xs)
+            else:
+                with pytest.raises(NotDivisible):
+                    exact_div(num, b)
+
+
+def test_exact_div_borrow_cases():
+    # each dividend term is larger than the divisor's leading term as a
+    # packed key while one of its exponents is smaller
+    for num, den in (
+        ("z^2*t", "z*w"),
+        ("z^3 + w^3", "z*w"),
+        ("z^2*w + z*w^2 + t^3", "z*w"),  # leading terms divide, then t^3 borrows
+        ("z^2*t - w^2*t", "z*w - w*t"),
+        ("z^5 + w^5", "z*w^4 + t^5"),
+    ):
+        with pytest.raises(NotDivisible):
+            exact_div(P(num), P(den))
+        assert _dexact_div(P(num).as_dict(), P(den).as_dict()) is None
+    assert exact_div(P("z^2*w + z*w^2"), P("z*w")) == P("z + w")
+    # the gcd code divides inhomogeneous dicts, where a remainder exponent
+    # can outgrow its packed field; a carry would fake this quotient
+    assert _dexact_div({(2, 1): 1, (3, 4): -1}, {(1, 0): 1, (0, 5): -1}) is None
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_exponents_at_the_full_degree(degree):
+    """An exponent equal to the total degree fills its packed field."""
+    xs = _symbols(3)
+    for j in range(degree + 1):
+        a = HomPoly(3, [((j, 0, 0), 1), ((0, 0, j), Fraction(-1, 3))])
+        b = HomPoly(3, [((degree - j, 0, 0), 2), ((0, degree - j, 0), 1)])
+        ab = a * b
+        _assert_same(ab, _to_sympy(a, xs) * _to_sympy(b, xs), xs)
+        assert exact_div(ab, b) == a
+        assert exact_div(ab, a) == b
+    top = HomPoly(3, [((degree, 0, 0), 1), ((0, degree, 0), -1), ((0, 0, degree), 3)])
+    with pytest.raises(NotDivisible):
+        exact_div(top, HomPoly.monomial(3, (0, degree, 0)))
+    assert exact_div(top * top, top) == top
+    perm = [HomPoly.variable(3, 2), HomPoly.variable(3, 0), HomPoly.variable(3, 1)]
+    assert top.compose(perm) == HomPoly(
+        3, [((0, 0, degree), 1), ((degree, 0, 0), -1), ((0, degree, 0), 3)]
+    )
+    lin = [P("z - w"), P("t"), P("z + 2*t")]
+    sub = dict(zip(xs, (_to_sympy(q, xs) for q in lin)))
+    _assert_same(top.compose(lin), _to_sympy(top, xs).xreplace(sub), xs)
