@@ -118,7 +118,6 @@ from .greenpot import (
     OrbitError,
     OrbitHitDivisor,
     OrbitHitIndeterminacy,
-    OrbitState,
     export_grid_csv,
     export_grid_pgm,
     functional_eq_residual,

@@ -17,11 +17,10 @@ Grid sampling, CSV/PGM export, and a discrete-Laplacian diagnostic
 support visual inspection of u along 2-plane slices.
 """
 
+import cmath
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -43,7 +42,6 @@ __all__ = [
     "NotConverged",
     "AmplificationOverflow",
     "InsufficientOKRegion",
-    "OrbitState",
     "GridSlice",
     "GreenGrid",
     "green_eval",
@@ -96,7 +94,7 @@ class InsufficientOKRegion(Exception):
     """The grid has no interior node with a complete 5-point stencil."""
 
 
-# -- arithmetic engines -------------------------------------------------------
+# -- arithmetic ---------------------------------------------------------------
 
 
 def _to_complex(x):
@@ -105,37 +103,61 @@ def _to_complex(x):
     return complex(x)
 
 
-class _FloatEngine:
-    """Native double-precision arithmetic."""
+def _float_norm(v):
+    return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
 
-    def vector(self, z):
-        return tuple(_to_complex(x) for x in z)
 
-    def norm(self, v):
-        return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
+def _square(y):
+    return f"({y}.real * {y}.real + {y}.imag * {y}.imag)"
 
-    def log(self, r):
-        return math.log(r)
 
-    def absval(self, x):
-        return abs(x)
+def _float_code(polys, nvars, step=True):
+    """Straight-line 53-bit evaluator of polys, generated once per map.
 
-    def compile(self, p: HomPoly):
-        terms = [(_to_complex(c), e) for e, c in p.terms]
-
-        def ev(v):
-            acc = 0j
-            for c, e in terms:
-                t = c
-                for x, k in zip(v, e):
-                    if k == 1:
-                        t *= x
-                    elif k:
-                        t *= x**k
-                acc += t
-            return acc
-
-        return ev
+    With step the function maps a point w to (‖F(w)‖, F(w)/‖F(w)‖,
+    norm of that quotient); the quotient is None when ‖F(w)‖ is below
+    the singular tolerance.  Without step it returns the value of the
+    single polynomial.  The float operations are those of a per-term
+    loop, so values are bit-identical to it: each value starts at 0j
+    and adds c·x_i**k_i (left to right, ** for k ≥ 2) in p.terms order,
+    and the norm sums parenthesized per-coordinate squares.  Powers
+    x_i**k are shared across the polynomials.  The coefficients are
+    names bound in the namespace; the source holds only indices and
+    exponents.
+    """
+    ns = {"sqrt": math.sqrt, "TOL": _SINGULAR_TOL}
+    xs = [f"x{i}" for i in range(nvars)]
+    powers, values = {}, []
+    for j, p in enumerate(polys):
+        terms = []
+        for t, (e, c) in enumerate(p.terms):
+            ns[f"c{j}_{t}"] = _to_complex(c)
+            factors = [f"c{j}_{t}"]
+            for i, k in enumerate(e):
+                if k == 1:
+                    factors.append(xs[i])
+                elif k:
+                    factors.append(powers.setdefault((i, k), f"p{i}_{k}"))
+            terms.append(" * ".join(factors))
+        # chunks keep the left-to-right sum without one huge expression
+        acc = "0j"
+        for lo in range(0, max(len(terms), 1), 64):
+            values.append(f"y{j} = " + " + ".join([acc] + terms[lo:lo + 64]))
+            acc = f"y{j}"
+    lines = [", ".join(xs) + ", = w"]
+    lines += [f"{name} = x{i}**{k}" for (i, k), name in powers.items()]
+    lines += values
+    if step:
+        ys = [f"y{j}" for j in range(len(polys))]
+        lines.append("nf = sqrt(" + " + ".join(map(_square, ys)) + ")")
+        lines.append("if nf < TOL:\n        return nf, None, 0.0")
+        lines += [f"u{j} = y{j} / nf" for j in range(len(polys))]
+        us = [f"u{j}" for j in range(len(polys))]
+        lines.append(f"return nf, ({', '.join(us)},), sqrt(" + " + ".join(map(_square, us)) + ")")
+    else:
+        lines.append("return y0")
+    exec("def ev(w):\n" + "".join(f"    {ln}\n" for ln in lines), ns)
+    return ns["ev"]
 
 
 class _MPEngine:
@@ -156,9 +178,6 @@ class _MPEngine:
     def log(self, r):
         with workprec(self.precision):
             return mp.log(r)
-
-    def absval(self, x):
-        return abs(x)
 
     def compile(self, p: HomPoly):
         with workprec(self.precision):
@@ -183,54 +202,20 @@ class _MPEngine:
 
         return ev
 
+    def step(self, polys):
+        comps = [self.compile(p) for p in polys]
 
-def _engine(precision: int):
-    if precision < 24:
-        raise ValueError("precision below 24 bits is not meaningful here")
-    return _FloatEngine() if precision <= 53 else _MPEngine(precision)
+        def step(w):
+            Fv = tuple(c(w) for c in comps)
+            nf = self.norm(Fv)
+            if nf < _SINGULAR_TOL:
+                return nf, None, 0.0
+            # the quotient (and the γ arithmetic of the orbit) rounds at
+            # the ambient mpmath precision, not at self.precision
+            u = tuple(x / nf for x in Fv)
+            return nf, u, math.sqrt(sum(abs(complex(x)) ** 2 for x in u))
 
-
-# -- orbit state --------------------------------------------------------------
-
-
-class OrbitState:
-    """Ring buffer of the last `depth` normalized orbit points and heights.
-
-    Entries are (unit vector w, per-degree log-height γ); the window is
-    exactly big enough for the lagged recursion to reach back n0+1
-    steps.  Pushing a non-unit vector or a non-finite height raises
-    OrbitError instead of letting a NaN propagate.
-    """
-
-    def __init__(self, depth: int):
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        self.depth = depth
-        self._entries = []
-        self.n = -1
-
-    def push(self, w, gamma):
-        nrm = math.sqrt(sum(abs(complex(x)) ** 2 for x in w))
-        if abs(nrm - 1.0) > 1e-6:
-            raise OrbitError(f"orbit point lost normalization (norm {nrm})", step=self.n + 1)
-        if not math.isfinite(float(gamma)):
-            raise OrbitError("non-finite log-height", step=self.n + 1)
-        self.n += 1
-        self._entries.append((w, gamma))
-        if len(self._entries) > self.depth:
-            self._entries.pop(0)
-
-    def _slot(self, step: int):
-        offset = step - (self.n - len(self._entries) + 1)
-        if not 0 <= offset < len(self._entries):
-            raise IndexError(f"step {step} no longer buffered (window ends at {self.n})")
-        return self._entries[offset]
-
-    def point(self, step: int):
-        return self._slot(step)[0]
-
-    def gamma(self, step: int):
-        return self._slot(step)[1]
+        return step
 
 
 # -- core orbit evaluation ----------------------------------------------------
@@ -246,90 +231,133 @@ def _check_cert(f: ProjMap, cert: Optional[QASCertificate]):
     return cert
 
 
-def _run_orbit(f, cert, z, n_iters, precision, keep_all=False):
-    """Drive the normalized recursion; return (gammas, points, increments).
+def _check_entry(nrm, gamma, step):
+    """Reject an orbit entry whose point lost unit norm or whose height is not finite."""
+    if abs(nrm - 1.0) > 1e-6:
+        raise OrbitError(f"orbit point lost normalization (norm {nrm})", step=step)
+    if not math.isfinite(float(gamma)):
+        raise OrbitError("non-finite log-height", step=step)
 
-    gammas[-1] is the u estimate after n_iters steps.  With keep_all
-    the full lists come back; otherwise only the sliding window is
-    retained internally and the returned lists hold what the caller
-    needs: every γ and, in keep_all mode, every w.
+
+class _OrbitRunner:
+    """The normalized recursion, prepared once for (f, cert, n_iters, precision).
+
+    Set-up checks the certificate, extends the exact degrees and builds
+    the step: generated straight-line code at 53 bits or less, mpmath
+    loop evaluators above.  start() and run() then cost one orbit per
+    point.  The orbit keeps unit vectors wₙ and per-degree log-heights
+    γₙ; the lagged divisor term reaches back n0+1 steps.
     """
-    cert = _check_cert(f, cert)
-    if n_iters < 1:
-        raise ValueError("n_iters must be at least 1")
-    E = _engine(precision)
-    v = E.vector(z)
-    if len(v) != f.nvars:
-        raise ZeroVector(f"point has {len(v)} coordinates, need {f.nvars}")
-    nrm = E.norm(v)
-    if nrm < _SINGULAR_TOL:
-        raise ZeroVector("cannot evaluate at the zero vector")
-    d = f.degree
-    if cert is None:
-        h, n0, Hc = 0, 1, None
-    else:
-        h, n0 = cert.h, cert.n0
-        Hc = E.compile(cert.H)
-    if d >= 2:
-        degrees = extend_degrees(DegreeRecurrence(d=d, h=h, n0=n0), n_iters)
-    elif cert is not None:
-        raise ValueError("degree-1 maps take no divisor certificate")
-    else:
-        degrees = [1] * (n_iters + 1)
-    comps = [E.compile(c) for c in f.components]
 
-    w = tuple(x / nrm for x in v)
-    gamma = E.log(nrm)
-    state = OrbitState(n0 + 1)
-    state.push(w, gamma)
-    gammas = [gamma]
-    points = [w] if keep_all else None
-    increments = []
-    for n in range(1, n_iters + 1):
-        w_prev = state.point(n - 1)
-        g_prev = state.gamma(n - 1)
-        # the division by the lagged divisor value is part of forming
-        # step n, so its failure outranks a vanishing forward image
-        lag = n - n0 - 1
-        hpart = None
-        if cert is not None and lag >= 0:
-            w_old = state.point(lag)
-            g_old = state.gamma(lag)
-            ah = E.absval(Hc(w_old))
-            if ah < _SINGULAR_TOL:
-                raise OrbitHitDivisor(
-                    f"orbit met the extracted divisor at step {n}", step=n
-                )
-            hpart = (h * degrees[lag], E.log(ah))
-        Fv = tuple(c(w_prev) for c in comps)
-        nf = E.norm(Fv)
-        if nf < _SINGULAR_TOL:
-            raise OrbitHitIndeterminacy(
-                f"orbit met an indeterminate point at step {n}", step=n
-            )
-        a, b, lg = d * degrees[n - 1], degrees[n], E.log(nf)
-        k = a.bit_length() - _FLOAT_INT_BITS
-        if k > 0 and isinstance(g_prev, float):
-            # float(a) would overflow: divide numerator and denominator by
-            # 2^k (exact int true division; power-of-two scaling commutes
-            # with rounding, so only the overflow is avoided)
-            s = 1 << k
-            num = a / s * g_prev + math.ldexp(lg, -k)
-            if hpart is not None:
-                num -= hpart[0] / s * g_old + math.ldexp(hpart[1], -k)
-            gamma = num / (b / s)
+    def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, step=None):
+        cert = _check_cert(f, cert)
+        if n_iters < 1:
+            raise ValueError("n_iters must be at least 1")
+        if precision < 24:
+            raise ValueError("precision below 24 bits is not meaningful here")
+        d = f.degree
+        h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
+        if d >= 2:
+            degrees = extend_degrees(DegreeRecurrence(d=d, h=h, n0=n0), n_iters)
+        elif cert is not None:
+            raise ValueError("degree-1 maps take no divisor certificate")
         else:
-            num = a * g_prev + lg
-            if hpart is not None:
-                num -= hpart[0] * g_old + hpart[1]
-            gamma = num / b
-        increments.append(abs(gamma - g_prev))
-        w = tuple(x / nf for x in Fv)
-        state.push(w, gamma)
-        gammas.append(gamma)
-        if keep_all:
+            degrees = [1] * (n_iters + 1)
+        self.nvars, self.n0 = f.nvars, n0
+        fast = precision <= 53
+        if fast:
+            self.log, self.engine = math.log, None
+            self.step = step or _float_code(f.components, f.nvars)
+            self.H = cert and _float_code([cert.H], f.nvars, step=False)
+        else:
+            E = self.engine = _MPEngine(precision)
+            self.log = E.log
+            self.step = step or E.step(f.components)
+            self.H = cert and E.compile(cert.H)
+        # per step n: the weights of γ_{n-1}, γₙ and (when the divisor
+        # enters) γ_{n-n0-1}, and the power of two k they were divided by
+        self.plan = [None]
+        for n in range(1, n_iters + 1):
+            a, b = d * degrees[n - 1], degrees[n]
+            lag = n - n0 - 1
+            hd = h * degrees[lag] if cert is not None and lag >= 0 else None
+            k = a.bit_length() - _FLOAT_INT_BITS if fast else 0
+            if k > 0:
+                # float(a) would overflow: divide numerator and denominator
+                # by 2^k (exact int true division; power-of-two scaling
+                # commutes with rounding, so only the overflow is avoided)
+                s = 1 << k
+                a, b, hd = a / s, b / s, None if hd is None else hd / s
+            elif fast:
+                a, b, hd, k = float(a), float(b), None if hd is None else float(hd), 0
+            self.plan.append((a, b, hd, k))
+
+    def start(self, z):
+        """Unit vector and log-height of the input point."""
+        E = self.engine
+        v = tuple(map(_to_complex, z)) if E is None else E.vector(z)
+        if not all(map(cmath.isfinite if E is None else mp.isfinite, v)):
+            raise ValueError("point coordinates must be finite")
+        if len(v) != self.nvars:
+            raise ZeroVector(f"point has {len(v)} coordinates, need {self.nvars}")
+        nrm = _float_norm(v) if E is None else E.norm(v)
+        if nrm < _SINGULAR_TOL:
+            raise ZeroVector("cannot evaluate at the zero vector")
+        if nrm == math.inf:
+            # finite coordinates whose squares overflow: scale by 2^-k first
+            k = max(math.frexp(abs(p))[1] for x in v for p in (x.real, x.imag))
+            v = tuple(complex(math.ldexp(x.real, -k), math.ldexp(x.imag, -k)) for x in v)
+            nrm = _float_norm(v)
+            return tuple(x / nrm for x in v), math.log(nrm) + k * math.log(2)
+        return tuple(x / nrm for x in v), self.log(nrm)
+
+    def run(self, w, gamma):
+        """Orbit from unit vector w at height γ: (gammas, points, increments).
+
+        gammas[-1] is the u estimate after n_iters steps and
+        increments[n-1] = |γₙ − γ_{n−1}|.
+        """
+        _check_entry(math.sqrt(sum(abs(complex(x)) ** 2 for x in w)), gamma, 0)
+        step, H, log, plan, n0 = self.step, self.H, self.log, self.plan, self.n0
+        points, gammas, increments = [w], [gamma], []
+        for n in range(1, len(plan)):
+            a, b, hd, k = plan[n]
+            if hd is not None:
+                # the division by the lagged divisor value is part of forming
+                # step n, so its failure outranks a vanishing forward image
+                ah = abs(H(points[n - n0 - 1]))
+                if ah < _SINGULAR_TOL:
+                    raise OrbitHitDivisor(f"orbit met the extracted divisor at step {n}", step=n)
+                lh = log(ah)
+            nf, w, nrm = step(w)
+            if w is None:
+                raise OrbitHitIndeterminacy(f"orbit met an indeterminate point at step {n}", step=n)
+            lg = log(nf)
+            if k:
+                lg = math.ldexp(lg, -k)
+                if hd is not None:
+                    lh = math.ldexp(lh, -k)
+            num = a * gamma + lg
+            if hd is not None:
+                num -= hd * gammas[n - n0 - 1] + lh
+            g = num / b
+            increments.append(abs(g - gamma))
+            gamma = g
+            _check_entry(nrm, gamma, n)
             points.append(w)
-    return gammas, points, increments
+            gammas.append(gamma)
+        return gammas, points, increments
+
+    def value(self, z, converge_tol=None):
+        """(u, increments) at z; NotConverged when the last increment exceeds converge_tol."""
+        gammas, _, increments = self.run(*self.start(z))
+        if converge_tol is not None and increments[-1] > converge_tol:
+            raise NotConverged(
+                f"increment {float(increments[-1]):.3e} above {converge_tol:.3e} "
+                f"after {len(increments)} steps",
+                step=len(increments),
+            )
+        return gammas[-1], tuple(increments)
 
 
 def green_eval(
@@ -350,25 +378,7 @@ def green_eval(
     instead of returning a value silently off target.
     """
     del lambda_report  # reserved for tolerance heuristics; degrees suffice here
-    gammas, _, increments = _run_orbit(f, cert, z, n_iters, precision)
-    if converge_tol is not None and increments[-1] > converge_tol:
-        raise NotConverged(
-            f"increment {float(increments[-1]):.3e} above {converge_tol:.3e} "
-            f"after {n_iters} steps",
-            step=n_iters,
-        )
-    return gammas[-1], tuple(increments)
-
-
-def _normalized_input(f: ProjMap, z, precision):
-    E = _engine(precision)
-    v = E.vector(z)
-    if len(v) != f.nvars:
-        raise ZeroVector(f"point has {len(v)} coordinates, need {f.nvars}")
-    nrm = E.norm(v)
-    if nrm < _SINGULAR_TOL:
-        raise ZeroVector("cannot evaluate at the zero vector")
-    return E, tuple(x / nrm for x in v)
+    return _OrbitRunner(f, cert, n_iters, precision).value(z, converge_tol)
 
 
 def functional_eq_residual(
@@ -387,22 +397,21 @@ def functional_eq_residual(
     (h = 0) mode the residual is |u(F(z)) − d·u(z)| and λ defaults to
     the degree.
     """
-    cert = _check_cert(f, cert)
-    E, w = _normalized_input(f, z, precision)
+    orbit = _OrbitRunner(f, cert, n_iters, precision)
+    w, _ = orbit.start(z)
     lam = float(lambda_report.lambda_) if lambda_report is not None else float(f.degree)
-    u_z, _ = green_eval(f, cert, None, w, n_iters=n_iters, precision=precision)
-    comps = [E.compile(c) for c in f.components]
-    Fw = tuple(c(w) for c in comps)
-    if E.norm(Fw) < _SINGULAR_TOL:
+    u_z, _ = orbit.value(w)
+    nf, w1, _ = orbit.step(w)
+    if w1 is None:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
-    u_fz, _ = green_eval(f, cert, None, Fw, n_iters=n_iters, precision=precision)
+    u_fz = orbit.run(w1, orbit.log(nf))[0][-1]
     if cert is None:
         return abs(u_fz - lam * u_z)
-    ah = E.absval(E.compile(cert.H)(w))
+    ah = abs(orbit.H(w))
     if ah < _SINGULAR_TOL:
         raise OrbitHitDivisor("input point lies on the extracted divisor", step=0)
     coef = (f.degree - lam) / cert.h
-    return abs(u_fz - lam * u_z - coef * E.log(ah))
+    return abs(u_fz - lam * u_z - coef * orbit.log(ah))
 
 
 def telescope_residual(
@@ -434,24 +443,24 @@ def telescope_residual(
         raise AmplificationOverflow(
             f"lambda^{n} exceeds the usable precision ({precision} bits)", step=n
         )
-    _, w = _normalized_input(f, z, precision)
+    orbit = _OrbitRunner(f, cert, n_iters, precision)
     # plain-composition orbit: heights scale by d^m, no extraction
-    gammas, points, _ = _run_orbit(f, None, w, n, precision, keep_all=True)
-    u_z, _ = green_eval(f, cert, None, w, n_iters=n_iters, precision=precision)
-    u_wn, _ = green_eval(f, cert, None, points[n], n_iters=n_iters, precision=precision)
+    plain = _OrbitRunner(f, None, n, precision, step=orbit.step)
+    w, _ = orbit.start(z)
+    gammas, points, _ = plain.run(*plain.start(w))
+    u_z, _ = orbit.value(w)
+    u_wn, _ = orbit.value(points[n])
     d = f.degree
     u_fnz = d**n * gammas[n] + u_wn
     if cert is None:
         return abs(u_fnz - lam**n * u_z) / lam**n
-    E = _engine(precision)
-    Hc = E.compile(cert.H)
     acc = 0 * lam
     for j in range(1, n + 1):
         m = n - j
-        ah = E.absval(Hc(points[m]))
+        ah = abs(orbit.H(points[m]))
         if ah < _SINGULAR_TOL:
             raise OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
-        log_h = cert.h * d**m * gammas[m] + E.log(ah)
+        log_h = cert.h * d**m * gammas[m] + orbit.log(ah)
         acc += lam ** (j - 1) * log_h
     coef = (d - lam) / cert.h
     return abs(u_fnz - lam**n * u_z - coef * acc) / lam**n
@@ -518,35 +527,31 @@ def grid_sample(
     n_iters: int = 32,
     precision: int = 53,
     converge_tol: float = 1e-6,
-    workers: Optional[int] = None,
 ) -> GreenGrid:
     """Evaluate the potential on a resolution² grid over the slice.
 
-    Per-node failures become status entries, never exceptions; the
-    assembly is deterministic regardless of the worker count (workers
-    defaults to the PROJDYN_WORKERS environment variable).
+    Per-node orbit failures become status entries, never exceptions;
+    a node outside the float range is an input error (ValueError).  One
+    prepared orbit runner serves every node, in row-major order on one
+    thread, so the grid is deterministic and each node equals green_eval
+    at that point.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
+    base, e1, e2 = ([_to_complex(x) for x in v]
+                    for v in (slice_spec.base, slice_spec.e1, slice_spec.e2))
+    if not all(map(cmath.isfinite, base + e1 + e2)):
+        raise ValueError("slice coordinates must be finite")
     if not _independent(slice_spec.e1, slice_spec.e2):
         raise ValueError("direction vectors must be linearly independent")
-    if workers is None:
-        workers = max(1, int(os.environ.get("PROJDYN_WORKERS", "1")))
+    orbit = _OrbitRunner(f, cert, n_iters, precision)
     xs = _axis(*slice_spec.x_range, resolution)
     ys = _axis(*slice_spec.y_range, resolution)
-    base = [_to_complex(b) for b in slice_spec.base]
-    e1 = [_to_complex(x) for x in slice_spec.e1]
-    e2 = [_to_complex(x) for x in slice_spec.e2]
 
-    def node(ij):
-        i, j = ij
-        z = tuple(b + xs[i] * a + ys[j] * c for b, a, c in zip(base, e1, e2))
+    def node(x, y):
+        z = tuple(b + x * a + y * c for b, a, c in zip(base, e1, e2))
         try:
-            u, _ = green_eval(
-                f, cert, lambda_report, z,
-                n_iters=n_iters, precision=precision, converge_tol=converge_tol,
-            )
-            return float(u), STATUS_OK
+            return float(orbit.value(z, converge_tol)[0]), STATUS_OK
         except (OrbitHitIndeterminacy, ZeroVector):
             return None, STATUS_INDETERMINACY
         except OrbitHitDivisor:
@@ -554,27 +559,18 @@ def grid_sample(
         except NotConverged:
             return None, STATUS_NOT_CONVERGED
 
-    indices = [(i, j) for i in range(resolution) for j in range(resolution)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(node, indices))
-    else:
-        results = [node(ij) for ij in indices]
-    values = tuple(
-        tuple(results[i * resolution + j][0] for j in range(resolution))
-        for i in range(resolution)
-    )
-    status = tuple(
-        tuple(results[i * resolution + j][1] for j in range(resolution))
-        for i in range(resolution)
-    )
+    results = [[node(x, y) for y in ys] for x in xs]
     meta = {
         "depth": n_iters,
         "precision": precision,
         "certificate": _grid_digest(f, cert),
     }
     return GreenGrid(
-        slice=slice_spec, resolution=resolution, values=values, status=status, meta=meta
+        slice=slice_spec,
+        resolution=resolution,
+        values=tuple(tuple(u for u, _ in row) for row in results),
+        status=tuple(tuple(s for _, s in row) for row in results),
+        meta=meta,
     )
 
 

@@ -653,9 +653,13 @@ def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
     lead = d[max(d)]
     sign = 1 if (lead > 0) else -1
     content = Fraction(sign * num_gcd, denom_lcm)
-    inv = 1 / content
-    out = {e: _canon_coeff(Fraction(c) * inv) for e, c in d.items()}
-    assert all(isinstance(c, int) for c in out.values())
+    div = sign * num_gcd
+    out = {}
+    for e, c in d.items():
+        if isinstance(c, Fraction):
+            out[e] = c.numerator * (denom_lcm // c.denominator) // div
+        else:
+            out[e] = int(c) * denom_lcm // div
     return content, out
 
 

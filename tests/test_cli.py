@@ -205,6 +205,22 @@ class TestGreenPoint:
         )
         assert code == 2 and "error" in err
 
+    def test_huge_point_is_evaluated(self, files, capsys):
+        code, out, _ = run(
+            capsys, "green-point", "--map", files["stable_map"],
+            "--point=1e300,1e300,1", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, schema("green-point"))
+        assert payload["status"] == "OK"
+
+    def test_nan_point_is_input_error(self, files, capsys):
+        code, out, err = run(
+            capsys, "green-point", "--map", files["stable_map"], "--point=nan,1,1"
+        )
+        assert code == 2 and out == "" and "finite" in err
+
 
 class TestGreenGrid:
     def test_grid_run_with_exports(self, files, capsys):
@@ -248,6 +264,16 @@ class TestGreenGrid:
                 "--resolution", 4, "--n", 25, "--pgm", p,
             )
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_huge_base_keeps_the_grid(self, files, capsys):
+        code, out, _ = run(
+            capsys, "green-grid", "--map", files["stable_map"],
+            "--base=1e300,0,1", "--e1=1,0,0", "--e2=0,1,0", "--resolution", 3, "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, schema("green-grid"))
+        assert sum(int(v) for v in payload["counts"].values()) == 9
 
     def test_bad_resolution_is_input_error(self, files, capsys):
         code, _, err = run(

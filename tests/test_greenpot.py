@@ -7,6 +7,7 @@ quadratically stable cubic instance exercises the divisor-corrected
 recursion and both residual identities.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -16,7 +17,7 @@ import pytest
 
 from projdyn.family2 import build_family_map
 from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, make_map
-from projdyn.polycore import parse_poly
+from projdyn.polycore import HomPoly, parse_poly
 from projdyn.specdeg import DegreeRecurrence, char_poly_roots, extend_degrees
 from projdyn import greenpot as gp
 
@@ -114,6 +115,17 @@ class TestGreenEval:
             gp.green_eval(mono, None, None, (1, 1, 1), precision=8)
         with pytest.raises(ValueError):
             gp.green_eval(mono, cert, None, (2, 1, 1))  # degree-2 map, degree-3 cert
+        for bad in ((float("nan"), 1, 1), (1, complex(0, float("inf")), 1)):
+            with pytest.raises(ValueError):
+                gp.green_eval(mono, None, None, bad)
+
+    def test_huge_point_at_53_bits(self, mono, stable):
+        # the squares of 1e300 overflow; the norm is taken after a 2^-k scaling
+        f, cert, rep = stable
+        for fn, ct in ((mono, None), (f, cert)):
+            u1, _ = gp.green_eval(fn, ct, None, Z_FROZEN, n_iters=36)
+            u2, _ = gp.green_eval(fn, ct, None, tuple(1e300 * c for c in Z_FROZEN), n_iters=36)
+            assert abs(u2 - u1 - math.log(1e300)) < 1e-9
 
 
 class TestOrbitErrors:
@@ -137,21 +149,20 @@ class TestOrbitErrors:
         u, _ = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=40, converge_tol=1e-9)
         assert math.isfinite(u)
 
-    def test_orbit_state_ring_window(self):
-        st = gp.OrbitState(2)
-        for k in range(4):
-            st.push((1.0, 0.0, 0.0), float(k))
-        assert st.n == 3
-        assert st.gamma(3) == 3.0 and st.gamma(2) == 2.0
-        with pytest.raises(IndexError):
-            st.point(1)
-
     def test_orbit_state_rejects_bad_entries(self):
-        st = gp.OrbitState(2)
+        # the unit-norm and finite-height checks every orbit entry passes
         with pytest.raises(gp.OrbitError):
-            st.push((2.0, 0.0, 0.0), 0.0)
+            gp._check_entry(2.0, 0.0, 1)
         with pytest.raises(gp.OrbitError):
-            st.push((1.0, 0.0, 0.0), float("nan"))
+            gp._check_entry(1.0, float("nan"), 1)
+        gp._check_entry(1.0, 0.5, 1)
+
+    def test_overflowing_image_is_an_orbit_error(self):
+        # |F(w)|^2 overflows for a unit w: the quotient loses its norm
+        big = make_map([pp("z^2") * 10**200, pp("w^2"), pp("t^2")])
+        with pytest.raises(gp.OrbitError) as exc:
+            gp.green_eval(big, None, None, (1, 0, 0), n_iters=4)
+        assert exc.value.step == 1 and "normalization" in str(exc.value)
 
 
 class TestResiduals:
@@ -283,15 +294,43 @@ class TestGrid:
         )
         assert divisor_slice_grid.values[0][0] == float(u)
 
-    def test_deterministic_and_worker_independent(self, stable, monkeypatch):
+    def test_deterministic_and_equal_to_per_point_path(self, stable):
         f, cert, rep = stable
         sl = gp.GridSlice(base=(1.0, 0.3, 0.5), e1=(0.0, 1.0, 0.0), e2=(0.0, 0.0, 1.0))
         g1 = gp.grid_sample(f, cert, rep, sl, 4, n_iters=25)
         g2 = gp.grid_sample(f, cert, rep, sl, 4, n_iters=25)
         assert g1 == g2
-        monkeypatch.setenv("PROJDYN_WORKERS", "3")
-        g3 = gp.grid_sample(f, cert, rep, sl, 4, n_iters=25)
-        assert g1.values == g3.values and g1.status == g3.status
+        axis = gp._axis(-1.0, 1.0, 4)
+        vecs = [[complex(c) for c in v] for v in (sl.base, sl.e1, sl.e2)]
+        for i, x in enumerate(axis):
+            for j, y in enumerate(axis):
+                z = tuple(b + x * a + y * c for b, a, c in zip(*vecs))
+                u, _ = gp.green_eval(f, cert, rep, z, n_iters=25, converge_tol=1e-6)
+                assert (g1.values[i][j], g1.status[i][j]) == (u, gp.STATUS_OK)
+
+    @pytest.mark.parametrize("base, e1, e2, with_cert, sha", [
+        ((0, 1, 0.5), (1, 0, 0), (0, 0, 1), True,
+         "909c69b1d0146f9a94ea934906a0889c76522ca76e9e58fc04ef699215143e02"),
+        ((0, 0, 1), (1, 0, 0), (0, 1, 0), True,
+         "c85998701ff524c9eb06c178ae042ab94422220fea1a37914ff56a96bb839680"),
+        ((0.3 + 0.1j, 1, 0.4), (1, 0, 0), (0, 0, 1), False,
+         "69a75a14a30f13a5190e7d882d363501963e325e39d4ff6e6477c9281a2d2c49"),
+    ])
+    def test_csv_bytes_pinned(self, stable, tmp_path, base, e1, e2, with_cert, sha):
+        f, cert, rep = stable
+        sl = gp.GridSlice(base=base, e1=e1, e2=e2)
+        g = gp.grid_sample(f, cert if with_cert else None, rep, sl, 9, n_iters=32)
+        gp.export_grid_csv(g, tmp_path / "g.csv")
+        assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == sha
+
+    def test_huge_base_gives_statuses(self, stable):
+        f, cert, rep = stable
+        sl = gp.GridSlice(base=(1e300, 0, 1), e1=(1, 0, 0), e2=(0, 1, 0))
+        g = gp.grid_sample(f, cert, rep, sl, 3)
+        # every node is [1:0:0] to double precision, an indeterminate point
+        assert all(s == gp.STATUS_INDETERMINACY for row in g.status for s in row)
+        with pytest.raises(ValueError):
+            gp.grid_sample(f, cert, rep, gp.GridSlice((0, 0, 1), (float("inf"), 0, 0), (0, 1, 0)), 3)
 
     def test_meta_records_run(self, divisor_slice_grid):
         meta = divisor_slice_grid.meta
@@ -425,3 +464,88 @@ class TestLaplacian:
                 elif r < 0.5:
                     interior = max(interior, lap[i][j])
         assert ring > 1.0 and interior < 1e-10
+
+
+def loop_evaluator(p):
+    """The per-term loop the generated 53-bit code must reproduce bit for bit."""
+    terms = [(gp._to_complex(c), e) for e, c in p.terms]
+
+    def ev(v):
+        acc = 0j
+        for c, e in terms:
+            t = c
+            for x, k in zip(v, e):
+                if k == 1:
+                    t *= x
+                elif k:
+                    t *= x**k
+            acc += t
+        return acc
+
+    return ev
+
+
+def loop_step(polys, w):
+    fv = [loop_evaluator(p)(w) for p in polys]
+    nf = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in fv))
+    return nf, tuple(x / nf for x in fv) if nf >= gp._SINGULAR_TOL else None
+
+
+def random_poly(rng, nvars, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        e = [0] * nvars
+        for _ in range(degree):
+            e[rng.randrange(nvars)] += 1
+        c = rng.choice([rng.randint(-9, 9) or 1, Fraction(rng.randint(-20, 20) or 1, rng.randint(1, 13))])
+        terms[tuple(e)] = c
+    return HomPoly(nvars, terms.items())
+
+
+class TestGeneratedStep:
+    ZEROS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0))
+
+    def point(self, rng, nvars):
+        pick = lambda: (rng.choice(self.ZEROS) if rng.random() < 0.3
+                        else complex(rng.uniform(-2, 2), rng.choice((rng.uniform(-2, 2), 0.0, -0.0))))
+        v = [pick() for _ in range(nvars)]
+        v[rng.randrange(nvars)] = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+        return tuple(complex(x) for x in v)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_matches_loop_evaluator(self, nvars):
+        rng = random.Random(100 + nvars)
+        for degree in (1, 2, 3, 5):
+            polys = [random_poly(rng, nvars, degree) for _ in range(nvars)]
+            step = gp._float_code(polys, nvars)
+            single = gp._float_code(polys[:1], nvars, step=False)
+            for _ in range(40):
+                w = self.point(rng, nvars)
+                assert repr(single(w)) == repr(loop_evaluator(polys[0])(w))
+                nf, u, nrm = step(w)
+                assert (repr(nf), repr(u)) == tuple(map(repr, loop_step(polys, w)))
+                assert u is None or abs(nrm - 1.0) < 1e-12
+
+    def test_exponents_zero_one_and_large(self):
+        p = HomPoly(2, [((0, 7), Fraction(-1, 3)), ((1, 6), 2), ((7, 0), Fraction(5, 2)), ((3, 4), -1)])
+        q = HomPoly(2, [((2, 5), 1), ((0, 7), -4)])
+        for w in ((1.5 - 0.25j, -0.0 + 0.5j), (complex(-0.0, -0.0), 1 + 0j), (0.75 + 0j, -1.25 - 0j)):
+            nf, u, _ = gp._float_code([p, q], 2)(w)
+            assert (repr(nf), repr(u)) == tuple(map(repr, loop_step([p, q], w)))
+
+    def test_ten_thousand_terms(self):
+        # one flat sum this long exceeds the compiler's recursion limit
+        d = 146
+        p = HomPoly(3, [((i, j, d - i - j), 1 + (i * j) % 5)
+                        for i in range(d + 1) for j in range(d + 1 - i)])
+        assert len(p.terms) > 10000
+        w = (0.6 + 0.1j, 0.5j, -0.55)
+        assert repr(gp._float_code([p], 3, step=False)(w)) == repr(loop_evaluator(p)(w))
+
+    def test_source_holds_no_coefficients(self, monkeypatch):
+        sources = []
+        real_exec = exec
+        monkeypatch.setattr(gp, "exec", lambda src, ns: (sources.append(src), real_exec(src, ns))[1],
+                            raising=False)
+        gp._float_code([HomPoly(3, [((2, 0, 0), Fraction(7, 3)), ((0, 1, 1), 12345)])], 3)
+        assert sources and not any(c in sources[0] for c in ("12345", "7/3", "2.33"))
