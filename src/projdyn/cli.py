@@ -8,8 +8,10 @@ the parser grammar, and render exact integers as decimal strings
 because degree values outgrow 64-bit range quickly.
 
 Exit codes: 0 success; 1 negative analysis verdict (NotQAS, FAIL,
-orbit failure, UNKNOWN preflight); 2 input error; 3 resource limit;
-4 internal invariant violation.
+an orbit hitting the divisor or an indeterminacy point, no
+convergence); 2 input error; 3 resource or precision limit (an orbit
+that lost its normalization or its finite height at the working
+precision); 4 internal invariant violation.
 """
 
 import argparse
@@ -26,12 +28,12 @@ from . import greenpot as gp
 from .family2 import (
     FAIL,
     PASS,
-    UNKNOWN,
     FamilyError,
     GenerationExhausted,
     check_coprimality,
     check_intersection_conditions,
     check_rank_and_pencil,
+    fold_verdicts,
     load_family,
     random_family,
     save_family,
@@ -226,17 +228,11 @@ def _run_family_gen(cfg: RunConfig):
 def _run_family_check(cfg: RunConfig):
     inst = load_family(cfg.inputs[0])
     cop = check_coprimality(inst)
-    inter = check_intersection_conditions(inst, precision=cfg.precision_bits)
+    inter = check_intersection_conditions(inst)
     rank_rep, pencil_rep = check_rank_and_pencil(
         inst, samples=cfg.opt("samples"), seed=cfg.seed
     )
-    verdicts = (cop, inter.verdict, rank_rep.verdict, pencil_rep.verdict)
-    if any(v == FAIL for v in verdicts):
-        overall = FAIL
-    elif all(v == PASS for v in verdicts):
-        overall = PASS
-    else:
-        overall = UNKNOWN
+    overall = fold_verdicts((cop, inter.verdict, rank_rep.verdict, pencil_rep.verdict))
     payload = {
         "coprimality": cop,
         "intersection": {
@@ -293,6 +289,11 @@ def _parse_point(text: str, nvars: int):
     return tuple(complex(p) for p in parts)
 
 
+def _precision_limit(exc: gp.OrbitError, bits: int) -> PrecisionExhausted:
+    """A lost normalization or a non-finite height: the orbit outgrew its precision."""
+    return PrecisionExhausted(f"{exc} at {bits} bits; rerun with a higher --precision")
+
+
 def _run_green_point(cfg: RunConfig):
     f = load_map(cfg.inputs[0])
     cert, rep, trace = _certificate_for(f, cfg.opt("cert"), cfg.opt("cert_depth"))
@@ -305,7 +306,7 @@ def _run_green_point(cfg: RunConfig):
             f, cert, rep, z,
             n_iters=cfg.n, precision=cfg.precision_bits, converge_tol=tol,
         )
-    except gp.OrbitError as exc:
+    except (gp.OrbitHitIndeterminacy, gp.OrbitHitDivisor, gp.NotConverged) as exc:
         payload = {
             "u": None,
             "status": type(exc).__name__.replace("Orbit", ""),
@@ -316,6 +317,8 @@ def _run_green_point(cfg: RunConfig):
         if cfg.json_out:
             return EXIT_NEGATIVE, _emit_json(payload)
         return EXIT_NEGATIVE, f"status {payload['status']} step {payload['step']}\n"
+    except gp.OrbitError as exc:
+        raise _precision_limit(exc, cfg.precision_bits) from exc
     payload = {
         "u": _numstr(u, cfg.precision_bits),
         "status": gp.STATUS_OK,
@@ -344,13 +347,16 @@ def _run_green_grid(cfg: RunConfig):
         x_range=_parse_range(cfg.opt("x_range")),
         y_range=_parse_range(cfg.opt("y_range")),
     )
-    grid = gp.grid_sample(
-        f, cert, rep, slice_spec,
-        resolution=cfg.opt("resolution"),
-        n_iters=cfg.n,
-        precision=cfg.precision_bits,
-        converge_tol=cfg.opt("tol"),
-    )
+    try:
+        grid = gp.grid_sample(
+            f, cert, rep, slice_spec,
+            resolution=cfg.opt("resolution"),
+            n_iters=cfg.n,
+            precision=cfg.precision_bits,
+            converge_tol=cfg.opt("tol"),
+        )
+    except gp.OrbitError as exc:
+        raise _precision_limit(exc, cfg.precision_bits) from exc
     counts = {}
     for row in grid.status:
         for s in row:
@@ -546,7 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("family-check", help="preflight checks for a family file")
     p.add_argument("--family", required=True)
-    p.add_argument("--precision", type=int, default=96)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
 

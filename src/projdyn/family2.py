@@ -10,10 +10,12 @@ recurrence (d, h, n0) = (deg P + deg Q1, deg P, 1).
 Three preflight checks estimate whether an instance is quasi-stable
 before any symbolic iteration: exact coprimality of the difference
 forms and of (P, R); a pointwise condition on the finite set
-{P=0} n {R=0}; and the jacobian rank at (1,1,1) together with a
-coprimality scan over the pencil spanned by the Q_j.  The preflight is
-advisory; the authoritative verdict is always the symbolic certificate
-from the iteration module.
+{P=0} n {R=0}, decided exactly by gcds of binary forms on the line
+t = 0 and by a Euclid over the roots of a resultant in the chart t = 1;
+and the jacobian rank at (1,1,1) together with a coprimality scan over
+the pencil spanned by the Q_j.  The preflight is advisory; the
+authoritative verdict is always the symbolic certificate from the
+iteration module.
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import iv, mp, workprec
+from mpmath import mp, workprec
 
 from .mapiter import NotDominant, ProjMap, make_map, map_to_text
 from .polycore import (
@@ -54,6 +56,7 @@ __all__ = [
     "check_coprimality",
     "check_intersection_conditions",
     "check_rank_and_pencil",
+    "fold_verdicts",
     "run_preflight",
     "random_family",
     "sample_divisor_points",
@@ -109,11 +112,15 @@ class FamilyInstance:
 class IntersectionReport:
     """Outcome of the pointwise check on {P=0} n {R=0}.
 
-    rational_points lists the exactly determined points; boxed_points
-    counts certified enclosures of the remaining algebraic points;
-    failure_witnesses lists points where both difference forms vanish;
-    unresolved counts enclosures the interval evaluation could not
-    decide within the precision budget.
+    The verdict is exact: PASS or FAIL, never UNKNOWN.
+    rational_points lists the rational points of the set that were found
+    (roots with a denominator above 10^9 may be missed); each is checked
+    exactly.  failure_witnesses lists the listed points where both
+    difference forms vanish, then ("line", m) and ("chart", m) for the
+    failing points not listed: m is the monic polynomial in z whose
+    roots are their z-coordinates, on the line [z:1:0] and in the chart
+    [z:w:1].  boxed_points and unresolved are kept for the readers of
+    the report format and are always 0.
     """
 
     verdict: str
@@ -289,6 +296,19 @@ def _ugcd(a, b):
     return a
 
 
+def _uinvmod(a, h):
+    """Inverse of a modulo h by the extended Euclidean algorithm; a must be a unit mod h."""
+    r0, r1 = list(h), _urem(a, h)
+    s0, s1 = [], [Fraction(1)]
+    while _udeg(r1) > 0:
+        rem = _urem(r0, r1)
+        q = _udivexact(_uadd(r0, _uscale(rem, -1)), r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _uadd(s0, _uscale(_umul(q, s1), -1))
+    assert r1, "not a unit modulo h"
+    return _urem(_uscale(s1, 1 / r1[0]), h)
+
+
 def _uderiv(a):
     return _utrim([a[i] * i for i in range(1, len(a))])
 
@@ -312,8 +332,8 @@ def _usquarefree(a):
 def _urational_roots(a):
     """Verified rational roots, found by rationalizing numeric roots.
 
-    Roots whose denominator exceeds the rationalization bound are left
-    to the interval machinery; everything returned is an exact root.
+    Roots whose denominator exceeds the rationalization bound are not
+    listed; everything returned is an exact root.
     """
     a = _usquarefree(a)
     if _udeg(a) < 1:
@@ -337,125 +357,6 @@ def _urational_roots(a):
             found.append(cand)
             rest = _udivexact(rest, [-cand, Fraction(1)])
     return found, rest
-
-
-# -- complex rectangle arithmetic over mpmath intervals -----------------------------
-
-
-class _Rect:
-    """Axis-aligned complex rectangle with rigorous interval endpoints."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def point(cls, re, im=0):
-        return cls(iv.mpf(re), iv.mpf(im))
-
-    @classmethod
-    def from_fraction(cls, q: Fraction):
-        return cls(iv.mpf(q.numerator) / q.denominator, iv.mpf(0))
-
-    @classmethod
-    def disk(cls, center, radius):
-        r = iv.mpf(radius)
-        return cls(
-            iv.mpf(center.real) + iv.mpf([-1, 1]) * r,
-            iv.mpf(center.imag) + iv.mpf([-1, 1]) * r,
-        )
-
-    def __add__(self, o):
-        return _Rect(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return _Rect(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        return _Rect(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, o):
-        d = o.re * o.re + o.im * o.im
-        if 0 in d:
-            raise ZeroDivisionError("interval denominator straddles zero")
-        return _Rect((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
-
-    def contains_zero(self) -> bool:
-        return 0 in self.re and 0 in self.im
-
-    def mid(self):
-        return _Rect(iv.mpf(self.re.mid), iv.mpf(self.im.mid))
-
-    def subset_interior(self, o) -> bool:
-        return (
-            o.re.a < self.re.a
-            and self.re.b < o.re.b
-            and o.im.a < self.im.a
-            and self.im.b < o.im.b
-        )
-
-    def intersects(self, o) -> bool:
-        return not (
-            self.re.b < o.re.a
-            or o.re.b < self.re.a
-            or self.im.b < o.im.a
-            or o.im.b < self.im.a
-        )
-
-    def intersect(self, o):
-        return _Rect(
-            iv.mpf([max(self.re.a, o.re.a), min(self.re.b, o.re.b)]),
-            iv.mpf([max(self.im.a, o.im.a), min(self.im.b, o.im.b)]),
-        )
-
-    def width(self):
-        return max(self.re.delta, self.im.delta)
-
-
-def _rect_upoly_eval(coeffs, x: _Rect) -> _Rect:
-    acc = _Rect.point(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _rect_coeffs(u):
-    return [_Rect.from_fraction(c) for c in u]
-
-
-def _interval_newton(coeffs, seed, radius, steps=40):
-    """Certified enclosure of a simple root near seed, or None.
-
-    coeffs are _Rect (possibly genuinely interval-valued, when they
-    come from evaluating parameter-dependent coefficients over a
-    parameter box); contraction of the Newton image certifies a unique
-    root for every parameter value in the box.
-    """
-    dcoeffs = [coeffs[i] * _Rect.point(i) for i in range(1, len(coeffs))]
-    X = _Rect.disk(seed, radius)
-    certified = False
-    for _ in range(steps):
-        m = X.mid()
-        fm = _rect_upoly_eval(coeffs, m)
-        try:
-            fpX = _rect_upoly_eval(dcoeffs, X)
-            N = m - fm / fpX
-        except ZeroDivisionError:
-            return X if certified else None
-        if N.subset_interior(X):
-            certified = True
-            X = N.intersect(X)
-            if float(X.width()) < 1e-40:
-                return X
-            continue
-        if not N.intersects(X):
-            return None
-        if certified:
-            return X
-        X = N.intersect(X)
-    return X if certified else None
 
 
 # -- bivariate charts and resultants -------------------------------------------------
@@ -545,290 +446,115 @@ def _bi_eval_partial(d: dict, main: int, value: Fraction):
     return acc
 
 
-def _bi_rect_coeffs(d: dict, main: int, Z: _Rect):
-    """Coefficients in the other variable with the main variable boxed in Z."""
-    rows = _bi_to_upolys(d, main)
-    n = max((len(r) for r in rows), default=0)
-    out = [_Rect.point(0) for _ in range(n)]
-    power = _Rect.point(1)
-    for row in rows:
-        for j, c in enumerate(row):
-            out[j] = out[j] + _Rect.from_fraction(c) * power
-        power = power * Z
-    while out and out[-1].contains_zero() and float(out[-1].width()) == 0:
-        out.pop()
-    return out
+# -- second check: the difference forms on {P=0} n {R=0} ------------------------------
 
 
-# -- intersection machinery ----------------------------------------------------------
+def _restrict_t0(p: HomPoly) -> HomPoly:
+    """The binary form p(z, w, 0)."""
+    return HomPoly(2, (((e[0], e[1]), c) for e, c in p.terms if e[2] == 0))
 
 
-def _numeric_roots(u, prec_bits):
-    den = math.lcm(*(c.denominator for c in u))
-    ints = [int(c * den) for c in u]
-    with workprec(2 * prec_bits):
-        try:
-            return mp.polyroots(list(reversed(ints)), maxsteps=300, extraprec=prec_bits, error=False)
-        except mp.NoConvergence:
-            return None
-
-
-class _PointSink:
-    """Accumulates classified intersection points for the report."""
-
-    def __init__(self, diff1: HomPoly, diff2: HomPoly):
-        self.diff1 = diff1
-        self.diff2 = diff2
-        self.rational = []
-        self.failures = []
-        self.boxed = 0
-        self.unresolved = 0
-
-    def exact_point(self, pt):
-        self.rational.append(pt)
-        v1 = self.diff1.evaluate(pt)
-        v2 = self.diff2.evaluate(pt)
-        if v1 == 0 and v2 == 0:
-            self.failures.append(pt)
-
-    def algebraic_line_points(self, g):
-        """Points [z:1:0] with g(z) = 0, g squarefree with no rational roots.
-
-        Decided exactly: both differences vanish at a root of g iff g
-        shares that root with both restrictions, caught by gcd.
-        """
-        e1 = self._restrict_line(self.diff1)
-        e2 = self._restrict_line(self.diff2)
-        both = _ugcd(_ugcd(g, e1), e2)
-        self.boxed += _udeg(g)
-        if _udeg(both) > 0:
-            self.failures.append(("line", tuple(both)))
-
-    def _restrict_line(self, p: HomPoly):
-        # restrict to the line t = 0, then dehomogenize with w = 1
-        return _bi_eval_partial(_restrict_t0(p), 1, Fraction(1))
-
-    def box_point(self, coords):
-        """coords: triple of _Rect with one exact 1; interval-decide the condition."""
-        self.boxed += 1
-        for diff in (self.diff1, self.diff2):
-            val = _eval_hom_rect(diff, coords)
-            if not val.contains_zero():
-                return
-        self.unresolved += 1
-
-
-def _eval_hom_rect(p: HomPoly, coords) -> _Rect:
-    acc = _Rect.point(0)
-    for e, c in p.terms:
-        term = _Rect.from_fraction(Fraction(c))
-        for x, k in zip(coords, e):
-            for _ in range(k):
-                term = term * x
-        acc = acc + term
-    return acc
-
-
-def _line_points(P, R, sink, prec_bits):
-    """Common zeros on the line t = 0, treated as binary forms in (z, w)."""
-    b1 = _restrict_t0(P)
-    b2 = _restrict_t0(R)
-    if not b1 and not b2:
-        raise AssertionError("both forms vanish on the whole line; inputs not coprime")
-    if not b1:
-        g = b2
-    elif not b2:
-        g = b1
-    else:
-        g = _binary_gcd(b1, b2)
-    if _udeg_binary(g) == 0:
-        return
-    # g is a binary form in (z, w); the root [1:0] shows up as a drop in
-    # w-degree, every other root has w != 0
-    zpoly, w_order = _dehom_binary(g)
-    if w_order > 0:
-        sink.exact_point((Fraction(1), Fraction(0), Fraction(0)))
-    if _udeg(zpoly) >= 1:
-        roots, rest = _urational_roots(zpoly)
-        for z0 in roots:
-            sink.exact_point((z0, Fraction(1), Fraction(0)))
-        if _udeg(rest) >= 1:
-            sink.algebraic_line_points(_usquarefree(rest))
-
-
-def _restrict_t0(p: HomPoly) -> dict:
-    out = {}
-    for e, c in p.terms:
-        if e[2] == 0:
-            out[(e[0], e[1])] = out.get((e[0], e[1]), 0) + Fraction(c)
-    return {k: v for k, v in out.items() if v}
-
-
-def _binary_gcd(b1: dict, b2: dict):
-    g = poly_gcd(HomPoly(2, b1.items()), HomPoly(2, b2.items()))
-    return {e: Fraction(c) for e, c in g.terms}
-
-
-def _udeg_binary(g: dict) -> int:
-    return max((i + j for i, j in g), default=0)
-
-
-def _dehom_binary(g: dict):
+def _dehom_binary(g: HomPoly):
     """Binary form -> (poly in z with w = 1, multiplicity of the root [1:0])."""
-    w_order = min(j for _, j in g)
-    out = []
-    for (i, j) in g:
-        while len(out) <= i:
-            out.append(Fraction(0))
-    for (i, j), c in g.items():
+    w_order = min(e[1] for e, _ in g.terms)
+    out = [Fraction(0)] * (g.degree + 1)
+    for (i, _), c in g.terms:
         out[i] += c
     return _utrim(out), w_order
 
 
-def _chart_points(P, R, sink, prec_bits):
-    """Common zeros with t != 0, in the chart t = 1 with coordinates (z, w)."""
-    p = _chart(P, 2)
-    r = _chart(R, 2)
-    dzp, dwp = _bideg(p, 0), _bideg(p, 1)
-    dzr, dwr = _bideg(r, 0), _bideg(r, 1)
-    if dwp <= 0 and dwr <= 0:
-        # both univariate in z: coprime forms share no root
-        zz = _ugcd(_bi_to_upolys(p, 1)[0], _bi_to_upolys(r, 1)[0])
-        assert _udeg(zz) == 0, "unexpected common univariate root"
-        return
+def _line_points(forms):
+    """Rational points and failures on the line t = 0.
+
+    forms are P, R and the two difference forms.  On the line they are
+    binary forms in (z, w); the failing points are the zeros of their
+    gcd.  Returns the rational zeros of P and R, then the squarefree
+    part of that gcd at w = 1, whose roots are the z-coordinates of the
+    failing points [z:1:0].
+    """
+    binary = [_restrict_t0(f) for f in forms]
+    zpoly, w_order = _dehom_binary(poly_gcd_many(binary[:2]))
+    points = [(Fraction(1), Fraction(0), Fraction(0))] if w_order else []
+    if _udeg(zpoly) >= 1:
+        roots, _ = _urational_roots(zpoly)
+        points += [(z0, Fraction(1), Fraction(0)) for z0 in roots]
+    bad = _usquarefree(_dehom_binary(poly_gcd_many(binary))[0])
+    return points, bad
+
+
+def _chart_points(forms):
+    """Rational points and failures in the chart t = 1, coordinates (z, w).
+
+    Every common zero of p and r has its z-coordinate among the roots of
+    h, the squarefree part of their resultant in w; every failing one is
+    also a root of each resultant of a difference with p or r.  A monic
+    Euclid in w over Q[z]/(h) then decides the gcd of all four forms,
+    splitting h whenever a leading coefficient is a zero divisor
+    (dynamic evaluation).  Returns the rational zeros of p and r, then
+    the product of the factors of h over which that gcd has positive
+    degree in w, the z-coordinates of all failing points.
+    """
+    charts = [_chart(f, 2) for f in forms]
+    p, r, d1, d2 = charts
     res = _sylvester_resultant(p, r, 1)
-    if not res:
-        # elimination degenerated: swap the roles of the variables
-        res = _sylvester_resultant(p, r, 0)
-        if not res:
-            raise AssertionError("resultant vanished in both directions; not coprime")
-        _chart_points_swapped(p, r, res, sink, prec_bits)
-        return
-    _chart_points_main(p, r, res, sink, prec_bits, swap=False)
-
-
-def _chart_points_swapped(p, r, res, sink, prec_bits):
-    ps = {(j, i): c for (i, j), c in p.items()}
-    rs = {(j, i): c for (i, j), c in r.items()}
-    _chart_points_main(ps, rs, res, sink, prec_bits, swap=True)
-
-
-def _chart_points_main(p, r, res, sink, prec_bits, swap):
-    if _udeg(res) < 1:
-        return
-    zroots, rest = _urational_roots(res)
+    assert res, "coprime forms have a nonzero resultant"
+    points = []
+    zroots, _ = _urational_roots(res)
     for z0 in zroots:
-        pz = _bi_eval_partial(p, 0, z0)
-        rz = _bi_eval_partial(r, 0, z0)
-        if not pz and not rz:
-            raise AssertionError("a full line of common zeros; inputs not coprime")
-        q = rz if not pz else (pz if not rz else _ugcd(pz, rz))
-        if _udeg(q) < 1:
+        q = _ugcd(_bi_eval_partial(p, 0, z0), _bi_eval_partial(r, 0, z0))
+        if _udeg(q) >= 1:
+            wroots, _ = _urational_roots(q)
+            points += [(z0, w0, Fraction(1)) for w0 in wroots]
+    h = _usquarefree(res)
+    for d in (d1, d2):
+        for e in (p, r):
+            # the resultant of two w-free polys is 1 by convention, not in the ideal
+            cut = _sylvester_resultant(e, d, 1) if max(_bideg(e, 1), _bideg(d, 1)) > 0 else []
+            if cut:
+                h = _ugcd(h, cut)
+                break
+    bad = [Fraction(1)]
+    # (h, a, b, rest): a is the monic gcd so far over Q[z]/(h), b the next
+    # form, rest the forms still to fold in; coefficients are polys in z
+    work = [(h, [], _bi_to_upolys(p, 1), [_bi_to_upolys(f, 1) for f in (r, d1, d2)])]
+    while work:
+        h, a, b, rest = work.pop()
+        if _udeg(h) < 1 or len(a) == 1:
+            continue  # no z left, or the gcd is already 1
+        b = [_urem(c, h) for c in b]
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            if rest:
+                work.append((h, a, rest[0], rest[1:]))
+            else:
+                bad = _umul(bad, h)
             continue
-        wroots, wrest = _urational_roots(_usquarefree(q))
-        for w0 in wroots:
-            sink.exact_point(_assemble(z0, w0, swap))
-        if _udeg(wrest) >= 1:
-            _boxed_w_for_exact_z(z0, wrest, sink, prec_bits, swap)
-    if _udeg(rest) >= 1:
-        _boxed_z_branch(p, r, _usquarefree(rest), sink, prec_bits, swap)
-
-
-def _assemble(z0, w0, swap):
-    if swap:
-        z0, w0 = w0, z0
-    return (Fraction(z0), Fraction(w0), Fraction(1))
-
-
-def _assemble_rect(Z, W, swap):
-    if swap:
-        Z, W = W, Z
-    return (Z, W, _Rect.point(1))
-
-
-def _boxed_w_for_exact_z(z0, wpoly, sink, prec_bits, swap):
-    seeds = _numeric_roots(wpoly, prec_bits)
-    if seeds is None:
-        sink.unresolved += 1
-        return
-    coeffs = _rect_coeffs(wpoly)
-    Zfix = _Rect.from_fraction(z0)
-    for s in seeds:
-        box = _interval_newton(coeffs, complex(s), 10.0 ** (-max(6, prec_bits // 16)))
-        if box is None:
-            box = _interval_newton(coeffs, complex(s), 1e-3)
-        if box is None:
-            sink.unresolved += 1
+        g = _ugcd(b[-1], h)
+        if _udeg(g) > 0:
+            work += [(g, a, b, rest), (_udivexact(h, g), a, b, rest)]
             continue
-        sink.box_point(_assemble_rect(Zfix, box, swap))
+        inv = _uinvmod(b[-1], h)
+        b = [_urem(_umul(c, inv), h) for c in b]
+        a = [_urem(c, h) for c in a]
+        while len(a) >= len(b):
+            c, k = a.pop(), len(a) + 1 - len(b)
+            for i, y in enumerate(b[:-1]):
+                a[k + i] = _urem(_uadd(a[k + i], _uscale(_umul(c, y), -1)), h)
+            while a and not a[-1]:
+                a.pop()
+        work.append((h, b, a, rest))
+    return points, bad, charts
 
 
-def _boxed_z_branch(p, r, zpoly, sink, prec_bits, swap):
-    """Certified boxes for common zeros whose z-coordinate is irrational."""
-    seeds = _numeric_roots(zpoly, prec_bits)
-    if seeds is None:
-        sink.unresolved += 1
-        return
-    zcoeffs = _rect_coeffs(zpoly)
-    for s in seeds:
-        Z = _interval_newton(zcoeffs, complex(s), 10.0 ** (-max(6, prec_bits // 16)))
-        if Z is None:
-            sink.unresolved += 1
-            continue
-        # every common zero above Z is a root of p(z, .) (or r if p
-        # degenerates); enclose them all with the parametric Newton
-        basis = p if _bideg(p, 1) > 0 else r
-        other = r if basis is p else p
-        cw = _bi_rect_coeffs(basis, 0, Z)
-        if not cw or cw[-1].contains_zero():
-            sink.unresolved += 1
-            continue
-        center = _bi_eval_partial_float(basis, Z)
-        wseeds = _numeric_roots(center, prec_bits) if _udeg(center) >= 1 else None
-        if wseeds is None:
-            sink.unresolved += 1
-            continue
-        for ws in wseeds:
-            W = _interval_newton(cw, complex(ws), 1e-4) or _interval_newton(
-                cw, complex(ws), 1e-2
-            )
-            if W is None:
-                sink.unresolved += 1
-                continue
-            # discard boxes provably off the second curve
-            oval = _eval_bi_rect(other, Z, W)
-            if not oval.contains_zero():
-                continue
-            sink.box_point(_assemble_rect(Z, W, swap))
-
-
-def _bi_eval_partial_float(d: dict, Z: _Rect):
-    """Approximate coefficients in w at the center of Z, as exact Fractions."""
-    zc = Fraction(float(Z.re.mid)).limit_denominator(10**12)
-    return _bi_eval_partial(d, 0, zc)
-
-
-def _eval_bi_rect(d: dict, Z: _Rect, W: _Rect) -> _Rect:
-    acc = _Rect.point(0)
-    for (i, j), c in d.items():
-        term = _Rect.from_fraction(c)
-        for _ in range(i):
-            term = term * Z
-        for _ in range(j):
-            term = term * W
-        acc = acc + term
-    return acc
-
-
-def check_intersection_conditions(inst: FamilyInstance, precision: int = 96) -> IntersectionReport:
+def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
     """Pointwise difference condition on the finite set {P=0} n {R=0}.
 
-    Finiteness comes exactly from the two coprimality facts; the points
-    themselves are found by eliminating one chart variable with an
-    exact resultant.  Rational points and points on the line t = 0 are
-    decided exactly; the remaining algebraic points get certified
-    interval enclosures, and the verdict degrades to UNKNOWN when the
-    intervals cannot separate a difference from zero.
+    Finiteness comes exactly from the two coprimality facts.  The
+    verdict is exact: FAIL iff some point of the set is a zero of both
+    Q1 - Q3 and Q2 - Q3, decided by a gcd of binary forms on the line
+    t = 0 and by a Euclid over the roots of a resultant in the chart
+    t = 1.  The rational points are listed and checked one by one.
     """
     d21 = inst.Q2 - inst.Q1
     d31 = inst.Q3 - inst.Q1
@@ -840,28 +566,32 @@ def check_intersection_conditions(inst: FamilyInstance, precision: int = 96) -> 
             failure_witnesses=(),
             unresolved=0,
         )
-    diff1 = inst.Q1 - inst.Q3
-    diff2 = inst.Q2 - inst.Q3
-    sink = _PointSink(diff1, diff2)
-    old = iv.prec
-    iv.prec = max(2 * precision, 160)
-    try:
-        _line_points(inst.P, inst.R, sink, precision)
-        _chart_points(inst.P, inst.R, sink, precision)
-    finally:
-        iv.prec = old
-    if sink.failures:
-        verdict = FAIL
-    elif sink.unresolved:
-        verdict = UNKNOWN
-    else:
-        verdict = PASS
+    forms = (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
+    line, line_bad = _line_points(forms)
+    chart, chart_bad, charts = _chart_points(forms)
+    failing = [pt for pt in line + chart if all(d.evaluate(pt) == 0 for d in forms[2:])]
+    # divide out the z-coordinates whose failing points are all listed
+    for z0, w0, t0 in failing:
+        if t0 == 0 and w0 == 1:
+            line_bad = _udivexact(line_bad, [-z0, Fraction(1)])
+    for z0 in {pt[0] for pt in failing if pt[2] == 1}:
+        fiber = []
+        for f in charts:
+            fiber = _ugcd(fiber, _bi_eval_partial(f, 0, z0))
+        listed = sum(1 for pt in failing if pt[2] == 1 and pt[0] == z0)
+        if _udeg(_usquarefree(fiber)) == listed:
+            chart_bad = _udivexact(chart_bad, [-z0, Fraction(1)])
+    witnesses = failing + [
+        (where, tuple(c / bad[-1] for c in bad))
+        for where, bad in (("line", line_bad), ("chart", chart_bad))
+        if _udeg(bad) >= 1
+    ]
     return IntersectionReport(
-        verdict=verdict,
-        rational_points=tuple(sink.rational),
-        boxed_points=sink.boxed,
-        failure_witnesses=tuple(sink.failures),
-        unresolved=sink.unresolved,
+        verdict=FAIL if witnesses else PASS,
+        rational_points=tuple(line + chart),
+        boxed_points=0,
+        failure_witnesses=tuple(witnesses),
+        unresolved=0,
     )
 
 
@@ -990,20 +720,21 @@ def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0
     return rank_report, PencilReport(verdict=PASS, witness=None, method=method)
 
 
-def run_preflight(
-    inst: FamilyInstance, precision: int = 96, samples: int = 40, seed: int = 0
-) -> PreflightReport:
+def fold_verdicts(verdicts) -> str:
+    """FAIL if any check failed, PASS if every check passed, else UNKNOWN."""
+    if any(v == FAIL for v in verdicts):
+        return FAIL
+    if all(v == PASS for v in verdicts):
+        return PASS
+    return UNKNOWN
+
+
+def run_preflight(inst: FamilyInstance, samples: int = 40, seed: int = 0) -> PreflightReport:
     """All three checks, folded into one three-valued summary."""
     cop = check_coprimality(inst)
-    inter = check_intersection_conditions(inst, precision=precision)
+    inter = check_intersection_conditions(inst)
     rank_rep, pencil_rep = check_rank_and_pencil(inst, samples=samples, seed=seed)
-    verdicts = (cop, inter.verdict, rank_rep.verdict, pencil_rep.verdict)
-    if any(v == FAIL for v in verdicts):
-        overall = FAIL
-    elif all(v == PASS for v in verdicts):
-        overall = PASS
-    else:
-        overall = UNKNOWN
+    overall = fold_verdicts((cop, inter.verdict, rank_rep.verdict, pencil_rep.verdict))
     return PreflightReport(
         coprimality=cop,
         intersection=inter.verdict,

@@ -11,7 +11,7 @@ import pytest
 from jsonschema import validate
 
 from projdyn.cli import main
-from projdyn.family2 import build_family_map, load_family
+from projdyn.family2 import build_family_map, load_family, run_preflight, save_family
 from projdyn.mapiter import make_map, save_map
 from projdyn.polycore import parse_poly
 
@@ -39,6 +39,7 @@ def files(tmp_path_factory):
         "drops_map": root / "drops.map",
         "id_map": root / "id.map",
         "mono_map": root / "mono.map",
+        "huge_coeff_map": root / "huge_coeff.map",
         "stable_fam": root / "stable.fam",
         "root": root,
     }
@@ -46,8 +47,8 @@ def files(tmp_path_factory):
     save_map(drops.map, paths["drops_map"])
     save_map(make_map([pp("z"), pp("w"), pp("t")]), paths["id_map"])
     save_map(make_map([pp("z^2"), pp("w^2"), pp("t^2")]), paths["mono_map"])
-    from projdyn.family2 import save_family
-
+    # F(1, 0.5, 0.3) has a norm near 1e200, whose square overflows a float
+    save_map(make_map([pp("z^2") * 10**200, pp("w^2"), pp("t^2")]), paths["huge_coeff_map"])
     save_family(stable, paths["stable_fam"])
     return paths
 
@@ -153,8 +154,6 @@ class TestFamilyCommands:
         assert payload["pencil"]["method"] == "kernel"
 
     def test_check_flags_degenerate_pencil(self, files, capsys):
-        from projdyn.family2 import save_family
-
         drops = build_family_map(pp("z"), pp("w^2"), pp("t^2"), pp("z*w"), pp("w^2*t"))
         fam = files["root"] / "drops.fam"
         save_family(drops, fam)
@@ -164,6 +163,21 @@ class TestFamilyCommands:
         validate(payload, schema("family-check"))
         assert payload["overall"] == "FAIL"
         assert payload["pencil"]["witness"] == ["0", "0", "1"]
+
+    @pytest.mark.parametrize("name, forms", [
+        ("stable", ("z", "w^2 + z*t", "t^2 + z*w", "2*w*t", "2*w^2*t")),
+        ("reference", ("z", "w^2", "t^2", "z*w", "w^2*t")),
+        ("line_fail", ("z^2 - 2*w^2", "z*w + z^2 - 2*w^2 + w*t", "z*w + z^2 - 2*w^2 + t^2",
+                       "z*w", "z^2*w^2 - 2*w^4 + z^3*t - z^2*w*t")),
+    ])
+    def test_check_overall_agrees_with_run_preflight(self, files, capsys, name, forms):
+        inst = build_family_map(*(pp(f) for f in forms))
+        fam = files["root"] / f"{name}.fam"
+        save_family(inst, fam)
+        code, out, _ = run(capsys, "family-check", "--family", fam, "--json")
+        overall = run_preflight(inst).overall
+        assert json.loads(out)["overall"] == overall
+        assert code == (0 if overall == "PASS" else 1)
 
 
 class TestGreenPoint:
@@ -214,6 +228,18 @@ class TestGreenPoint:
         payload = json.loads(out)
         validate(payload, schema("green-point"))
         assert payload["status"] == "OK"
+
+    def test_orbit_beyond_the_precision_is_a_resource_limit(self, files, capsys):
+        args = ("green-point", "--map", files["huge_coeff_map"], "--point", "1,0.5,0.3",
+                "--cert", "none", "--json")
+        code, out, err = run(capsys, *args)
+        assert code == 3 and out == "" and "higher --precision" in err
+        code, out, _ = run(capsys, *args, "--precision", 64)
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, schema("green-point"))
+        assert payload["status"] == "OK"
+        assert abs(float(payload["u"]) - 460.51701859839028) < 1e-9
 
     def test_nan_point_is_input_error(self, files, capsys):
         code, out, err = run(
@@ -274,6 +300,13 @@ class TestGreenGrid:
         payload = json.loads(out)
         validate(payload, schema("green-grid"))
         assert sum(int(v) for v in payload["counts"].values()) == 9
+
+    def test_orbit_beyond_the_precision_is_a_resource_limit(self, files, capsys):
+        code, out, err = run(
+            capsys, "green-grid", "--map", files["huge_coeff_map"], "--cert", "none",
+            "--base", "1,0.5,0.3", "--e1", "1,0,0", "--e2", "0,1,0", "--resolution", 3,
+        )
+        assert code == 3 and out == "" and "higher --precision" in err
 
     def test_bad_resolution_is_input_error(self, files, capsys):
         code, _, err = run(

@@ -1,15 +1,16 @@
 """Tests for the normalized family: construction, preflight checks, generation."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+import sympy
 
 from projdyn import (
     FAIL,
     PASS,
-    UNKNOWN,
     CommonFactor,
     DegreeConstraintViolated,
     DegreeRecurrence,
@@ -78,8 +79,8 @@ def line_fail():
 
 
 @pytest.fixture(scope="module")
-def chart_unknown():
-    """Both difference forms vanish at [±sqrt2 : 1 : 1]; intervals cannot decide."""
+def chart_fail():
+    """Both difference forms vanish at [±sqrt2 : 1 : 1]; decided exactly."""
     return build_family_map(
         pp("z^2 - 2*w^2"),
         pp("z*w*t - z^3 + z^2*w + 2*z*w^2 - w^3 - t^3"),
@@ -156,7 +157,7 @@ def test_coprimality_checks_p_against_r(reference):
 
 
 def test_intersection_reference_exact_points(reference):
-    rep = check_intersection_conditions(reference, precision=96)
+    rep = check_intersection_conditions(reference)
     assert rep.verdict == PASS
     assert rep.rational_points == (
         (Fraction(0), Fraction(1), Fraction(0)),
@@ -168,7 +169,7 @@ def test_intersection_reference_exact_points(reference):
 
 
 def test_intersection_twisted_passes(twisted):
-    rep = check_intersection_conditions(twisted, precision=96)
+    rep = check_intersection_conditions(twisted)
     assert rep.verdict == PASS
     assert rep.rational_points == (
         (Fraction(2), Fraction(1), Fraction(0)),
@@ -177,32 +178,129 @@ def test_intersection_twisted_passes(twisted):
 
 
 def test_intersection_line_failure_is_exact(line_fail):
-    rep = check_intersection_conditions(line_fail, precision=96)
+    rep = check_intersection_conditions(line_fail)
     assert rep.verdict == FAIL
     # the witness records the minimal polynomial z^2 - 2 of the bad points
     assert rep.failure_witnesses == (
         ("line", (Fraction(-2), Fraction(0), Fraction(1))),
     )
     assert rep.rational_points == ((Fraction(0), Fraction(0), Fraction(1)),)
-    assert rep.boxed_points == 2
+    assert rep.boxed_points == 0
 
 
-def test_intersection_unknown_when_intervals_straddle(chart_unknown):
-    rep = check_intersection_conditions(chart_unknown, precision=96)
-    assert rep.verdict == UNKNOWN
-    assert rep.failure_witnesses == ()
-    assert rep.unresolved == 2
+def test_intersection_chart_failure_is_exact(chart_fail):
+    rep = check_intersection_conditions(chart_fail)
+    assert rep.verdict == FAIL
+    # the witness records the minimal polynomial z^2 - 2 of the bad z-coordinates
+    assert rep.failure_witnesses == (
+        ("chart", (Fraction(-2), Fraction(0), Fraction(1))),
+    )
+    assert rep.unresolved == 0
     assert rep.rational_points == ((Fraction(0), Fraction(0), Fraction(1)),)
+
+
+@pytest.mark.parametrize("forms", [
+    # the leading coefficient z^2 - 3 of p is zero on the factor without failures
+    ("z^2*w - 3*w*t^2 + z^2*t - 2*t^3", "z^2*w^2 - 3*w^2*t^2 + z^2*t^2 - 2*t^4",
+     "z^2*w - 3*w*t^2 + 2*z^2*t - 4*t^3", "z^2*w^2 - 3*w^2*t^2 + 3*z^2*w*t - 6*w*t^3"),
+    # the leading coefficient z^2 - 2 of p is zero on the factor with the failures
+    ("z^2*w^2 - 2*w^2*t^2 - z^2*w*t + 3*w*t^3 - z^2*t^2 + 2*t^4", "z^2*t - 2*t^3 - w*t^2",
+     "z^2 - 2*t^2 - w^2", "z^2 - 2*t^2 + w*t"),
+], ids=["passing-factor", "failing-factor"])
+def test_chart_euclid_splits_at_zero_divisors(forms):
+    """P, R, D1, D2 with h = (z^2 - 2)(z^2 - 3); all four vanish only at (±sqrt2, 0)."""
+    _, bad, _ = family2._chart_points([pp(f) for f in forms])
+    assert bad == [Fraction(-2), Fraction(0), Fraction(1)]
+
+
+@pytest.mark.parametrize("forms, witnesses", [
+    # P and Q1 - Q3 are free of w at t = 1, where their resultant in w says
+    # nothing; both differences vanish at (1, ±sqrt2, 1)
+    (("z - t", "z*w^2 + w^2*t - 2*z*t^2 - 2*t^3", "z^2 - t^2", "w^2 + z*w - w*t - 2*t^2"),
+     (("chart", (Fraction(-1), Fraction(1))),)),
+    # the only failing point [0:0:1] is listed, so no polynomial is added
+    (("z", "w*t", "w", "z + w"), ((Fraction(0), Fraction(0), Fraction(1)),)),
+])
+def test_intersection_witnesses(reference, forms, witnesses):
+    P, R, D1, D2 = (pp(f) for f in forms)
+    inst = dataclasses.replace(reference, P=P, R=R, Q1=D1, Q2=D2, Q3=HomPoly.zero(3))
+    rep = check_intersection_conditions(inst)
+    assert rep.verdict == FAIL == _oracle_verdict(inst)
+    assert rep.failure_witnesses == witnesses
 
 
 def test_intersection_fails_fast_without_finiteness():
     inst = build_family_map(
         pp("z"), pp("w^2"), pp("z^2"), pp("z^2 + z*w - w^2"), pp("w^2*t")
     )
-    rep = check_intersection_conditions(inst, precision=96)
+    rep = check_intersection_conditions(inst)
     assert rep.verdict == FAIL
     assert rep.rational_points == ()
     assert rep.boxed_points == 0
+
+
+def test_sylvester_resultant_matches_sympy():
+    rng = random.Random(5)
+    z, w = sympy.symbols("z w")
+
+    def rand_bi():
+        dz, dw = rng.randint(0, 3), rng.randint(0, 3)
+        d = {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+             for i in range(dz + 1) for j in range(dw + 1) if rng.random() < 0.6}
+        return {k: c for k, c in d.items() if c} or {(0, dw): Fraction(1)}
+
+    for _ in range(40):
+        d, e = rand_bi(), rand_bi()
+        for elim, var, other in ((1, w, z), (0, z, w)):
+            got = family2._sylvester_resultant(d, e, elim)
+            D, E = (sympy.Add(*(sympy.Rational(c) * z**i * w**j for (i, j), c in f.items()))
+                    for f in (d, e))
+            expect = sympy.Poly(sympy.resultant(D, E, var), other).all_coeffs()[::-1]
+            expect = family2._utrim([Fraction(int(c.p), int(c.q)) for c in expect])
+            # sympy's sign can differ from the Sylvester determinant's;
+            # the check uses only the zeros
+            assert got in (expect, [-c for c in expect])
+
+
+# -- the intersection verdict against a Groebner-basis oracle -------------------------
+
+PREFLIGHT_CATALOGUE = [
+    (dp, dq, s) for dp, dq in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)) for s in range(5)
+] + [(1, 2, 5), (1, 2, 6), (1, 2, 7)]
+
+
+def _oracle_verdict(inst):
+    """FAIL iff P, R, Q1 - Q3, Q2 - Q3 share a zero at t = 1, at [z:1:0] or at [1:0:0]."""
+    z, w, t = sympy.symbols("z w t")
+    forms = [
+        sympy.Add(*(sympy.Rational(c) * z**e[0] * w**e[1] * t**e[2] for e, c in f.terms))
+        for f in (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
+    ]
+    chart = sympy.groebner([f.subs(t, 1) for f in forms], z, w)
+    line = sympy.groebner([f.subs({t: 0, w: 1}) for f in forms], z)
+    corner = all(f.subs({z: 1, w: 0, t: 0}) == 0 for f in forms)
+    return FAIL if list(chart.exprs) != [1] or list(line.exprs) != [1] or corner else PASS
+
+
+def _assert_matches_oracle(inst):
+    rep = check_intersection_conditions(inst)
+    assert rep.verdict == _oracle_verdict(inst)
+    assert rep.boxed_points == 0 and rep.unresolved == 0
+
+
+@pytest.mark.parametrize("dp, dq, seed", PREFLIGHT_CATALOGUE)
+def test_intersection_matches_oracle_on_catalogue(dp, dq, seed):
+    _assert_matches_oracle(random_family(dp, dq, 5, seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_intersection_matches_oracle_for_linear_p(seed):
+    _assert_matches_oracle(random_family(1, 2, 5, seed))
+
+
+def test_intersection_matches_oracle_on_fixtures(reference, stable, twisted, line_fail, chart_fail):
+    for inst in (reference, stable, twisted, line_fail, chart_fail):
+        _assert_matches_oracle(inst)
 
 
 # -- rank and pencil ----------------------------------------------------------
@@ -220,8 +318,8 @@ def test_jacobian_rows_and_rank_reference(reference):
     assert rank.verdict == PASS
 
 
-def test_rank_never_exceeds_two(reference, stable, twisted, line_fail, chart_unknown):
-    for inst in (reference, stable, twisted, line_fail, chart_unknown):
+def test_rank_never_exceeds_two(reference, stable, twisted, line_fail, chart_fail):
+    for inst in (reference, stable, twisted, line_fail, chart_fail):
         rank, _ = check_rank_and_pencil(inst, samples=3, seed=1)
         assert rank.rank <= 2
 
@@ -259,7 +357,7 @@ def test_pencil_pass_is_only_sampled_for_nonlinear_p(line_fail):
 
 
 def test_preflight_reference_fails_overall(reference):
-    rep = run_preflight(reference, precision=96, samples=10, seed=0)
+    rep = run_preflight(reference, samples=10, seed=0)
     assert rep.coprimality == PASS
     assert rep.intersection == PASS
     assert rep.rank == 2
@@ -269,7 +367,7 @@ def test_preflight_reference_fails_overall(reference):
 
 
 def test_preflight_stable_passes_overall(stable):
-    rep = run_preflight(stable, precision=96, samples=10, seed=0)
+    rep = run_preflight(stable, samples=10, seed=0)
     assert rep == family2.PreflightReport(
         coprimality=PASS,
         intersection=PASS,
@@ -280,10 +378,10 @@ def test_preflight_stable_passes_overall(stable):
     )
 
 
-def test_preflight_unknown_propagates(chart_unknown):
-    rep = run_preflight(chart_unknown, precision=96, samples=10, seed=0)
-    assert rep.intersection == UNKNOWN
-    assert rep.overall == UNKNOWN
+def test_preflight_chart_failure_fails_overall(chart_fail):
+    rep = run_preflight(chart_fail, samples=10, seed=0)
+    assert rep.intersection == FAIL
+    assert rep.overall == FAIL
 
 
 def test_preflight_passing_instance_is_certified_stable(stable):
@@ -308,10 +406,10 @@ def test_divisor_collapses_to_fixed_point(reference):
 
 
 def test_center_point_is_always_indeterminate(
-    reference, stable, twisted, line_fail, chart_unknown
+    reference, stable, twisted, line_fail, chart_fail
 ):
     one = (Fraction(1), Fraction(1), Fraction(1))
-    for inst in (reference, stable, twisted, line_fail, chart_unknown):
+    for inst in (reference, stable, twisted, line_fail, chart_fail):
         assert point_class(inst.map, one).indeterminate
 
 

@@ -442,3 +442,20 @@ def test_exponents_at_the_full_degree(degree):
     lin = [P("z - w"), P("t"), P("z + 2*t")]
     sub = dict(zip(xs, (_to_sympy(q, xs) for q in lin)))
     _assert_same(top.compose(lin), _to_sympy(top, xs).xreplace(sub), xs)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_gcd_matches_sympy_with_planted_factors(nvars):
+    rng = random.Random(4000 + nvars)
+    xs = _symbols(nvars)
+
+    def same(p, expr):
+        return same_up_to_scalar(p, HomPoly(nvars, _from_sympy(expr, xs).items()))
+
+    for _ in range(12):
+        g = _random_form(rng, nvars, rng.randint(0, 3), 4)
+        a, b, c = (g * _random_form(rng, nvars, rng.randint(1, 3), 5) for _ in range(3))
+        expect = sympy.gcd(_to_sympy(a, xs), _to_sympy(b, xs))
+        assert same(poly_gcd(a, b), expect)
+        assert same(poly_gcd_many([a, b, c]), sympy.gcd(expect, _to_sympy(c, xs)))
+        exact_div(poly_gcd(a, b), g)
