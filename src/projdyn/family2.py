@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import mp, workprec
+from mpmath import libmp, mp, workprec
 
 from .mapiter import NotDominant, ProjMap, make_map, map_to_text
 from .polycore import (
@@ -332,8 +332,10 @@ def _usquarefree(a):
 def _urational_roots(a):
     """Verified rational roots, found by rationalizing numeric roots.
 
-    Roots whose denominator exceeds the rationalization bound are not
-    listed; everything returned is an exact root.
+    Each real 200-bit root is rationalized exactly, then by its best
+    approximation with denominator at most 10^9; roots whose
+    denominator exceeds that bound are not listed.  Everything returned
+    is an exact root.
     """
     a = _usquarefree(a)
     if _udeg(a) < 1:
@@ -350,7 +352,7 @@ def _urational_roots(a):
     for z in approx:
         if abs(z.imag) > mp.mpf(2) ** -40:
             continue
-        cand = Fraction(float(z.real)).limit_denominator(10**9)
+        cand = Fraction(*libmp.to_rational(z.real._mpf_)).limit_denominator(10**9)
         if cand in found:
             continue
         if _ueval(rest, cand) == 0:

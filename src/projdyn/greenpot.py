@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import mp, workprec
+from mpmath import libmp, mp, workprec
 
 from .mapiter import ProjMap, QASCertificate, ZeroVector, map_to_text
-from .polycore import HomPoly, poly_to_text
+from .polycore import poly_to_text
 from .specdeg import DegreeRecurrence, extend_degrees
 
 __all__ = [
@@ -111,6 +111,41 @@ def _square(y):
     return f"({y}.real * {y}.real + {y}.imag * {y}.imag)"
 
 
+def _term_walk(polys, ns, coeff):
+    """Per polynomial, its terms in p.terms order as (coefficient name, ((i, k), ...)).
+
+    Each coefficient is bound in ns as coeff(c) under its name, so the
+    generated source holds only indices and exponents; the pairs list
+    the variables with nonzero exponent k.
+    """
+    walk = []
+    for j, p in enumerate(polys):
+        terms = []
+        for t, (e, c) in enumerate(p.terms):
+            ns[f"c{j}_{t}"] = coeff(c)
+            terms.append((f"c{j}_{t}", tuple((i, k) for i, k in enumerate(e) if k)))
+        walk.append(terms)
+    return walk
+
+
+def _chunked_sum(name, start, parts):
+    """Lines that add parts to start left to right, 64 at a time.
+
+    Chunks keep the left-to-right sum without one huge expression: a
+    flat sum of 10k terms overflows the compiler.
+    """
+    lines, acc = [], start
+    for lo in range(0, max(len(parts), 1), 64):
+        lines.append(f"{name} = " + " + ".join([acc] + parts[lo:lo + 64]))
+        acc = name
+    return lines
+
+
+def _generate(lines, ns):
+    exec("def ev(w):\n" + "".join(f"    {ln}\n" for ln in lines), ns)
+    return ns["ev"]
+
+
 def _float_code(polys, nvars, step=True):
     """Straight-line 53-bit evaluator of polys, generated once per map.
 
@@ -121,29 +156,16 @@ def _float_code(polys, nvars, step=True):
     loop, so values are bit-identical to it: each value starts at 0j
     and adds c·x_i**k_i (left to right, ** for k ≥ 2) in p.terms order,
     and the norm sums parenthesized per-coordinate squares.  Powers
-    x_i**k are shared across the polynomials.  The coefficients are
-    names bound in the namespace; the source holds only indices and
-    exponents.
+    x_i**k are shared across the polynomials.
     """
     ns = {"sqrt": math.sqrt, "TOL": _SINGULAR_TOL}
     xs = [f"x{i}" for i in range(nvars)]
     powers, values = {}, []
-    for j, p in enumerate(polys):
-        terms = []
-        for t, (e, c) in enumerate(p.terms):
-            ns[f"c{j}_{t}"] = _to_complex(c)
-            factors = [f"c{j}_{t}"]
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(xs[i])
-                elif k:
-                    factors.append(powers.setdefault((i, k), f"p{i}_{k}"))
-            terms.append(" * ".join(factors))
-        # chunks keep the left-to-right sum without one huge expression
-        acc = "0j"
-        for lo in range(0, max(len(terms), 1), 64):
-            values.append(f"y{j} = " + " + ".join([acc] + terms[lo:lo + 64]))
-            acc = f"y{j}"
+    for j, terms in enumerate(_term_walk(polys, ns, _to_complex)):
+        prods = [" * ".join([c] + [xs[i] if k == 1 else powers.setdefault((i, k), f"p{i}_{k}")
+                                   for i, k in factors])
+                 for c, factors in terms]
+        values += _chunked_sum(f"y{j}", "0j", prods)
     lines = [", ".join(xs) + ", = w"]
     lines += [f"{name} = x{i}**{k}" for (i, k), name in powers.items()]
     lines += values
@@ -156,66 +178,110 @@ def _float_code(polys, nvars, step=True):
         lines.append(f"return nf, ({', '.join(us)},), sqrt(" + " + ".join(map(_square, us)) + ")")
     else:
         lines.append("return y0")
-    exec("def ev(w):\n" + "".join(f"    {ln}\n" for ln in lines), ns)
-    return ns["ev"]
+    return _generate(lines, ns)
 
 
-class _MPEngine:
-    """Arbitrary-precision arithmetic at a fixed bit count."""
+# -log2 of the singular tolerance, rounded up: 47
+_TOL_BITS = math.ceil(-math.log2(_SINGULAR_TOL))
 
-    def __init__(self, precision: int):
-        self.precision = precision
 
-    def vector(self, z):
-        with workprec(self.precision):
-            return tuple(mp.mpc(x) if not isinstance(x, Fraction)
-                         else mp.mpf(x.numerator) / x.denominator for x in z)
+def _guard_bits(polys):
+    """Guard bits g of the fixed-point scale 2^(p+g) for evaluating polys.
 
-    def norm(self, v):
-        with workprec(self.precision):
-            return mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
+    E = Σ_polys Σ_terms (2·deg·|c| + 1) + 2·len(polys) bounds the
+    absolute error of every generated value, in units of 2^-S, at the
+    points the orbit produces (see _fixed_code); the error vector of
+    all values has norm ≤ E too, and the floored norm adds one unit.
+    The orbit accepts only norms ‖F(w)‖ and values |H(w)| of at least
+    _SINGULAR_TOL > 2^-47, so g = bitlen(E) + 47 + 4 keeps the relative
+    error of each accepted one below 2^-(p+3).
+    """
+    bound = sum(2 * p.degree * abs(c) + 1 for p in polys for _, c in p.terms) + 2 * len(polys)
+    return math.ceil(bound).bit_length() + _TOL_BITS + 4
 
-    def log(self, r):
-        with workprec(self.precision):
-            return mp.log(r)
 
-    def compile(self, p: HomPoly):
-        with workprec(self.precision):
-            terms = []
-            for e, c in p.terms:
-                if isinstance(c, Fraction):
-                    terms.append((mp.mpf(c.numerator) / c.denominator, e))
-                else:
-                    terms.append((mp.mpf(c), e))
-        prec = self.precision
+def _fixed_code(polys, nvars, scale, step=True):
+    """Straight-line fixed-point evaluator of polys at the scale S = scale.
 
-        def ev(v):
-            with workprec(prec):
-                parts = []
-                for c, e in terms:
-                    t = c
-                    for x, k in zip(v, e):
-                        if k:
-                            t = t * x**k
-                    parts.append(t)
-                return mp.fsum(parts)
+    A point is a tuple of (re, im) int pairs, each coordinate x read as
+    (re + i·im)/2^S.  Powers and monomials are built by complex products
+    of four int multiplies and a floor shift by S, each shared across
+    the polynomials and reused as the prefix of longer monomials.  A
+    coefficient c is the int floor(c·2^S), so c·m is exact at 2^(2S)
+    and each value is shifted down once, after its sum (p.terms order,
+    64-term chunks, coefficients bound as names).
 
-        return ev
+    Error: with every |x| ≤ 1, each product adds less than √2 units of
+    2^-S in modulus and passes earlier errors on unamplified, so a
+    monomial of degree k is off by less than √2·(k−1) units, a term
+    c·m by less than √2·(k−1)·|c| + 1 and a value, after its shift, by
+    less than the bound E of _guard_bits.  Orbit points are rounded
+    quotients of a floored norm, so their coordinates can exceed 1 by
+    2^(49−S); the slack of E over these sums (at least √2·|c| per term
+    and 2 − √2 per value) absorbs the factor (1 + 2^(49−S))^k this adds.
 
-    def step(self, polys):
-        comps = [self.compile(p) for p in polys]
+    With step the function maps w to (nf, q, ‖q‖): nf = floor(‖F(w)‖·2^S)
+    by math.isqrt, the quotient q = floor(F(w)·2^S / nf) in the same
+    representation (None when nf is below the singular tolerance), and
+    its norm as a float.  Without step it returns floor(|P(w)|·2^S) for
+    the single polynomial P, by math.isqrt: a nonnegative int, so abs()
+    of it is itself, as abs() of the float evaluator's value is |P(w)|.
+    """
+    S = scale
+    ns = {"isqrt": math.isqrt, "sqrt": math.sqrt,
+          "TOL": math.ceil(Fraction(_SINGULAR_TOL) * 2**S), "ONE2": 1 << 2 * S}
+    xs = [(f"r{i}", f"i{i}") for i in range(nvars)]
+    lines = [", ".join(f"({r}, {i})" for r, i in xs) + ", = w"]
+    monos = {}
 
-        def step(w):
-            Fv = tuple(c(w) for c in comps)
-            nf = self.norm(Fv)
-            if nf < _SINGULAR_TOL:
-                return nf, None, 0.0
-            # the quotient (and the γ arithmetic of the orbit) rounds at
-            # the ambient mpmath precision, not at self.precision
-            u = tuple(x / nf for x in Fv)
-            return nf, u, math.sqrt(sum(abs(complex(x)) ** 2 for x in u))
+    def mono(factors):
+        # the (re, im) names of the product of x_i**k over factors
+        if factors in monos:
+            return monos[factors]
+        if len(factors) == 1 and factors[0][1] == 1:
+            return xs[factors[0][0]]
+        if len(factors) == 1:
+            i, k = factors[0]
+            a, b, name = mono(((i, k - 1),)), xs[i], f"p{i}_{k}"
+        else:
+            a, b, name = mono(factors[:-1]), mono(factors[-1:]), f"m{len(monos)}"
+        (ar, ai), (br, bi) = a, b
+        lines.append(f"{name}r = ({ar} * {br} - {ai} * {bi}) >> {S}")
+        # a square's imaginary part 2·re·im, shifted by S, is re·im shifted by S-1
+        lines.append(f"{name}i = ({ar} * {ai}) >> {S - 1}" if a == b else
+                     f"{name}i = ({ar} * {bi} + {ai} * {br}) >> {S}")
+        monos[factors] = f"{name}r", f"{name}i"
+        return monos[factors]
 
-        return step
+    ys = []
+    for j, terms in enumerate(_term_walk(polys, ns, lambda c: math.floor(c * 2**S))):
+        re, im = [], []
+        for c, factors in terms:
+            if factors:
+                mr, mi = mono(factors)
+                re.append(f"{c} * {mr}")
+                im.append(f"{c} * {mi}")
+            else:
+                re.append(f"({c} << {S})")
+        lines += _chunked_sum(f"y{j}r", "0", re) + _chunked_sum(f"y{j}i", "0", im)
+        lines.append(f"y{j}r, y{j}i = y{j}r >> {S}, y{j}i >> {S}")
+        ys.append((f"y{j}r", f"y{j}i"))
+    if not step:
+        lines.append("return isqrt(y0r * y0r + y0i * y0i)")
+        return _generate(lines, ns)
+    lines.append("nf = isqrt(" + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in ys) + ")")
+    lines.append("if nf < TOL:\n        return nf, None, 0.0")
+    qs = [(f"q{j}r", f"q{j}i") for j in range(len(ys))]
+    lines += [f"{qr}, {qi} = ({r} << {S}) // nf, ({i} << {S}) // nf" for (qr, qi), (r, i) in zip(qs, ys)]
+    lines.append("return nf, (" + ", ".join(f"({r}, {i})" for r, i in qs) + ",), sqrt(("
+                 + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in qs) + ") / ONE2)")
+    return _generate(lines, ns)
+
+
+def _fixed_log(man, exp, precision, scale):
+    """log(man·2^exp) rounded at precision bits, as a fixed-point int at scale 2^scale."""
+    x = libmp.mpf_log(libmp.from_man_exp(man, exp), precision, libmp.round_nearest)
+    return libmp.to_fixed(x, scale)
 
 
 # -- core orbit evaluation ----------------------------------------------------
@@ -232,24 +298,62 @@ def _check_cert(f: ProjMap, cert: Optional[QASCertificate]):
 
 
 def _check_entry(nrm, gamma, step):
-    """Reject an orbit entry whose point lost unit norm or whose height is not finite."""
+    """Reject an orbit entry whose point lost unit norm or whose height is not finite.
+
+    γ − γ is zero for a finite γ, a float or the int of a fixed-point
+    orbit (too large for float() above 1023 bits), and nan otherwise.
+    """
     if abs(nrm - 1.0) > 1e-6:
         raise OrbitError(f"orbit point lost normalization (norm {nrm})", step=step)
-    if not math.isfinite(float(gamma)):
+    if gamma - gamma:
         raise OrbitError("non-finite log-height", step=step)
+
+
+def _ratios(z, scale):
+    """Real and imaginary parts of each coordinate of z as exact (numerator, denominator).
+
+    A coordinate given as an (re, im) int pair is a point of a
+    fixed-point orbit at scale 2^scale; mpmath numbers and strings are
+    read at that scale.  nan and inf are input errors.
+    """
+    parts = []
+    for x in z:
+        if isinstance(x, tuple):
+            parts += ((x[0], 1 << scale), (x[1], 1 << scale))
+        elif isinstance(x, (int, Fraction)):
+            parts += (x.as_integer_ratio(), (0, 1))
+        elif isinstance(x, (float, complex)):
+            if not cmath.isfinite(x):
+                raise ValueError("point coordinates must be finite")
+            parts += (x.real.as_integer_ratio(), x.imag.as_integer_ratio())
+        else:
+            with workprec(scale):
+                c = mp.mpc(x)
+            if not mp.isfinite(c):
+                raise ValueError("point coordinates must be finite")
+            parts += map(libmp.to_rational, c._mpc_)
+    return parts
 
 
 class _OrbitRunner:
     """The normalized recursion, prepared once for (f, cert, n_iters, precision).
 
     Set-up checks the certificate, extends the exact degrees and builds
-    the step: generated straight-line code at 53 bits or less, mpmath
-    loop evaluators above.  start() and run() then cost one orbit per
-    point.  The orbit keeps unit vectors wₙ and per-degree log-heights
-    γₙ; the lagged divisor term reaches back n0+1 steps.
+    the step: generated straight-line float code at 53 bits or less,
+    generated fixed-point int code above (see _fixed_code).  There the
+    points and the heights γₙ are ints at one scale 2^S, S = precision
+    + g, and only the logarithms call mpmath, rounding at the
+    precision.  With the guard bits g of _guard_bits every accepted
+    norm ‖F(w)‖ and value |H(w)| is relatively accurate to
+    2^-(precision+3), so no other path is needed.  start() and run()
+    then cost one orbit per point.  The orbit keeps unit vectors wₙ and
+    per-degree log-heights γₙ; the lagged divisor term reaches back
+    n0+1 steps.  abs(H(w)) is |H(w)| in the units of the step's norm
+    and of tol.  A runner built like another shares its step, divisor
+    and scale, so their points mix.
     """
 
-    def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, step=None):
+    def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, like=None):
         cert = _check_cert(f, cert)
         if n_iters < 1:
             raise ValueError("n_iters must be at least 1")
@@ -263,17 +367,21 @@ class _OrbitRunner:
             raise ValueError("degree-1 maps take no divisor certificate")
         else:
             degrees = [1] * (n_iters + 1)
-        self.nvars, self.n0 = f.nvars, n0
         fast = precision <= 53
-        if fast:
-            self.log, self.engine = math.log, None
-            self.step = step or _float_code(f.components, f.nvars)
+        if like is not None:
+            vars(self).update(vars(like))
+        elif fast:
+            self.scale, self.tol, self.log = None, _SINGULAR_TOL, math.log
+            self.step = _float_code(f.components, f.nvars)
             self.H = cert and _float_code([cert.H], f.nvars, step=False)
         else:
-            E = self.engine = _MPEngine(precision)
-            self.log = E.log
-            self.step = step or E.step(f.components)
-            self.H = cert and E.compile(cert.H)
+            polys = f.components + ((cert.H,) if cert else ())
+            S = self.scale = precision + _guard_bits(polys)
+            self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
+            self.log = lambda r: _fixed_log(r, -S, precision, S)
+            self.step = _fixed_code(f.components, f.nvars, S)
+            self.H = cert and _fixed_code([cert.H], f.nvars, S, step=False)
+        self.nvars, self.n0, self.precision = f.nvars, n0, precision
         # per step n: the weights of γ_{n-1}, γₙ and (when the divisor
         # enters) γ_{n-n0-1}, and the power of two k they were divided by
         self.plan = [None]
@@ -292,15 +400,27 @@ class _OrbitRunner:
                 a, b, hd, k = float(a), float(b), None if hd is None else float(hd), 0
             self.plan.append((a, b, hd, k))
 
+    def real(self, x):
+        """A height or logarithm of this runner as a number: float, or mpf at the precision."""
+        if self.scale is None:
+            return float(x)
+        return mp.make_mpf(libmp.from_man_exp(x, -self.scale, self.precision, libmp.round_nearest))
+
+    def norm(self, w):
+        if self.scale is None:
+            return math.sqrt(sum(abs(complex(x)) ** 2 for x in w))
+        return math.sqrt(sum(r * r + i * i for r, i in w) / (1 << 2 * self.scale))
+
     def start(self, z):
         """Unit vector and log-height of the input point."""
-        E = self.engine
-        v = tuple(map(_to_complex, z)) if E is None else E.vector(z)
-        if not all(map(cmath.isfinite if E is None else mp.isfinite, v)):
+        if self.scale is not None:
+            return self._fixed_start(z)
+        v = tuple(map(_to_complex, z))
+        if not all(map(cmath.isfinite, v)):
             raise ValueError("point coordinates must be finite")
         if len(v) != self.nvars:
             raise ZeroVector(f"point has {len(v)} coordinates, need {self.nvars}")
-        nrm = _float_norm(v) if E is None else E.norm(v)
+        nrm = _float_norm(v)
         if nrm < _SINGULAR_TOL:
             raise ZeroVector("cannot evaluate at the zero vector")
         if nrm == math.inf:
@@ -309,16 +429,32 @@ class _OrbitRunner:
             v = tuple(complex(math.ldexp(x.real, -k), math.ldexp(x.imag, -k)) for x in v)
             nrm = _float_norm(v)
             return tuple(x / nrm for x in v), math.log(nrm) + k * math.log(2)
-        return tuple(x / nrm for x in v), self.log(nrm)
+        return tuple(x / nrm for x in v), math.log(nrm)
+
+    def _fixed_start(self, z):
+        # exact parts floored at 2^-S: a point of norm ≥ _SINGULAR_TOL keeps
+        # about S - 48 bits, and a huge one needs no special case
+        S = self.scale
+        parts = _ratios(z, S)
+        if len(parts) != 2 * self.nvars:
+            raise ZeroVector(f"point has {len(parts) // 2} coordinates, need {self.nvars}")
+        X = [(n << S) // d for n, d in parts]
+        nz = math.isqrt(sum(x * x for x in X))
+        if nz < self.tol:
+            raise ZeroVector("cannot evaluate at the zero vector")
+        w = tuple(((r << S) // nz, (i << S) // nz) for r, i in zip(X[::2], X[1::2]))
+        return w, self.log(nz)
 
     def run(self, w, gamma):
         """Orbit from unit vector w at height γ: (gammas, points, increments).
 
         gammas[-1] is the u estimate after n_iters steps and
-        increments[n-1] = |γₙ − γ_{n−1}|.
+        increments[n-1] = |γₙ − γ_{n−1}|, both in the runner's own
+        numbers (ints at scale 2^S above 53 bits, see real()).
         """
-        _check_entry(math.sqrt(sum(abs(complex(x)) ** 2 for x in w)), gamma, 0)
-        step, H, log, plan, n0 = self.step, self.H, self.log, self.plan, self.n0
+        _check_entry(self.norm(w), gamma, 0)
+        step, H, log, plan, n0, tol = self.step, self.H, self.log, self.plan, self.n0, self.tol
+        fixed = self.scale is not None
         points, gammas, increments = [w], [gamma], []
         for n in range(1, len(plan)):
             a, b, hd, k = plan[n]
@@ -326,7 +462,7 @@ class _OrbitRunner:
                 # the division by the lagged divisor value is part of forming
                 # step n, so its failure outranks a vanishing forward image
                 ah = abs(H(points[n - n0 - 1]))
-                if ah < _SINGULAR_TOL:
+                if ah < tol:
                     raise OrbitHitDivisor(f"orbit met the extracted divisor at step {n}", step=n)
                 lh = log(ah)
             nf, w, nrm = step(w)
@@ -340,7 +476,7 @@ class _OrbitRunner:
             num = a * gamma + lg
             if hd is not None:
                 num -= hd * gammas[n - n0 - 1] + lh
-            g = num / b
+            g = num // b if fixed else num / b
             increments.append(abs(g - gamma))
             gamma = g
             _check_entry(nrm, gamma, n)
@@ -351,13 +487,16 @@ class _OrbitRunner:
     def value(self, z, converge_tol=None):
         """(u, increments) at z; NotConverged when the last increment exceeds converge_tol."""
         gammas, _, increments = self.run(*self.start(z))
+        u = gammas[-1]
+        if self.scale is not None:
+            u, increments = self.real(u), [self.real(x) for x in increments]
         if converge_tol is not None and increments[-1] > converge_tol:
             raise NotConverged(
                 f"increment {float(increments[-1]):.3e} above {converge_tol:.3e} "
                 f"after {len(increments)} steps",
                 step=len(increments),
             )
-        return gammas[-1], tuple(increments)
+        return u, tuple(increments)
 
 
 def green_eval(
@@ -372,13 +511,25 @@ def green_eval(
     """Potential estimate at z with the per-step convergence history.
 
     cert None means plain iteration (no divisor correction, h = 0).
-    Returns (u, history) where history[n-1] = |γₙ − γ_{n−1}|.  The
+    Returns (u, history) where history[n-1] = |γₙ − γ_{n−1}|: floats at
+    53 bits and below, mpf values rounded at the precision above.  The
     final iterate is reported as the estimate; when converge_tol is
     given and the last increment exceeds it, NotConverged is raised
-    instead of returning a value silently off target.
+    instead of returning a value silently off target.  lambda_report is
+    unused (the exact degrees carry the growth); it is kept only because
+    the signature is pinned.
     """
-    del lambda_report  # reserved for tolerance heuristics; degrees suffice here
+    del lambda_report
     return _OrbitRunner(f, cert, n_iters, precision).value(z, converge_tol)
+
+
+def _lambda(f: ProjMap, lambda_report, precision: int):
+    """λ (the degree in plain mode): a float at 53 bits and below, an mpf at the precision above."""
+    lam = lambda_report.lambda_ if lambda_report is not None else f.degree
+    if precision <= 53:
+        return float(lam)
+    with workprec(precision):
+        return mp.mpf(lam)
 
 
 def functional_eq_residual(
@@ -388,30 +539,32 @@ def functional_eq_residual(
     z: Sequence,
     n_iters: int = 40,
     precision: int = 53,
-) -> float:
+):
     """|u(F(z)) − λ·u(z) − ((d−λ)/h)·log|H(z)|| at the unit-normalized z.
 
     Both potentials are evaluated with the same normalization (the
     input is scaled to the unit sphere first), which is what makes the
     identity hold without a floating additive constant.  In plain
     (h = 0) mode the residual is |u(F(z)) − d·u(z)| and λ defaults to
-    the degree.
+    the degree.  A float at 53 bits and below, an mpf at the precision
+    above.
     """
     orbit = _OrbitRunner(f, cert, n_iters, precision)
     w, _ = orbit.start(z)
-    lam = float(lambda_report.lambda_) if lambda_report is not None else float(f.degree)
+    lam = _lambda(f, lambda_report, precision)
     u_z, _ = orbit.value(w)
     nf, w1, _ = orbit.step(w)
     if w1 is None:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
-    u_fz = orbit.run(w1, orbit.log(nf))[0][-1]
-    if cert is None:
-        return abs(u_fz - lam * u_z)
-    ah = abs(orbit.H(w))
-    if ah < _SINGULAR_TOL:
-        raise OrbitHitDivisor("input point lies on the extracted divisor", step=0)
-    coef = (f.degree - lam) / cert.h
-    return abs(u_fz - lam * u_z - coef * orbit.log(ah))
+    u_fz = orbit.real(orbit.run(w1, orbit.log(nf))[0][-1])
+    with workprec(precision):
+        if cert is None:
+            return abs(u_fz - lam * u_z)
+        ah = abs(orbit.H(w))
+        if ah < orbit.tol:
+            raise OrbitHitDivisor("input point lies on the extracted divisor", step=0)
+        coef = (f.degree - lam) / cert.h
+        return abs(u_fz - lam * u_z - coef * orbit.real(orbit.log(ah)))
 
 
 def telescope_residual(
@@ -422,7 +575,7 @@ def telescope_residual(
     n: int,
     precision: int = 53,
     n_iters: int = 48,
-) -> float:
+):
     """Residual of the n-step telescoped identity, scaled by λ^{−n}.
 
     u(Fⁿ(z)) − λⁿ·u(z) − ((d−λ)/h)·Σ_{j=1..n} λ^{j−1}·log|H(F^{n−j}(z))|
@@ -430,14 +583,12 @@ def telescope_residual(
     is the telescoping that unrolls the one-step equation.  The input
     is unit-normalized first; orbit heights stay in normalized (γ, w)
     form, so nothing overflows even though log‖Fᵐ(z)‖ grows like dᵐ.
+    A float at 53 bits and below, an mpf at the precision above.
     """
     cert = _check_cert(f, cert)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if lambda_report is not None:
-        lam = float(lambda_report.lambda_) if precision <= 53 else mp.mpf(lambda_report.lambda_)
-    else:
-        lam = float(f.degree) if precision <= 53 else mp.mpf(f.degree)
+    lam = _lambda(f, lambda_report, precision)
     digits = precision * math.log10(2)
     if n * math.log10(max(float(lam), 1.0 + 1e-9)) > digits - 6:
         raise AmplificationOverflow(
@@ -445,25 +596,25 @@ def telescope_residual(
         )
     orbit = _OrbitRunner(f, cert, n_iters, precision)
     # plain-composition orbit: heights scale by d^m, no extraction
-    plain = _OrbitRunner(f, None, n, precision, step=orbit.step)
+    plain = _OrbitRunner(f, None, n, precision, like=orbit)
     w, _ = orbit.start(z)
     gammas, points, _ = plain.run(*plain.start(w))
     u_z, _ = orbit.value(w)
     u_wn, _ = orbit.value(points[n])
-    d = f.degree
-    u_fnz = d**n * gammas[n] + u_wn
-    if cert is None:
-        return abs(u_fnz - lam**n * u_z) / lam**n
-    acc = 0 * lam
-    for j in range(1, n + 1):
-        m = n - j
-        ah = abs(orbit.H(points[m]))
-        if ah < _SINGULAR_TOL:
-            raise OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
-        log_h = cert.h * d**m * gammas[m] + orbit.log(ah)
-        acc += lam ** (j - 1) * log_h
-    coef = (d - lam) / cert.h
-    return abs(u_fnz - lam**n * u_z - coef * acc) / lam**n
+    d, real = f.degree, orbit.real
+    with workprec(precision):
+        u_fnz = real(d**n * gammas[n]) + u_wn
+        if cert is None:
+            return abs(u_fnz - lam**n * u_z) / lam**n
+        acc = 0 * lam
+        for j in range(1, n + 1):
+            m = n - j
+            ah = abs(orbit.H(points[m]))
+            if ah < orbit.tol:
+                raise OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
+            acc += lam ** (j - 1) * real(cert.h * d**m * gammas[m] + orbit.log(ah))
+        coef = (d - lam) / cert.h
+        return abs(u_fnz - lam**n * u_z - coef * acc) / lam**n
 
 
 # -- grid sampling ------------------------------------------------------------

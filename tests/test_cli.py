@@ -5,6 +5,7 @@ against the schemas shipped under docs/schemas/.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,20 @@ class TestGreenPoint:
         validate(payload, schema("green-point"))
         assert payload["status"] == "OK" and payload["mode"] == "QAS"
         assert abs(float(payload["u"]) - 0.5579286113366814) < 1e-12
+
+    def test_high_precision_values_agree(self, files, capsys):
+        # every printed digit of the 128-bit value holds, up to the last few bits
+        values = []
+        for bits in (128, 256):
+            code, out, _ = run(
+                capsys, "green-point", "--map", files["stable_map"], "--n", 40,
+                "--point", "0.9+0.3j,-1.1+0.4j,0.5-0.7j", "--precision", bits, "--json",
+            )
+            assert code == 0
+            payload = json.loads(out)
+            validate(payload, schema("green-point"))
+            values.append(Fraction(payload["u"]))
+        assert abs(values[0] - values[1]) < Fraction(1, 2**118)
 
     def test_divisor_point_reports_status(self, files, capsys):
         code, out, _ = run(

@@ -239,6 +239,15 @@ def test_intersection_fails_fast_without_finiteness():
     assert rep.boxed_points == 0
 
 
+def test_rational_roots_of_large_height():
+    # (x - r)(x^2 + 1): rounded to a float, r = (10^12+39)/7 becomes a
+    # fraction over 2^14, 9e-6 away, which the denominator bound keeps
+    r = Fraction(10**12 + 39, 7)
+    roots, rest = family2._urational_roots([-r, Fraction(1), -r, Fraction(1)])
+    assert roots == [r]
+    assert rest == [1, 0, 1]
+
+
 def test_sylvester_resultant_matches_sympy():
     rng = random.Random(5)
     z, w = sympy.symbols("z w")

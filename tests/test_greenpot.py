@@ -7,6 +7,8 @@ quadratically stable cubic instance exercises the divisor-corrected
 recursion and both residual identities.
 """
 
+import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf, workprec
 
 from projdyn.family2 import build_family_map
 from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, make_map
@@ -118,6 +121,11 @@ class TestGreenEval:
         for bad in ((float("nan"), 1, 1), (1, complex(0, float("inf")), 1)):
             with pytest.raises(ValueError):
                 gp.green_eval(mono, None, None, bad)
+            with pytest.raises(ValueError):
+                gp.green_eval(mono, None, None, bad, precision=128)
+        for bad in ((0, 0, 0), (1e-300, 0, 0), (1e-20, 1e-20j, 0), (1, 2)):
+            with pytest.raises(ZeroVector):
+                gp.green_eval(mono, None, None, bad, precision=128)
 
     def test_huge_point_at_53_bits(self, mono, stable):
         # the squares of 1e300 overflow; the norm is taken after a 2^-k scaling
@@ -128,19 +136,44 @@ class TestGreenEval:
             assert abs(u2 - u1 - math.log(1e300)) < 1e-9
 
 
+    def test_huge_and_exact_points_above_53_bits(self, stable):
+        # the fixed-point start scales by the largest exponent, exactly
+        f, cert, rep = stable
+        u1, _ = gp.green_eval(f, cert, None, Z_FROZEN, n_iters=40, precision=128)
+        tol = mpf(2) ** -110
+        # 2^997 ≈ 1.3e300 scales the floats exactly; their squares overflow
+        huge = tuple(complex(math.ldexp(c.real, 997), math.ldexp(c.imag, 997)) for c in Z_FROZEN)
+        u2, _ = gp.green_eval(f, cert, None, huge, n_iters=40, precision=128)
+        with workprec(256):
+            assert abs(u2 - u1 - 997 * mp.log(2)) < tol * abs(u2)
+        z0 = (Fraction(3, 2), Fraction(-2, 3), Fraction(1, 4))
+        big = tuple(x * 10**400 for x in z0)
+        u3, _ = gp.green_eval(f, cert, None, z0, n_iters=40, precision=128)
+        u4, _ = gp.green_eval(f, cert, None, big, n_iters=40, precision=128)
+        with workprec(256):
+            assert abs(u4 - u3 - 400 * mp.log(10)) < tol * abs(u4)
+            want = mp_reference_u(f, cert, z0, 40, 256)
+            assert abs(u3 - want) < tol
+
+
 class TestOrbitErrors:
     def test_divisor_hit_at_lag_step(self, stable):
         f, cert, rep = stable
         # the divisor {z=0} enters the recursion at step n0+1 = 2
-        with pytest.raises(gp.OrbitHitDivisor) as exc:
-            gp.green_eval(f, cert, rep, (0, 1, 0.7), n_iters=10)
-        assert exc.value.step == cert.n0 + 1
+        for precision in (53, 128):
+            for z in ((0, 1, 0.7), (1e-16, 1, 0.7)):
+                with pytest.raises(gp.OrbitHitDivisor) as exc:
+                    gp.green_eval(f, cert, rep, z, n_iters=10, precision=precision)
+                assert exc.value.step == cert.n0 + 1
 
     def test_indeterminacy_hit(self, stable):
         f, cert, rep = stable
-        with pytest.raises(gp.OrbitHitIndeterminacy) as exc:
-            gp.green_eval(f, cert, rep, (1, 1, 1), n_iters=10)
-        assert exc.value.step == 1
+        # F vanishes at (1, 1, 1); 1e-16 away its norm is below the tolerance
+        for precision in (53, 128):
+            for z in ((1, 1, 1), (1, 1, 1 + Fraction(1, 10**16))):
+                with pytest.raises(gp.OrbitHitIndeterminacy) as exc:
+                    gp.green_eval(f, cert, rep, z, n_iters=10, precision=precision)
+                assert exc.value.step == 1
 
     def test_not_converged(self, stable):
         f, cert, rep = stable
@@ -224,6 +257,24 @@ class TestResiduals:
         f, cert, rep = stable
         r = gp.telescope_residual(f, cert, rep, Z_FROZEN, 4, precision=160, n_iters=70)
         assert float(r) < 1e-9
+
+    def test_residuals_round_at_the_precision(self, stable):
+        # λ, the coefficient and every sum are mpf at the precision
+        f, cert, rep = stable
+        fe = gp.functional_eq_residual(f, cert, rep, Z_FROZEN, n_iters=100, precision=128)
+        ts = gp.telescope_residual(f, cert, rep, Z_FROZEN, 4, precision=128, n_iters=100)
+        assert mp.prec == 53
+        assert isinstance(fe, mpf) and isinstance(ts, mpf)
+        assert fe < mpf(2) ** -120 and ts < mpf(2) ** -120
+        # λ moved off the root by 2^-100 gives residuals near 1e-30, which
+        # only arithmetic at the precision resolves
+        with workprec(256):
+            off = dataclasses.replace(rep, lambda_=rep.lambda_ + mpf(2) ** -100)
+        for residual in (lambda p: gp.functional_eq_residual(f, cert, off, Z_FROZEN, n_iters=100, precision=p),
+                         lambda p: gp.telescope_residual(f, cert, off, Z_FROZEN, 4, precision=p, n_iters=100)):
+            r128, r256 = residual(128), residual(256)
+            with workprec(256):
+                assert r256 > mpf(2) ** -110 and abs(r128 - r256) < mpf(2) ** -120
 
     def test_telescope_amplification_guard(self, stable):
         f, cert, rep = stable
@@ -466,6 +517,49 @@ class TestLaplacian:
         assert ring > 1.0 and interior < 1e-10
 
 
+def mp_loop_evaluator(p):
+    """The per-term mpmath loop, the reference of the fixed-point code (run it at 2p bits)."""
+    terms = [(mpf(c.numerator) / c.denominator, e) for e, c in ((e, Fraction(c)) for e, c in p.terms)]
+
+    def ev(v):
+        parts = []
+        for c, e in terms:
+            t = c
+            for x, k in zip(v, e):
+                if k:
+                    t = t * x**k
+            parts.append(t)
+        return mp.fsum(parts)
+
+    return ev
+
+
+def mp_norm(v):
+    return mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
+
+
+def mp_reference_u(f, cert, z, n_iters, prec):
+    """u at z by the normalized orbit on the mpmath loop, every operation at prec bits."""
+    with workprec(prec):
+        comps = [mp_loop_evaluator(p) for p in f.components]
+        H = cert and mp_loop_evaluator(cert.H)
+        h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
+        degrees = extend_degrees(DegreeRecurrence(d=f.degree, h=h, n0=n0), n_iters)
+        v = [mp.mpc(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator for x in z]
+        nrm = mp_norm(v)
+        points, gammas = [[x / nrm for x in v]], [mp.log(nrm)]
+        for n in range(1, n_iters + 1):
+            fv = [c(points[-1]) for c in comps]
+            nf = mp_norm(fv)
+            num = f.degree * degrees[n - 1] * gammas[-1] + mp.log(nf)
+            if cert is not None and n - n0 - 1 >= 0:
+                lag = n - n0 - 1
+                num -= h * degrees[lag] * gammas[lag] + mp.log(abs(H(points[lag])))
+            points.append([x / nf for x in fv])
+            gammas.append(num / degrees[n])
+        return gammas[-1]
+
+
 def loop_evaluator(p):
     """The per-term loop the generated 53-bit code must reproduce bit for bit."""
     terms = [(gp._to_complex(c), e) for e, c in p.terms]
@@ -547,5 +641,93 @@ class TestGeneratedStep:
         real_exec = exec
         monkeypatch.setattr(gp, "exec", lambda src, ns: (sources.append(src), real_exec(src, ns))[1],
                             raising=False)
-        gp._float_code([HomPoly(3, [((2, 0, 0), Fraction(7, 3)), ((0, 1, 1), 12345)])], 3)
-        assert sources and not any(c in sources[0] for c in ("12345", "7/3", "2.33"))
+        polys = [HomPoly(3, [((2, 0, 0), Fraction(7, 3)), ((0, 1, 1), 12345)])]
+        gp._float_code(polys, 3)
+        gp._fixed_code(polys, 3, 180)
+        assert len(sources) == 2
+        assert not any(c in src for src in sources for c in ("12345", "7/3", "2.33", str(12345 << 180)))
+
+
+def value_bound(polys):
+    """The documented error bound E of the fixed-point values, in units of 2^-S."""
+    return math.ceil(sum(2 * p.degree * abs(c) + 1 for p in polys for _, c in p.terms) + 2 * len(polys))
+
+
+def fixed(v, scale):
+    return tuple((math.floor(x.real * 2**scale), math.floor(x.imag * 2**scale)) for x in v)
+
+
+def as_mpc(w, scale):
+    return [mp.mpc(mpf(r) / 2**scale, mpf(i) / 2**scale) for r, i in w]
+
+
+class TestFixedPointStep:
+    P = 96
+
+    @pytest.mark.parametrize("precision", [96, 128])
+    def test_green_eval_matches_double_precision_reference(self, stable, precision):
+        f, cert, rep = stable
+        rng = random.Random(precision)
+        points = [Z_FROZEN] + [tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3))
+                               for _ in range(20)]
+        for z in points:
+            # the ambient precision is left at 53 bits
+            assert mp.prec == 53
+            u, hist = gp.green_eval(f, cert, rep, z, n_iters=40, precision=precision)
+            assert isinstance(u, mpf) and all(isinstance(x, mpf) for x in hist)
+            assert u._mpf_[3] <= precision and all(x._mpf_[3] <= precision for x in hist)
+            want = mp_reference_u(f, cert, z, 40, 2 * precision)
+            with workprec(2 * precision):
+                assert abs(u - want) <= mpf(2) ** (8 - precision) * max(1, abs(want))
+
+    def check_step(self, polys, nvars, v):
+        # v normalized as the orbit start and the step quotient do it
+        S = self.P + gp._guard_bits(polys)
+        X = fixed(v, S)
+        nz = math.isqrt(sum(r * r + i * i for r, i in X))
+        W = tuple(((r << S) // nz, (i << S) // nz) for r, i in X)
+        with workprec(2 * self.P):
+            x = as_mpc(W, S)
+            assert max(abs(c) for c in x) <= 1 + mpf(2) ** (49 - S)
+            fv = [mp_loop_evaluator(p)(x) for p in polys]
+            for p, y in zip(polys, fv):
+                ay = gp._fixed_code([p], nvars, S, step=False)(W)
+                assert abs(mpf(ay) / 2**S - abs(y)) < mpf(value_bound([p]) + 1) / 2**S
+            nf, q, nrm = gp._fixed_code(polys, nvars, S)(W)
+            want = mp_norm(fv)
+            assert abs(mpf(nf) / 2**S - want) < mpf(value_bound(polys) + 1) / 2**S
+            if want >= gp._SINGULAR_TOL:
+                # the relative accuracy the guard bits promise
+                assert abs(mpf(nf) / 2**S - want) <= want * mpf(2) ** -(self.P + 3)
+                assert abs(nrm - 1) < 1e-12
+                for a, b in zip(as_mpc(q, S), fv):
+                    assert abs(a - b / want) <= mpf(2) ** -(self.P + 1)
+        return want
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_matches_reference_within_bound(self, nvars):
+        rng = random.Random(200 + nvars)
+        for degree in (1, 2, 3, 5):
+            polys = [random_poly(rng, nvars, degree) for _ in range(nvars)]
+            for _ in range(10):
+                self.check_step(polys, nvars, TestGeneratedStep().point(rng, nvars))
+
+    def test_ten_thousand_terms(self):
+        d = 146
+        p = HomPoly(3, [((i, j, d - i - j), Fraction(1 + (i * j) % 5, 1 + i % 3))
+                        for i in range(d + 1) for j in range(d + 1 - i)])
+        self.check_step([p], 3, (0.6 + 0.1j, 0.5j, -0.55))
+
+    def test_norm_just_above_the_singular_tolerance(self):
+        # F = (z - w)·q with q of degree 2: at z - w = δ, ‖F(w)‖ = δ·‖q‖
+        rng = random.Random(5)
+        for _ in range(6):
+            q = [random_poly(rng, 2, 2) for _ in range(3)]
+            lin = HomPoly(2, [((1, 0), 1), ((0, 1), -1)])
+            polys = [lin * p for p in q]
+            a = cmath.rect(math.sqrt(0.5), rng.uniform(-math.pi, math.pi))
+            qn = math.sqrt(sum(abs(loop_evaluator(p)((a, a))) ** 2 for p in q))
+            for ratio in (1.01, 1.5, 8.0):
+                delta = ratio * gp._SINGULAR_TOL / qn
+                want = self.check_step(polys, 2, (a, a - delta))
+                assert gp._SINGULAR_TOL * ratio * 0.9 < want < gp._SINGULAR_TOL * ratio * 1.1
