@@ -14,10 +14,10 @@ canonical.
 The module provides construction, ring arithmetic, composition, formal
 partial derivatives, exact evaluation, a strict text grammar with a
 canonical printer, exact division, and a multivariate GCD.  The GCD
-follows a content/primitive split with primitive-part pseudo-remainder
-sequences in a chosen variable; cheap exactly-verified shortcuts (a
-divisibility probe and a modular coprimality certificate) run first so
-the PRS fallback is only paid when the answer is genuinely nontrivial.
+strips the monomial content, tries a divisibility probe and a modular
+coprimality certificate, and otherwise runs one dense modular engine
+(Brown's algorithm over GF(p), combined by CRT), whose answer divides
+both inputs exactly and is proved maximal from leading monomials.
 
 Everything here is immutable and deterministic.  Operations whose
 result would exceed a configurable term cap abort with `ResourceLimit`
@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -663,140 +664,14 @@ def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
     return content, out
 
 
-# -- multivariate GCD: primitive pseudo-remainder sequences --------------------
+# -- modular coprimality certificate -------------------------------------------
+
+_CERT_PRIME = (1 << 61) - 1  # Mersenne prime, comfortably above any degree here
+_CERT_ATTEMPTS = 6  # specialisations tried per variable before the certificate misses
 
 
 def _deg_in(d: dict, x: int) -> int:
     return max((e[x] for e in d), default=-1)
-
-
-def _lc_in(d: dict, x: int) -> dict:
-    """Leading coefficient of d viewed as univariate in x (x-slot zeroed)."""
-    m = _deg_in(d, x)
-    out = {}
-    for e, c in d.items():
-        if e[x] == m:
-            out[tuple(0 if i == x else v for i, v in enumerate(e))] = c
-    return out
-
-
-def _shift_in(d: dict, x: int, k: int) -> dict:
-    if k == 0:
-        return d
-    return {tuple(v + k if i == x else v for i, v in enumerate(e)): c for e, c in d.items()}
-
-
-def _prem(a: dict, b: dict, x: int) -> dict:
-    """Pseudo-remainder of a by b in variable x (scalar multiples tolerated)."""
-    db = _deg_in(b, x)
-    lb = _lc_in(b, x)
-    b_rest = {e: c for e, c in b.items() if e[x] != db}
-    r = a
-    while r:
-        dr = _deg_in(r, x)
-        if dr < db:
-            break
-        lr = _lc_in(r, x)
-        r_rest = {e: c for e, c in r.items() if e[x] != dr}
-        r = _dadd(
-            _dmul(lb, r_rest),
-            _dmul({e: -c for e, c in lr.items()}, _shift_in(b_rest, x, dr - db)),
-        )
-    return r
-
-
-def _int_content(d: dict) -> int:
-    g = 0
-    for c in d.values():
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
-def _gcd_mv(a: dict, b: dict, nvars: int) -> dict:
-    """GCD of integer term dicts, unique up to sign.
-
-    Content/primitive split in the highest variable present, primitive
-    PRS on the primitive parts, recursion on the coefficient ring.
-    """
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    x = -1
-    for i in range(nvars - 1, -1, -1):
-        if _deg_in(a, i) > 0 or _deg_in(b, i) > 0:
-            x = i
-            break
-    if x < 0:
-        return {(0,) * nvars: math.gcd(_int_content(a), _int_content(b))}
-    da, db = _deg_in(a, x), _deg_in(b, x)
-    if da == 0 or db == 0:
-        flat = a if da == 0 else b
-        other = b if da == 0 else a
-        coeffs = _x_coefficients(other, x)
-        g = flat
-        for c in coeffs.values():
-            g = _gcd_mv(g, c, nvars)
-            if _is_unit_dict(g, nvars):
-                return g
-        return g
-    cont_a, pp_a = _x_content_split(a, x, nvars)
-    cont_b, pp_b = _x_content_split(b, x, nvars)
-    c = _gcd_mv(cont_a, cont_b, nvars)
-    g, s = (pp_a, pp_b) if _deg_in(pp_a, x) >= _deg_in(pp_b, x) else (pp_b, pp_a)
-    while True:
-        r = _prem(g, s, x)
-        if not r:
-            result = s
-            break
-        if _deg_in(r, x) == 0:
-            result = {(0,) * nvars: 1}
-            break
-        _, r = _x_content_split(r, x, nvars)
-        g, s = s, r
-    out = _dmul(c, result)
-    cont = _int_content(out)
-    if cont > 1:
-        out = {e: v // cont for e, v in out.items()}
-    return out
-
-
-def _x_coefficients(d: dict, x: int) -> dict[int, dict]:
-    out: dict[int, dict] = {}
-    for e, c in d.items():
-        k = e[x]
-        out.setdefault(k, {})[tuple(0 if i == x else v for i, v in enumerate(e))] = c
-    return out
-
-
-def _x_content_split(d: dict, x: int, nvars: int) -> tuple[dict, dict]:
-    """Split d into (content, primitive part) w.r.t. variable x."""
-    coeffs = _x_coefficients(d, x)
-    it = iter(coeffs.values())
-    g = dict(next(it))
-    for c in it:
-        g = _gcd_mv(g, c, nvars)
-        if _is_unit_dict(g, nvars):
-            break
-    if _is_unit_dict(g, nvars):
-        return {(0,) * nvars: 1}, dict(d)
-    pp = _dexact_div(d, g)
-    assert pp is not None, "content must divide"
-    return g, pp
-
-
-def _is_unit_dict(d: dict, nvars: int) -> bool:
-    if len(d) != 1:
-        return False
-    ((e, c),) = d.items()
-    return not any(e) and abs(c) == 1
-
-
-# -- modular coprimality certificate -------------------------------------------
-
-_CERT_PRIME = (1 << 61) - 1  # Mersenne prime, comfortably above any degree here
 
 
 def _specialize_univar(d: dict, x: int, vals: dict[int, int]) -> list[int]:
@@ -823,18 +698,16 @@ def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
 
     a, b = trim(a), trim(b)
     while b:
-        inv = pow(b[-1], p - 2, p)
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
         while len(a) >= len(b):
-            f = a[-1] * inv % p
-            off = len(a) - len(b)
-            for i, bc in enumerate(b):
-                a[off + i] = (a[off + i] - f * bc) % p
+            # subtract a[-1] * x^off * b; the top coefficient cancels
+            f, off = a[-1], len(a) - len(b)
+            a[off:] = [(x - f * y) % p for x, y in zip(a[off:-1], b)]
             trim(a)
-            if not a:
-                break
         a, b = b, a
     if a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
 
@@ -852,7 +725,7 @@ class _CertRng:
         return lo + (self.state >> 33) % (hi - lo + 1)
 
 
-def _coprime_cert_many(ds: Sequence[dict], nvars: int, attempts: int = 6) -> bool:
+def _coprime_cert_many(ds: Sequence[dict], nvars: int) -> bool:
     """Try to *prove* the family's common gcd is constant.
 
     Sound but incomplete: any common divisor g has its x-leading
@@ -866,7 +739,7 @@ def _coprime_cert_many(ds: Sequence[dict], nvars: int, attempts: int = 6) -> boo
             continue  # the common gcd already has degree 0 in x
         rng = _CertRng(x * 1000003 + len(ds))
         certified = False
-        for _ in range(attempts):
+        for _ in range(_CERT_ATTEMPTS):
             vals = {i: rng.next_int(-49, 49) for i in range(nvars) if i != x}
             images = []
             for d in ds:
@@ -888,11 +761,6 @@ def _coprime_cert_many(ds: Sequence[dict], nvars: int, attempts: int = 6) -> boo
         if not certified:
             return False
     return True
-
-
-def _coprime_cert(a: dict, b: dict, nvars: int, attempts: int = 6) -> bool:
-    """Try to *prove* gcd(a, b) is constant (see _coprime_cert_many)."""
-    return _coprime_cert_many((a, b), nvars, attempts)
 
 
 def coprime_certificate(a: "HomPoly", b: "HomPoly") -> bool:
@@ -922,129 +790,201 @@ def coprime_certificate_many(polys: Sequence["HomPoly"]) -> bool:
     return _coprime_cert_many(ds, nv)
 
 
-# -- heuristic evaluate-and-reconstruct GCD ------------------------------------
-
-_HEU_BIT_BUDGET = 1_500_000  # cap on evaluated coefficient size, bits
+# -- modular GCD (Brown, JACM 18, 1971) ----------------------------------------
 
 
-def _dnorm_inf(d: dict) -> int:
-    return max(abs(c) for c in d.values())
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2..37, which is exact below 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % q == 0 for q in bases):
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for q in bases:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _heval(d: dict, x: int, xi: int) -> dict:
-    """Image of d under x -> xi, keyed with slot x zeroed out.
+def _modp_eval(u: list[int], pw: list[int], p: int) -> int:
+    """u at x over GF(p), given the powers of x up to len(u) - 1."""
+    return sum(map(mul, u, pw)) % p
 
-    With xi larger than twice the coefficient norm the monomial images
-    act as balanced base-xi digits, so no surviving key can cancel to
-    zero; smaller xi can lose terms, which the retry loop absorbs.
-    """
-    powers: dict[int, int] = {0: 1}
+
+def _modp_quo(u: list[int], d: list[int], p: int) -> list[int]:
+    """u / d over GF(p) for a monic d that divides u."""
+    u = list(u)
+    q = [0] * (len(u) - len(d) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = u[i + len(d) - 1]
+        for j, dc in enumerate(d):
+            u[i + j] = (u[i + j] - c * dc) % p
+    return q
+
+
+def _modp_content(polys: Iterable[list[int]], p: int) -> list[int]:
+    """Monic gcd of univariate polynomials over GF(p)."""
+    g: list[int] = []
+    for u in polys:
+        g = _modp_gcd(g, u, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def _split_last(d: dict) -> dict:
+    """d as a dict from the other exponents to coefficient lists in the last variable."""
     out: dict = {}
     for e, c in d.items():
-        k = e[x]
-        pw = powers.get(k)
-        if pw is None:
-            pw = xi**k
-            powers[k] = pw
-        key = tuple(0 if i == x else v for i, v in enumerate(e))
-        s = out.get(key, 0) + c * pw
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+        u = out.setdefault(e[:-1], [])
+        if len(u) <= e[-1]:
+            u.extend([0] * (e[-1] + 1 - len(u)))
+        u[e[-1]] = c
     return out
 
 
-def _hreconstruct(d: dict, x: int, xi: int) -> dict:
-    """Invert _heval by balanced base-xi digit extraction per coefficient."""
-    half = xi // 2
-    out: dict = {}
-    for e, c in d.items():
-        i = 0
-        v = c
-        while v:
-            r = v % xi
-            if r > half:
-                r -= xi
-            if r:
-                out[e[:x] + (i,) + e[x + 1 :]] = r
-            v = (v - r) // xi
-            i += 1
-    return out
+def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
+    """Monic gcd over GF(p) of nonzero dicts keyed by k-tuples, k >= 1.
 
-
-def _heugcd_core(a: dict, b: dict, nvars: int):
-    """Heuristic gcd of integer term dicts; None on a miss.
-
-    Evaluates the trailing active variable at a large integer,
-    recurses, and lifts the result back by digit extraction.  A
-    candidate is returned only after exact division into both inputs,
-    so any non-None result is a genuine common divisor; it may still
-    be a proper factor of the gcd, which the caller has to rule out.
+    Brown's dense recursion: view a and b in GF(p)[x_k][x_1..x_{k-1}],
+    evaluate x_k at drawn points, recurse, scale each image by lam, the
+    gcd of the x_k-coefficients of the two lex-leading monomials, and
+    Newton-interpolate.  The gcd g divides every image and keeps its
+    lex-leading monomial where lam does not vanish, so an image has the
+    monomial of g or a larger one.  A larger one is unlucky and dropped,
+    a smaller one restarts the interpolation.  Images with the monomial
+    of g are values of lam * g / lc(g), whose degree in x_k is at most
+    deg lam + deg_k g; one point more determines it.  Its primitive
+    part in x_k times the gcd of the x_k-contents is g.  So the result
+    is g, or, when every point was unlucky, a polynomial with a larger
+    lex-leading monomial than g.
     """
-    xs = [x for x in range(nvars) if _deg_in(a, x) > 0 or _deg_in(b, x) > 0]
-    if not xs:
-        ((_, ca),) = a.items()
-        ((_, cb),) = b.items()
-        return {(0,) * nvars: math.gcd(ca, cb)}
-    x = xs[-1]
-    dx = max(_deg_in(a, x), _deg_in(b, x))
-    # factors of already-eliminated variables live in the shared integer
-    # content; split it off, run the heuristic on primitive parts where
-    # any leftover content is junk to strip, and reattach at the end
-    ca, pa = _dint_normalize(a)
-    cb, pb = _dint_normalize(b)
-    ground = math.gcd(ca.numerator, cb.numerator)
-    na, nb = _dnorm_inf(pa), _dnorm_inf(pb)
-    big = 2 * min(na, nb) + 29
-    xi = max(
-        min(big, 99 * math.isqrt(big)),
-        2 * min(na // abs(pa[max(pa)]), nb // abs(pb[max(pb)])) + 4,
-    )
-    for _ in range(6):
-        if dx * xi.bit_length() > _HEU_BIT_BUDGET:
-            return None
-        A = _heval(pa, x, xi)
-        B = _heval(pb, x, xi)
-        if A and B:
-            g = _heugcd_core(A, B, nvars)
-            if g is not None:
-                g = _hreconstruct(g, x, xi)
-                if g:
-                    _, g = _dint_normalize(g)
-                    if _dexact_div(pa, g) is not None and _dexact_div(pb, g) is not None:
-                        if ground != 1:
-                            g = {e: c * ground for e, c in g.items()}
-                        return g
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
+    k = len(next(iter(a)))
+    ua, ub = _split_last(a), _split_last(b)
+    if k == 1:
+        g = _modp_gcd(ua[()], ub[()], p)
+        return {(j,): c for j, c in enumerate(g) if c}
+    lam = _modp_gcd(ua[max(ua)], ub[max(ub)], p)
+    # drawn, not counted: a fixed point can be unlucky at every prime
+    rng = _CertRng(p + k)
+    # deg_k g is at most the degree of gcd(a, b) in x_k at any point of
+    # the other variables where the x_k-leading coefficient of a stays
+    # nonzero, since that of g divides it
+    last = k - 1
+    while True:
+        vals = {i: rng.next_int(0, p - 1) for i in range(last)}
+        at = _specialize_univar(a, last, vals)
+        if at[-1] % p:
+            break
+    points = len(lam) + len(_modp_gcd(at, _specialize_univar(b, last, vals), p)) - 1
+    la, lb = max(map(len, ua.values())), max(map(len, ub.values()))
+    best, interp, mod = None, {}, [1]
+    while len(mod) <= points:
+        x = rng.next_int(0, p - 1)
+        pw = [1] * max(la, lb, points + 1)
+        for i in range(1, len(pw)):
+            pw[i] = pw[i - 1] * x % p
+        s = _modp_eval(lam, pw, p)
+        if not s or not _modp_eval(mod, pw, p):
+            continue
+        ea = {m: v for m, u in ua.items() if (v := _modp_eval(u, pw, p))}
+        eb = {m: v for m, u in ub.items() if (v := _modp_eval(u, pw, p))}
+        if not ea or not eb:
+            continue
+        img = _modp_gcd_mv(ea, eb, p)
+        lm = max(img)
+        if best is None or lm < best:
+            best, interp, mod = lm, {}, [1]
+        elif lm > best:
+            continue
+        w = pow(_modp_eval(mod, pw, p), -1, p)
+        zero = [0] * (len(mod) - 1)
+        for m in interp.keys() | img.keys():
+            u = interp.get(m, zero)
+            c = (s * img.get(m, 0) - _modp_eval(u, pw, p)) * w % p
+            interp[m] = [(v + c * t) % p for v, t in zip(u + [0], mod)]
+        mod = [(v - x * t) % p for v, t in zip([0] + mod, mod + [0])]
+    h = _modp_content(interp.values(), p)
+    pp = {
+        m + (j,): c for m, u in interp.items() for j, c in enumerate(_modp_quo(u, h, p)) if c
+    }
+    content = _modp_gcd(_modp_content(ua.values(), p), _modp_content(ub.values(), p), p)
+    out = _dmul(pp, {(0,) * last + (j,): c for j, c in enumerate(content) if c})
+    inv = pow(out[max(out)], -1, p)
+    return {e: v for e, c in out.items() if (v := c * inv % p)}
 
 
-def _heugcd_try(a: dict, b: dict, nvars: int):
-    """Verified common-divisor candidate for homogeneous integer dicts.
+def _modular_gcd(a: dict, b: dict) -> dict:
+    """Primitive gcd of homogeneous integer dicts that no variable divides.
 
-    Expects inputs with their per-input monomial content already
-    stripped, so the last variable divides neither and dehomogenising
-    it preserves the gcd.  The lifted candidate is checked by exact
-    division against the original inputs; returns (g, a // g, b // g)
-    or None.
+    Dehomogenizing the last variable preserves the gcd, because it
+    divides neither input.  Let gamma be the gcd of the two lex-leading
+    coefficients.  Primes p run down from 2^61 - 1, skipping those that
+    divide a lex-leading coefficient; gamma times the monic image mod p
+    is combined by CRT in the symmetric range with earlier images of the
+    same lex-leading monomial.  An image with a larger monomial is
+    dropped and a smaller one restarts.  Once the CRT result stops
+    changing, its primitive part G, rehomogenized, is tried against both
+    inputs by exact division.
+
+    Maximality.  Let g be the gcd over Z.  At a prime p that divides
+    neither lex-leading coefficient, p does not divide lc(g), so g mod p
+    keeps the lex-leading monomial LM(g), and it divides the gcd mod p;
+    `_modp_gcd_mv` returns that gcd or a polynomial with a larger
+    monomial.  So LM(g) <= L, the monomial of the images behind G, and
+    LM(G) = L because the CRT coefficient there is gamma, which no prime
+    used divides.  G divides both inputs, hence g, so g / G has
+    lex-leading monomial LM(g) / L = 1 and is a constant.  For the same
+    reason a constant image proves the gcd constant.
     """
-    x = nvars - 1
-    ah = {e[:x] + (0,): c for e, c in a.items()}
-    bh = {e[:x] + (0,): c for e, c in b.items()}
-    g = _heugcd_core(ah, bh, nvars)
-    if g is None:
-        return None
-    _, g = _dint_normalize(g)
-    dg = max(sum(e) for e in g)
-    G = {e[:x] + (dg - sum(e),): c for e, c in g.items()}
-    qa = _dexact_div(a, G)
-    if qa is None:
-        return None
-    qb = _dexact_div(b, G)
-    if qb is None:
-        return None
-    return G, qa, qb
+    k = len(next(iter(a))) - 1
+    a1 = {e[:k]: c for e, c in a.items()}
+    b1 = {e[:k]: c for e, c in b.items()}
+    la, lb = a1[max(a1)], b1[max(b1)]
+    gamma = math.gcd(la, lb)
+    best, acc, mod = None, {}, 1
+    p = _CERT_PRIME + 1
+    while True:
+        p -= 1
+        if la % p == 0 or lb % p == 0 or not _is_prime(p):
+            continue
+        img = _modp_gcd_mv(
+            {e: v for e, c in a1.items() if (v := c % p)},
+            {e: v for e, c in b1.items() if (v := c % p)},
+            p,
+        )
+        lm = max(img)
+        if not any(lm):
+            return {(0,) * (k + 1): 1}
+        if best is None or lm < best:
+            best, acc, mod = lm, {}, 1
+        elif lm > best:
+            continue
+        step = pow(mod, -1, p)
+        new = {}
+        for e in acc.keys() | img.keys():
+            c = acc.get(e, 0)
+            c += mod * ((gamma * img.get(e, 0) - c) * step % p)
+            if c:
+                new[e] = c - mod * p if 2 * c > mod * p else c
+        mod *= p
+        if new == acc:
+            _, g = _dint_normalize(new)
+            top = max(map(sum, g))
+            g = {e + (top - sum(e),): c for e, c in g.items()}
+            if _dexact_div(a, g) is not None and _dexact_div(b, g) is not None:
+                return g
+        acc = new
 
 
 # ---------------------------------------------------------------------------
@@ -1108,10 +1048,10 @@ def exact_div(a: HomPoly, b: HomPoly) -> HomPoly:
 def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
     """GCD in canonical primitive form (unit content, positive leading coefficient).
 
-    Strategy: strip the shared monomial factor, try a quick mutual
+    Strategy: strip the monomial content of each input, try a mutual
     divisibility probe and the modular coprimality certificate, and
-    only then run the primitive-PRS engine.  Every shortcut's answer
-    is exact; nothing unverified is ever returned.
+    otherwise run the modular engine `_modular_gcd`.  Every answer is
+    exact; nothing unverified is ever returned.
     """
     a._check_arity(b)
     if a.is_zero and b.is_zero:
@@ -1152,21 +1092,9 @@ def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
         return finish(db)
     if deg_b > deg_a and _dexact_div(db, da) is not None:
         return finish(da)
-    if _coprime_cert(da, db, nv):
+    if _coprime_cert_many((da, db), nv):
         return finish(unit)
-    res = _heugcd_try(da, db, nv)
-    if res is not None:
-        g, qa, qb = res
-        if not _is_unit_dict(g, nv):
-            if _coprime_cert_many((qa, qb), nv):
-                return finish(g)
-            # verified divisor, maximality open: peel it and recurse
-            rest = poly_gcd(
-                HomPoly._new(nv, qa, max(sum(e) for e in qa)),
-                HomPoly._new(nv, qb, max(sum(e) for e in qb)),
-            )
-            return finish(_dmul(g, dict(rest.terms)))
-    return finish(_gcd_mv(da, db, nv))
+    return finish(_modular_gcd(da, db))
 
 
 def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:

@@ -1,7 +1,8 @@
 """Iteration, extraction, and stability inference on pinned examples.
 
 Expected degree sequences and extracted factors were computed once
-with the slow PRS-only GCD path and are frozen here as exact values.
+with a primitive pseudo-remainder-sequence GCD (the reference kept in
+tests/test_polycore.py) and are frozen here as exact values.
 """
 
 import pytest

@@ -1,5 +1,6 @@
 """Exact polynomial layer: parsing, arithmetic, division, GCD, certificates."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,15 @@ from projdyn import (
     same_up_to_scalar,
     set_term_cap,
 )
-from projdyn.polycore import _dexact_div, _dint_normalize, _dmul, _gcd_mv
+from projdyn.polycore import (
+    _dadd,
+    _deg_in,
+    _dexact_div,
+    _dint_normalize,
+    _dmul,
+    _is_prime,
+    _modp_gcd_mv,
+)
 
 NAMES = ("z", "w", "t")
 
@@ -181,12 +190,159 @@ def test_gcd_hand_cases():
     assert poly_gcd(P("z^3"), P("w^3")).degree == 0
     # scalar content never leaks into the gcd
     assert poly_gcd(P("6*z^2"), P("4*z*w")) == P("z")
+    # after stripping w*t and setting t = 1, the point w = 1 makes the two
+    # images proportional: fixed evaluation points loop on this pair
+    a = P("-8*z^2*w*t + 2*w*t^3")
+    b = P("-12*z^2*w*t - 6*z*w^2*t + 6*z*w*t^2 + 3*w^2*t^2")
+    assert poly_gcd(a, b) == P("2*z*w*t - w*t^2")
+    # coefficients above 2^100 need more than one prime; a lex-leading
+    # coefficient of 2^61 - 1 makes the engine skip its first prime
+    for lead in (2**101 + 3, 2**61 - 1):
+        g = HomPoly(3, [((2, 0, 0), lead), ((1, 1, 0), -(2**100) - 7), ((0, 1, 1), 5)])
+        assert poly_gcd(g * P("z - w + t"), g * P("w^2 + 3*z*t")) == g
+    # z + t + q*w and z + t agree mod every prime factor of q, which is
+    # unlucky: the first prime (2^61 - 1; a constant gcd, then g restarts),
+    # the second (2^61 - 31; dropped), or both, whose CRT result settles on
+    # g * (z + t) and fails the trial division
+    g = P("w + 2*t")
+    for q in (2**61 - 1, 2**61 - 31, (2**61 - 1) * (2**61 - 31)):
+        a = P("z + t") + q * P("w")
+        assert poly_gcd(a, P("z + t")) == HomPoly.one(3)
+        assert poly_gcd(g * a, g * P("z + t")) == g
 
 
 def test_gcd_with_zero_operand():
     assert poly_gcd(HomPoly.zero(3), P("3*z*w")) == P("z*w")
     with pytest.raises(ValueError):
         poly_gcd(HomPoly.zero(3), HomPoly.zero(3))
+
+
+# The primitive pseudo-remainder sequence (PRS) gcd: slow, but simple enough
+# to trust, so it stays here as the reference of the modular engine.
+
+
+def _lc_in(d: dict, x: int) -> dict:
+    """Leading coefficient of d viewed as univariate in x (x-slot zeroed)."""
+    m = _deg_in(d, x)
+    out = {}
+    for e, c in d.items():
+        if e[x] == m:
+            out[tuple(0 if i == x else v for i, v in enumerate(e))] = c
+    return out
+
+
+def _shift_in(d: dict, x: int, k: int) -> dict:
+    if k == 0:
+        return d
+    return {tuple(v + k if i == x else v for i, v in enumerate(e)): c for e, c in d.items()}
+
+
+def _prem(a: dict, b: dict, x: int) -> dict:
+    """Pseudo-remainder of a by b in variable x (scalar multiples tolerated)."""
+    db = _deg_in(b, x)
+    lb = _lc_in(b, x)
+    b_rest = {e: c for e, c in b.items() if e[x] != db}
+    r = a
+    while r:
+        dr = _deg_in(r, x)
+        if dr < db:
+            break
+        lr = _lc_in(r, x)
+        r_rest = {e: c for e, c in r.items() if e[x] != dr}
+        r = _dadd(
+            _dmul(lb, r_rest),
+            _dmul({e: -c for e, c in lr.items()}, _shift_in(b_rest, x, dr - db)),
+        )
+    return r
+
+
+def _int_content(d: dict) -> int:
+    g = 0
+    for c in d.values():
+        g = math.gcd(g, abs(c))
+        if g == 1:
+            return 1
+    return g
+
+
+def _gcd_mv(a: dict, b: dict, nvars: int) -> dict:
+    """GCD of integer term dicts, unique up to sign.
+
+    Content/primitive split in the highest variable present, primitive
+    PRS on the primitive parts, recursion on the coefficient ring.
+    """
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    x = -1
+    for i in range(nvars - 1, -1, -1):
+        if _deg_in(a, i) > 0 or _deg_in(b, i) > 0:
+            x = i
+            break
+    if x < 0:
+        return {(0,) * nvars: math.gcd(_int_content(a), _int_content(b))}
+    da, db = _deg_in(a, x), _deg_in(b, x)
+    if da == 0 or db == 0:
+        flat = a if da == 0 else b
+        other = b if da == 0 else a
+        coeffs = _x_coefficients(other, x)
+        g = flat
+        for c in coeffs.values():
+            g = _gcd_mv(g, c, nvars)
+            if _is_unit_dict(g, nvars):
+                return g
+        return g
+    cont_a, pp_a = _x_content_split(a, x, nvars)
+    cont_b, pp_b = _x_content_split(b, x, nvars)
+    c = _gcd_mv(cont_a, cont_b, nvars)
+    g, s = (pp_a, pp_b) if _deg_in(pp_a, x) >= _deg_in(pp_b, x) else (pp_b, pp_a)
+    while True:
+        r = _prem(g, s, x)
+        if not r:
+            result = s
+            break
+        if _deg_in(r, x) == 0:
+            result = {(0,) * nvars: 1}
+            break
+        _, r = _x_content_split(r, x, nvars)
+        g, s = s, r
+    out = _dmul(c, result)
+    cont = _int_content(out)
+    if cont > 1:
+        out = {e: v // cont for e, v in out.items()}
+    return out
+
+
+def _x_coefficients(d: dict, x: int) -> dict[int, dict]:
+    out: dict[int, dict] = {}
+    for e, c in d.items():
+        k = e[x]
+        out.setdefault(k, {})[tuple(0 if i == x else v for i, v in enumerate(e))] = c
+    return out
+
+
+def _x_content_split(d: dict, x: int, nvars: int) -> tuple[dict, dict]:
+    """Split d into (content, primitive part) w.r.t. variable x."""
+    coeffs = _x_coefficients(d, x)
+    it = iter(coeffs.values())
+    g = dict(next(it))
+    for c in it:
+        g = _gcd_mv(g, c, nvars)
+        if _is_unit_dict(g, nvars):
+            break
+    if _is_unit_dict(g, nvars):
+        return {(0,) * nvars: 1}, dict(d)
+    pp = _dexact_div(d, g)
+    assert pp is not None, "content must divide"
+    return g, pp
+
+
+def _is_unit_dict(d: dict, nvars: int) -> bool:
+    if len(d) != 1:
+        return False
+    ((e, c),) = d.items()
+    return not any(e) and abs(c) == 1
 
 
 def test_gcd_randomised_against_prs_engine():
@@ -217,7 +373,7 @@ def test_gcd_divides_both_inputs_always():
 
 
 def test_gcd_large_structured_product():
-    # big enough to route through the evaluation fast path
+    # large enough that the modular engine interpolates over many points
     g = P("z*t - w^2") * P("z - t") * P("w + t")
     a = g * P("z^3 + w^3 + t^3") ** 2
     b = g * P("z^2*w - 2*t^3 + z*t^2") ** 2
@@ -444,7 +600,7 @@ def test_exponents_at_the_full_degree(degree):
     _assert_same(top.compose(lin), _to_sympy(top, xs).xreplace(sub), xs)
 
 
-@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("nvars", [2, 3, 4])
 def test_gcd_matches_sympy_with_planted_factors(nvars):
     rng = random.Random(4000 + nvars)
     xs = _symbols(nvars)
@@ -459,3 +615,56 @@ def test_gcd_matches_sympy_with_planted_factors(nvars):
         assert same(poly_gcd(a, b), expect)
         assert same(poly_gcd_many([a, b, c]), sympy.gcd(expect, _to_sympy(c, xs)))
         exact_div(poly_gcd(a, b), g)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_modp_gcd_with_unlucky_points_matches_sympy(nvars):
+    """Mod 31, g * (x_1 + 1) and g * (x_1 + 1 + h) have the gcd g * (x_1 + 1)
+    wherever h, a product of 12 linear factors in the last variable,
+    vanishes.  Those images must be dropped, or restart the interpolation,
+    for the result to be g.  When every point drawn is such a root, which
+    so small a prime allows, the result is g * (x_1 + 1), never a mixture."""
+    p = 31
+    rng = random.Random(5000 + nvars)
+    xs = _symbols(nvars)
+    one, last = (0,) * nvars, (0,) * (nvars - 1) + (1,)
+    x1 = {(1,) + one[1:]: 1, one: 1}
+
+    def modp(d):
+        return {e: int(c) % p for e, c in d.items() if int(c) % p}
+
+    def linears(var, count):
+        out = {one: 1}
+        for r in rng.sample(range(p), count):
+            out = _dmul(out, {var: 1, one: -r})
+        return out
+
+    exact = 0
+    for _ in range(20):
+        h = linears(last, 12)
+        g = {e[:-1]: c for e, c in random_hompoly(rng, nvars + 1, rng.randint(1, 2), 3, 30).terms}
+        a, b = modp(_dmul(g, x1)), modp(_dmul(g, _dadd(x1, h)))
+        got = _modp_gcd_mv(a, b, p)  # before sympy, which rewrites the dicts
+        ref = sympy.Poly.from_dict(a, *xs, modulus=p).gcd(sympy.Poly.from_dict(b, *xs, modulus=p))
+        unlucky = ref * sympy.Poly(xs[0] + 1, *xs, modulus=p)
+        ref, unlucky = (modp(q.monic().as_dict()) for q in (ref, unlucky))
+        assert got in (ref, unlucky)
+        exact += got == ref
+    assert exact >= 15
+    # g = c(x_1) * x_last + x_1^21 drops to degree 0 in x_last at the 20
+    # roots of c among the 31 values of x_1: the degree probe skips them
+    for _ in range(10):
+        c = linears((1,) + one[1:], 20)
+        g = modp(_dadd(_dmul(c, {last: 1}), {(21,) + one[1:]: 1}))
+        a, b = modp(_dmul(g, x1)), modp(_dmul(g, {last: 1, one: 2}))
+        inv = pow(g[max(g)], -1, p)
+        assert _modp_gcd_mv(a, b, p) == {e: c * inv % p for e, c in g.items()}
+
+
+def test_is_prime_matches_sympy():
+    # strong pseudoprimes to the bases 2..7, 2..13 and 2..23, then Carmichael
+    # numbers (6k+1)(12k+1)(18k+1) with factors above 37, where a witness can
+    # reach 1 without passing n - 1
+    hard = [3215031751, 3474749660383, 3825123056546413051, 118901521, 2301745249]
+    for n in [*range(2000), *range(2**61 - 2000, 2**61 + 2), *hard]:
+        assert _is_prime(n) == sympy.isprime(n)
