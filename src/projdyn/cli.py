@@ -1,7 +1,7 @@
 """Command-line front end for map analysis and potential sampling.
 
-Every run is fully determined by its RunConfig, so reruns with the
-same flags (including seeds) produce byte-identical JSON and CSV and
+Every run is fully determined by its flags, so reruns with the same
+flags (including seeds) produce byte-identical JSON and CSV and
 identical PGM payloads.  Machine output is selected with --json; JSON
 payloads follow the schemas under docs/schemas/, print polynomials in
 the parser grammar, and render exact integers as decimal strings
@@ -19,7 +19,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, workprec
@@ -39,7 +38,6 @@ from .family2 import (
     save_family,
 )
 from .mapiter import (
-    IterationTrace,
     MapError,
     certificate_digest,
     infer_qas,
@@ -65,35 +63,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
-
-_SUBCOMMANDS = (
-    "degrees",
-    "infer-qas",
-    "lambda",
-    "family-gen",
-    "family-check",
-    "green-point",
-    "green-grid",
-    "verify-all",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete, hashable description of one CLI run."""
-
-    subcommand: str
-    inputs: tuple = ()
-    outputs: tuple = ()
-    n: Optional[int] = None
-    precision_bits: int = 53
-    seed: int = 0
-    json_out: bool = False
-    options: tuple = ()
-
-    def opt(self, key, default=None):
-        return dict(self.options).get(key, default)
-
 
 # -- formatting helpers --------------------------------------------------------
 
@@ -125,25 +94,21 @@ def _poly_str(p, names) -> Optional[str]:
     return None if p is None else poly_to_text(p, names)
 
 
-def _trace_digest(trace: IterationTrace, H) -> str:
-    return certificate_digest(trace, H)
-
-
 # -- subcommand runners ---------------------------------------------------------
 
 
-def _run_degrees(cfg: RunConfig):
-    trace = iterate_degrees(load_map(cfg.inputs[0]), cfg.n)
+def _run_degrees(args):
+    trace = iterate_degrees(load_map(args.map), args.n)
     degs = [_istr(d) for d in trace.degrees]
-    if cfg.json_out:
-        payload = {"degrees": degs, "digest": _trace_digest(trace, None)}
+    if args.json:
+        payload = {"degrees": degs, "digest": certificate_digest(trace, None)}
         return EXIT_OK, _emit_json(payload)
     return EXIT_OK, " ".join(degs) + "\n"
 
 
-def _run_infer_qas(cfg: RunConfig):
-    f = load_map(cfg.inputs[0])
-    trace = iterate_degrees(f, cfg.n)
+def _run_infer_qas(args):
+    f = load_map(args.map)
+    trace = iterate_degrees(f, args.n)
     res = infer_qas(trace)
     cert = res.certificate
     H = cert.H if cert else res.H
@@ -157,10 +122,10 @@ def _run_infer_qas(cfg: RunConfig):
         "verified_to": _istr(cert.verified_to) if cert else
                        (_istr(trace.depth) if res.verdict == "AS" else None),
         "witness": _istr(res.witness) if res.witness is not None else None,
-        "digest": _trace_digest(trace, H),
+        "digest": certificate_digest(trace, H),
     }
     code = EXIT_OK if res.verdict in ("AS", "QAS") else EXIT_NEGATIVE
-    if cfg.json_out:
+    if args.json:
         return code, _emit_json(payload)
     lines = [f"verdict {res.verdict}"]
     for key in ("n0", "h", "d", "H", "verified_to", "witness"):
@@ -170,10 +135,10 @@ def _run_infer_qas(cfg: RunConfig):
     return code, "\n".join(lines) + "\n"
 
 
-def _run_lambda(cfg: RunConfig):
-    spec = DegreeRecurrence(d=cfg.opt("d"), h=cfg.opt("h"), n0=cfg.opt("n0"))
-    rep = char_poly_roots(spec, precision_bits=cfg.precision_bits)
-    bits = cfg.precision_bits
+def _run_lambda(args):
+    spec = DegreeRecurrence(d=args.d, h=args.h, n0=args.n0)
+    rep = char_poly_roots(spec, precision_bits=args.precision)
+    bits = args.precision
     payload = {
         "d": _istr(spec.d),
         "h": _istr(spec.h),
@@ -185,7 +150,7 @@ def _run_lambda(cfg: RunConfig):
         "Q_fit": [_numstr(q, bits) for q in rep.Q_fit],
         "precision_bits": _istr(rep.precision_bits),
     }
-    if cfg.json_out:
+    if args.json:
         return EXIT_OK, _emit_json(payload)
     text = (
         f"lambda {payload['lambda']}\n"
@@ -196,14 +161,14 @@ def _run_lambda(cfg: RunConfig):
     return EXIT_OK, text
 
 
-def _run_family_gen(cfg: RunConfig):
+def _run_family_gen(args):
     inst = random_family(
-        deg_p=cfg.opt("deg_p"),
-        deg_q=cfg.opt("deg_q"),
-        coeff_bound=cfg.opt("coeff_bound"),
-        seed=cfg.seed,
+        deg_p=args.deg_p,
+        deg_q=args.deg_q,
+        coeff_bound=args.coeff_bound,
+        seed=args.seed,
     )
-    out = cfg.outputs[0]
+    out = args.out
     save_family(inst, out)
     names = inst.names
     payload = {
@@ -215,22 +180,22 @@ def _run_family_gen(cfg: RunConfig):
         "d": _istr(inst.recurrence.d),
         "h": _istr(inst.recurrence.h),
         "n0": _istr(inst.recurrence.n0),
-        "seed": _istr(cfg.seed),
+        "seed": _istr(args.seed),
         "path": str(out),
     }
-    if cfg.json_out:
+    if args.json:
         return EXIT_OK, _emit_json(payload)
     lines = [f"wrote {out}"]
     lines += [f"{k} {payload[k]}" for k in ("P", "Q1", "Q2", "Q3", "R", "d", "h", "n0")]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _run_family_check(cfg: RunConfig):
-    inst = load_family(cfg.inputs[0])
+def _run_family_check(args):
+    inst = load_family(args.family)
     cop = check_coprimality(inst)
     inter = check_intersection_conditions(inst)
     rank_rep, pencil_rep = check_rank_and_pencil(
-        inst, samples=cfg.opt("samples"), seed=cfg.seed
+        inst, samples=args.samples, seed=args.seed
     )
     overall = fold_verdicts((cop, inter.verdict, rank_rep.verdict, pencil_rep.verdict))
     payload = {
@@ -253,7 +218,7 @@ def _run_family_check(cfg: RunConfig):
         "overall": overall,
     }
     code = EXIT_OK if overall == PASS else EXIT_NEGATIVE
-    if cfg.json_out:
+    if args.json:
         return code, _emit_json(payload)
     text = (
         f"coprimality {cop}\n"
@@ -294,17 +259,16 @@ def _precision_limit(exc: gp.OrbitError, bits: int) -> PrecisionExhausted:
     return PrecisionExhausted(f"{exc} at {bits} bits; rerun with a higher --precision")
 
 
-def _run_green_point(cfg: RunConfig):
-    f = load_map(cfg.inputs[0])
-    cert, rep, trace = _certificate_for(f, cfg.opt("cert"), cfg.opt("cert_depth"))
-    z = _parse_point(cfg.opt("point"), f.nvars)
-    digest = _trace_digest(trace, cert.H if cert else None)
+def _run_green_point(args):
+    f = load_map(args.map)
+    cert, rep, trace = _certificate_for(f, args.cert, args.cert_depth)
+    z = _parse_point(args.point, f.nvars)
+    digest = certificate_digest(trace, cert.H if cert else None)
     mode = "QAS" if cert else "plain"
-    tol = cfg.opt("tol")
     try:
         u, hist = gp.green_eval(
             f, cert, rep, z,
-            n_iters=cfg.n, precision=cfg.precision_bits, converge_tol=tol,
+            n_iters=args.n, precision=args.precision, converge_tol=args.tol,
         )
     except (gp.OrbitHitIndeterminacy, gp.OrbitHitDivisor, gp.NotConverged) as exc:
         payload = {
@@ -314,20 +278,20 @@ def _run_green_point(cfg: RunConfig):
             "mode": mode,
             "digest": digest,
         }
-        if cfg.json_out:
+        if args.json:
             return EXIT_NEGATIVE, _emit_json(payload)
         return EXIT_NEGATIVE, f"status {payload['status']} step {payload['step']}\n"
     except gp.OrbitError as exc:
-        raise _precision_limit(exc, cfg.precision_bits) from exc
+        raise _precision_limit(exc, args.precision) from exc
     payload = {
-        "u": _numstr(u, cfg.precision_bits),
+        "u": _numstr(u, args.precision),
         "status": gp.STATUS_OK,
-        "step": _istr(cfg.n),
-        "final_increment": _numstr(hist[-1], cfg.precision_bits),
+        "step": _istr(args.n),
+        "final_increment": _numstr(hist[-1], args.precision),
         "mode": mode,
         "digest": digest,
     }
-    if cfg.json_out:
+    if args.json:
         return EXIT_OK, _emit_json(payload)
     return EXIT_OK, f"u {payload['u']}\nstatus OK\n"
 
@@ -337,31 +301,31 @@ def _parse_range(text: str):
     return lo, hi
 
 
-def _run_green_grid(cfg: RunConfig):
-    f = load_map(cfg.inputs[0])
-    cert, rep, trace = _certificate_for(f, cfg.opt("cert"), cfg.opt("cert_depth"))
+def _run_green_grid(args):
+    f = load_map(args.map)
+    cert, rep, trace = _certificate_for(f, args.cert, args.cert_depth)
     slice_spec = gp.GridSlice(
-        base=_parse_point(cfg.opt("base"), f.nvars),
-        e1=_parse_point(cfg.opt("e1"), f.nvars),
-        e2=_parse_point(cfg.opt("e2"), f.nvars),
-        x_range=_parse_range(cfg.opt("x_range")),
-        y_range=_parse_range(cfg.opt("y_range")),
+        base=_parse_point(args.base, f.nvars),
+        e1=_parse_point(args.e1, f.nvars),
+        e2=_parse_point(args.e2, f.nvars),
+        x_range=_parse_range(args.x_range),
+        y_range=_parse_range(args.y_range),
     )
     try:
         grid = gp.grid_sample(
             f, cert, rep, slice_spec,
-            resolution=cfg.opt("resolution"),
-            n_iters=cfg.n,
-            precision=cfg.precision_bits,
-            converge_tol=cfg.opt("tol"),
+            resolution=args.resolution,
+            n_iters=args.n,
+            precision=args.precision,
+            converge_tol=args.tol,
         )
     except gp.OrbitError as exc:
-        raise _precision_limit(exc, cfg.precision_bits) from exc
+        raise _precision_limit(exc, args.precision) from exc
     counts = {}
     for row in grid.status:
         for s in row:
             counts[s] = counts.get(s, 0) + 1
-    csv_path, pgm_path = cfg.outputs
+    csv_path, pgm_path = args.csv, args.pgm
     if csv_path:
         gp.export_grid_csv(grid, csv_path)
     if pgm_path:
@@ -369,13 +333,13 @@ def _run_green_grid(cfg: RunConfig):
     payload = {
         "resolution": _istr(grid.resolution),
         "counts": {k: _istr(v) for k, v in sorted(counts.items())},
-        "depth": _istr(cfg.n),
-        "precision": _istr(cfg.precision_bits),
+        "depth": _istr(args.n),
+        "precision": _istr(args.precision),
         "csv": str(csv_path) if csv_path else None,
         "pgm": str(pgm_path) if pgm_path else None,
         "digest": grid.meta["certificate"],
     }
-    if cfg.json_out:
+    if args.json:
         return EXIT_OK, _emit_json(payload)
     lines = [f"resolution {payload['resolution']}"]
     lines += [f"{k} {v}" for k, v in sorted(counts.items())]
@@ -415,11 +379,11 @@ def _residual_suite(f, cert, rep, seed, precision):
     return fe[len(fe) // 2], ts[len(ts) // 2]
 
 
-def _run_verify_all(cfg: RunConfig):
-    f = load_map(cfg.inputs[0])
-    trace = iterate_degrees(f, cfg.n)
+def _run_verify_all(args):
+    f = load_map(args.map)
+    trace = iterate_degrees(f, args.n)
     res = infer_qas(trace)
-    digest = _trace_digest(trace, res.certificate.H if res.certificate else None)
+    digest = certificate_digest(trace, res.certificate.H if res.certificate else None)
     base = {
         "verdict": res.verdict,
         "degrees": [_istr(d) for d in trace.degrees],
@@ -427,13 +391,13 @@ def _run_verify_all(cfg: RunConfig):
     }
     if res.verdict not in ("AS", "QAS"):
         payload = {**base, "lambda": None, "r": None, "checks": {}, "passed": False}
-        out = _emit_json(payload) if cfg.json_out else f"verdict {res.verdict}\noverall FAIL\n"
+        out = _emit_json(payload) if args.json else f"verdict {res.verdict}\noverall FAIL\n"
         return EXIT_NEGATIVE, out
 
     if f.degree == 1:
         payload = {**base, "lambda": "1", "r": "1",
                    "checks": {"infer": res.verdict}, "passed": True}
-        out = _emit_json(payload) if cfg.json_out else "verdict AS\nlambda 1\noverall PASS\n"
+        out = _emit_json(payload) if args.json else "verdict AS\nlambda 1\noverall PASS\n"
         return EXIT_OK, out
 
     cert = res.certificate
@@ -441,7 +405,7 @@ def _run_verify_all(cfg: RunConfig):
         spec = DegreeRecurrence(d=f.degree, h=0, n0=1)
     else:
         spec = DegreeRecurrence(d=cert.d, h=cert.h, n0=cert.n0)
-    rep = char_poly_roots(spec, precision_bits=cfg.precision_bits)
+    rep = char_poly_roots(spec, precision_bits=args.precision)
     long_degrees = extend_degrees(spec, 40)
 
     checks = {"infer": res.verdict}
@@ -461,23 +425,23 @@ def _run_verify_all(cfg: RunConfig):
     # early indices legitimately carry the subdominant transient, so the
     # pass decision looks at a tail residual away from the fit anchor
     tail = asym.residuals[-6]
-    checks["asymptotics_max_residual"] = _numstr(asym.max_residual, cfg.precision_bits)
-    checks["asymptotics_tail_residual"] = _numstr(tail, cfg.precision_bits)
+    checks["asymptotics_max_residual"] = _numstr(asym.max_residual, args.precision)
+    checks["asymptotics_tail_residual"] = _numstr(tail, args.precision)
     asym_ok = float(tail) < 1e-6
     checks["asymptotics"] = PASS if asym_ok else FAIL
     passed &= asym_ok
 
     c1, c2 = check_growth_bounds(long_degrees, rep.lambda_)
-    checks["growth_c1"] = _numstr(c1, cfg.precision_bits)
-    checks["growth_c2"] = _numstr(c2, cfg.precision_bits)
+    checks["growth_c1"] = _numstr(c1, args.precision)
+    checks["growth_c2"] = _numstr(c2, args.precision)
 
     sn = check_sn_identity(spec, rep.lambda_, long_degrees, 40)
-    checks["sn_identity_max"] = _numstr(sn, cfg.precision_bits)
+    checks["sn_identity_max"] = _numstr(sn, args.precision)
     sn_ok = float(sn) < 1e-12
     checks["sn_identity"] = PASS if sn_ok else FAIL
     passed &= sn_ok
 
-    fe_med, ts_med = _residual_suite(f, cert, rep, cfg.seed, 53)
+    fe_med, ts_med = _residual_suite(f, cert, rep, args.seed, 53)
     checks["residual_median"] = repr(float(fe_med))
     checks["telescope_median"] = repr(float(ts_med))
     resid_ok = float(fe_med) < 1e-8 and float(ts_med) < 1e-6
@@ -486,31 +450,19 @@ def _run_verify_all(cfg: RunConfig):
 
     payload = {
         **base,
-        "lambda": _numstr(rep.lambda_, cfg.precision_bits),
+        "lambda": _numstr(rep.lambda_, args.precision),
         "r": _istr(rep.r),
         "checks": checks,
         "passed": bool(passed),
     }
     code = EXIT_OK if passed else EXIT_NEGATIVE
-    if cfg.json_out:
+    if args.json:
         return code, _emit_json(payload)
     lines = [f"verdict {res.verdict}", f"lambda {payload['lambda']}", f"r {payload['r']}"]
     for key in ("lifting_recurrence", "asymptotics", "sn_identity", "residuals"):
         lines.append(f"{key} {checks[key]}")
     lines.append(f"overall {'PASS' if passed else 'FAIL'}")
     return code, "\n".join(lines) + "\n"
-
-
-_RUNNERS = {
-    "degrees": _run_degrees,
-    "infer-qas": _run_infer_qas,
-    "lambda": _run_lambda,
-    "family-gen": _run_family_gen,
-    "family-check": _run_family_check,
-    "green-point": _run_green_point,
-    "green-grid": _run_green_grid,
-    "verify-all": _run_verify_all,
-}
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -524,38 +476,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, **kwargs):
+    def add(name, run, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(run=run)
         return p
 
-    p = add("degrees", help="exact algebraic degree sequence of a map")
+    p = add("degrees", _run_degrees, help="exact algebraic degree sequence of a map")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=4)
 
-    p = add("infer-qas", help="stability verdict and divisor certificate")
+    p = add("infer-qas", _run_infer_qas, help="stability verdict and divisor certificate")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=3)
 
-    p = add("lambda", help="dominant root of a degree recurrence")
+    p = add("lambda", _run_lambda, help="dominant root of a degree recurrence")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--precision", type=int, default=128)
 
-    p = add("family-gen", help="generate a calibrated family instance")
+    p = add("family-gen", _run_family_gen, help="generate a calibrated family instance")
     p.add_argument("--deg-p", type=int, default=1)
     p.add_argument("--deg-q", type=int, default=2)
     p.add_argument("--coeff-bound", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = add("family-check", help="preflight checks for a family file")
+    p = add("family-check", _run_family_check, help="preflight checks for a family file")
     p.add_argument("--family", required=True)
     p.add_argument("--samples", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("green-point", help="potential value at one point")
+    p = add("green-point", _run_green_point, help="potential value at one point")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True,
                    help="comma-separated complex coordinates, e.g. '1+2j,0.5,3'")
@@ -565,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=53)
     p.add_argument("--tol", type=float, default=None)
 
-    p = add("green-grid", help="potential over a 2-plane slice, CSV/PGM export")
+    p = add("green-grid", _run_green_grid, help="potential over a 2-plane slice, CSV/PGM export")
     p.add_argument("--map", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--e1", required=True)
@@ -581,7 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--pgm", default=None)
 
-    p = add("verify-all", help="chained certification, spectral, and residual suite")
+    p = add("verify-all", _run_verify_all,
+            help="chained certification, spectral, and residual suite")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--precision", type=int, default=128)
@@ -590,53 +544,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sc = args.subcommand
-    inputs, outputs, options = (), (), {}
-    n = getattr(args, "n", None)
-    precision = getattr(args, "precision", 53)
-    seed = getattr(args, "seed", 0)
-    if sc in ("degrees", "infer-qas", "verify-all"):
-        inputs = (args.map,)
-    elif sc == "lambda":
-        options = {"d": args.d, "h": args.h, "n0": args.n0}
-    elif sc == "family-gen":
-        outputs = (args.out,)
-        options = {"deg_p": args.deg_p, "deg_q": args.deg_q,
-                   "coeff_bound": args.coeff_bound}
-    elif sc == "family-check":
-        inputs = (args.family,)
-        options = {"samples": args.samples}
-    elif sc == "green-point":
-        inputs = (args.map,)
-        options = {"point": args.point, "cert": args.cert,
-                   "cert_depth": args.cert_depth, "tol": args.tol}
-    elif sc == "green-grid":
-        inputs = (args.map,)
-        outputs = (args.csv, args.pgm)
-        options = {
-            "base": args.base, "e1": args.e1, "e2": args.e2,
-            "x_range": args.x_range, "y_range": args.y_range,
-            "resolution": args.resolution, "cert": args.cert,
-            "cert_depth": args.cert_depth, "tol": args.tol,
-        }
-    return RunConfig(
-        subcommand=sc,
-        inputs=inputs,
-        outputs=outputs,
-        n=n,
-        precision_bits=precision,
-        seed=seed,
-        json_out=args.json,
-        options=tuple(sorted(options.items())),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        code, text = _RUNNERS[cfg.subcommand](cfg)
+        code, text = args.run(args)
     except (ParseError, InsufficientData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

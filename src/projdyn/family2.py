@@ -18,18 +18,19 @@ authoritative verdict is always the symbolic certificate from the
 iteration module.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import libmp, mp, workprec
-
 from .mapiter import NotDominant, ProjMap, make_map, map_to_text
 from .polycore import (
     HomPoly,
     ParseError,
+    _is_prime,
+    _modp_gcd,
     parse_poly,
     poly_gcd,
     poly_gcd_many,
@@ -113,8 +114,7 @@ class IntersectionReport:
     """Outcome of the pointwise check on {P=0} n {R=0}.
 
     The verdict is exact: PASS or FAIL, never UNKNOWN.
-    rational_points lists the rational points of the set that were found
-    (roots with a denominator above 10^9 may be missed); each is checked
+    rational_points lists every rational point of the set, each checked
     exactly.  failure_witnesses lists the listed points where both
     difference forms vanish, then ("line", m) and ("chart", m) for the
     failing points not listed: m is the monic polynomial in z whose
@@ -208,22 +208,15 @@ def build_family_map(P, Q1, Q2, Q3, R, names: Optional[Sequence[str]] = None) ->
 
 
 def _is_coprime_pair(a: HomPoly, b: HomPoly) -> bool:
-    if a.is_zero and b.is_zero:
-        return False
     if a.is_zero or b.is_zero:
-        return False  # gcd is the nonzero form itself, of positive degree
+        return False  # gcd is the other form, of positive degree
     return poly_gcd(a, b).degree == 0
 
 
 def check_coprimality(inst: FamilyInstance) -> str:
     """PASS iff Q2-Q1, Q3-Q1 are coprime and P, R are coprime.  Exact."""
-    d21 = inst.Q2 - inst.Q1
-    d31 = inst.Q3 - inst.Q1
-    if not _is_coprime_pair(d21, d31):
-        return FAIL
-    if not _is_coprime_pair(inst.P, inst.R):
-        return FAIL
-    return PASS
+    ok = _is_coprime_pair(inst.Q2 - inst.Q1, inst.Q3 - inst.Q1) and _is_coprime_pair(inst.P, inst.R)
+    return PASS if ok else FAIL
 
 
 # -- exact univariate toolkit (dense Fraction lists, low degree first) -------------
@@ -330,35 +323,42 @@ def _usquarefree(a):
 
 
 def _urational_roots(a):
-    """Verified rational roots, found by rationalizing numeric roots.
+    """Rational roots of a in ascending order, found by p-adic lifting.
 
-    Each real 200-bit root is rationalized exactly, then by its best
-    approximation with denominator at most 10^9; roots whose
-    denominator exceeds that bound are not listed.  Everything returned
-    is an exact root.
+    f is the squarefree part of a with integer coefficients and leading
+    coefficient lc.  A root u/v in lowest terms has v | lc, so lc*u/v is
+    an integer of absolute value at most B = |lc| + max|c_i| (Cauchy).
+    p is the least prime not dividing lc modulo which f stays
+    squarefree; the search ends because f is squarefree, so its
+    discriminant is a nonzero integer.  Each root mod p is then simple
+    and Newton-lifts to one p-adic root; once p^k > 2B, the symmetric
+    residue of lc times the lift is lc*u/v if the root is u/v.  Distinct
+    roots mod p give distinct candidates, each checked exactly.
     """
-    a = _usquarefree(a)
-    if _udeg(a) < 1:
-        return [], a
-    den = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * den) for c in a]
-    with workprec(200):
-        try:
-            approx = mp.polyroots(list(reversed(ints)), maxsteps=200, extraprec=100)
-        except mp.NoConvergence:
-            approx = []
-    found = []
-    rest = list(a)
-    for z in approx:
-        if abs(z.imag) > mp.mpf(2) ** -40:
-            continue
-        cand = Fraction(*libmp.to_rational(z.real._mpf_)).limit_denominator(10**9)
-        if cand in found:
-            continue
-        if _ueval(rest, cand) == 0:
-            found.append(cand)
-            rest = _udivexact(rest, [-cand, Fraction(1)])
-    return found, rest
+    f = _usquarefree(a)
+    if _udeg(f) < 1:
+        return []
+    den = math.lcm(*(c.denominator for c in f))
+    f = [int(c * den) for c in f]
+    df, lc = [i * c for i, c in enumerate(f)][1:], f[-1]
+    p = 2
+    while lc % p == 0 or len(_modp_gcd(f, df, p)) > 1:
+        p = next(q for q in itertools.count(p + 1) if _is_prime(q))
+    bound = 2 * (abs(lc) + max(map(abs, f)))
+
+    def at(u, x, q):
+        return sum(c * pow(x, i, q) for i, c in enumerate(u)) % q
+
+    def lift(r):
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - at(f, r, q) * pow(at(df, r, q), -1, q)) % q
+        m = lc * r % q
+        return Fraction(m - q if 2 * m > q else m, lc)
+
+    cands = (lift(r) for r in range(p) if at(f, r, p) == 0)
+    return sorted(c for c in cands if _ueval(f, c) == 0)
 
 
 # -- bivariate charts and resultants -------------------------------------------------
@@ -478,7 +478,7 @@ def _line_points(forms):
     zpoly, w_order = _dehom_binary(poly_gcd_many(binary[:2]))
     points = [(Fraction(1), Fraction(0), Fraction(0))] if w_order else []
     if _udeg(zpoly) >= 1:
-        roots, _ = _urational_roots(zpoly)
+        roots = _urational_roots(zpoly)
         points += [(z0, Fraction(1), Fraction(0)) for z0 in roots]
     bad = _usquarefree(_dehom_binary(poly_gcd_many(binary))[0])
     return points, bad
@@ -501,11 +501,11 @@ def _chart_points(forms):
     res = _sylvester_resultant(p, r, 1)
     assert res, "coprime forms have a nonzero resultant"
     points = []
-    zroots, _ = _urational_roots(res)
+    zroots = _urational_roots(res)
     for z0 in zroots:
         q = _ugcd(_bi_eval_partial(p, 0, z0), _bi_eval_partial(r, 0, z0))
         if _udeg(q) >= 1:
-            wroots, _ = _urational_roots(q)
+            wroots = _urational_roots(q)
             points += [(z0, w0, Fraction(1)) for w0 in wroots]
     h = _usquarefree(res)
     for d in (d1, d2):
@@ -558,9 +558,7 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
     t = 0 and by a Euclid over the roots of a resultant in the chart
     t = 1.  The rational points are listed and checked one by one.
     """
-    d21 = inst.Q2 - inst.Q1
-    d31 = inst.Q3 - inst.Q1
-    if not _is_coprime_pair(d21, d31) or not _is_coprime_pair(inst.P, inst.R):
+    if check_coprimality(inst) == FAIL:
         return IntersectionReport(
             verdict=FAIL,
             rational_points=(),
@@ -826,7 +824,7 @@ def sample_divisor_points(inst: FamilyInstance, count: int, seed: int = 0):
             vals[linear] = -b / a
         else:
             u = _specialize_to_var(P, vals)
-            roots, _ = _urational_roots(u) if _udeg(u) >= 1 else ([], u)
+            roots = _urational_roots(u)
             if not roots:
                 continue
             vals[2] = roots[0]

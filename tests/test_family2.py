@@ -166,6 +166,13 @@ def test_intersection_reference_exact_points(reference):
     assert rep.boxed_points == 0
     assert rep.failure_witnesses == ()
     assert rep.unresolved == 0
+    # both points share a z-coordinate whose denominator is above 10^9
+    P = pp(f"{10**10 + 19}*z - {10**12 + 39}*t")
+    inst = dataclasses.replace(reference, P=P, R=pp("w^2 - w*t - 2*t^2") + pp("w") * P)
+    rep = check_intersection_conditions(inst)
+    z0 = Fraction(10**12 + 39, 10**10 + 19)
+    assert rep.verdict == PASS == _oracle_verdict(inst)
+    assert rep.rational_points == ((z0, Fraction(-1), Fraction(1)), (z0, Fraction(2), Fraction(1)))
 
 
 def test_intersection_twisted_passes(twisted):
@@ -240,12 +247,45 @@ def test_intersection_fails_fast_without_finiteness():
 
 
 def test_rational_roots_of_large_height():
-    # (x - r)(x^2 + 1): rounded to a float, r = (10^12+39)/7 becomes a
-    # fraction over 2^14, 9e-6 away, which the denominator bound keeps
+    # (x - r)(x^2 + 1)
     r = Fraction(10**12 + 39, 7)
-    roots, rest = family2._urational_roots([-r, Fraction(1), -r, Fraction(1)])
-    assert roots == [r]
-    assert rest == [1, 0, 1]
+    assert family2._urational_roots([-r, Fraction(1), -r, Fraction(1)]) == [r]
+
+
+def _planted(*factors):
+    """Product of factors given as integer coefficient lists, low degree first."""
+    out = [Fraction(1)]
+    for f in factors:
+        out = family2._umul(out, [Fraction(c) for c in f])
+    return out
+
+
+def _catalogue_resultant():
+    inst = random_family(3, 3, 5, 0)
+    return family2._sylvester_resultant(family2._chart(inst.P, 2), family2._chart(inst.R, 2), 1)
+
+
+@pytest.mark.parametrize("make", [
+    # denominators above 10^9, next to a factor without real roots
+    lambda: _planted([-(10**12 + 39), 10**10 + 19], [3, 10**11 + 3], [1, 0, 1]),
+    lambda: _planted([-2, 3], [-2, 3], [5, 1]),  # a double root
+    lambda: _planted([0, 1], [-1, 2], [-2, 0, 1]),  # a root at 0
+    # lc = 210, so the primes 2, 3, 5 and 7 are skipped
+    lambda: _planted([-1, 2], [1, 3], [-2, 5], [3, 7]),
+    # the roots 0, 1 and 30 collide mod 2, 3 and 5, which divide the discriminant
+    lambda: _planted([0, 1], [-1, 1], [-30, 1], [1, 1, 1]),
+    lambda: _planted([1, 0, 0, 0, 1], [-2, 0, 1]),  # no rational root
+    # |root| = 2^32 - 2, next to the Cauchy bound 2^32 - 1: the lift must pass 2^32
+    lambda: _planted([-1, 1], [2**32 - 2, 1]),
+    _catalogue_resultant,  # degree 18, with a squarefree part of degree 12
+], ids=["large-denominators", "double-root", "root-at-zero", "lc-210", "discriminant-30",
+        "no-rational-root", "near-cauchy-bound", "catalogue-resultant"])
+def test_rational_roots_match_sympy(make):
+    coeffs = make()
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
+    expect = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+    assert family2._urational_roots(coeffs) == expect
 
 
 def test_sylvester_resultant_matches_sympy():
