@@ -82,7 +82,6 @@ from .specdeg import (
 from .family2 import (
     FAIL,
     PASS,
-    UNKNOWN,
     CommonFactor,
     DegreeConstraintViolated,
     FamilyError,

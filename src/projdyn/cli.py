@@ -29,12 +29,9 @@ from .family2 import (
     PASS,
     FamilyError,
     GenerationExhausted,
-    check_coprimality,
-    check_intersection_conditions,
-    check_rank_and_pencil,
-    fold_verdicts,
     load_family,
     random_family,
+    run_preflight,
     save_family,
 )
 from .mapiter import (
@@ -191,15 +188,10 @@ def _run_family_gen(args):
 
 
 def _run_family_check(args):
-    inst = load_family(args.family)
-    cop = check_coprimality(inst)
-    inter = check_intersection_conditions(inst)
-    rank_rep, pencil_rep = check_rank_and_pencil(
-        inst, samples=args.samples, seed=args.seed
-    )
-    overall = fold_verdicts((cop, inter.verdict, rank_rep.verdict, pencil_rep.verdict))
+    rep = run_preflight(load_family(args.family))
+    inter, rank, pencil = rep.intersection, rep.rank, rep.pencil
     payload = {
-        "coprimality": cop,
+        "coprimality": rep.coprimality,
         "intersection": {
             "verdict": inter.verdict,
             "rational_points": [[str(c) for c in pt] for pt in inter.rational_points],
@@ -207,25 +199,24 @@ def _run_family_check(args):
             "failures": _istr(len(inter.failure_witnesses)),
             "unresolved": _istr(inter.unresolved),
         },
-        "rank": _istr(rank_rep.rank),
-        "rank_verdict": rank_rep.verdict,
+        "rank": _istr(rank.rank),
+        "rank_verdict": rank.verdict,
         "pencil": {
-            "verdict": pencil_rep.verdict,
-            "method": pencil_rep.method,
-            "witness": [_istr(c) for c in pencil_rep.witness]
-                       if pencil_rep.witness else None,
+            "verdict": pencil.verdict,
+            "method": pencil.method,
+            "witness": [_istr(c) for c in pencil.witness] if pencil.witness else None,
         },
-        "overall": overall,
+        "overall": rep.overall,
     }
-    code = EXIT_OK if overall == PASS else EXIT_NEGATIVE
+    code = EXIT_OK if rep.overall == PASS else EXIT_NEGATIVE
     if args.json:
         return code, _emit_json(payload)
     text = (
-        f"coprimality {cop}\n"
+        f"coprimality {rep.coprimality}\n"
         f"intersection {inter.verdict}\n"
-        f"rank {rank_rep.rank} {rank_rep.verdict}\n"
-        f"pencil {pencil_rep.verdict} {pencil_rep.method}\n"
-        f"overall {overall}\n"
+        f"rank {rank.rank} {rank.verdict}\n"
+        f"pencil {pencil.verdict} {pencil.method}\n"
+        f"overall {rep.overall}\n"
     )
     return code, text
 
@@ -505,8 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("family-check", _run_family_check, help="preflight checks for a family file")
     p.add_argument("--family", required=True)
-    p.add_argument("--samples", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("green-point", _run_green_point, help="potential value at one point")
     p.add_argument("--map", required=True)

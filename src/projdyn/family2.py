@@ -42,7 +42,6 @@ from .specdeg import DegreeRecurrence
 __all__ = [
     "PASS",
     "FAIL",
-    "UNKNOWN",
     "FamilyError",
     "DegreeConstraintViolated",
     "NormalizationViolated",
@@ -57,7 +56,6 @@ __all__ = [
     "check_coprimality",
     "check_intersection_conditions",
     "check_rank_and_pencil",
-    "fold_verdicts",
     "run_preflight",
     "random_family",
     "sample_divisor_points",
@@ -69,7 +67,6 @@ __all__ = [
 
 PASS = "PASS"
 FAIL = "FAIL"
-UNKNOWN = "UNKNOWN"
 
 
 class FamilyError(Exception):
@@ -113,14 +110,14 @@ class FamilyInstance:
 class IntersectionReport:
     """Outcome of the pointwise check on {P=0} n {R=0}.
 
-    The verdict is exact: PASS or FAIL, never UNKNOWN.
-    rational_points lists every rational point of the set, each checked
-    exactly.  failure_witnesses lists the listed points where both
-    difference forms vanish, then ("line", m) and ("chart", m) for the
-    failing points not listed: m is the monic polynomial in z whose
-    roots are their z-coordinates, on the line [z:1:0] and in the chart
-    [z:w:1].  boxed_points and unresolved are kept for the readers of
-    the report format and are always 0.
+    The verdict is exact: PASS or FAIL.  rational_points lists every
+    rational point of the set, each checked exactly.  failure_witnesses
+    lists the listed points where both difference forms vanish, then
+    ("line", m) and ("chart", m) for the failing points not listed: m
+    is the monic polynomial in z whose roots are their z-coordinates,
+    on the line [z:1:0] and in the chart [z:w:1].  boxed_points and
+    unresolved are kept for the readers of the report format (the
+    family-check schema and the benchmark tracer) and are always 0.
     """
 
     verdict: str
@@ -141,9 +138,11 @@ class PencilReport:
     """Coprimality of P against the Q-pencil.
 
     A FAIL carries the exact witness triple (a, b, c).  method records
-    whether a PASS came only from sampling ("randomized") or was
-    additionally backed by the exact divisibility kernel ("kernel"),
-    which rules out any pencil member divisible by P.
+    what decided the verdict: the exact divisibility kernel ("kernel"),
+    which finds any pencil member divisible by P and so decides a
+    linear P outright; a sampled member sharing a factor with P
+    ("sampled", a FAIL); or a sampling scan that found none
+    ("randomized", a PASS for P of degree 2 or more).
     """
 
     verdict: str
@@ -153,13 +152,12 @@ class PencilReport:
 
 @dataclass(frozen=True)
 class PreflightReport:
-    """Flat three-valued summary of all preflight checks."""
+    """The reports of all preflight checks; overall is PASS iff each verdict is."""
 
     coprimality: str
-    intersection: str
-    rank: int
-    rank_verdict: str
-    pencil: str
+    intersection: IntersectionReport
+    rank: RankReport
+    pencil: PencilReport
     overall: str
 
 
@@ -684,13 +682,16 @@ _AXIS_TRIPLES = (
 
 
 def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0):
-    """Exact jacobian rank at (1,1,1) and pencil coprimality scan.
+    """Exact jacobian rank at (1,1,1) and pencil coprimality check.
 
     The rank is computed in rational arithmetic (and must be exactly 2
     to PASS; 3 is impossible since every row annihilates (1,1,1)).
     The pencil check first solves exactly for any member divisible by
-    P, then samples gcds at fixed axis triples plus seeded random
-    triples; any hit is an exact FAIL with the witness triple.
+    P.  For linear P, sharing a factor with P means being divisible by
+    it, so the kernel solve decides the pencil.  Otherwise gcds are
+    sampled at fixed axis triples plus `samples` seeded random triples;
+    any hit is an exact FAIL with the witness triple, and a PASS is
+    only as strong as the sampling.
     """
     rows = _jacobian_rows_at_one(inst)
     for row in rows:
@@ -703,6 +704,8 @@ def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0
     witness = _pencil_kernel_witness(inst)
     if witness is not None:
         return rank_report, PencilReport(verdict=FAIL, witness=witness, method="kernel")
+    if inst.P.degree == 1:
+        return rank_report, PencilReport(verdict=PASS, witness=None, method="kernel")
     rng = random.Random(seed)
     triples = list(_AXIS_TRIPLES)
     while len(triples) < len(_AXIS_TRIPLES) + samples:
@@ -713,35 +716,21 @@ def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0
         member = inst.Q1 * a + inst.Q2 * b + inst.Q3 * c
         if member.is_zero or poly_gcd(inst.P, member).degree > 0:
             return rank_report, PencilReport(verdict=FAIL, witness=(a, b, c), method="sampled")
-    # for linear P divisibility and common-factor sharing coincide, so the
-    # kernel solve alone already decides the question; otherwise a PASS is
-    # only as strong as the sampling
-    method = "kernel" if inst.P.degree == 1 else "randomized"
-    return rank_report, PencilReport(verdict=PASS, witness=None, method=method)
-
-
-def fold_verdicts(verdicts) -> str:
-    """FAIL if any check failed, PASS if every check passed, else UNKNOWN."""
-    if any(v == FAIL for v in verdicts):
-        return FAIL
-    if all(v == PASS for v in verdicts):
-        return PASS
-    return UNKNOWN
+    return rank_report, PencilReport(verdict=PASS, witness=None, method="randomized")
 
 
 def run_preflight(inst: FamilyInstance, samples: int = 40, seed: int = 0) -> PreflightReport:
-    """All three checks, folded into one three-valued summary."""
+    """All three checks; overall is PASS iff every verdict is PASS."""
     cop = check_coprimality(inst)
     inter = check_intersection_conditions(inst)
-    rank_rep, pencil_rep = check_rank_and_pencil(inst, samples=samples, seed=seed)
-    overall = fold_verdicts((cop, inter.verdict, rank_rep.verdict, pencil_rep.verdict))
+    rank, pencil = check_rank_and_pencil(inst, samples=samples, seed=seed)
+    ok = all(v == PASS for v in (cop, inter.verdict, rank.verdict, pencil.verdict))
     return PreflightReport(
         coprimality=cop,
-        intersection=inter.verdict,
-        rank=rank_rep.rank,
-        rank_verdict=rank_rep.verdict,
-        pencil=pencil_rep.verdict,
-        overall=overall,
+        intersection=inter,
+        rank=rank,
+        pencil=pencil,
+        overall=PASS if ok else FAIL,
     )
 
 
@@ -805,29 +794,23 @@ def _calibrate(p: HomPoly, target, mono):
 def sample_divisor_points(inst: FamilyInstance, count: int, seed: int = 0):
     """Exact rational points on {P = 0}, found by solving for one coordinate.
 
-    Prefers a coordinate in which P is linear; otherwise hunts rational
-    roots of the specialized univariate.  May return fewer than `count`
-    points when rational points are scarce.
+    Solves for a coordinate in which P is linear, else for t, taking
+    the least rational root of P with the other two coordinates drawn
+    at random.  May return fewer than `count` points when rational
+    points are scarce.
     """
     P = inst.P
     rng = random.Random(seed)
-    linear = next((x for x in range(3) if _deg_in_var(P, x) == 1), None)
+    x = next((x for x in range(3) if _deg_in_var(P, x) == 1), 2)
     out = []
     tries = 0
     while len(out) < count and tries < 60 * count:
         tries += 1
         vals = [Fraction(rng.randint(-20, 20)) for _ in range(3)]
-        if linear is not None:
-            a, b = _linear_split(P, linear, vals)
-            if a == 0:
-                continue
-            vals[linear] = -b / a
-        else:
-            u = _specialize_to_var(P, vals)
-            roots = _urational_roots(u)
-            if not roots:
-                continue
-            vals[2] = roots[0]
+        roots = _urational_roots(_specialize_to_var(P, x, vals))
+        if not roots:
+            continue
+        vals[x] = roots[0]
         pt = tuple(vals)
         if all(v == 0 for v in pt):
             continue
@@ -840,30 +823,17 @@ def _deg_in_var(p: HomPoly, x: int) -> int:
     return max((e[x] for e, _ in p.terms), default=0)
 
 
-def _linear_split(p: HomPoly, x: int, vals):
-    a = Fraction(0)
-    b = Fraction(0)
-    for e, c in p.terms:
-        rest = Fraction(c)
-        for y in range(3):
-            if y != x:
-                rest *= vals[y] ** e[y]
-        if e[x] == 1:
-            a += rest
-        elif e[x] == 0:
-            b += rest
-        else:
-            raise AssertionError("not linear in the chosen variable")
-    return a, b
-
-
-def _specialize_to_var(p: HomPoly, vals):
+def _specialize_to_var(p: HomPoly, x: int, vals):
+    """p as a univariate in coordinate x, the others set to vals."""
     out = []
     for e, c in p.terms:
-        coef = Fraction(c) * vals[0] ** e[0] * vals[1] ** e[1]
-        while len(out) <= e[2]:
+        coef = Fraction(c)
+        for y in range(3):
+            if y != x:
+                coef *= vals[y] ** e[y]
+        while len(out) <= e[x]:
             out.append(Fraction(0))
-        out[e[2]] += coef
+        out[e[x]] += coef
     return _utrim(out)
 
 

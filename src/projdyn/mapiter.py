@@ -311,10 +311,7 @@ def compose_extract(f: ProjMap, lifting: Sequence[HomPoly], hint: Optional[HomPo
     if hint is not None and not hint.is_zero and hint.degree > 0:
         g = _try_divisor(raw, int_primitive(hint).primitive)
     if g is None:
-        if coprime_certificate_many(raw):
-            g = HomPoly.one(f.nvars)
-        else:
-            g = poly_gcd_many(raw)
+        g = poly_gcd_many(raw)
     quot = tuple(exact_div(r, g) for r in raw)
     content, nxt = _tuple_primitive(quot)
     return IntPrimitiveForm(content, g), nxt

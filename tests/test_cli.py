@@ -176,9 +176,26 @@ class TestFamilyCommands:
         fam = files["root"] / f"{name}.fam"
         save_family(inst, fam)
         code, out, _ = run(capsys, "family-check", "--family", fam, "--json")
-        overall = run_preflight(inst).overall
-        assert json.loads(out)["overall"] == overall
-        assert code == (0 if overall == "PASS" else 1)
+        rep = run_preflight(inst)
+        payload = json.loads(out)
+        assert payload["coprimality"] == rep.coprimality
+        assert payload["intersection"]["verdict"] == rep.intersection.verdict
+        assert len(payload["intersection"]["rational_points"]) == len(
+            rep.intersection.rational_points
+        )
+        assert payload["rank"] == str(rep.rank.rank)
+        assert payload["rank_verdict"] == rep.rank.verdict
+        assert payload["pencil"]["verdict"] == rep.pencil.verdict
+        assert payload["pencil"]["method"] == rep.pencil.method
+        witness = rep.pencil.witness
+        assert payload["pencil"]["witness"] == ([str(c) for c in witness] if witness else None)
+        assert payload["overall"] == rep.overall
+        assert code == (0 if rep.overall == "PASS" else 1)
+
+    def test_check_has_no_sampler_options(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["family-check", "--family", str(files["stable_fam"]), "--samples", "5"])
+        assert exc.value.code == 2
 
 
 class TestGreenPoint:

@@ -30,6 +30,7 @@ from projdyn import (
     parse_family_text,
     parse_poly,
     point_class,
+    poly_gcd,
     poly_to_text,
     random_family,
     run_preflight,
@@ -396,6 +397,19 @@ def test_pencil_stable_passes_with_exact_kernel(stable):
     assert pencil.method == "kernel"
 
 
+def test_pencil_linear_p_is_decided_by_the_kernel_alone(stable, monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(family2, "poly_gcd", counting_gcd)
+    _, pencil = check_rank_and_pencil(stable)
+    assert pencil == family2.PencilReport(verdict=PASS, witness=None, method="kernel")
+    assert calls == []
+
+
 def test_pencil_pass_is_only_sampled_for_nonlinear_p(line_fail):
     _, pencil = check_rank_and_pencil(line_fail, samples=10, seed=0)
     assert pencil.verdict == PASS
@@ -408,28 +422,25 @@ def test_pencil_pass_is_only_sampled_for_nonlinear_p(line_fail):
 def test_preflight_reference_fails_overall(reference):
     rep = run_preflight(reference, samples=10, seed=0)
     assert rep.coprimality == PASS
-    assert rep.intersection == PASS
-    assert rep.rank == 2
-    assert rep.rank_verdict == PASS
-    assert rep.pencil == FAIL
+    assert rep.intersection.verdict == PASS
+    assert rep.rank.rank == 2
+    assert rep.rank.verdict == PASS
+    assert rep.pencil.verdict == FAIL
     assert rep.overall == FAIL
 
 
 def test_preflight_stable_passes_overall(stable):
     rep = run_preflight(stable, samples=10, seed=0)
-    assert rep == family2.PreflightReport(
-        coprimality=PASS,
-        intersection=PASS,
-        rank=2,
-        rank_verdict=PASS,
-        pencil=PASS,
-        overall=PASS,
-    )
+    assert rep.coprimality == PASS
+    assert rep.intersection.verdict == PASS
+    assert rep.rank == family2.RankReport(rank=2, verdict=PASS)
+    assert rep.pencil.verdict == PASS
+    assert rep.overall == PASS
 
 
 def test_preflight_chart_failure_fails_overall(chart_fail):
     rep = run_preflight(chart_fail, samples=10, seed=0)
-    assert rep.intersection == FAIL
+    assert rep.intersection.verdict == FAIL
     assert rep.overall == FAIL
 
 
