@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .mapiter import NotDominant, ProjMap, make_map, map_to_text
+from .mapiter import NotDominant, ProjMap, _rref, make_map, map_to_text
 from .polycore import (
     HomPoly,
     ParseError,
@@ -594,29 +594,6 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
 
 
 # -- third check: rank and pencil -----------------------------------------------------
-
-
-def _rref(rows):
-    rows = [list(r) for r in rows]
-    nr, nc = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
 
 
 def _jacobian_rows_at_one(inst: FamilyInstance):

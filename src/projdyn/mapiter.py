@@ -21,7 +21,6 @@ from .polycore import (
     IntPrimitiveForm,
     NotDivisible,
     ParseError,
-    coprime_certificate_many,
     exact_div,
     int_primitive,
     parse_poly,
@@ -224,32 +223,37 @@ def _is_dominant(comps: Sequence[HomPoly]) -> bool:
     n = len(comps)
     nv = comps[0].nvars
     rows = [[c.partial(j) for j in range(n)] for c in comps]
-    # a nonzero numeric determinant at any rational point settles it
+    # a full-rank jacobian at any rational point settles it
     for pt in _PROBE_POINTS:
         point = pt[:nv]
         mat = [[Fraction(entry.evaluate(point)) for entry in row] for row in rows]
-        if _num_det(mat) != 0:
+        if len(_rref(mat)[1]) == n:
             return True
     return not _det(rows, list(range(n)), nv).is_zero
 
 
-def _num_det(mat) -> Fraction:
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
+def _rref(rows):
+    """Reduced row echelon form of a Fraction matrix: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    nr, nc = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        for r in range(i + 1, n):
-            f = m[r][i] / m[i][i]
-            for c in range(i, n):
-                m[r][c] -= f * m[i][c]
-    return det
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots
 
 
 def make_map(components: Sequence[HomPoly], names: Optional[Sequence[str]] = None) -> ProjMap:
@@ -299,35 +303,29 @@ def compose_extract(f: ProjMap, lifting: Sequence[HomPoly], hint: Optional[HomPo
 
     Returns (E, next_lifting) with E an IntPrimitiveForm such that
     E.content * E.primitive * next_lifting reproduces the composed
-    components exactly.  `hint` is an optional divisor candidate that
-    is verified before use (exact division plus a coprimality
-    certificate of the quotients); a wrong hint only costs time.
+    components exactly.  `hint` is an optional divisor candidate: if it
+    divides every composed component, E.primitive is its primitive part
+    times the gcd of the quotients, canonical by Gauss's lemma; a hint
+    that does not divide is dropped and only costs time.
     """
     lifting = tuple(lifting)
     if lifting[0].nvars != f.nvars:
         raise ArityMismatch("lifting arity does not match the map")
-    raw = tuple(c.compose(lifting) for c in f.components)
-    g = None
+    quot = tuple(c.compose(lifting) for c in f.components)
+    g = HomPoly.one(f.nvars)
     if hint is not None and not hint.is_zero and hint.degree > 0:
-        g = _try_divisor(raw, int_primitive(hint).primitive)
-    if g is None:
-        g = poly_gcd_many(raw)
-    quot = tuple(exact_div(r, g) for r in raw)
+        h = int_primitive(hint).primitive
+        try:
+            quot = tuple(exact_div(q, h) for q in quot)
+            g = h
+        except NotDivisible:
+            pass
+    rest = poly_gcd_many(quot)
+    if rest.degree > 0:
+        g = g * rest
+        quot = tuple(exact_div(q, rest) for q in quot)
     content, nxt = _tuple_primitive(quot)
     return IntPrimitiveForm(content, g), nxt
-
-
-def _try_divisor(raw, cand: HomPoly):
-    """cand if it provably equals the full gcd of raw, else None."""
-    quots = []
-    for r in raw:
-        try:
-            quots.append(exact_div(r, cand))
-        except NotDivisible:
-            return None
-    if coprime_certificate_many(quots):
-        return cand
-    return None
 
 
 def iterate_degrees(f: ProjMap, N: int) -> IterationTrace:
@@ -335,8 +333,9 @@ def iterate_degrees(f: ProjMap, N: int) -> IterationTrace:
 
     Each step removes the full common factor of the composed
     components; once a nontrivial extraction has appeared, the
-    quasi-stability pattern E_n = H(F_{n-n0-1}) is tried as a verified
-    divisor hint before falling back to a full GCD.
+    quasi-stability pattern E_n = H(F_{n-n0-1}) is passed to
+    `compose_extract` as a divisor hint, so only the quotients by it
+    need a GCD.
     """
     if N < 1:
         raise ValueError("N must be at least 1")

@@ -14,10 +14,10 @@ canonical.
 The module provides construction, ring arithmetic, composition, formal
 partial derivatives, exact evaluation, a strict text grammar with a
 canonical printer, exact division, and a multivariate GCD.  The GCD
-strips the monomial content, tries a divisibility probe and a modular
-coprimality certificate, and otherwise runs one dense modular engine
-(Brown's algorithm over GF(p), combined by CRT), whose answer divides
-both inputs exactly and is proved maximal from leading monomials.
+strips the monomial content, tries a divisibility probe, and otherwise
+runs one dense modular engine (Brown's algorithm over GF(p), combined
+by CRT), whose answer divides both inputs exactly and is proved maximal
+from leading monomials.  Coprimality is decided by the same GCD.
 
 Everything here is immutable and deterministic.  Operations whose
 result would exceed a configurable term cap abort with `ResourceLimit`
@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -664,26 +665,28 @@ def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
     return content, out
 
 
-# -- modular coprimality certificate -------------------------------------------
+# -- modular GCD (Brown, JACM 18, 1971) ----------------------------------------
 
-_CERT_PRIME = (1 << 61) - 1  # Mersenne prime, comfortably above any degree here
-_CERT_ATTEMPTS = 6  # specialisations tried per variable before the certificate misses
+_TOP_PRIME = (1 << 61) - 1  # Mersenne prime, the engine's first modulus
 
 
 def _deg_in(d: dict, x: int) -> int:
     return max((e[x] for e in d), default=-1)
 
 
-def _specialize_univar(d: dict, x: int, vals: dict[int, int]) -> list[int]:
-    """Exact integer coefficients of d with every variable but x fixed."""
+def _specialize_univar(d: dict, x: int, vals: dict[int, int], p: int) -> list[int]:
+    """Coefficients over GF(p) of d in x, every other variable fixed by vals."""
+    powers = {}
+    for i, v in vals.items():
+        pw = powers[i] = [1] * (_deg_in(d, i) + 1)
+        for j in range(1, len(pw)):
+            pw[j] = pw[j - 1] * v % p
     coeffs = [0] * (_deg_in(d, x) + 1)
     for e, c in d.items():
-        v = c
-        for i, ei in enumerate(e):
-            if i != x and ei:
-                v *= vals[i] ** ei
-        coeffs[e[x]] += v
-    return coeffs
+        for i, pw in powers.items():
+            c *= pw[e[i]]
+        coeffs[e[x]] += c
+    return [c % p for c in coeffs]
 
 
 def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
@@ -712,8 +715,8 @@ def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
     return a
 
 
-class _CertRng:
-    """Deterministic small-integer stream for certificate specializations."""
+class _PointRng:
+    """Deterministic integer stream for the engine's evaluation points."""
 
     def __init__(self, salt: int):
         self.state = (0x9E3779B97F4A7C15 * (salt + 1)) & ((1 << 64) - 1)
@@ -723,74 +726,6 @@ class _CertRng:
             (1 << 64) - 1
         )
         return lo + (self.state >> 33) % (hi - lo + 1)
-
-
-def _coprime_cert_many(ds: Sequence[dict], nvars: int) -> bool:
-    """Try to *prove* the family's common gcd is constant.
-
-    Sound but incomplete: any common divisor g has its x-leading
-    coefficient dividing each input's, so a specialisation that keeps
-    every input's x-leading coefficient nonzero mod p keeps the degree
-    of g's image equal to deg_x g, and a constant fold-gcd mod p then
-    forces deg_x g = 0.  True certifies; False just means fall back.
-    """
-    for x in range(nvars):
-        if any(_deg_in(d, x) <= 0 for d in ds):
-            continue  # the common gcd already has degree 0 in x
-        rng = _CertRng(x * 1000003 + len(ds))
-        certified = False
-        for _ in range(_CERT_ATTEMPTS):
-            vals = {i: rng.next_int(-49, 49) for i in range(nvars) if i != x}
-            images = []
-            for d in ds:
-                U = _specialize_univar(d, x, vals)
-                if not U or U[-1] == 0 or U[-1] % _CERT_PRIME == 0:
-                    images = None
-                    break
-                images.append(U)
-            if images is None:
-                continue
-            g = [c % _CERT_PRIME for c in images[0]]
-            for U in images[1:]:
-                g = _modp_gcd(g, U, _CERT_PRIME)
-                if len(g) == 1:
-                    break
-            if len(g) == 1:
-                certified = True
-                break
-        if not certified:
-            return False
-    return True
-
-
-def coprime_certificate(a: "HomPoly", b: "HomPoly") -> bool:
-    """Public wrapper: True proves gcd(a, b) is constant."""
-    return coprime_certificate_many((a, b))
-
-
-def coprime_certificate_many(polys: Sequence["HomPoly"]) -> bool:
-    """True proves the nonzero members share no nonconstant factor.
-
-    Zero polynomials are ignored (they divide everything); an all-zero
-    family is never certified.  False is not a disproof, only a miss.
-    """
-    live = [p for p in polys if not p.is_zero]
-    if not live:
-        return False
-    nv = live[0].nvars
-    for p in live[1:]:
-        live[0]._check_arity(p)
-    if any(p._degree == 0 for p in live):
-        return True
-    ds = [_dint_normalize(dict(p.terms))[1] for p in live]
-    # a variable dividing every member kills coprimality outright
-    for x in range(nv):
-        if all(min(e[x] for e in d) > 0 for d in ds):
-            return False
-    return _coprime_cert_many(ds, nv)
-
-
-# -- modular GCD (Brown, JACM 18, 1971) ----------------------------------------
 
 
 def _is_prime(n: int) -> bool:
@@ -867,7 +802,8 @@ def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
     deg lam + deg_k g; one point more determines it.  Its primitive
     part in x_k times the gcd of the x_k-contents is g.  So the result
     is g, or, when every point was unlucky, a polynomial with a larger
-    lex-leading monomial than g.
+    lex-leading monomial than g.  A constant image has the smallest
+    monomial, so it puts g in GF(p)[x_k], where g is the content gcd.
     """
     k = len(next(iter(a)))
     ua, ub = _split_last(a), _split_last(b)
@@ -876,18 +812,19 @@ def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
         return {(j,): c for j, c in enumerate(g) if c}
     lam = _modp_gcd(ua[max(ua)], ub[max(ub)], p)
     # drawn, not counted: a fixed point can be unlucky at every prime
-    rng = _CertRng(p + k)
+    rng = _PointRng(p + k)
     # deg_k g is at most the degree of gcd(a, b) in x_k at any point of
     # the other variables where the x_k-leading coefficient of a stays
     # nonzero, since that of g divides it
     last = k - 1
     while True:
         vals = {i: rng.next_int(0, p - 1) for i in range(last)}
-        at = _specialize_univar(a, last, vals)
-        if at[-1] % p:
+        at = _specialize_univar(a, last, vals, p)
+        if at[-1]:
             break
-    points = len(lam) + len(_modp_gcd(at, _specialize_univar(b, last, vals), p)) - 1
+    points = len(lam) + len(_modp_gcd(at, _specialize_univar(b, last, vals, p), p)) - 1
     la, lb = max(map(len, ua.values())), max(map(len, ub.values()))
+    content = _modp_content(chain(ua.values(), ub.values()), p)
     best, interp, mod = None, {}, [1]
     while len(mod) <= points:
         x = rng.next_int(0, p - 1)
@@ -903,6 +840,8 @@ def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
             continue
         img = _modp_gcd_mv(ea, eb, p)
         lm = max(img)
+        if not any(lm):
+            return {(0,) * last + (j,): c for j, c in enumerate(content) if c}
         if best is None or lm < best:
             best, interp, mod = lm, {}, [1]
         elif lm > best:
@@ -918,7 +857,6 @@ def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
     pp = {
         m + (j,): c for m, u in interp.items() for j, c in enumerate(_modp_quo(u, h, p)) if c
     }
-    content = _modp_gcd(_modp_content(ua.values(), p), _modp_content(ub.values(), p), p)
     out = _dmul(pp, {(0,) * last + (j,): c for j, c in enumerate(content) if c})
     inv = pow(out[max(out)], -1, p)
     return {e: v for e, c in out.items() if (v := c * inv % p)}
@@ -953,10 +891,9 @@ def _modular_gcd(a: dict, b: dict) -> dict:
     la, lb = a1[max(a1)], b1[max(b1)]
     gamma = math.gcd(la, lb)
     best, acc, mod = None, {}, 1
-    p = _CERT_PRIME + 1
-    while True:
-        p -= 1
-        if la % p == 0 or lb % p == 0 or not _is_prime(p):
+    # the first modulus is known prime; only the odd numbers below it are tested
+    for p in chain((_TOP_PRIME,), filter(_is_prime, count(_TOP_PRIME - 2, -2))):
+        if la % p == 0 or lb % p == 0:
             continue
         img = _modp_gcd_mv(
             {e: v for e, c in a1.items() if (v := c % p)},
@@ -1049,8 +986,8 @@ def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
     """GCD in canonical primitive form (unit content, positive leading coefficient).
 
     Strategy: strip the monomial content of each input, try a mutual
-    divisibility probe and the modular coprimality certificate, and
-    otherwise run the modular engine `_modular_gcd`.  Every answer is
+    divisibility probe, and otherwise run the modular engine
+    `_modular_gcd`, which also proves a constant gcd.  Every answer is
     exact; nothing unverified is ever returned.
     """
     a._check_arity(b)
@@ -1092,31 +1029,18 @@ def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
         return finish(db)
     if deg_b > deg_a and _dexact_div(db, da) is not None:
         return finish(da)
-    if _coprime_cert_many((da, db), nv):
-        return finish(unit)
     return finish(_modular_gcd(da, db))
 
 
 def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:
-    """GCD of a family, smallest operands first, with an early unit exit."""
+    """GCD of a family, folded pairwise smallest operands first, with an early unit exit."""
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
         raise ValueError("gcd of an all-zero family is undefined")
-    nv = nonzero[0].nvars
     for p in nonzero[1:]:
         nonzero[0]._check_arity(p)
     if any(p._degree == 0 for p in nonzero):
-        return HomPoly.one(nv)
-    if len(nonzero) > 2:
-        # certify gcd == shared monomial factor without pairwise work
-        ds = [_dint_normalize(dict(p.terms))[1] for p in nonzero]
-        shared = tuple(min(min(e[x] for e in d) for d in ds) for x in range(nv))
-        stripped = [
-            {tuple(v - m for v, m in zip(e, shared)): c for e, c in d.items()}
-            for d in ds
-        ]
-        if _coprime_cert_many(stripped, nv):
-            return HomPoly.monomial(nv, shared)
+        return HomPoly.one(nonzero[0].nvars)
     nonzero.sort(key=lambda p: (p.term_count, p._degree))
     g = int_primitive(nonzero[0]).primitive
     for p in nonzero[1:]:
@@ -1124,6 +1048,22 @@ def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:
             break
         g = poly_gcd(g, p)
     return g
+
+
+def coprime_certificate(a: HomPoly, b: HomPoly) -> bool:
+    """True iff a and b are not both zero and share no nonconstant factor."""
+    return coprime_certificate_many((a, b))
+
+
+def coprime_certificate_many(polys: Sequence[HomPoly]) -> bool:
+    """True iff the nonzero members exist and share no nonconstant factor.
+
+    Exact: the answer is whether `poly_gcd_many` of the nonzero members
+    has degree 0.  Zero members are ignored (they divide everything), so
+    an all-zero family gives False.
+    """
+    live = [p for p in polys if not p.is_zero]
+    return bool(live) and poly_gcd_many(live)._degree == 0
 
 
 # ---------------------------------------------------------------------------

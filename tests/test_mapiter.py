@@ -319,6 +319,20 @@ def test_correct_hint_matches_full_gcd(cubic_lag1):
     assert nxt == tr.lifting(3)
 
 
+@pytest.mark.parametrize("hint", ["w^2 - t*z", "w*t", "3*z - 3*t", "t*w*(z - t)"])
+def test_proper_factor_hint_matches_full_gcd(cubic_extracting, hint):
+    # E_3 of this map is t*w*(z - t)*(t*z - w^2); each hint is a proper
+    # factor of it, so the rest of the gcd comes from the quotients
+    f = cubic_extracting
+    tr = iterate_degrees(f, 2)
+    e_plain, next_plain = compose_extract(f, tr.lifting(2))
+    e_hint, next_hint = compose_extract(f, tr.lifting(2), hint=p(hint))
+    assert e_plain.primitive.degree == 5
+    assert e_hint.primitive == e_plain.primitive
+    assert e_hint.content == e_plain.content
+    assert next_hint == next_plain
+
+
 # -- point classes ---------------------------------------------------------------
 
 

@@ -608,13 +608,19 @@ def test_gcd_matches_sympy_with_planted_factors(nvars):
     def same(p, expr):
         return same_up_to_scalar(p, HomPoly(nvars, _from_sympy(expr, xs).items()))
 
+    verdicts = set()
     for _ in range(12):
         g = _random_form(rng, nvars, rng.randint(0, 3), 4)
         a, b, c = (g * _random_form(rng, nvars, rng.randint(1, 3), 5) for _ in range(3))
         expect = sympy.gcd(_to_sympy(a, xs), _to_sympy(b, xs))
         assert same(poly_gcd(a, b), expect)
-        assert same(poly_gcd_many([a, b, c]), sympy.gcd(expect, _to_sympy(c, xs)))
+        expect_many = sympy.gcd(expect, _to_sympy(c, xs))
+        assert same(poly_gcd_many([a, b, c]), expect_many)
+        coprime = coprime_certificate_many([a, b, c])
+        assert coprime == (not expect_many.free_symbols)
+        verdicts.add(coprime)
         exact_div(poly_gcd(a, b), g)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
