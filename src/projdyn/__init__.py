@@ -112,7 +112,6 @@ from .greenpot import (
     AmplificationOverflow,
     GreenGrid,
     GridSlice,
-    InsufficientOKRegion,
     NotConverged,
     OrbitError,
     OrbitHitDivisor,
@@ -122,7 +121,6 @@ from .greenpot import (
     functional_eq_residual,
     green_eval,
     grid_sample,
-    laplacian_diagnostic,
     telescope_residual,
 )
 

@@ -16,6 +16,12 @@ and the jacobian rank at (1,1,1) together with a coprimality scan over
 the pencil spanned by the Q_j.  The preflight is advisory; the
 authoritative verdict is always the symbolic certificate from the
 iteration module.
+
+The intersection check works on the integer primitive parts of its
+forms, so the charts, the resultants (fraction-free Bareiss
+determinants) and the squarefree parts stay in Z, and every univariate
+gcd is `poly_gcd` on binary forms.  Fractions enter only in the Euclid
+over Q[z]/(h), in the rational roots and in the fibres over them.
 """
 
 import itertools
@@ -31,6 +37,8 @@ from .polycore import (
     ParseError,
     _is_prime,
     _modp_gcd,
+    _quo,
+    int_primitive,
     parse_poly,
     poly_gcd,
     poly_gcd_many,
@@ -217,7 +225,10 @@ def check_coprimality(inst: FamilyInstance) -> str:
     return PASS if ok else FAIL
 
 
-# -- exact univariate toolkit (dense Fraction lists, low degree first) -------------
+# -- exact univariate toolkit (dense lists, low degree first) ---------------------
+# Coefficients are ints or Fractions, and every quotient is an int when it
+# is integral (`_quo`), so polynomials over Z stay in Z; the gcd is the
+# modular engine's, through `poly_gcd` on binary forms.
 
 
 def _utrim(u):
@@ -242,7 +253,7 @@ def _uscale(a, c):
 def _umul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -250,54 +261,39 @@ def _umul(a, b):
     return _utrim(out)
 
 
-def _udivexact(a, b):
-    """Quotient of a by b; the division must be exact."""
+def _udivmod(a, b):
+    """Quotient and remainder of a by b."""
     assert b, "division by the zero polynomial"
     a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    out = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
+        c = _quo(a[-1], b[-1])
         k = len(a) - len(b)
         out[k] = c
         for i, y in enumerate(b):
             a[k + i] -= c * y
         _utrim(a)
-    assert not a, "inexact polynomial division"
-    return _utrim(out)
-
-
-def _urem(a, b):
-    a = list(a)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        _utrim(a)
-    return a
+    return _utrim(out), a
 
 
 def _ugcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _urem(a, b)
-    if a:
-        lc = a[-1]
-        a = [x / lc for x in a]
-    return a
+    """The primitive integer gcd of a and b ([] when both are zero), by `poly_gcd`."""
+    if not (a or b):
+        return []
+    forms = (HomPoly(2, (((i, len(u) - 1 - i), c) for i, c in enumerate(u) if c)) for u in (a, b))
+    return _dehom_binary(poly_gcd(*forms))[0]
 
 
 def _uinvmod(a, h):
     """Inverse of a modulo h by the extended Euclidean algorithm; a must be a unit mod h."""
-    r0, r1 = list(h), _urem(a, h)
-    s0, s1 = [], [Fraction(1)]
+    r0, r1 = list(h), _udivmod(a, h)[1]
+    s0, s1 = [], [1]
     while _udeg(r1) > 0:
-        rem = _urem(r0, r1)
-        q = _udivexact(_uadd(r0, _uscale(rem, -1)), r1)
+        q, rem = _udivmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, _uadd(s0, _uscale(_umul(q, s1), -1))
     assert r1, "not a unit modulo h"
-    return _urem(_uscale(s1, 1 / r1[0]), h)
+    return _udivmod(_uscale(s1, _quo(1, r1[0])), h)[1]
 
 
 def _uderiv(a):
@@ -317,7 +313,7 @@ def _usquarefree(a):
     g = _ugcd(a, _uderiv(a))
     if _udeg(g) < 1:
         return list(a)
-    return _udivexact(a, g)
+    return _udivmod(a, g)[0]
 
 
 def _urational_roots(a):
@@ -368,7 +364,7 @@ def _chart(p: HomPoly, drop: int) -> dict:
     out = {}
     for e, c in p.terms:
         key = (e[keep[0]], e[keep[1]])
-        out[key] = out.get(key, 0) + Fraction(c)
+        out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}
 
 
@@ -386,16 +382,20 @@ def _bi_to_upolys(d: dict, main: int):
         odeg = (i, j)[other]
         row = rows[mdeg]
         while len(row) <= odeg:
-            row.append(Fraction(0))
+            row.append(0)
         row[odeg] += c
     return [_utrim(r) for r in rows]
 
 
 def _bareiss_poly_det(mat):
-    """Fraction-free determinant of a matrix of univariate polynomials."""
+    """Fraction-free determinant of a matrix of univariate polynomials.
+
+    Each division by the previous pivot is exact in Z[z] (Bareiss), so
+    integer entries give an integer determinant.
+    """
     n = len(mat)
     m = [[list(entry) for entry in row] for row in mat]
-    prev = [Fraction(1)]
+    prev = [1]
     sign = 1
     for k in range(n - 1):
         if not m[k][k]:
@@ -408,7 +408,7 @@ def _bareiss_poly_det(mat):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = _uadd(_umul(m[i][j], m[k][k]), _uscale(_umul(m[i][k], m[k][j]), -1))
-                m[i][j] = _udivexact(num, prev) if num else []
+                m[i][j] = _udivmod(num, prev)[0] if num else []
             m[i][k] = []
         prev = m[k][k]
     det = m[n - 1][n - 1]
@@ -423,7 +423,7 @@ def _sylvester_resultant(d: dict, e: dict, elim: int):
     if da < 0 or db < 0:
         return []
     if da == 0 and db == 0:
-        return [Fraction(1)]
+        return [1]
     size = da + db
     mat = [[[] for _ in range(size)] for _ in range(size)]
     for s in range(db):
@@ -433,17 +433,6 @@ def _sylvester_resultant(d: dict, e: dict, elim: int):
         for k in range(db + 1):
             mat[db + s][s + k] = list(B[db - k])
     return _bareiss_poly_det(mat)
-
-
-def _bi_eval_partial(d: dict, main: int, value: Fraction):
-    """Substitute `value` for the main variable; univariate in the other."""
-    rows = _bi_to_upolys(d, main)
-    acc = []
-    power = Fraction(1)
-    for row in rows:
-        acc = _uadd(acc, _uscale(row, power))
-        power *= value
-    return acc
 
 
 # -- second check: the difference forms on {P=0} n {R=0} ------------------------------
@@ -457,7 +446,7 @@ def _restrict_t0(p: HomPoly) -> HomPoly:
 def _dehom_binary(g: HomPoly):
     """Binary form -> (poly in z with w = 1, multiplicity of the root [1:0])."""
     w_order = min(e[1] for e, _ in g.terms)
-    out = [Fraction(0)] * (g.degree + 1)
+    out = [0] * (g.degree + 1)
     for (i, _), c in g.terms:
         out[i] += c
     return _utrim(out), w_order
@@ -494,14 +483,13 @@ def _chart_points(forms):
     the product of the factors of h over which that gcd has positive
     degree in w, the z-coordinates of all failing points.
     """
-    charts = [_chart(f, 2) for f in forms]
-    p, r, d1, d2 = charts
+    p, r, d1, d2 = (_chart(f, 2) for f in forms)
     res = _sylvester_resultant(p, r, 1)
     assert res, "coprime forms have a nonzero resultant"
     points = []
     zroots = _urational_roots(res)
     for z0 in zroots:
-        q = _ugcd(_bi_eval_partial(p, 0, z0), _bi_eval_partial(r, 0, z0))
+        q = _ugcd(*(_specialize_to_var(f, 1, (z0, 1, 1)) for f in forms[:2]))
         if _udeg(q) >= 1:
             wroots = _urational_roots(q)
             points += [(z0, w0, Fraction(1)) for w0 in wroots]
@@ -513,7 +501,7 @@ def _chart_points(forms):
             if cut:
                 h = _ugcd(h, cut)
                 break
-    bad = [Fraction(1)]
+    bad = [1]
     # (h, a, b, rest): a is the monic gcd so far over Q[z]/(h), b the next
     # form, rest the forms still to fold in; coefficients are polys in z
     work = [(h, [], _bi_to_upolys(p, 1), [_bi_to_upolys(f, 1) for f in (r, d1, d2)])]
@@ -521,7 +509,7 @@ def _chart_points(forms):
         h, a, b, rest = work.pop()
         if _udeg(h) < 1 or len(a) == 1:
             continue  # no z left, or the gcd is already 1
-        b = [_urem(c, h) for c in b]
+        b = [_udivmod(c, h)[1] for c in b]
         while b and not b[-1]:
             b.pop()
         if not b:
@@ -532,19 +520,19 @@ def _chart_points(forms):
             continue
         g = _ugcd(b[-1], h)
         if _udeg(g) > 0:
-            work += [(g, a, b, rest), (_udivexact(h, g), a, b, rest)]
+            work += [(g, a, b, rest), (_udivmod(h, g)[0], a, b, rest)]
             continue
         inv = _uinvmod(b[-1], h)
-        b = [_urem(_umul(c, inv), h) for c in b]
-        a = [_urem(c, h) for c in a]
+        b = [_udivmod(_umul(c, inv), h)[1] for c in b]
+        a = [_udivmod(c, h)[1] for c in a]
         while len(a) >= len(b):
             c, k = a.pop(), len(a) + 1 - len(b)
             for i, y in enumerate(b[:-1]):
-                a[k + i] = _urem(_uadd(a[k + i], _uscale(_umul(c, y), -1)), h)
+                a[k + i] = _udivmod(_uadd(a[k + i], _uscale(_umul(c, y), -1)), h)[1]
             while a and not a[-1]:
                 a.pop()
         work.append((h, b, a, rest))
-    return points, bad, charts
+    return points, bad
 
 
 def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
@@ -564,23 +552,25 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
             failure_witnesses=(),
             unresolved=0,
         )
-    forms = (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
+    forms = tuple(
+        int_primitive(f).primitive for f in (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
+    )
     line, line_bad = _line_points(forms)
-    chart, chart_bad, charts = _chart_points(forms)
+    chart, chart_bad = _chart_points(forms)
     failing = [pt for pt in line + chart if all(d.evaluate(pt) == 0 for d in forms[2:])]
     # divide out the z-coordinates whose failing points are all listed
     for z0, w0, t0 in failing:
         if t0 == 0 and w0 == 1:
-            line_bad = _udivexact(line_bad, [-z0, Fraction(1)])
+            line_bad = _udivmod(line_bad, [-z0, 1])[0]
     for z0 in {pt[0] for pt in failing if pt[2] == 1}:
         fiber = []
-        for f in charts:
-            fiber = _ugcd(fiber, _bi_eval_partial(f, 0, z0))
+        for f in forms:
+            fiber = _ugcd(fiber, _specialize_to_var(f, 1, (z0, 1, 1)))
         listed = sum(1 for pt in failing if pt[2] == 1 and pt[0] == z0)
         if _udeg(_usquarefree(fiber)) == listed:
-            chart_bad = _udivexact(chart_bad, [-z0, Fraction(1)])
+            chart_bad = _udivmod(chart_bad, [-z0, 1])[0]
     witnesses = failing + [
-        (where, tuple(c / bad[-1] for c in bad))
+        (where, tuple(_quo(c, bad[-1]) for c in bad))
         for where, bad in (("line", line_bad), ("chart", chart_bad))
         if _udeg(bad) >= 1
     ]

@@ -13,8 +13,8 @@ form.  Both are evaluated at the unit-normalized input point, which
 pins the additive normalization; the identities then hold with no
 floating constant.
 
-Grid sampling, CSV/PGM export, and a discrete-Laplacian diagnostic
-support visual inspection of u along 2-plane slices.
+Grid sampling and CSV/PGM export support visual inspection of u along
+2-plane slices.
 """
 
 import cmath
@@ -41,14 +41,12 @@ __all__ = [
     "OrbitHitDivisor",
     "NotConverged",
     "AmplificationOverflow",
-    "InsufficientOKRegion",
     "GridSlice",
     "GreenGrid",
     "green_eval",
     "functional_eq_residual",
     "telescope_residual",
     "grid_sample",
-    "laplacian_diagnostic",
     "export_grid_csv",
     "export_grid_pgm",
 ]
@@ -88,10 +86,6 @@ class NotConverged(OrbitError):
 
 class AmplificationOverflow(OrbitError):
     """The telescoped identity would amplify noise beyond the precision."""
-
-
-class InsufficientOKRegion(Exception):
-    """The grid has no interior node with a complete 5-point stencil."""
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -723,40 +717,6 @@ def grid_sample(
         status=tuple(tuple(s for _, s in row) for row in results),
         meta=meta,
     )
-
-
-def laplacian_diagnostic(grid: GreenGrid):
-    """5-point discrete Laplacian magnitudes on interior OK nodes.
-
-    Entries are None wherever the stencil is incomplete.  Large values
-    flag candidate non-harmonic locus; this is advisory only.
-    """
-    res = grid.resolution
-    xs = _axis(*grid.slice.x_range, res)
-    ys = _axis(*grid.slice.y_range, res)
-    if res < 3:
-        raise InsufficientOKRegion("grid too small for any 5-point stencil")
-    sx = xs[1] - xs[0]
-    sy = ys[1] - ys[0]
-    ok = grid.status
-    u = grid.values
-    out = [[None] * res for _ in range(res)]
-    complete = 0
-    for i in range(1, res - 1):
-        for j in range(1, res - 1):
-            sten = (
-                (i, j), (i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)
-            )
-            if any(ok[a][b] != STATUS_OK for a, b in sten):
-                continue
-            lap = (u[i + 1][j] - 2 * u[i][j] + u[i - 1][j]) / (sx * sx) + (
-                u[i][j + 1] - 2 * u[i][j] + u[i][j - 1]
-            ) / (sy * sy)
-            out[i][j] = abs(lap)
-            complete += 1
-    if complete == 0:
-        raise InsufficientOKRegion("no interior node has a complete OK stencil")
-    return tuple(tuple(row) for row in out)
 
 
 # -- exports ------------------------------------------------------------------

@@ -14,10 +14,11 @@ canonical.
 The module provides construction, ring arithmetic, composition, formal
 partial derivatives, exact evaluation, a strict text grammar with a
 canonical printer, exact division, and a multivariate GCD.  The GCD
-strips the monomial content, tries a divisibility probe, and otherwise
-runs one dense modular engine (Brown's algorithm over GF(p), combined
-by CRT), whose answer divides both inputs exactly and is proved maximal
-from leading monomials.  Coprimality is decided by the same GCD.
+strips the monomial content and runs one dense modular engine (Brown's
+algorithm over GF(p), combined by CRT), whose answer divides both
+inputs exactly and is proved maximal from leading monomials; a divisor
+of the other input is found the same way.  Coprimality is decided by
+the same GCD.
 
 Everything here is immutable and deterministic.  Operations whose
 result would exceed a configurable term cap abort with `ResourceLimit`
@@ -134,6 +135,13 @@ def _canon_coeff(c):
     if isinstance(c, int):  # bool and int subclasses
         return int(c)
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
+
+
+def _quo(c, d):
+    """c / d exactly: an int when the quotient is integral, else a Fraction."""
+    if type(c) is int and type(d) is int and not c % d:
+        return c // d
+    return _canon_coeff(Fraction(c) / d)
 
 
 def _monomial_bound(degree: int, nvars: int) -> int:
@@ -256,12 +264,6 @@ class HomPoly:
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-    def leading(self) -> tuple[tuple[int, ...], object]:
-        """Leading (exponents, coefficient) under graded-lex."""
-        if not self.terms:
-            raise ZeroPolynomialDegree("the zero polynomial has no leading term")
-        return self.terms[0]
 
     def as_dict(self) -> dict[tuple[int, ...], object]:
         return dict(self.terms)
@@ -615,11 +617,7 @@ def _dexact_div(num: dict, den: dict):
         if (qe & guard) != guard:
             return None
         qe ^= guard
-        if type(c) is int and type(lc) is int and not c % lc:
-            qc = c // lc
-        else:
-            qc = _canon_coeff(Fraction(c) / lc)
-        quo[qe] = qc
+        qc = quo[qe] = _quo(c, lc)
         for e2, c2 in rest:
             t = qe + e2
             if t & guard:
@@ -985,10 +983,10 @@ def exact_div(a: HomPoly, b: HomPoly) -> HomPoly:
 def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
     """GCD in canonical primitive form (unit content, positive leading coefficient).
 
-    Strategy: strip the monomial content of each input, try a mutual
-    divisibility probe, and otherwise run the modular engine
-    `_modular_gcd`, which also proves a constant gcd.  Every answer is
-    exact; nothing unverified is ever returned.
+    Strategy: strip the monomial content of each input and run the
+    modular engine `_modular_gcd`, which checks its answer by exact
+    division of both inputs and also proves a constant gcd.  Every
+    answer is exact; nothing unverified is ever returned.
     """
     a._check_arity(b)
     if a.is_zero and b.is_zero:
@@ -1021,14 +1019,6 @@ def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
         return finish(unit)
     if len(db) == 1 and not any(next(iter(db))):
         return finish(unit)
-    if da == db:
-        return finish(da)
-    deg_a = max(sum(e) for e in da)
-    deg_b = max(sum(e) for e in db)
-    if deg_a >= deg_b and _dexact_div(da, db) is not None:
-        return finish(db)
-    if deg_b > deg_a and _dexact_div(db, da) is not None:
-        return finish(da)
     return finish(_modular_gcd(da, db))
 
 

@@ -88,9 +88,12 @@ class DegreeRecurrence:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Certified dominant-root data of a degree recurrence.
+    """Dominant-root data of a degree recurrence.
 
-    lambda_ is the dominant root (real, > 1), r its multiplicity, rho
+    lambda_ is the dominant root (real, > 1), exact as a double root
+    and otherwise proved by a sign change of P to the precision (see
+    `char_poly_roots`); its dominance over the complex roots, rho and
+    Q_fit rest on `mp.polyroots`.  r is its multiplicity, rho
     the ratio of the next-largest root modulus to lambda_, and Q_fit
     the r polynomial coefficients (constant first) of the subexponential
     factor in d_n = lambda^n (Q(n) + o(1)), derived from the initial
@@ -196,12 +199,18 @@ def _polyroots_certified(coeffs, precision_bits):
 
 
 def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> SpectralReport:
-    """Certified dominant root, multiplicity, and spectral gap of P.
+    """Dominant root, multiplicity, and spectral gap of P.
 
     Viability (a real root above one) and double-root tangency are
     decided exactly in rational arithmetic first; the numeric stage
     only ever sees a squarefree polynomial, deflated by the exact
-    double root when the tangency case holds.
+    double root when the tangency case holds.  A simple lambda is then
+    proved to lie within a relative 2^-precision_bits of the returned
+    value: with a, b = lambda (1 -+ 2^-precision_bits), exact rational
+    arithmetic checks t* < a and P(a) < 0 < P(b); P increases on
+    (t*, oo), so its only root there lies in (a, b).  A failed check
+    raises `PrecisionExhausted`.  Three things still rest on `mp.polyroots`:
+    that no complex root has modulus at least lambda, rho, and Q_fit.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
@@ -250,6 +259,12 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
             lam = top.real
             r = 1
             others = [z for z in roots if z is not top]
+            # P increases on (t*, oo), so a sign change there brackets its only root
+            man, exp = lam.man_exp
+            exact, eps = man * Fraction(2) ** exp, Fraction(1, 2**precision_bits)
+            lo, hi = exact * (1 - eps), exact * (1 + eps)
+            if not (Fraction(d * n0, n0 + 1) < lo and spec.p_at(lo) < 0 < spec.p_at(hi)):
+                raise PrecisionExhausted(f"lambda is not bracketed to 2^-{precision_bits}")
 
         rho = max((abs(z) for z in others), default=mpf(0)) / lam
         q_fit = _initial_condition_fit(spec, lam, r, others)

@@ -4,6 +4,7 @@ Runs the entry point in process and validates every JSON payload
 against the schemas shipped under docs/schemas/.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,16 @@ from projdyn.polycore import parse_poly
 
 NAMES = ("z", "w", "t")
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+
+# the preflight catalogue of tests/test_family2.py and of the benchmark
+PREFLIGHT_CATALOGUE = [
+    (dp, dq, s) for dp, dq in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)) for s in range(5)
+] + [(1, 2, 5), (1, 2, 6), (1, 2, 7)]
+# sha256 of the concatenated stdout of family-gen --json and family-check
+# --json over the catalogue: it pins the rational points and the failure
+# counts, which the verdict checks elsewhere do not see
+CATALOGUE_SHA256 = "adbf49b4d2316e1f603db3375a83cc341eb9bfd0700942e063d3c3d880012904"
 
 
 def pp(s):
@@ -191,6 +202,20 @@ class TestFamilyCommands:
         assert payload["pencil"]["witness"] == ([str(c) for c in witness] if witness else None)
         assert payload["overall"] == rep.overall
         assert code == (0 if rep.overall == "PASS" else 1)
+
+    def test_catalogue_output_is_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # family-gen prints the --out path, kept relative
+        digest = hashlib.sha256()
+        for dp, dq, seed in PREFLIGHT_CATALOGUE:
+            fam = f"fam-{dp}-{dq}-{seed}.txt"
+            for argv in (
+                ("family-gen", "--deg-p", dp, "--deg-q", dq, "--coeff-bound", 5,
+                 "--seed", seed, "--out", fam, "--json"),
+                ("family-check", "--family", fam, "--json"),
+            ):
+                _, out, _ = run(capsys, *argv)
+                digest.update(out.encode())
+        assert digest.hexdigest() == CATALOGUE_SHA256
 
     def test_check_has_no_sampler_options(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Tests for the normalized family: construction, preflight checks, generation."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -217,7 +218,7 @@ def test_intersection_chart_failure_is_exact(chart_fail):
 ], ids=["passing-factor", "failing-factor"])
 def test_chart_euclid_splits_at_zero_divisors(forms):
     """P, R, D1, D2 with h = (z^2 - 2)(z^2 - 3); all four vanish only at (±sqrt2, 0)."""
-    _, bad, _ = family2._chart_points([pp(f) for f in forms])
+    _, bad = family2._chart_points([pp(f) for f in forms])
     assert bad == [Fraction(-2), Fraction(0), Fraction(1)]
 
 
@@ -287,6 +288,39 @@ def test_rational_roots_match_sympy(make):
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
     expect = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
     assert family2._urational_roots(coeffs) == expect
+
+
+def _primitive(u):
+    """u scaled to coprime integers with a positive leading coefficient."""
+    if not u:
+        return []
+    ints = [int(c * math.lcm(*(Fraction(c).denominator for c in u))) for c in u]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+@pytest.mark.parametrize("a, b", [
+    ("(z - 1/2)**2*(z + 3)", "(z - 1/2)*(2*z/3 + 1)"),
+    ("z**3*(z - 1)", "z*(z + 2)**2"),
+    ("(3*z + 1)**2*(z**4 - 7*z/5 + 2)", "3*z + 1"),
+    ("z**2 - 2", "z**3 + z/7"),
+    ("0", "3*(z - 1)**2/2"),
+    ("0", "0"),
+    ("5/3", "z**2 + 1"),
+], ids=["fractions", "root-at-zero", "unequal-lengths", "coprime", "zero", "both-zero", "constant"])
+def test_ugcd_and_squarefree_match_sympy(a, b):
+    z = sympy.Symbol("z")
+
+    def coeffs(poly):
+        return family2._utrim([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+    polys = [sympy.Poly(sympy.sympify(e), z) for e in (a, b)]
+    ua, ub = map(coeffs, polys)
+    got = family2._ugcd(ua, ub)
+    assert all(type(c) is int for c in got)
+    assert got == _primitive(coeffs(sympy.gcd(*polys)))
+    for u, poly in zip((ua, ub), polys):
+        assert _primitive(family2._usquarefree(u)) == _primitive(coeffs(sympy.sqf_part(poly)))
 
 
 def test_sylvester_resultant_matches_sympy():

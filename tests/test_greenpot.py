@@ -458,65 +458,6 @@ class TestExports:
         assert path.read_text().splitlines() == ["P2", "1 1", "65535", "65535"]
 
 
-def synthetic_grid(fn, res=7, lo=-1.0, hi=1.0):
-    xs = [lo + i * (hi - lo) / (res - 1) for i in range(res)]
-    values = tuple(tuple(fn(xs[i], xs[j]) for j in range(res)) for i in range(res))
-    status = tuple((gp.STATUS_OK,) * res for _ in range(res))
-    sl = gp.GridSlice(base=(1, 0, 0), e1=(0, 1, 0), e2=(0, 0, 1), x_range=(lo, hi), y_range=(lo, hi))
-    return gp.GreenGrid(slice=sl, resolution=res, values=values, status=status, meta={})
-
-
-class TestLaplacian:
-    def test_affine_is_flat(self):
-        grid = synthetic_grid(lambda x, y: 0.3 + 2 * x - 0.7 * y)
-        lap = gp.laplacian_diagnostic(grid)
-        vals = [v for row in lap for v in row if v is not None]
-        assert vals and max(vals) < 1e-12
-
-    def test_paraboloid_gives_four(self):
-        lap = gp.laplacian_diagnostic(synthetic_grid(lambda x, y: x * x + y * y))
-        assert abs(lap[3][3] - 4.0) < 1e-9
-        assert lap[0][0] is None and lap[0][3] is None
-
-    def test_insufficient_region(self):
-        small = synthetic_grid(lambda x, y: x, res=2)
-        with pytest.raises(gp.InsufficientOKRegion):
-            gp.laplacian_diagnostic(small)
-        bad = gp.GreenGrid(
-            slice=small.slice,
-            resolution=3,
-            values=((None,) * 3,) * 3,
-            status=((gp.STATUS_DIVISOR,) * 3,) * 3,
-            meta={},
-        )
-        with pytest.raises(gp.InsufficientOKRegion):
-            gp.laplacian_diagnostic(bad)
-
-    def test_monomial_mass_concentrates_on_branch_switch(self, mono):
-        # slice (1, x+iy, 0.5): u = max(0, log|x+iy|, log 0.5) kinks on |x+iy| = 1
-        sl = gp.GridSlice(
-            base=(1.0, 0.0, 0.5),
-            e1=(0.0, 1.0, 0.0),
-            e2=(0.0, 1j, 0.0),
-            x_range=(-1.5, 1.5),
-            y_range=(-1.5, 1.5),
-        )
-        g = gp.grid_sample(mono, None, None, sl, 9, n_iters=40)
-        lap = gp.laplacian_diagnostic(g)
-        xs = [-1.5 + i * 3 / 8 for i in range(9)]
-        ring = interior = 0.0
-        for i in range(1, 8):
-            for j in range(1, 8):
-                if lap[i][j] is None:
-                    continue
-                r = math.hypot(xs[i], xs[j])
-                if abs(r - 1.0) < 0.25:
-                    ring = max(ring, lap[i][j])
-                elif r < 0.5:
-                    interior = max(interior, lap[i][j])
-        assert ring > 1.0 and interior < 1e-10
-
-
 def mp_loop_evaluator(p):
     """The per-term mpmath loop, the reference of the fixed-point code (run it at 2p bits)."""
     terms = [(mpf(c.numerator) / c.denominator, e) for e, c in ((e, Fraction(c)) for e, c in p.terms)]

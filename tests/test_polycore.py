@@ -609,9 +609,12 @@ def test_gcd_matches_sympy_with_planted_factors(nvars):
         return same_up_to_scalar(p, HomPoly(nvars, _from_sympy(expr, xs).items()))
 
     verdicts = set()
-    for _ in range(12):
+    for i in range(12):
         g = _random_form(rng, nvars, rng.randint(0, 3), 4)
-        a, b, c = (g * _random_form(rng, nvars, rng.randint(1, 3), 5) for _ in range(3))
+        degrees = [rng.randint(1, 3) for _ in range(3)]
+        if i % 3 == 0:
+            degrees[1] = 0  # b is a scalar multiple of g, so it divides a
+        a, b, c = (g * _random_form(rng, nvars, d, 5) for d in degrees)
         expect = sympy.gcd(_to_sympy(a, xs), _to_sympy(b, xs))
         assert same(poly_gcd(a, b), expect)
         expect_many = sympy.gcd(expect, _to_sympy(c, xs))

@@ -8,6 +8,7 @@ oracles for the root-finding route.
 import pytest
 from mpmath import mp, mpf, sqrt
 
+from projdyn import specdeg
 from projdyn.specdeg import (
     AsymptoticsReport,
     DegenerateLambda,
@@ -160,6 +161,24 @@ def test_stable_case_spectrum():
 def test_precision_floor():
     with pytest.raises(ValueError):
         char_poly_roots(S311, 32)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lambda_outside_the_proved_bracket_is_refused(monkeypatch, bits, sign):
+    # a dominant root off by lambda 2^-(p/2) is within what mp.polyroots'
+    # error estimate accepts; the exact sign check of P around it is not
+    numeric = specdeg._polyroots_certified
+
+    def shifted(coeffs, precision_bits):
+        roots = numeric(coeffs, precision_bits)
+        top = max(roots, key=abs)
+        off = sign * top.real * mpf(2) ** -(precision_bits // 2)
+        return [z + off if z is top else z for z in roots]
+
+    monkeypatch.setattr(specdeg, "_polyroots_certified", shifted)
+    with pytest.raises(PrecisionExhausted):
+        char_poly_roots(S311, bits)
 
 
 # -- asymptotics --------------------------------------------------------------------
