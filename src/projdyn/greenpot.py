@@ -18,6 +18,7 @@ Grid sampling and CSV/PGM export support visual inspection of u along
 """
 
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -140,8 +141,12 @@ def _generate(lines, ns):
     return ns["ev"]
 
 
+@functools.lru_cache(maxsize=32)
 def _float_code(polys, nvars, step=True):
-    """Straight-line 53-bit evaluator of polys, generated once per map.
+    """Straight-line 53-bit evaluator of the tuple polys, generated once per map.
+
+    The function is pure, so it is memoised on the arguments and every
+    runner of the map shares it.
 
     With step the function maps a point w to (‖F(w)‖, F(w)/‖F(w)‖,
     norm of that quotient); the quotient is None when ‖F(w)‖ is below
@@ -194,8 +199,11 @@ def _guard_bits(polys):
     return math.ceil(bound).bit_length() + _TOL_BITS + 4
 
 
+@functools.lru_cache(maxsize=32)
 def _fixed_code(polys, nvars, scale, step=True):
-    """Straight-line fixed-point evaluator of polys at the scale S = scale.
+    """Straight-line fixed-point evaluator of the tuple polys at the scale S = scale.
+
+    Memoised on the arguments like _float_code.
 
     A point is a tuple of (re, im) int pairs, each coordinate x read as
     (re + i·im)/2^S.  Powers and monomials are built by complex products
@@ -367,14 +375,14 @@ class _OrbitRunner:
         elif fast:
             self.scale, self.tol, self.log = None, _SINGULAR_TOL, math.log
             self.step = _float_code(f.components, f.nvars)
-            self.H = cert and _float_code([cert.H], f.nvars, step=False)
+            self.H = cert and _float_code((cert.H,), f.nvars, step=False)
         else:
             polys = f.components + ((cert.H,) if cert else ())
             S = self.scale = precision + _guard_bits(polys)
             self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
             self.log = lambda r: _fixed_log(r, -S, precision, S)
             self.step = _fixed_code(f.components, f.nvars, S)
-            self.H = cert and _fixed_code([cert.H], f.nvars, S, step=False)
+            self.H = cert and _fixed_code((cert.H,), f.nvars, S, step=False)
         self.nvars, self.n0, self.precision = f.nvars, n0, precision
         # per step n: the weights of γ_{n-1}, γₙ and (when the divisor
         # enters) γ_{n-n0-1}, and the power of two k they were divided by

@@ -5,7 +5,11 @@ pairs.  Exponent vectors are plain tuples of non-negative ints, one slot
 per variable; coefficients are exact (`int` when the denominator is 1,
 `fractions.Fraction` otherwise) and never zero.  Inside the multiply,
 exact-division and composition kernels each exponent vector is packed
-into one int, so a monomial product is an int add.  Terms are kept in
+into one int, so a monomial product is an int add.  A product of two
+homogeneous operands with int coefficients and at least 2000 term pairs
+is instead one big-int multiply by Kronecker substitution, when its
+dense exponent grid takes no more bytes than there are term pairs; any
+other product falls back to the packed loop.  Terms are kept in
 descending graded-lexicographic order, which for a homogeneous
 polynomial reduces to descending lexicographic order on the exponent
 tuples, so equal polynomials compare equal structurally and printing is
@@ -346,16 +350,13 @@ class HomPoly:
             return HomPoly.one(self.nvars)
         if self.is_zero:
             return HomPoly.zero(self.nvars)
-        result = None
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        nv, top = self.nvars, self._degree * n
+        # no power on the way has more terms than there are monomials of
+        # degree top or multisets of n terms of self
+        _guard(min(_monomial_bound(top, nv), math.comb(n + len(self.terms) - 1, n)))
+        width = _field_width(top)
+        powers = {0: {0: 1}, 1: _pack_dict(dict(self.terms), width)}
+        return HomPoly._new(nv, _unpack_dict(_ppower(powers, n, width, nv), nv, width), top)
 
     # -- composition, derivative, evaluation ---------------------------------------
 
@@ -395,14 +396,14 @@ class HomPoly:
         powers = [{0: {0: 1}, 1: _pack_dict(dict(q.terms), width)} for q in comps]
         if len(self.terms) > max(len(q.terms) for q in comps):
             # self is the large side: Horner keeps every product large x small
-            acc = _horner(self.terms, 0, len(self.terms), 0, powers)
+            acc = _horner(self.terms, 0, len(self.terms), 0, powers, width, nv2)
         else:
             acc = {}
             for exps, coeff in self.terms:
                 term = {0: 1}
                 for i, e in enumerate(exps):
                     if e:
-                        term = _pmul(term, _ppower(powers[i], e))
+                        term = _pmul(term, _ppower(powers[i], e, width, nv2), width, nv2)
                 _pacc(acc, term, coeff)
         return HomPoly._new(nv2, _unpack_dict(acc, nv2, width), out_deg)
 
@@ -480,12 +481,33 @@ def _unpack_dict(d: dict, nvars: int, width: int) -> dict:
     return dict(zip(zip(*[[k >> s & mask for k in d] for s in shifts]), d.values()))
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    """Product of packed term dicts, dropping cancelled terms once at the end."""
+# the fewest term pairs for which _pmul tries the Kronecker route
+_KRONECKER_MIN_PAIRS = 2000
+
+
+def _pmul(a: dict, b: dict, width: int = 0, nvars: int = 0) -> dict:
+    """Product of packed term dicts, dropping cancelled terms once at the end.
+
+    A caller whose operands are both homogeneous passes their field width
+    and arity.  Then, if every coefficient is an int and the operands
+    make at least _KRONECKER_MIN_PAIRS term pairs, `_kmul` multiplies
+    them as two big ints (Kronecker substitution), unless its grid would
+    take more bytes than there are term pairs.  Every other product, and
+    always one with a Fraction coefficient, falls back to the packed loop
+    below, which multiplies each pair of terms and sums by key.
+    """
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if (
+        nvars
+        and len(a) * len(b) >= _KRONECKER_MIN_PAIRS
+        and all(type(c) is int for c in chain(a.values(), b.values()))
+    ):
+        out = _kmul(a, b, width, nvars)
+        if out is not None:
+            return out
     items = iter(a.items())
     ea, ca = next(items)
     # shifting by one monomial is injective: the first row needs no lookups
@@ -501,6 +523,67 @@ def _pmul(a: dict, b: dict) -> dict:
     return out
 
 
+def _kmul(a: dict, b: dict, width: int, nvars: int) -> dict | None:
+    """Product of homogeneous packed int dicts by Kronecker substitution.
+
+    Harvey, "Faster polynomial multiplication via multipoint Kronecker
+    substitution" (2009).  The exponents (e_0, .., e_{n-2}) index a dense
+    grid of base B = D + 1, where D is the output degree.  Homogeneity
+    fixes e_{n-1}, and a sum of two operand exponents is at most D, so
+    grid indices add without carry.  Each slot takes s bytes, where
+    2^(8s-1) exceeds every output coefficient, since at most
+    min(|a|, |b|) term pairs meet in one slot.  Each operand is written
+    into bytes and read back as one int (positive minus negative part),
+    and the two ints are multiplied once.  A bias of 0x80.. per slot
+    makes every slot of the product non-negative, so one to_bytes call
+    decodes them all.  Returns None when the grid would take more bytes
+    than there are term pairs, where the loop of `_pmul` is faster.
+    """
+    mask = (1 << width) - 1
+    # the fields of e_0 .. e_{n-2}; the output degree sums all n fields of
+    # one key of each operand
+    shifts = range(width * (nvars - 1), 0, -width)
+    top = sum(k >> sh & mask for k in (next(iter(a)), next(iter(b))) for sh in chain(shifts, [0]))
+    base = top + 1
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    s = bound.bit_length() // 8 + 1
+    slots = base ** (nvars - 1)
+    size = slots * s
+    if size > len(a) * len(b):
+        return None
+
+    def pack(d: dict) -> int:
+        idx = [0] * len(d)
+        for sh in shifts:
+            idx = [i * base + (k >> sh & mask) for i, k in zip(idx, d)]
+        pos = bytearray((max(idx) + 1) * s)
+        neg = bytearray(len(pos))
+        for i, c in zip(idx, d.values()):
+            if c > 0:
+                pos[i * s : i * s + s] = c.to_bytes(s, "little")
+            else:
+                neg[i * s : i * s + s] = (-c).to_bytes(s, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << 8 * s - 1
+    bias = int.from_bytes(half.to_bytes(s, "little") * slots, "little")
+    x = pack(a)
+    # CPython squares an int faster than it multiplies two
+    product = x * x if a is b else x * pack(b)
+    buf = (product + bias).to_bytes(size, "little")
+    # grid index, packed key prefix and remaining degree of each exponent
+    # vector of degree D, one variable at a time
+    cells = [(0, 0, top)]
+    for _ in shifts:
+        cells = [(i * base + e, k << width | e, r - e) for i, k, r in cells for e in range(r + 1)]
+    out = {}
+    for i, k, r in cells:
+        c = int.from_bytes(buf[i * s : i * s + s], "little") - half
+        if c:
+            out[k << width | r] = c
+    return out
+
+
 def _pacc(acc: dict, d: dict, c=1) -> None:
     """acc += c * d in place, for packed term dicts."""
     get = acc.get
@@ -512,19 +595,22 @@ def _pacc(acc: dict, d: dict, c=1) -> None:
             del acc[k]
 
 
-def _ppower(powers: dict, k: int) -> dict:
-    """q^k by repeated squaring, memoised in powers, which holds q^0 and q^1."""
+def _ppower(powers: dict, k: int, width: int, nvars: int) -> dict:
+    """q^k by repeated squaring, memoised in powers, which holds q^0 and q^1.
+
+    q is homogeneous in nvars variables, packed with the given field width.
+    """
     p = powers.get(k)
     if p is None:
-        half = _ppower(powers, k // 2)
-        p = _pmul(half, half)
+        half = _ppower(powers, k // 2, width, nvars)
+        p = _pmul(half, half, width, nvars)
         if k & 1:
-            p = _pmul(p, powers[1])
+            p = _pmul(p, powers[1], width, nvars)
         powers[k] = p
     return p
 
 
-def _horner(terms, lo: int, hi: int, i: int, powers: list) -> dict:
+def _horner(terms, lo: int, hi: int, i: int, powers: list, width: int, nvars: int) -> dict:
     """Packed sum of c * prod_{j >= i} q_j^(e_j) over terms[lo:hi].
 
     The slice is in descending order and its exponents agree before slot
@@ -535,7 +621,7 @@ def _horner(terms, lo: int, hi: int, i: int, powers: list) -> dict:
     """
     if i == len(powers) - 1:
         e, c = terms[lo]
-        return {k: c * v for k, v in _ppower(powers[i], e[i]).items()}
+        return {k: c * v for k, v in _ppower(powers[i], e[i], width, nvars).items()}
     acc: dict = {}
     prev = 0
     j = lo
@@ -544,31 +630,37 @@ def _horner(terms, lo: int, hi: int, i: int, powers: list) -> dict:
         m = j + 1
         while m < hi and terms[m][0][i] == k:
             m += 1
-        inner = _horner(terms, j, m, i + 1, powers)
+        inner = _horner(terms, j, m, i + 1, powers, width, nvars)
         if j == lo:
             acc = inner
         else:
-            acc = _pmul(acc, _ppower(powers[i], prev - k))
+            acc = _pmul(acc, _ppower(powers[i], prev - k, width, nvars), width, nvars)
             _pacc(acc, inner)
         prev = k
         j = m
-    return _pmul(acc, _ppower(powers[i], prev)) if prev else acc
+    return _pmul(acc, _ppower(powers[i], prev, width, nvars), width, nvars) if prev else acc
 
 
 def _dmul(a: dict, b: dict) -> dict:
-    """Product of tuple-keyed term dicts (homogeneous or not)."""
+    """Product of tuple-keyed term dicts (homogeneous or not).
+
+    Two homogeneous operands may take the Kronecker route of `_pmul`.
+    """
     if not a or not b:
         return {}
     nv = len(next(iter(a)))
-    top = max(map(sum, a)) + max(map(sum, b))
+    degs_a, degs_b = set(map(sum, a)), set(map(sum, b))
+    top = max(degs_a) + max(degs_b)
     pairs = len(a) * len(b)
     if pairs > _term_cap:
         # the output has at most as many terms as there are monomials of
         # total degree lo..top
-        lo = min(map(sum, a)) + min(map(sum, b))
+        lo = min(degs_a) + min(degs_b)
         _guard(min(pairs, math.comb(top + nv, nv) - math.comb(lo - 1 + nv, nv)))
     width = _field_width(top)
-    return _unpack_dict(_pmul(_pack_dict(a, width), _pack_dict(b, width)), nv, width)
+    homogeneous = len(degs_a) == len(degs_b) == 1
+    packed = _pmul(_pack_dict(a, width), _pack_dict(b, width), width, nv if homogeneous else 0)
+    return _unpack_dict(packed, nv, width)
 
 
 def _dadd(a: dict, b: dict) -> dict:

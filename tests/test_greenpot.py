@@ -551,7 +551,7 @@ class TestGeneratedStep:
     def test_matches_loop_evaluator(self, nvars):
         rng = random.Random(100 + nvars)
         for degree in (1, 2, 3, 5):
-            polys = [random_poly(rng, nvars, degree) for _ in range(nvars)]
+            polys = tuple(random_poly(rng, nvars, degree) for _ in range(nvars))
             step = gp._float_code(polys, nvars)
             single = gp._float_code(polys[:1], nvars, step=False)
             for _ in range(40):
@@ -565,7 +565,7 @@ class TestGeneratedStep:
         p = HomPoly(2, [((0, 7), Fraction(-1, 3)), ((1, 6), 2), ((7, 0), Fraction(5, 2)), ((3, 4), -1)])
         q = HomPoly(2, [((2, 5), 1), ((0, 7), -4)])
         for w in ((1.5 - 0.25j, -0.0 + 0.5j), (complex(-0.0, -0.0), 1 + 0j), (0.75 + 0j, -1.25 - 0j)):
-            nf, u, _ = gp._float_code([p, q], 2)(w)
+            nf, u, _ = gp._float_code((p, q), 2)(w)
             assert (repr(nf), repr(u)) == tuple(map(repr, loop_step([p, q], w)))
 
     def test_ten_thousand_terms(self):
@@ -575,14 +575,17 @@ class TestGeneratedStep:
                         for i in range(d + 1) for j in range(d + 1 - i)])
         assert len(p.terms) > 10000
         w = (0.6 + 0.1j, 0.5j, -0.55)
-        assert repr(gp._float_code([p], 3, step=False)(w)) == repr(loop_evaluator(p)(w))
+        assert repr(gp._float_code((p,), 3, step=False)(w)) == repr(loop_evaluator(p)(w))
 
     def test_source_holds_no_coefficients(self, monkeypatch):
         sources = []
         real_exec = exec
         monkeypatch.setattr(gp, "exec", lambda src, ns: (sources.append(src), real_exec(src, ns))[1],
                             raising=False)
-        polys = [HomPoly(3, [((2, 0, 0), Fraction(7, 3)), ((0, 1, 1), 12345)])]
+        polys = (HomPoly(3, [((2, 0, 0), Fraction(7, 3)), ((0, 1, 1), 12345)]),)
+        # the generators are memoised: start cold so that both run
+        gp._float_code.cache_clear()
+        gp._fixed_code.cache_clear()
         gp._float_code(polys, 3)
         gp._fixed_code(polys, 3, 180)
         assert len(sources) == 2
@@ -622,6 +625,7 @@ class TestFixedPointStep:
                 assert abs(u - want) <= mpf(2) ** (8 - precision) * max(1, abs(want))
 
     def check_step(self, polys, nvars, v):
+        polys = tuple(polys)
         # v normalized as the orbit start and the step quotient do it
         S = self.P + gp._guard_bits(polys)
         X = fixed(v, S)
@@ -632,7 +636,7 @@ class TestFixedPointStep:
             assert max(abs(c) for c in x) <= 1 + mpf(2) ** (49 - S)
             fv = [mp_loop_evaluator(p)(x) for p in polys]
             for p, y in zip(polys, fv):
-                ay = gp._fixed_code([p], nvars, S, step=False)(W)
+                ay = gp._fixed_code((p,), nvars, S, step=False)(W)
                 assert abs(mpf(ay) / 2**S - abs(y)) < mpf(value_bound([p]) + 1) / 2**S
             nf, q, nrm = gp._fixed_code(polys, nvars, S)(W)
             want = mp_norm(fv)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.rings import ring
 
 from projdyn import (
     ArityMismatch,
@@ -29,14 +30,19 @@ from projdyn import (
     same_up_to_scalar,
     set_term_cap,
 )
+from projdyn import polycore
 from projdyn.polycore import (
+    _KRONECKER_MIN_PAIRS,
     _dadd,
     _deg_in,
     _dexact_div,
     _dint_normalize,
     _dmul,
+    _field_width,
     _is_prime,
     _modp_gcd_mv,
+    _pack_dict,
+    _pmul,
 )
 
 NAMES = ("z", "w", "t")
@@ -677,3 +683,192 @@ def test_is_prime_matches_sympy():
     hard = [3215031751, 3474749660383, 3825123056546413051, 118901521, 2301745249]
     for n in [*range(2000), *range(2**61 - 2000, 2**61 + 2), *hard]:
         assert _is_prime(n) == sympy.isprime(n)
+
+
+# -- Kronecker-substitution multiply ---------------------------------------------
+
+
+@pytest.fixture
+def kronecker(monkeypatch):
+    """Record, per call of the Kronecker kernel, whether it gave the product."""
+    calls = []
+    kmul = polycore._kmul
+
+    def spy(a, b, width, nvars):
+        out = kmul(a, b, width, nvars)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(polycore, "_kmul", spy)
+    return calls
+
+
+def _monomials(nvars, degree):
+    if nvars == 1:
+        return [(degree,)]
+    return [(i,) + m for i in range(degree, -1, -1) for m in _monomials(nvars - 1, degree - i)]
+
+
+def _form(rng, nvars, degree, coeff, count=None):
+    """A form on count monomials of the degree (all by default), coefficients coeff(rng)."""
+    mons = _monomials(nvars, degree)
+    if count is not None:
+        mons = rng.sample(mons, count)
+    return HomPoly(nvars, [(e, coeff(rng)) for e in mons])
+
+
+def _signed(bound):
+    return lambda rng: rng.choice((-1, 1)) * rng.randint(1, bound)
+
+
+def _both_routes(a: HomPoly, b: HomPoly):
+    """The packed product by the term loop and by the homogeneous route of _pmul."""
+    width = _field_width(a.degree + b.degree)
+    pa, pb = _pack_dict(a.as_dict(), width), _pack_dict(b.as_dict(), width)
+    return _pmul(pa, pb), _pmul(pa, pb, width, a.nvars)
+
+
+def _ring_of(nvars):
+    R, *xs = ring(",".join(f"x{i}" for i in range(nvars)), sympy.QQ)
+    return R, xs
+
+
+def _ring_dict(p: HomPoly) -> dict:
+    return {e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms}
+
+
+def _in_ring(R, p: HomPoly):
+    return R(_ring_dict(p))
+
+
+def test_kronecker_route_at_and_above_the_threshold(kronecker):
+    rng = random.Random(61)
+    # 40 x 50 term pairs, exactly the threshold; one pair fewer stays on the loop
+    a = _form(rng, 3, 8, _signed(2**18), 40)
+    b = _form(rng, 3, 9, _signed(2**18), 50)
+    assert len(a.terms) * len(b.terms) == _KRONECKER_MIN_PAIRS
+    loop, routed = _both_routes(a, b)
+    assert kronecker == [True] and routed == loop
+    short = HomPoly(3, b.terms[1:])
+    loop, routed = _both_routes(a, short)
+    assert kronecker == [True] and routed == loop
+    # mixed signs above 2^64 in 231 x 231 terms: 27-byte slots
+    for _ in range(3):
+        a = _form(rng, 3, 20, _signed(2**100))
+        b = _form(rng, 3, 20, _signed(2**70))
+        loop, routed = _both_routes(a, b)
+        assert routed == loop
+    assert kronecker == [True] * 4
+
+
+@pytest.mark.parametrize("bits", [63, 64])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_kronecker_output_at_the_slot_bound(kronecker, signs, bits):
+    # a has every monomial of degree 8, so every one of its 45 terms meets
+    # z^8*w^8*t^8 in b's degree 16: that coefficient is 45 * c^2, the bound
+    # the slot width is taken from.  With 63 bits it fills 8-byte slots up
+    # to the sign bit; with 64 bits the sign bit needs a ninth byte
+    c = math.isqrt((2**bits - 1) // 45)
+    a = _form(None, 3, 8, lambda _: signs[0] * c)
+    b = _form(None, 3, 16, lambda _: signs[1] * c)
+    assert (45 * c * c).bit_length() == bits
+    loop, routed = _both_routes(a, b)
+    assert kronecker == [True] and routed == loop
+    assert (a * b).as_dict()[(8, 8, 8)] == signs[0] * signs[1] * 45 * c * c
+    R, _ = _ring_of(3)
+    assert _ring_dict(a * b) == dict(_in_ring(R, a) * _in_ring(R, b))
+
+
+def test_kronecker_drops_cancelled_terms(kronecker):
+    # f(z, w, t) * f(z, -w, t) is even in w: every odd power of w cancels
+    rng = random.Random(62)
+    f = _form(rng, 3, 20, _signed(2**80))
+    g = HomPoly(3, [(e, -c if e[1] % 2 else c) for e, c in f.terms])
+    loop, routed = _both_routes(f, g)
+    assert kronecker == [True] and routed == loop
+    fg = f * g
+    assert fg.terms and all(e[1] % 2 == 0 for e, _ in fg.terms)
+    R, _ = _ring_of(3)
+    assert _ring_dict(fg) == dict(_in_ring(R, f) * _in_ring(R, g))
+
+
+def test_kronecker_with_a_one_term_operand(kronecker):
+    # a constant times a full binary form of degree 2000 fills the grid at
+    # one byte per slot; a one-term operand of positive degree cannot
+    rng = random.Random(63)
+    b = _form(rng, 2, 2000, _signed(9))
+    for a, kernel in ((HomPoly.constant(2, -7), True), (HomPoly.monomial(2, (1, 0), 3), False)):
+        kronecker.clear()
+        loop, routed = _both_routes(a, b)
+        assert kronecker == [kernel] and routed == loop
+        assert a * b == HomPoly(2, [((e0 + x0, e1 + x1), c * d) for (e0, e1), c in a.terms
+                                    for (x0, x1), d in b.terms])
+
+
+def test_fraction_operand_stays_on_the_loop(kronecker):
+    rng = random.Random(64)
+    a = _form(rng, 3, 20, _signed(2**70))
+    b = _form(rng, 3, 20, _signed(9))
+    b = HomPoly(3, b.terms[1:] + ((b.terms[0][0], Fraction(1, 3)),))
+    loop, routed = _both_routes(a, b)
+    assert kronecker == [] and routed == loop
+    R, _ = _ring_of(3)
+    assert _ring_dict(a * b) == dict(_in_ring(R, a) * _in_ring(R, b))
+
+
+def test_inhomogeneous_product_stays_on_the_loop(kronecker):
+    rng = random.Random(65)
+    a = _form(rng, 3, 20, _signed(9))
+    b = _form(rng, 3, 20, _signed(9))
+    # degrees 20 and 1, as the gcd code builds them
+    u = a.as_dict() | {(1, 0, 0): 1}
+    assert _dmul(u, b.as_dict()) == _dadd((a * b).as_dict(), (P("z") * b).as_dict())
+    assert kronecker == [True]
+
+
+@pytest.mark.parametrize(
+    "nvars, horner, shape",
+    [
+        # (degree, terms, coefficient bound) of the form, then of its substitutes;
+        # Horner's rule when the form has more terms than every substitute,
+        # else cached powers of the substitutes
+        (3, True, ((6, None, 2**70), (3, None, 30))),
+        (3, False, ((9, 2, 2**70), (4, None, 30))),
+        (4, True, ((4, None, 3), (5, 30, 2))),
+        (4, False, ((6, 3, 9), (3, None, 3))),
+    ],
+)
+def test_compose_through_kronecker_matches_sympy(kronecker, nvars, horner, shape):
+    rng = random.Random(65 + nvars)
+    (pd, pn, pb), (qd, qn, qb) = shape
+    p = _form(rng, nvars, pd, _signed(pb), pn)
+    qs = [_form(rng, nvars, qd, _signed(qb), qn) for _ in range(nvars)]
+    assert (len(p.terms) > max(len(q.terms) for q in qs)) == horner
+    got = p.compose(qs)
+    assert any(kronecker)
+    R, xs = _ring_of(nvars)
+    want = _in_ring(R, p).compose(list(zip(xs, (_in_ring(R, q) for q in qs))))
+    assert _ring_dict(got) == dict(want)
+
+
+def test_pow_takes_the_kronecker_route(kronecker):
+    rng = random.Random(66)
+    a = _form(rng, 3, 5, _signed(9))
+    R, _ = _ring_of(3)
+    assert _ring_dict(a**9) == dict(_in_ring(R, a) ** 9)
+    assert any(kronecker)
+
+
+def test_pow_term_cap():
+    old = get_term_cap()
+    set_term_cap(50)
+    try:
+        # a monomial power has one term whatever its degree
+        assert P("z") ** 1000 == HomPoly.monomial(3, (1000, 0, 0))
+        # 41 multisets of 40 terms of z + w, though degree 40 allows 861 monomials
+        assert ((P("z") + P("w")) ** 40).term_count == 41
+        # degree 12 in 3 variables allows 91 monomials
+        with pytest.raises(ResourceLimit):
+            _ = P("z + w + t") ** 12
+    finally:
+        set_term_cap(old)
