@@ -410,7 +410,7 @@ class _OrbitRunner:
 
     def norm(self, w):
         if self.scale is None:
-            return math.sqrt(sum(abs(complex(x)) ** 2 for x in w))
+            return _float_norm(w)
         return math.sqrt(sum(r * r + i * i for r, i in w) / (1 << 2 * self.scale))
 
     def start(self, z):

@@ -21,6 +21,7 @@ from .polycore import (
     IntPrimitiveForm,
     NotDivisible,
     ParseError,
+    _dint_normalize,
     exact_div,
     int_primitive,
     parse_poly,
@@ -84,27 +85,36 @@ def _default_names(nvars: int) -> tuple:
 def _tuple_primitive(comps: Sequence[HomPoly]) -> tuple:
     """Normalize a lifting tuple: (common rational content, primitive tuple).
 
-    The returned components have integer coefficients with no common
-    rational content across the tuple, and the first nonzero component
-    has a positive leading coefficient.  content * tuple == input.
+    All terms of the tuple are normalized as one dict keyed by
+    (-index, exponents), so the returned components have integer
+    coefficients with gcd 1 across the tuple, and the key's maximum,
+    the leading term of the first nonzero component, is positive.
+    content * tuple == input.
     """
-    import math
-
-    forms = [None if c.is_zero else int_primitive(c) for c in comps]
-    live = [f for f in forms if f is not None]
-    if not live:
+    d = {(-i, e): c for i, comp in enumerate(comps) for e, c in comp.terms}
+    if not d:
         raise AllZero("all components are zero")
-    num = 0
-    den = 1
-    for f in live:
-        num = math.gcd(num, abs(f.content.numerator))
-        den = den * f.content.denominator // math.gcd(den, f.content.denominator)
-    content = Fraction(num, den)
-    if live[0].content < 0:
-        content = -content
-    inv = 1 / content
-    out = tuple(c * inv for c in comps)
+    content, ints = _dint_normalize(d)
+    out = tuple(
+        HomPoly._new(c.nvars, {e: ints[-i, e] for e, _ in c.terms}, c._degree)
+        for i, c in enumerate(comps)
+    )
     return content, out
+
+
+def _extract(comps: tuple, factor: HomPoly) -> tuple:
+    """Divide out the gcd of comps and normalize the tuple.
+
+    `factor` is what the caller has already divided out of comps.
+    Returns (E, primitive tuple) with E.primitive = factor * gcd, so
+    E.content * E.primitive * tuple == factor * comps.
+    """
+    rest = poly_gcd_many(comps)
+    if rest.degree > 0:
+        factor = factor * rest
+        comps = tuple(exact_div(c, rest) for c in comps)
+    content, comps = _tuple_primitive(comps)
+    return IntPrimitiveForm(content, factor), comps
 
 
 @dataclass(frozen=True)
@@ -260,7 +270,8 @@ def make_map(components: Sequence[HomPoly], names: Optional[Sequence[str]] = Non
     """Build a dominant projective map from a lifting, primitivizing it.
 
     The common polynomial factor and common rational content are
-    divided out and recorded; dominance is certified by the jacobian
+    divided out by `_extract`, the helper of every iteration step, and
+    recorded as the normalization; dominance is certified by the jacobian
     determinant of the primitive lifting being nonzero (checked at
     exact rational probe points first, symbolically on a miss).
     """
@@ -282,13 +293,9 @@ def make_map(components: Sequence[HomPoly], names: Optional[Sequence[str]] = Non
     if len(live) < len(comps):
         # a vanishing component confines the image to a hyperplane
         raise NotDominant("a zero component forces a degenerate image")
-    g = poly_gcd_many(comps)
-    if g.degree > 0:
-        comps = tuple(exact_div(c, g) for c in comps)
-    content, comps = _tuple_primitive(comps)
+    record, comps = _extract(comps, HomPoly.one(nv))
     if not _is_dominant(comps):
         raise NotDominant("jacobian determinant of the lifting vanishes identically")
-    record = IntPrimitiveForm(content, g)
     nm = tuple(names) if names is not None else _default_names(nv)
     if len(nm) != nv:
         raise ArityMismatch(f"{nv} variable names required, got {len(nm)}")
@@ -303,7 +310,8 @@ def compose_extract(f: ProjMap, lifting: Sequence[HomPoly], hint: Optional[HomPo
 
     Returns (E, next_lifting) with E an IntPrimitiveForm such that
     E.content * E.primitive * next_lifting reproduces the composed
-    components exactly.  `hint` is an optional divisor candidate: if it
+    components exactly; `_extract` takes out the gcd and normalizes,
+    as in `make_map`.  `hint` is an optional divisor candidate: if it
     divides every composed component, E.primitive is its primitive part
     times the gcd of the quotients, canonical by Gauss's lemma; a hint
     that does not divide is dropped and only costs time.
@@ -320,12 +328,7 @@ def compose_extract(f: ProjMap, lifting: Sequence[HomPoly], hint: Optional[HomPo
             g = h
         except NotDivisible:
             pass
-    rest = poly_gcd_many(quot)
-    if rest.degree > 0:
-        g = g * rest
-        quot = tuple(exact_div(q, rest) for q in quot)
-    content, nxt = _tuple_primitive(quot)
-    return IntPrimitiveForm(content, g), nxt
+    return _extract(quot, g)
 
 
 def iterate_degrees(f: ProjMap, N: int) -> IterationTrace:
@@ -350,9 +353,8 @@ def iterate_degrees(f: ProjMap, N: int) -> IterationTrace:
     for n in range(1, N + 1):
         hint = None
         if first_nontrivial is not None and n > first_nontrivial:
-            m = n - first_nontrivial  # = n - n0 - 1
-            if 0 <= m < len(liftings):
-                hint = H.compose(liftings[m])
+            # n - n0 - 1 lies in 1..n-1, so the lifting is already known
+            hint = H.compose(liftings[n - first_nontrivial])
         E, cur = compose_extract(f, cur, hint=hint)
         if first_nontrivial is None and E.primitive.degree > 0:
             first_nontrivial = n
@@ -369,8 +371,7 @@ def _check_trace(trace: IterationTrace) -> None:
     d = trace.map.degree
     for n in range(1, trace.depth + 1):
         e = trace.extracted[n - 1]
-        edeg = 0 if e.primitive.degree == 0 else e.primitive.degree
-        assert trace.degrees[n] == d * trace.degrees[n - 1] - edeg, (
+        assert trace.degrees[n] == d * trace.degrees[n - 1] - e.primitive.degree, (
             "degree bookkeeping violated at step %d" % n
         )
 
@@ -420,37 +421,21 @@ def verify_lifting_recurrence(
     """Cross-check the power-divisor recurrence at step n.
 
     Tests that F_{n-1} composed after F equals H^{d(f^{n-n0-1})} times
-    F_n, component-wise, up to one common rational scalar (the
-    liftings are pinned to primitive form, so the scalar freedom of
-    the recurrence collapses to a single constant).
+    F_n, component-wise, up to one common rational scalar: the
+    quotients, put in the canonical tuple form of `_tuple_primitive`,
+    must equal the stored F_n, which is already in that form.
     """
     if not cert.n0 < n <= min(cert.verified_to, trace.depth):
         raise IndexOutOfRange(
             f"step {n} outside the verified range ({cert.n0}, {cert.verified_to}]"
         )
     lhs = tuple(c.compose(f.components) for c in trace.lifting(n - 1))
-    power = cert.degrees[n - cert.n0 - 1]
-    divisor = cert.H**power
-    fn = trace.lifting(n)
-    scalar = None
-    for left, comp in zip(lhs, fn):
-        try:
-            q = exact_div(left, divisor)
-        except NotDivisible:
-            return False
-        if q.is_zero != comp.is_zero:
-            return False
-        if q.is_zero:
-            continue
-        qi, ci = int_primitive(q), int_primitive(comp)
-        if qi.primitive != ci.primitive:
-            return False
-        ratio = qi.content / ci.content
-        if scalar is None:
-            scalar = ratio
-        elif ratio != scalar:
-            return False
-    return scalar is not None
+    divisor = cert.H ** cert.degrees[n - cert.n0 - 1]
+    try:
+        quot = _tuple_primitive(tuple(exact_div(left, divisor) for left in lhs))[1]
+    except (NotDivisible, AllZero):
+        return False
+    return quot == trace.lifting(n)
 
 
 # -- point evaluation -----------------------------------------------------------

@@ -365,6 +365,8 @@ class HomPoly:
 
         All substituted polynomials must share an arity and (when
         nonzero) a common degree, so the result stays homogeneous.
+        The sum is formed by Horner's rule in each variable in turn
+        (`_horner`), whatever the term counts of either side.
         """
         comps = tuple(comps)
         if len(comps) != self.nvars:
@@ -394,17 +396,7 @@ class HomPoly:
         # every intermediate below is homogeneous of degree <= out_deg
         width = _field_width(out_deg)
         powers = [{0: {0: 1}, 1: _pack_dict(dict(q.terms), width)} for q in comps]
-        if len(self.terms) > max(len(q.terms) for q in comps):
-            # self is the large side: Horner keeps every product large x small
-            acc = _horner(self.terms, 0, len(self.terms), 0, powers, width, nv2)
-        else:
-            acc = {}
-            for exps, coeff in self.terms:
-                term = {0: 1}
-                for i, e in enumerate(exps):
-                    if e:
-                        term = _pmul(term, _ppower(powers[i], e, width, nv2), width, nv2)
-                _pacc(acc, term, coeff)
+        acc = _horner(self.terms, 0, len(self.terms), 0, powers, width, nv2)
         return HomPoly._new(nv2, _unpack_dict(acc, nv2, width), out_deg)
 
     def partial(self, index: int) -> "HomPoly":
@@ -584,11 +576,11 @@ def _kmul(a: dict, b: dict, width: int, nvars: int) -> dict | None:
     return out
 
 
-def _pacc(acc: dict, d: dict, c=1) -> None:
-    """acc += c * d in place, for packed term dicts."""
+def _pacc(acc: dict, d: dict) -> None:
+    """acc += d in place, for packed term dicts."""
     get = acc.get
     for k, v in d.items():
-        s = get(k, 0) + c * v
+        s = get(k, 0) + v
         if s:
             acc[k] = s
         elif k in acc:
@@ -616,8 +608,8 @@ def _horner(terms, lo: int, hi: int, i: int, powers: list, width: int, nvars: in
     The slice is in descending order and its exponents agree before slot
     i, so it splits into runs of equal e_i.  Horner's rule in variable i
     multiplies the running sum by a power of q_i between runs.  In the
-    last slot homogeneity leaves a single term, which takes a cached
-    power.
+    last slot homogeneity leaves a single term, scaled from q_last^(e_last).
+    Powers are memoised in powers[i] by `_ppower`.
     """
     if i == len(powers) - 1:
         e, c = terms[lo]
@@ -730,29 +722,30 @@ def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
     """Return (content, integer dict) with content * dict == input.
 
     The integer dict has coprime coefficients; the content carries the
-    sign of the graded-lex leading coefficient so the leading
-    coefficient of the returned dict is positive.
+    sign of the coefficient at the largest key (the graded-lex leading
+    term of a homogeneous dict), so that coefficient of the returned
+    dict is positive.  Any ordered keys will do: `mapiter` normalizes a
+    whole lifting tuple under (-index, exponents).
     """
     if not d:
         raise DivisionByZero("zero polynomial has no primitive form")
+    # one pass: type() first, since isinstance on the Fraction ABC is slow for ints
+    gcd = math.gcd
     denom_lcm = 1
-    for c in d.values():
-        if isinstance(c, Fraction):
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     num_gcd = 0
     for c in d.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator) if isinstance(c, Fraction) else abs(c))
-    lead = d[max(d)]
-    sign = 1 if (lead > 0) else -1
-    content = Fraction(sign * num_gcd, denom_lcm)
-    div = sign * num_gcd
-    out = {}
-    for e, c in d.items():
-        if isinstance(c, Fraction):
-            out[e] = c.numerator * (denom_lcm // c.denominator) // div
+        if type(c) is int:
+            num_gcd = gcd(num_gcd, c)
         else:
-            out[e] = int(c) * denom_lcm // div
-    return content, out
+            q = c.denominator
+            denom_lcm = denom_lcm * q // gcd(denom_lcm, q)
+            num_gcd = gcd(num_gcd, c.numerator)
+    div = num_gcd if d[max(d)] > 0 else -num_gcd
+    out = {
+        e: (c * denom_lcm if type(c) is int else c.numerator * (denom_lcm // c.denominator)) // div
+        for e, c in d.items()
+    }
+    return Fraction(div, denom_lcm), out
 
 
 # -- modular GCD (Brown, JACM 18, 1971) ----------------------------------------
@@ -1099,12 +1092,10 @@ def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
     mono = HomPoly.monomial(nv, shared)
 
     def finish(g: dict) -> HomPoly:
-        _, g = _dint_normalize(g)
-        deg = max(sum(e) for e in g)
-        gp = HomPoly._new(nv, g, deg)
-        if any(shared):
-            gp = gp * mono
-        return int_primitive(gp).primitive
+        # the engine's answer is primitive with a positive leading
+        # coefficient, and a monomial factor keeps both
+        gp = HomPoly._new(nv, g, max(sum(e) for e in g))
+        return gp * mono if any(shared) else gp
 
     unit = {(0,) * nv: 1}
     if len(da) == 1 and not any(next(iter(da))):

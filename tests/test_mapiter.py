@@ -5,6 +5,9 @@ with a primitive pseudo-remainder-sequence GCD (the reference kept in
 tests/test_polycore.py) and are frozen here as exact values.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from projdyn.polycore import (
@@ -20,6 +23,7 @@ from projdyn.polycore import (
 from projdyn.mapiter import (
     AllZero,
     IndexOutOfRange,
+    IterationTrace,
     NotDominant,
     ZeroVector,
     certificate_digest,
@@ -33,6 +37,7 @@ from projdyn.mapiter import (
     point_class,
     save_map,
     verify_lifting_recurrence,
+    _tuple_primitive,
 )
 
 NAMES = ("z", "w", "t")
@@ -263,6 +268,67 @@ def test_power_divisor_recurrence_detects_mismatch(cubic_lag1):
         degrees=cert.degrees,
     )
     assert not verify_lifting_recurrence(f, wrong, tr, 2)
+
+
+def _with_lifting(tr, n, comps):
+    """The trace with lifting n replaced by comps."""
+    liftings = tr.liftings[:n] + (tuple(comps),) + tr.liftings[n + 1 :]
+    return IterationTrace(tr.map, liftings, tr.degrees, tr.extracted)
+
+
+def test_power_divisor_recurrence_rejects_per_component_scalars(cubic_lag1):
+    f = cubic_lag1
+    tr = iterate_degrees(f, 4)
+    cert = infer_qas(tr).certificate
+    for n in (2, 3):
+        comps = tr.lifting(n)
+        assert all(not c.is_zero for c in comps)
+        # each component matches the quotient up to a scalar, but not one scalar
+        scaled = (comps[0] * 2,) + comps[1:]
+        assert not verify_lifting_recurrence(f, cert, _with_lifting(tr, n, scaled), n)
+        assert verify_lifting_recurrence(f, cert, tr, n)
+
+
+def test_power_divisor_recurrence_rejects_other_zero_pattern(cubic_lag1):
+    f = cubic_lag1
+    tr = iterate_degrees(f, 4)
+    cert = infer_qas(tr).certificate
+    comps = tr.lifting(3)
+    zeroed = comps[:1] + (HomPoly.zero(3),) + comps[2:]
+    assert not verify_lifting_recurrence(f, cert, _with_lifting(tr, 3, zeroed), 3)
+
+
+@pytest.mark.parametrize(
+    "comps",
+    [
+        # zero first component: the second one's leading coefficient fixes the sign
+        (HomPoly.zero(3), HomPoly(3, [((2, 0, 0), Fraction(-3, 4)), ((0, 1, 1), Fraction(9, 10))]),
+         HomPoly(3, [((0, 0, 2), Fraction(3, 2))])),
+        # mixed denominators, negative leading coefficient of the first component
+        (HomPoly(3, [((1, 1, 0), Fraction(-5, 6)), ((0, 0, 2), Fraction(10, 9))]),
+         HomPoly(3, [((0, 2, 0), Fraction(15, 4))]),
+         HomPoly(3, [((2, 0, 0), 20), ((1, 0, 1), Fraction(-25, 3))])),
+        # integers only, the first component negative and the later ones positive
+        (HomPoly(3, [((0, 1, 0), -6)]), HomPoly(3, [((1, 0, 0), 4)]), HomPoly(3, [((0, 0, 1), 10)])),
+    ],
+)
+def test_tuple_primitive_normal_form(comps):
+    content, prim = _tuple_primitive(comps)
+    assert tuple(c * content for c in prim) == comps
+    coeffs = [c for q in prim for _, c in q.terms]
+    assert all(type(c) is int for c in coeffs)
+    assert math.gcd(*coeffs) == 1
+    assert [q.is_zero for q in prim] == [c.is_zero for c in comps]
+    # the leading term of the first nonzero component is positive
+    lead = next(q for q in prim if not q.is_zero).terms[0][1]
+    assert lead > 0
+    first = next(c for c in comps if not c.is_zero).terms[0][1]
+    assert (content > 0) == (first > 0)
+
+
+def test_tuple_primitive_of_zeros_raises():
+    with pytest.raises(AllZero):
+        _tuple_primitive((HomPoly.zero(3),) * 3)
 
 
 def test_lag1_depth_two_is_inconclusive(cubic_lag1):

@@ -518,8 +518,8 @@ def test_compose_matches_sympy_both_directions(nvars):
         small = [_random_form(rng, nvars, 2, 3) for _ in range(nvars)]
         large_subs = [_random_form(rng, nvars, 3, 15) for _ in range(nvars)]
         little = _random_form(rng, nvars, 2, 3)
-        # a many-term form of few-term substitutes (Horner's rule), and
-        # the reverse (cached powers of the substitutes)
+        # a many-term form of few-term substitutes, and a few-term form
+        # of many-term substitutes
         assert len(big.terms) > max(len(q.terms) for q in small)
         assert len(little.terms) <= max(len(q.terms) for q in large_subs)
         for p, qs in ((big, small), (little, large_subs)):
@@ -530,9 +530,9 @@ def test_compose_matches_sympy_both_directions(nvars):
 def test_compose_with_zero_substitutes_matches_sympy():
     rng = random.Random(2024)
     xs = _symbols(3)
-    for horner in (True, False):
-        p = _random_form(rng, 3, 4, 30 if horner else 2)
-        q = _random_form(rng, 3, 2, 3 if horner else 30)
+    for many_term_form in (True, False):
+        p = _random_form(rng, 3, 4, 30 if many_term_form else 2)
+        q = _random_form(rng, 3, 2, 3 if many_term_form else 30)
         for zeros in ((0,), (1,), (2,), (0, 2)):
             qs = [HomPoly.zero(3) if i in zeros else q for i in range(3)]
             sub = dict(zip(xs, (_to_sympy(s, xs) for s in qs)))
@@ -827,23 +827,22 @@ def test_inhomogeneous_product_stays_on_the_loop(kronecker):
 
 
 @pytest.mark.parametrize(
-    "nvars, horner, shape",
+    "nvars, many_term_form, shape",
     [
         # (degree, terms, coefficient bound) of the form, then of its substitutes;
-        # Horner's rule when the form has more terms than every substitute,
-        # else cached powers of the substitutes
+        # many_term_form when the form has more terms than every substitute
         (3, True, ((6, None, 2**70), (3, None, 30))),
         (3, False, ((9, 2, 2**70), (4, None, 30))),
         (4, True, ((4, None, 3), (5, 30, 2))),
         (4, False, ((6, 3, 9), (3, None, 3))),
     ],
 )
-def test_compose_through_kronecker_matches_sympy(kronecker, nvars, horner, shape):
+def test_compose_through_kronecker_matches_sympy(kronecker, nvars, many_term_form, shape):
     rng = random.Random(65 + nvars)
     (pd, pn, pb), (qd, qn, qb) = shape
     p = _form(rng, nvars, pd, _signed(pb), pn)
     qs = [_form(rng, nvars, qd, _signed(qb), qn) for _ in range(nvars)]
-    assert (len(p.terms) > max(len(q.terms) for q in qs)) == horner
+    assert (len(p.terms) > max(len(q.terms) for q in qs)) == many_term_form
     got = p.compose(qs)
     assert any(kronecker)
     R, xs = _ring_of(nvars)
