@@ -31,13 +31,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .mapiter import NotDominant, ProjMap, _rref, make_map, map_to_text
+from .mapiter import (
+    NotDominant,
+    ProjMap,
+    _directives,
+    _jacobian,
+    _jacobian_at,
+    _rref,
+    make_map,
+    map_to_text,
+)
 from .polycore import (
     HomPoly,
     ParseError,
+    _dint_normalize,
     _is_prime,
     _modp_gcd,
     _quo,
+    coprime_certificate,
     int_primitive,
     parse_poly,
     poly_gcd,
@@ -186,7 +197,7 @@ def build_family_map(P, Q1, Q2, Q3, R, names: Optional[Sequence[str]] = None) ->
         raise DegreeConstraintViolated(
             f"deg R = {R.degree} does not equal deg P + deg Q1 = {P.degree + dq}"
         )
-    one = (Fraction(1), Fraction(1), Fraction(1))
+    one = (1, 1, 1)
     pv = P.evaluate(one)
     rv = R.evaluate(one)
     if rv == 0:
@@ -213,16 +224,10 @@ def build_family_map(P, Q1, Q2, Q3, R, names: Optional[Sequence[str]] = None) ->
 # -- first check: exact coprimality -----------------------------------------------
 
 
-def _is_coprime_pair(a: HomPoly, b: HomPoly) -> bool:
-    if a.is_zero or b.is_zero:
-        return False  # gcd is the other form, of positive degree
-    return poly_gcd(a, b).degree == 0
-
-
 def check_coprimality(inst: FamilyInstance) -> str:
     """PASS iff Q2-Q1, Q3-Q1 are coprime and P, R are coprime.  Exact."""
-    ok = _is_coprime_pair(inst.Q2 - inst.Q1, inst.Q3 - inst.Q1) and _is_coprime_pair(inst.P, inst.R)
-    return PASS if ok else FAIL
+    pairs = ((inst.Q2 - inst.Q1, inst.Q3 - inst.Q1), (inst.P, inst.R))
+    return PASS if all(coprime_certificate(a, b) for a, b in pairs) else FAIL
 
 
 # -- exact univariate toolkit (dense lists, low degree first) ---------------------
@@ -586,15 +591,6 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
 # -- third check: rank and pencil -----------------------------------------------------
 
 
-def _jacobian_rows_at_one(inst: FamilyInstance):
-    one = (Fraction(1), Fraction(1), Fraction(1))
-    comps = [inst.P * q - inst.R for q in (inst.Q1, inst.Q2, inst.Q3)]
-    rows = []
-    for comp in comps:
-        rows.append([Fraction(comp.partial(j).evaluate(one)) for j in range(3)])
-    return rows
-
-
 def _pencil_kernel_witness(inst: FamilyInstance):
     """Exact witness (a, b, c) with P dividing a Q1 + b Q2 + c Q3, or None."""
     dp, dq = inst.P.degree, inst.Q1.degree
@@ -620,15 +616,11 @@ def _pencil_kernel_witness(inst: FamilyInstance):
     vec[fc] = Fraction(1)
     for rr, pc in zip(rref, pivots):
         vec[pc] = -rr[fc]
-    abc = tuple(vec[:3])
-    assert any(x != 0 for x in abc), "kernel vector with zero pencil part"
-    lcm = math.lcm(*(x.denominator for x in abc))
-    scaled = [int(x * lcm) for x in abc]
-    g = math.gcd(*(abs(x) for x in scaled))
-    scaled = [x // g for x in scaled]
-    if next(x for x in scaled if x) < 0:
-        scaled = [-x for x in scaled]
-    return tuple(scaled)
+    head = {-i: x for i, x in enumerate(vec[:3]) if x}
+    assert head, "kernel vector with zero pencil part"
+    # coprime ints whose first nonzero entry, the largest key, is positive
+    _, head = _dint_normalize(head)
+    return tuple(head.get(-i, 0) for i in range(3))
 
 
 def _monomials(deg):
@@ -660,7 +652,7 @@ def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0
     any hit is an exact FAIL with the witness triple, and a PASS is
     only as strong as the sampling.
     """
-    rows = _jacobian_rows_at_one(inst)
+    rows = _jacobian_at(_jacobian(inst.map.components), (1, 1, 1))
     for row in rows:
         assert sum(row) == 0, "jacobian row not orthogonal to (1,1,1)"
     _, pivots = _rref(rows)
@@ -721,7 +713,7 @@ def random_family(deg_p: int, deg_q: int, coeff_bound: int, seed: int) -> Family
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     rng = random.Random(seed)
-    one = (Fraction(1), Fraction(1), Fraction(1))
+    one = (1, 1, 1)
     for _ in range(400):
         P = random_hompoly(rng, 3, deg_p, 6, coeff_bound)
         if P.is_zero or P.evaluate(one) == 0:
@@ -749,7 +741,7 @@ def random_family(deg_p: int, deg_q: int, coeff_bound: int, seed: int) -> Family
 
 
 def _calibrate(p: HomPoly, target, mono):
-    one = (Fraction(1), Fraction(1), Fraction(1))
+    one = (1, 1, 1)
     delta = target - p.evaluate(one)
     if delta:
         p = p + HomPoly.monomial(3, mono) * int(delta)
@@ -768,7 +760,7 @@ def sample_divisor_points(inst: FamilyInstance, count: int, seed: int = 0):
     """
     P = inst.P
     rng = random.Random(seed)
-    x = next((x for x in range(3) if _deg_in_var(P, x) == 1), 2)
+    x = next((x for x in range(3) if max(e[x] for e, _ in P.terms) == 1), 2)
     out = []
     tries = 0
     while len(out) < count and tries < 60 * count:
@@ -784,10 +776,6 @@ def sample_divisor_points(inst: FamilyInstance, count: int, seed: int = 0):
         assert P.evaluate(pt) == 0
         out.append(pt)
     return out
-
-
-def _deg_in_var(p: HomPoly, x: int) -> int:
-    return max((e[x] for e, _ in p.terms), default=0)
 
 
 def _specialize_to_var(p: HomPoly, x: int, vals):
@@ -819,13 +807,11 @@ def parse_family_text(text: str) -> FamilyInstance:
     names = None
     maps = []
     forms = {}
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, body = line.partition(" ")
+    for lineno, head, body in _directives(text):
         if head == "vars":
-            names = tuple(line.split()[1:])
+            if names is not None:
+                raise ParseError(f"line {lineno}: duplicate vars line")
+            names = tuple(body.split())
             if len(names) != 3:
                 raise ParseError(f"line {lineno}: need exactly three variables")
         elif head == "map":

@@ -208,9 +208,17 @@ class PointClass:
 
 def jacobian_det(comps: Sequence[HomPoly]) -> HomPoly:
     """Determinant of the jacobian matrix of a polynomial tuple."""
-    n = len(comps)
-    rows = [[c.partial(j) for j in range(n)] for c in comps]
-    return _det(rows, list(range(n)), comps[0].nvars)
+    return _det(_jacobian(comps), list(range(len(comps))), comps[0].nvars)
+
+
+def _jacobian(comps: Sequence[HomPoly]) -> list:
+    """Rows of partial derivatives, one row per component."""
+    return [[c.partial(j) for j in range(len(comps))] for c in comps]
+
+
+def _jacobian_at(rows, point) -> list:
+    """The exact Fraction values of a matrix of polynomials at a rational point."""
+    return [[entry.evaluate(point) for entry in row] for row in rows]
 
 
 def _det(rows, cols, nvars: int) -> HomPoly:
@@ -232,12 +240,10 @@ _PROBE_POINTS = ((2, 3, 5, 7, 11, 13), (-7, 11, -13, 17, 19, -23), (5, -2, 9, -4
 def _is_dominant(comps: Sequence[HomPoly]) -> bool:
     n = len(comps)
     nv = comps[0].nvars
-    rows = [[c.partial(j) for j in range(n)] for c in comps]
+    rows = _jacobian(comps)
     # a full-rank jacobian at any rational point settles it
     for pt in _PROBE_POINTS:
-        point = pt[:nv]
-        mat = [[Fraction(entry.evaluate(point)) for entry in row] for row in rows]
-        if len(_rref(mat)[1]) == n:
+        if len(_rref(_jacobian_at(rows, pt[:nv]))[1]) == n:
             return True
     return not _det(rows, list(range(n)), nv).is_zero
 
@@ -458,6 +464,18 @@ def point_class(f: ProjMap, point: Sequence) -> PointClass:
 # -- map files ------------------------------------------------------------------
 
 
+def _directives(text: str):
+    """(line number, head, body) of each line that is not blank once '#' comments go.
+
+    The head is the line's first whitespace-separated token and the
+    body the rest, so a directive is matched whole, never by prefix.
+    """
+    for lineno, rawline in enumerate(text.splitlines(), start=1):
+        words = rawline.split("#", 1)[0].split(None, 1)
+        if words:
+            yield lineno, words[0], words[1] if len(words) > 1 else ""
+
+
 def parse_map_text(text: str) -> ProjMap:
     """Parse the line-oriented map format.
 
@@ -466,22 +484,19 @@ def parse_map_text(text: str) -> ProjMap:
     """
     names = None
     comps = []
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vars"):
+    for lineno, head, body in _directives(text):
+        if head == "vars":
             if names is not None:
                 raise ParseError(f"line {lineno}: duplicate vars line")
-            names = tuple(line.split()[1:])
+            names = tuple(body.split())
             if len(names) < 2:
                 raise ParseError(f"line {lineno}: need at least two variables")
-        elif line.startswith("map"):
+        elif head == "map":
             if names is None:
                 raise ParseError(f"line {lineno}: vars line must come first")
-            comps.append(parse_poly(line[3:], names))
+            comps.append(parse_poly(body, names))
         else:
-            raise ParseError(f"line {lineno}: expected 'vars' or 'map', got {line!r}")
+            raise ParseError(f"line {lineno}: expected 'vars' or 'map', got {head!r}")
     if names is None:
         raise ParseError("missing vars line")
     if len(comps) != len(names):

@@ -17,12 +17,13 @@ canonical.
 
 The module provides construction, ring arithmetic, composition, formal
 partial derivatives, exact evaluation, a strict text grammar with a
-canonical printer, exact division, and a multivariate GCD.  The GCD
-strips the monomial content and runs one dense modular engine (Brown's
-algorithm over GF(p), combined by CRT), whose answer divides both
-inputs exactly and is proved maximal from leading monomials; a divisor
-of the other input is found the same way.  Coprimality is decided by
-the same GCD.
+canonical printer, exact division, and a multivariate GCD of any
+number of members.  The GCD strips each member's monomial content and
+makes one run of a dense modular engine over every member (Brown's
+algorithm over GF(p), combined by CRT), whose answer divides each
+member exactly and is proved maximal from leading monomials; a member
+that divides the others is found the same way.  Coprimality is decided
+by the same GCD.
 
 Everything here is immutable and deterministic.  Operations whose
 result would exceed a configurable term cap abort with `ResourceLimit`
@@ -36,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 
@@ -851,12 +852,13 @@ def _modp_quo(u: list[int], d: list[int], p: int) -> list[int]:
 
 
 def _modp_content(polys: Iterable[list[int]], p: int) -> list[int]:
-    """Monic gcd of univariate polynomials over GF(p)."""
-    g: list[int] = []
-    for u in polys:
-        g = _modp_gcd(g, u, p)
+    """Monic gcd over GF(p) of one or more univariate polynomials, folded from the first."""
+    it = iter(polys)
+    g = _modp_gcd(next(it), next(it, []), p)
+    for u in it:
         if len(g) == 1:
             break
+        g = _modp_gcd(g, u, p)
     return g
 
 
@@ -871,12 +873,12 @@ def _split_last(d: dict) -> dict:
     return out
 
 
-def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
-    """Monic gcd over GF(p) of nonzero dicts keyed by k-tuples, k >= 1.
+def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
+    """Monic gcd over GF(p) of two or more nonzero dicts keyed by k-tuples, k >= 1.
 
-    Brown's dense recursion: view a and b in GF(p)[x_k][x_1..x_{k-1}],
+    Brown's dense recursion: view every member in GF(p)[x_k][x_1..x_{k-1}],
     evaluate x_k at drawn points, recurse, scale each image by lam, the
-    gcd of the x_k-coefficients of the two lex-leading monomials, and
+    gcd of the x_k-coefficients of the members' lex-leading monomials, and
     Newton-interpolate.  The gcd g divides every image and keeps its
     lex-leading monomial where lam does not vanish, so an image has the
     monomial of g or a larger one.  A larger one is unlucky and dropped,
@@ -888,40 +890,40 @@ def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
     lex-leading monomial than g.  A constant image has the smallest
     monomial, so it puts g in GF(p)[x_k], where g is the content gcd.
     """
-    k = len(next(iter(a)))
-    ua, ub = _split_last(a), _split_last(b)
+    k = len(next(iter(polys[0])))
+    us = [_split_last(d) for d in polys]
     if k == 1:
-        g = _modp_gcd(ua[()], ub[()], p)
+        g = _modp_content([u[()] for u in us], p)
         return {(j,): c for j, c in enumerate(g) if c}
-    lam = _modp_gcd(ua[max(ua)], ub[max(ub)], p)
+    lam = _modp_content([u[max(u)] for u in us], p)
     # drawn, not counted: a fixed point can be unlucky at every prime
     rng = _PointRng(p + k)
-    # deg_k g is at most the degree of gcd(a, b) in x_k at any point of
-    # the other variables where the x_k-leading coefficient of a stays
-    # nonzero, since that of g divides it
+    # deg_k g is at most the degree of the members' gcd in x_k at any
+    # point of the other variables where the x_k-leading coefficient of
+    # the first member stays nonzero, since that of g divides it
     last = k - 1
     while True:
         vals = {i: rng.next_int(0, p - 1) for i in range(last)}
-        at = _specialize_univar(a, last, vals, p)
+        at = _specialize_univar(polys[0], last, vals, p)
         if at[-1]:
             break
-    points = len(lam) + len(_modp_gcd(at, _specialize_univar(b, last, vals, p), p)) - 1
-    la, lb = max(map(len, ua.values())), max(map(len, ub.values()))
-    content = _modp_content(chain(ua.values(), ub.values()), p)
+    rest = (_specialize_univar(d, last, vals, p) for d in polys[1:])
+    points = len(lam) + len(_modp_content(chain([at], rest), p)) - 1
+    top = max(len(v) for u in us for v in u.values())
+    content = _modp_content(chain.from_iterable(u.values() for u in us), p)
     best, interp, mod = None, {}, [1]
     while len(mod) <= points:
         x = rng.next_int(0, p - 1)
-        pw = [1] * max(la, lb, points + 1)
+        pw = [1] * max(top, points + 1)
         for i in range(1, len(pw)):
             pw[i] = pw[i - 1] * x % p
         s = _modp_eval(lam, pw, p)
         if not s or not _modp_eval(mod, pw, p):
             continue
-        ea = {m: v for m, u in ua.items() if (v := _modp_eval(u, pw, p))}
-        eb = {m: v for m, u in ub.items() if (v := _modp_eval(u, pw, p))}
-        if not ea or not eb:
+        images = [{m: v for m, cu in u.items() if (v := _modp_eval(cu, pw, p))} for u in us]
+        if not all(images):
             continue
-        img = _modp_gcd_mv(ea, eb, p)
+        img = _modp_gcd_mv(images, p)
         lm = max(img)
         if not any(lm):
             return {(0,) * last + (j,): c for j, c in enumerate(content) if c}
@@ -945,44 +947,39 @@ def _modp_gcd_mv(a: dict, b: dict, p: int) -> dict:
     return {e: v for e, c in out.items() if (v := c * inv % p)}
 
 
-def _modular_gcd(a: dict, b: dict) -> dict:
-    """Primitive gcd of homogeneous integer dicts that no variable divides.
+def _modular_gcd(polys: Sequence[dict]) -> dict:
+    """Primitive gcd of two or more homogeneous integer dicts that no variable divides.
 
     Dehomogenizing the last variable preserves the gcd, because it
-    divides neither input.  Let gamma be the gcd of the two lex-leading
+    divides no member.  Let gamma be the gcd of the members' lex-leading
     coefficients.  Primes p run down from 2^61 - 1, skipping those that
     divide a lex-leading coefficient; gamma times the monic image mod p
     is combined by CRT in the symmetric range with earlier images of the
     same lex-leading monomial.  An image with a larger monomial is
     dropped and a smaller one restarts.  Once the CRT result stops
-    changing, its primitive part G, rehomogenized, is tried against both
-    inputs by exact division.
+    changing, its primitive part G, rehomogenized, is tried against
+    every member by exact division.
 
     Maximality.  Let g be the gcd over Z.  At a prime p that divides
-    neither lex-leading coefficient, p does not divide lc(g), so g mod p
+    no lex-leading coefficient, p does not divide lc(g), so g mod p
     keeps the lex-leading monomial LM(g), and it divides the gcd mod p;
     `_modp_gcd_mv` returns that gcd or a polynomial with a larger
     monomial.  So LM(g) <= L, the monomial of the images behind G, and
     LM(G) = L because the CRT coefficient there is gamma, which no prime
-    used divides.  G divides both inputs, hence g, so g / G has
+    used divides.  G divides every member, hence g, so g / G has
     lex-leading monomial LM(g) / L = 1 and is a constant.  For the same
     reason a constant image proves the gcd constant.
     """
-    k = len(next(iter(a))) - 1
-    a1 = {e[:k]: c for e, c in a.items()}
-    b1 = {e[:k]: c for e, c in b.items()}
-    la, lb = a1[max(a1)], b1[max(b1)]
-    gamma = math.gcd(la, lb)
+    k = len(next(iter(polys[0]))) - 1
+    ds = [{e[:k]: c for e, c in d.items()} for d in polys]
+    lcs = [d[max(d)] for d in ds]
+    gamma = math.gcd(*lcs)
     best, acc, mod = None, {}, 1
     # the first modulus is known prime; only the odd numbers below it are tested
     for p in chain((_TOP_PRIME,), filter(_is_prime, count(_TOP_PRIME - 2, -2))):
-        if la % p == 0 or lb % p == 0:
+        if any(c % p == 0 for c in lcs):
             continue
-        img = _modp_gcd_mv(
-            {e: v for e, c in a1.items() if (v := c % p)},
-            {e: v for e, c in b1.items() if (v := c % p)},
-            p,
-        )
+        img = _modp_gcd_mv([{e: v for e, c in d.items() if (v := c % p)} for d in ds], p)
         lm = max(img)
         if not any(lm):
             return {(0,) * (k + 1): 1}
@@ -1002,7 +999,7 @@ def _modular_gcd(a: dict, b: dict) -> dict:
             _, g = _dint_normalize(new)
             top = max(map(sum, g))
             g = {e + (top - sum(e),): c for e, c in g.items()}
-            if _dexact_div(a, g) is not None and _dexact_div(b, g) is not None:
+            if all(_dexact_div(d, g) is not None for d in polys):
                 return g
         acc = new
 
@@ -1066,61 +1063,45 @@ def exact_div(a: HomPoly, b: HomPoly) -> HomPoly:
 
 
 def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
-    """GCD in canonical primitive form (unit content, positive leading coefficient).
-
-    Strategy: strip the monomial content of each input and run the
-    modular engine `_modular_gcd`, which checks its answer by exact
-    division of both inputs and also proves a constant gcd.  Every
-    answer is exact; nothing unverified is ever returned.
-    """
+    """GCD of two polynomials by `poly_gcd_many`; gcd(0, 0) is undefined."""
     a._check_arity(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return int_primitive(b).primitive
-    if b.is_zero:
-        return int_primitive(a).primitive
-    nv = a.nvars
-    da, db = dict(a.terms), dict(b.terms)
-    min_a = [min(e[i] for e in da) for i in range(nv)]
-    min_b = [min(e[i] for e in db) for i in range(nv)]
-    shared = tuple(min(x, y) for x, y in zip(min_a, min_b))
-    da = {tuple(v - m for v, m in zip(e, min_a)): c for e, c in da.items()}
-    db = {tuple(v - m for v, m in zip(e, min_b)): c for e, c in db.items()}
-    _, da = _dint_normalize(da)
-    _, db = _dint_normalize(db)
-    mono = HomPoly.monomial(nv, shared)
-
-    def finish(g: dict) -> HomPoly:
-        # the engine's answer is primitive with a positive leading
-        # coefficient, and a monomial factor keeps both
-        gp = HomPoly._new(nv, g, max(sum(e) for e in g))
-        return gp * mono if any(shared) else gp
-
-    unit = {(0,) * nv: 1}
-    if len(da) == 1 and not any(next(iter(da))):
-        return finish(unit)
-    if len(db) == 1 and not any(next(iter(db))):
-        return finish(unit)
-    return finish(_modular_gcd(da, db))
+    return poly_gcd_many((a, b))
 
 
 def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:
-    """GCD of a family, folded pairwise smallest operands first, with an early unit exit."""
+    """GCD in canonical primitive form (unit content, positive leading coefficient).
+
+    Zero members are dropped, since they divide everything.  Each other
+    member loses its monomial content and is normalized once.  A member
+    that is then constant leaves only the shared monomial; otherwise one
+    run of the modular engine `_modular_gcd` over every member, which
+    checks its answer by exact division of each and also proves a
+    constant gcd, gives the rest.  Nothing unverified is ever returned.
+    """
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
         raise ValueError("gcd of an all-zero family is undefined")
+    nv = nonzero[0].nvars
     for p in nonzero[1:]:
         nonzero[0]._check_arity(p)
-    if any(p._degree == 0 for p in nonzero):
-        return HomPoly.one(nonzero[0].nvars)
-    nonzero.sort(key=lambda p: (p.term_count, p._degree))
-    g = int_primitive(nonzero[0]).primitive
-    for p in nonzero[1:]:
-        if g._degree == 0:
-            break
-        g = poly_gcd(g, p)
-    return g
+    lows = [tuple(map(min, zip(*(e for e, _ in p.terms)))) for p in nonzero]
+    shared = tuple(map(min, zip(*lows)))
+    members = [
+        _dint_normalize({tuple(map(sub, e, low)): c for e, c in p.terms})[1]
+        for p, low in zip(nonzero, lows)
+    ]
+    if len(members) == 1:
+        g = members[0]
+    elif any(len(d) == 1 for d in members):
+        g = {(0,) * nv: 1}
+    else:
+        g = _modular_gcd(members)
+    # the engine's answer is primitive with a positive leading
+    # coefficient, and a monomial factor keeps both
+    gp = HomPoly._new(nv, g, sum(next(iter(g))))
+    return gp * HomPoly.monomial(nv, shared) if any(shared) else gp
 
 
 def coprime_certificate(a: HomPoly, b: HomPoly) -> bool:
@@ -1131,12 +1112,11 @@ def coprime_certificate(a: HomPoly, b: HomPoly) -> bool:
 def coprime_certificate_many(polys: Sequence[HomPoly]) -> bool:
     """True iff the nonzero members exist and share no nonconstant factor.
 
-    Exact: the answer is whether `poly_gcd_many` of the nonzero members
-    has degree 0.  Zero members are ignored (they divide everything), so
-    an all-zero family gives False.
+    Exact: the answer is whether `poly_gcd_many`, one engine run over
+    the nonzero members, has degree 0.  Zero members are ignored (they
+    divide everything), so an all-zero family gives False.
     """
-    live = [p for p in polys if not p.is_zero]
-    return bool(live) and poly_gcd_many(live)._degree == 0
+    return any(not p.is_zero for p in polys) and poly_gcd_many(polys)._degree == 0
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from projdyn import (
     sample_divisor_points,
 )
 import projdyn.family2 as family2
-from projdyn.family2 import _jacobian_rows_at_one
+from projdyn.mapiter import _jacobian, _jacobian_at
 
 V = ("z", "w", "t")
 
@@ -391,7 +391,7 @@ def test_intersection_matches_oracle_on_fixtures(reference, stable, twisted, lin
 
 
 def test_jacobian_rows_and_rank_reference(reference):
-    rows = _jacobian_rows_at_one(reference)
+    rows = _jacobian_at(_jacobian(reference.map.components), (1, 1, 1))
     assert rows == [
         [Fraction(1), Fraction(0), Fraction(-1)],
         [Fraction(1), Fraction(-2), Fraction(1)],
@@ -588,6 +588,9 @@ def test_family_file_parses_without_map_lines(reference):
     assert inst.map.components == reference.map.components
 
 
+_TO_ABC = str.maketrans("zwt", "abc")
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -595,6 +598,8 @@ def test_family_file_parses_without_map_lines(reference):
         (lambda ls: ls + ["P z"], "duplicate"),
         (lambda ls: ["P z"] + ls, "vars line"),
         (lambda ls: ls + ["orbit z"], "unexpected directive"),
+        # forms after a second vars line would be read under its names
+        (lambda ls: ls[:4] + ["vars a b c"] + [l.translate(_TO_ABC) for l in ls[4:]], "duplicate vars"),
     ],
 )
 def test_family_file_rejects_malformed(reference, mutate, fragment):

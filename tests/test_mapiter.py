@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from projdyn import polycore
 from projdyn.polycore import (
     ArityMismatch,
     DegreeMismatch,
@@ -17,6 +18,7 @@ from projdyn.polycore import (
     ParseError,
     get_term_cap,
     parse_poly,
+    poly_gcd_many,
     poly_to_text,
     set_term_cap,
 )
@@ -175,6 +177,23 @@ def test_extracting_cubic_first_factors(cubic_extracting):
     assert e4.primitive.degree == 11
     assert len(e4.primitive.terms) == 25
     assert max(e4.primitive.terms)[0] == (6, 3, 2)
+
+
+def test_extracting_cubic_gcd_is_one_engine_run(cubic_extracting, monkeypatch):
+    # E_3, the gcd of the three components of F(F_2), is not a monomial,
+    # so a pairwise fold would run the modular engine once per later member
+    lifting = iterate_degrees(cubic_extracting, 2).liftings[2]
+    comps = [c.compose(lifting) for c in cubic_extracting.components]
+    calls = []
+    engine = polycore._modular_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(polycore, "_modular_gcd", counting)
+    assert poly_gcd_many(comps) == p("z^2*w*t^2 - z*w^3*t - z*w*t^3 + w^3*t^2")
+    assert len(calls) == 1
 
 
 def test_extracting_cubic_is_not_quasi_stable(cubic_extracting):
@@ -466,6 +485,8 @@ def test_map_file_round_trip(tmp_path, cubic_lag1):
         "vars z w t\nbogus line",
         "vars z\nmap z",
         "vars z w t\nvars z w t\nmap z\nmap w\nmap t",
+        "varsity z w t\nmap z\nmap w\nmap t",
+        "vars z w t\nmap w^2\nmapz^2\nmap t^2",
     ],
 )
 def test_map_text_errors(bad):

@@ -632,13 +632,44 @@ def test_gcd_matches_sympy_with_planted_factors(nvars):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_many_matches_sympy_on_larger_families(nvars):
+    rng = random.Random(4500 + nvars)
+    xs = _symbols(nvars)
+    for i in range(12):
+        kind = i % 4
+        if kind == 3:  # the only common factor is a monomial
+            exps = [rng.randint(0, 2) for _ in range(nvars)]
+            g = HomPoly.monomial(nvars, exps, rng.randint(1, 5))
+        else:
+            g = _random_form(rng, nvars, rng.randint(1, 2), 4)
+        count = rng.randint(4, 5)
+        members = [g * _random_form(rng, nvars, rng.randint(1, 2), 4) for _ in range(count)]
+        if kind == 0:  # zero members are dropped
+            members[1:1] = [HomPoly.zero(nvars)]
+            members.append(HomPoly.zero(nvars))
+        elif kind == 1:  # a constant member leaves the gcd 1
+            members.insert(2, HomPoly.constant(nvars, Fraction(-3, 2)))
+        elif kind == 2:  # a member that divides all the others
+            members.insert(rng.randint(0, len(members)), g * Fraction(-2, 7))
+        expect = sympy.gcd_list([_to_sympy(m, xs) for m in members if not m.is_zero])
+        got = poly_gcd_many(members)
+        assert got == int_primitive(got).primitive
+        assert same_up_to_scalar(got, HomPoly(nvars, _from_sympy(expect, xs).items()))
+        if kind == 1:
+            assert got == HomPoly.one(nvars)
+        elif kind == 2:
+            assert got == int_primitive(g).primitive
+
+
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_modp_gcd_with_unlucky_points_matches_sympy(nvars):
     """Mod 31, g * (x_1 + 1) and g * (x_1 + 1 + h) have the gcd g * (x_1 + 1)
     wherever h, a product of 12 linear factors in the last variable,
     vanishes.  Those images must be dropped, or restart the interpolation,
     for the result to be g.  When every point drawn is such a root, which
-    so small a prime allows, the result is g * (x_1 + 1), never a mixture."""
+    so small a prime allows, the result is g * (x_1 + 1), never a mixture.
+    A third member g * (x_1 + 1 + h * x_last) has the same unlucky points."""
     p = 31
     rng = random.Random(5000 + nvars)
     xs = _symbols(nvars)
@@ -654,26 +685,33 @@ def test_modp_gcd_with_unlucky_points_matches_sympy(nvars):
             out = _dmul(out, {var: 1, one: -r})
         return out
 
-    exact = 0
+    exact = exact3 = 0
     for _ in range(20):
         h = linears(last, 12)
         g = {e[:-1]: c for e, c in random_hompoly(rng, nvars + 1, rng.randint(1, 2), 3, 30).terms}
         a, b = modp(_dmul(g, x1)), modp(_dmul(g, _dadd(x1, h)))
-        got = _modp_gcd_mv(a, b, p)  # before sympy, which rewrites the dicts
+        third = modp(_dmul(g, _dadd(x1, _dmul(h, {last: 1}))))
+        # before sympy, which rewrites the dicts
+        got, got3 = _modp_gcd_mv([a, b], p), _modp_gcd_mv([a, b, third], p)
         ref = sympy.Poly.from_dict(a, *xs, modulus=p).gcd(sympy.Poly.from_dict(b, *xs, modulus=p))
-        unlucky = ref * sympy.Poly(xs[0] + 1, *xs, modulus=p)
-        ref, unlucky = (modp(q.monic().as_dict()) for q in (ref, unlucky))
-        assert got in (ref, unlucky)
-        exact += got == ref
-    assert exact >= 15
+        ref3 = ref.gcd(sympy.Poly.from_dict(third, *xs, modulus=p))
+        x1_poly = sympy.Poly(xs[0] + 1, *xs, modulus=p)
+        for out, q in ((got, ref), (got3, ref3)):
+            assert out in (modp(q.monic().as_dict()), modp((q * x1_poly).monic().as_dict()))
+        exact += got == modp(ref.monic().as_dict())
+        exact3 += got3 == modp(ref3.monic().as_dict())
+    assert exact >= 15 and exact3 >= 15
     # g = c(x_1) * x_last + x_1^21 drops to degree 0 in x_last at the 20
     # roots of c among the 31 values of x_1: the degree probe skips them
     for _ in range(10):
         c = linears((1,) + one[1:], 20)
         g = modp(_dadd(_dmul(c, {last: 1}), {(21,) + one[1:]: 1}))
         a, b = modp(_dmul(g, x1)), modp(_dmul(g, {last: 1, one: 2}))
+        third = modp(_dmul(g, {last: 1, one: 5}))
         inv = pow(g[max(g)], -1, p)
-        assert _modp_gcd_mv(a, b, p) == {e: c * inv % p for e, c in g.items()}
+        monic = {e: c * inv % p for e, c in g.items()}
+        assert _modp_gcd_mv([a, b], p) == monic
+        assert _modp_gcd_mv([a, b, third], p) == monic
 
 
 def test_is_prime_matches_sympy():
