@@ -638,9 +638,11 @@ _AXIS_TRIPLES = (
     (1, 1, -2),
     (2, -1, -1),
 )
+# seeded random triples the pencil scan adds to the axis triples
+_PENCIL_SAMPLES = 40
 
 
-def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0):
+def check_rank_and_pencil(inst: FamilyInstance):
     """Exact jacobian rank at (1,1,1) and pencil coprimality check.
 
     The rank is computed in rational arithmetic (and must be exactly 2
@@ -648,9 +650,9 @@ def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0
     The pencil check first solves exactly for any member divisible by
     P.  For linear P, sharing a factor with P means being divisible by
     it, so the kernel solve decides the pencil.  Otherwise gcds are
-    sampled at fixed axis triples plus `samples` seeded random triples;
-    any hit is an exact FAIL with the witness triple, and a PASS is
-    only as strong as the sampling.
+    sampled at fixed axis triples plus `_PENCIL_SAMPLES` random triples
+    drawn from a fixed seed; any hit is an exact FAIL with the witness
+    triple, and a PASS is only as strong as the sampling.
     """
     rows = _jacobian_at(_jacobian(inst.map.components), (1, 1, 1))
     for row in rows:
@@ -665,9 +667,9 @@ def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0
         return rank_report, PencilReport(verdict=FAIL, witness=witness, method="kernel")
     if inst.P.degree == 1:
         return rank_report, PencilReport(verdict=PASS, witness=None, method="kernel")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     triples = list(_AXIS_TRIPLES)
-    while len(triples) < len(_AXIS_TRIPLES) + samples:
+    while len(triples) < len(_AXIS_TRIPLES) + _PENCIL_SAMPLES:
         t = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
         if any(t):
             triples.append(t)
@@ -678,11 +680,11 @@ def check_rank_and_pencil(inst: FamilyInstance, samples: int = 40, seed: int = 0
     return rank_report, PencilReport(verdict=PASS, witness=None, method="randomized")
 
 
-def run_preflight(inst: FamilyInstance, samples: int = 40, seed: int = 0) -> PreflightReport:
+def run_preflight(inst: FamilyInstance) -> PreflightReport:
     """All three checks; overall is PASS iff every verdict is PASS."""
     cop = check_coprimality(inst)
     inter = check_intersection_conditions(inst)
-    rank, pencil = check_rank_and_pencil(inst, samples=samples, seed=seed)
+    rank, pencil = check_rank_and_pencil(inst)
     ok = all(v == PASS for v in (cop, inter.verdict, rank.verdict, pencil.verdict))
     return PreflightReport(
         coprimality=cop,

@@ -151,8 +151,6 @@ def _quo(c, d):
 
 def _monomial_bound(degree: int, nvars: int) -> int:
     """Number of monomials of the given total degree in nvars variables."""
-    if nvars <= 0:
-        return 1
     return math.comb(degree + nvars - 1, nvars - 1)
 
 
@@ -305,14 +303,7 @@ class HomPoly:
             raise DegreeMismatch(
                 f"cannot add degree {self._degree} to degree {other._degree}"
             )
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-        return HomPoly._new(self.nvars, acc, self._degree)
+        return HomPoly._new(self.nvars, _dadd(dict(self.terms), dict(other.terms)), self._degree)
 
     def __sub__(self, other):
         if not isinstance(other, HomPoly):
@@ -387,12 +378,7 @@ class HomPoly:
             # every substitute is zero: only a constant survives
             const = [c for e, c in self.terms if sum(e) == 0]
             return HomPoly.constant(nv2, const[0]) if const else HomPoly.zero(nv2)
-        e_deg = degs.pop()
-        if nv2 == self.nvars and all(
-            q == HomPoly.variable(nv2, i) for i, q in enumerate(comps)
-        ):
-            return self
-        out_deg = self._degree * e_deg
+        out_deg = self._degree * degs.pop()
         _guard(_monomial_bound(out_deg, nv2))
         # every intermediate below is homogeneous of degree <= out_deg
         width = _field_width(out_deg)

@@ -5,7 +5,9 @@ up to the lag n0 and zero for negative indices) models the algebraic
 degree growth of a quasi-stable map.  Its characteristic polynomial
 P(t) = t^{n0+1} - d*t^{n0} + h carries the first dynamical degree as
 its dominant root; this module extends the sequence exactly, certifies
-the dominant root and its multiplicity, and verifies the asymptotic
+the dominant root and its multiplicity, reads the subexponential factor
+off the residue of the generating function sum d_n x^n =
+1/(1 - d x + h x^{n0+1}) at 1/lambda, and verifies the asymptotic
 statements numerically as residuals.
 """
 
@@ -92,12 +94,13 @@ class SpectralReport:
 
     lambda_ is the dominant root (real, > 1), exact as a double root
     and otherwise proved by a sign change of P to the precision (see
-    `char_poly_roots`); its dominance over the complex roots, rho and
-    Q_fit rest on `mp.polyroots`.  r is its multiplicity, rho
-    the ratio of the next-largest root modulus to lambda_, and Q_fit
-    the r polynomial coefficients (constant first) of the subexponential
-    factor in d_n = lambda^n (Q(n) + o(1)), derived from the initial
-    conditions rather than from any sampled sequence.
+    `char_poly_roots`); its dominance over the complex roots and rho
+    rest on `mp.polyroots`.  r is its multiplicity, rho the ratio of
+    the next-largest root modulus to lambda_, and Q_fit the r
+    polynomial coefficients (constant first) of the subexponential
+    factor in d_n = lambda^n (Q(n) + o(1)): the principal part of the
+    generating function 1/(1 - d x + h x^{n0+1}) at x = 1/lambda, which
+    depends on lambda alone, not on any other root or sampled sequence.
     """
 
     charpoly: tuple
@@ -141,29 +144,15 @@ def extend_degrees(spec: DegreeRecurrence, N: int) -> list:
     return out
 
 
-def _dominant_real_root_exists(spec: DegreeRecurrence) -> bool:
-    """Exact decision: does P have a real root > 1?
+def _critical_point(spec: DegreeRecurrence) -> tuple:
+    """The only positive critical point t* = d*n0/(n0+1) of P, and P(t*).
 
-    P decreases on (0, t*) and increases after, with the single
-    positive critical point t* = d*n0/(n0+1); the rational sign
-    pattern of P at 1 and t* settles the question without numerics.
+    P decreases on (0, t*) and increases after it, so the exact sign
+    pattern of P at 1 and t* decides whether a real root above one
+    exists, and P(t*) = 0 with t* > 1 is the tangent double root.
     """
-    if spec.h == 0:
-        return True
     t_star = Fraction(spec.d * spec.n0, spec.n0 + 1)
-    if spec.p_at(Fraction(1)) < 0:
-        return True
-    return t_star > 1 and spec.p_at(t_star) <= 0
-
-
-def _tangent_double_root(spec: DegreeRecurrence):
-    """The exact rational double root > 1, if the tangency case holds."""
-    if spec.h == 0:
-        return None
-    t_star = Fraction(spec.d * spec.n0, spec.n0 + 1)
-    if t_star > 1 and spec.p_at(t_star) == 0:
-        return t_star
-    return None
+    return t_star, spec.p_at(t_star)
 
 
 def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list:
@@ -199,7 +188,7 @@ def _polyroots_certified(coeffs, precision_bits):
 
 
 def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> SpectralReport:
-    """Dominant root, multiplicity, and spectral gap of P.
+    """Dominant root, multiplicity, spectral gap and Q_fit of P.
 
     Viability (a real root above one) and double-root tangency are
     decided exactly in rational arithmetic first; the numeric stage
@@ -209,13 +198,19 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
     value: with a, b = lambda (1 -+ 2^-precision_bits), exact rational
     arithmetic checks t* < a and P(a) < 0 < P(b); P increases on
     (t*, oo), so its only root there lies in (a, b).  A failed check
-    raises `PrecisionExhausted`.  Three things still rest on `mp.polyroots`:
-    that no complex root has modulus at least lambda, rho, and Q_fit.
+    raises `PrecisionExhausted`.  The degrees have the generating
+    function sum d_n x^n = 1/Q(x), Q(x) = 1 - d x + h x^{n0+1} =
+    x^{n0+1} P(1/x), and Q_fit is read off its principal part at
+    x0 = 1/lambda: at the working precision from lambda for a simple
+    root, exact in rationals and rounded once for the double root.  Two
+    things still rest on `mp.polyroots`: that no complex root has
+    modulus at least lambda, and rho.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     d, h, n0 = spec.d, spec.h, spec.n0
-    if not _dominant_real_root_exists(spec):
+    t_star, p_star = _critical_point(spec)
+    if not (spec.p_at(1) < 0 or (t_star > 1 and p_star <= 0)):
         raise DegenerateLambda(
             "no real root above 1; the recurrence has no exponential rate"
         )
@@ -234,15 +229,22 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
             )
 
     coeffs = [Fraction(c) for c in spec.charpoly()]
-    double = _tangent_double_root(spec)
     with workprec(2 * precision_bits):
-        if double is not None:
-            reduced = _deflate(_deflate(coeffs, double), double)
+        if t_star > 1 and p_star == 0:
+            reduced = _deflate(_deflate(coeffs, t_star), t_star)
             others = _polyroots_certified(reduced, precision_bits) if len(reduced) > 1 else []
-            lam = mpf(double.numerator) / double.denominator
+            lam = mpf(t_star.numerator) / t_star.denominator
             r = 2
             if any(abs(z) >= lam for z in others):
                 raise DegenerateLambda("double root at the top is not dominant")
+            # 1/Q = A/(x - x0)^2 + B/(x - x0) + ... with A = 2/Q''(x0) and
+            # B = -2 Q'''(x0) / (3 Q''(x0)^2), so b = A/x0^2 and a = b - B/x0
+            x0 = 1 / t_star
+            q2 = h * (n0 + 1) * n0 * x0 ** (n0 - 1)
+            q3 = h * (n0 + 1) * n0 * (n0 - 1) * x0 ** (n0 - 2)
+            b = 2 / (x0**2 * q2)
+            a = b + 2 * q3 / (3 * q2**2 * x0)
+            q_fit = tuple(mpf(c.numerator) / c.denominator for c in (a, b))
         else:
             roots = _polyroots_certified(coeffs, precision_bits)
             tol = mpf(2) ** (-(precision_bits // 4))
@@ -263,41 +265,21 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
             man, exp = lam.man_exp
             exact, eps = man * Fraction(2) ** exp, Fraction(1, 2**precision_bits)
             lo, hi = exact * (1 - eps), exact * (1 + eps)
-            if not (Fraction(d * n0, n0 + 1) < lo and spec.p_at(lo) < 0 < spec.p_at(hi)):
+            if not (t_star < lo and spec.p_at(lo) < 0 < spec.p_at(hi)):
                 raise PrecisionExhausted(f"lambda is not bracketed to 2^-{precision_bits}")
+            # the residue 1/Q'(x0) gives lambda^n0 / P'(lambda), whose
+            # denominator (n0+1)(lambda - t*) is nonzero since t* < lo
+            q_fit = (lam / ((n0 + 1) * lam - d * n0),)
 
         rho = max((abs(z) for z in others), default=mpf(0)) / lam
-        q_fit = _initial_condition_fit(spec, lam, r, others)
         return SpectralReport(
             charpoly=spec.charpoly(),
             lambda_=lam,
             r=r,
             rho=rho,
-            Q_fit=tuple(q_fit),
+            Q_fit=q_fit,
             precision_bits=precision_bits,
         )
-
-
-def _initial_condition_fit(spec, lam, r, others):
-    """Coefficients of d_n = (a + b n + ...) lam^n + ... from d_0..d_{n0}.
-
-    Solves the (n0+1)-square system whose basis is n^j mu^n per root mu
-    with multiplicity, using the exact initial segment d_n = d^n.
-    """
-    basis = [(lam, j) for j in range(r)]
-    seen = []
-    for z in others:
-        mult = sum(1 for w in seen if abs(w - z) < mpf(2) ** (-spec.n0 - 20))
-        seen.append(z)
-        basis.append((z, mult))
-    n_eq = spec.n0 + 1
-    rows = []
-    rhs = []
-    for n in range(n_eq):
-        rows.append([(n**j) * mu**n for (mu, j) in basis])
-        rhs.append(mpf(spec.d) ** n)
-    sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-    return [sol[i].real if hasattr(sol[i], "real") else sol[i] for i in range(r)]
 
 
 def _recurrence_from_charpoly(charpoly):
@@ -311,7 +293,7 @@ def check_asymptotics(degrees: Sequence[int], report: SpectralReport) -> Asympto
     """Relative residuals of d_n against the fitted lambda^n Q(n).
 
     Q (of degree r-1) is interpolated from the tail of the provided
-    sequence, independently of the report's initial-condition fit, so
+    sequence, independently of the report's residue fit Q_fit, so
     the two routes cross-check each other.
     """
     if len(degrees) < 10:

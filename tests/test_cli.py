@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from projdyn import cli
 from projdyn.cli import main
 from projdyn.family2 import build_family_map, load_family, run_preflight, save_family
 from projdyn.mapiter import make_map, save_map
@@ -270,6 +271,13 @@ class TestGreenPoint:
         assert payload["mode"] == "plain"
         assert abs(float(payload["u"]) - 0.6931471805599453) < 1e-9
 
+    def test_auto_cert_on_a_stable_map_is_plain(self, files, capsys):
+        # infer-qas says AS, so --cert auto iterates without a divisor
+        args = ("green-point", "--map", files["mono_map"], "--point", "2,1,1", "--json")
+        code, out, _ = run(capsys, *args, "--cert", "auto")
+        assert code == 0 and json.loads(out)["mode"] == "plain"
+        assert (code, out) == run(capsys, *args, "--cert", "none")[:2]
+
     def test_wrong_arity_is_input_error(self, files, capsys):
         code, out, err = run(
             capsys, "green-point", "--map", files["stable_map"], "--point", "1,2"
@@ -419,6 +427,28 @@ class TestVerifyAll:
         assert json.loads(out)["lambda"] == "1"
 
 
+class TestTextOutput:
+    @pytest.mark.parametrize("argv, code, text", [
+        (("lambda", "--d", 3, "--h", 1, "--n0", 1), 0,
+         "lambda 2.61803398874989484820458683436563812\nr 1\n"
+         "rho 0.145898033750315455386239496903085647\ncharpoly 1 -3 1\n"),
+        (("family-check", "--family", "stable_fam"), 0,
+         "coprimality PASS\nintersection PASS\nrank 2 PASS\npencil PASS kernel\noverall PASS\n"),
+        (("green-point", "--map", "stable_map", "--point", "0.9+0.3j,-1.1+0.4j,0.5-0.7j"), 0,
+         "u 0.5579286113366814\nstatus OK\n"),
+        (("green-point", "--map", "stable_map", "--point", "0,1,0.7"), 1,
+         "status HitDivisor step 2\n"),
+        (("verify-all", "--map", "stable_map", "--n", 4), 0,
+         "verdict QAS\nlambda 2.61803398874989484820458683436563812\nr 1\n"
+         "lifting_recurrence PASS\nasymptotics PASS\nsn_identity PASS\nresiduals PASS\n"
+         "overall PASS\n"),
+    ])
+    def test_text_output(self, files, capsys, argv, code, text):
+        # a word naming a fixture file stands for its path
+        got = run(capsys, *(files.get(a, a) if isinstance(a, str) else a for a in argv))
+        assert got == (code, text, "")
+
+
 class TestErrorPaths:
     def test_missing_file(self, files, capsys):
         code, out, err = run(capsys, "degrees", "--map", files["root"] / "nope.map")
@@ -428,6 +458,20 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_unknown_directive_in_a_map_file(self, files, capsys):
+        bad = files["root"] / "directive.map"
+        bad.write_text("vars z w t\nmap z^2\nfrob w^2\nmap t^2\n")
+        code, out, err = run(capsys, "degrees", "--map", bad)
+        assert code == 2 and out == "" and "error" in err
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_run_lambda", broken)
+        code, out, err = run(capsys, "lambda", "--d", 3, "--h", 1, "--n0", 1)
+        assert code == 4 and out == "" and err == "internal error: boom\n"
 
     def test_uncertifiable_green_point(self, files, capsys):
         code, _, err = run(

@@ -397,19 +397,19 @@ def test_jacobian_rows_and_rank_reference(reference):
         [Fraction(1), Fraction(-2), Fraction(1)],
         [Fraction(2), Fraction(-1), Fraction(-1)],
     ]
-    rank, _ = check_rank_and_pencil(reference, samples=5, seed=0)
+    rank, _ = check_rank_and_pencil(reference)
     assert rank.rank == 2
     assert rank.verdict == PASS
 
 
 def test_rank_never_exceeds_two(reference, stable, twisted, line_fail, chart_fail):
     for inst in (reference, stable, twisted, line_fail, chart_fail):
-        rank, _ = check_rank_and_pencil(inst, samples=3, seed=1)
+        rank, _ = check_rank_and_pencil(inst)
         assert rank.rank <= 2
 
 
 def test_pencil_reference_witness(reference):
-    _, pencil = check_rank_and_pencil(reference, samples=10, seed=0)
+    _, pencil = check_rank_and_pencil(reference)
     assert pencil.verdict == FAIL
     assert pencil.witness == (0, 0, 1)  # Q3 = z*w is divisible by P = z
     assert pencil.method == "kernel"
@@ -418,14 +418,14 @@ def test_pencil_reference_witness(reference):
 def test_pencil_twisted_witness_found_exactly(twisted):
     # 2*Q1 - Q3 = 2w^2 - zw = -w(z - 2w): no axis or random point sampling
     # is guaranteed to hit this member, the kernel solve always does
-    _, pencil = check_rank_and_pencil(twisted, samples=10, seed=0)
+    _, pencil = check_rank_and_pencil(twisted)
     assert pencil.verdict == FAIL
     assert pencil.witness == (2, 0, -1)
     assert pencil.method == "kernel"
 
 
 def test_pencil_stable_passes_with_exact_kernel(stable):
-    _, pencil = check_rank_and_pencil(stable, samples=10, seed=0)
+    _, pencil = check_rank_and_pencil(stable)
     assert pencil.verdict == PASS
     assert pencil.witness is None
     assert pencil.method == "kernel"
@@ -445,7 +445,7 @@ def test_pencil_linear_p_is_decided_by_the_kernel_alone(stable, monkeypatch):
 
 
 def test_pencil_pass_is_only_sampled_for_nonlinear_p(line_fail):
-    _, pencil = check_rank_and_pencil(line_fail, samples=10, seed=0)
+    _, pencil = check_rank_and_pencil(line_fail)
     assert pencil.verdict == PASS
     assert pencil.method == "randomized"
 
@@ -454,7 +454,7 @@ def test_pencil_pass_is_only_sampled_for_nonlinear_p(line_fail):
 
 
 def test_preflight_reference_fails_overall(reference):
-    rep = run_preflight(reference, samples=10, seed=0)
+    rep = run_preflight(reference)
     assert rep.coprimality == PASS
     assert rep.intersection.verdict == PASS
     assert rep.rank.rank == 2
@@ -464,7 +464,7 @@ def test_preflight_reference_fails_overall(reference):
 
 
 def test_preflight_stable_passes_overall(stable):
-    rep = run_preflight(stable, samples=10, seed=0)
+    rep = run_preflight(stable)
     assert rep.coprimality == PASS
     assert rep.intersection.verdict == PASS
     assert rep.rank == family2.RankReport(rank=2, verdict=PASS)
@@ -473,7 +473,7 @@ def test_preflight_stable_passes_overall(stable):
 
 
 def test_preflight_chart_failure_fails_overall(chart_fail):
-    rep = run_preflight(chart_fail, samples=10, seed=0)
+    rep = run_preflight(chart_fail)
     assert rep.intersection.verdict == FAIL
     assert rep.overall == FAIL
 

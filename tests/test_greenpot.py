@@ -155,6 +155,18 @@ class TestGreenEval:
             want = mp_reference_u(f, cert, z0, 40, 256)
             assert abs(u3 - want) < tol
 
+    def test_mpmath_and_string_points_above_53_bits(self, stable):
+        # both are read exactly at the orbit's scale: an mpc of a float is that float
+        f, cert, rep = stable
+        want, _ = gp.green_eval(f, cert, None, Z_FROZEN, n_iters=40, precision=128)
+        got, _ = gp.green_eval(f, cert, None, tuple(map(mp.mpc, Z_FROZEN)), n_iters=40,
+                               precision=128)
+        assert got == want
+        z = ("0.9", "-1.1", "0.5")
+        u, _ = gp.green_eval(f, cert, None, z, n_iters=40, precision=128)
+        with workprec(256):
+            assert abs(u - mp_reference_u(f, cert, z, 40, 256)) < mpf(2) ** -110
+
 
 class TestOrbitErrors:
     def test_divisor_hit_at_lag_step(self, stable):

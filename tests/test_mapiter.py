@@ -9,8 +9,9 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from projdyn import polycore
+from projdyn import mapiter, polycore
 from projdyn.polycore import (
     ArityMismatch,
     DegreeMismatch,
@@ -32,6 +33,7 @@ from projdyn.mapiter import (
     compose_extract,
     infer_qas,
     iterate_degrees,
+    jacobian_det,
     load_map,
     make_map,
     map_to_text,
@@ -93,6 +95,37 @@ def test_repeated_component_is_not_dominant():
 def test_zero_component_is_not_dominant():
     with pytest.raises(NotDominant):
         make_map([p("z^2"), p("w^2"), HomPoly.zero(3)])
+
+
+@pytest.mark.parametrize(
+    "texts, dominant",
+    [
+        # jacobian 8*86*(3z - 2w)(11z + 7w)(9w + 2t): each factor vanishes at one probe point
+        (("(3*z - 2*w)*(3*z - 2*w)", "(11*z + 7*w)*(11*z + 7*w)", "(9*w + 2*t)*(9*w + 2*t)"), True),
+        # nonzero 2x2 minors, but the image lies on the conic X*Z = Y^2
+        (("(z + t)*(z + t)", "(z + t)*(w + t)", "(w + t)*(w + t)"), False),
+    ],
+)
+def test_dominance_falls_back_to_the_symbolic_determinant(texts, dominant):
+    comps = [p(s) for s in texts]
+    rows = mapiter._jacobian(comps)
+    assert all(
+        len(mapiter._rref(mapiter._jacobian_at(rows, pt[:3]))[1]) < 3
+        for pt in mapiter._PROBE_POINTS
+    )
+    x = sympy.symbols(NAMES)
+
+    def as_sympy(q):
+        return sum(sympy.Rational(c) * sympy.Mul(*(v**k for v, k in zip(x, e))) for e, c in q.terms)
+
+    want = sympy.Matrix([as_sympy(c) for c in comps]).jacobian(x).det()
+    assert sympy.expand(as_sympy(jacobian_det(comps)) - want) == 0
+    assert (want.expand() != 0) == dominant
+    if dominant:
+        assert make_map(comps).degree == 2
+    else:
+        with pytest.raises(NotDominant):
+            make_map(comps)
 
 
 def test_mixed_degrees_rejected():

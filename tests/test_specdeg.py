@@ -1,9 +1,12 @@
 """Recurrence extension and spectral certification on hand-checked cases.
 
-The quadratic-formula values for (d=3, h=1, n0=1) and the closed form
-d_n = (1+n) 2^n for the tangent case (4, 4, 1) serve as independent
-oracles for the root-finding route.
+The quadratic-formula values for (d=3, h=1, n0=1), the closed form
+d_n = (1+n) 2^n for the tangent case (4, 4, 1) and the partial fraction
+of the tangent case (3, 4, 2) serve as independent oracles for the
+root-finding route and the residue fit.
 """
+
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, sqrt
@@ -141,13 +144,20 @@ def test_positive_p_at_one_with_dominant_above():
 
 
 def test_tangent_double_root():
-    rep = char_poly_roots(S441, 128)
-    assert rep.lambda_ == 2
-    assert rep.r == 2
-    assert rep.rho == 0
-    q = rep.Q_fit
-    assert len(q) == 2
-    assert abs(q[0] - 1) < mpf(10) ** -30 and abs(q[1] - 1) < mpf(10) ** -30
+    cases = (
+        (S441, Fraction(0), (Fraction(1), Fraction(1))),
+        # P = (t - 2)^2 (t + 1): the partial fraction of 1/((1 - 2x)^2 (1 + x))
+        # is (2/3)/(1 - 2x)^2 + (2/9)/(1 - 2x) + (1/9)/(1 + x)
+        (DegreeRecurrence(3, 4, 2), Fraction(1, 2), (Fraction(8, 9), Fraction(2, 3))),
+    )
+    for spec, rho, q in cases:
+        rep = char_poly_roots(spec, 128)
+        assert rep.lambda_ == 2
+        assert rep.r == 2
+        assert rep.rho == mpf(rho.numerator) / rho.denominator
+        assert len(rep.Q_fit) == 2
+        for got, want in zip(rep.Q_fit, q):
+            assert abs(got - mpf(want.numerator) / want.denominator) < mpf(10) ** -30
 
 
 def test_stable_case_spectrum():
@@ -181,13 +191,44 @@ def test_lambda_outside_the_proved_bracket_is_refused(monkeypatch, bits, sign):
         char_poly_roots(S311, bits)
 
 
+def test_q_fit_ignores_the_subdominant_roots(monkeypatch):
+    # Q_fit is the residue at 1/lambda: moving every other root by a
+    # relative 2^-(p/2), which mp.polyroots' error estimate allows,
+    # leaves it, lambda, r and the bracket proof as they were
+    spec, bits = DegreeRecurrence(5, 2, 3), 128
+    want = char_poly_roots(spec, bits)
+    numeric = specdeg._polyroots_certified
+
+    def scaled(coeffs, precision_bits):
+        roots = numeric(coeffs, precision_bits)
+        top = max(roots, key=abs)
+        return [z if z is top else z * (1 + mpf(2) ** -(precision_bits // 2)) for z in roots]
+
+    monkeypatch.setattr(specdeg, "_polyroots_certified", scaled)
+    rep = char_poly_roots(spec, bits)
+    assert rep.lambda_ == want.lambda_ and rep.r == want.r == 1
+    assert rep.rho != want.rho
+    assert abs(rep.Q_fit[0] - want.Q_fit[0]) < mpf(10) ** -30
+
+
 # -- asymptotics --------------------------------------------------------------------
 
 
-def test_tail_fit_agrees_with_initial_condition_fit():
-    rep = char_poly_roots(S311, 128)
-    ar = check_asymptotics(extend_degrees(S311, 30), rep)
-    assert abs(ar.Q[0] - rep.Q_fit[0]) < mpf(10) ** -25
+# depths N with rho^N < 1e-25
+@pytest.mark.parametrize("d, h, n0, N", [
+    (3, 1, 1, 30),
+    (4, 2, 1, 40),
+    (5, 2, 3, 40),
+    (4, 3, 6, 51),
+    (3, 4, 2, 100),
+])
+def test_tail_fit_agrees_with_initial_condition_fit(d, h, n0, N):
+    spec = DegreeRecurrence(d, h, n0)
+    rep = char_poly_roots(spec, 128)
+    assert rep.rho**N < mpf(10) ** -25
+    ar = check_asymptotics(extend_degrees(spec, N), rep)
+    assert len(ar.Q) == len(rep.Q_fit) == rep.r
+    assert all(abs(tail - fit) < mpf(10) ** -25 for tail, fit in zip(ar.Q, rep.Q_fit))
 
 
 def test_residuals_start_at_subdominant_share():
