@@ -67,7 +67,6 @@ from .specdeg import (
     DegenerateLambda,
     DegreeRecurrence,
     InsufficientData,
-    MultiplicityOutOfRange,
     NonPositiveDegree,
     PrecisionExhausted,
     SpectralError,

@@ -315,8 +315,9 @@ def _ratios(z, scale):
     """Real and imaginary parts of each coordinate of z as exact (numerator, denominator).
 
     A coordinate given as an (re, im) int pair is a point of a
-    fixed-point orbit at scale 2^scale; mpmath numbers and strings are
-    read at that scale.  nan and inf are input errors.
+    fixed-point orbit at scale 2^scale; mpmath numbers and strings
+    (complex literals such as "2+1j" included) are read at that scale.
+    nan and inf are input errors.
     """
     parts = []
     for x in z:
@@ -330,7 +331,7 @@ def _ratios(z, scale):
             parts += (x.real.as_integer_ratio(), x.imag.as_integer_ratio())
         else:
             with workprec(scale):
-                c = mp.mpc(x)
+                c = mp.mpc(mp.mpmathify(x))
             if not mp.isfinite(c):
                 raise ValueError("point coordinates must be finite")
             parts += map(libmp.to_rational, c._mpc_)

@@ -9,6 +9,19 @@ the dominant root and its multiplicity, reads the subexponential factor
 off the residue of the generating function sum d_n x^n =
 1/(1 - d x + h x^{n0+1}) at 1/lambda, and verifies the asymptotic
 statements numerically as residuals.
+
+For h > 0 the spectral data needs no numeric root finder.  P falls on
+(0, t*) and rises after its one positive critical point t* = d n0/(n0+1),
+and by Descartes' rule it has at most two positive roots.  In the
+simple case P(t*) < 0 < P(0) = h, so there are exactly two, lambda2 < t*
+< lambda.  On |t| = r with lambda2 < r < lambda, P(r) < 0 gives
+|t^{n0+1} + h| <= r^{n0+1} + h < d r^{n0} = |d t^{n0}|, so by Rouche's
+theorem P has n0 roots in |t| < r, like d t^{n0}.  Letting r fall to
+lambda2 puts every root but lambda in |t| <= lambda2: lambda dominates
+and rho = lambda2/lambda.  In the tangent case P(t*) = 0 the same limit,
+with |t - d| > d - |t| off the positive axis, puts every root but the
+double root t* strictly inside |t| < t*; it is not triple, since
+P''(t*) = d n0 t*^{n0-2} > 0.
 """
 
 from dataclasses import dataclass
@@ -21,7 +34,6 @@ __all__ = [
     "SpectralError",
     "NonPositiveDegree",
     "DegenerateLambda",
-    "MultiplicityOutOfRange",
     "PrecisionExhausted",
     "InsufficientData",
     "DegreeRecurrence",
@@ -45,10 +57,6 @@ class NonPositiveDegree(SpectralError):
 
 class DegenerateLambda(SpectralError):
     """No real dominant root exceeding one; growth is not exponential."""
-
-
-class MultiplicityOutOfRange(SpectralError):
-    """Dominant-root multiplicity above two; outside the supported family."""
 
 
 class PrecisionExhausted(SpectralError):
@@ -94,9 +102,11 @@ class SpectralReport:
 
     lambda_ is the dominant root (real, > 1), exact as a double root
     and otherwise proved by a sign change of P to the precision (see
-    `char_poly_roots`); its dominance over the complex roots and rho
-    rest on `mp.polyroots`.  r is its multiplicity, rho the ratio of
-    the next-largest root modulus to lambda_, and Q_fit the r
+    `char_poly_roots`).  r is its multiplicity and rho the ratio of the
+    next-largest root modulus to lambda_: for a simple lambda_ that is
+    lambda2/lambda_, lambda2 the other positive root (see the module
+    docstring), proved the same way; for the double root it is exact
+    while n0 <= 2 and rests on `mp.polyroots` above.  Q_fit holds the r
     polynomial coefficients (constant first) of the subexponential
     factor in d_n = lambda^n (Q(n) + o(1)): the principal part of the
     generating function 1/(1 - d x + h x^{n0+1}) at x = 1/lambda, which
@@ -144,17 +154,6 @@ def extend_degrees(spec: DegreeRecurrence, N: int) -> list:
     return out
 
 
-def _critical_point(spec: DegreeRecurrence) -> tuple:
-    """The only positive critical point t* = d*n0/(n0+1) of P, and P(t*).
-
-    P decreases on (0, t*) and increases after it, so the exact sign
-    pattern of P at 1 and t* decides whether a real root above one
-    exists, and P(t*) = 0 with t* > 1 is the tangent double root.
-    """
-    t_star = Fraction(spec.d * spec.n0, spec.n0 + 1)
-    return t_star, spec.p_at(t_star)
-
-
 def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list:
     """Synthetic division by (t - root); the remainder must vanish."""
     out = []
@@ -173,70 +172,96 @@ def _polyroots_certified(coeffs, precision_bits):
     for _ in range(8):
         with workprec(prec):
             try:
-                roots, err = mp.polyroots(
-                    coeffs, maxsteps=300, extraprec=prec // 2, error=True
-                )
-                bound = mpf(2) ** (-(precision_bits // 2) - 2)
-                if err < bound:
-                    return list(roots)
+                roots, err = mp.polyroots(coeffs, maxsteps=300, extraprec=prec // 2, error=True)
+                if err < mpf(2) ** (-(precision_bits // 2) - 2):
+                    return roots
             except mp.NoConvergence:
                 pass
         prec *= 2
-    raise PrecisionExhausted(
-        f"root certification failed below 2^-{precision_bits // 2}"
-    )
+    raise PrecisionExhausted(f"root certification failed below 2^-{precision_bits // 2}")
+
+
+def _newton(spec: DegreeRecurrence, lo: Fraction, hi: Fraction):
+    """The root of P in (lo, hi), where P is monotone, at the working precision.
+
+    Newton steps from the midpoint; a step that would leave the bracket
+    the iterates have narrowed so far bisects that bracket instead.
+    """
+    d, h, n0 = spec.d, spec.h, spec.n0
+    rising = spec.p_at(hi) > 0
+    a, b = (mpf(q.numerator) / q.denominator for q in (lo, hi))
+    x, tol = (a + b) / 2, mpf(2) ** (8 - mp.prec // 2)
+    for _ in range(mp.prec):
+        px = x**n0 * (x - d) + h
+        if not px:
+            return x
+        a, b = (a, x) if (px > 0) == rising else (x, b)
+        new = x - px / (x ** (n0 - 1) * ((n0 + 1) * x - d * n0))
+        if not a < new < b:
+            new = (a + b) / 2
+        # convergence is quadratic: after a step this small the error is near 2^-mp.prec
+        if abs(new - x) <= tol * x:
+            return new
+        x = new
+    return x
+
+
+def _proved_root(spec: DegreeRecurrence, lo: Fraction, hi: Fraction, precision_bits: int):
+    """The root of P in (lo, hi), where P is monotone, proved to a relative 2^-precision_bits.
+
+    With a, b = x (1 -+ 2^-precision_bits) for the `_newton` value x,
+    exact rational arithmetic checks lo < a, b < hi and that P changes
+    sign between a and b, so the one root in (lo, hi) lies in (a, b).
+    A failed check raises `PrecisionExhausted`.
+    """
+    x = _newton(spec, lo, hi)
+    man, exp = x.man_exp
+    exact, eps = man * Fraction(2) ** exp, Fraction(1, 2**precision_bits)
+    a, b = exact * (1 - eps), exact * (1 + eps)
+    if not (lo < a and b < hi and (spec.p_at(a) < 0) != (spec.p_at(b) < 0)):
+        raise PrecisionExhausted(f"root is not bracketed to 2^-{precision_bits}")
+    return x
 
 
 def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> SpectralReport:
     """Dominant root, multiplicity, spectral gap and Q_fit of P.
 
     Viability (a real root above one) and double-root tangency are
-    decided exactly in rational arithmetic first; the numeric stage
-    only ever sees a squarefree polynomial, deflated by the exact
-    double root when the tangency case holds.  A simple lambda is then
-    proved to lie within a relative 2^-precision_bits of the returned
-    value: with a, b = lambda (1 -+ 2^-precision_bits), exact rational
-    arithmetic checks t* < a and P(a) < 0 < P(b); P increases on
-    (t*, oo), so its only root there lies in (a, b).  A failed check
-    raises `PrecisionExhausted`.  The degrees have the generating
-    function sum d_n x^n = 1/Q(x), Q(x) = 1 - d x + h x^{n0+1} =
-    x^{n0+1} P(1/x), and Q_fit is read off its principal part at
-    x0 = 1/lambda: at the working precision from lambda for a simple
-    root, exact in rationals and rounded once for the double root.  Two
-    things still rest on `mp.polyroots`: that no complex root has
-    modulus at least lambda, and rho.
+    decided exactly in rational arithmetic first.  In the simple case
+    `_proved_root` gives the two positive roots, lambda2 on (0, t*) and
+    lambda on (t*, d + 1), where P is monotone and changes sign; by the
+    Rouche argument of the module docstring lambda is dominant and
+    rho = lambda2/lambda.  The tangent double root t* is exact and
+    dominant, and rho is the largest root modulus of P/(t - t*)^2: exact
+    while that is linear (n0 <= 2), from `mp.polyroots` above.  The
+    degrees have the generating function sum d_n x^n = 1/Q(x),
+    Q(x) = 1 - d x + h x^{n0+1} = x^{n0+1} P(1/x), and Q_fit is read off
+    its principal part at x0 = 1/lambda: at the working precision from
+    lambda for a simple root, exact in rationals and rounded once for
+    the double root.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     d, h, n0 = spec.d, spec.h, spec.n0
-    t_star, p_star = _critical_point(spec)
+    t_star = Fraction(d * n0, n0 + 1)
+    p_star = spec.p_at(t_star)
     if not (spec.p_at(1) < 0 or (t_star > 1 and p_star <= 0)):
-        raise DegenerateLambda(
-            "no real root above 1; the recurrence has no exponential rate"
-        )
+        raise DegenerateLambda("no real root above 1; the recurrence has no exponential rate")
 
-    if h == 0:
-        # P = t^n0 (t - d): everything is exact
-        with workprec(2 * precision_bits):
-            lam = mpf(d)
-            return SpectralReport(
-                charpoly=spec.charpoly(),
-                lambda_=lam,
-                r=1,
-                rho=mpf(0),
-                Q_fit=(mpf(1),),
-                precision_bits=precision_bits,
-            )
-
-    coeffs = [Fraction(c) for c in spec.charpoly()]
     with workprec(2 * precision_bits):
-        if t_star > 1 and p_star == 0:
-            reduced = _deflate(_deflate(coeffs, t_star), t_star)
-            others = _polyroots_certified(reduced, precision_bits) if len(reduced) > 1 else []
-            lam = mpf(t_star.numerator) / t_star.denominator
-            r = 2
-            if any(abs(z) >= lam for z in others):
-                raise DegenerateLambda("double root at the top is not dominant")
+        if h == 0:
+            # P = t^n0 (t - d): everything is exact
+            lam, r, rho, q_fit = mpf(d), 1, mpf(0), (mpf(1),)
+        elif p_star == 0:
+            # the tangent case, as the viability check leaves t* > 1; the
+            # monic quotient has degree n0 - 1, and its root is -reduced[1] when linear
+            reduced = _deflate(_deflate([Fraction(c) for c in spec.charpoly()], t_star), t_star)
+            if n0 > 2:
+                others = _polyroots_certified(reduced, precision_bits)
+            else:
+                others = [mpf(c.numerator) / c.denominator for c in reduced[1:]]
+            lam, r = mpf(t_star.numerator) / t_star.denominator, 2
+            rho = max((abs(z) for z in others), default=mpf(0)) / lam
             # 1/Q = A/(x - x0)^2 + B/(x - x0) + ... with A = 2/Q''(x0) and
             # B = -2 Q'''(x0) / (3 Q''(x0)^2), so b = A/x0^2 and a = b - B/x0
             x0 = 1 / t_star
@@ -246,40 +271,13 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
             a = b + 2 * q3 / (3 * q2**2 * x0)
             q_fit = tuple(mpf(c.numerator) / c.denominator for c in (a, b))
         else:
-            roots = _polyroots_certified(coeffs, precision_bits)
-            tol = mpf(2) ** (-(precision_bits // 4))
-            top = max(roots, key=abs)
-            cluster = [z for z in roots if abs(z - top) < tol * max(1, abs(top))]
-            if len(cluster) > 2:
-                raise MultiplicityOutOfRange(f"dominant cluster of size {len(cluster)}")
-            if len(cluster) > 1:
-                # simple-root case was decided exactly; a merged cluster
-                # means the gap is below tolerance, not a true multiple
-                raise PrecisionExhausted("distinct roots inseparable at this precision")
-            if abs(top.imag) > tol or top.real <= 1:
-                raise DegenerateLambda("dominant root is not real above 1")
-            lam = top.real
-            r = 1
-            others = [z for z in roots if z is not top]
-            # P increases on (t*, oo), so a sign change there brackets its only root
-            man, exp = lam.man_exp
-            exact, eps = man * Fraction(2) ** exp, Fraction(1, 2**precision_bits)
-            lo, hi = exact * (1 - eps), exact * (1 + eps)
-            if not (t_star < lo and spec.p_at(lo) < 0 < spec.p_at(hi)):
-                raise PrecisionExhausted(f"lambda is not bracketed to 2^-{precision_bits}")
+            lam, r = _proved_root(spec, t_star, Fraction(d + 1), precision_bits), 1
+            rho = _proved_root(spec, Fraction(0), t_star, precision_bits) / lam
             # the residue 1/Q'(x0) gives lambda^n0 / P'(lambda), whose
-            # denominator (n0+1)(lambda - t*) is nonzero since t* < lo
+            # denominator (n0+1)(lambda - t*) is nonzero since t* < lambda
             q_fit = (lam / ((n0 + 1) * lam - d * n0),)
-
-        rho = max((abs(z) for z in others), default=mpf(0)) / lam
-        return SpectralReport(
-            charpoly=spec.charpoly(),
-            lambda_=lam,
-            r=r,
-            rho=rho,
-            Q_fit=q_fit,
-            precision_bits=precision_bits,
-        )
+        return SpectralReport(charpoly=spec.charpoly(), lambda_=lam, r=r, rho=rho, Q_fit=q_fit,
+                              precision_bits=precision_bits)
 
 
 def _recurrence_from_charpoly(charpoly):

@@ -168,6 +168,16 @@ class TestGreenEval:
             assert abs(u - mp_reference_u(f, cert, z, 40, 256)) < mpf(2) ** -110
 
 
+    def test_complex_string_points_above_53_bits(self, mono):
+        # a string coordinate may be a complex literal at every precision
+        u, _ = gp.green_eval(mono, None, None, ("2+0j", "1", "1"), precision=128)
+        with workprec(128):
+            assert abs(u - mp.log(2)) < mpf(2) ** -120
+        got, _ = gp.green_eval(mono, None, None, ("2+1j", "1", "1"), precision=128)
+        want, _ = gp.green_eval(mono, None, None, (2 + 1j, 1, 1), precision=128)
+        assert got == want
+
+
 class TestOrbitErrors:
     def test_divisor_hit_at_lag_step(self, stable):
         f, cert, rep = stable

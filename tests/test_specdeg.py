@@ -1,15 +1,16 @@
 """Recurrence extension and spectral certification on hand-checked cases.
 
 The quadratic-formula values for (d=3, h=1, n0=1), the closed form
-d_n = (1+n) 2^n for the tangent case (4, 4, 1) and the partial fraction
-of the tangent case (3, 4, 2) serve as independent oracles for the
-root-finding route and the residue fit.
+d_n = (1+n) 2^n for the tangent case (4, 4, 1), the partial fraction
+of the tangent case (3, 4, 2) and sympy's numeric roots serve as
+independent oracles for the root-finding route and the residue fit.
 """
 
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, sqrt
+import sympy
+from mpmath import mp, mpf, sqrt, workprec
 
 from projdyn import specdeg
 from projdyn.specdeg import (
@@ -176,39 +177,83 @@ def test_precision_floor():
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_lambda_outside_the_proved_bracket_is_refused(monkeypatch, bits, sign):
-    # a dominant root off by lambda 2^-(p/2) is within what mp.polyroots'
-    # error estimate accepts; the exact sign check of P around it is not
-    numeric = specdeg._polyroots_certified
+    # a lambda off by a relative 2^-(p/2) from the Newton stage, which
+    # runs above t*, is refused by the exact sign check of P around it
+    newton = specdeg._newton
 
-    def shifted(coeffs, precision_bits):
-        roots = numeric(coeffs, precision_bits)
-        top = max(roots, key=abs)
-        off = sign * top.real * mpf(2) ** -(precision_bits // 2)
-        return [z + off if z is top else z for z in roots]
+    def shifted(spec, lo, hi):
+        x = newton(spec, lo, hi)
+        return x * (1 + sign * mpf(2) ** -(bits // 2)) if lo > 0 else x
 
-    monkeypatch.setattr(specdeg, "_polyroots_certified", shifted)
+    monkeypatch.setattr(specdeg, "_newton", shifted)
     with pytest.raises(PrecisionExhausted):
         char_poly_roots(S311, bits)
 
 
 def test_q_fit_ignores_the_subdominant_roots(monkeypatch):
-    # Q_fit is the residue at 1/lambda: moving every other root by a
-    # relative 2^-(p/2), which mp.polyroots' error estimate allows,
-    # leaves it, lambda, r and the bracket proof as they were
+    # Q_fit is the residue at 1/lambda: moving lambda2, which the Newton
+    # stage finds below t*, by a relative 2^-(3p/2), inside its proved
+    # bracket, moves rho but leaves Q_fit, lambda, r and both bracket proofs
     spec, bits = DegreeRecurrence(5, 2, 3), 128
     want = char_poly_roots(spec, bits)
-    numeric = specdeg._polyroots_certified
+    newton = specdeg._newton
 
-    def scaled(coeffs, precision_bits):
-        roots = numeric(coeffs, precision_bits)
-        top = max(roots, key=abs)
-        return [z if z is top else z * (1 + mpf(2) ** -(precision_bits // 2)) for z in roots]
+    def moved(spec, lo, hi):
+        x = newton(spec, lo, hi)
+        return x if lo > 0 else x * (1 + mpf(2) ** -(3 * bits // 2))
 
-    monkeypatch.setattr(specdeg, "_polyroots_certified", scaled)
+    monkeypatch.setattr(specdeg, "_newton", moved)
     rep = char_poly_roots(spec, bits)
     assert rep.lambda_ == want.lambda_ and rep.r == want.r == 1
     assert rep.rho != want.rho
     assert abs(rep.Q_fit[0] - want.Q_fit[0]) < mpf(10) ** -30
+
+
+@pytest.mark.parametrize("d, h, n0", [
+    (3, 1, 1),
+    (3, 2, 1),  # lambda2 = 1
+    (5, 7, 4),
+    (6, 39, 3),
+    (3, 7, 10),
+    (4, 4, 1),  # tangent cases from here on
+    (3, 4, 2),
+    (4, 27, 3),  # rho = sqrt(3)/3
+])
+def test_lambda_and_rho_match_sympy_nroots(d, h, n0):
+    bits = 128
+    rep = char_poly_roots(DegreeRecurrence(d, h, n0), bits)
+    t = sympy.Symbol("t")
+    roots = sympy.Poly(t ** (n0 + 1) - d * t**n0 + h, t).nroots(n=80, maxsteps=500)
+    with workprec(2 * bits):
+        moduli = sorted((mpf(sympy.Abs(z).evalf(80)) for z in roots), reverse=True)
+        tol = mpf(2) ** (8 - bits)
+        # lambda has the largest modulus, r times over; rho is the next one down
+        assert all(abs(m - rep.lambda_) < tol * rep.lambda_ for m in moduli[: rep.r])
+        nxt = moduli[rep.r] if len(moduli) > rep.r else mpf(0)
+        assert nxt < rep.lambda_ * (1 - tol)
+        assert abs(nxt / rep.lambda_ - rep.rho) < tol
+    if (d, h, n0) == (4, 27, 3):
+        assert abs(rep.rho - sqrt(3) / 3) < mpf(10) ** -30
+
+
+def test_simple_and_linear_tangent_cases_skip_the_root_finder(monkeypatch):
+    def refuse(coeffs, precision_bits):
+        raise AssertionError("mp.polyroots reached")
+
+    monkeypatch.setattr(specdeg, "_polyroots_certified", refuse)
+    simple = 0
+    for d in range(2, 6):
+        for n0 in range(1, 5):
+            for h in range(1, min(d ** (n0 + 1), 20)):
+                try:
+                    rep = char_poly_roots(DegreeRecurrence(d, h, n0), 64)
+                except DegenerateLambda:
+                    continue
+                simple += rep.r == 1
+    # the viable cases of the grid but its two tangent ones, (4, 4, 1) and (3, 4, 2)
+    assert simple == 148
+    for spec in ((4, 4, 1), (6, 9, 1), (3, 4, 2), (6, 32, 2)):
+        assert char_poly_roots(DegreeRecurrence(*spec), 64).r == 2
 
 
 # -- asymptotics --------------------------------------------------------------------
