@@ -44,10 +44,12 @@ from .mapiter import (
 from .polycore import (
     HomPoly,
     ParseError,
+    _deg_in,
     _dint_normalize,
     _is_prime,
     _modp_gcd,
     _quo,
+    _utrim,
     coprime_certificate,
     int_primitive,
     parse_poly,
@@ -236,12 +238,6 @@ def check_coprimality(inst: FamilyInstance) -> str:
 # modular engine's, through `poly_gcd` on binary forms.
 
 
-def _utrim(u):
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
 def _udeg(u):
     return len(u) - 1
 
@@ -373,14 +369,10 @@ def _chart(p: HomPoly, drop: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _bideg(d: dict, var: int) -> int:
-    return max((k[var] for k in d), default=-1)
-
-
 def _bi_to_upolys(d: dict, main: int):
     """List (by main-variable degree) of coefficient polys in the other variable."""
     other = 1 - main
-    n = _bideg(d, main)
+    n = _deg_in(d, main)
     rows = [[] for _ in range(n + 1)]
     for (i, j), c in d.items():
         mdeg = (i, j)[main]
@@ -502,7 +494,7 @@ def _chart_points(forms):
     for d in (d1, d2):
         for e in (p, r):
             # the resultant of two w-free polys is 1 by convention, not in the ideal
-            cut = _sylvester_resultant(e, d, 1) if max(_bideg(e, 1), _bideg(d, 1)) > 0 else []
+            cut = _sylvester_resultant(e, d, 1) if max(_deg_in(e, 1), _deg_in(d, 1)) > 0 else []
             if cut:
                 h = _ugcd(h, cut)
                 break

@@ -502,6 +502,12 @@ class _OrbitRunner:
         return u, tuple(increments)
 
 
+def _check_tol(converge_tol):
+    """None or inf turns the check off; NaN or a negative tolerance is an input error."""
+    if converge_tol is not None and not converge_tol >= 0:
+        raise ValueError(f"converge_tol must be >= 0, not {converge_tol}")
+
+
 def green_eval(
     f: ProjMap,
     cert: Optional[QASCertificate],
@@ -518,11 +524,13 @@ def green_eval(
     53 bits and below, mpf values rounded at the precision above.  The
     final iterate is reported as the estimate; when converge_tol is
     given and the last increment exceeds it, NotConverged is raised
-    instead of returning a value silently off target.  lambda_report is
-    unused (the exact degrees carry the growth); it is kept only because
-    the signature is pinned.
+    instead of returning a value silently off target; a NaN or negative
+    converge_tol raises ValueError.  lambda_report is unused (the exact
+    degrees carry the growth); it is kept only because the signature is
+    pinned.
     """
     del lambda_report
+    _check_tol(converge_tol)
     return _OrbitRunner(f, cert, n_iters, precision).value(z, converge_tol)
 
 
@@ -685,13 +693,14 @@ def grid_sample(
     """Evaluate the potential on a resolution² grid over the slice.
 
     Per-node orbit failures become status entries, never exceptions;
-    a node outside the float range is an input error (ValueError).  One
-    prepared orbit runner serves every node, in row-major order on one
-    thread, so the grid is deterministic and each node equals green_eval
-    at that point.
+    a node outside the float range, or a NaN or negative converge_tol,
+    is an input error (ValueError).  One prepared orbit runner serves
+    every node, in row-major order on one thread, so the grid is
+    deterministic and each node equals green_eval at that point.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
+    _check_tol(converge_tol)
     base, e1, e2 = ([_to_complex(x) for x in v]
                     for v in (slice_spec.base, slice_spec.e1, slice_spec.e2))
     if not all(map(cmath.isfinite, base + e1 + e2)):

@@ -564,7 +564,7 @@ def _kmul(a: dict, b: dict, width: int, nvars: int) -> dict | None:
 
 
 def _pacc(acc: dict, d: dict) -> None:
-    """acc += d in place, for packed term dicts."""
+    """acc += d in place, for term dicts with packed or tuple keys."""
     get = acc.get
     for k, v in d.items():
         s = get(k, 0) + v
@@ -644,12 +644,7 @@ def _dmul(a: dict, b: dict) -> dict:
 
 def _dadd(a: dict, b: dict) -> dict:
     out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
+    _pacc(out, b)
     return out
 
 
@@ -744,6 +739,13 @@ def _deg_in(d: dict, x: int) -> int:
     return max((e[x] for e in d), default=-1)
 
 
+def _utrim(u: list) -> list:
+    """Drop the zero top coefficients of a low-to-high coefficient list, in place."""
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
 def _specialize_univar(d: dict, x: int, vals: dict[int, int], p: int) -> list[int]:
     """Coefficients over GF(p) of d in x, every other variable fixed by vals."""
     powers = {}
@@ -763,13 +765,7 @@ def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
     """Monic gcd of two univariate polynomials over GF(p), low-to-high coefficients."""
     a = [c % p for c in A]
     b = [c % p for c in B]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
+    a, b = _utrim(a), _utrim(b)
     while b:
         inv = pow(b[-1], -1, p)
         b = [c * inv % p for c in b]
@@ -777,7 +773,7 @@ def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
             # subtract a[-1] * x^off * b; the top coefficient cancels
             f, off = a[-1], len(a) - len(b)
             a[off:] = [(x - f * y) % p for x, y in zip(a[off:-1], b)]
-            trim(a)
+            _utrim(a)
         a, b = b, a
     if a:
         inv = pow(a[-1], -1, p)

@@ -10,18 +10,21 @@ off the residue of the generating function sum d_n x^n =
 1/(1 - d x + h x^{n0+1}) at 1/lambda, and verifies the asymptotic
 statements numerically as residuals.
 
-For h > 0 the spectral data needs no numeric root finder.  P falls on
-(0, t*) and rises after its one positive critical point t* = d n0/(n0+1),
-and by Descartes' rule it has at most two positive roots.  In the
-simple case P(t*) < 0 < P(0) = h, so there are exactly two, lambda2 < t*
-< lambda.  On |t| = r with lambda2 < r < lambda, P(r) < 0 gives
+For h > 0, lambda needs no numeric root finder.  P falls on (0, t*) and
+rises after its one positive critical point t* = d n0/(n0+1), and by
+Descartes' rule it has at most two positive roots.  In the simple case
+P(t*) < 0 < P(0) = h, so there are exactly two, lambda2 < t* < lambda.
+On |t| = r with lambda2 < r < lambda, P(r) < 0 gives
 |t^{n0+1} + h| <= r^{n0+1} + h < d r^{n0} = |d t^{n0}|, so by Rouche's
 theorem P has n0 roots in |t| < r, like d t^{n0}.  Letting r fall to
 lambda2 puts every root but lambda in |t| <= lambda2: lambda dominates
-and rho = lambda2/lambda.  In the tangent case P(t*) = 0 the same limit,
-with |t - d| > d - |t| off the positive axis, puts every root but the
-double root t* strictly inside |t| < t*; it is not triple, since
-P''(t*) = d n0 t*^{n0-2} > 0.
+and rho = lambda2/lambda.  In the tangent case P(t*) = 0, so
+d = t* (n0+1)/n0, h = t*^{n0+1}/n0, and the identity
+n0 s^{n0+1} - (n0+1) s^{n0} + 1 = (s - 1)^2 R(s), R(s) = sum_{k<n0} (k+1) s^k,
+gives P(t* s) = h (s - 1)^2 R(s).  R has increasing positive
+coefficients, so by the Enestrom-Kakeya theorem its roots lie in
+1/2 <= |s| <= (n0-1)/n0 < 1: the double root lambda = t* dominates, and
+rho, the largest root modulus of R, depends on n0 alone.
 """
 
 from dataclasses import dataclass
@@ -60,7 +63,7 @@ class DegenerateLambda(SpectralError):
 
 
 class PrecisionExhausted(SpectralError):
-    """Roots failed to certify within the precision retry budget."""
+    """A root failed its bracket check, or `mp.polyroots` its error bound."""
 
 
 class InsufficientData(SpectralError):
@@ -105,12 +108,12 @@ class SpectralReport:
     `char_poly_roots`).  r is its multiplicity and rho the ratio of the
     next-largest root modulus to lambda_: for a simple lambda_ that is
     lambda2/lambda_, lambda2 the other positive root (see the module
-    docstring), proved the same way; for the double root it is exact
-    while n0 <= 2 and rests on `mp.polyroots` above.  Q_fit holds the r
-    polynomial coefficients (constant first) of the subexponential
-    factor in d_n = lambda^n (Q(n) + o(1)): the principal part of the
-    generating function 1/(1 - d x + h x^{n0+1}) at x = 1/lambda, which
-    depends on lambda alone, not on any other root or sampled sequence.
+    docstring), proved the same way; for the double root it is the
+    largest root modulus of R, exact while n0 <= 2 and an mpmath
+    estimate above.  Q_fit holds the r polynomial coefficients (constant
+    first) of the subexponential factor in d_n = lambda^n (Q(n) + o(1)):
+    the principal part of the generating function at x = 1/lambda,
+    which depends on no other root and no sampled sequence.
     """
 
     charpoly: tuple
@@ -154,31 +157,16 @@ def extend_degrees(spec: DegreeRecurrence, N: int) -> list:
     return out
 
 
-def _deflate(coeffs: Sequence[Fraction], root: Fraction) -> list:
-    """Synthetic division by (t - root); the remainder must vanish."""
-    out = []
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * root + c
-        out.append(acc)
-    rem = out.pop()
-    assert rem == 0, "deflation by a non-root"
-    return out
-
-
 def _polyroots_certified(coeffs, precision_bits):
-    """All roots with certified error below 2^{-precision_bits/2}."""
-    prec = 2 * precision_bits
-    for _ in range(8):
-        with workprec(prec):
-            try:
-                roots, err = mp.polyroots(coeffs, maxsteps=300, extraprec=prec // 2, error=True)
-                if err < mpf(2) ** (-(precision_bits // 2) - 2):
-                    return roots
-            except mp.NoConvergence:
-                pass
-        prec *= 2
-    raise PrecisionExhausted(f"root certification failed below 2^-{precision_bits // 2}")
+    """All roots of coeffs (high to low) by one `mp.polyroots` run, to 2^-(precision_bits+2)."""
+    with workprec(2 * precision_bits):
+        try:
+            roots, err = mp.polyroots(coeffs, maxsteps=300, extraprec=precision_bits, error=True)
+        except mp.NoConvergence:
+            err = mp.inf
+        if not err < mpf(2) ** (-precision_bits - 2):
+            raise PrecisionExhausted(f"polyroots error not below 2^-{precision_bits + 2}")
+    return roots
 
 
 def _newton(spec: DegreeRecurrence, lo: Fraction, hi: Fraction):
@@ -231,14 +219,15 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
     `_proved_root` gives the two positive roots, lambda2 on (0, t*) and
     lambda on (t*, d + 1), where P is monotone and changes sign; by the
     Rouche argument of the module docstring lambda is dominant and
-    rho = lambda2/lambda.  The tangent double root t* is exact and
-    dominant, and rho is the largest root modulus of P/(t - t*)^2: exact
-    while that is linear (n0 <= 2), from `mp.polyroots` above.  The
-    degrees have the generating function sum d_n x^n = 1/Q(x),
-    Q(x) = 1 - d x + h x^{n0+1} = x^{n0+1} P(1/x), and Q_fit is read off
-    its principal part at x0 = 1/lambda: at the working precision from
-    lambda for a simple root, exact in rationals and rounded once for
-    the double root.
+    rho = lambda2/lambda.  The tangent double root t* is exact, and rho,
+    the largest root modulus of R, is 0 and 1/2 for n0 <= 2 and comes
+    from one `mp.polyroots` run on R above.  The degrees have the
+    generating function sum d_n x^n = 1/Q(x), Q(x) = 1 - d x + h x^{n0+1}
+    = x^{n0+1} P(1/x), and Q_fit is read off its principal part at
+    x0 = 1/lambda, at the working precision from lambda for a simple
+    root.  For the double root Q(x0 u) = (1 - u)^2 S(u)/n0 with
+    S(u) = sum_{j<n0} (n0 - j) u^j, so 1/Q = A/(1 - u)^2 + B/(1 - u) + ...
+    with A = n0/S(1), B = n0 S'(1)/S(1)^2 and Q_fit = (A + B, A).
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
@@ -253,23 +242,14 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
             # P = t^n0 (t - d): everything is exact
             lam, r, rho, q_fit = mpf(d), 1, mpf(0), (mpf(1),)
         elif p_star == 0:
-            # the tangent case, as the viability check leaves t* > 1; the
-            # monic quotient has degree n0 - 1, and its root is -reduced[1] when linear
-            reduced = _deflate(_deflate([Fraction(c) for c in spec.charpoly()], t_star), t_star)
-            if n0 > 2:
-                others = _polyroots_certified(reduced, precision_bits)
-            else:
-                others = [mpf(c.numerator) / c.denominator for c in reduced[1:]]
+            # the tangent case, as the viability check leaves t* > 1
             lam, r = mpf(t_star.numerator) / t_star.denominator, 2
-            rho = max((abs(z) for z in others), default=mpf(0)) / lam
-            # 1/Q = A/(x - x0)^2 + B/(x - x0) + ... with A = 2/Q''(x0) and
-            # B = -2 Q'''(x0) / (3 Q''(x0)^2), so b = A/x0^2 and a = b - B/x0
-            x0 = 1 / t_star
-            q2 = h * (n0 + 1) * n0 * x0 ** (n0 - 1)
-            q3 = h * (n0 + 1) * n0 * (n0 - 1) * x0 ** (n0 - 2)
-            b = 2 / (x0**2 * q2)
-            a = b + 2 * q3 / (3 * q2**2 * x0)
-            q_fit = tuple(mpf(c.numerator) / c.denominator for c in (a, b))
+            if n0 > 2:
+                roots = _polyroots_certified(list(range(n0, 0, -1)), precision_bits)
+                rho = max(abs(z) for z in roots)
+            else:  # R = 1 or 1 + 2s
+                rho = mpf(n0 - 1) / 2
+            q_fit = (mpf(2 * n0 + 4) / (3 * (n0 + 1)), mpf(2) / (n0 + 1))
         else:
             lam, r = _proved_root(spec, t_star, Fraction(d + 1), precision_bits), 1
             rho = _proved_root(spec, Fraction(0), t_star, precision_bits) / lam

@@ -312,6 +312,13 @@ class TestGreenPoint:
         )
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_is_input_error(self, files, capsys, tol):
+        args = ("green-point", "--map", files["mono_map"], "--point", "1.5,1,1", "--n", 2)
+        assert run(capsys, *args, "--tol", "1e-6")[0] == 1
+        code, out, err = run(capsys, *args, f"--tol={tol}")
+        assert code == 2 and out == "" and "converge_tol" in err
+
 
 class TestGreenGrid:
     def test_grid_run_with_exports(self, files, capsys):
@@ -372,6 +379,15 @@ class TestGreenGrid:
             "--base", "1,0.5,0.3", "--e1", "1,0,0", "--e2", "0,1,0", "--resolution", 3,
         )
         assert code == 3 and out == "" and "higher --precision" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_is_input_error(self, files, capsys, tol):
+        args = ("green-grid", "--map", files["mono_map"], "--base", "1.5,1,1",
+                "--e1", "1,0,0", "--e2", "0,1,0", "--resolution", 3, "--n", 2, "--json")
+        code, out, _ = run(capsys, *args, "--tol", "1e-6")
+        assert code == 0 and json.loads(out)["counts"] == {"NotConverged": "9"}
+        code, out, err = run(capsys, *args, f"--tol={tol}")
+        assert code == 2 and out == "" and "converge_tol" in err
 
     def test_bad_resolution_is_input_error(self, files, capsys):
         code, _, err = run(

@@ -204,6 +204,26 @@ class TestOrbitErrors:
         u, _ = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=40, converge_tol=1e-9)
         assert math.isfinite(u)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_is_refused(self, mono, tol):
+        # NaN compares false, so it would switch the check off; a negative
+        # tolerance would fail every orbit
+        sl = gp.GridSlice(base=(1.5, 1, 1), e1=(1, 0, 0), e2=(0, 1, 0))
+        with pytest.raises(ValueError, match="converge_tol"):
+            gp.green_eval(mono, None, None, (1.5, 1, 1), n_iters=2, converge_tol=tol)
+        with pytest.raises(ValueError, match="converge_tol"):
+            gp.grid_sample(mono, None, None, sl, 3, n_iters=2, converge_tol=tol)
+
+    def test_none_and_infinite_tolerance_skip_the_check(self, mono):
+        sl = gp.GridSlice(base=(1.5, 1, 1), e1=(1, 0, 0), e2=(0, 1, 0))
+        with pytest.raises(gp.NotConverged):
+            gp.green_eval(mono, None, None, (1.5, 1, 1), n_iters=2, converge_tol=1e-6)
+        for tol in (None, math.inf):
+            u, _ = gp.green_eval(mono, None, None, (1.5, 1, 1), n_iters=2, converge_tol=tol)
+            assert math.isfinite(u)
+            g = gp.grid_sample(mono, None, None, sl, 3, n_iters=2, converge_tol=tol)
+            assert {s for row in g.status for s in row} == {gp.STATUS_OK}
+
     def test_orbit_state_rejects_bad_entries(self):
         # the unit-norm and finite-height checks every orbit entry passes
         with pytest.raises(gp.OrbitError):

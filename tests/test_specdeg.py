@@ -256,6 +256,66 @@ def test_simple_and_linear_tangent_cases_skip_the_root_finder(monkeypatch):
         assert char_poly_roots(DegreeRecurrence(*spec), 64).r == 2
 
 
+def tangent_spec(n0, m):
+    # P(t) = t^{n0+1} - m (n0+1) t^{n0} + m^{n0+1} n0^{n0} has the double root t* = m n0
+    return DegreeRecurrence(m * (n0 + 1), m ** (n0 + 1) * n0**n0, n0)
+
+
+@pytest.mark.parametrize("n0", range(1, 9))
+def test_tangent_case_in_closed_form(n0):
+    bits = 128
+    # m = 1 with n0 = 1 puts t* at 1, which is not viable
+    reps = {m: char_poly_roots(tangent_spec(n0, m), bits) for m in (1, 2, 3, 7) if m * n0 > 1}
+    with workprec(2 * bits):
+        q_fit = (mpf(2 * n0 + 4) / (3 * (n0 + 1)), mpf(2) / (n0 + 1))
+    for m, rep in reps.items():
+        assert rep.r == 2 and rep.lambda_ == m * n0 and rep.Q_fit == q_fit
+    # rho is the largest root modulus of R(s) = sum_{k<n0} (k+1) s^k: n0 alone fixes it
+    (rho,) = {rep.rho for rep in reps.values()}
+    if n0 == 1:
+        assert rho == 0
+    else:
+        # Enestrom-Kakeya: the coefficient ratios (k+1)/(k+2) bound every root of R
+        assert mpf(1) / 2 <= rho <= mpf(n0 - 1) / n0
+
+
+@pytest.mark.parametrize("n0", [4, 6, 10])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_tangent_rho_matches_sympy_nroots(n0, bits):
+    rep = char_poly_roots(tangent_spec(n0, 2), bits)
+    s = sympy.Symbol("s")
+    roots = sympy.Poly(sum((k + 1) * s**k for k in range(n0)), s).nroots(n=80, maxsteps=500)
+    with workprec(2 * bits):
+        want = max(mpf(sympy.Abs(z).evalf(80)) for z in roots)
+        assert abs(rep.rho - want) < mpf(2) ** (8 - bits)
+
+
+def test_tangent_rho_refuses_a_loose_error_estimate(monkeypatch):
+    # an error estimate of 2^-(p/2)-3 would leave rho good to about half its printed digits
+    bits, polyroots = 128, mp.polyroots
+
+    def loose(coeffs, **kwargs):
+        roots, _ = polyroots(coeffs, **kwargs)
+        return roots, mpf(2) ** (-(bits // 2) - 3)
+
+    monkeypatch.setattr(mp, "polyroots", loose)
+    with pytest.raises(PrecisionExhausted):
+        char_poly_roots(DegreeRecurrence(4, 27, 3), bits)
+
+
+def test_tangent_rho_takes_one_polyroots_run(monkeypatch):
+    calls = []
+
+    def diverge(coeffs, **kwargs):
+        calls.append(coeffs)
+        raise mp.NoConvergence("no convergence")
+
+    monkeypatch.setattr(mp, "polyroots", diverge)
+    with pytest.raises(PrecisionExhausted):
+        char_poly_roots(DegreeRecurrence(4, 27, 3), 128)
+    assert len(calls) == 1
+
+
 # -- asymptotics --------------------------------------------------------------------
 
 
