@@ -18,10 +18,14 @@ authoritative verdict is always the symbolic certificate from the
 iteration module.
 
 The intersection check works on the integer primitive parts of its
-forms, so the charts, the resultants (fraction-free Bareiss
+forms, so the chart rows, the resultants (fraction-free Bareiss
 determinants) and the squarefree parts stay in Z, and every univariate
-gcd is `poly_gcd` on binary forms.  Fractions enter only in the Euclid
-over Q[z]/(h), in the rational roots and in the fibres over them.
+gcd is `poly_gcd` on binary forms.  The Euclid over Q[z]/(h) takes
+pseudo-remainders, so it inverts nothing mod h; Fractions enter only in
+its reductions mod h, in the rational roots and in the fibres over
+them.  The line t = 0 and the chart t = 1 each list their own rational
+points, the failing ones among them and a witness polynomial for the
+failing points they cannot list.
 """
 
 import itertools
@@ -34,6 +38,7 @@ from typing import Optional, Sequence
 from .mapiter import (
     NotDominant,
     ProjMap,
+    _default_names,
     _directives,
     _jacobian,
     _jacobian_at,
@@ -44,7 +49,6 @@ from .mapiter import (
 from .polycore import (
     HomPoly,
     ParseError,
-    _deg_in,
     _dint_normalize,
     _is_prime,
     _modp_gcd,
@@ -214,7 +218,9 @@ def build_family_map(P, Q1, Q2, Q3, R, names: Optional[Sequence[str]] = None) ->
         raise CommonFactor("a component P*Qj - R vanishes identically")
     g = poly_gcd_many(comps)
     if g.degree > 0:
-        raise CommonFactor(f"components share the factor {poly_to_text(g)}")
+        raise CommonFactor(
+            f"components share the factor {poly_to_text(g, names or _default_names(3))}"
+        )
     f = make_map(comps, names)
     try:
         rec = DegreeRecurrence(d=P.degree + dq, h=P.degree, n0=1)
@@ -285,18 +291,6 @@ def _ugcd(a, b):
     return _dehom_binary(poly_gcd(*forms))[0]
 
 
-def _uinvmod(a, h):
-    """Inverse of a modulo h by the extended Euclidean algorithm; a must be a unit mod h."""
-    r0, r1 = list(h), _udivmod(a, h)[1]
-    s0, s1 = [], [1]
-    while _udeg(r1) > 0:
-        q, rem = _udivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _uadd(s0, _uscale(_umul(q, s1), -1))
-    assert r1, "not a unit modulo h"
-    return _udivmod(_uscale(s1, _quo(1, r1[0])), h)[1]
-
-
 def _uderiv(a):
     return _utrim([a[i] * i for i in range(1, len(a))])
 
@@ -359,28 +353,11 @@ def _urational_roots(a):
 # -- bivariate charts and resultants -------------------------------------------------
 
 
-def _chart(p: HomPoly, drop: int) -> dict:
-    """Affine chart: set coordinate `drop` to 1, keep the other two."""
-    keep = [i for i in range(3) if i != drop]
-    out = {}
-    for e, c in p.terms:
-        key = (e[keep[0]], e[keep[1]])
-        out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _bi_to_upolys(d: dict, main: int):
-    """List (by main-variable degree) of coefficient polys in the other variable."""
-    other = 1 - main
-    n = _deg_in(d, main)
-    rows = [[] for _ in range(n + 1)]
-    for (i, j), c in d.items():
-        mdeg = (i, j)[main]
-        odeg = (i, j)[other]
-        row = rows[mdeg]
-        while len(row) <= odeg:
-            row.append(0)
-        row[odeg] += c
+def _rows(f: HomPoly):
+    """f at t = 1 as coefficient lists in z, one per power of w."""
+    rows = [[0] * (f.degree + 1) for _ in range(max((e[1] for e, _ in f.terms), default=-1) + 1)]
+    for (i, j, _), c in f.terms:
+        rows[j][i] = c
     return [_utrim(r) for r in rows]
 
 
@@ -412,10 +389,8 @@ def _bareiss_poly_det(mat):
     return _uscale(det, sign)
 
 
-def _sylvester_resultant(d: dict, e: dict, elim: int):
-    """Resultant of two bivariate polys w.r.t. variable `elim`, as a univariate poly."""
-    A = _bi_to_upolys(d, elim)
-    B = _bi_to_upolys(e, elim)
+def _sylvester_resultant(A, B):
+    """Resultant in w of two polys given as rows (`_rows`), as a poly in z."""
     da, db = len(A) - 1, len(B) - 1
     if da < 0 or db < 0:
         return []
@@ -454,18 +429,24 @@ def _line_points(forms):
 
     forms are P, R and the two difference forms.  On the line they are
     binary forms in (z, w); the failing points are the zeros of their
-    gcd.  Returns the rational zeros of P and R, then the squarefree
-    part of that gcd at w = 1, whose roots are the z-coordinates of the
-    failing points [z:1:0].
+    gcd, and [1:0:0] is one iff w divides it.  Returns the rational
+    zeros of P and R, the failing ones among them, and the squarefree
+    part of the gcd at w = 1 with their z-coordinates divided out: its
+    roots are the z-coordinates of the failing points [z:1:0] not
+    listed.
     """
     binary = [_restrict_t0(f) for f in forms]
     zpoly, w_order = _dehom_binary(poly_gcd_many(binary[:2]))
-    points = [(Fraction(1), Fraction(0), Fraction(0))] if w_order else []
-    if _udeg(zpoly) >= 1:
-        roots = _urational_roots(zpoly)
-        points += [(z0, Fraction(1), Fraction(0)) for z0 in roots]
-    bad = _usquarefree(_dehom_binary(poly_gcd_many(binary))[0])
-    return points, bad
+    gpoly, w_fail = _dehom_binary(poly_gcd_many(binary))
+    corner = (Fraction(1), Fraction(0), Fraction(0))
+    points = [corner] if w_order else []
+    points += [(z0, Fraction(1), Fraction(0)) for z0 in _urational_roots(zpoly)]
+    failing = [corner] if w_fail else []
+    bad = _usquarefree(gpoly)
+    for z0 in _urational_roots(bad):
+        failing.append((z0, Fraction(1), Fraction(0)))
+        bad = _udivmod(bad, [-z0, 1])[0]
+    return points, failing, bad
 
 
 def _chart_points(forms):
@@ -473,35 +454,31 @@ def _chart_points(forms):
 
     Every common zero of p and r has its z-coordinate among the roots of
     h, the squarefree part of their resultant in w; every failing one is
-    also a root of each resultant of a difference with p or r.  A monic
-    Euclid in w over Q[z]/(h) then decides the gcd of all four forms,
-    splitting h whenever a leading coefficient is a zero divisor
-    (dynamic evaluation).  Returns the rational zeros of p and r, then
-    the product of the factors of h over which that gcd has positive
-    degree in w, the z-coordinates of all failing points.
+    also a root of each resultant of a difference with p or r.  A Euclid
+    in w over Q[z]/(h) then decides the gcd of all four forms: once the
+    leading coefficient u of b is a unit mod h, the pseudo-remainder
+    a <- u a - c w^k b keeps that gcd on every factor of h, and h splits
+    whenever u is a zero divisor (dynamic evaluation).  Returns the
+    rational zeros of p and r, the failing ones among them (the zeros
+    of the four forms' gcd on each fibre), and the product of the
+    factors of h over which the gcd has positive degree in w, with each
+    z-coordinate whose failing points are all listed divided out.
     """
-    p, r, d1, d2 = (_chart(f, 2) for f in forms)
-    res = _sylvester_resultant(p, r, 1)
+    p, r, d1, d2 = (_rows(f) for f in forms)
+    res = _sylvester_resultant(p, r)
     assert res, "coprime forms have a nonzero resultant"
-    points = []
-    zroots = _urational_roots(res)
-    for z0 in zroots:
-        q = _ugcd(*(_specialize_to_var(f, 1, (z0, 1, 1)) for f in forms[:2]))
-        if _udeg(q) >= 1:
-            wroots = _urational_roots(q)
-            points += [(z0, w0, Fraction(1)) for w0 in wroots]
     h = _usquarefree(res)
     for d in (d1, d2):
         for e in (p, r):
             # the resultant of two w-free polys is 1 by convention, not in the ideal
-            cut = _sylvester_resultant(e, d, 1) if max(_deg_in(e, 1), _deg_in(d, 1)) > 0 else []
+            cut = _sylvester_resultant(e, d) if max(len(e), len(d)) > 1 else []
             if cut:
                 h = _ugcd(h, cut)
                 break
     bad = [1]
-    # (h, a, b, rest): a is the monic gcd so far over Q[z]/(h), b the next
-    # form, rest the forms still to fold in; coefficients are polys in z
-    work = [(h, [], _bi_to_upolys(p, 1), [_bi_to_upolys(f, 1) for f in (r, d1, d2)])]
+    # (h, a, b, rest): a is the gcd so far over Q[z]/(h), with a unit leading coefficient,
+    # b the next form, rest the forms still to fold in; coefficients are polys in z
+    work = [(h, [], p, [r, d1, d2])]
     while work:
         h, a, b, rest = work.pop()
         if _udeg(h) < 1 or len(a) == 1:
@@ -519,17 +496,25 @@ def _chart_points(forms):
         if _udeg(g) > 0:
             work += [(g, a, b, rest), (_udivmod(h, g)[0], a, b, rest)]
             continue
-        inv = _uinvmod(b[-1], h)
-        b = [_udivmod(_umul(c, inv), h)[1] for c in b]
         a = [_udivmod(c, h)[1] for c in a]
         while len(a) >= len(b):
-            c, k = a.pop(), len(a) + 1 - len(b)
-            for i, y in enumerate(b[:-1]):
-                a[k + i] = _udivmod(_uadd(a[k + i], _uscale(_umul(c, y), -1)), h)[1]
+            cb = [[]] * (len(a) - len(b)) + [_umul(a[-1], y) for y in b]
+            a = [_udivmod(_uadd(_umul(b[-1], x), _uscale(y, -1)), h)[1] for x, y in zip(a, cb)]
             while a and not a[-1]:
                 a.pop()
         work.append((h, b, a, rest))
-    return points, bad
+    points, failing = [], []
+    for z0 in _urational_roots(res):
+        q = _ugcd(*(_specialize_to_var(f, 1, (z0, 1, 1)) for f in forms[:2]))
+        if _udeg(q) >= 1:
+            points += [(z0, w0, Fraction(1)) for w0 in _urational_roots(q)]
+            for f in forms[2:]:
+                q = _ugcd(q, _specialize_to_var(f, 1, (z0, 1, 1)))
+            roots = _urational_roots(q)
+            failing += [(z0, w0, Fraction(1)) for w0 in roots]
+            if roots and len(roots) == _udeg(_usquarefree(q)):
+                bad = _udivmod(bad, [-z0, 1])[0]  # every failing point over z0 is listed
+    return points, failing, bad
 
 
 def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
@@ -539,7 +524,8 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
     verdict is exact: FAIL iff some point of the set is a zero of both
     Q1 - Q3 and Q2 - Q3, decided by a gcd of binary forms on the line
     t = 0 and by a Euclid over the roots of a resultant in the chart
-    t = 1.  The rational points are listed and checked one by one.
+    t = 1.  Each of the two lists its rational points, the failing ones
+    among them and a witness for the failing points it does not list.
     """
     if check_coprimality(inst) == FAIL:
         return IntersectionReport(
@@ -552,21 +538,9 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
     forms = tuple(
         int_primitive(f).primitive for f in (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
     )
-    line, line_bad = _line_points(forms)
-    chart, chart_bad = _chart_points(forms)
-    failing = [pt for pt in line + chart if all(d.evaluate(pt) == 0 for d in forms[2:])]
-    # divide out the z-coordinates whose failing points are all listed
-    for z0, w0, t0 in failing:
-        if t0 == 0 and w0 == 1:
-            line_bad = _udivmod(line_bad, [-z0, 1])[0]
-    for z0 in {pt[0] for pt in failing if pt[2] == 1}:
-        fiber = []
-        for f in forms:
-            fiber = _ugcd(fiber, _specialize_to_var(f, 1, (z0, 1, 1)))
-        listed = sum(1 for pt in failing if pt[2] == 1 and pt[0] == z0)
-        if _udeg(_usquarefree(fiber)) == listed:
-            chart_bad = _udivmod(chart_bad, [-z0, 1])[0]
-    witnesses = failing + [
+    line, line_fail, line_bad = _line_points(forms)
+    chart, chart_fail, chart_bad = _chart_points(forms)
+    witnesses = line_fail + chart_fail + [
         (where, tuple(_quo(c, bad[-1]) for c in bad))
         for where, bad in (("line", line_bad), ("chart", chart_bad))
         if _udeg(bad) >= 1

@@ -63,7 +63,7 @@ class DegenerateLambda(SpectralError):
 
 
 class PrecisionExhausted(SpectralError):
-    """A root failed its bracket check, or `mp.polyroots` its error bound."""
+    """A root failed its bracket check, or `mp.polyroots` did not converge."""
 
 
 class InsufficientData(SpectralError):
@@ -158,7 +158,14 @@ def extend_degrees(spec: DegreeRecurrence, N: int) -> list:
 
 
 def _polyroots_certified(coeffs, precision_bits):
-    """All roots of coeffs (high to low) by one `mp.polyroots` run, to 2^-(precision_bits+2)."""
+    """All roots of coeffs (high to low) by one `mp.polyroots` run at 2*precision_bits bits.
+
+    mpmath iterates until its last correction is below its working
+    epsilon and then reports max(that correction, 2^(1-prec)), so on a
+    converged run the test below always passes: it refuses only
+    `NoConvergence`.  The reported value is a step size, not a bound on
+    the distance of a root from its estimate.
+    """
     with workprec(2 * precision_bits):
         try:
             roots, err = mp.polyroots(coeffs, maxsteps=300, extraprec=precision_bits, error=True)

@@ -481,6 +481,12 @@ class TestErrorPaths:
         code, out, err = run(capsys, "degrees", "--map", bad)
         assert code == 2 and out == "" and "error" in err
 
+    def test_shared_factor_is_named_in_the_file_variables(self, files, capsys):
+        fam = files["root"] / "shared.fam"
+        fam.write_text("vars z w t\nP z\nQ1 w^2\nQ2 w^2\nQ3 w^2\nR w^2*t\n")
+        code, out, err = run(capsys, "family-check", "--family", fam)
+        assert (code, out, err) == (2, "", "error: components share the factor z*w^2 - w^2*t\n")
+
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("boom")

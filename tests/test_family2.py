@@ -133,6 +133,14 @@ def test_build_rejects_shared_component_factor():
         build_family_map(pp("z"), pp("w^2"), pp("w*t"), pp("z*w"), pp("w^2*t"))
 
 
+def test_shared_factor_is_named_in_the_family_variables():
+    forms = [parse_poly(f, ("a", "b", "c")) for f in ("a", "b^2", "b^2", "b^2", "b^2*c")]
+    with pytest.raises(CommonFactor, match=r"factor a\*b\^2 - b\^2\*c$"):
+        build_family_map(*forms, names=("a", "b", "c"))
+    with pytest.raises(CommonFactor, match=r"factor z\*w\^2 - w\^2\*t$"):
+        build_family_map(*forms)
+
+
 # -- coprimality check --------------------------------------------------------
 
 
@@ -218,7 +226,7 @@ def test_intersection_chart_failure_is_exact(chart_fail):
 ], ids=["passing-factor", "failing-factor"])
 def test_chart_euclid_splits_at_zero_divisors(forms):
     """P, R, D1, D2 with h = (z^2 - 2)(z^2 - 3); all four vanish only at (±sqrt2, 0)."""
-    _, bad = family2._chart_points([pp(f) for f in forms])
+    _, _, bad = family2._chart_points([pp(f) for f in forms])
     assert bad == [Fraction(-2), Fraction(0), Fraction(1)]
 
 
@@ -236,6 +244,27 @@ def test_intersection_witnesses(reference, forms, witnesses):
     rep = check_intersection_conditions(inst)
     assert rep.verdict == FAIL == _oracle_verdict(inst)
     assert rep.failure_witnesses == witnesses
+
+
+@pytest.mark.parametrize("forms, witnesses, points", [
+    # z = 0 carries the failing point (0, 1) and the failing points (0, ±sqrt2),
+    # which are not rational: z stays in the witness though (0, 1) is listed
+    (("z", "(w - t)*(w^2 - 2*t^2) + z*t^2", "(w - t)*(w^2 - 2*t^2) + z*w^2",
+      "2*(w - t)*(w^2 - 2*t^2) - z*w*t"),
+     ((Fraction(0), Fraction(1), Fraction(1)), ("chart", (Fraction(0), Fraction(1)))),
+     ((Fraction(0), Fraction(1), Fraction(1)),)),
+    # [1:0:0] fails on the line and [0:0:1] passes in the chart
+    (("w", "z*t + w^2", "w*z + t^2", "t*z + w^2"),
+     ((Fraction(1), Fraction(0), Fraction(0)),),
+     ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(0), Fraction(1)))),
+], ids=["partly-listed-fibre", "corner"])
+def test_intersection_lists_each_failure_once(reference, forms, witnesses, points):
+    P, R, D1, D2 = (pp(f) for f in forms)
+    inst = dataclasses.replace(reference, P=P, R=R, Q1=D1, Q2=D2, Q3=HomPoly.zero(3))
+    rep = check_intersection_conditions(inst)
+    assert rep.verdict == FAIL == _oracle_verdict(inst)
+    assert rep.failure_witnesses == witnesses
+    assert rep.rational_points == points
 
 
 def test_intersection_fails_fast_without_finiteness():
@@ -264,7 +293,7 @@ def _planted(*factors):
 
 def _catalogue_resultant():
     inst = random_family(3, 3, 5, 0)
-    return family2._sylvester_resultant(family2._chart(inst.P, 2), family2._chart(inst.R, 2), 1)
+    return family2._sylvester_resultant(family2._rows(inst.P), family2._rows(inst.R))
 
 
 @pytest.mark.parametrize("make", [
@@ -333,10 +362,19 @@ def test_sylvester_resultant_matches_sympy():
              for i in range(dz + 1) for j in range(dw + 1) if rng.random() < 0.6}
         return {k: c for k, c in d.items() if c} or {(0, dw): Fraction(1)}
 
+    def rows(f, elim):
+        """f as coefficient lists in the other variable, one per power of variable elim."""
+        out = [[] for _ in range(max(k[elim] for k in f) + 1)]
+        for k, c in f.items():
+            row = out[k[elim]]
+            row += [0] * (k[1 - elim] + 1 - len(row))
+            row[k[1 - elim]] = c
+        return [family2._utrim(r) for r in out]
+
     for _ in range(40):
         d, e = rand_bi(), rand_bi()
         for elim, var, other in ((1, w, z), (0, z, w)):
-            got = family2._sylvester_resultant(d, e, elim)
+            got = family2._sylvester_resultant(rows(d, elim), rows(e, elim))
             D, E = (sympy.Add(*(sympy.Rational(c) * z**i * w**j for (i, j), c in f.items()))
                     for f in (d, e))
             expect = sympy.Poly(sympy.resultant(D, E, var), other).all_coeffs()[::-1]
