@@ -288,8 +288,10 @@ def _run_green_point(args):
 
 
 def _parse_range(text: str):
-    lo, hi = (float(p) for p in text.split(","))
-    return lo, hi
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"a range is two comma-separated numbers, not {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
 def _run_green_grid(args):

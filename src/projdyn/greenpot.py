@@ -4,7 +4,8 @@ The potential u(z) = lim log‖Fₙ(z)‖ / dₙ is evaluated through a
 normalized orbit recursion that never forms the huge lifted vectors:
 the orbit keeps unit vectors wₙ and per-degree log-heights
 γₙ = log‖Fₙ(z)‖ / dₙ, so all floating quantities stay bounded while
-the exact integer degrees dₙ carry the growth.
+the exact integer degrees dₙ carry the growth.  The limit needs λ > 1,
+so every entry point refuses a map of degree 1 (λ = 1) with ValueError.
 
 Residual operations check the two identities the potential must
 satisfy: the one-step functional equation
@@ -363,13 +364,10 @@ class _OrbitRunner:
         if precision < 24:
             raise ValueError("precision below 24 bits is not meaningful here")
         d = f.degree
+        if d < 2:
+            raise ValueError("the Green potential needs a map of degree at least 2")
         h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
-        if d >= 2:
-            degrees = extend_degrees(DegreeRecurrence(d=d, h=h, n0=n0), n_iters)
-        elif cert is not None:
-            raise ValueError("degree-1 maps take no divisor certificate")
-        else:
-            degrees = [1] * (n_iters + 1)
+        degrees = extend_degrees(DegreeRecurrence(d=d, h=h, n0=n0), n_iters)
         fast = precision <= 53
         if like is not None:
             vars(self).update(vars(like))
@@ -525,9 +523,9 @@ def green_eval(
     final iterate is reported as the estimate; when converge_tol is
     given and the last increment exceeds it, NotConverged is raised
     instead of returning a value silently off target; a NaN or negative
-    converge_tol raises ValueError.  lambda_report is unused (the exact
-    degrees carry the growth); it is kept only because the signature is
-    pinned.
+    converge_tol, or a map of degree 1, raises ValueError.  lambda_report
+    is unused (the exact degrees carry the growth); it is kept only
+    because the signature is pinned.
     """
     del lambda_report
     _check_tol(converge_tol)
@@ -696,7 +694,8 @@ def grid_sample(
     a node outside the float range, or a NaN or negative converge_tol,
     is an input error (ValueError).  One prepared orbit runner serves
     every node, in row-major order on one thread, so the grid is
-    deterministic and each node equals green_eval at that point.
+    deterministic and each node equals green_eval at that point; like
+    green_eval, it ignores lambda_report and refuses a map of degree 1.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")

@@ -10,10 +10,11 @@ off the residue of the generating function sum d_n x^n =
 1/(1 - d x + h x^{n0+1}) at 1/lambda, and verifies the asymptotic
 statements numerically as residuals.
 
-For h > 0, lambda needs no numeric root finder.  P falls on (0, t*) and
-rises after its one positive critical point t* = d n0/(n0+1), and by
-Descartes' rule it has at most two positive roots.  In the simple case
-P(t*) < 0 < P(0) = h, so there are exactly two, lambda2 < t* < lambda.
+For h > 0, P falls on (0, t*) and rises after its one positive critical
+point t* = d n0/(n0+1), and by Descartes' rule it has at most two
+positive roots.  In the simple case P(t*) < 0 < P(0) = h, so there are
+exactly two, lambda2 < t* < lambda, whose reciprocals Newton's method
+finds as the roots of the convex Q(x) = x^{n0+1} P(1/x) (see `_newton`).
 On |t| = r with lambda2 < r < lambda, P(r) < 0 gives
 |t^{n0+1} + h| <= r^{n0+1} + h < d r^{n0} = |d t^{n0}|, so by Rouche's
 theorem P has n0 roots in |t| < r, like d t^{n0}.  Letting r fall to
@@ -176,40 +177,36 @@ def _polyroots_certified(coeffs, precision_bits):
     return roots
 
 
-def _newton(spec: DegreeRecurrence, lo: Fraction, hi: Fraction):
-    """The root of P in (lo, hi), where P is monotone, at the working precision.
+def _newton(spec: DegreeRecurrence, x):
+    """The root 1/y of P, y the root of Q that Newton reaches from x, at the working precision.
 
-    Newton steps from the midpoint; a step that would leave the bracket
-    the iterates have narrowed so far bisects that bracket instead.
+    Q = 1 - d x + h x^{n0+1} is convex on x > 0, so from a start with Q > 0 the
+    iterates move monotonically to the root of Q on the start's side of its
+    minimum (Fourier's condition): up from 0 (Q' = -d) to 1/lambda, down from
+    (d/h)^{1/n0} (Q = 1, Q' = d n0) to 1/lambda2.  Only rounding keeps a step
+    from moving x toward that root, so the iteration ends at the first step
+    that is zero or points back; the loop bound is a backstop, and
+    `_proved_root` refuses a short iterate.
     """
     d, h, n0 = spec.d, spec.h, spec.n0
-    rising = spec.p_at(hi) > 0
-    a, b = (mpf(q.numerator) / q.denominator for q in (lo, hi))
-    x, tol = (a + b) / 2, mpf(2) ** (8 - mp.prec // 2)
+    step = None
     for _ in range(mp.prec):
-        px = x**n0 * (x - d) + h
-        if not px:
-            return x
-        a, b = (a, x) if (px > 0) == rising else (x, b)
-        new = x - px / (x ** (n0 - 1) * ((n0 + 1) * x - d * n0))
-        if not a < new < b:
-            new = (a + b) / 2
-        # convergence is quadratic: after a step this small the error is near 2^-mp.prec
-        if abs(new - x) <= tol * x:
-            return new
-        x = new
-    return x
+        new = x - (1 - d * x + h * x ** (n0 + 1)) / (h * (n0 + 1) * x**n0 - d)
+        if step is not None and not (new - x) * step > 0:
+            break
+        x, step = new, new - x
+    return 1 / x
 
 
-def _proved_root(spec: DegreeRecurrence, lo: Fraction, hi: Fraction, precision_bits: int):
+def _proved_root(spec: DegreeRecurrence, lo: Fraction, hi: Fraction, start, precision_bits: int):
     """The root of P in (lo, hi), where P is monotone, proved to a relative 2^-precision_bits.
 
-    With a, b = x (1 -+ 2^-precision_bits) for the `_newton` value x,
-    exact rational arithmetic checks lo < a, b < hi and that P changes
-    sign between a and b, so the one root in (lo, hi) lies in (a, b).
-    A failed check raises `PrecisionExhausted`.
+    With a, b = x (1 -+ 2^-precision_bits) for the value x that `_newton`
+    reaches from start, exact rational arithmetic checks lo < a, b < hi
+    and that P changes sign between a and b, so the one root in (lo, hi)
+    lies in (a, b).  A failed check raises `PrecisionExhausted`.
     """
-    x = _newton(spec, lo, hi)
+    x = _newton(spec, start)
     man, exp = x.man_exp
     exact, eps = man * Fraction(2) ** exp, Fraction(1, 2**precision_bits)
     a, b = exact * (1 - eps), exact * (1 + eps)
@@ -223,8 +220,8 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
 
     Viability (a real root above one) and double-root tangency are
     decided exactly in rational arithmetic first.  In the simple case
-    `_proved_root` gives the two positive roots, lambda2 on (0, t*) and
-    lambda on (t*, d + 1), where P is monotone and changes sign; by the
+    `_proved_root` gives the two positive roots by Newton on Q (see
+    `_newton`), lambda on (t*, d + 1) and lambda2 on (0, t*); by the
     Rouche argument of the module docstring lambda is dominant and
     rho = lambda2/lambda.  The tangent double root t* is exact, and rho,
     the largest root modulus of R, is 0 and 1/2 for n0 <= 2 and comes
@@ -258,8 +255,9 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
                 rho = mpf(n0 - 1) / 2
             q_fit = (mpf(2 * n0 + 4) / (3 * (n0 + 1)), mpf(2) / (n0 + 1))
         else:
-            lam, r = _proved_root(spec, t_star, Fraction(d + 1), precision_bits), 1
-            rho = _proved_root(spec, Fraction(0), t_star, precision_bits) / lam
+            lam, r = _proved_root(spec, t_star, Fraction(d + 1), mpf(0), precision_bits), 1
+            x2 = mp.root(mpf(d) / h, n0)
+            rho = _proved_root(spec, Fraction(0), t_star, x2, precision_bits) / lam
             # the residue 1/Q'(x0) gives lambda^n0 / P'(lambda), whose
             # denominator (n0+1)(lambda - t*) is nonzero since t* < lambda
             q_fit = (lam / ((n0 + 1) * lam - d * n0),)

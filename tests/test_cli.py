@@ -53,6 +53,7 @@ def files(tmp_path_factory):
         "id_map": root / "id.map",
         "mono_map": root / "mono.map",
         "huge_coeff_map": root / "huge_coeff.map",
+        "linear_map": root / "linear.map",
         "stable_fam": root / "stable.fam",
         "root": root,
     }
@@ -60,6 +61,7 @@ def files(tmp_path_factory):
     save_map(drops.map, paths["drops_map"])
     save_map(make_map([pp("z"), pp("w"), pp("t")]), paths["id_map"])
     save_map(make_map([pp("z^2"), pp("w^2"), pp("t^2")]), paths["mono_map"])
+    save_map(make_map([pp("w"), pp("t"), pp("z + w")]), paths["linear_map"])
     # F(1, 0.5, 0.3) has a norm near 1e200, whose square overflows a float
     save_map(make_map([pp("z^2") * 10**200, pp("w^2"), pp("t^2")]), paths["huge_coeff_map"])
     save_family(stable, paths["stable_fam"])
@@ -312,6 +314,16 @@ class TestGreenPoint:
         )
         assert code == 2 and out == "" and "finite" in err
 
+    def test_degree_one_map_is_input_error(self, files, capsys):
+        # lambda = 1: u would grow with --n instead of converging to a potential
+        for n in (10, 40):
+            code, out, err = run(capsys, "green-point", "--map", files["linear_map"],
+                                 "--point", "1,2,3", "--n", n)
+            assert (code, out) == (2, "") and "degree at least 2" in err
+        # verify-all runs no Green code on a degree-1 map
+        code, out, _ = run(capsys, "verify-all", "--map", files["linear_map"], "--n", 3)
+        assert code == 0 and out.endswith("overall PASS\n")
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_nan_or_negative_tol_is_input_error(self, files, capsys, tol):
         args = ("green-point", "--map", files["mono_map"], "--point", "1.5,1,1", "--n", 2)
@@ -388,6 +400,14 @@ class TestGreenGrid:
         assert code == 0 and json.loads(out)["counts"] == {"NotConverged": "9"}
         code, out, err = run(capsys, *args, f"--tol={tol}")
         assert code == 2 and out == "" and "converge_tol" in err
+
+    @pytest.mark.parametrize("flag", ["--x-range", "--y-range"])
+    def test_range_needs_two_numbers(self, files, capsys, flag):
+        code, out, err = run(
+            capsys, "green-grid", "--map", files["stable_map"],
+            "--base", "1,0,0", "--e1", "0,1,0", "--e2", "0,0,1", "--resolution", 2, flag, "1",
+        )
+        assert (code, out) == (2, "") and "two comma-separated numbers" in err
 
     def test_bad_resolution_is_input_error(self, files, capsys):
         code, _, err = run(

@@ -646,6 +646,24 @@ def test_family_file_rejects_malformed(reference, mutate, fragment):
         parse_family_text("\n".join(mutate(lines)))
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("vars z w\nP z\n", "exactly three variables"),
+    ("map z^2\nvars z w t\n", "vars line must come first"),
+    ("# a comment and nothing else\n", "missing vars line"),
+])
+def test_family_file_rejects_bad_headers(text, fragment):
+    with pytest.raises(ParseError, match=fragment):
+        parse_family_text(text)
+
+
+def test_family_file_rejects_two_map_lines(reference):
+    lines = family_to_text(reference).splitlines()
+    first_map = next(i for i, l in enumerate(lines) if l.startswith("map "))
+    del lines[first_map]
+    with pytest.raises(ParseError, match="exactly three map lines"):
+        parse_family_text("\n".join(lines))
+
+
 def test_family_file_rejects_inconsistent_map_lines(reference, stable):
     # map lines from one instance, forms from another
     ref_lines = family_to_text(reference).splitlines()

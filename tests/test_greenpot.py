@@ -127,6 +127,16 @@ class TestGreenEval:
             with pytest.raises(ZeroVector):
                 gp.green_eval(mono, None, None, bad, precision=128)
 
+    @pytest.mark.parametrize("precision", [53, 128])
+    def test_degree_one_map_is_refused(self, precision):
+        # lambda = 1 for a linear map: log||F^n(z)||/d_n grows like n, no potential
+        linear = make_map([pp("w"), pp("t"), pp("z + w")])
+        with pytest.raises(ValueError, match="degree at least 2"):
+            gp.green_eval(linear, None, None, (1, 2, 3), n_iters=10, precision=precision)
+        sl = gp.GridSlice(base=(1, 0, 0), e1=(0, 1, 0), e2=(0, 0, 1))
+        with pytest.raises(ValueError, match="degree at least 2"):
+            gp.grid_sample(linear, None, None, sl, resolution=2, precision=precision)
+
     def test_huge_point_at_53_bits(self, mono, stable):
         # the squares of 1e300 overflow; the norm is taken after a 2^-k scaling
         f, cert, rep = stable

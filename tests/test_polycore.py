@@ -84,6 +84,27 @@ def test_parse_rejects_garbage():
             P(bad)
 
 
+@pytest.mark.parametrize("text, names, fragment", [
+    ("z $ w", NAMES, "unexpected character"),
+    ("1/0*z", NAMES, "zero denominator"),
+    ("1/z", NAMES, "denominator digits"),
+    ("z", ("z", "z", "t"), "duplicate variable names"),
+])
+def test_parse_errors_name_the_fault(text, names, fragment):
+    with pytest.raises(ParseError, match=fragment):
+        parse_poly(text, names)
+
+
+@pytest.mark.parametrize("p, text", [
+    (P("(2/3)*z^2 - w*t"), "2/3*z^2 - w*t"),
+    (HomPoly.constant(3, Fraction(-5, 7)), "-5/7"),
+    (HomPoly.zero(3), "0"),
+])
+def test_print_fractions_constants_and_zero(p, text):
+    assert poly_to_text(p, NAMES) == text
+    assert parse_poly(text, NAMES) == p
+
+
 def test_print_orders_terms_deterministically():
     a = P("w^2 + z*w + z^2")
     b = P("z^2 + z*w + w^2")
@@ -537,6 +558,14 @@ def test_compose_with_zero_substitutes_matches_sympy():
             qs = [HomPoly.zero(3) if i in zeros else q for i in range(3)]
             sub = dict(zip(xs, (_to_sympy(s, xs) for s in qs)))
             _assert_same(p.compose(qs), _to_sympy(p, xs).xreplace(sub), xs)
+
+
+def test_compose_with_every_substitute_zero():
+    # only a constant term survives, into the substitutes' arity
+    zeros = [HomPoly.zero(2)] * 3
+    assert P("z^2 + w*t").compose(zeros) == HomPoly.zero(2)
+    assert HomPoly.constant(3, 7).compose(zeros) == HomPoly.constant(2, 7)
+    assert HomPoly.zero(3).compose(zeros) == HomPoly.zero(2)
 
 
 def test_compose_identity_substitution():

@@ -178,12 +178,12 @@ def test_precision_floor():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_lambda_outside_the_proved_bracket_is_refused(monkeypatch, bits, sign):
     # a lambda off by a relative 2^-(p/2) from the Newton stage, which
-    # runs above t*, is refused by the exact sign check of P around it
+    # starts at x = 0 for it, is refused by the exact sign check of P around it
     newton = specdeg._newton
 
-    def shifted(spec, lo, hi):
-        x = newton(spec, lo, hi)
-        return x * (1 + sign * mpf(2) ** -(bits // 2)) if lo > 0 else x
+    def shifted(spec, x):
+        t = newton(spec, x)
+        return t * (1 + sign * mpf(2) ** -(bits // 2)) if x == 0 else t
 
     monkeypatch.setattr(specdeg, "_newton", shifted)
     with pytest.raises(PrecisionExhausted):
@@ -192,15 +192,15 @@ def test_lambda_outside_the_proved_bracket_is_refused(monkeypatch, bits, sign):
 
 def test_q_fit_ignores_the_subdominant_roots(monkeypatch):
     # Q_fit is the residue at 1/lambda: moving lambda2, which the Newton
-    # stage finds below t*, by a relative 2^-(3p/2), inside its proved
-    # bracket, moves rho but leaves Q_fit, lambda, r and both bracket proofs
+    # stage finds from a start x > 0, by a relative 2^-(3p/2), inside its
+    # proved bracket, moves rho but leaves Q_fit, lambda, r and both bracket proofs
     spec, bits = DegreeRecurrence(5, 2, 3), 128
     want = char_poly_roots(spec, bits)
     newton = specdeg._newton
 
-    def moved(spec, lo, hi):
-        x = newton(spec, lo, hi)
-        return x if lo > 0 else x * (1 + mpf(2) ** -(3 * bits // 2))
+    def moved(spec, x):
+        t = newton(spec, x)
+        return t if x == 0 else t * (1 + mpf(2) ** -(3 * bits // 2))
 
     monkeypatch.setattr(specdeg, "_newton", moved)
     rep = char_poly_roots(spec, bits)
@@ -254,6 +254,36 @@ def test_simple_and_linear_tangent_cases_skip_the_root_finder(monkeypatch):
     assert simple == 148
     for spec in ((4, 4, 1), (6, 9, 1), (3, 4, 2), (6, 32, 2)):
         assert char_poly_roots(DegreeRecurrence(*spec), 64).r == 2
+
+
+def bisect_root(spec, lo, hi, bits):
+    """The root of P in (lo, hi), where P changes sign once, to within 2^-bits in Fractions."""
+    below = spec.p_at(lo) < 0
+    while hi - lo > Fraction(1, 2**bits):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if (spec.p_at(mid) < 0) == below else (lo, mid)
+    return lo
+
+
+# lambda2 lies on P's flat left branch, where Newton on P itself shrinks t by
+# only about n0/(n0+1) a step; Newton on Q reaches it from (d/h)^(1/n0)
+@pytest.mark.parametrize("d, h, n0, bits", [
+    (50, 1, 40, 64),
+    (20, 1, 60, 64),
+    (1000, 1, 40, 128),
+    (1000, 1000, 60, 128),
+])
+def test_large_n0_roots_match_exact_bisection(d, h, n0, bits):
+    spec = DegreeRecurrence(d, h, n0)
+    rep = char_poly_roots(spec, bits)
+    t_star = Fraction(d * n0, n0 + 1)
+    lam = bisect_root(spec, t_star, Fraction(d + 1), bits + 8)
+    lam2 = bisect_root(spec, Fraction(0), t_star, bits + 8)
+    assert rep.r == 1
+    tol = Fraction(1, 2 ** (bits - 8))
+    got_lam, got_rho = (x.man * Fraction(2) ** x.exp for x in (rep.lambda_, rep.rho))
+    assert abs(got_lam - lam) < tol * lam
+    assert abs(got_rho - lam2 / lam) < tol * lam2 / lam
 
 
 def tangent_spec(n0, m):
