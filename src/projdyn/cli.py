@@ -222,17 +222,19 @@ def _run_family_check(args):
 
 
 def _certificate_for(f, mode: str, depth: int):
-    """Resolve --cert: (cert, lambda_report, trace).  Plain mode has no divisor."""
+    """Resolve --cert: (cert, trace).  Plain mode has no divisor.
+
+    The orbit runner raises DegenerateLambda for a recurrence with no
+    root above 1.
+    """
     trace = iterate_degrees(f, depth)
     if mode == "none":
-        return None, None, trace
+        return None, trace
     res = infer_qas(trace)
     if res.verdict == "QAS":
-        cert = res.certificate
-        rep = char_poly_roots(DegreeRecurrence(d=cert.d, h=cert.h, n0=cert.n0))
-        return cert, rep, trace
+        return res.certificate, trace
     if res.verdict == "AS":
-        return None, None, trace
+        return None, trace
     raise DegenerateLambda(
         f"cannot certify a divisor at depth {depth}: verdict {res.verdict}"
     )
@@ -252,13 +254,13 @@ def _precision_limit(exc: gp.OrbitError, bits: int) -> PrecisionExhausted:
 
 def _run_green_point(args):
     f = load_map(args.map)
-    cert, rep, trace = _certificate_for(f, args.cert, args.cert_depth)
+    cert, trace = _certificate_for(f, args.cert, args.cert_depth)
     z = _parse_point(args.point, f.nvars)
     digest = certificate_digest(trace, cert.H if cert else None)
     mode = "QAS" if cert else "plain"
     try:
         u, hist = gp.green_eval(
-            f, cert, rep, z,
+            f, cert, None, z,
             n_iters=args.n, precision=args.precision, converge_tol=args.tol,
         )
     except (gp.OrbitHitIndeterminacy, gp.OrbitHitDivisor, gp.NotConverged) as exc:
@@ -296,7 +298,7 @@ def _parse_range(text: str):
 
 def _run_green_grid(args):
     f = load_map(args.map)
-    cert, rep, trace = _certificate_for(f, args.cert, args.cert_depth)
+    cert, trace = _certificate_for(f, args.cert, args.cert_depth)
     slice_spec = gp.GridSlice(
         base=_parse_point(args.base, f.nvars),
         e1=_parse_point(args.e1, f.nvars),
@@ -306,7 +308,7 @@ def _run_green_grid(args):
     )
     try:
         grid = gp.grid_sample(
-            f, cert, rep, slice_spec,
+            f, cert, None, slice_spec,
             resolution=args.resolution,
             n_iters=args.n,
             precision=args.precision,

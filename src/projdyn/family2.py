@@ -221,11 +221,11 @@ def build_family_map(P, Q1, Q2, Q3, R, names: Optional[Sequence[str]] = None) ->
         raise CommonFactor(
             f"components share the factor {poly_to_text(g, names or _default_names(3))}"
         )
+    # no d = deg P + deg Q1 < 2 gets past make_map: by Euler's identity and
+    # the calibration the Jacobian at (1, 1, 1) kills (1, 1, 1), and for
+    # d <= 1 it is constant, so the map is not dominant
     f = make_map(comps, names)
-    try:
-        rec = DegreeRecurrence(d=P.degree + dq, h=P.degree, n0=1)
-    except ValueError as exc:
-        raise DegreeConstraintViolated(str(exc)) from exc
+    rec = DegreeRecurrence(d=P.degree + dq, h=P.degree, n0=1)
     return FamilyInstance(P=P, Q1=Q1, Q2=Q2, Q3=Q3, R=R, map=f, recurrence=rec)
 
 

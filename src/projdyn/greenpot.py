@@ -5,7 +5,9 @@ normalized orbit recursion that never forms the huge lifted vectors:
 the orbit keeps unit vectors wₙ and per-degree log-heights
 γₙ = log‖Fₙ(z)‖ / dₙ, so all floating quantities stay bounded while
 the exact integer degrees dₙ carry the growth.  The limit needs λ > 1,
-so every entry point refuses a map of degree 1 (λ = 1) with ValueError.
+so every entry point refuses a map of degree 1 with ValueError, and a
+certificate whose degree recurrence has no root above 1 with
+DegenerateLambda.
 
 Residual operations check the two identities the potential must
 satisfy: the one-step functional equation
@@ -342,7 +344,9 @@ def _ratios(z, scale):
 class _OrbitRunner:
     """The normalized recursion, prepared once for (f, cert, n_iters, precision).
 
-    Set-up checks the certificate, extends the exact degrees and builds
+    Set-up checks the certificate, refuses a recurrence with no root
+    above 1 (DegenerateLambda, from DegreeRecurrence.check_viable; plain
+    mode, h = 0, always passes), extends the exact degrees and builds
     the step: generated straight-line float code at 53 bits or less,
     generated fixed-point int code above (see _fixed_code).  There the
     points and the heights γₙ are ints at one scale 2^S, S = precision
@@ -367,7 +371,9 @@ class _OrbitRunner:
         if d < 2:
             raise ValueError("the Green potential needs a map of degree at least 2")
         h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
-        degrees = extend_degrees(DegreeRecurrence(d=d, h=h, n0=n0), n_iters)
+        spec = DegreeRecurrence(d=d, h=h, n0=n0)
+        spec.check_viable()
+        degrees = extend_degrees(spec, n_iters)
         fast = precision <= 53
         if like is not None:
             vars(self).update(vars(like))
@@ -523,9 +529,10 @@ def green_eval(
     final iterate is reported as the estimate; when converge_tol is
     given and the last increment exceeds it, NotConverged is raised
     instead of returning a value silently off target; a NaN or negative
-    converge_tol, or a map of degree 1, raises ValueError.  lambda_report
-    is unused (the exact degrees carry the growth); it is kept only
-    because the signature is pinned.
+    converge_tol, or a map of degree 1, raises ValueError, and a
+    certificate whose recurrence has no root above 1 raises
+    DegenerateLambda.  lambda_report is unused (the exact degrees carry
+    the growth); it is kept only because the signature is pinned.
     """
     del lambda_report
     _check_tol(converge_tol)
@@ -695,7 +702,8 @@ def grid_sample(
     is an input error (ValueError).  One prepared orbit runner serves
     every node, in row-major order on one thread, so the grid is
     deterministic and each node equals green_eval at that point; like
-    green_eval, it ignores lambda_report and refuses a map of degree 1.
+    green_eval, it ignores lambda_report, refuses a map of degree 1 and
+    raises DegenerateLambda for a recurrence with no root above 1.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")

@@ -4,11 +4,12 @@ The three-term recurrence d_n = d*d_{n-1} - h*d_{n-n0-1} (with d_n = d^n
 up to the lag n0 and zero for negative indices) models the algebraic
 degree growth of a quasi-stable map.  Its characteristic polynomial
 P(t) = t^{n0+1} - d*t^{n0} + h carries the first dynamical degree as
-its dominant root; this module extends the sequence exactly, certifies
-the dominant root and its multiplicity, reads the subexponential factor
-off the residue of the generating function sum d_n x^n =
-1/(1 - d x + h x^{n0+1}) at 1/lambda, and verifies the asymptotic
-statements numerically as residuals.
+its dominant root; this module extends the sequence exactly, decides
+exactly whether a root above 1 exists (`DegreeRecurrence.check_viable`),
+certifies the dominant root and its multiplicity, reads the
+subexponential factor off the residue of the generating function
+sum d_n x^n = 1/(1 - d x + h x^{n0+1}) at 1/lambda, and verifies the
+asymptotic statements numerically as residuals.
 
 For h > 0, P falls on (0, t*) and rises after its one positive critical
 point t* = d n0/(n0+1), and by Descartes' rule it has at most two
@@ -25,9 +26,12 @@ n0 s^{n0+1} - (n0+1) s^{n0} + 1 = (s - 1)^2 R(s), R(s) = sum_{k<n0} (k+1) s^k,
 gives P(t* s) = h (s - 1)^2 R(s).  R has increasing positive
 coefficients, so by the Enestrom-Kakeya theorem its roots lie in
 1/2 <= |s| <= (n0-1)/n0 < 1: the double root lambda = t* dominates, and
-rho, the largest root modulus of R, depends on n0 alone.
+rho, the largest root modulus of R, depends on n0 alone; for n0 >= 3
+Braess-Hadeler inclusion discs around mpmath's estimates of the roots
+of R prove it (see `_polyroots_certified`).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -99,6 +103,19 @@ class DegreeRecurrence:
         x = Fraction(x)
         return x ** (self.n0 + 1) - self.d * x**self.n0 + self.h
 
+    def check_viable(self):
+        """Raise DegenerateLambda unless P has a real root above 1, decided in integers.
+
+        P(1) = 1 - d + h < 0 puts a root above 1.  Otherwise P, which
+        falls before its one positive critical point t* = d n0/(n0+1) and
+        rises after it, reaches zero above 1 only if t* > 1 and P(t*) <= 0,
+        where (n0+1)^{n0+1} P(t*) = h (n0+1)^{n0+1} - d (d n0)^{n0}.
+        """
+        d, h, n0 = self.d, self.h, self.n0
+        p_star_nonpositive = h * (n0 + 1) ** (n0 + 1) <= d * (d * n0) ** n0
+        if not (1 - d + h < 0 or (d * n0 > n0 + 1 and p_star_nonpositive)):
+            raise DegenerateLambda("no real root above 1; the recurrence has no exponential rate")
+
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -110,11 +127,12 @@ class SpectralReport:
     next-largest root modulus to lambda_: for a simple lambda_ that is
     lambda2/lambda_, lambda2 the other positive root (see the module
     docstring), proved the same way; for the double root it is the
-    largest root modulus of R, exact while n0 <= 2 and an mpmath
-    estimate above.  Q_fit holds the r polynomial coefficients (constant
-    first) of the subexponential factor in d_n = lambda^n (Q(n) + o(1)):
-    the principal part of the generating function at x = 1/lambda,
-    which depends on no other root and no sampled sequence.
+    largest root modulus of R, exact while n0 <= 2 and proved by
+    inclusion discs to a relative 2^-precision above.  Q_fit holds the
+    r polynomial coefficients (constant first) of the subexponential
+    factor in d_n = lambda^n (Q(n) + o(1)): the principal part of the
+    generating function at x = 1/lambda, which depends on no other root
+    and no sampled sequence.
     """
 
     charpoly: tuple
@@ -159,22 +177,65 @@ def extend_degrees(spec: DegreeRecurrence, N: int) -> list:
 
 
 def _polyroots_certified(coeffs, precision_bits):
-    """All roots of coeffs (high to low) by one `mp.polyroots` run at 2*precision_bits bits.
+    """All roots of coeffs (high to low, degree m >= 2) by one `mp.polyroots` run, each proved.
 
-    mpmath iterates until its last correction is below its working
-    epsilon and then reports max(that correction, 2^(1-prec)), so on a
-    converged run the test below always passes: it refuses only
-    `NoConvergence`.  The reported value is a step size, not a bound on
-    the distance of a root from its estimate.
+    polyroots runs at 2*precision_bits bits.  Its estimates z_i, rounded to
+    Gaussian integers Z_i at the scale 2^S, S = precision_bits + 16, are
+    the centres of the Braess-Hadeler inclusion discs
+    |s - z_i| <= m |W_i|, W_i = p(z_i) / (c_m prod_{j != i} (z_i - z_j)),
+    whose union holds every root, one in each disc that meets no other
+    (Numer. Math. 21, 1973).  In integers, W_i = N_i / (2^S c_m D_i) with
+    N_i = sum_k c_k Z_i^k 2^{S(m-k)} and D_i = prod_{j != i} (Z_i - Z_j),
+    and r_i = isqrt(ceil(m^2 |N_i|^2 / (c_m^2 |D_i|^2))) + 1 bounds the
+    radius in units of 2^-S.  The roots are returned only if the discs
+    are pairwise disjoint and every r_i <= 2^-precision_bits max|Z_j|,
+    so each root lies within a relative 2^-precision_bits of its
+    estimate; otherwise, or if polyroots does not converge,
+    `PrecisionExhausted` is raised.
     """
     with workprec(2 * precision_bits):
         try:
-            roots, err = mp.polyroots(coeffs, maxsteps=300, extraprec=precision_bits, error=True)
+            roots = mp.polyroots(coeffs, maxsteps=300, extraprec=precision_bits)
         except mp.NoConvergence:
-            err = mp.inf
-        if not err < mpf(2) ** (-precision_bits - 2):
-            raise PrecisionExhausted(f"polyroots error not below 2^-{precision_bits + 2}")
+            raise PrecisionExhausted("polyroots did not converge") from None
+        S, m = precision_bits + 16, len(coeffs) - 1
+        Z = [tuple(int(mp.nint(mp.ldexp(x, S))) for x in (mp.re(z), mp.im(z))) for z in roots]
+    top = max(x * x + y * y for x, y in Z)
+    radii = []
+    for i, (x, y) in enumerate(Z):
+        nr, ni = coeffs[0], 0
+        for k, c in enumerate(coeffs[1:], 1):
+            nr, ni = nr * x - ni * y + (c << k * S), nr * y + ni * x
+        dd = 1
+        for j, (u, v) in enumerate(Z):
+            if j != i:
+                dd *= (x - u) ** 2 + (y - v) ** 2
+        if not dd:
+            raise PrecisionExhausted("two root estimates coincide")
+        radii.append(math.isqrt(-(-m * m * (nr * nr + ni * ni) // (coeffs[0] ** 2 * dd))) + 1)
+    if any(r * r << 2 * precision_bits > top for r in radii) or any(
+            (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2
+            for i, (x, y) in enumerate(Z) for j, (u, v) in enumerate(Z[:i])):
+        raise PrecisionExhausted(f"inclusion discs overlap or exceed 2^-{precision_bits}")
     return roots
+
+
+def _descend(update, x):
+    """x - update(x), repeated up to the first step that is zero or points back.
+
+    The callers run Newton's method on a convex function from a start
+    where it is >= 0, so in exact arithmetic the iterates move
+    monotonically to the root (Fourier's condition).  Only rounding
+    keeps a step from moving x toward it, so that step ends the
+    iteration; the loop bound is a backstop.
+    """
+    step = None
+    for _ in range(mp.prec):
+        new = x - update(x)
+        if step is not None and not (new - x) * step > 0:
+            break
+        x, step = new, new - x
+    return x
 
 
 def _newton(spec: DegreeRecurrence, x):
@@ -182,20 +243,45 @@ def _newton(spec: DegreeRecurrence, x):
 
     Q = 1 - d x + h x^{n0+1} is convex on x > 0, so from a start with Q > 0 the
     iterates move monotonically to the root of Q on the start's side of its
-    minimum (Fourier's condition): up from 0 (Q' = -d) to 1/lambda, down from
-    (d/h)^{1/n0} (Q = 1, Q' = d n0) to 1/lambda2.  Only rounding keeps a step
-    from moving x toward that root, so the iteration ends at the first step
-    that is zero or points back; the loop bound is a backstop, and
-    `_proved_root` refuses a short iterate.
+    minimum (see `_descend`): up from 0 (Q' = -d) to 1/lambda, down from
+    (d/h)^{1/n0} (Q = 1, Q' = d n0) to 1/lambda2.  `_proved_root` refuses a
+    short iterate.
     """
     d, h, n0 = spec.d, spec.h, spec.n0
-    step = None
-    for _ in range(mp.prec):
-        new = x - (1 - d * x + h * x ** (n0 + 1)) / (h * (n0 + 1) * x**n0 - d)
-        if step is not None and not (new - x) * step > 0:
-            break
-        x, step = new, new - x
-    return 1 / x
+
+    def step(x):
+        return (1 - d * x + h * x ** (n0 + 1)) / (h * (n0 + 1) * x**n0 - d)
+
+    return 1 / _descend(step, x)
+
+
+def _scaled_gap(spec: DegreeRecurrence, lam, precision_bits: int):
+    """(n0+1)(lambda - t*) for a simple lambda, proved below lam (1 + 2^-precision_bits).
+
+    With a = d n0, so that t* = a/(n0+1), it is the positive root of
+    g(e) = (n0+1)^{n0+1} P(t* + e/(n0+1)) = sum_k g_k e^k.  Its Taylor
+    coefficients g_k = C(n0+1, k) a^{n0+1-k} - (n0+1) d C(n0, k) a^{n0-k}
+    (plus h (n0+1)^{n0+1} in g_0) are integers: g_0 < 0 in the simple
+    case, g_k = (n0+1) d C(n0, k) (k-1) a^{n0-k}/(n0+1-k) for 1 <= k <= n0,
+    so g_1 = 0 and g_k > 0 above, and g_{n0+1} = 1.  So g is convex and
+    increasing on e > 0, and Newton falls to the root (see `_descend`)
+    from (n0+1)(lam (1 + 2^-precision_bits) - t*), which lies above it
+    by a margin far beyond rounding.  The root keeps its relative
+    precision however small it is, where lambda - t* taken from lambda
+    loses the bits of lambda/(lambda - t*).
+    """
+    d, n0 = spec.d, spec.n0
+    a = d * n0
+    g = [math.comb(n0 + 1, k) * a ** (n0 + 1 - k)
+         - (n0 + 1) * d * math.comb(n0, k) * a ** max(n0 - k, 0) for k in range(n0 + 2)]
+    g[0] += spec.h * (n0 + 1) ** (n0 + 1)
+    g = [mpf(c) for c in reversed(g)]
+
+    def step(e):
+        y, dy = mp.polyval(g, e, derivative=True)
+        return y / dy
+
+    return _descend(step, (n0 + 1) * lam * (1 + mpf(2) ** -precision_bits) - a)
 
 
 def _proved_root(spec: DegreeRecurrence, lo: Fraction, hi: Fraction, start, precision_bits: int):
@@ -218,28 +304,29 @@ def _proved_root(spec: DegreeRecurrence, lo: Fraction, hi: Fraction, start, prec
 def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> SpectralReport:
     """Dominant root, multiplicity, spectral gap and Q_fit of P.
 
-    Viability (a real root above one) and double-root tangency are
-    decided exactly in rational arithmetic first.  In the simple case
-    `_proved_root` gives the two positive roots by Newton on Q (see
-    `_newton`), lambda on (t*, d + 1) and lambda2 on (0, t*); by the
-    Rouche argument of the module docstring lambda is dominant and
-    rho = lambda2/lambda.  The tangent double root t* is exact, and rho,
-    the largest root modulus of R, is 0 and 1/2 for n0 <= 2 and comes
-    from one `mp.polyroots` run on R above.  The degrees have the
-    generating function sum d_n x^n = 1/Q(x), Q(x) = 1 - d x + h x^{n0+1}
+    Viability (a real root above one, `DegreeRecurrence.check_viable`)
+    and double-root tangency are decided exactly first.  In the simple case `_proved_root` gives the two positive
+    roots by Newton on Q (see `_newton`), lambda on (t*, d + 1) and
+    lambda2 on (0, t*); by the Rouche argument of the module docstring
+    lambda is dominant and rho = lambda2/lambda.  The tangent double
+    root t* is exact, and rho, the largest root modulus of R, is 0 and
+    1/2 for n0 <= 2 and comes from one `mp.polyroots` run on R, proved
+    by `_polyroots_certified`, above.  The degrees have the generating
+    function sum d_n x^n = 1/Q(x), Q(x) = 1 - d x + h x^{n0+1}
     = x^{n0+1} P(1/x), and Q_fit is read off its principal part at
-    x0 = 1/lambda, at the working precision from lambda for a simple
-    root.  For the double root Q(x0 u) = (1 - u)^2 S(u)/n0 with
+    x0 = 1/lambda: for a simple root lambda/((n0+1)(lambda - t*)), at
+    the working precision from lambda and the gap that `_scaled_gap`
+    solves for on the shifted polynomial.  For the double root
+    Q(x0 u) = (1 - u)^2 S(u)/n0 with
     S(u) = sum_{j<n0} (n0 - j) u^j, so 1/Q = A/(1 - u)^2 + B/(1 - u) + ...
     with A = n0/S(1), B = n0 S'(1)/S(1)^2 and Q_fit = (A + B, A).
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
+    spec.check_viable()
     d, h, n0 = spec.d, spec.h, spec.n0
     t_star = Fraction(d * n0, n0 + 1)
     p_star = spec.p_at(t_star)
-    if not (spec.p_at(1) < 0 or (t_star > 1 and p_star <= 0)):
-        raise DegenerateLambda("no real root above 1; the recurrence has no exponential rate")
 
     with workprec(2 * precision_bits):
         if h == 0:
@@ -258,9 +345,8 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
             lam, r = _proved_root(spec, t_star, Fraction(d + 1), mpf(0), precision_bits), 1
             x2 = mp.root(mpf(d) / h, n0)
             rho = _proved_root(spec, Fraction(0), t_star, x2, precision_bits) / lam
-            # the residue 1/Q'(x0) gives lambda^n0 / P'(lambda), whose
-            # denominator (n0+1)(lambda - t*) is nonzero since t* < lambda
-            q_fit = (lam / ((n0 + 1) * lam - d * n0),)
+            # the residue 1/Q'(x0) gives lambda^n0 / P'(lambda) = lambda/((n0+1)(lambda - t*))
+            q_fit = (lam / _scaled_gap(spec, lam, precision_bits),)
         return SpectralReport(charpoly=spec.charpoly(), lambda_=lam, r=r, rho=rho, Q_fit=q_fit,
                               precision_bits=precision_bits)
 

@@ -32,6 +32,10 @@ PREFLIGHT_CATALOGUE = [
 CATALOGUE_SHA256 = "adbf49b4d2316e1f603db3375a83cc341eb9bfd0700942e063d3c3d880012904"
 
 
+# stderr of a certificate whose degree recurrence has no root above 1
+NO_GROWTH = "no real root above 1; the recurrence has no exponential rate\n"
+
+
 def pp(s):
     return parse_poly(s, NAMES)
 
@@ -54,6 +58,7 @@ def files(tmp_path_factory):
         "mono_map": root / "mono.map",
         "huge_coeff_map": root / "huge_coeff.map",
         "linear_map": root / "linear.map",
+        "no_growth_map": root / "no_growth.map",
         "stable_fam": root / "stable.fam",
         "root": root,
     }
@@ -62,6 +67,8 @@ def files(tmp_path_factory):
     save_map(make_map([pp("z"), pp("w"), pp("t")]), paths["id_map"])
     save_map(make_map([pp("z^2"), pp("w^2"), pp("t^2")]), paths["mono_map"])
     save_map(make_map([pp("w"), pp("t"), pp("z + w")]), paths["linear_map"])
+    # QAS with degrees 1, 2, 3, ...: d = 2, h = 1, n0 = 1, so P = (t - 1)^2
+    save_map(make_map([pp("t^2"), pp("-z*w - z*t"), pp("-z*w")]), paths["no_growth_map"])
     # F(1, 0.5, 0.3) has a norm near 1e200, whose square overflows a float
     save_map(make_map([pp("z^2") * 10**200, pp("w^2"), pp("t^2")]), paths["huge_coeff_map"])
     save_family(stable, paths["stable_fam"])
@@ -131,6 +138,13 @@ class TestLambda:
         assert payload["lambda"].startswith("2.618033988749894848204586834")
         assert payload["r"] == "1"
         assert payload["charpoly"] == ["1", "-3", "1"]
+
+    def test_q_fit_near_tangency(self, capsys):
+        # (lambda - t*)/lambda = 2.6e-16: Q_fit = lambda/((n0+1)(lambda - t*)) from the gap
+        # itself, where an exact bisection gives 222961405279578.4825654689
+        code, out, _ = run(capsys, "lambda", "--d", 68, "--h", 2**98 - 3, "--n0", 16,
+                           "--precision", 64, "--json")
+        assert code == 0 and json.loads(out)["Q_fit"] == ["222961405279578.48"]
 
     def test_no_dominant_root_is_negative(self, files, capsys):
         code, out, err = run(capsys, "lambda", "--d", 2, "--h", 5, "--n0", 1)
@@ -324,6 +338,16 @@ class TestGreenPoint:
         code, out, _ = run(capsys, "verify-all", "--map", files["linear_map"], "--n", 3)
         assert code == 0 and out.endswith("overall PASS\n")
 
+    def test_recurrence_without_growth_is_negative(self, files, capsys):
+        for precision in (53, 128):
+            code, out, err = run(capsys, "green-point", "--map", files["no_growth_map"],
+                                 "--point", "1,2,3", "--precision", precision)
+            assert (code, out, err) == (1, "", "error: " + NO_GROWTH)
+        # the point is parsed before the orbit runner checks the growth
+        code, out, err = run(capsys, "green-point", "--map", files["no_growth_map"],
+                             "--point", "1,2")
+        assert (code, out) == (2, "") and "3 comma-separated" in err
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_nan_or_negative_tol_is_input_error(self, files, capsys, tol):
         args = ("green-point", "--map", files["mono_map"], "--point", "1.5,1,1", "--n", 2)
@@ -400,6 +424,16 @@ class TestGreenGrid:
         assert code == 0 and json.loads(out)["counts"] == {"NotConverged": "9"}
         code, out, err = run(capsys, *args, f"--tol={tol}")
         assert code == 2 and out == "" and "converge_tol" in err
+
+    def test_recurrence_without_growth_is_negative(self, files, capsys):
+        csv_path = files["root"] / "no_growth.csv"
+        code, out, err = run(
+            capsys, "green-grid", "--map", files["no_growth_map"],
+            "--base", "1,0,0", "--e1", "0,1,0", "--e2", "0,0,1", "--resolution", 3,
+            "--csv", csv_path,
+        )
+        assert (code, out, err) == (1, "", "error: " + NO_GROWTH)
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("flag", ["--x-range", "--y-range"])
     def test_range_needs_two_numbers(self, files, capsys, flag):

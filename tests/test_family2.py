@@ -39,7 +39,7 @@ from projdyn import (
     sample_divisor_points,
 )
 import projdyn.family2 as family2
-from projdyn.mapiter import _jacobian, _jacobian_at
+from projdyn.mapiter import NotDominant, _jacobian, _jacobian_at
 
 V = ("z", "w", "t")
 
@@ -131,6 +131,26 @@ def test_build_rejects_shared_component_factor():
     # every component P*Qj - R is divisible by w
     with pytest.raises(CommonFactor):
         build_family_map(pp("z"), pp("w^2"), pp("w*t"), pp("z*w"), pp("w^2*t"))
+
+
+def test_build_rejects_two_variable_forms():
+    two = ("z", "w")
+    forms = [parse_poly(f, two) for f in ("z", "w^2", "z^2", "z*w", "z*w^2")]
+    with pytest.raises(DegreeConstraintViolated, match="three variables"):
+        build_family_map(*forms)
+
+
+def test_build_rejects_a_vanishing_component():
+    # R = P*Q1 satisfies the calibration, and P*Q1 - R is zero
+    with pytest.raises(CommonFactor, match="vanishes identically"):
+        build_family_map(pp("z"), pp("w^2"), pp("t^2"), pp("z*w"), pp("z*w^2"))
+
+
+def test_degree_one_family_is_not_dominant():
+    # d = deg P + deg Q1 = 1 is refused by make_map, before the recurrence:
+    # the components -z + w, 2(w - z), t - 2z + w have a singular Jacobian
+    with pytest.raises(NotDominant):
+        build_family_map(pp("1"), pp("z"), pp("w"), pp("t"), pp("2*z - w"))
 
 
 def test_shared_factor_is_named_in_the_family_variables():

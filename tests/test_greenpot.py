@@ -21,7 +21,7 @@ from mpmath import mp, mpf, workprec
 from projdyn.family2 import build_family_map
 from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, make_map
 from projdyn.polycore import HomPoly, parse_poly
-from projdyn.specdeg import DegreeRecurrence, char_poly_roots, extend_degrees
+from projdyn.specdeg import DegenerateLambda, DegreeRecurrence, char_poly_roots, extend_degrees
 from projdyn import greenpot as gp
 
 NAMES = ("z", "w", "t")
@@ -127,6 +127,14 @@ class TestGreenEval:
             with pytest.raises(ZeroVector):
                 gp.green_eval(mono, None, None, bad, precision=128)
 
+    def test_certificate_and_point_validation(self, mono, stable):
+        f, cert, rep = stable
+        flat = dataclasses.replace(cert, H=parse_poly("x", ("x", "y")))
+        with pytest.raises(ValueError, match="divisor arity"):
+            gp.green_eval(f, flat, None, Z_FROZEN)
+        with pytest.raises(ValueError, match="finite"):
+            gp.green_eval(mono, None, None, (mp.mpf("inf"), 1, 1), precision=128)
+
     @pytest.mark.parametrize("precision", [53, 128])
     def test_degree_one_map_is_refused(self, precision):
         # lambda = 1 for a linear map: log||F^n(z)||/d_n grows like n, no potential
@@ -136,6 +144,29 @@ class TestGreenEval:
         sl = gp.GridSlice(base=(1, 0, 0), e1=(0, 1, 0), e2=(0, 0, 1))
         with pytest.raises(ValueError, match="degree at least 2"):
             gp.grid_sample(linear, None, None, sl, resolution=2, precision=precision)
+
+    @pytest.mark.parametrize("precision", [53, 128])
+    def test_recurrence_without_growth_is_refused(self, precision):
+        # degrees 1, 2, 3, ...: P = (t - 1)^2, so lambda = 1 and the orbit
+        # heights grow with n (u = 1.40, 8.42, 37.2 at n = 10, 40, 160)
+        f = make_map([pp("t^2"), pp("-z*w - z*t"), pp("-z*w")])
+        cert = infer_qas(iterate_degrees(f, 3)).certificate
+        assert (cert.d, cert.h, cert.n0) == (2, 1, 1)
+        sl = gp.GridSlice(base=(1, 0, 0), e1=(0, 1, 0), e2=(0, 0, 1))
+        calls = (
+            lambda: gp.green_eval(f, cert, None, Z_FROZEN, n_iters=10, precision=precision),
+            lambda: gp.grid_sample(f, cert, None, sl, resolution=2, precision=precision),
+            lambda: gp.functional_eq_residual(f, cert, None, Z_FROZEN, precision=precision),
+            lambda: gp.telescope_residual(f, cert, None, Z_FROZEN, 2, precision=precision),
+        )
+        for call in calls:
+            with pytest.raises(DegenerateLambda, match="no real root above 1"):
+                call()
+        # plain iteration (h = 0) grows like 2^n and still evaluates
+        u, _ = gp.green_eval(f, None, None, Z_FROZEN, n_iters=40, precision=precision)
+        assert math.isfinite(float(u))
+        grid = gp.grid_sample(f, None, None, sl, resolution=2, precision=precision)
+        assert grid.resolution == 2
 
     def test_huge_point_at_53_bits(self, mono, stable):
         # the squares of 1e300 overflow; the norm is taken after a 2^-k scaling

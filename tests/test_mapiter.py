@@ -143,6 +143,17 @@ def test_component_count_must_match_arity():
         make_map([p("z^2"), p("w^2")])
 
 
+def test_make_map_validation(cubic_lag1):
+    with pytest.raises(AllZero, match="empty"):
+        make_map([])
+    with pytest.raises(ArityMismatch, match="disagree"):
+        make_map([p("z"), parse_poly("x", ("x", "y")), p("t")])
+    with pytest.raises(ArityMismatch, match="names"):
+        make_map([p("z"), p("w"), p("t")], ("z", "w"))
+    with pytest.raises(ArityMismatch, match="lifting arity"):
+        compose_extract(cubic_lag1, [parse_poly("x", ("x", "y"))] * 3)
+
+
 def test_constant_scaling_is_normalized():
     f = mk("6*z^2", "6*w^2", "6*t^2")
     assert poly_to_text(f.components[0], NAMES) == "z^2"
@@ -520,6 +531,7 @@ def test_map_file_round_trip(tmp_path, cubic_lag1):
         "vars z w t\nvars z w t\nmap z\nmap w\nmap t",
         "varsity z w t\nmap z\nmap w\nmap t",
         "vars z w t\nmap w^2\nmapz^2\nmap t^2",
+        "# a comment\n   # and another\n",
     ],
 )
 def test_map_text_errors(bad):

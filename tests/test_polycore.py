@@ -10,6 +10,7 @@ from sympy.polys.rings import ring
 
 from projdyn import (
     ArityMismatch,
+    DegreeMismatch,
     DivisionByZero,
     HomPoly,
     NonHomogeneous,
@@ -165,6 +166,55 @@ def test_evaluate_supports_floats_and_complex():
 def test_arity_mismatch_raises():
     with pytest.raises(ArityMismatch):
         P("z^2") + parse_poly("x^2", ("x", "y"))
+
+
+def test_constructor_validation():
+    with pytest.raises(ValueError, match="nvars"):
+        HomPoly(0)
+    with pytest.raises(ArityMismatch):
+        HomPoly(2, [((1, 0, 0), 1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        HomPoly(2, [((2, -1), 1)])
+    with pytest.raises(NonHomogeneous):
+        HomPoly(2, [((1, 0), 1), ((1, 1), 1)])
+    with pytest.raises(ArityMismatch):
+        HomPoly.variable(2, 2)
+    # terms that cancel leave the zero polynomial
+    zero = HomPoly(2, [((1, 0), 3), ((0, 1), 1), ((1, 0), -3), ((0, 1), -1)])
+    assert zero.is_zero and zero == HomPoly.zero(2)
+
+
+def test_operation_validation():
+    z, w = P("z"), P("w")
+    with pytest.raises(ValueError, match="non-negative"):
+        z ** -1
+    with pytest.raises(ArityMismatch, match="substitutes"):
+        z.compose([w, w])
+    with pytest.raises(ArityMismatch, match="arity"):
+        z.compose([w, parse_poly("x", ("x", "y")), w])
+    with pytest.raises(DegreeMismatch):
+        z.compose([w, w**2, w])
+    two = parse_poly("x*y", ("x", "y"))
+    with pytest.raises(ArityMismatch):
+        two.partial(2)
+    assert HomPoly.constant(3, 5).partial(0).is_zero
+    with pytest.raises(ArityMismatch):
+        z.evaluate((1, 2))
+    with pytest.raises(TypeError):
+        exact_div(z, 3)
+    with pytest.raises(DivisionByZero):
+        int_primitive(HomPoly.zero(3))
+    with pytest.raises(ArityMismatch, match="names"):
+        poly_to_text(z, ("z", "w"))
+    with pytest.raises(ValueError):
+        random_hompoly(random.Random(0), 3, -1, 4, 5)
+
+
+def test_term_cap_must_be_positive():
+    cap = get_term_cap()
+    with pytest.raises(ValueError, match="positive"):
+        set_term_cap(0)
+    assert get_term_cap() == cap
 
 
 # -- division and primitive form ------------------------------------------------

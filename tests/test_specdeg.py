@@ -116,6 +116,26 @@ def test_double_root_at_one_is_degenerate():
         char_poly_roots(DegreeRecurrence(2, 1, 1), 128)
 
 
+@pytest.mark.parametrize("d, h, n0, viable", [
+    (2, 1, 1, False),  # (t - 1)^2
+    (2, 2, 2, False),
+    (2, 5, 1, False),
+    (3, 2, 1, True),  # (t - 1)(t - 2)
+    (3, 1, 1, True),
+    (2, 0, 1, True),  # h = 0: t (t - d) for every d >= 2
+    (4, 4, 1, True),  # the double root 2
+])
+def test_check_viable_is_the_char_poly_roots_gate(d, h, n0, viable):
+    spec = DegreeRecurrence(d, h, n0)
+    if viable:
+        spec.check_viable()
+        assert char_poly_roots(spec, 64).lambda_ > 1
+        return
+    for call in (spec.check_viable, lambda: char_poly_roots(spec, 64)):
+        with pytest.raises(DegenerateLambda, match="no real root above 1"):
+            call()
+
+
 def test_complex_dominant_pair_is_degenerate():
     # t^3 - 2t^2 + 2 has its largest-modulus roots off the real axis
     with pytest.raises(DegenerateLambda):
@@ -320,17 +340,72 @@ def test_tangent_rho_matches_sympy_nroots(n0, bits):
         assert abs(rep.rho - want) < mpf(2) ** (8 - bits)
 
 
-def test_tangent_rho_refuses_a_loose_error_estimate(monkeypatch):
-    # an error estimate of 2^-(p/2)-3 would leave rho good to about half its printed digits
-    bits, polyroots = 128, mp.polyroots
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_tangent_rho_is_proved(bits):
+    # R = 1 + 2s + 3s^2 has the roots (-1 +- i sqrt 2)/3, of modulus sqrt(3)/3
+    rep = char_poly_roots(DegreeRecurrence(4, 27, 3), bits)
+    with workprec(2 * bits):
+        assert abs(rep.rho - sqrt(3) / 3) < mpf(2) ** -bits
 
-    def loose(coeffs, **kwargs):
-        roots, _ = polyroots(coeffs, **kwargs)
-        return roots, mpf(2) ** (-(bits // 2) - 3)
 
-    monkeypatch.setattr(mp, "polyroots", loose)
-    with pytest.raises(PrecisionExhausted):
-        char_poly_roots(DegreeRecurrence(4, 27, 3), bits)
+def patch_polyroots(monkeypatch, change):
+    """Make mp.polyroots return change(roots), with its error estimate when asked for one."""
+    polyroots = mp.polyroots
+
+    def changed(coeffs, error=False, **kwargs):
+        roots, err = polyroots(coeffs, error=True, **kwargs)
+        return (change(roots), err) if error else change(roots)
+
+    monkeypatch.setattr(mp, "polyroots", changed)
+
+
+@pytest.mark.parametrize("n0", [3, 8, 24])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_tangent_rho_refuses_moved_roots(monkeypatch, n0, bits):
+    # roots off by a relative 2^-(p/2) give inclusion discs far wider than 2^-p
+    patch_polyroots(monkeypatch, lambda roots: [z * (1 + mpf(2) ** -(bits // 2)) for z in roots])
+    with pytest.raises(PrecisionExhausted, match="inclusion discs"):
+        char_poly_roots(tangent_spec(n0, 2), bits)
+
+
+def test_tangent_rho_refuses_coinciding_estimates(monkeypatch):
+    patch_polyroots(monkeypatch, lambda roots: roots[:1] * len(roots))
+    with pytest.raises(PrecisionExhausted, match="coincide"):
+        char_poly_roots(tangent_spec(4, 2), 128)
+
+
+def exact_q_fit(spec, bits):
+    """lambda/((n0+1)(lambda - t*)) for a simple lambda, by bisecting lambda - t* in Fractions.
+
+    The bracket on lambda - t* narrows to a relative 2^-(bits+8), so the
+    quotient is good to about 2^-(bits+7) however near t* lambda lies.
+    """
+    t_star = Fraction(spec.d * spec.n0, spec.n0 + 1)
+    lo, hi = Fraction(0), spec.d + 1 - t_star
+    while hi - lo > lo / 2 ** (bits + 8):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if spec.p_at(t_star + mid) < 0 else (lo, mid)
+    return (t_star + lo) / ((spec.n0 + 1) * lo)
+
+
+# d = m (n0 + 1) and h = m^(n0+1) n0^n0 - k: a simple lambda just above the
+# tangent point t* = m n0, where lambda - t* taken from lambda loses digits
+@pytest.mark.parametrize("d, h, n0, bits", [
+    (68, 2**98 - 3, 16, 64),
+    (68, 2**98 - 3, 16, 256),
+    (8, 2**4 * 3**3 - 1, 3, 128),
+    (18, 3**6 * 5**5 - 2, 5, 64),
+    (52, 4**13 * 12**12 - 1, 12, 128),
+    (3, 1, 1, 1024),  # far from tangency
+    (5, 2, 3, 256),
+])
+def test_q_fit_matches_exact_bisection(d, h, n0, bits):
+    spec = DegreeRecurrence(d, h, n0)
+    rep = char_poly_roots(spec, bits)
+    assert rep.r == 1
+    want = exact_q_fit(spec, bits)
+    got = rep.Q_fit[0].man * Fraction(2) ** rep.Q_fit[0].exp
+    assert abs(got - want) < want / 2**bits
 
 
 def test_tangent_rho_takes_one_polyroots_run(monkeypatch):
@@ -455,6 +530,8 @@ def test_sn_identity_exact_roots():
 def test_sn_identity_bounds_checked():
     with pytest.raises(ValueError):
         check_sn_identity(S311, mpf(2), extend_degrees(S311, 5), 20)
+    with pytest.raises(ValueError, match="n_max"):
+        check_sn_identity(S311, mpf(2), extend_degrees(S311, 5), -1)
 
 
 # -- convergence of the root to the degree growth rate -------------------------------
