@@ -224,11 +224,18 @@ def _run_family_check(args):
 def _certificate_for(f, mode: str, depth: int):
     """Resolve --cert: (cert, trace).  Plain mode has no divisor.
 
-    The orbit runner raises DegenerateLambda for a recurrence with no
-    root above 1.
+    Plain mode normalizes by d^n, so it raises DegenerateLambda at the
+    first n ≤ depth where the exact degree is not d^n.  The orbit
+    runner raises DegenerateLambda for a recurrence with no root above 1.
     """
     trace = iterate_degrees(f, depth)
     if mode == "none":
+        for n, dn in enumerate(trace.degrees):
+            if dn != f.degree**n:
+                raise DegenerateLambda(
+                    f"--cert none needs degrees d^n, but degree {dn} at n = {n} "
+                    f"is not {f.degree**n}: the map is not algebraically stable"
+                )
         return None, trace
     res = infer_qas(trace)
     if res.verdict == "QAS":

@@ -283,10 +283,53 @@ def _fixed_code(polys, nvars, scale, step=True):
     return _generate(lines, ns)
 
 
-def _fixed_log(man, exp, precision, scale):
-    """log(man·2^exp) rounded at precision bits, as a fixed-point int at scale 2^scale."""
-    x = libmp.mpf_log(libmp.from_man_exp(man, exp), precision, libmp.round_nearest)
-    return libmp.to_fixed(x, scale)
+@functools.lru_cache(maxsize=32)
+def _log_table(W):
+    """ln 2 at scale 2^(W+64), and log(1 + j/256) at scale 2^W for j < 256.
+
+    Built once per W by mpmath at W + 30 bits, each entry floored: the
+    only mpmath calls of the fixed-point logarithm.
+    """
+    table = tuple(libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(256 + j, -8), W + 30), W)
+                  for j in range(256))
+    return libmp.ln2_fixed(W + 64), table
+
+
+def _int_log(num, den, S):
+    """log(num/den) for positive ints, as an int at scale 2^S within 2 units of 2^-S.
+
+    With e = bitlen(num) − bitlen(den) (less one when needed) and
+    W = S + G, G = bitlen(S), y = num/(den·2^e) is floored into [1, 2)
+    at 2^W.  Its top 8 fraction bits pick b = 1 + j/256, and
+    log y = log b + 2·atanh(s) with s = (y − b)/(y + b), 0 ≤ s < 2^-9.
+    The series Σ s^(2k+1)/(2k+1) runs until its term floors to 0, about
+    W/18 terms.  Error, in units of 2^-W: under 1 from y, 2 from s, 3
+    per series term (two floors, doubled; the tail included), 1 from
+    the table and 1 + |e|·2^-64 from e·ln 2, so at most W/6 + 9, below
+    1.5·2^G as 2^G > S ≥ 24; the final rounding shift by G adds half a
+    unit of 2^-S.
+    """
+    G = S.bit_length()
+    W = S + G
+    ln2, table = _log_table(W)
+    e = num.bit_length() - den.bit_length()
+    # y = num/(den·2^e) lies in (1/2, 2); Y = floor(y·2^(W+1))
+    k = W + 1 - e
+    Y = (num << k) // den if k >= 0 else (num >> -k) // den
+    if Y >> (W + 1):
+        Y >>= 1
+    else:
+        e -= 1
+    i = Y >> (W - 8)
+    B = i << (W - 8)
+    s = ((Y - B) << W) // (Y + B)
+    s2 = s * s >> W
+    acc, t, m = s, s, 3
+    while t:
+        t = t * s2 >> W
+        acc += t // m
+        m += 2
+    return (2 * acc + table[i - 256] + (e * ln2 >> 64) + (1 << (G - 1))) >> G
 
 
 # -- core orbit evaluation ----------------------------------------------------
@@ -349,16 +392,19 @@ class _OrbitRunner:
     mode, h = 0, always passes), extends the exact degrees and builds
     the step: generated straight-line float code at 53 bits or less,
     generated fixed-point int code above (see _fixed_code).  There the
-    points and the heights γₙ are ints at one scale 2^S, S = precision
-    + g, and only the logarithms call mpmath, rounding at the
+    points, the heights γₙ and their logarithms are ints at one scale
+    2^S, S = precision + g, and no step calls mpmath: a step with a
+    divisor term takes one _int_log of ‖F(w)‖/|H(w)|, since both enter
+    γₙ with unit weight, and real() alone rounds outputs at the
     precision.  With the guard bits g of _guard_bits every accepted
     norm ‖F(w)‖ and value |H(w)| is relatively accurate to
-    2^-(precision+3), so no other path is needed.  start() and run()
-    then cost one orbit per point.  The orbit keeps unit vectors wₙ and
-    per-degree log-heights γₙ; the lagged divisor term reaches back
-    n0+1 steps.  abs(H(w)) is |H(w)| in the units of the step's norm
-    and of tol.  A runner built like another shares its step, divisor
-    and scale, so their points mix.
+    2^-(precision+3), and each logarithm is within 2 units of 2^-S, so
+    no other path is needed.  The float step takes math.log of ‖F(w)‖
+    and of |H(w)| apart.  start() and run() then cost one orbit per
+    point.  The orbit keeps unit vectors wₙ and per-degree log-heights
+    γₙ; the lagged divisor term reaches back n0+1 steps.  abs(H(w)) is
+    |H(w)| in the units of the step's norm and of tol.  A runner built
+    like another shares its step, divisor and scale, so their points mix.
     """
 
     def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, like=None):
@@ -385,7 +431,7 @@ class _OrbitRunner:
             polys = f.components + ((cert.H,) if cert else ())
             S = self.scale = precision + _guard_bits(polys)
             self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
-            self.log = lambda r: _fixed_log(r, -S, precision, S)
+            self.log = lambda r: _int_log(r, 1 << S, S)
             self.step = _fixed_code(f.components, f.nvars, S)
             self.H = cert and _fixed_code((cert.H,), f.nvars, S, step=False)
         self.nvars, self.n0, self.precision = f.nvars, n0, precision
@@ -460,8 +506,9 @@ class _OrbitRunner:
         numbers (ints at scale 2^S above 53 bits, see real()).
         """
         _check_entry(self.norm(w), gamma, 0)
-        step, H, log, plan, n0, tol = self.step, self.H, self.log, self.plan, self.n0, self.tol
-        fixed = self.scale is not None
+        step, H, log, plan, n0, tol, S = (self.step, self.H, self.log, self.plan, self.n0,
+                                          self.tol, self.scale)
+        fixed = S is not None
         points, gammas, increments = [w], [gamma], []
         for n in range(1, len(plan)):
             a, b, hd, k = plan[n]
@@ -471,11 +518,16 @@ class _OrbitRunner:
                 ah = abs(H(points[n - n0 - 1]))
                 if ah < tol:
                     raise OrbitHitDivisor(f"orbit met the extracted divisor at step {n}", step=n)
-                lh = log(ah)
             nf, w, nrm = step(w)
             if w is None:
                 raise OrbitHitIndeterminacy(f"orbit met an indeterminate point at step {n}", step=n)
-            lg = log(nf)
+            if hd is None:
+                lg = log(nf)
+            elif fixed:
+                # log nf and log|H| enter γₙ with unit weight: one log of the ratio
+                lg, lh = _int_log(nf, ah, S), 0
+            else:
+                lg, lh = log(nf), log(ah)
             if k:
                 lg = math.ldexp(lg, -k)
                 if hd is not None:
@@ -523,9 +575,11 @@ def green_eval(
 ):
     """Potential estimate at z with the per-step convergence history.
 
-    cert None means plain iteration (no divisor correction, h = 0).
-    Returns (u, history) where history[n-1] = |γₙ − γ_{n−1}|: floats at
-    53 bits and below, mpf values rounded at the precision above.  The
+    cert None means plain iteration (no divisor correction, h = 0),
+    normalized by d^n: the caller vouches that the map is algebraically
+    stable, since nothing here sees its degrees.  Returns (u, history)
+    where history[n-1] = |γₙ − γ_{n−1}|: floats at 53 bits and below,
+    mpf values rounded at the precision above.  The
     final iterate is reported as the estimate; when converge_tol is
     given and the last increment exceeds it, NotConverged is raised
     instead of returning a value silently off target; a NaN or negative

@@ -348,6 +348,24 @@ class TestGreenPoint:
                              "--point", "1,2")
         assert (code, out) == (2, "") and "3 comma-separated" in err
 
+    @pytest.mark.parametrize("name, degree, want", [("no_growth_map", 3, 4), ("stable_map", 8, 9)])
+    def test_plain_mode_needs_algebraic_stability(self, files, capsys, name, degree, want):
+        # degrees 1, 2, 3 and 1, 3, 8: d^n fails first at n = 2, within --cert-depth
+        code, out, err = run(capsys, "green-point", "--map", files[name], "--point", "1,2,3",
+                             "--cert", "none")
+        assert (code, out) == (1, "")
+        assert f"degree {degree} at n = 2 is not {want}" in err
+        # a depth that stops before n = 2 cannot see it
+        code, _, _ = run(capsys, "green-point", "--map", files[name], "--point", "1,2,3",
+                         "--cert", "none", "--cert-depth", 1)
+        assert code == 0
+        csv_path = files["root"] / f"plain-{name}.csv"
+        code, out, err = run(capsys, "green-grid", "--map", files[name], "--base", "1,0,0",
+                             "--e1", "0,1,0", "--e2", "0,0,1", "--resolution", 2,
+                             "--cert", "none", "--csv", csv_path)
+        assert (code, out) == (1, "") and "n = 2" in err
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_nan_or_negative_tol_is_input_error(self, files, capsys, tol):
         args = ("green-point", "--map", files["mono_map"], "--point", "1.5,1,1", "--n", 2)

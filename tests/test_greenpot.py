@@ -46,6 +46,12 @@ def stable():
     return inst.map, cert, rep
 
 
+@pytest.fixture(scope="module")
+def extracting():
+    """Cubic whose second iterate drops degree by two; plain mode iterates its lifting."""
+    return make_map([pp("z*w^2 - w^2*t"), pp("z*t^2 - w^2*t"), pp("z^2*w - w^2*t")])
+
+
 def mono_closed_form(z):
     return max(math.log(abs(c)) for c in z)
 
@@ -97,6 +103,15 @@ class TestGreenEval:
         u, _ = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=40)
         u_hp, _ = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=60, precision=160)
         assert abs(float(u_hp) - u) < 1e-12
+
+    def test_53_bit_values_pinned(self, stable):
+        # the float step, whose values the verify-all residual bytes rest on
+        f, cert, rep = stable
+        assert repr(gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=40)[0]) == "0.5579286113366814"
+        fe = gp.functional_eq_residual(f, cert, rep, Z_FROZEN, n_iters=40)
+        assert repr(fe) == "3.0531133177191805e-16"
+        ts = gp.telescope_residual(f, cert, rep, Z_FROZEN, 3, n_iters=48)
+        assert repr(ts) == "2.4748243454926748e-17"
 
     def test_long_orbit_at_53_bits(self, stable):
         # beyond step ~737 the exact degrees pass the float range
@@ -691,21 +706,23 @@ def as_mpc(w, scale):
 class TestFixedPointStep:
     P = 96
 
-    @pytest.mark.parametrize("precision", [96, 128])
-    def test_green_eval_matches_double_precision_reference(self, stable, precision):
+    @pytest.mark.parametrize("precision", [96, 128, 256])
+    def test_green_eval_matches_double_precision_reference(self, stable, extracting, mono,
+                                                            precision):
         f, cert, rep = stable
         rng = random.Random(precision)
         points = [Z_FROZEN] + [tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3))
                                for _ in range(20)]
-        for z in points:
-            # the ambient precision is left at 53 bits
-            assert mp.prec == 53
-            u, hist = gp.green_eval(f, cert, rep, z, n_iters=40, precision=precision)
-            assert isinstance(u, mpf) and all(isinstance(x, mpf) for x in hist)
-            assert u._mpf_[3] <= precision and all(x._mpf_[3] <= precision for x in hist)
-            want = mp_reference_u(f, cert, z, 40, 2 * precision)
-            with workprec(2 * precision):
-                assert abs(u - want) <= mpf(2) ** (8 - precision) * max(1, abs(want))
+        for fn, ct in ((f, cert), (extracting, None), (mono, None)):
+            for z in points:
+                # the ambient precision is left at 53 bits
+                assert mp.prec == 53
+                u, hist = gp.green_eval(fn, ct, None, z, n_iters=40, precision=precision)
+                assert isinstance(u, mpf) and all(isinstance(x, mpf) for x in hist)
+                assert u._mpf_[3] <= precision and all(x._mpf_[3] <= precision for x in hist)
+                want = mp_reference_u(fn, ct, z, 40, 2 * precision)
+                with workprec(2 * precision):
+                    assert abs(u - want) <= mpf(2) ** (2 - precision) * max(1, abs(want))
 
     def check_step(self, polys, nvars, v):
         polys = tuple(polys)
@@ -759,3 +776,48 @@ class TestFixedPointStep:
                 delta = ratio * gp._SINGULAR_TOL / qn
                 want = self.check_step(polys, 2, (a, a - delta))
                 assert gp._SINGULAR_TOL * ratio * 0.9 < want < gp._SINGULAR_TOL * ratio * 1.1
+
+    def test_orbit_calls_no_mpmath(self, stable, monkeypatch):
+        f, cert, _ = stable
+        runner = gp._OrbitRunner(f, cert, 40, 128)
+        want = runner.run(*runner.start(Z_FROZEN))[0][-1]
+        # the log table is built: start and run now need no mpmath
+        monkeypatch.setattr(gp, "mp", None)
+        monkeypatch.setattr(gp, "libmp", None)
+        assert runner.run(*runner.start(Z_FROZEN))[0][-1] == want
+
+
+class TestIntLog:
+    @staticmethod
+    def error(num, den, S):
+        got = gp._int_log(num, den, S)
+        assert isinstance(got, int)
+        with workprec(S + 64):
+            return abs(got - (mp.log(num) - mp.log(den)) * mpf(2) ** S)
+
+    @pytest.mark.parametrize("precision", [54, 96, 128, 256, 1024])
+    def test_within_two_units(self, stable, precision):
+        f, cert, _ = stable
+        S = precision + gp._guard_bits(f.components + (cert.H,))
+        rng = random.Random(precision)
+        pairs = [(rng.getrandbits(rng.randint(1, S + 60)) | 1, rng.getrandbits(rng.randint(1, S + 60)) | 1)
+                 for _ in range(200)]
+        # exact powers of two, whose log is e·ln 2 alone
+        pairs += [(1 << a, 1 << b) for a in (0, 1, 7, S, S + 50) for b in (0, 3, S)]
+        # e·ln 2 far above 2^G units, as from a huge start point
+        pairs += [(1 << 40 * S, 1), (3 << 40 * S, 5)]
+        # y just below 2, and at and just above each table point b = 1 + j/256
+        pairs += [((1 << S + 1) - 1, 1 << S), ((1 << S) - 1, 1)]
+        for j in range(256):
+            pairs += [(256 + j, 256), (((256 + j) << S - 8) + 1, 1 << S)]
+        # the orbit's extremes: a value at the singular tolerance against 2^10
+        tol = math.ceil(Fraction(gp._SINGULAR_TOL) * 2**S)
+        pairs += [(tol, 1 << S + 10), (1 << S + 10, tol)]
+        logs = [gp._int_log(n, d, S) for n, d in pairs]
+        # negative logs: every pair also runs the other way round
+        for num, den in pairs + [(d, n) for n, d in pairs]:
+            assert self.error(num, den, S) <= 2, (num, den)
+        assert min(logs) < 0 < max(logs)
+        # num = den: the log is exactly 0
+        for x in (1, 3, (1 << S) + 1, tol, 12345678987654321 << S):
+            assert gp._int_log(x, x, S) == 0
