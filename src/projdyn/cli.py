@@ -221,22 +221,14 @@ def _run_family_check(args):
     return code, text
 
 
-def _certificate_for(f, mode: str, depth: int):
-    """Resolve --cert: (cert, trace).  Plain mode has no divisor.
+def _certificate_for(f, depth: int):
+    """(cert, trace) by infer_qas at depth (ValueError below 2): QAS or AS, else DegenerateLambda.
 
-    Plain mode normalizes by d^n, so it raises DegenerateLambda at the
-    first n ≤ depth where the exact degree is not d^n.  The orbit
-    runner raises DegenerateLambda for a recurrence with no root above 1.
+    AS, which proves degrees d^n up to the depth, gives plain mode
+    (cert None).  The orbit runner raises DegenerateLambda for a
+    recurrence with no root above 1.
     """
     trace = iterate_degrees(f, depth)
-    if mode == "none":
-        for n, dn in enumerate(trace.degrees):
-            if dn != f.degree**n:
-                raise DegenerateLambda(
-                    f"--cert none needs degrees d^n, but degree {dn} at n = {n} "
-                    f"is not {f.degree**n}: the map is not algebraically stable"
-                )
-        return None, trace
     res = infer_qas(trace)
     if res.verdict == "QAS":
         return res.certificate, trace
@@ -261,7 +253,7 @@ def _precision_limit(exc: gp.OrbitError, bits: int) -> PrecisionExhausted:
 
 def _run_green_point(args):
     f = load_map(args.map)
-    cert, trace = _certificate_for(f, args.cert, args.cert_depth)
+    cert, trace = _certificate_for(f, args.cert_depth)
     z = _parse_point(args.point, f.nvars)
     digest = certificate_digest(trace, cert.H if cert else None)
     mode = "QAS" if cert else "plain"
@@ -305,7 +297,7 @@ def _parse_range(text: str):
 
 def _run_green_grid(args):
     f = load_map(args.map)
-    cert, trace = _certificate_for(f, args.cert, args.cert_depth)
+    cert, trace = _certificate_for(f, args.cert_depth)
     slice_spec = gp.GridSlice(
         base=_parse_point(args.base, f.nvars),
         e1=_parse_point(args.e1, f.nvars),
@@ -512,8 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True,
                    help="comma-separated complex coordinates, e.g. '1+2j,0.5,3'")
-    p.add_argument("--cert", choices=("auto", "none"), default="auto")
-    p.add_argument("--cert-depth", type=int, default=3)
+    p.add_argument("--cert-depth", type=int, default=3,
+                   help="iterates certified before sampling, at least 2")
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--precision", type=int, default=53)
     p.add_argument("--tol", type=float, default=None)
@@ -526,8 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-range", default="-1,1")
     p.add_argument("--y-range", default="-1,1")
     p.add_argument("--resolution", type=int, required=True)
-    p.add_argument("--cert", choices=("auto", "none"), default="auto")
-    p.add_argument("--cert-depth", type=int, default=3)
+    p.add_argument("--cert-depth", type=int, default=3,
+                   help="iterates certified before sampling, at least 2")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--precision", type=int, default=53)
     p.add_argument("--tol", type=float, default=1e-6)

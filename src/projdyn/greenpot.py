@@ -335,16 +335,6 @@ def _int_log(num, den, S):
 # -- core orbit evaluation ----------------------------------------------------
 
 
-def _check_cert(f: ProjMap, cert: Optional[QASCertificate]):
-    if cert is None:
-        return None
-    if cert.d != f.degree:
-        raise ValueError(f"certificate degree {cert.d} does not match the map degree {f.degree}")
-    if cert.H.nvars != f.nvars:
-        raise ValueError("certificate divisor arity does not match the map")
-    return cert
-
-
 def _check_entry(nrm, gamma, step):
     """Reject an orbit entry whose point lost unit norm or whose height is not finite.
 
@@ -408,7 +398,10 @@ class _OrbitRunner:
     """
 
     def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, like=None):
-        cert = _check_cert(f, cert)
+        if cert is not None and cert.d != f.degree:
+            raise ValueError(f"certificate degree {cert.d} does not match the map degree {f.degree}")
+        if cert is not None and cert.H.nvars != f.nvars:
+            raise ValueError("certificate divisor arity does not match the map")
         if n_iters < 1:
             raise ValueError("n_iters must be at least 1")
         if precision < 24:
@@ -434,7 +427,7 @@ class _OrbitRunner:
             self.log = lambda r: _int_log(r, 1 << S, S)
             self.step = _fixed_code(f.components, f.nvars, S)
             self.H = cert and _fixed_code((cert.H,), f.nvars, S, step=False)
-        self.nvars, self.n0, self.precision = f.nvars, n0, precision
+        self.nvars, self.precision, self.spec = f.nvars, precision, spec
         # per step n: the weights of γ_{n-1}, γₙ and (when the divisor
         # enters) γ_{n-n0-1}, and the power of two k they were divided by
         self.plan = [None]
@@ -506,7 +499,7 @@ class _OrbitRunner:
         numbers (ints at scale 2^S above 53 bits, see real()).
         """
         _check_entry(self.norm(w), gamma, 0)
-        step, H, log, plan, n0, tol, S = (self.step, self.H, self.log, self.plan, self.n0,
+        step, H, log, plan, n0, tol, S = (self.step, self.H, self.log, self.plan, self.spec.n0,
                                           self.tol, self.scale)
         fixed = S is not None
         points, gammas, increments = [w], [gamma], []
@@ -544,18 +537,17 @@ class _OrbitRunner:
         return gammas, points, increments
 
     def value(self, z, converge_tol=None):
-        """(u, increments) at z; NotConverged when the last increment exceeds converge_tol."""
+        """(u, increments) at z, in the runner's numbers; NotConverged past converge_tol."""
         gammas, _, increments = self.run(*self.start(z))
-        u = gammas[-1]
-        if self.scale is not None:
-            u, increments = self.real(u), [self.real(x) for x in increments]
-        if converge_tol is not None and increments[-1] > converge_tol:
-            raise NotConverged(
-                f"increment {float(increments[-1]):.3e} above {converge_tol:.3e} "
-                f"after {len(increments)} steps",
-                step=len(increments),
-            )
-        return u, tuple(increments)
+        if converge_tol is not None:
+            last = self.real(increments[-1])
+            if last > converge_tol:
+                raise NotConverged(
+                    f"increment {float(last):.3e} above {converge_tol:.3e} "
+                    f"after {len(increments)} steps",
+                    step=len(increments),
+                )
+        return gammas[-1], increments
 
 
 def _check_tol(converge_tol):
@@ -577,9 +569,10 @@ def green_eval(
 
     cert None means plain iteration (no divisor correction, h = 0),
     normalized by d^n: the caller vouches that the map is algebraically
-    stable, since nothing here sees its degrees.  Returns (u, history)
-    where history[n-1] = |γₙ − γ_{n−1}|: floats at 53 bits and below,
-    mpf values rounded at the precision above.  The
+    stable, since nothing here sees its degrees (the command line takes
+    plain mode only from an AS verdict of infer_qas).  Returns
+    (u, history) where history[n-1] = |γₙ − γ_{n−1}|: floats at 53 bits
+    and below, mpf values rounded at the precision above.  The
     final iterate is reported as the estimate; when converge_tol is
     given and the last increment exceeds it, NotConverged is raised
     instead of returning a value silently off target; a NaN or negative
@@ -590,12 +583,24 @@ def green_eval(
     """
     del lambda_report
     _check_tol(converge_tol)
-    return _OrbitRunner(f, cert, n_iters, precision).value(z, converge_tol)
+    orbit = _OrbitRunner(f, cert, n_iters, precision)
+    u, increments = orbit.value(z, converge_tol)
+    return orbit.real(u), tuple(map(orbit.real, increments))
 
 
-def _lambda(f: ProjMap, lambda_report, precision: int):
-    """λ (the degree in plain mode): a float at 53 bits and below, an mpf at the precision above."""
-    lam = lambda_report.lambda_ if lambda_report is not None else f.degree
+def _lambda(orbit: _OrbitRunner, lambda_report):
+    """λ from the report of the runner's recurrence, or d in plain mode without a report.
+
+    ValueError for a missing report with a certificate or a report of
+    another recurrence.  A float at 53 bits and below, an mpf above.
+    """
+    spec, precision = orbit.spec, orbit.precision
+    if lambda_report is None and not spec.h:
+        lam = spec.d
+    elif lambda_report is None or lambda_report.charpoly != spec.charpoly():
+        raise ValueError(f"the residuals need the lambda report of {spec}")
+    else:
+        lam = lambda_report.lambda_
     if precision <= 53:
         return float(lam)
     with workprec(precision):
@@ -616,13 +621,14 @@ def functional_eq_residual(
     input is scaled to the unit sphere first), which is what makes the
     identity hold without a floating additive constant.  In plain
     (h = 0) mode the residual is |u(F(z)) − d·u(z)| and λ defaults to
-    the degree.  A float at 53 bits and below, an mpf at the precision
-    above.
+    the degree; with a certificate lambda_report must be the report of
+    its recurrence (ValueError otherwise, see _lambda).  A float at 53
+    bits and below, an mpf at the precision above.
     """
     orbit = _OrbitRunner(f, cert, n_iters, precision)
+    lam = _lambda(orbit, lambda_report)
     w, _ = orbit.start(z)
-    lam = _lambda(f, lambda_report, precision)
-    u_z, _ = orbit.value(w)
+    u_z = orbit.real(orbit.value(w)[0])
     nf, w1, _ = orbit.step(w)
     if w1 is None:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
@@ -653,24 +659,24 @@ def telescope_residual(
     is the telescoping that unrolls the one-step equation.  The input
     is unit-normalized first; orbit heights stay in normalized (γ, w)
     form, so nothing overflows even though log‖Fᵐ(z)‖ grows like dᵐ.
-    A float at 53 bits and below, an mpf at the precision above.
+    λ comes from lambda_report as in functional_eq_residual.  A float
+    at 53 bits and below, an mpf at the precision above.
     """
-    cert = _check_cert(f, cert)
     if n < 1:
         raise ValueError("n must be at least 1")
-    lam = _lambda(f, lambda_report, precision)
+    orbit = _OrbitRunner(f, cert, n_iters, precision)
+    lam = _lambda(orbit, lambda_report)
     digits = precision * math.log10(2)
     if n * math.log10(max(float(lam), 1.0 + 1e-9)) > digits - 6:
         raise AmplificationOverflow(
             f"lambda^{n} exceeds the usable precision ({precision} bits)", step=n
         )
-    orbit = _OrbitRunner(f, cert, n_iters, precision)
     # plain-composition orbit: heights scale by d^m, no extraction
     plain = _OrbitRunner(f, None, n, precision, like=orbit)
     w, _ = orbit.start(z)
     gammas, points, _ = plain.run(*plain.start(w))
-    u_z, _ = orbit.value(w)
-    u_wn, _ = orbit.value(points[n])
+    u_z = orbit.real(orbit.value(w)[0])
+    u_wn = orbit.real(orbit.value(points[n])[0])
     d, real = f.degree, orbit.real
     with workprec(precision):
         u_fnz = real(d**n * gammas[n]) + u_wn
@@ -775,7 +781,7 @@ def grid_sample(
     def node(x, y):
         z = tuple(b + x * a + y * c for b, a, c in zip(base, e1, e2))
         try:
-            return float(orbit.value(z, converge_tol)[0]), STATUS_OK
+            return float(orbit.real(orbit.value(z, converge_tol)[0])), STATUS_OK
         except (OrbitHitIndeterminacy, ZeroVector):
             return None, STATUS_INDETERMINACY
         except OrbitHitDivisor:

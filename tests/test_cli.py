@@ -280,19 +280,12 @@ class TestGreenPoint:
     def test_plain_mode(self, files, capsys):
         code, out, _ = run(
             capsys, "green-point", "--map", files["mono_map"],
-            "--point", "2,1,1", "--cert", "none", "--json",
+            "--point", "2,1,1", "--json",
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["mode"] == "plain"
         assert abs(float(payload["u"]) - 0.6931471805599453) < 1e-9
-
-    def test_auto_cert_on_a_stable_map_is_plain(self, files, capsys):
-        # infer-qas says AS, so --cert auto iterates without a divisor
-        args = ("green-point", "--map", files["mono_map"], "--point", "2,1,1", "--json")
-        code, out, _ = run(capsys, *args, "--cert", "auto")
-        assert code == 0 and json.loads(out)["mode"] == "plain"
-        assert (code, out) == run(capsys, *args, "--cert", "none")[:2]
 
     def test_wrong_arity_is_input_error(self, files, capsys):
         code, out, err = run(
@@ -311,8 +304,7 @@ class TestGreenPoint:
         assert payload["status"] == "OK"
 
     def test_orbit_beyond_the_precision_is_a_resource_limit(self, files, capsys):
-        args = ("green-point", "--map", files["huge_coeff_map"], "--point", "1,0.5,0.3",
-                "--cert", "none", "--json")
+        args = ("green-point", "--map", files["huge_coeff_map"], "--point", "1,0.5,0.3", "--json")
         code, out, err = run(capsys, *args)
         assert code == 3 and out == "" and "higher --precision" in err
         code, out, _ = run(capsys, *args, "--precision", 64)
@@ -348,22 +340,20 @@ class TestGreenPoint:
                              "--point", "1,2")
         assert (code, out) == (2, "") and "3 comma-separated" in err
 
-    @pytest.mark.parametrize("name, degree, want", [("no_growth_map", 3, 4), ("stable_map", 8, 9)])
-    def test_plain_mode_needs_algebraic_stability(self, files, capsys, name, degree, want):
-        # degrees 1, 2, 3 and 1, 3, 8: d^n fails first at n = 2, within --cert-depth
+    @pytest.mark.parametrize("name", ["no_growth_map", "stable_map"])
+    def test_cert_depth_below_two_is_input_error(self, files, capsys, name):
+        # the map is always certified, and infer_qas gives no verdict on one iterate
         code, out, err = run(capsys, "green-point", "--map", files[name], "--point", "1,2,3",
-                             "--cert", "none")
-        assert (code, out) == (1, "")
-        assert f"degree {degree} at n = 2 is not {want}" in err
-        # a depth that stops before n = 2 cannot see it
-        code, _, _ = run(capsys, "green-point", "--map", files[name], "--point", "1,2,3",
-                         "--cert", "none", "--cert-depth", 1)
-        assert code == 0
-        csv_path = files["root"] / f"plain-{name}.csv"
+                             "--cert-depth", 1)
+        assert (code, out) == (2, "") and "depth at least 2" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["green-point", "--map", str(files[name]), "--point", "1,2,3", "--cert", "none"])
+        assert exc.value.code == 2
+        csv_path = files["root"] / f"shallow-{name}.csv"
         code, out, err = run(capsys, "green-grid", "--map", files[name], "--base", "1,0,0",
                              "--e1", "0,1,0", "--e2", "0,0,1", "--resolution", 2,
-                             "--cert", "none", "--csv", csv_path)
-        assert (code, out) == (1, "") and "n = 2" in err
+                             "--cert-depth", 1, "--csv", csv_path)
+        assert (code, out) == (2, "") and "depth at least 2" in err
         assert not csv_path.exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -429,7 +419,7 @@ class TestGreenGrid:
 
     def test_orbit_beyond_the_precision_is_a_resource_limit(self, files, capsys):
         code, out, err = run(
-            capsys, "green-grid", "--map", files["huge_coeff_map"], "--cert", "none",
+            capsys, "green-grid", "--map", files["huge_coeff_map"],
             "--base", "1,0.5,0.3", "--e1", "1,0,0", "--e2", "0,1,0", "--resolution", 3,
         )
         assert code == 3 and out == "" and "higher --precision" in err

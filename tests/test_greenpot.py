@@ -381,6 +381,24 @@ class TestResiduals:
         with pytest.raises(ValueError):
             gp.telescope_residual(f, cert, rep, Z_FROZEN, 0)
 
+    @pytest.mark.parametrize("precision", [53, 128])
+    def test_residuals_need_the_report_of_their_recurrence(self, stable, mono, precision):
+        # λ = d = 3 in place of the proved 2.618 gave residuals of 0.23 and 0.10
+        f, cert, rep = stable
+        other = char_poly_roots(DegreeRecurrence(d=3, h=1, n0=2))
+        plain = char_poly_roots(DegreeRecurrence(d=2, h=0, n0=1))
+        for fn, ct, report in ((f, cert, None), (f, cert, other), (mono, None, rep)):
+            with pytest.raises(ValueError, match="lambda report"):
+                gp.functional_eq_residual(fn, ct, report, Z_FROZEN, precision=precision)
+            with pytest.raises(ValueError, match="lambda report"):
+                gp.telescope_residual(fn, ct, report, Z_FROZEN, 2, precision=precision)
+        # plain mode without a report takes λ = d, the root of its own recurrence
+        for report in (None, plain):
+            assert gp.functional_eq_residual(mono, None, report, Z_FROZEN,
+                                             precision=precision) < 1e-12
+            assert gp.telescope_residual(mono, None, report, Z_FROZEN, 2,
+                                         precision=precision) < 1e-12
+
 
 class TestExactLiftingConsistency:
     def test_heights_match_exact_lifting(self, stable):
