@@ -465,13 +465,15 @@ def _run_verify_all(args):
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="projdyn",
+        # a prefix of an option is no option: "--cert 4" would set --cert-depth
+        allow_abbrev=False,
         description="Degree sequences, stability certificates, spectral data, "
                     "and Green-potential sampling for plane rational maps.",
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add(name, run, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(run=run)
         return p

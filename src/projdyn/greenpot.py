@@ -110,9 +110,9 @@ def _square(y):
 
 
 def _term_walk(polys, ns, coeff):
-    """Per polynomial, its terms in p.terms order as (coefficient name, ((i, k), ...)).
+    """Per polynomial, its terms in p.terms order as (c, name, ((i, k), ...)).
 
-    Each coefficient is bound in ns as coeff(c) under its name, so the
+    Each coefficient c is bound in ns as coeff(c) under its name, so the
     generated source holds only indices and exponents; the pairs list
     the variables with nonzero exponent k.
     """
@@ -121,20 +121,23 @@ def _term_walk(polys, ns, coeff):
         terms = []
         for t, (e, c) in enumerate(p.terms):
             ns[f"c{j}_{t}"] = coeff(c)
-            terms.append((f"c{j}_{t}", tuple((i, k) for i, k in enumerate(e) if k)))
+            terms.append((c, f"c{j}_{t}", tuple((i, k) for i, k in enumerate(e) if k)))
         walk.append(terms)
     return walk
 
 
 def _chunked_sum(name, start, parts):
-    """Lines that add parts to start left to right, 64 at a time.
+    """Lines that add the signed parts ("+ x" or "- x") to start left to right, 64 at a time.
 
+    Without a start the first part begins the sum (0 without parts).
     Chunks keep the left-to-right sum without one huge expression: a
     flat sum of 10k terms overflows the compiler.
     """
+    if start is None:
+        start, parts = (parts[0].removeprefix("+ "), parts[1:]) if parts else ("0", parts)
     lines, acc = [], start
     for lo in range(0, max(len(parts), 1), 64):
-        lines.append(f"{name} = " + " + ".join([acc] + parts[lo:lo + 64]))
+        lines.append(f"{name} = " + " ".join([acc] + parts[lo:lo + 64]))
         acc = name
     return lines
 
@@ -145,41 +148,38 @@ def _generate(lines, ns):
 
 
 @functools.lru_cache(maxsize=32)
-def _float_code(polys, nvars, step=True):
-    """Straight-line 53-bit evaluator of the tuple polys, generated once per map.
+def _float_code(polys, nvars, div=None):
+    """Straight-line 53-bit step for the tuple polys, generated once per map.
 
     The function is pure, so it is memoised on the arguments and every
     runner of the map shares it.
 
-    With step the function maps a point w to (‖F(w)‖, F(w)/‖F(w)‖,
-    norm of that quotient); the quotient is None when ‖F(w)‖ is below
-    the singular tolerance.  Without step it returns the value of the
-    single polynomial.  The float operations are those of a per-term
-    loop, so values are bit-identical to it: each value starts at 0j
-    and adds c·x_i**k_i (left to right, ** for k ≥ 2) in p.terms order,
-    and the norm sums parenthesized per-coordinate squares.  Powers
-    x_i**k are shared across the polynomials.
+    It maps a point w to (‖F(w)‖, F(w)/‖F(w)‖, norm of that quotient,
+    H(w)): the quotient is None when ‖F(w)‖ is below the singular
+    tolerance, and H(w) is the divisor polynomial div at the point the
+    step leaves (None without div).  The float operations are those of
+    a per-term loop, so values are bit-identical to it: each value
+    starts at 0j and adds c·x_i**k_i (left to right, ** for k ≥ 2) in
+    p.terms order, and the norm sums parenthesized per-coordinate
+    squares.  Powers x_i**k are shared across the polynomials and div.
     """
     ns = {"sqrt": math.sqrt, "TOL": _SINGULAR_TOL}
     xs = [f"x{i}" for i in range(nvars)]
     powers, values = {}, []
-    for j, terms in enumerate(_term_walk(polys, ns, _to_complex)):
-        prods = [" * ".join([c] + [xs[i] if k == 1 else powers.setdefault((i, k), f"p{i}_{k}")
-                                   for i, k in factors])
-                 for c, factors in terms]
+    for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, _to_complex)):
+        prods = ["+ " + " * ".join([c] + [xs[i] if k == 1 else powers.setdefault((i, k), f"p{i}_{k}")
+                                          for i, k in factors])
+                 for _, c, factors in terms]
         values += _chunked_sum(f"y{j}", "0j", prods)
     lines = [", ".join(xs) + ", = w"]
     lines += [f"{name} = x{i}**{k}" for (i, k), name in powers.items()]
     lines += values
-    if step:
-        ys = [f"y{j}" for j in range(len(polys))]
-        lines.append("nf = sqrt(" + " + ".join(map(_square, ys)) + ")")
-        lines.append("if nf < TOL:\n        return nf, None, 0.0")
-        lines += [f"u{j} = y{j} / nf" for j in range(len(polys))]
-        us = [f"u{j}" for j in range(len(polys))]
-        lines.append(f"return nf, ({', '.join(us)},), sqrt(" + " + ".join(map(_square, us)) + ")")
-    else:
-        lines.append("return y0")
+    ys, hv = [f"y{j}" for j in range(len(polys))], f"y{len(polys)}" if div is not None else "None"
+    lines.append("nf = sqrt(" + " + ".join(map(_square, ys)) + ")")
+    lines.append(f"if nf < TOL:\n        return nf, None, 0.0, {hv}")
+    lines += [f"u{j} = y{j} / nf" for j in range(len(polys))]
+    us = [f"u{j}" for j in range(len(polys))]
+    lines.append(f"return nf, ({', '.join(us)},), sqrt(" + " + ".join(map(_square, us)) + f"), {hv}")
     return _generate(lines, ns)
 
 
@@ -196,25 +196,30 @@ def _guard_bits(polys):
     all values has norm ≤ E too, and the floored norm adds one unit.
     The orbit accepts only norms ‖F(w)‖ and values |H(w)| of at least
     _SINGULAR_TOL > 2^-47, so g = bitlen(E) + 47 + 4 keeps the relative
-    error of each accepted one below 2^-(p+3).
+    error of each accepted one below 2^-(p+3).  E over-counts integer
+    coefficients, which are exact and floor nothing, but S is kept: a
+    smaller scale would change every orbit int and so the outputs.
     """
     bound = sum(2 * p.degree * abs(c) + 1 for p in polys for _, c in p.terms) + 2 * len(polys)
     return math.ceil(bound).bit_length() + _TOL_BITS + 4
 
 
 @functools.lru_cache(maxsize=32)
-def _fixed_code(polys, nvars, scale, step=True):
-    """Straight-line fixed-point evaluator of the tuple polys at the scale S = scale.
+def _fixed_code(polys, nvars, scale, div=None):
+    """Straight-line fixed-point step for the tuple polys at the scale S = scale.
 
-    Memoised on the arguments like _float_code.
-
-    A point is a tuple of (re, im) int pairs, each coordinate x read as
-    (re + i·im)/2^S.  Powers and monomials are built by complex products
-    of four int multiplies and a floor shift by S, each shared across
-    the polynomials and reused as the prefix of longer monomials.  A
-    coefficient c is the int floor(c·2^S), so c·m is exact at 2^(2S)
-    and each value is shifted down once, after its sum (p.terms order,
-    64-term chunks, coefficients bound as names).
+    Memoised on the arguments like _float_code.  A point is a tuple of
+    (re, im) int pairs, each coordinate x read as (re + i·im)/2^S.
+    Powers and monomials are built by complex products of four int
+    multiplies and a floor shift by S, each shared across the
+    polynomials and div and reused as the prefix of longer monomials.
+    An integer coefficient c multiplies its monomial m at 2^S as it is
+    (c = ±1 as a bare sign); any other c is the int floor(c·2^S), so
+    c·m is exact at 2^(2S), and the sum of these terms is shifted down
+    once per value (p.terms order, 64-term chunks, coefficients bound
+    as names).  As floor(c·2^S) = c·2^S for an integer c and
+    (2^S·A + B) >> S = A + (B >> S), each value is the one shift of the
+    sum with every coefficient floored at 2^S.
 
     Error: with every |x| ≤ 1, each product adds less than √2 units of
     2^-S in modulus and passes earlier errors on unamplified, so a
@@ -225,12 +230,14 @@ def _fixed_code(polys, nvars, scale, step=True):
     2^(49−S); the slack of E over these sums (at least √2·|c| per term
     and 2 − √2 per value) absorbs the factor (1 + 2^(49−S))^k this adds.
 
-    With step the function maps w to (nf, q, ‖q‖): nf = floor(‖F(w)‖·2^S)
-    by math.isqrt, the quotient q = floor(F(w)·2^S / nf) in the same
-    representation (None when nf is below the singular tolerance), and
-    its norm as a float.  Without step it returns floor(|P(w)|·2^S) for
-    the single polynomial P, by math.isqrt: a nonnegative int, so abs()
-    of it is itself, as abs() of the float evaluator's value is |P(w)|.
+    The function maps w to (nf, q, ‖q‖, h): nf = floor(‖F(w)‖·2^S) by
+    math.isqrt, the quotient q = floor(F(w)·2^S / nf) in the same
+    representation (None when nf is below the singular tolerance), its
+    norm as a float, and h = floor(|H(w)|·2^S) for the divisor
+    polynomial div at the point the step leaves (None without div).
+    The norm of q divides the int Σ q² by the int 2^(2S): int/int
+    division is correctly rounded at any size, where a float of the sum
+    overflows once 2S > 1024.
     """
     S = scale
     ns = {"isqrt": math.isqrt, "sqrt": math.sqrt,
@@ -258,28 +265,29 @@ def _fixed_code(polys, nvars, scale, step=True):
         monos[factors] = f"{name}r", f"{name}i"
         return monos[factors]
 
-    ys = []
-    for j, terms in enumerate(_term_walk(polys, ns, lambda c: math.floor(c * 2**S))):
-        re, im = [], []
-        for c, factors in terms:
-            if factors:
-                mr, mi = mono(factors)
-                re.append(f"{c} * {mr}")
-                im.append(f"{c} * {mi}")
-            else:
-                re.append(f"({c} << {S})")
-        lines += _chunked_sum(f"y{j}r", "0", re) + _chunked_sum(f"y{j}i", "0", im)
-        lines.append(f"y{j}r, y{j}i = y{j}r >> {S}, y{j}i >> {S}")
+    ys, coeff = [], lambda c: c if isinstance(c, int) else math.floor(c * 2**S)
+    for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, coeff)):
+        # per part (re, im): the terms at 2^S, and the terms at 2^(2S)
+        whole, frac = ([], []), ([], [])
+        for c, name, factors in terms:
+            re, im = whole if isinstance(c, int) else frac
+            if not factors:
+                re.append(f"+ ({name} << {S})")
+                continue
+            op, mul = ("- " if c < 0 else "+ ", "") if c in (1, -1) else ("+ ", f"{name} * ")
+            for part, m in zip((re, im), mono(factors)):
+                part.append(op + mul + m)
+        for y, ws, fs in zip((f"y{j}r", f"y{j}i"), whole, frac):
+            lines += _chunked_sum(y, None, fs) if fs else []
+            lines += _chunked_sum(y, f"({y} >> {S})" if fs else None, ws)
         ys.append((f"y{j}r", f"y{j}i"))
-    if not step:
-        lines.append("return isqrt(y0r * y0r + y0i * y0i)")
-        return _generate(lines, ns)
+    hv = "isqrt({0} * {0} + {1} * {1})".format(*ys.pop()) if div is not None else "None"
     lines.append("nf = isqrt(" + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in ys) + ")")
-    lines.append("if nf < TOL:\n        return nf, None, 0.0")
+    lines.append(f"if nf < TOL:\n        return nf, None, 0.0, {hv}")
     qs = [(f"q{j}r", f"q{j}i") for j in range(len(ys))]
     lines += [f"{qr}, {qi} = ({r} << {S}) // nf, ({i} << {S}) // nf" for (qr, qi), (r, i) in zip(qs, ys)]
     lines.append("return nf, (" + ", ".join(f"({r}, {i})" for r, i in qs) + ",), sqrt(("
-                 + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in qs) + ") / ONE2)")
+                 + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in qs) + f") / ONE2), {hv}")
     return _generate(lines, ns)
 
 
@@ -392,9 +400,11 @@ class _OrbitRunner:
     no other path is needed.  The float step takes math.log of ‖F(w)‖
     and of |H(w)| apart.  start() and run() then cost one orbit per
     point.  The orbit keeps unit vectors wₙ and per-degree log-heights
-    γₙ; the lagged divisor term reaches back n0+1 steps.  abs(H(w)) is
-    |H(w)| in the units of the step's norm and of tol.  A runner built
-    like another shares its step, divisor and scale, so their points mix.
+    γₙ.  Each step also evaluates H at the point it leaves; run() keeps
+    these values and reads the lagged one, n0+1 steps back, from that
+    list, and abs() of a value is |H(w)| in the units of the step's
+    norm and of tol.  A runner built like another shares its step and
+    scale, so their points mix.
     """
 
     def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, like=None):
@@ -418,15 +428,13 @@ class _OrbitRunner:
             vars(self).update(vars(like))
         elif fast:
             self.scale, self.tol, self.log = None, _SINGULAR_TOL, math.log
-            self.step = _float_code(f.components, f.nvars)
-            self.H = cert and _float_code((cert.H,), f.nvars, step=False)
+            self.step = _float_code(f.components, f.nvars, cert and cert.H)
         else:
             polys = f.components + ((cert.H,) if cert else ())
             S = self.scale = precision + _guard_bits(polys)
             self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
             self.log = lambda r: _int_log(r, 1 << S, S)
-            self.step = _fixed_code(f.components, f.nvars, S)
-            self.H = cert and _fixed_code((cert.H,), f.nvars, S, step=False)
+            self.step = _fixed_code(f.components, f.nvars, S, cert and cert.H)
         self.nvars, self.precision, self.spec = f.nvars, precision, spec
         # per step n: the weights of γ_{n-1}, γₙ and (when the divisor
         # enters) γ_{n-n0-1}, and the power of two k they were divided by
@@ -492,26 +500,27 @@ class _OrbitRunner:
         return w, self.log(nz)
 
     def run(self, w, gamma):
-        """Orbit from unit vector w at height γ: (gammas, points, increments).
+        """Orbit from unit vector w at height γ: (gammas, points, increments, hs).
 
         gammas[-1] is the u estimate after n_iters steps and
         increments[n-1] = |γₙ − γ_{n−1}|, both in the runner's own
-        numbers (ints at scale 2^S above 53 bits, see real()).
+        numbers (ints at scale 2^S above 53 bits, see real()); hs[m] is
+        the divisor value at points[m] as the step returns it.
         """
         _check_entry(self.norm(w), gamma, 0)
-        step, H, log, plan, n0, tol, S = (self.step, self.H, self.log, self.plan, self.spec.n0,
-                                          self.tol, self.scale)
+        step, log, plan, n0, tol, S = self.step, self.log, self.plan, self.spec.n0, self.tol, self.scale
         fixed = S is not None
-        points, gammas, increments = [w], [gamma], []
+        points, gammas, increments, hs = [w], [gamma], [], []
         for n in range(1, len(plan)):
             a, b, hd, k = plan[n]
+            nf, w, nrm, hw = step(w)
+            hs.append(hw)
             if hd is not None:
                 # the division by the lagged divisor value is part of forming
                 # step n, so its failure outranks a vanishing forward image
-                ah = abs(H(points[n - n0 - 1]))
+                ah = abs(hs[n - n0 - 1])
                 if ah < tol:
                     raise OrbitHitDivisor(f"orbit met the extracted divisor at step {n}", step=n)
-            nf, w, nrm = step(w)
             if w is None:
                 raise OrbitHitIndeterminacy(f"orbit met an indeterminate point at step {n}", step=n)
             if hd is None:
@@ -534,11 +543,11 @@ class _OrbitRunner:
             _check_entry(nrm, gamma, n)
             points.append(w)
             gammas.append(gamma)
-        return gammas, points, increments
+        return gammas, points, increments, hs
 
     def value(self, z, converge_tol=None):
         """(u, increments) at z, in the runner's numbers; NotConverged past converge_tol."""
-        gammas, _, increments = self.run(*self.start(z))
+        gammas, _, increments, _ = self.run(*self.start(z))
         if converge_tol is not None:
             last = self.real(increments[-1])
             if last > converge_tol:
@@ -629,14 +638,14 @@ def functional_eq_residual(
     lam = _lambda(orbit, lambda_report)
     w, _ = orbit.start(z)
     u_z = orbit.real(orbit.value(w)[0])
-    nf, w1, _ = orbit.step(w)
+    nf, w1, _, hw = orbit.step(w)
     if w1 is None:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
     u_fz = orbit.real(orbit.run(w1, orbit.log(nf))[0][-1])
     with workprec(precision):
         if cert is None:
             return abs(u_fz - lam * u_z)
-        ah = abs(orbit.H(w))
+        ah = abs(hw)
         if ah < orbit.tol:
             raise OrbitHitDivisor("input point lies on the extracted divisor", step=0)
         coef = (f.degree - lam) / cert.h
@@ -674,7 +683,7 @@ def telescope_residual(
     # plain-composition orbit: heights scale by d^m, no extraction
     plain = _OrbitRunner(f, None, n, precision, like=orbit)
     w, _ = orbit.start(z)
-    gammas, points, _ = plain.run(*plain.start(w))
+    gammas, points, _, hs = plain.run(*plain.start(w))
     u_z = orbit.real(orbit.value(w)[0])
     u_wn = orbit.real(orbit.value(points[n])[0])
     d, real = f.degree, orbit.real
@@ -685,7 +694,7 @@ def telescope_residual(
         acc = 0 * lam
         for j in range(1, n + 1):
             m = n - j
-            ah = abs(orbit.H(points[m]))
+            ah = abs(hs[m])
             if ah < orbit.tol:
                 raise OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
             acc += lam ** (j - 1) * real(cert.h * d**m * gammas[m] + orbit.log(ah))

@@ -356,6 +356,15 @@ class TestGreenPoint:
         assert (code, out) == (2, "") and "depth at least 2" in err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("option, value", [("--cert", "4"), ("--prec", "128")])
+    def test_option_prefixes_are_unknown_options(self, files, capsys, option, value):
+        # argparse would otherwise read a prefix as --cert-depth or --precision
+        with pytest.raises(SystemExit) as exc:
+            main(["green-point", "--map", str(files["stable_map"]), "--point", "1,2,3", option, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {option} {value}" in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_nan_or_negative_tol_is_input_error(self, files, capsys, tol):
         args = ("green-point", "--map", files["mono_map"], "--point", "1.5,1,1", "--n", 2)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, workprec
 
-from projdyn.family2 import build_family_map
+from projdyn.family2 import build_family_map, random_family
 from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, make_map
 from projdyn.polycore import HomPoly, parse_poly
 from projdyn.specdeg import DegenerateLambda, DegreeRecurrence, char_poly_roots, extend_degrees
@@ -112,6 +112,31 @@ class TestGreenEval:
         assert repr(fe) == "3.0531133177191805e-16"
         ts = gp.telescope_residual(f, cert, rep, Z_FROZEN, 3, n_iters=48)
         assert repr(ts) == "2.4748243454926748e-17"
+
+    def test_128_bit_values_pinned(self, stable):
+        # the fixed-point step: QAS maps with H = z and with H = 3z + w + 7t,
+        # the second with non-unit coefficients in the map and the divisor
+        fam = random_family(1, 2, 5, 1).map
+        fam_cert = infer_qas(iterate_degrees(fam, 3)).certificate
+        fam_rep = char_poly_roots(DegreeRecurrence(d=fam_cert.d, h=fam_cert.h, n0=fam_cert.n0))
+        assert fam_cert.H == pp("3*z + w + 7*t")
+        pins = (
+            (stable, ("0.55792861133668126694591565666326375475949",
+                      "1.417711476177933807783877859682513490287e-17",
+                      "1.2919779865152401641254904312685346970518e-17",
+                      "3.5314063916209448862724626357096903017852e-21")),
+            ((fam, fam_cert, fam_rep), ("2.0658896040128289798371908020299852587728",
+                                        "5.1102233342822947593556897751487217701338e-17",
+                                        "4.7804608374864018328771880841938667932328e-17",
+                                        "1.2998077920609004481452637149659443276405e-20")),
+        )
+        for (f, cert, rep), want in pins:
+            u, hist = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=40, precision=128)
+            fe = gp.functional_eq_residual(f, cert, rep, Z_FROZEN, n_iters=40, precision=128)
+            ts = gp.telescope_residual(f, cert, rep, Z_FROZEN, 3, precision=128, n_iters=48)
+            # repr at the ambient 53 bits shows 17 digits; at 128 it pins the value
+            with workprec(128):
+                assert tuple(repr(x) for x in (u, hist[-1], fe, ts)) == tuple(f"mpf('{v}')" for v in want)
 
     def test_long_orbit_at_53_bits(self, stable):
         # beyond step ~737 the exact degrees pass the float range
@@ -668,20 +693,21 @@ class TestGeneratedStep:
         rng = random.Random(100 + nvars)
         for degree in (1, 2, 3, 5):
             polys = tuple(random_poly(rng, nvars, degree) for _ in range(nvars))
-            step = gp._float_code(polys, nvars)
-            single = gp._float_code(polys[:1], nvars, step=False)
+            plain = gp._float_code(polys, nvars)
+            step = gp._float_code(polys, nvars, polys[0])
             for _ in range(40):
                 w = self.point(rng, nvars)
-                assert repr(single(w)) == repr(loop_evaluator(polys[0])(w))
-                nf, u, nrm = step(w)
+                nf, u, nrm, h = step(w)
+                assert repr(h) == repr(loop_evaluator(polys[0])(w))
                 assert (repr(nf), repr(u)) == tuple(map(repr, loop_step(polys, w)))
                 assert u is None or abs(nrm - 1.0) < 1e-12
+                assert repr(plain(w)) == repr((nf, u, nrm, None))
 
     def test_exponents_zero_one_and_large(self):
         p = HomPoly(2, [((0, 7), Fraction(-1, 3)), ((1, 6), 2), ((7, 0), Fraction(5, 2)), ((3, 4), -1)])
         q = HomPoly(2, [((2, 5), 1), ((0, 7), -4)])
         for w in ((1.5 - 0.25j, -0.0 + 0.5j), (complex(-0.0, -0.0), 1 + 0j), (0.75 + 0j, -1.25 - 0j)):
-            nf, u, _ = gp._float_code((p, q), 2)(w)
+            nf, u, _, _ = gp._float_code((p, q), 2)(w)
             assert (repr(nf), repr(u)) == tuple(map(repr, loop_step([p, q], w)))
 
     def test_ten_thousand_terms(self):
@@ -691,7 +717,7 @@ class TestGeneratedStep:
                         for i in range(d + 1) for j in range(d + 1 - i)])
         assert len(p.terms) > 10000
         w = (0.6 + 0.1j, 0.5j, -0.55)
-        assert repr(gp._float_code((p,), 3, step=False)(w)) == repr(loop_evaluator(p)(w))
+        assert repr(gp._float_code((p,), 3, p)(w)[3]) == repr(loop_evaluator(p)(w))
 
     def test_source_holds_no_coefficients(self, monkeypatch):
         sources = []
@@ -699,13 +725,16 @@ class TestGeneratedStep:
         monkeypatch.setattr(gp, "exec", lambda src, ns: (sources.append(src), real_exec(src, ns))[1],
                             raising=False)
         polys = (HomPoly(3, [((2, 0, 0), Fraction(7, 3)), ((0, 1, 1), 12345)]),)
+        div = HomPoly(3, [((1, 0, 0), Fraction(11, 7)), ((0, 0, 1), -54321)])
         # the generators are memoised: start cold so that both run
         gp._float_code.cache_clear()
         gp._fixed_code.cache_clear()
-        gp._float_code(polys, 3)
-        gp._fixed_code(polys, 3, 180)
+        gp._float_code(polys, 3, div)
+        gp._fixed_code(polys, 3, 180, div)
         assert len(sources) == 2
-        assert not any(c in src for src in sources for c in ("12345", "7/3", "2.33", str(12345 << 180)))
+        shown = ["12345", "7/3", "2.33", "54321", "11/7", "1.57"]
+        shown += [str(math.floor(c * 2**180)) for c in (Fraction(7, 3), Fraction(11, 7))]
+        assert not any(c in src for src in sources for c in shown)
 
 
 def value_bound(polys):
@@ -721,8 +750,80 @@ def as_mpc(w, scale):
     return [mp.mpc(mpf(r) / 2**scale, mpf(i) / 2**scale) for r, i in w]
 
 
+def one_shift_step(polys, div, S, W):
+    """The fixed-point step by one shift per value, each coefficient floored at 2^S.
+
+    The reference for the generated step: monomials are built in its
+    order (a power from the next lower one, a product from its prefix),
+    each complex product floored by one shift; a square's imaginary part
+    2·re·im shifted by S is re·im shifted by S − 1, so squares need no
+    case of their own.
+    """
+    monos = {}
+
+    def mul(a, b):
+        (ar, ai), (br, bi) = a, b
+        return (ar * br - ai * bi) >> S, (ar * bi + ai * br) >> S
+
+    def mono(factors):
+        if factors not in monos:
+            (i, k), rest = factors[-1], factors[:-1]
+            monos[factors] = (mul(mono(rest), mono(factors[-1:])) if rest
+                              else W[i] if k == 1 else mul(mono(((i, k - 1),)), W[i]))
+        return monos[factors]
+
+    def value(p):
+        re = im = 0
+        for e, c in p.terms:
+            factors = tuple((i, k) for i, k in enumerate(e) if k)
+            mr, mi = mono(factors) if factors else (1 << S, 0)
+            re += math.floor(c * 2**S) * mr
+            im += math.floor(c * 2**S) * mi
+        return re >> S, im >> S
+
+    ys = [value(p) for p in polys]
+    nf = math.isqrt(sum(r * r + i * i for r, i in ys))
+    h = math.isqrt(sum(x * x for x in value(div)))
+    if nf < math.ceil(Fraction(gp._SINGULAR_TOL) * 2**S):
+        return nf, None, 0.0, h
+    q = tuple(((r << S) // nf, (i << S) // nf) for r, i in ys)
+    return nf, q, math.sqrt(sum(r * r + i * i for r, i in q) / (1 << 2 * S)), h
+
+
+def mixed_poly(rng, nvars, degree):
+    """A random form whose coefficients mix ±1, small and huge ints, and fractions."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        e = [0] * nvars
+        for _ in range(degree):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = rng.choice([1, -1, rng.randint(-9, 9) or 2, rng.randint(-10**30, 10**30),
+                                      Fraction(rng.randint(-20, 20) or 1, rng.randint(2, 13))])
+    return HomPoly(nvars, terms.items())
+
+
 class TestFixedPointStep:
     P = 96
+
+    def test_integer_terms_equal_the_one_shift_rule(self):
+        # integer coefficients multiply at 2^S outside the shift: bit for bit the same step
+        rng = random.Random(23)
+        for nvars in (1, 2, 3):
+            for degree in (1, 2, 4):
+                polys = tuple(mixed_poly(rng, nvars, degree) for _ in range(nvars))
+                # divisors of other degrees, constants among them
+                divs = [mixed_poly(rng, nvars, k) for k in (0, 0, 1, 3)]
+                for S in (60, 117, 186):
+                    for div in divs:
+                        step = gp._fixed_code(polys, nvars, S, div)
+                        points = [TestGeneratedStep().point(rng, nvars) for _ in range(4)]
+                        for v in points:
+                            X = fixed(v, S)
+                            nz = math.isqrt(sum(r * r + i * i for r, i in X))
+                            W = tuple(((r << S) // nz, (i << S) // nz) for r, i in X)
+                            assert step(W) == one_shift_step(polys, div, S, W)
+                        zero = ((0, 0),) * nvars
+                        assert step(zero) == one_shift_step(polys, div, S, zero)
 
     @pytest.mark.parametrize("precision", [96, 128, 256])
     def test_green_eval_matches_double_precision_reference(self, stable, extracting, mono,
@@ -754,9 +855,9 @@ class TestFixedPointStep:
             assert max(abs(c) for c in x) <= 1 + mpf(2) ** (49 - S)
             fv = [mp_loop_evaluator(p)(x) for p in polys]
             for p, y in zip(polys, fv):
-                ay = gp._fixed_code((p,), nvars, S, step=False)(W)
+                ay = gp._fixed_code(polys, nvars, S, p)(W)[3]
                 assert abs(mpf(ay) / 2**S - abs(y)) < mpf(value_bound([p]) + 1) / 2**S
-            nf, q, nrm = gp._fixed_code(polys, nvars, S)(W)
+            nf, q, nrm, _ = gp._fixed_code(polys, nvars, S)(W)
             want = mp_norm(fv)
             assert abs(mpf(nf) / 2**S - want) < mpf(value_bound(polys) + 1) / 2**S
             if want >= gp._SINGULAR_TOL:
