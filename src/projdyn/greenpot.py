@@ -96,7 +96,8 @@ class AmplificationOverflow(OrbitError):
 
 
 def _to_complex(x):
-    if isinstance(x, Fraction):
+    # the exact types skip the slow ABC check of Fraction: grid nodes call this per coordinate
+    if type(x) not in (complex, float, int) and isinstance(x, Fraction):
         return complex(float(x))
     return complex(x)
 
@@ -142,19 +143,73 @@ def _chunked_sum(name, start, parts):
     return lines
 
 
-def _generate(lines, ns):
-    exec("def ev(w):\n" + "".join(f"    {ln}\n" for ln in lines), ns)
-    return ns["ev"]
+# run()'s orbit: per plan row the step's lines inline, then run()'s checks in
+# its order and the γ update (str.format: {{n}} is an f-string's {n} in the source)
+_ORBIT = """
+def orbit(w, gamma, plan):
+    points, gammas, increments, hs = [w], [gamma], [], []
+    for n, a, b, hd, k, lag in plan:
+{head}
+        hs.append(hv)
+        if hd is not None:
+            # dividing by the lagged |H| forms step n: it outranks a vanishing F(w)
+            ah = abs(hs[lag])
+            if ah < TOL:
+                raise OrbitHitDivisor(f"orbit met the extracted divisor at step {{n}}", step=n)
+        if nf < TOL:
+            raise OrbitHitIndeterminacy(f"orbit met an indeterminate point at step {{n}}", step=n)
+{quot}
+        lg = {log_f}
+        if hd is not None:
+            lh = {log_h}
+        if k:
+            lg = ldexp(lg, -k)
+            if hd is not None:
+                lh = ldexp(lh, -k)
+        num = a * gamma + lg
+        if hd is not None:
+            num -= hd * gammas[lag] + lh
+        g = num {div} b
+        increments.append(abs(g - gamma))
+        gamma = g
+        if abs(nrm - 1.0) > 1e-6:
+            raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step=n)
+        if gamma - gamma:
+            raise OrbitError("non-finite log-height", step=n)
+        points.append(w)
+        gammas.append(gamma)
+    return gammas, points, increments, hs
+"""
+
+
+def _generate(head, quot, ns, **update):
+    """The step, with the whole orbit as its attribute .orbit, from the same lines.
+
+    head binds nf = ‖F(w)‖ and hv = H(w) at the point w, and quot the
+    quotient w and its norm nrm; the orbit runs both inline per plan row
+    and returns what run() does.  update is the code of the γ update's
+    log nf (log_f), log|H| (log_h) and division (div).
+    """
+    ns.update(OrbitError=OrbitError, OrbitHitDivisor=OrbitHitDivisor,
+              OrbitHitIndeterminacy=OrbitHitIndeterminacy, ldexp=math.ldexp)
+    body = lambda lines, pad: "\n".join(pad + ln for ln in lines)
+    exec("def step(w):\n" + body(head, "    ")
+         + "\n    if nf < TOL:\n        return nf, None, 0.0, hv\n"
+         + body(quot, "    ") + "\n    return nf, w, nrm, hv\n"
+         + _ORBIT.format(head=body(head, " " * 8), quot=body(quot, " " * 8), **update), ns)
+    ns["step"].orbit = ns["orbit"]
+    return ns["step"]
 
 
 @functools.lru_cache(maxsize=32)
 def _float_code(polys, nvars, div=None):
-    """Straight-line 53-bit step for the tuple polys, generated once per map.
+    """Straight-line 53-bit step and orbit for the tuple polys, generated once per map.
 
-    The function is pure, so it is memoised on the arguments and every
-    runner of the map shares it.
+    The code is pure, so it is memoised on the arguments and every
+    runner of the map shares it; the orbit (see _generate) inlines the
+    step's lines and takes math.log of ‖F(w)‖ and of |H(w)| apart.
 
-    It maps a point w to (‖F(w)‖, F(w)/‖F(w)‖, norm of that quotient,
+    The step maps a point w to (‖F(w)‖, F(w)/‖F(w)‖, norm of that quotient,
     H(w)): the quotient is None when ‖F(w)‖ is below the singular
     tolerance, and H(w) is the divisor polynomial div at the point the
     step leaves (None without div).  The float operations are those of
@@ -163,7 +218,7 @@ def _float_code(polys, nvars, div=None):
     p.terms order, and the norm sums parenthesized per-coordinate
     squares.  Powers x_i**k are shared across the polynomials and div.
     """
-    ns = {"sqrt": math.sqrt, "TOL": _SINGULAR_TOL}
+    ns = {"sqrt": math.sqrt, "log": math.log, "TOL": _SINGULAR_TOL}
     xs = [f"x{i}" for i in range(nvars)]
     powers, values = {}, []
     for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, _to_complex)):
@@ -174,13 +229,12 @@ def _float_code(polys, nvars, div=None):
     lines = [", ".join(xs) + ", = w"]
     lines += [f"{name} = x{i}**{k}" for (i, k), name in powers.items()]
     lines += values
-    ys, hv = [f"y{j}" for j in range(len(polys))], f"y{len(polys)}" if div is not None else "None"
+    ys, us = [f"y{j}" for j in range(len(polys))], [f"u{j}" for j in range(len(polys))]
+    lines.append(f"hv = y{len(polys)}" if div is not None else "hv = None")
     lines.append("nf = sqrt(" + " + ".join(map(_square, ys)) + ")")
-    lines.append(f"if nf < TOL:\n        return nf, None, 0.0, {hv}")
-    lines += [f"u{j} = y{j} / nf" for j in range(len(polys))]
-    us = [f"u{j}" for j in range(len(polys))]
-    lines.append(f"return nf, ({', '.join(us)},), sqrt(" + " + ".join(map(_square, us)) + f"), {hv}")
-    return _generate(lines, ns)
+    quot = [f"{u} = {y} / nf" for u, y in zip(us, ys)]
+    quot += [f"w = ({', '.join(us)},)", "nrm = sqrt(" + " + ".join(map(_square, us)) + ")"]
+    return _generate(lines, quot, ns, log_f="log(nf)", log_h="log(ah)", div="/")
 
 
 # -log2 of the singular tolerance, rounded up: 47
@@ -206,9 +260,11 @@ def _guard_bits(polys):
 
 @functools.lru_cache(maxsize=32)
 def _fixed_code(polys, nvars, scale, div=None):
-    """Straight-line fixed-point step for the tuple polys at the scale S = scale.
+    """Straight-line fixed-point step and orbit for the tuple polys at the scale S = scale.
 
-    Memoised on the arguments like _float_code.  A point is a tuple of
+    Memoised on the arguments like _float_code.  The orbit takes one
+    _int_log of ‖F(w)‖/|H(w)| per step with a divisor term, as both
+    enter the int γ at 2^S with unit weight.  A point is a tuple of
     (re, im) int pairs, each coordinate x read as (re + i·im)/2^S.
     Powers and monomials are built by complex products of four int
     multiplies and a floor shift by S, each shared across the
@@ -230,7 +286,7 @@ def _fixed_code(polys, nvars, scale, div=None):
     2^(49−S); the slack of E over these sums (at least √2·|c| per term
     and 2 − √2 per value) absorbs the factor (1 + 2^(49−S))^k this adds.
 
-    The function maps w to (nf, q, ‖q‖, h): nf = floor(‖F(w)‖·2^S) by
+    The step maps w to (nf, q, ‖q‖, h): nf = floor(‖F(w)‖·2^S) by
     math.isqrt, the quotient q = floor(F(w)·2^S / nf) in the same
     representation (None when nf is below the singular tolerance), its
     norm as a float, and h = floor(|H(w)|·2^S) for the divisor
@@ -240,8 +296,8 @@ def _fixed_code(polys, nvars, scale, div=None):
     overflows once 2S > 1024.
     """
     S = scale
-    ns = {"isqrt": math.isqrt, "sqrt": math.sqrt,
-          "TOL": math.ceil(Fraction(_SINGULAR_TOL) * 2**S), "ONE2": 1 << 2 * S}
+    ns = {"isqrt": math.isqrt, "sqrt": math.sqrt, "log": _int_log, "S": S,
+          "TOL": math.ceil(Fraction(_SINGULAR_TOL) * 2**S), "ONE": 1 << S, "ONE2": 1 << 2 * S}
     xs = [(f"r{i}", f"i{i}") for i in range(nvars)]
     lines = [", ".join(f"({r}, {i})" for r, i in xs) + ", = w"]
     monos = {}
@@ -281,14 +337,13 @@ def _fixed_code(polys, nvars, scale, div=None):
             lines += _chunked_sum(y, None, fs) if fs else []
             lines += _chunked_sum(y, f"({y} >> {S})" if fs else None, ws)
         ys.append((f"y{j}r", f"y{j}i"))
-    hv = "isqrt({0} * {0} + {1} * {1})".format(*ys.pop()) if div is not None else "None"
+    lines.append("hv = " + ("isqrt({0} * {0} + {1} * {1})".format(*ys.pop()) if div is not None else "None"))
     lines.append("nf = isqrt(" + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in ys) + ")")
-    lines.append(f"if nf < TOL:\n        return nf, None, 0.0, {hv}")
     qs = [(f"q{j}r", f"q{j}i") for j in range(len(ys))]
-    lines += [f"{qr}, {qi} = ({r} << {S}) // nf, ({i} << {S}) // nf" for (qr, qi), (r, i) in zip(qs, ys)]
-    lines.append("return nf, (" + ", ".join(f"({r}, {i})" for r, i in qs) + ",), sqrt(("
-                 + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in qs) + f") / ONE2), {hv}")
-    return _generate(lines, ns)
+    quot = [f"{qr}, {qi} = ({r} << {S}) // nf, ({i} << {S}) // nf" for (qr, qi), (r, i) in zip(qs, ys)]
+    quot += ["w = (" + ", ".join(f"({r}, {i})" for r, i in qs) + ",)",
+             "nrm = sqrt((" + " + ".join(f"{r} * {r} + {i} * {i}" for r, i in qs) + ") / ONE2)"]
+    return _generate(lines, quot, ns, log_f="log(nf, ONE if hd is None else ah, S)", log_h="0", div="//")
 
 
 @functools.lru_cache(maxsize=32)
@@ -387,24 +442,24 @@ class _OrbitRunner:
 
     Set-up checks the certificate, refuses a recurrence with no root
     above 1 (DegenerateLambda, from DegreeRecurrence.check_viable; plain
-    mode, h = 0, always passes), extends the exact degrees and builds
-    the step: generated straight-line float code at 53 bits or less,
-    generated fixed-point int code above (see _fixed_code).  There the
-    points, the heights γₙ and their logarithms are ints at one scale
-    2^S, S = precision + g, and no step calls mpmath: a step with a
-    divisor term takes one _int_log of ‖F(w)‖/|H(w)|, since both enter
-    γₙ with unit weight, and real() alone rounds outputs at the
-    precision.  With the guard bits g of _guard_bits every accepted
-    norm ‖F(w)‖ and value |H(w)| is relatively accurate to
-    2^-(precision+3), and each logarithm is within 2 units of 2^-S, so
-    no other path is needed.  The float step takes math.log of ‖F(w)‖
-    and of |H(w)| apart.  start() and run() then cost one orbit per
-    point.  The orbit keeps unit vectors wₙ and per-degree log-heights
-    γₙ.  Each step also evaluates H at the point it leaves; run() keeps
-    these values and reads the lagged one, n0+1 steps back, from that
-    list, and abs() of a value is |H(w)| in the units of the step's
-    norm and of tol.  A runner built like another shares its step and
-    scale, so their points mix.
+    mode, h = 0, always passes), extends the exact degrees into the
+    plan of per-step weights and takes the generated step and orbit:
+    straight-line float code at 53 bits or less, fixed-point int code
+    above (see _fixed_code).  There the points, the heights γₙ and
+    their logarithms are ints at one scale 2^S, S = precision + g, and
+    no step calls mpmath: a step with a divisor term takes one _int_log
+    of ‖F(w)‖/|H(w)|, since both enter γₙ with unit weight, and real()
+    alone rounds outputs at the precision.  With the guard bits g of
+    _guard_bits every accepted norm ‖F(w)‖ and value |H(w)| is
+    relatively accurate to 2^-(precision+3), and each logarithm is
+    within 2 units of 2^-S, so no other path is needed.  start() and
+    run() then cost one orbit per point, and run() is one call of the
+    generated orbit, which keeps unit vectors wₙ and per-degree
+    log-heights γₙ.  Each step also evaluates H at the point it leaves;
+    the orbit keeps these values and reads the lagged one, n0+1 steps
+    back, and abs() of a value is |H(w)| in the units of the step's
+    norm and of tol.  A runner built like another shares its step,
+    orbit and scale, so their points mix.
     """
 
     def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, like=None):
@@ -436,9 +491,9 @@ class _OrbitRunner:
             self.log = lambda r: _int_log(r, 1 << S, S)
             self.step = _fixed_code(f.components, f.nvars, S, cert and cert.H)
         self.nvars, self.precision, self.spec = f.nvars, precision, spec
-        # per step n: the weights of γ_{n-1}, γₙ and (when the divisor
-        # enters) γ_{n-n0-1}, and the power of two k they were divided by
-        self.plan = [None]
+        # per step n: n, the weights of γ_{n-1}, γₙ and (when the divisor
+        # enters) γ_lag, the power of two k they were divided by, lag = n-n0-1
+        self.plan = []
         for n in range(1, n_iters + 1):
             a, b = d * degrees[n - 1], degrees[n]
             lag = n - n0 - 1
@@ -452,7 +507,7 @@ class _OrbitRunner:
                 a, b, hd = a / s, b / s, None if hd is None else hd / s
             elif fast:
                 a, b, hd, k = float(a), float(b), None if hd is None else float(hd), 0
-            self.plan.append((a, b, hd, k))
+            self.plan.append((n, a, b, hd, k, lag))
 
     def real(self, x):
         """A height or logarithm of this runner as a number: float, or mpf at the precision."""
@@ -502,48 +557,14 @@ class _OrbitRunner:
     def run(self, w, gamma):
         """Orbit from unit vector w at height γ: (gammas, points, increments, hs).
 
-        gammas[-1] is the u estimate after n_iters steps and
+        After the entry check the generated orbit (see _generate) runs
+        the plan: gammas[-1] is the u estimate after n_iters steps and
         increments[n-1] = |γₙ − γ_{n−1}|, both in the runner's own
         numbers (ints at scale 2^S above 53 bits, see real()); hs[m] is
         the divisor value at points[m] as the step returns it.
         """
         _check_entry(self.norm(w), gamma, 0)
-        step, log, plan, n0, tol, S = self.step, self.log, self.plan, self.spec.n0, self.tol, self.scale
-        fixed = S is not None
-        points, gammas, increments, hs = [w], [gamma], [], []
-        for n in range(1, len(plan)):
-            a, b, hd, k = plan[n]
-            nf, w, nrm, hw = step(w)
-            hs.append(hw)
-            if hd is not None:
-                # the division by the lagged divisor value is part of forming
-                # step n, so its failure outranks a vanishing forward image
-                ah = abs(hs[n - n0 - 1])
-                if ah < tol:
-                    raise OrbitHitDivisor(f"orbit met the extracted divisor at step {n}", step=n)
-            if w is None:
-                raise OrbitHitIndeterminacy(f"orbit met an indeterminate point at step {n}", step=n)
-            if hd is None:
-                lg = log(nf)
-            elif fixed:
-                # log nf and log|H| enter γₙ with unit weight: one log of the ratio
-                lg, lh = _int_log(nf, ah, S), 0
-            else:
-                lg, lh = log(nf), log(ah)
-            if k:
-                lg = math.ldexp(lg, -k)
-                if hd is not None:
-                    lh = math.ldexp(lh, -k)
-            num = a * gamma + lg
-            if hd is not None:
-                num -= hd * gammas[n - n0 - 1] + lh
-            g = num // b if fixed else num / b
-            increments.append(abs(g - gamma))
-            gamma = g
-            _check_entry(nrm, gamma, n)
-            points.append(w)
-            gammas.append(gamma)
-        return gammas, points, increments, hs
+        return self.step.orbit(w, gamma, self.plan)
 
     def value(self, z, converge_tol=None):
         """(u, increments) at z, in the runner's numbers; NotConverged past converge_tol."""

@@ -661,6 +661,55 @@ def loop_evaluator(p):
     return ev
 
 
+def reference_run(runner, w, gamma):
+    """The per-step Python loop of _OrbitRunner.run on the runner's single step.
+
+    The generated orbit must reproduce it bit for bit, exceptions and
+    their steps included.
+    """
+    gp._check_entry(runner.norm(w), gamma, 0)
+    step, log, plan, n0, tol, S = runner.step, runner.log, runner.plan, runner.spec.n0, runner.tol, runner.scale
+    fixed = S is not None
+    points, gammas, increments, hs = [w], [gamma], [], []
+    for n, a, b, hd, k, _ in plan:
+        nf, w, nrm, hw = step(w)
+        hs.append(hw)
+        if hd is not None:
+            ah = abs(hs[n - n0 - 1])
+            if ah < tol:
+                raise gp.OrbitHitDivisor(f"orbit met the extracted divisor at step {n}", step=n)
+        if w is None:
+            raise gp.OrbitHitIndeterminacy(f"orbit met an indeterminate point at step {n}", step=n)
+        if hd is None:
+            lg = log(nf)
+        elif fixed:
+            lg, lh = gp._int_log(nf, ah, S), 0
+        else:
+            lg, lh = log(nf), log(ah)
+        if k:
+            lg = math.ldexp(lg, -k)
+            if hd is not None:
+                lh = math.ldexp(lh, -k)
+        num = a * gamma + lg
+        if hd is not None:
+            num -= hd * gammas[n - n0 - 1] + lh
+        g = num // b if fixed else num / b
+        increments.append(abs(g - gamma))
+        gamma = g
+        gp._check_entry(nrm, gamma, n)
+        points.append(w)
+        gammas.append(gamma)
+    return gammas, points, increments, hs
+
+
+def outcome(run, runner, w, gamma):
+    """repr of (gammas, points, increments, hs), or the class, step and message of the failure."""
+    try:
+        return repr(run(runner, w, gamma))
+    except gp.OrbitError as exc:
+        return type(exc), exc.step, str(exc)
+
+
 def loop_step(polys, w):
     fv = [loop_evaluator(p)(w) for p in polys]
     nf = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in fv))
@@ -731,10 +780,76 @@ class TestGeneratedStep:
         gp._fixed_code.cache_clear()
         gp._float_code(polys, 3, div)
         gp._fixed_code(polys, 3, 180, div)
+        # one source per map: the step and the orbit that inlines its lines
         assert len(sources) == 2
+        assert all("def step(w):" in src and "def orbit(" in src for src in sources)
         shown = ["12345", "7/3", "2.33", "54321", "11/7", "1.57"]
         shown += [str(math.floor(c * 2**180)) for c in (Fraction(7, 3), Fraction(11, 7))]
         assert not any(c in src for src in sources for c in shown)
+
+
+class TestGeneratedOrbit:
+    @staticmethod
+    def maps(stable, extracting, mono):
+        fam = random_family(1, 2, 5, 1).map
+        yield stable[:2]
+        yield extracting, None
+        yield mono, None
+        yield fam, infer_qas(iterate_degrees(fam, 3)).certificate
+
+    @staticmethod
+    def points():
+        # the nodes of the slice base (0,0,1), e1 (1,0,0), e2 (0,1,0), whose
+        # x = 0 column lies on the stable map's divisor, and random points
+        rng = random.Random(24)
+        axis = gp._axis(-1.0, 1.0, 9)
+        yield from ((x, y, 1.0) for x in axis for y in axis)
+        yield Z_FROZEN
+        for _ in range(6):
+            yield tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
+
+    @pytest.mark.parametrize("precision", [53, 64, 128])
+    def test_matches_reference_loop(self, stable, extracting, mono, precision):
+        kinds = set()
+        for f, cert in self.maps(stable, extracting, mono):
+            runner = gp._OrbitRunner(f, cert, 32, precision)
+            for z in self.points():
+                w, gamma = runner.start(z)
+                want = outcome(reference_run, runner, w, gamma)
+                assert outcome(gp._OrbitRunner.run, runner, w, gamma) == want
+                kinds.add(want[0] if isinstance(want, tuple) else "OK")
+        assert kinds == {"OK", gp.OrbitHitDivisor, gp.OrbitHitIndeterminacy}
+
+    @pytest.mark.parametrize("precision", [53, 128])
+    def test_plain_runner_and_not_converged(self, stable, precision):
+        # telescope_residual's plain runner reads hs from a step that carries H
+        f, cert, _ = stable
+        orbit = gp._OrbitRunner(f, cert, 48, precision)
+        plain = gp._OrbitRunner(f, None, 5, precision, like=orbit)
+        w, gamma = plain.start(Z_FROZEN)
+        got = plain.run(w, gamma)
+        assert repr(got) == repr(reference_run(plain, w, gamma))
+        assert None not in got[3]
+        with pytest.raises(gp.NotConverged) as exc:
+            gp._OrbitRunner(f, cert, 3, precision).value(Z_FROZEN, 1e-9)
+        assert exc.value.step == 3
+
+    def test_long_orbit_scales_the_weights(self, stable):
+        # at 53 bits the weights leave the float range at step 737
+        f, cert, _ = stable
+        runner = gp._OrbitRunner(f, cert, 800, 53)
+        assert [row[0] for row in runner.plan if row[4]][0] == 737
+        w, gamma = runner.start(Z_FROZEN)
+        assert repr(runner.run(w, gamma)) == repr(reference_run(runner, w, gamma))
+
+    def test_non_finite_height_is_refused(self, mono):
+        # an infinite weight makes γ₁ infinite: the orbit raises at step 1 as the loop does
+        runner = gp._OrbitRunner(mono, None, 3, 53)
+        runner.plan[0] = (1, math.inf, 1.0, None, 0, -1)
+        w, gamma = runner.start((1.5, 1, 1))
+        want = outcome(reference_run, runner, w, gamma)
+        assert want == (gp.OrbitError, 1, "non-finite log-height")
+        assert outcome(gp._OrbitRunner.run, runner, w, gamma) == want
 
 
 def value_bound(polys):
