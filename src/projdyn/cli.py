@@ -108,18 +108,17 @@ def _run_infer_qas(args):
     trace = iterate_degrees(f, args.n)
     res = infer_qas(trace)
     cert = res.certificate
-    H = cert.H if cert else res.H
     payload = {
         "verdict": res.verdict,
-        "n0": _istr(cert.n0) if cert else (_istr(res.n0) if res.n0 is not None else None),
-        "H": _poly_str(H, f.names),
+        "n0": _istr(res.n0) if res.n0 is not None else None,
+        "H": _poly_str(res.H, f.names),
         "h": _istr(cert.h) if cert else ("0" if res.verdict == "AS" else None),
         "d": _istr(f.degree),
         "degrees": [_istr(d) for d in trace.degrees],
         "verified_to": _istr(cert.verified_to) if cert else
                        (_istr(trace.depth) if res.verdict == "AS" else None),
         "witness": _istr(res.witness) if res.witness is not None else None,
-        "digest": certificate_digest(trace, H),
+        "digest": certificate_digest(trace, res.H),
     }
     code = EXIT_OK if res.verdict in ("AS", "QAS") else EXIT_NEGATIVE
     if args.json:

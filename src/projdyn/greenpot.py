@@ -143,11 +143,17 @@ def _chunked_sum(name, start, parts):
     return lines
 
 
-# run()'s orbit: per plan row the step's lines inline, then run()'s checks in
-# its order and the γ update (str.format: {{n}} is an f-string's {n} in the source)
+# run()'s orbit: the entry check, then per plan row the step's lines inline, run()'s
+# checks in its order and the γ update (str.format: {{n}} is an f-string's {n} in the
+# source); γ − γ is nan only for a non-finite γ, even an int γ that float() refuses
 _ORBIT = """
 def orbit(w, gamma, plan):
-    points, gammas, increments, hs = [w], [gamma], [], []
+{entry}
+    if abs(nrm - 1.0) > 1e-6:
+        raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step=0)
+    if gamma - gamma:
+        raise OrbitError("non-finite log-height", step=0)
+    gammas, increments, hs = [gamma], [], []
     for n, a, b, hd, k, lag in plan:
 {head}
         hs.append(hv)
@@ -176,9 +182,8 @@ def orbit(w, gamma, plan):
             raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step=n)
         if gamma - gamma:
             raise OrbitError("non-finite log-height", step=n)
-        points.append(w)
         gammas.append(gamma)
-    return gammas, points, increments, hs
+    return gammas, increments, hs, w
 """
 
 
@@ -186,17 +191,21 @@ def _generate(head, quot, ns, **update):
     """The step, with the whole orbit as its attribute .orbit, from the same lines.
 
     head binds nf = ‖F(w)‖ and hv = H(w) at the point w, and quot the
-    quotient w and its norm nrm; the orbit runs both inline per plan row
-    and returns what run() does.  update is the code of the γ update's
-    log nf (log_f), log|H| (log_h) and division (div).
+    quotient w and its norm nrm, in its last two lines "w = (...)" and
+    "nrm = ...".  The orbit checks its entry point by these two lines,
+    the first turned round to unpack w, then runs head and quot inline
+    per plan row and returns what run() does.  update is the code of
+    the γ update's log nf (log_f), log|H| (log_h) and division (div).
     """
     ns.update(OrbitError=OrbitError, OrbitHitDivisor=OrbitHitDivisor,
               OrbitHitIndeterminacy=OrbitHitIndeterminacy, ldexp=math.ldexp)
     body = lambda lines, pad: "\n".join(pad + ln for ln in lines)
+    entry = [quot[-2].removeprefix("w = ") + " = w", quot[-1]]
     exec("def step(w):\n" + body(head, "    ")
          + "\n    if nf < TOL:\n        return nf, None, 0.0, hv\n"
          + body(quot, "    ") + "\n    return nf, w, nrm, hv\n"
-         + _ORBIT.format(head=body(head, " " * 8), quot=body(quot, " " * 8), **update), ns)
+         + _ORBIT.format(entry=body(entry, "    "), head=body(head, " " * 8),
+                         quot=body(quot, " " * 8), **update), ns)
     ns["step"].orbit = ns["orbit"]
     return ns["step"]
 
@@ -398,18 +407,6 @@ def _int_log(num, den, S):
 # -- core orbit evaluation ----------------------------------------------------
 
 
-def _check_entry(nrm, gamma, step):
-    """Reject an orbit entry whose point lost unit norm or whose height is not finite.
-
-    γ − γ is zero for a finite γ, a float or the int of a fixed-point
-    orbit (too large for float() above 1023 bits), and nan otherwise.
-    """
-    if abs(nrm - 1.0) > 1e-6:
-        raise OrbitError(f"orbit point lost normalization (norm {nrm})", step=step)
-    if gamma - gamma:
-        raise OrbitError("non-finite log-height", step=step)
-
-
 def _ratios(z, scale):
     """Real and imaginary parts of each coordinate of z as exact (numerator, denominator).
 
@@ -437,32 +434,57 @@ def _ratios(z, scale):
     return parts
 
 
+def _plan(spec, n_iters, fast):
+    """The orbit's rows (n, a, b, hd, k, lag) for steps 1..n_iters of the recurrence spec.
+
+    a, b and hd weigh γ_{n-1}, γₙ and γ_lag, lag = n − n0 − 1 (hd None
+    when h = 0 or lag < 0), divided by 2^k; floats when fast, else ints.
+    """
+    d, h, n0 = spec.d, spec.h, spec.n0
+    degrees = extend_degrees(spec, n_iters)
+    plan = []
+    for n in range(1, n_iters + 1):
+        a, b = d * degrees[n - 1], degrees[n]
+        lag = n - n0 - 1
+        hd = h * degrees[lag] if h and lag >= 0 else None
+        k = a.bit_length() - _FLOAT_INT_BITS if fast else 0
+        if k > 0:
+            # float(a) would overflow: divide numerator and denominator
+            # by 2^k (exact int true division; power-of-two scaling
+            # commutes with rounding, so only the overflow is avoided)
+            s = 1 << k
+            a, b, hd = a / s, b / s, None if hd is None else hd / s
+        elif fast:
+            a, b, hd, k = float(a), float(b), None if hd is None else float(hd), 0
+        plan.append((n, a, b, hd, k, lag))
+    return plan
+
+
 class _OrbitRunner:
     """The normalized recursion, prepared once for (f, cert, n_iters, precision).
 
     Set-up checks the certificate, refuses a recurrence with no root
     above 1 (DegenerateLambda, from DegreeRecurrence.check_viable; plain
     mode, h = 0, always passes), extends the exact degrees into the
-    plan of per-step weights and takes the generated step and orbit:
-    straight-line float code at 53 bits or less, fixed-point int code
-    above (see _fixed_code).  There the points, the heights γₙ and
-    their logarithms are ints at one scale 2^S, S = precision + g, and
-    no step calls mpmath: a step with a divisor term takes one _int_log
-    of ‖F(w)‖/|H(w)|, since both enter γₙ with unit weight, and real()
-    alone rounds outputs at the precision.  With the guard bits g of
-    _guard_bits every accepted norm ‖F(w)‖ and value |H(w)| is
+    plan of per-step weights (see _plan) and takes the generated step
+    and orbit: straight-line float code at 53 bits or less, fixed-point
+    int code above (see _fixed_code).  There the points, the heights γₙ
+    and their logarithms are ints at one scale 2^S, S = precision + g,
+    and no step calls mpmath: a step with a divisor term takes one
+    _int_log of ‖F(w)‖/|H(w)|, since both enter γₙ with unit weight, and
+    real() alone rounds outputs at the precision.  With the guard bits g
+    of _guard_bits every accepted norm ‖F(w)‖ and value |H(w)| is
     relatively accurate to 2^-(precision+3), and each logarithm is
     within 2 units of 2^-S, so no other path is needed.  start() and
     run() then cost one orbit per point, and run() is one call of the
-    generated orbit, which keeps unit vectors wₙ and per-degree
-    log-heights γₙ.  Each step also evaluates H at the point it leaves;
-    the orbit keeps these values and reads the lagged one, n0+1 steps
-    back, and abs() of a value is |H(w)| in the units of the step's
-    norm and of tol.  A runner built like another shares its step,
-    orbit and scale, so their points mix.
+    generated orbit, which checks its entry and keeps the per-degree
+    log-heights γₙ of its unit vectors wₙ.  Each step also evaluates H
+    at the point it leaves; the orbit keeps these values and reads the
+    lagged one, n0+1 steps back, and abs() of a value is |H(w)| in the
+    units of the step's norm and of tol.
     """
 
-    def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, like=None):
+    def __init__(self, f: ProjMap, cert, n_iters: int, precision: int):
         if cert is not None and cert.d != f.degree:
             raise ValueError(f"certificate degree {cert.d} does not match the map degree {f.degree}")
         if cert is not None and cert.H.nvars != f.nvars:
@@ -471,17 +493,12 @@ class _OrbitRunner:
             raise ValueError("n_iters must be at least 1")
         if precision < 24:
             raise ValueError("precision below 24 bits is not meaningful here")
-        d = f.degree
-        if d < 2:
+        if f.degree < 2:
             raise ValueError("the Green potential needs a map of degree at least 2")
         h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
-        spec = DegreeRecurrence(d=d, h=h, n0=n0)
+        spec = DegreeRecurrence(d=f.degree, h=h, n0=n0)
         spec.check_viable()
-        degrees = extend_degrees(spec, n_iters)
-        fast = precision <= 53
-        if like is not None:
-            vars(self).update(vars(like))
-        elif fast:
+        if precision <= 53:
             self.scale, self.tol, self.log = None, _SINGULAR_TOL, math.log
             self.step = _float_code(f.components, f.nvars, cert and cert.H)
         else:
@@ -491,34 +508,13 @@ class _OrbitRunner:
             self.log = lambda r: _int_log(r, 1 << S, S)
             self.step = _fixed_code(f.components, f.nvars, S, cert and cert.H)
         self.nvars, self.precision, self.spec = f.nvars, precision, spec
-        # per step n: n, the weights of γ_{n-1}, γₙ and (when the divisor
-        # enters) γ_lag, the power of two k they were divided by, lag = n-n0-1
-        self.plan = []
-        for n in range(1, n_iters + 1):
-            a, b = d * degrees[n - 1], degrees[n]
-            lag = n - n0 - 1
-            hd = h * degrees[lag] if cert is not None and lag >= 0 else None
-            k = a.bit_length() - _FLOAT_INT_BITS if fast else 0
-            if k > 0:
-                # float(a) would overflow: divide numerator and denominator
-                # by 2^k (exact int true division; power-of-two scaling
-                # commutes with rounding, so only the overflow is avoided)
-                s = 1 << k
-                a, b, hd = a / s, b / s, None if hd is None else hd / s
-            elif fast:
-                a, b, hd, k = float(a), float(b), None if hd is None else float(hd), 0
-            self.plan.append((n, a, b, hd, k, lag))
+        self.plan = _plan(spec, n_iters, precision <= 53)
 
     def real(self, x):
         """A height or logarithm of this runner as a number: float, or mpf at the precision."""
         if self.scale is None:
             return float(x)
         return mp.make_mpf(libmp.from_man_exp(x, -self.scale, self.precision, libmp.round_nearest))
-
-    def norm(self, w):
-        if self.scale is None:
-            return _float_norm(w)
-        return math.sqrt(sum(r * r + i * i for r, i in w) / (1 << 2 * self.scale))
 
     def start(self, z):
         """Unit vector and log-height of the input point."""
@@ -555,20 +551,20 @@ class _OrbitRunner:
         return w, self.log(nz)
 
     def run(self, w, gamma):
-        """Orbit from unit vector w at height γ: (gammas, points, increments, hs).
+        """Orbit from unit vector w at height γ: (gammas, increments, hs, last point).
 
-        After the entry check the generated orbit (see _generate) runs
-        the plan: gammas[-1] is the u estimate after n_iters steps and
-        increments[n-1] = |γₙ − γ_{n−1}|, both in the runner's own
-        numbers (ints at scale 2^S above 53 bits, see real()); hs[m] is
-        the divisor value at points[m] as the step returns it.
+        One call of the generated orbit (see _generate), which checks the
+        entry and runs the plan: gammas[-1] is the u estimate after
+        n_iters steps and increments[n-1] = |γₙ − γ_{n−1}|, both in the
+        runner's own numbers (ints at scale 2^S above 53 bits, see
+        real()); hs[m] is the divisor value at the orbit's point m as the
+        step returns it.  A bad entry raises OrbitError at step 0.
         """
-        _check_entry(self.norm(w), gamma, 0)
         return self.step.orbit(w, gamma, self.plan)
 
     def value(self, z, converge_tol=None):
         """(u, increments) at z, in the runner's numbers; NotConverged past converge_tol."""
-        gammas, _, increments, _ = self.run(*self.start(z))
+        gammas, increments, _, _ = self.run(*self.start(z))
         if converge_tol is not None:
             last = self.real(increments[-1])
             if last > converge_tol:
@@ -701,12 +697,12 @@ def telescope_residual(
         raise AmplificationOverflow(
             f"lambda^{n} exceeds the usable precision ({precision} bits)", step=n
         )
-    # plain-composition orbit: heights scale by d^m, no extraction
-    plain = _OrbitRunner(f, None, n, precision, like=orbit)
+    # plain composition on the runner's own step: heights scale by d^m, no extraction
+    plan = _plan(DegreeRecurrence(d=f.degree, h=0, n0=1), n, precision <= 53)
     w, _ = orbit.start(z)
-    gammas, points, _, hs = plain.run(*plain.start(w))
+    gammas, _, hs, w_n = orbit.step.orbit(*orbit.start(w), plan)
     u_z = orbit.real(orbit.value(w)[0])
-    u_wn = orbit.real(orbit.value(points[n])[0])
+    u_wn = orbit.real(orbit.value(w_n)[0])
     d, real = f.degree, orbit.real
     with workprec(precision):
         u_fnz = real(d**n * gammas[n]) + u_wn
@@ -750,13 +746,14 @@ class GreenGrid:
 
 def _independent(e1, e2) -> bool:
     # real-linear independence: e2 = i*e1 still spans a 2-plane, so the
-    # test flattens to real coordinates and checks the Gram determinant
-    u = [p for x in e1 for p in (_to_complex(x).real, _to_complex(x).imag)]
-    v = [p for x in e2 for p in (_to_complex(x).real, _to_complex(x).imag)]
+    # test flattens to real coordinates and checks the Gram determinant,
+    # exactly on the floats' values: no size of vector over- or underflows
+    u = [Fraction(p) for x in e1 for p in (_to_complex(x).real, _to_complex(x).imag)]
+    v = [Fraction(p) for x in e2 for p in (_to_complex(x).real, _to_complex(x).imag)]
     uu = sum(a * a for a in u)
     vv = sum(a * a for a in v)
     uv = sum(a * b for a, b in zip(u, v))
-    return uu * vv - uv * uv > 1e-24 * max(uu * vv, 1e-300)
+    return uu * vv - uv * uv > Fraction(1e-24) * uu * vv
 
 
 def _grid_digest(f: ProjMap, cert: Optional[QASCertificate]) -> str:

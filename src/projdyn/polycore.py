@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -781,19 +782,6 @@ def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
     return a
 
 
-class _PointRng:
-    """Deterministic integer stream for the engine's evaluation points."""
-
-    def __init__(self, salt: int):
-        self.state = (0x9E3779B97F4A7C15 * (salt + 1)) & ((1 << 64) - 1)
-
-    def next_int(self, lo: int, hi: int) -> int:
-        self.state = (self.state * 6364136223846793005 + 1442695040888963407) & (
-            (1 << 64) - 1
-        )
-        return lo + (self.state >> 33) % (hi - lo + 1)
-
-
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the bases 2..37, which is exact below 3.18e23."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -879,13 +867,13 @@ def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
         return {(j,): c for j, c in enumerate(g) if c}
     lam = _modp_content([u[max(u)] for u in us], p)
     # drawn, not counted: a fixed point can be unlucky at every prime
-    rng = _PointRng(p + k)
+    rng = random.Random(p + k)
     # deg_k g is at most the degree of the members' gcd in x_k at any
     # point of the other variables where the x_k-leading coefficient of
     # the first member stays nonzero, since that of g divides it
     last = k - 1
     while True:
-        vals = {i: rng.next_int(0, p - 1) for i in range(last)}
+        vals = {i: rng.randrange(p) for i in range(last)}
         at = _specialize_univar(polys[0], last, vals, p)
         if at[-1]:
             break
@@ -895,7 +883,7 @@ def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
     content = _modp_content(chain.from_iterable(u.values() for u in us), p)
     best, interp, mod = None, {}, [1]
     while len(mod) <= points:
-        x = rng.next_int(0, p - 1)
+        x = rng.randrange(p)
         pw = [1] * max(top, points + 1)
         for i in range(1, len(pw)):
             pw[i] = pw[i - 1] * x % p

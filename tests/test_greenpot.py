@@ -305,13 +305,21 @@ class TestOrbitErrors:
             g = gp.grid_sample(mono, None, None, sl, 3, n_iters=2, converge_tol=tol)
             assert {s for row in g.status for s in row} == {gp.STATUS_OK}
 
-    def test_orbit_state_rejects_bad_entries(self):
-        # the unit-norm and finite-height checks every orbit entry passes
-        with pytest.raises(gp.OrbitError):
-            gp._check_entry(2.0, 0.0, 1)
-        with pytest.raises(gp.OrbitError):
-            gp._check_entry(1.0, float("nan"), 1)
-        gp._check_entry(1.0, 0.5, 1)
+    def test_orbit_state_rejects_bad_entries(self, mono):
+        # the generated orbit checks the unit norm and the finite height of its entry
+        for precision in (53, 128):
+            runner = gp._OrbitRunner(mono, None, 3, precision)
+            w, gamma = runner.start((1.5, 1, 1))
+            S = runner.scale
+            two = (2.0 + 0j, 0j, 0j) if S is None else ((2 << S, 0), (0, 0), (0, 0))
+            with pytest.raises(gp.OrbitError) as exc:
+                runner.run(two, gamma)
+            assert (exc.value.step, str(exc.value)) == (0, "orbit point lost normalization (norm 2.0)")
+            assert len(runner.run(w, gamma)[0]) == 4
+        runner = gp._OrbitRunner(mono, None, 3, 53)
+        with pytest.raises(gp.OrbitError) as exc:
+            runner.run(runner.start((1.5, 1, 1))[0], float("nan"))
+        assert (exc.value.step, str(exc.value)) == (0, "non-finite log-height")
 
     def test_overflowing_image_is_an_orbit_error(self):
         # |F(w)|^2 overflows for a unit w: the quotient loses its norm
@@ -531,15 +539,18 @@ class TestGrid:
         assert all(c in "0123456789abcdef" for c in meta["certificate"])
 
     def test_complex_direction_pair_is_a_plane(self, mono):
-        # e2 = i*e1 is complex-proportional yet spans a real 2-plane
-        sl = gp.GridSlice(base=(1.0, 0.0, 0.5), e1=(0.0, 1.0, 0.0), e2=(0.0, 1j, 0.0))
-        g = gp.grid_sample(mono, None, None, sl, 2, n_iters=20)
-        assert all(s == gp.STATUS_OK for row in g.status for s in row)
+        # e2 = i*e1 is complex-proportional yet spans a real 2-plane, at any
+        # size: the Gram determinant of 1e±150 vectors over- or underflows a float
+        for scale in (1.0, 1e150, 1e-150):
+            sl = gp.GridSlice(base=(1.0, 0.0, 0.5), e1=(0.0, scale, 0.0), e2=(0.0, scale * 1j, 0.0))
+            g = gp.grid_sample(mono, None, None, sl, 2, n_iters=20)
+            assert all(s == gp.STATUS_OK for row in g.status for s in row)
 
     def test_dependent_directions_rejected(self, mono):
-        sl = gp.GridSlice(base=(1, 0, 0), e1=(0, 1, 0), e2=(0, 2, 0))
-        with pytest.raises(ValueError):
-            gp.grid_sample(mono, None, None, sl, 3)
+        for scale in (1, 1e150, 1e-150):
+            sl = gp.GridSlice(base=(1, 0, 0), e1=(0, scale, 0), e2=(0, 2 * scale, 0))
+            with pytest.raises(ValueError, match="linearly independent"):
+                gp.grid_sample(mono, None, None, sl, 3)
 
     def test_zero_vector_node_flagged(self, mono):
         sl = gp.GridSlice(
@@ -661,16 +672,27 @@ def loop_evaluator(p):
     return ev
 
 
+def check_entry(nrm, gamma, step):
+    """The unit-norm and finite-height checks of every orbit point, entry included."""
+    if abs(nrm - 1.0) > 1e-6:
+        raise gp.OrbitError(f"orbit point lost normalization (norm {nrm})", step=step)
+    if gamma - gamma:
+        raise gp.OrbitError("non-finite log-height", step=step)
+
+
 def reference_run(runner, w, gamma):
     """The per-step Python loop of _OrbitRunner.run on the runner's single step.
 
     The generated orbit must reproduce it bit for bit, exceptions and
     their steps included.
     """
-    gp._check_entry(runner.norm(w), gamma, 0)
     step, log, plan, n0, tol, S = runner.step, runner.log, runner.plan, runner.spec.n0, runner.tol, runner.scale
     fixed = S is not None
-    points, gammas, increments, hs = [w], [gamma], [], []
+    if fixed:
+        check_entry(math.sqrt(sum(r * r + i * i for r, i in w) / (1 << 2 * S)), gamma, 0)
+    else:
+        check_entry(math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in w)), gamma, 0)
+    gammas, increments, hs = [gamma], [], []
     for n, a, b, hd, k, _ in plan:
         nf, w, nrm, hw = step(w)
         hs.append(hw)
@@ -696,14 +718,13 @@ def reference_run(runner, w, gamma):
         g = num // b if fixed else num / b
         increments.append(abs(g - gamma))
         gamma = g
-        gp._check_entry(nrm, gamma, n)
-        points.append(w)
+        check_entry(nrm, gamma, n)
         gammas.append(gamma)
-    return gammas, points, increments, hs
+    return gammas, increments, hs, w
 
 
 def outcome(run, runner, w, gamma):
-    """repr of (gammas, points, increments, hs), or the class, step and message of the failure."""
+    """repr of (gammas, increments, hs, last point), or the class, step and message of the failure."""
     try:
         return repr(run(runner, w, gamma))
     except gp.OrbitError as exc:
@@ -822,14 +843,14 @@ class TestGeneratedOrbit:
 
     @pytest.mark.parametrize("precision", [53, 128])
     def test_plain_runner_and_not_converged(self, stable, precision):
-        # telescope_residual's plain runner reads hs from a step that carries H
+        # telescope_residual's plain plan reads hs from a step that carries H
         f, cert, _ = stable
-        orbit = gp._OrbitRunner(f, cert, 48, precision)
-        plain = gp._OrbitRunner(f, None, 5, precision, like=orbit)
+        plain = gp._OrbitRunner(f, cert, 48, precision)
+        plain.plan = gp._plan(DegreeRecurrence(d=3, h=0, n0=1), 5, precision <= 53)
         w, gamma = plain.start(Z_FROZEN)
         got = plain.run(w, gamma)
         assert repr(got) == repr(reference_run(plain, w, gamma))
-        assert None not in got[3]
+        assert len(got[2]) == 5 and None not in got[2]
         with pytest.raises(gp.NotConverged) as exc:
             gp._OrbitRunner(f, cert, 3, precision).value(Z_FROZEN, 1e-9)
         assert exc.value.step == 3
