@@ -15,6 +15,7 @@ precision); 4 internal invariant violation.
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -461,7 +462,9 @@ def _run_verify_all(args):
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first `main` call; it names each runner, which `main` looks up."""
     top = argparse.ArgumentParser(
         prog="projdyn",
         # a prefix of an option is no option: "--cert 4" would set --cert-depth
@@ -477,31 +480,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    p = add("degrees", _run_degrees, help="exact algebraic degree sequence of a map")
+    p = add("degrees", "_run_degrees", help="exact algebraic degree sequence of a map")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=4)
 
-    p = add("infer-qas", _run_infer_qas, help="stability verdict and divisor certificate")
+    p = add("infer-qas", "_run_infer_qas", help="stability verdict and divisor certificate")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=3)
 
-    p = add("lambda", _run_lambda, help="dominant root of a degree recurrence")
+    p = add("lambda", "_run_lambda", help="dominant root of a degree recurrence")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--precision", type=int, default=128)
 
-    p = add("family-gen", _run_family_gen, help="generate a calibrated family instance")
+    p = add("family-gen", "_run_family_gen", help="generate a calibrated family instance")
     p.add_argument("--deg-p", type=int, default=1)
     p.add_argument("--deg-q", type=int, default=2)
     p.add_argument("--coeff-bound", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = add("family-check", _run_family_check, help="preflight checks for a family file")
+    p = add("family-check", "_run_family_check", help="preflight checks for a family file")
     p.add_argument("--family", required=True)
 
-    p = add("green-point", _run_green_point, help="potential value at one point")
+    p = add("green-point", "_run_green_point", help="potential value at one point")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True,
                    help="comma-separated complex coordinates, e.g. '1+2j,0.5,3'")
@@ -511,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=53)
     p.add_argument("--tol", type=float, default=None)
 
-    p = add("green-grid", _run_green_grid, help="potential over a 2-plane slice, CSV/PGM export")
+    p = add("green-grid", "_run_green_grid", help="potential over a 2-plane slice, CSV/PGM export")
     p.add_argument("--map", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--e1", required=True)
@@ -527,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--pgm", default=None)
 
-    p = add("verify-all", _run_verify_all,
+    p = add("verify-all", "_run_verify_all",
             help="chained certification, spectral, and residual suite")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=4)
@@ -540,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, text = args.run(args)
+        code, text = globals()[args.run](args)
     except (ParseError, InsufficientData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

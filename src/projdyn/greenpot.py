@@ -447,15 +447,13 @@ def _plan(spec, n_iters, fast):
         a, b = d * degrees[n - 1], degrees[n]
         lag = n - n0 - 1
         hd = h * degrees[lag] if h and lag >= 0 else None
-        k = a.bit_length() - _FLOAT_INT_BITS if fast else 0
-        if k > 0:
-            # float(a) would overflow: divide numerator and denominator
-            # by 2^k (exact int true division; power-of-two scaling
-            # commutes with rounding, so only the overflow is avoided)
+        k = max(a.bit_length() - _FLOAT_INT_BITS, 0) if fast else 0
+        if fast:
+            # divide numerator and denominator by 2^k, k > 0 where float(a)
+            # would overflow (int true division rounds correctly, and
+            # power-of-two scaling commutes with rounding)
             s = 1 << k
             a, b, hd = a / s, b / s, None if hd is None else hd / s
-        elif fast:
-            a, b, hd, k = float(a), float(b), None if hd is None else float(hd), 0
         plan.append((n, a, b, hd, k, lag))
     return plan
 

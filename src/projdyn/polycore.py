@@ -31,6 +31,7 @@ instead of thrashing.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -843,6 +844,15 @@ def _split_last(d: dict) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _point_rng(p: int) -> random.Random:
+    """`_modp_gcd_mv`'s point generator mod p, kept across calls, as seeding costs about 20 draws.
+
+    The points depend on earlier calls; the gcd, canonical and proved, does not.
+    """
+    return random.Random(p)
+
+
 def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
     """Monic gcd over GF(p) of two or more nonzero dicts keyed by k-tuples, k >= 1.
 
@@ -867,7 +877,7 @@ def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
         return {(j,): c for j, c in enumerate(g) if c}
     lam = _modp_content([u[max(u)] for u in us], p)
     # drawn, not counted: a fixed point can be unlucky at every prime
-    rng = random.Random(p + k)
+    rng = _point_rng(p)
     # deg_k g is at most the degree of the members' gcd in x_k at any
     # point of the other variables where the x_k-leading coefficient of
     # the first member stays nonzero, since that of g divides it

@@ -26,17 +26,17 @@ n0 s^{n0+1} - (n0+1) s^{n0} + 1 = (s - 1)^2 R(s), R(s) = sum_{k<n0} (k+1) s^k,
 gives P(t* s) = h (s - 1)^2 R(s).  R has increasing positive
 coefficients, so by the Enestrom-Kakeya theorem its roots lie in
 1/2 <= |s| <= (n0-1)/n0 < 1: the double root lambda = t* dominates, and
-rho, the largest root modulus of R, depends on n0 alone; for n0 >= 3
-Braess-Hadeler inclusion discs around mpmath's estimates of the roots
-of R prove it (see `_polyroots_certified`).
+rho, the largest root modulus of R, depends on n0 alone, and
+Braess-Hadeler inclusion discs prove it (see `_tangent_rho`).
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 __all__ = [
     "SpectralError",
@@ -68,7 +68,7 @@ class DegenerateLambda(SpectralError):
 
 
 class PrecisionExhausted(SpectralError):
-    """A root failed its bracket check, or `mp.polyroots` did not converge."""
+    """A proof failed: a root's bracket check or the inclusion discs of rho."""
 
 
 class InsufficientData(SpectralError):
@@ -127,8 +127,8 @@ class SpectralReport:
     next-largest root modulus to lambda_: for a simple lambda_ that is
     lambda2/lambda_, lambda2 the other positive root (see the module
     docstring), proved the same way; for the double root it is the
-    largest root modulus of R, exact while n0 <= 2 and proved by
-    inclusion discs to a relative 2^-precision above.  Q_fit holds the
+    largest root modulus of R, proved by inclusion discs to a relative
+    2^-precision (0 for n0 = 1).  Q_fit holds the
     r polynomial coefficients (constant first) of the subexponential
     factor in d_n = lambda^n (Q(n) + o(1)): the principal part of the
     generating function at x = 1/lambda, which depends on no other root
@@ -176,40 +176,55 @@ def extend_degrees(spec: DegreeRecurrence, N: int) -> list:
     return out
 
 
-def _polyroots_certified(coeffs, precision_bits):
-    """All roots of coeffs (high to low, degree m >= 2) by one `mp.polyroots` run, each proved.
+def _tangent_estimates(n0):
+    """Unproved estimates of the n0 - 1 roots of R at the working precision.
 
-    polyroots runs at 2*precision_bits bits.  Its estimates z_i, rounded to
-    Gaussian integers Z_i at the scale 2^S, S = precision_bits + 16, are
-    the centres of the Braess-Hadeler inclusion discs
-    |s - z_i| <= m |W_i|, W_i = p(z_i) / (c_m prod_{j != i} (z_i - z_j)),
-    whose union holds every root, one in each disc that meets no other
-    (Numer. Math. 21, 1973).  In integers, W_i = N_i / (2^S c_m D_i) with
-    N_i = sum_k c_k Z_i^k 2^{S(m-k)} and D_i = prod_{j != i} (Z_i - Z_j),
-    and r_i = isqrt(ceil(m^2 |N_i|^2 / (c_m^2 |D_i|^2))) + 1 bounds the
-    radius in units of 2^-S.  The roots are returned only if the discs
-    are pairwise disjoint and every r_i <= 2^-precision_bits max|Z_j|,
-    so each root lies within a relative 2^-precision_bits of its
-    estimate; otherwise, or if polyroots does not converge,
-    `PrecisionExhausted` is raised.
+    A root s of R solves s^n0 (n0 + 1 - n0 s) = 1, s != 1 (module docstring),
+    so it is fixed by g_j(s) = w^j (n0 + 1 - n0 s)^(-1/n0), w = e^(2 pi i/n0),
+    on the principal branch, for some j; g_j maps |s| < 1 into the sector
+    |arg s - 2 pi j/n0| < pi/(2 n0), and |g_j'| = |s|^(n0+1) < 1/e at a
+    fixed point.  For 0 < j < n0, 64 float steps of g_j from 0 reach the
+    float's rounding (18 do for n0 <= 500), 32 bits at least, and each
+    Newton step on s^n0 (n0 + 1 - n0 s) - 1 doubles the bits.
     """
-    with workprec(2 * precision_bits):
-        try:
-            roots = mp.polyroots(coeffs, maxsteps=300, extraprec=precision_bits)
-        except mp.NoConvergence:
-            raise PrecisionExhausted("polyroots did not converge") from None
-        S, m = precision_bits + 16, len(coeffs) - 1
-        Z = [tuple(int(mp.nint(mp.ldexp(x, S))) for x in (mp.re(z), mp.im(z))) for z in roots]
-    top = max(x * x + y * y for x, y in Z)
+    out = []
+    for j in range(1, n0):
+        wj, s = cmath.exp(2j * cmath.pi * j / n0), 0j
+        for _ in range(64):
+            s = wj * (n0 + 1 - n0 * s) ** (-1 / n0)
+        s = mpc(s)
+        for _ in range((mp.prec // 32).bit_length()):
+            t = s ** (n0 - 1)
+            s -= (t * s * (n0 + 1 - n0 * s) - 1) / (n0 * (n0 + 1) * t * (1 - s))
+        out.append(s)
+    return out
+
+
+def _tangent_rho(n0, precision_bits):
+    """rho, the largest root modulus of R (0 for n0 = 1), proved to a relative 2^-precision_bits.
+
+    The estimates z_i of `_tangent_estimates` at 2*precision_bits bits, the
+    precision of `char_poly_roots`, rounded to Gaussian integers Z_i at the
+    scale 2^S, S = precision_bits + 16, centre the Braess-Hadeler inclusion
+    discs |s - z_i| <= m |W_i|, W_i = R(z_i) / (c_m prod_{j != i} (z_i - z_j)),
+    whose union holds every root, one in each disc that meets no other
+    (Numer. Math. 21, 1973); R = sum_k c_k s^k, c_k = k + 1, m = n0 - 1.
+    In integers, W_i = N_i / (2^S c_m D_i) with N_i = sum_k c_k Z_i^k 2^{S(m-k)}
+    and D_i = prod_{j != i} (Z_i - Z_j), and r_i = isqrt(ceil(m^2 |N_i|^2 /
+    (c_m^2 |D_i|^2))) + 1 bounds the radius in units of 2^-S.  Unless the
+    discs are pairwise disjoint and every r_i <= 2^-precision_bits max|Z_j|,
+    which puts each root within a relative 2^-precision_bits of its
+    estimate, `PrecisionExhausted` is raised.
+    """
+    roots, coeffs, S, m = _tangent_estimates(n0), range(n0, 0, -1), precision_bits + 16, n0 - 1
+    Z = [tuple(int(mp.nint(mp.ldexp(x, S))) for x in (mp.re(z), mp.im(z))) for z in roots]
+    top = max((x * x + y * y for x, y in Z), default=0)
     radii = []
     for i, (x, y) in enumerate(Z):
         nr, ni = coeffs[0], 0
         for k, c in enumerate(coeffs[1:], 1):
             nr, ni = nr * x - ni * y + (c << k * S), nr * y + ni * x
-        dd = 1
-        for j, (u, v) in enumerate(Z):
-            if j != i:
-                dd *= (x - u) ** 2 + (y - v) ** 2
+        dd = math.prod((x - u) ** 2 + (y - v) ** 2 for j, (u, v) in enumerate(Z) if j != i)
         if not dd:
             raise PrecisionExhausted("two root estimates coincide")
         radii.append(math.isqrt(-(-m * m * (nr * nr + ni * ni) // (coeffs[0] ** 2 * dd))) + 1)
@@ -217,7 +232,7 @@ def _polyroots_certified(coeffs, precision_bits):
             (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2
             for i, (x, y) in enumerate(Z) for j, (u, v) in enumerate(Z[:i])):
         raise PrecisionExhausted(f"inclusion discs overlap or exceed 2^-{precision_bits}")
-    return roots
+    return max(map(abs, roots), default=mpf(0))
 
 
 def _descend(update, x):
@@ -309,9 +324,8 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
     roots by Newton on Q (see `_newton`), lambda on (t*, d + 1) and
     lambda2 on (0, t*); by the Rouche argument of the module docstring
     lambda is dominant and rho = lambda2/lambda.  The tangent double
-    root t* is exact, and rho, the largest root modulus of R, is 0 and
-    1/2 for n0 <= 2 and comes from one `mp.polyroots` run on R, proved
-    by `_polyroots_certified`, above.  The degrees have the generating
+    root t* is exact, and rho, the largest root modulus of R, is proved
+    by `_tangent_rho`, above.  The degrees have the generating
     function sum d_n x^n = 1/Q(x), Q(x) = 1 - d x + h x^{n0+1}
     = x^{n0+1} P(1/x), and Q_fit is read off its principal part at
     x0 = 1/lambda: for a simple root lambda/((n0+1)(lambda - t*)), at
@@ -335,11 +349,7 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
         elif p_star == 0:
             # the tangent case, as the viability check leaves t* > 1
             lam, r = mpf(t_star.numerator) / t_star.denominator, 2
-            if n0 > 2:
-                roots = _polyroots_certified(list(range(n0, 0, -1)), precision_bits)
-                rho = max(abs(z) for z in roots)
-            else:  # R = 1 or 1 + 2s
-                rho = mpf(n0 - 1) / 2
+            rho = _tangent_rho(n0, precision_bits)
             q_fit = (mpf(2 * n0 + 4) / (3 * (n0 + 1)), mpf(2) / (n0 + 1))
         else:
             lam, r = _proved_root(spec, t_star, Fraction(d + 1), mpf(0), precision_bits), 1

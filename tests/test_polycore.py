@@ -750,6 +750,9 @@ def test_modp_gcd_with_unlucky_points_matches_sympy(nvars):
     so small a prime allows, the result is g * (x_1 + 1), never a mixture.
     A third member g * (x_1 + 1 + h * x_last) has the same unlucky points."""
     p = 31
+    # the engine's generator outlives a call: start it afresh, so that the
+    # points drawn here do not depend on the tests run before
+    polycore._point_rng.cache_clear()
     rng = random.Random(5000 + nvars)
     xs = _symbols(nvars)
     one, last = (0,) * nvars, (0,) * (nvars - 1) + (1,)

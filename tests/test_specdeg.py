@@ -13,6 +13,7 @@ import sympy
 from mpmath import mp, mpf, sqrt, workprec
 
 from projdyn import specdeg
+from projdyn.cli import _numstr
 from projdyn.specdeg import (
     AsymptoticsReport,
     DegenerateLambda,
@@ -256,12 +257,15 @@ def test_lambda_and_rho_match_sympy_nroots(d, h, n0):
         assert abs(rep.rho - sqrt(3) / 3) < mpf(10) ** -30
 
 
-def test_simple_and_linear_tangent_cases_skip_the_root_finder(monkeypatch):
-    def refuse(coeffs, precision_bits):
-        raise AssertionError("mp.polyroots reached")
+def test_simple_case_skips_the_root_finder(monkeypatch):
+    class Reached(Exception):
+        pass
 
-    monkeypatch.setattr(specdeg, "_polyroots_certified", refuse)
-    simple = 0
+    def refuse(n0):
+        raise Reached(n0)
+
+    monkeypatch.setattr(specdeg, "_tangent_estimates", refuse)
+    simple, tangent = 0, []
     for d in range(2, 6):
         for n0 in range(1, 5):
             for h in range(1, min(d ** (n0 + 1), 20)):
@@ -269,11 +273,12 @@ def test_simple_and_linear_tangent_cases_skip_the_root_finder(monkeypatch):
                     rep = char_poly_roots(DegreeRecurrence(d, h, n0), 64)
                 except DegenerateLambda:
                     continue
+                except Reached:
+                    tangent.append((d, h, n0))
+                    continue
                 simple += rep.r == 1
-    # the viable cases of the grid but its two tangent ones, (4, 4, 1) and (3, 4, 2)
-    assert simple == 148
-    for spec in ((4, 4, 1), (6, 9, 1), (3, 4, 2), (6, 32, 2)):
-        assert char_poly_roots(DegreeRecurrence(*spec), 64).r == 2
+    # every viable case of the grid but its two tangent ones
+    assert simple == 148 and tangent == [(3, 4, 2), (4, 4, 1)]
 
 
 def bisect_root(spec, lo, hi, bits):
@@ -348,30 +353,40 @@ def test_tangent_rho_is_proved(bits):
         assert abs(rep.rho - sqrt(3) / 3) < mpf(2) ** -bits
 
 
-def patch_polyroots(monkeypatch, change):
-    """Make mp.polyroots return change(roots), with its error estimate when asked for one."""
-    polyroots = mp.polyroots
-
-    def changed(coeffs, error=False, **kwargs):
-        roots, err = polyroots(coeffs, error=True, **kwargs)
-        return (change(roots), err) if error else change(roots)
-
-    monkeypatch.setattr(mp, "polyroots", changed)
+def patch_estimates(monkeypatch, change):
+    """Make the tangent root estimates change(estimates)."""
+    estimates = specdeg._tangent_estimates
+    monkeypatch.setattr(specdeg, "_tangent_estimates", lambda n0: change(estimates(n0)))
 
 
 @pytest.mark.parametrize("n0", [3, 8, 24])
 @pytest.mark.parametrize("bits", [128, 256])
 def test_tangent_rho_refuses_moved_roots(monkeypatch, n0, bits):
     # roots off by a relative 2^-(p/2) give inclusion discs far wider than 2^-p
-    patch_polyroots(monkeypatch, lambda roots: [z * (1 + mpf(2) ** -(bits // 2)) for z in roots])
+    patch_estimates(monkeypatch, lambda roots: [z * (1 + mpf(2) ** -(bits // 2)) for z in roots])
     with pytest.raises(PrecisionExhausted, match="inclusion discs"):
         char_poly_roots(tangent_spec(n0, 2), bits)
 
 
 def test_tangent_rho_refuses_coinciding_estimates(monkeypatch):
-    patch_polyroots(monkeypatch, lambda roots: roots[:1] * len(roots))
+    patch_estimates(monkeypatch, lambda roots: roots[:1] * len(roots))
     with pytest.raises(PrecisionExhausted, match="coincide"):
         char_poly_roots(tangent_spec(4, 2), 128)
+
+
+def test_tangent_rho_needs_no_third_party_root_finder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.polyroots reached")
+
+    monkeypatch.setattr(mp, "polyroots", refuse)
+    for n0 in range(1, 13):
+        assert char_poly_roots(tangent_spec(n0, 2), 128).r == 2
+
+
+def test_large_n0_tangent_rho_is_pinned():
+    # the digits `projdyn lambda --precision 64` prints
+    rep = char_poly_roots(tangent_spec(100, 2), 64)
+    assert _numstr(rep.rho, 64) == "0.97943181263455503"
 
 
 def exact_q_fit(spec, bits):
@@ -406,19 +421,6 @@ def test_q_fit_matches_exact_bisection(d, h, n0, bits):
     want = exact_q_fit(spec, bits)
     got = rep.Q_fit[0].man * Fraction(2) ** rep.Q_fit[0].exp
     assert abs(got - want) < want / 2**bits
-
-
-def test_tangent_rho_takes_one_polyroots_run(monkeypatch):
-    calls = []
-
-    def diverge(coeffs, **kwargs):
-        calls.append(coeffs)
-        raise mp.NoConvergence("no convergence")
-
-    monkeypatch.setattr(mp, "polyroots", diverge)
-    with pytest.raises(PrecisionExhausted):
-        char_poly_roots(DegreeRecurrence(4, 27, 3), 128)
-    assert len(calls) == 1
 
 
 # -- asymptotics --------------------------------------------------------------------
