@@ -18,8 +18,9 @@ authoritative verdict is always the symbolic certificate from the
 iteration module.
 
 The intersection check works on the integer primitive parts of its
-forms, so the chart rows, the resultants (fraction-free Bareiss
-determinants) and the squarefree parts stay in Z, and every univariate
+forms, so the chart rows, the resultants (Sylvester determinants by the
+fraction-free `mapiter._echelon`, which also gives the jacobian rank and
+the pencil kernel) and the squarefree parts stay in Z, and every univariate
 gcd is `poly_gcd` on binary forms.  The Euclid over Q[z]/(h) takes
 pseudo-remainders, so it inverts nothing mod h; Fractions enter only in
 its reductions mod h, in the rational roots and in the fibres over
@@ -40,9 +41,9 @@ from .mapiter import (
     ProjMap,
     _default_names,
     _directives,
+    _echelon,
     _jacobian,
     _jacobian_at,
-    _rref,
     make_map,
     map_to_text,
 )
@@ -361,34 +362,6 @@ def _rows(f: HomPoly):
     return [_utrim(r) for r in rows]
 
 
-def _bareiss_poly_det(mat):
-    """Fraction-free determinant of a matrix of univariate polynomials.
-
-    Each division by the previous pivot is exact in Z[z] (Bareiss), so
-    integer entries give an integer determinant.
-    """
-    n = len(mat)
-    m = [[list(entry) for entry in row] for row in mat]
-    prev = [1]
-    sign = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                # zero column: determinant vanishes
-                return []
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _uadd(_umul(m[i][j], m[k][k]), _uscale(_umul(m[i][k], m[k][j]), -1))
-                m[i][j] = _udivmod(num, prev)[0] if num else []
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return _uscale(det, sign)
-
-
 def _sylvester_resultant(A, B):
     """Resultant in w of two polys given as rows (`_rows`), as a poly in z."""
     da, db = len(A) - 1, len(B) - 1
@@ -404,7 +377,10 @@ def _sylvester_resultant(A, B):
     for s in range(da):
         for k in range(db + 1):
             mat[db + s][s + k] = list(B[db - k])
-    return _bareiss_poly_det(mat)
+    rows, _, sign = _echelon(
+        mat, lambda a, b: _udivmod(a, b)[0], _umul, lambda a, b: _uadd(a, _uscale(b, -1))
+    )
+    return _uscale(rows[-1][-1], sign)
 
 
 # -- second check: the difference forms on {P=0} n {R=0} ------------------------------
@@ -571,17 +547,18 @@ def _pencil_kernel_witness(inst: FamilyInstance):
         cols.append({e: -Fraction(c) for e, c in prod.terms})
     rows_idx = sorted({e for col in cols for e in col})
     mat = [[col.get(e, Fraction(0)) for col in cols] for e in rows_idx]
-    rref, pivots = _rref(mat)
+    ech, pivots, _ = _echelon(mat)
     free = [c for c in range(len(cols)) if c not in pivots]
     if not free:
         return None
     # any nonzero kernel vector has a nonzero (a, b, c) head, because the
-    # L-columns alone are independent (multiplication by P is injective)
-    fc = free[0]
+    # L-columns alone are independent (multiplication by P is injective);
+    # back-substitution from 1 at the first free column and 0 at the
+    # others gives the kernel vector of the reduced echelon form
     vec = [Fraction(0)] * len(cols)
-    vec[fc] = Fraction(1)
-    for rr, pc in zip(rref, pivots):
-        vec[pc] = -rr[fc]
+    vec[free[0]] = Fraction(1)
+    for row, pc in reversed(list(zip(ech, pivots))):
+        vec[pc] = -sum(x * v for x, v in zip(row[pc + 1 :], vec[pc + 1 :]) if v) / row[pc]
     head = {-i: x for i, x in enumerate(vec[:3]) if x}
     assert head, "kernel vector with zero pencil part"
     # coprime ints whose first nonzero entry, the largest key, is positive
@@ -623,8 +600,7 @@ def check_rank_and_pencil(inst: FamilyInstance):
     rows = _jacobian_at(_jacobian(inst.map.components), (1, 1, 1))
     for row in rows:
         assert sum(row) == 0, "jacobian row not orthogonal to (1,1,1)"
-    _, pivots = _rref(rows)
-    rank = len(pivots)
+    rank = len(_echelon(rows)[1])
     assert rank <= 2
     rank_report = RankReport(rank=rank, verdict=PASS if rank == 2 else FAIL)
 

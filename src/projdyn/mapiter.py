@@ -6,10 +6,12 @@ of primitive liftings F_n together with the extracted factors E_n,
 where F(F_{n-1}) = E_n * F_n component-wise and exactly.  The degree
 sequence, stability inference (algebraically stable, quasi
 algebraically stable, or neither) and the power-divisor cross-check
-all live here.
+all live here, as does `_echelon`, the one exact elimination behind
+the dominance test and the family preflight.
 """
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -208,7 +210,8 @@ class PointClass:
 
 def jacobian_det(comps: Sequence[HomPoly]) -> HomPoly:
     """Determinant of the jacobian matrix of a polynomial tuple."""
-    return _det(_jacobian(comps), list(range(len(comps))), comps[0].nvars)
+    rows, _, sign = _echelon(_jacobian(comps), exact_div)
+    return rows[-1][-1] * sign
 
 
 def _jacobian(comps: Sequence[HomPoly]) -> list:
@@ -221,17 +224,36 @@ def _jacobian_at(rows, point) -> list:
     return [[entry.evaluate(point) for entry in row] for row in rows]
 
 
-def _det(rows, cols, nvars: int) -> HomPoly:
-    if len(cols) == 1:
-        return rows[0][cols[0]]
-    total = HomPoly.zero(nvars)
-    for i, c in enumerate(cols):
-        minor = _det(rows[1:], cols[:i] + cols[i + 1 :], nvars)
-        if minor.is_zero or rows[0][c].is_zero:
+def _echelon(rows, div=operator.truediv, mul=operator.mul, sub=operator.sub):
+    """Fraction-free row echelon form by Bareiss elimination (Math. Comp. 22, 1968).
+
+    The ring's operations are passed in, those of Fraction by default;
+    `div` is only asked for exact quotients.  The pivot of each row is
+    the first nonzero entry at or below it in the next column that has
+    one, so the pivot columns are the first independent columns.  Every
+    entry is a minor of the input; the last entry of a square matrix,
+    times the sign of the row swaps, is its determinant.  Returns
+    (rows, pivot columns, sign).
+    """
+    m = [list(r) for r in rows]
+    pivots, sign, prev = [], 1, None
+    for c in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
             continue
-        term = rows[0][c] * minor
-        total = total + term if i % 2 == 0 else total - term
-    return total
+        if piv != r:
+            m[r], m[piv], sign = m[piv], m[r], -sign
+        top = m[r]
+        for row in m[r + 1 :]:
+            f = row[c]
+            for j in range(c + 1, len(row)):
+                x = sub(mul(top[c], row[j]), mul(f, top[j]))
+                row[j] = div(x, prev) if prev is not None and x else x
+            row[c] = sub(f, f)
+        prev = top[c]
+        pivots.append(c)
+    return m, pivots, sign
 
 
 _PROBE_POINTS = ((2, 3, 5, 7, 11, 13), (-7, 11, -13, 17, 19, -23), (5, -2, 9, -4, 3, 8))
@@ -239,37 +261,14 @@ _PROBE_POINTS = ((2, 3, 5, 7, 11, 13), (-7, 11, -13, 17, 19, -23), (5, -2, 9, -4
 
 def _is_dominant(comps: Sequence[HomPoly]) -> bool:
     n = len(comps)
-    nv = comps[0].nvars
     rows = _jacobian(comps)
-    # a full-rank jacobian at any rational point settles it
-    for pt in _PROBE_POINTS:
-        if len(_rref(_jacobian_at(rows, pt[:nv]))[1]) == n:
+    # a full-rank jacobian at any rational point settles it; maps of P^6
+    # and up take nonzero coordinates past the sixth by a fixed rule
+    for k, pt in enumerate(_PROBE_POINTS):
+        pt = pt[:n] + tuple((-1) ** (i + k) * (i * i + k) for i in range(len(pt), n))
+        if len(_echelon(_jacobian_at(rows, pt))[1]) == n:
             return True
-    return not _det(rows, list(range(n)), nv).is_zero
-
-
-def _rref(rows):
-    """Reduced row echelon form of a Fraction matrix: (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    nr, nc = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
+    return len(_echelon(rows, exact_div)[1]) == n
 
 
 def make_map(components: Sequence[HomPoly], names: Optional[Sequence[str]] = None) -> ProjMap:

@@ -482,6 +482,14 @@ def test_pencil_twisted_witness_found_exactly(twisted):
     assert pencil.method == "kernel"
 
 
+def test_pencil_two_dimensional_kernel_witness():
+    # 2*Q1 - Q3 = 2*z*w and 2*Q2 - Q3 = 2*z*t are both divisible by P = z;
+    # the witness is the kernel vector with 1 at the first free column, -P*t
+    inst = build_family_map(pp("z"), pp("z*w + w^2"), pp("z*t + w^2"), pp("2*w^2"), pp("2*w^2*t"))
+    _, pencil = check_rank_and_pencil(inst)
+    assert pencil == family2.PencilReport(verdict=FAIL, witness=(0, 2, -1), method="kernel")
+
+
 def test_pencil_stable_passes_with_exact_kernel(stable):
     _, pencil = check_rank_and_pencil(stable)
     assert pencil.verdict == PASS

@@ -6,6 +6,7 @@ tests/test_polycore.py) and are frozen here as exact values.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from projdyn.polycore import (
     parse_poly,
     poly_gcd_many,
     poly_to_text,
+    random_hompoly,
     set_term_cap,
 )
 from projdyn.mapiter import (
@@ -110,7 +112,7 @@ def test_dominance_falls_back_to_the_symbolic_determinant(texts, dominant):
     comps = [p(s) for s in texts]
     rows = mapiter._jacobian(comps)
     assert all(
-        len(mapiter._rref(mapiter._jacobian_at(rows, pt[:3]))[1]) < 3
+        len(mapiter._echelon(mapiter._jacobian_at(rows, pt[:3]))[1]) < 3
         for pt in mapiter._PROBE_POINTS
     )
     x = sympy.symbols(NAMES)
@@ -126,6 +128,68 @@ def test_dominance_falls_back_to_the_symbolic_determinant(texts, dominant):
     else:
         with pytest.raises(NotDominant):
             make_map(comps)
+
+
+def _rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def test_echelon_matches_sympy():
+    """Pivot columns and determinants of the one elimination against sympy's rref and det."""
+    rng = random.Random(11)
+
+    def rand(nr, nc):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(nc)] for _ in range(nr)]
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    cases = []
+    for _ in range(8):
+        # tall, wide, square, then rank 2 of 5 and rank 3 of 4 rows
+        cases += [rand(6, 4), rand(3, 6), rand(5, 5)]
+        cases += [product(rand(5, 2), rand(2, 5)), product(rand(4, 3), rand(3, 6))]
+        # a zero leading column above the last row forces a swap at the first pivot
+        swap = rand(4, 4)
+        for row in swap[:-1]:
+            row[0] = Fraction(0)
+        cases.append(swap)
+    for rows in cases:
+        ech, pivots, sign = mapiter._echelon(rows)
+        ref = sympy.Matrix([[_rational(x) for x in row] for row in rows])
+        assert tuple(pivots) == ref.rref()[1]
+        assert len(pivots) == ref.rank()
+        # each row is zero left of its pivot, and the rows past the rank are zero
+        for i, row in enumerate(ech):
+            assert not any(row[: pivots[i] if i < len(pivots) else len(row)])
+        if len(rows) == len(rows[0]):
+            assert _rational(sign * ech[-1][-1]) == ref.det()
+
+
+@pytest.mark.parametrize("nvars", [4, 5])
+def test_jacobian_det_matches_sympy(nvars):
+    rng = random.Random(40 + nvars)
+    x = sympy.symbols(f"x0:{nvars}")
+
+    def as_sympy(q):
+        return sum(sympy.Rational(c) * sympy.Mul(*(v**k for v, k in zip(x, e))) for e, c in q.terms)
+
+    for k in range(3):
+        comps = [random_hompoly(rng, nvars, rng.randint(1, 2), 5, 9) for _ in range(nvars)]
+        if k == 2:
+            # dependent rows: the determinant is zero
+            comps[-1] = comps[0] * 3 + comps[1] * -2 if comps[0].degree == comps[1].degree else comps[0]
+        want = sympy.Matrix([as_sympy(c) for c in comps]).jacobian(x).det(method="berkowitz")
+        got = jacobian_det(comps)
+        assert sympy.expand(as_sympy(got) - want) == 0
+        assert got.is_zero == (k == 2)
+
+
+@pytest.mark.parametrize("nvars", [7, 8])
+def test_squaring_maps_of_p6_and_up_iterate(nvars):
+    # the probe points carry as many coordinates as the map has variables
+    f = make_map([HomPoly.variable(nvars, i) ** 2 for i in range(nvars)])
+    assert iterate_degrees(f, 2).degrees == (1, 2, 4)
 
 
 def test_mixed_degrees_rejected():
