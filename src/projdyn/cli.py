@@ -240,10 +240,17 @@ def _certificate_for(f, depth: int):
 
 
 def _parse_point(text: str, nvars: int):
-    parts = [p.strip() for p in text.split(",")]
+    """The coordinate literals of text, each checked by complex().
+
+    green_eval reads a literal exactly above 53 bits; the 53-bit orbit
+    and grid_sample take complex() of it.
+    """
+    parts = tuple(p.strip() for p in text.split(","))
     if len(parts) != nvars:
         raise ValueError(f"point needs {nvars} comma-separated coordinates")
-    return tuple(complex(p) for p in parts)
+    for p in parts:
+        complex(p)
+    return parts
 
 
 def _precision_limit(exc: gp.OrbitError, bits: int) -> PrecisionExhausted:

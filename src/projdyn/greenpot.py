@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -103,11 +104,24 @@ def _to_complex(x):
 
 
 def _float_norm(v):
-    return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
+    # the squares of _norm_code, summed as floats: sum() compensates a float
+    # sum on Python 3.12 and later, which a sum of the complex products would not match
+    return math.sqrt(sum((x * x.conjugate()).real for x in v))
 
 
-def _square(y):
-    return f"({y}.real * {y}.real + {y}.imag * {y}.imag)"
+def _norm_code(ys):
+    """Source of the norm of the complex values named ys: one complex sum of conjugate products.
+
+    The real part of CPython's y * y.conjugate() is y.real·y.real −
+    y.imag·(−y.imag), which IEEE rounds exactly as y.real² + y.imag²,
+    since a − (−b) is a + b, and the complex sum adds the real parts left
+    to right: the bits of the per-coordinate squares, for inf, nan,
+    subnormals and signed zeros too, in one complex product instead of
+    four attribute loads and three float operations.  A C build that
+    fused the product's multiply and subtract would break this; the
+    tests check the identity on edge values.
+    """
+    return "sqrt((" + " + ".join(f"{y} * {y}.conjugate()" for y in ys) + ").real)"
 
 
 def _term_walk(polys, ns, coeff):
@@ -224,8 +238,9 @@ def _float_code(polys, nvars, div=None):
     step leaves (None without div).  The float operations are those of
     a per-term loop, so values are bit-identical to it: each value
     starts at 0j and adds c·x_i**k_i (left to right, ** for k ≥ 2) in
-    p.terms order, and the norm sums parenthesized per-coordinate
-    squares.  Powers x_i**k are shared across the polynomials and div.
+    p.terms order, and a norm is one complex sum of conjugate products,
+    which rounds as the loop's per-coordinate squares (see _norm_code).
+    Powers x_i**k are shared across the polynomials and div.
     """
     ns = {"sqrt": math.sqrt, "log": math.log, "TOL": _SINGULAR_TOL}
     xs = [f"x{i}" for i in range(nvars)]
@@ -240,9 +255,9 @@ def _float_code(polys, nvars, div=None):
     lines += values
     ys, us = [f"y{j}" for j in range(len(polys))], [f"u{j}" for j in range(len(polys))]
     lines.append(f"hv = y{len(polys)}" if div is not None else "hv = None")
-    lines.append("nf = sqrt(" + " + ".join(map(_square, ys)) + ")")
+    lines.append("nf = " + _norm_code(ys))
     quot = [f"{u} = {y} / nf" for u, y in zip(us, ys)]
-    quot += [f"w = ({', '.join(us)},)", "nrm = sqrt(" + " + ".join(map(_square, us)) + ")"]
+    quot += [f"w = ({', '.join(us)},)", "nrm = " + _norm_code(us)]
     return _generate(lines, quot, ns, log_f="log(nf)", log_h="log(ah)", div="/")
 
 
@@ -407,18 +422,43 @@ def _int_log(num, den, S):
 # -- core orbit evaluation ----------------------------------------------------
 
 
+def _literal_ratios(text):
+    """The real and imaginary parts of a complex literal as exact (numerator, denominator).
+
+    The syntax is complex()'s ("2", "2+1j", "-j", "(1e-3-2.5j)"), and
+    complex() refuses a malformed string (ValueError).  A literal that
+    complex() reads as nan or inf, 1e400 among them, is an input error,
+    as it is at 53 bits.
+    """
+    if not cmath.isfinite(complex(text)):
+        raise ValueError("point coordinates must be finite")
+    t = text.strip()
+    if t[0] == "(":
+        t = t[1:-1].strip()
+    re_part, im_part = t, "0"
+    if t[-1] in "jJ":
+        # the imaginary part starts at the last sign that is not an exponent's
+        k = max((i for i, ch in enumerate(t) if ch in "+-" and i and t[i - 1] not in "eE"), default=0)
+        re_part, im_part = t[:k] or "0", t[k:-1]
+        if im_part in ("", "+", "-"):
+            im_part += "1"
+    return Decimal(re_part).as_integer_ratio(), Decimal(im_part).as_integer_ratio()
+
+
 def _ratios(z, scale):
     """Real and imaginary parts of each coordinate of z as exact (numerator, denominator).
 
     A coordinate given as an (re, im) int pair is a point of a
-    fixed-point orbit at scale 2^scale; mpmath numbers and strings
-    (complex literals such as "2+1j" included) are read at that scale.
-    nan and inf are input errors.
+    fixed-point orbit at scale 2^scale; a string is a complex literal,
+    read exactly (see _literal_ratios), and mpmath numbers are read at
+    that scale.  nan and inf are input errors.
     """
     parts = []
     for x in z:
         if isinstance(x, tuple):
             parts += ((x[0], 1 << scale), (x[1], 1 << scale))
+        elif isinstance(x, str):
+            parts += _literal_ratios(x)
         elif isinstance(x, (int, Fraction)):
             parts += (x.as_integer_ratio(), (0, 1))
         elif isinstance(x, (float, complex)):
@@ -834,15 +874,14 @@ def grid_sample(
 
 def export_grid_csv(grid: GreenGrid, path) -> None:
     """Rows x,y,u,status; u empty for non-OK nodes; row-major in x then y."""
-    xs = _axis(*grid.slice.x_range, grid.resolution)
-    ys = _axis(*grid.slice.y_range, grid.resolution)
+    xs = list(map(repr, _axis(*grid.slice.x_range, grid.resolution)))
+    ys = list(map(repr, _axis(*grid.slice.y_range, grid.resolution)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y,u,status\n")
-        for i in range(grid.resolution):
-            for j in range(grid.resolution):
-                v = grid.values[i][j]
+        for x, values, status in zip(xs, grid.values, grid.status):
+            for y, v, s in zip(ys, values, status):
                 cell = repr(v) if v is not None else ""
-                fh.write(f"{xs[i]!r},{ys[j]!r},{cell},{grid.status[i][j]}\n")
+                fh.write(f"{x},{y},{cell},{s}\n")
 
 
 def _complex_pairs(vec):

@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -638,6 +638,10 @@ def _dmul(a: dict, b: dict) -> dict:
         # total degree lo..top
         lo = min(degs_a) + min(degs_b)
         _guard(min(pairs, math.comb(top + nv, nv) - math.comb(lo - 1 + nv, nv)))
+    if len(a) == 1 or len(b) == 1:
+        # one term shifts the other operand's keys, with no packing
+        [(e, c)], other = (a.items(), b) if len(a) == 1 else (b.items(), a)
+        return {tuple(map(add, k, e)): p for k, v in other.items() if (p := c * v)}
     width = _field_width(top)
     homogeneous = len(degs_a) == len(degs_b) == 1
     packed = _pmul(_pack_dict(a, width), _pack_dict(b, width), width, nv if homogeneous else 0)

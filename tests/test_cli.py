@@ -6,6 +6,7 @@ against the schemas shipped under docs/schemas/.
 
 import hashlib
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,6 +266,23 @@ class TestGreenPoint:
             validate(payload, schema("green-point"))
             values.append(Fraction(payload["u"]))
         assert abs(values[0] - values[1]) < Fraction(1, 2**118)
+
+    def test_point_is_read_exactly_above_53_bits(self, files, capsys):
+        # 0.9 + 0.3i is no double: at 128 bits the literal is evaluated, and the
+        # exact decimal expansion of its nearest doubles gives another value
+        point = "0.9+0.3j,-1.1+0.4j,0.5-0.7j"
+        doubles = ",".join(f"{Decimal(z.real)}{Decimal(z.imag):+}j" for z in map(complex, point.split(",")))
+        values = []
+        for text in (point, doubles):
+            code, out, _ = run(capsys, "green-point", "--map", files["stable_map"], "--point", text,
+                               "--precision", 128, "--n", 100)
+            assert code == 0
+            values.append(out)
+        assert values == ["u 0.557928611336681221481140891035094793\nstatus OK\n",
+                          "u 0.55792861133668125875556762870095807\nstatus OK\n"]
+        # at 53 bits a literal is its nearest double
+        assert run(capsys, "green-point", "--map", files["stable_map"], "--point", point)[1] == \
+            run(capsys, "green-point", "--map", files["stable_map"], "--point", doubles)[1]
 
     def test_divisor_point_reports_status(self, files, capsys):
         code, out, _ = run(

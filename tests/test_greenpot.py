@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,23 @@ class TestGreenEval:
         u, _ = gp.green_eval(f, cert, None, z, n_iters=40, precision=128)
         with workprec(256):
             assert abs(u - mp_reference_u(f, cert, z, 40, 256)) < mpf(2) ** -110
+
+    def test_literal_syntax_is_complex_syntax(self):
+        cases = {
+            "2": (2, 0), " 1_0 ": (10, 0), "(3)": (3, 0), "J": (0, 1), "-j": (0, -1),
+            "1+j": (1, 1), "(0.5+0.25j)": (Fraction(1, 2), Fraction(1, 4)),
+            "1e-5j": (0, Fraction(1, 10**5)), "2.5E+1-3e-2J": (25, Fraction(-3, 100)),
+            "-0.9-0.3j": (Fraction(-9, 10), Fraction(-3, 10)), "1e-400": (Fraction(1, 10**400), 0),
+        }
+        for text, (re, im) in cases.items():
+            assert gp._literal_ratios(text) == (Fraction(re).as_integer_ratio(),
+                                                Fraction(im).as_integer_ratio())
+        for text in ("1e400", "nan", "infj", "-inf+1j"):
+            with pytest.raises(ValueError, match="finite"):
+                gp._literal_ratios(text)
+        for text in ("1/3", "0x10", "1 + 2j", ""):
+            with pytest.raises(ValueError):
+                gp._literal_ratios(text)
 
 
     def test_complex_string_points_above_53_bits(self, mono):
@@ -772,6 +790,45 @@ class TestGeneratedStep:
                 assert (repr(nf), repr(u)) == tuple(map(repr, loop_step(polys, w)))
                 assert u is None or abs(nrm - 1.0) < 1e-12
                 assert repr(plain(w)) == repr((nf, u, nrm, None))
+
+    @pytest.mark.parametrize("case", ["overflow", "underflow"])
+    def test_matches_loop_evaluator_at_the_float_range_ends(self, case):
+        # coefficients of 1e150-1e200 make the squares of the norm overflow to
+        # inf, and coordinates near 1e-170 make them underflow, to subnormals or 0
+        rng = random.Random(28 + len(case))
+        for nvars in (1, 2, 3, 4):
+            for degree in (1, 2, 3, 5):
+                polys = tuple(random_poly(rng, nvars, degree) for _ in range(nvars))
+                if case == "overflow":
+                    polys = tuple(p * 10**rng.randint(150, 200) for p in polys)
+                for step in (gp._float_code(polys, nvars), gp._float_code(polys, nvars, polys[0])):
+                    for _ in range(50):
+                        w = self.point(rng, nvars)
+                        if case == "underflow":
+                            w = tuple(x * 10.0**-rng.uniform(165, 175) for x in w)
+                        nf, u, _, h = step(w)
+                        assert (repr(nf), repr(u)) == tuple(map(repr, loop_step(polys, w)))
+                        if h is not None:
+                            assert repr(h) == repr(loop_evaluator(polys[0])(w))
+
+    def test_conjugate_product_is_the_sum_of_squares(self):
+        # the generated norms rest on this identity of CPython's complex product
+        edges = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-170, 3e-162, 0.1, 1.0,
+                 1.3407807929942596e154, 1e200, 1.7976931348623157e308, math.inf, math.nan]
+        edges += [-x for x in edges]
+        rng = random.Random(28)
+        randoms = [rng.choice((-1, 1)) * math.ldexp(rng.random(), rng.randint(-1080, 1030))
+                   for _ in range(200)]
+        bits = lambda x: "nan" if math.isnan(x) else struct.pack("<d", x)
+        for values in (edges, randoms):
+            for r in values:
+                for i in values:
+                    x = complex(r, i)
+                    assert bits((x * x.conjugate()).real) == bits(r * r + i * i)
+        for _ in range(200):
+            v = [complex(rng.choice(edges + randoms), rng.choice(edges + randoms)) for _ in range(3)]
+            want = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
+            assert bits(gp._float_norm(v)) == bits(want)
 
     def test_exponents_zero_one_and_large(self):
         p = HomPoly(2, [((0, 7), Fraction(-1, 3)), ((1, 6), 2), ((7, 0), Fraction(5, 2)), ((3, 4), -1)])

@@ -44,6 +44,7 @@ from projdyn.polycore import (
     _modp_gcd_mv,
     _pack_dict,
     _pmul,
+    _unpack_dict,
 )
 
 NAMES = ("z", "w", "t")
@@ -547,6 +548,32 @@ def test_term_cap_counts_output_monomials_not_pairs():
             _dmul(u, q5.as_dict())
     finally:
         set_term_cap(old)
+
+
+def test_single_term_product_matches_the_packed_route():
+    # _dmul shifts the keys when one operand has one term; the packed loop
+    # of _pmul must give the same terms in the same order
+    rng = random.Random(28)
+    coeff = lambda: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-20, 20), rng.randint(1, 13))))
+    for nv in (1, 2, 3, 4):
+        for _ in range(40):
+            degs = (rng.randint(0, 4),) if rng.random() < 0.5 else (1, 3)
+            many = {}
+            for _ in range(rng.randint(1, 12)):
+                e = [0] * nv
+                for _ in range(rng.choice(degs)):
+                    e[rng.randrange(nv)] += 1
+                many[tuple(e)] = coeff()
+            one = {tuple(rng.randint(0, 3) for _ in range(nv)): coeff() or Fraction(1, 3)}
+            for a, b in ((one, many), (many, one)):
+                width = _field_width(max(map(sum, a)) + max(map(sum, b)))
+                homogeneous = len(set(map(sum, a))) == len(set(map(sum, b))) == 1
+                packed = _pmul(_pack_dict(a, width), _pack_dict(b, width), width, nv if homogeneous else 0)
+                want = _unpack_dict(packed, nv, width)
+                assert list(_dmul(a, b).items()) == list(want.items())
+    # a zero coefficient, as the parser reads 0*z, gives no term
+    assert _dmul({(1, 0): 0}, {(0, 1): 2, (1, 0): 3}) == {}
+    assert _dmul({(1, 0): 2, (0, 1): 0}, {(0, 2): Fraction(1, 2)}) == {(1, 2): 1}
 
 
 # -- differential tests against sympy -------------------------------------------
