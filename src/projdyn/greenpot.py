@@ -104,9 +104,12 @@ def _to_complex(x):
 
 
 def _float_norm(v):
-    # the squares of _norm_code, summed as floats: sum() compensates a float
-    # sum on Python 3.12 and later, which a sum of the complex products would not match
-    return math.sqrt(sum((x * x.conjugate()).real for x in v))
+    # the squares of _norm_code, added left to right as its complex sum adds
+    # them; sum() compensates a float sum on Python 3.12 and later
+    total = 0.0
+    for x in v:
+        total += (x * x.conjugate()).real
+    return math.sqrt(total)
 
 
 def _norm_code(ys):

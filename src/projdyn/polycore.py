@@ -18,12 +18,13 @@ canonical.
 The module provides construction, ring arithmetic, composition, formal
 partial derivatives, exact evaluation, a strict text grammar with a
 canonical printer, exact division, and a multivariate GCD of any
-number of members.  The GCD strips each member's monomial content and
-makes one run of a dense modular engine over every member (Brown's
-algorithm over GF(p), combined by CRT), whose answer divides each
-member exactly and is proved maximal from leading monomials; a member
-that divides the others is found the same way.  Coprimality is decided
-by the same GCD.
+number of members.  The GCD strips each member's monomial content,
+proves a constant gcd from one univariate image mod p when a member has
+a pure power prime to p, and otherwise makes one run of a dense modular
+engine over every member (Brown's algorithm over GF(p), combined by
+CRT), whose answer divides each member exactly and is proved maximal
+from leading monomials; a member that divides the others is found the
+same way.  Coprimality is decided by the same GCD.
 
 Everything here is immutable and deterministic.  Operations whose
 result would exceed a configurable term cap abort with `ResourceLimit`
@@ -931,6 +932,31 @@ def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
     return {e: v for e, c in out.items() if (v := c * inv % p)}
 
 
+def _coprime_image(members: Sequence[dict]) -> bool:
+    """True when one univariate image mod 2^61 - 1 proves the homogeneous members coprime.
+
+    Let a member of degree D have an x_j^D coefficient prime to p.  The
+    members' gcd G, of some degree k, divides it, and a pure power of a
+    product is the product of pure powers, so G's x_j^k coefficient is
+    prime to p too.  With every other variable fixed at a point, G's
+    image over GF(p) therefore keeps degree k and divides every member's
+    image, and a constant gcd of the images forces k = 0.  False, and
+    nothing proved, when no member has such a pure power or the images
+    share a factor.
+    """
+    p, nv = _TOP_PRIME, len(next(iter(members[0])))
+    tops = [sum(next(iter(d))) for d in members]
+    for j in range(nv):
+        pure = [(0,) * j + (D,) + (0,) * (nv - j - 1) for D in tops]
+        if any(d.get(e, 0) % p for d, e in zip(members, pure)):
+            break
+    else:
+        return False
+    rng = _point_rng(p)
+    vals = {i: rng.randrange(p) for i in range(nv) if i != j}
+    return len(_modp_content((_specialize_univar(d, j, vals, p) for d in members), p)) == 1
+
+
 def _modular_gcd(polys: Sequence[dict]) -> dict:
     """Primitive gcd of two or more homogeneous integer dicts that no variable divides.
 
@@ -952,7 +978,10 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
     LM(G) = L because the CRT coefficient there is gamma, which no prime
     used divides.  G divides every member, hence g, so g / G has
     lex-leading monomial LM(g) / L = 1 and is a constant.  For the same
-    reason a constant image proves the gcd constant.
+    reason a constant image proves the gcd constant.  `poly_gcd_many`
+    calls the engine only when `_coprime_image` declines: that needs no
+    leading-coefficient gcd, interpolation bound or content, as a pure
+    power prime to p keeps the gcd's degree in a single univariate image.
     """
     k = len(next(iter(polys[0]))) - 1
     ds = [{e[:k]: c for e, c in d.items()} for d in polys]
@@ -1059,10 +1088,14 @@ def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:
 
     Zero members are dropped, since they divide everything.  Each other
     member loses its monomial content and is normalized once.  A member
-    that is then constant leaves only the shared monomial; otherwise one
-    run of the modular engine `_modular_gcd` over every member, which
-    checks its answer by exact division of each and also proves a
-    constant gcd, gives the rest.  Nothing unverified is ever returned.
+    that is then constant leaves only the shared monomial.  So does a
+    constant gcd of the members' univariate images over GF(2^61 - 1) in
+    a variable x_j, the others fixed, when some member of degree D has
+    an x_j^D coefficient prime to 2^61 - 1 (`_coprime_image`).
+    Otherwise one run of the modular engine `_modular_gcd` over every
+    member, which checks its answer by exact division of each and also
+    proves a constant gcd, gives the rest.  Nothing unverified is ever
+    returned.
     """
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
@@ -1078,7 +1111,7 @@ def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:
     ]
     if len(members) == 1:
         g = members[0]
-    elif any(len(d) == 1 for d in members):
+    elif any(len(d) == 1 for d in members) or _coprime_image(members):
         g = {(0,) * nv: 1}
     else:
         g = _modular_gcd(members)

@@ -709,7 +709,7 @@ def reference_run(runner, w, gamma):
     if fixed:
         check_entry(math.sqrt(sum(r * r + i * i for r, i in w) / (1 << 2 * S)), gamma, 0)
     else:
-        check_entry(math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in w)), gamma, 0)
+        check_entry(math.sqrt(ltr_sum(x.real * x.real + x.imag * x.imag for x in w)), gamma, 0)
     gammas, increments, hs = [gamma], [], []
     for n, a, b, hd, k, _ in plan:
         nf, w, nrm, hw = step(w)
@@ -749,9 +749,17 @@ def outcome(run, runner, w, gamma):
         return type(exc), exc.step, str(exc)
 
 
+def ltr_sum(values):
+    """Float sum left to right, as the generated norms add; sum() compensates from Python 3.12."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def loop_step(polys, w):
     fv = [loop_evaluator(p)(w) for p in polys]
-    nf = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in fv))
+    nf = math.sqrt(ltr_sum(x.real * x.real + x.imag * x.imag for x in fv))
     return nf, tuple(x / nf for x in fv) if nf >= gp._SINGULAR_TOL else None
 
 
@@ -827,7 +835,7 @@ class TestGeneratedStep:
                     assert bits((x * x.conjugate()).real) == bits(r * r + i * i)
         for _ in range(200):
             v = [complex(rng.choice(edges + randoms), rng.choice(edges + randoms)) for _ in range(3)]
-            want = math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in v))
+            want = math.sqrt(ltr_sum(x.real * x.real + x.imag * x.imag for x in v))
             assert bits(gp._float_norm(v)) == bits(want)
 
     def test_exponents_zero_one_and_large(self):

@@ -834,6 +834,75 @@ def test_modp_gcd_with_unlucky_points_matches_sympy(nvars):
         assert _modp_gcd_mv([a, b, third], p) == monic
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """The answers of `_coprime_image` and the count of engine runs, through spies."""
+    seen = {"image": [], "engine": 0}
+    image, engine = polycore._coprime_image, polycore._modular_gcd
+
+    def spy_image(members):
+        seen["image"].append(image(members))
+        return seen["image"][-1]
+
+    def spy_engine(members):
+        seen["engine"] += 1
+        return engine(members)
+
+    monkeypatch.setattr(polycore, "_coprime_image", spy_image)
+    monkeypatch.setattr(polycore, "_modular_gcd", spy_engine)
+    return seen
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_image_and_engine_match_sympy(routes, nvars):
+    rng = random.Random(6000 + nvars)
+    xs = _symbols(nvars)
+    for i in range(16):
+        kind = i % 4
+        members = [_random_form(rng, nvars, rng.randint(1, 3), 5) for _ in range(rng.randint(2, 4))]
+        if kind == 1:  # a planted common factor that is not a monomial
+            g = HomPoly.zero(nvars)
+            while len(g.terms) < 2:
+                g = _random_form(rng, nvars, rng.randint(1, 2), 3)
+            members = [g * m for m in members]
+        elif kind == 2:  # monomial content, in part shared
+            members = [
+                m * HomPoly.monomial(nvars, [rng.randint(0, 2) for _ in range(nvars)]) for m in members
+            ]
+        elif kind == 3:  # a member that is a multiple of another
+            members.append(members[0] * _random_form(rng, nvars, 1, 3))
+        expect = sympy.gcd_list([_to_sympy(m, xs) for m in members])
+        got = poly_gcd_many(members)
+        assert got == int_primitive(got).primitive
+        assert same_up_to_scalar(got, HomPoly(nvars, _from_sympy(expect, xs).items()))
+    # both routes ran: the image proved some gcds constant, and the engine
+    # decided the planted ones, which the image cannot
+    decided = sum(routes["image"])
+    assert decided >= 4 and routes["engine"] >= 4
+    assert decided + routes["engine"] == len(routes["image"])
+
+
+def test_image_takes_a_pure_power_prime_to_p():
+    # G's x-coefficient is p = 2^61 - 1, so its image in x over GF(p) would be
+    # a constant, and the members' images in x could be coprime; each
+    # member's x^3 coefficient is p, so only y may carry the image
+    p = (1 << 61) - 1
+    x, y, z = (HomPoly.variable(3, i) for i in range(3))
+    G = p * x + y
+    a, b = G * (x * x + y * y + z * z), G * (x * y + 2 * z * z + y * y)
+    assert poly_gcd_many([a, b]) == G
+    assert poly_gcd(b, a) == G
+
+
+def test_image_declines_without_a_pure_power(routes):
+    # every term has two variables, and so does every term of a product of
+    # such forms: no member has a pure power, and the engine decides
+    q, r1, r2 = P("z*w + w*t + 2*z*t"), P("z*w - 3*w*t + z*t"), P("2*z*w + w*t - z*t")
+    assert poly_gcd(q, r1) == HomPoly.one(3)
+    assert poly_gcd_many([q * r1, q * r2, q * r1 * r2]) == q
+    assert routes["image"] == [False, False] and routes["engine"] == 2
+
+
 def test_is_prime_matches_sympy():
     # strong pseudoprimes to the bases 2..7, 2..13 and 2..23, then Carmichael
     # numbers (6k+1)(12k+1)(18k+1) with factors above 37, where a witness can
