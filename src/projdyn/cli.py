@@ -98,10 +98,8 @@ def _poly_str(p, names) -> Optional[str]:
 def _run_degrees(args):
     trace = iterate_degrees(load_map(args.map), args.n)
     degs = [_istr(d) for d in trace.degrees]
-    if args.json:
-        payload = {"degrees": degs, "digest": certificate_digest(trace, None)}
-        return EXIT_OK, _emit_json(payload)
-    return EXIT_OK, " ".join(degs) + "\n"
+    payload = {"degrees": degs, "digest": certificate_digest(trace, None)}
+    return EXIT_OK, payload, " ".join(degs) + "\n"
 
 
 def _run_infer_qas(args):
@@ -122,14 +120,12 @@ def _run_infer_qas(args):
         "digest": certificate_digest(trace, res.H),
     }
     code = EXIT_OK if res.verdict in ("AS", "QAS") else EXIT_NEGATIVE
-    if args.json:
-        return code, _emit_json(payload)
     lines = [f"verdict {res.verdict}"]
     for key in ("n0", "h", "d", "H", "verified_to", "witness"):
         if payload[key] is not None:
             lines.append(f"{key} {payload[key]}")
     lines.append("degrees " + " ".join(payload["degrees"]))
-    return code, "\n".join(lines) + "\n"
+    return code, payload, "\n".join(lines) + "\n"
 
 
 def _run_lambda(args):
@@ -147,15 +143,13 @@ def _run_lambda(args):
         "Q_fit": [_numstr(q, bits) for q in rep.Q_fit],
         "precision_bits": _istr(rep.precision_bits),
     }
-    if args.json:
-        return EXIT_OK, _emit_json(payload)
     text = (
         f"lambda {payload['lambda']}\n"
         f"r {payload['r']}\n"
         f"rho {payload['rho']}\n"
         f"charpoly {' '.join(payload['charpoly'])}\n"
     )
-    return EXIT_OK, text
+    return EXIT_OK, payload, text
 
 
 def _run_family_gen(args):
@@ -180,11 +174,9 @@ def _run_family_gen(args):
         "seed": _istr(args.seed),
         "path": str(out),
     }
-    if args.json:
-        return EXIT_OK, _emit_json(payload)
     lines = [f"wrote {out}"]
     lines += [f"{k} {payload[k]}" for k in ("P", "Q1", "Q2", "Q3", "R", "d", "h", "n0")]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return EXIT_OK, payload, "\n".join(lines) + "\n"
 
 
 def _run_family_check(args):
@@ -209,8 +201,6 @@ def _run_family_check(args):
         "overall": rep.overall,
     }
     code = EXIT_OK if rep.overall == PASS else EXIT_NEGATIVE
-    if args.json:
-        return code, _emit_json(payload)
     text = (
         f"coprimality {rep.coprimality}\n"
         f"intersection {inter.verdict}\n"
@@ -218,7 +208,7 @@ def _run_family_check(args):
         f"pencil {pencil.verdict} {pencil.method}\n"
         f"overall {rep.overall}\n"
     )
-    return code, text
+    return code, payload, text
 
 
 def _certificate_for(f, depth: int):
@@ -253,11 +243,6 @@ def _parse_point(text: str, nvars: int):
     return parts
 
 
-def _precision_limit(exc: gp.OrbitError, bits: int) -> PrecisionExhausted:
-    """A lost normalization or a non-finite height: the orbit outgrew its precision."""
-    return PrecisionExhausted(f"{exc} at {bits} bits; rerun with a higher --precision")
-
-
 def _run_green_point(args):
     f = load_map(args.map)
     cert, trace = _certificate_for(f, args.cert_depth)
@@ -277,11 +262,7 @@ def _run_green_point(args):
             "mode": mode,
             "digest": digest,
         }
-        if args.json:
-            return EXIT_NEGATIVE, _emit_json(payload)
-        return EXIT_NEGATIVE, f"status {payload['status']} step {payload['step']}\n"
-    except gp.OrbitError as exc:
-        raise _precision_limit(exc, args.precision) from exc
+        return EXIT_NEGATIVE, payload, f"status {payload['status']} step {payload['step']}\n"
     payload = {
         "u": _numstr(u, args.precision),
         "status": gp.STATUS_OK,
@@ -290,9 +271,7 @@ def _run_green_point(args):
         "mode": mode,
         "digest": digest,
     }
-    if args.json:
-        return EXIT_OK, _emit_json(payload)
-    return EXIT_OK, f"u {payload['u']}\nstatus OK\n"
+    return EXIT_OK, payload, f"u {payload['u']}\nstatus OK\n"
 
 
 def _parse_range(text: str):
@@ -312,16 +291,13 @@ def _run_green_grid(args):
         x_range=_parse_range(args.x_range),
         y_range=_parse_range(args.y_range),
     )
-    try:
-        grid = gp.grid_sample(
-            f, cert, None, slice_spec,
-            resolution=args.resolution,
-            n_iters=args.n,
-            precision=args.precision,
-            converge_tol=args.tol,
-        )
-    except gp.OrbitError as exc:
-        raise _precision_limit(exc, args.precision) from exc
+    grid = gp.grid_sample(
+        f, cert, None, slice_spec,
+        resolution=args.resolution,
+        n_iters=args.n,
+        precision=args.precision,
+        converge_tol=args.tol,
+    )
     counts = {}
     for row in grid.status:
         for s in row:
@@ -340,14 +316,12 @@ def _run_green_grid(args):
         "pgm": str(pgm_path) if pgm_path else None,
         "digest": grid.meta["certificate"],
     }
-    if args.json:
-        return EXIT_OK, _emit_json(payload)
     lines = [f"resolution {payload['resolution']}"]
     lines += [f"{k} {v}" for k, v in sorted(counts.items())]
     for key in ("csv", "pgm"):
         if payload[key]:
             lines.append(f"wrote {key} {payload[key]}")
-    return EXIT_OK, "\n".join(lines) + "\n"
+    return EXIT_OK, payload, "\n".join(lines) + "\n"
 
 
 def _residual_suite(f, cert, rep, seed, precision):
@@ -392,14 +366,12 @@ def _run_verify_all(args):
     }
     if res.verdict not in ("AS", "QAS"):
         payload = {**base, "lambda": None, "r": None, "checks": {}, "passed": False}
-        out = _emit_json(payload) if args.json else f"verdict {res.verdict}\noverall FAIL\n"
-        return EXIT_NEGATIVE, out
+        return EXIT_NEGATIVE, payload, f"verdict {res.verdict}\noverall FAIL\n"
 
     if f.degree == 1:
         payload = {**base, "lambda": "1", "r": "1",
                    "checks": {"infer": res.verdict}, "passed": True}
-        out = _emit_json(payload) if args.json else "verdict AS\nlambda 1\noverall PASS\n"
-        return EXIT_OK, out
+        return EXIT_OK, payload, "verdict AS\nlambda 1\noverall PASS\n"
 
     cert = res.certificate
     if cert is None:
@@ -457,13 +429,11 @@ def _run_verify_all(args):
         "passed": bool(passed),
     }
     code = EXIT_OK if passed else EXIT_NEGATIVE
-    if args.json:
-        return code, _emit_json(payload)
     lines = [f"verdict {res.verdict}", f"lambda {payload['lambda']}", f"r {payload['r']}"]
     for key in ("lifting_recurrence", "asymptotics", "sn_identity", "residuals"):
         lines.append(f"{key} {checks[key]}")
     lines.append(f"overall {'PASS' if passed else 'FAIL'}")
-    return code, "\n".join(lines) + "\n"
+    return code, payload, "\n".join(lines) + "\n"
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -550,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, text = globals()[args.run](args)
+        code, payload, text = globals()[args.run](args)
     except (ParseError, InsufficientData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -564,12 +534,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except gp.OrbitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        # a lost normalization or a non-finite height: the orbit outgrew its precision
+        print(f"error: {exc} at {args.precision} bits; rerun with a higher --precision",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except Exception as exc:  # noqa: BLE001 - anything else is an internal fault
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(text)
+    sys.stdout.write(_emit_json(payload) if args.json else text)
     return code
 
 

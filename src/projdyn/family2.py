@@ -24,9 +24,9 @@ the pencil kernel) and the squarefree parts stay in Z, and every univariate
 gcd is `poly_gcd` on binary forms.  The Euclid over Q[z]/(h) takes
 pseudo-remainders, so it inverts nothing mod h; Fractions enter only in
 its reductions mod h, in the rational roots and in the fibres over
-them.  The line t = 0 and the chart t = 1 each list their own rational
-points, the failing ones among them and a witness polynomial for the
-failing points they cannot list.
+them.  The rational points come from lines through [0:1:0], each
+solved as binary forms by one gcd solver: first t = 0, then the
+rational fibres z = z0 t.  The Euclid over Q[z]/(h) decides the rest.
 """
 
 import itertools
@@ -386,65 +386,74 @@ def _sylvester_resultant(A, B):
 # -- second check: the difference forms on {P=0} n {R=0} ------------------------------
 
 
-def _restrict_t0(p: HomPoly) -> HomPoly:
-    """The binary form p(z, w, 0)."""
-    return HomPoly(2, (((e[0], e[1]), c) for e, c in p.terms if e[2] == 0))
+def _on_line(f: HomPoly, a, b) -> HomPoly:
+    """The binary form f(s a + u b) in (s, u), expanded term by term."""
+    out = [0] * (f.degree + 1)
+    for e, c in f.terms:
+        acc = [c]
+        for ai, bi, k in zip(a, b, e):
+            for _ in range(k):
+                acc = _umul(acc, [bi, ai])
+        for j, x in enumerate(acc):
+            out[j] += x
+    return HomPoly(2, (((j, f.degree - j), x) for j, x in enumerate(out) if x))
 
 
 def _dehom_binary(g: HomPoly):
-    """Binary form -> (poly in z with w = 1, multiplicity of the root [1:0])."""
-    w_order = min(e[1] for e, _ in g.terms)
+    """Binary form -> (poly in s with u = 1, multiplicity of the root [1:0])."""
+    u_order = min(e[1] for e, _ in g.terms)
     out = [0] * (g.degree + 1)
     for (i, _), c in g.terms:
         out[i] += c
-    return _utrim(out), w_order
+    return _utrim(out), u_order
 
 
-def _line_points(forms):
-    """Rational points and failures on the line t = 0.
+def _line_zeros(binary):
+    """Rational zeros and failures of binary forms on a line, as points [s:u].
 
-    forms are P, R and the two difference forms.  On the line they are
-    binary forms in (z, w); the failing points are the zeros of their
-    gcd, and [1:0:0] is one iff w divides it.  Returns the rational
-    zeros of P and R, the failing ones among them, and the squarefree
-    part of the gcd at w = 1 with their z-coordinates divided out: its
-    roots are the z-coordinates of the failing points [z:1:0] not
-    listed.
+    The first two forms are coprime.  The failing zeros are those of the
+    gcd of all the forms.  Returns the rational zeros of the first two,
+    the failing ones among them, and the squarefree part of the gcd at
+    u = 1 with their s-coordinates divided out: its roots are the
+    s-coordinates of the failing points [s:1] not listed.
     """
-    binary = [_restrict_t0(f) for f in forms]
-    zpoly, w_order = _dehom_binary(poly_gcd_many(binary[:2]))
-    gpoly, w_fail = _dehom_binary(poly_gcd_many(binary))
-    corner = (Fraction(1), Fraction(0), Fraction(0))
-    points = [corner] if w_order else []
-    points += [(z0, Fraction(1), Fraction(0)) for z0 in _urational_roots(zpoly)]
-    failing = [corner] if w_fail else []
+    g = poly_gcd_many(binary[:2])
+    spoly, u_order = _dehom_binary(g)
+    gpoly, u_fail = _dehom_binary(poly_gcd_many((g, *binary[2:])))
+    corner = (Fraction(1), Fraction(0))
+    points = [corner] if u_order else []
+    points += [(s0, Fraction(1)) for s0 in _urational_roots(spoly)]
+    failing = [corner] if u_fail else []
     bad = _usquarefree(gpoly)
-    for z0 in _urational_roots(bad):
-        failing.append((z0, Fraction(1), Fraction(0)))
-        bad = _udivmod(bad, [-z0, 1])[0]
+    for s0 in _urational_roots(bad):
+        failing.append((s0, Fraction(1)))
+        bad = _udivmod(bad, [-s0, 1])[0]
     return points, failing, bad
 
 
-def _chart_points(forms):
+def _chart_points(p, r, *ds):
     """Rational points and failures in the chart t = 1, coordinates (z, w).
 
     Every common zero of p and r has its z-coordinate among the roots of
-    h, the squarefree part of their resultant in w; every failing one is
-    also a root of each resultant of a difference with p or r.  A Euclid
-    in w over Q[z]/(h) then decides the gcd of all four forms: once the
-    leading coefficient u of b is a unit mod h, the pseudo-remainder
-    a <- u a - c w^k b keeps that gcd on every factor of h, and h splits
-    whenever u is a zero divisor (dynamic evaluation).  Returns the
-    rational zeros of p and r, the failing ones among them (the zeros
-    of the four forms' gcd on each fibre), and the product of the
-    factors of h over which the gcd has positive degree in w, with each
-    z-coordinate whose failing points are all listed divided out.
+    h, the squarefree part of their resultant in w; every failing one, a
+    zero of every form, is also a root of each resultant of a d in ds
+    with p or r.  A Euclid in w over Q[z]/(h) then decides the gcd of
+    all the forms: once the leading coefficient u of b is a unit mod h,
+    the pseudo-remainder a <- u a - c w^k b keeps that gcd on every
+    factor of h, and h splits whenever u is a zero divisor (dynamic
+    evaluation).  `_line_zeros` solves each rational fibre z = z0 t,
+    less its zero [1:0], which is [0:1:0] on the line t = 0.  Returns
+    the rational zeros of p and r, the failing ones among them, and the
+    product of the factors of h over which the gcd has positive degree
+    in w, with each z-coordinate whose failing points are all listed
+    divided out.
     """
-    p, r, d1, d2 = (_rows(f) for f in forms)
+    forms = (p, r, *ds)
+    p, r, *ds = (_rows(f) for f in forms)
     res = _sylvester_resultant(p, r)
     assert res, "coprime forms have a nonzero resultant"
     h = _usquarefree(res)
-    for d in (d1, d2):
+    for d in ds:
         for e in (p, r):
             # the resultant of two w-free polys is 1 by convention, not in the ideal
             cut = _sylvester_resultant(e, d) if max(len(e), len(d)) > 1 else []
@@ -454,7 +463,7 @@ def _chart_points(forms):
     bad = [1]
     # (h, a, b, rest): a is the gcd so far over Q[z]/(h), with a unit leading coefficient,
     # b the next form, rest the forms still to fold in; coefficients are polys in z
-    work = [(h, [], p, [r, d1, d2])]
+    work = [(h, [], p, [r, *ds])]
     while work:
         h, a, b, rest = work.pop()
         if _udeg(h) < 1 or len(a) == 1:
@@ -481,15 +490,12 @@ def _chart_points(forms):
         work.append((h, b, a, rest))
     points, failing = [], []
     for z0 in _urational_roots(res):
-        q = _ugcd(*(_specialize_to_var(f, 1, (z0, 1, 1)) for f in forms[:2]))
-        if _udeg(q) >= 1:
-            points += [(z0, w0, Fraction(1)) for w0 in _urational_roots(q)]
-            for f in forms[2:]:
-                q = _ugcd(q, _specialize_to_var(f, 1, (z0, 1, 1)))
-            roots = _urational_roots(q)
-            failing += [(z0, w0, Fraction(1)) for w0 in roots]
-            if roots and len(roots) == _udeg(_usquarefree(q)):
-                bad = _udivmod(bad, [-z0, 1])[0]  # every failing point over z0 is listed
+        zeros, fails, fibre_bad = _line_zeros([_on_line(f, (0, 1, 0), (z0, 0, 1)) for f in forms])
+        points += [(z0, w0, Fraction(1)) for w0, u in zeros if u]
+        fails = [(z0, w0, Fraction(1)) for w0, u in fails if u]
+        failing += fails
+        if fails and _udeg(fibre_bad) < 1:
+            bad = _udivmod(bad, [-z0, 1])[0]  # every failing point over z0 is listed
     return points, failing, bad
 
 
@@ -514,8 +520,9 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
     forms = tuple(
         int_primitive(f).primitive for f in (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
     )
-    line, line_fail, line_bad = _line_points(forms)
-    chart, chart_fail, chart_bad = _chart_points(forms)
+    line, line_fail, line_bad = _line_zeros([_on_line(f, (1, 0, 0), (0, 1, 0)) for f in forms])
+    line, line_fail = ([(z0, w0, Fraction(0)) for z0, w0 in pts] for pts in (line, line_fail))
+    chart, chart_fail, chart_bad = _chart_points(*forms)
     witnesses = line_fail + chart_fail + [
         (where, tuple(_quo(c, bad[-1]) for c in bad))
         for where, bad in (("line", line_bad), ("chart", chart_bad))
@@ -709,31 +716,19 @@ def sample_divisor_points(inst: FamilyInstance, count: int, seed: int = 0):
     tries = 0
     while len(out) < count and tries < 60 * count:
         tries += 1
-        vals = [Fraction(rng.randint(-20, 20)) for _ in range(3)]
-        roots = _urational_roots(_specialize_to_var(P, x, vals))
+        vals = [rng.randint(-20, 20) for _ in range(3)]
+        vals[x] = 0
+        line = _on_line(P, [int(y == x) for y in range(3)], vals)  # [s:1] is vals + s e_x
+        roots = _urational_roots(_dehom_binary(line)[0]) if line else []
         if not roots:
             continue
         vals[x] = roots[0]
-        pt = tuple(vals)
+        pt = tuple(map(Fraction, vals))
         if all(v == 0 for v in pt):
             continue
         assert P.evaluate(pt) == 0
         out.append(pt)
     return out
-
-
-def _specialize_to_var(p: HomPoly, x: int, vals):
-    """p as a univariate in coordinate x, the others set to vals."""
-    out = []
-    for e, c in p.terms:
-        coef = Fraction(c)
-        for y in range(3):
-            if y != x:
-                coef *= vals[y] ** e[y]
-        while len(out) <= e[x]:
-            out.append(Fraction(0))
-        out[e[x]] += coef
-    return _utrim(out)
 
 
 # -- family files ------------------------------------------------------------------------

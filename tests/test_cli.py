@@ -584,6 +584,17 @@ class TestErrorPaths:
         code, out, err = run(capsys, "lambda", "--d", 3, "--h", 1, "--n0", 1)
         assert code == 4 and out == "" and err == "internal error: boom\n"
 
+    def test_bare_orbit_error_is_a_precision_limit(self, files, capsys, monkeypatch):
+        def lost(args):
+            raise cli.gp.OrbitError("orbit point lost normalization")
+
+        monkeypatch.setattr(cli, "_run_green_point", lost)
+        code, out, err = run(capsys, "green-point", "--map", files["stable_map"],
+                             "--point", "1,2,3", "--precision", 64)
+        assert (code, out) == (3, "")
+        assert err == ("error: orbit point lost normalization at 64 bits; "
+                       "rerun with a higher --precision\n")
+
     def test_uncertifiable_green_point(self, files, capsys):
         code, _, err = run(
             capsys, "green-point", "--map", files["drops_map"], "--point", "1,2,3"

@@ -40,6 +40,7 @@ from projdyn import (
 )
 import projdyn.family2 as family2
 from projdyn.mapiter import NotDominant, _jacobian, _jacobian_at
+from projdyn.polycore import random_hompoly
 
 V = ("z", "w", "t")
 
@@ -246,7 +247,7 @@ def test_intersection_chart_failure_is_exact(chart_fail):
 ], ids=["passing-factor", "failing-factor"])
 def test_chart_euclid_splits_at_zero_divisors(forms):
     """P, R, D1, D2 with h = (z^2 - 2)(z^2 - 3); all four vanish only at (±sqrt2, 0)."""
-    _, _, bad = family2._chart_points([pp(f) for f in forms])
+    _, _, bad = family2._chart_points(*(pp(f) for f in forms))
     assert bad == [Fraction(-2), Fraction(0), Fraction(1)]
 
 
@@ -411,12 +412,13 @@ PREFLIGHT_CATALOGUE = [
 ] + [(1, 2, 5), (1, 2, 6), (1, 2, 7)]
 
 
-def _oracle_verdict(inst):
-    """FAIL iff P, R, Q1 - Q3, Q2 - Q3 share a zero at t = 1, at [z:1:0] or at [1:0:0]."""
+def _oracle_verdict(inst, *extra):
+    """FAIL iff P, R, Q1 - Q3, Q2 - Q3 and the extra forms share a zero at t = 1,
+    at [z:1:0] or at [1:0:0]."""
     z, w, t = sympy.symbols("z w t")
     forms = [
         sympy.Add(*(sympy.Rational(c) * z**e[0] * w**e[1] * t**e[2] for e, c in f.terms))
-        for f in (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
+        for f in (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3, *extra)
     ]
     chart = sympy.groebner([f.subs(t, 1) for f in forms], z, w)
     line = sympy.groebner([f.subs({t: 0, w: 1}) for f in forms], z)
@@ -443,6 +445,81 @@ def test_intersection_matches_oracle_for_linear_p(seed):
 def test_intersection_matches_oracle_on_fixtures(reference, stable, twisted, line_fail, chart_fail):
     for inst in (reference, stable, twisted, line_fail, chart_fail):
         _assert_matches_oracle(inst)
+
+
+def _solver_verdict(*forms):
+    """FAIL iff `_line_zeros` on t = 0 or `_chart_points` finds a common zero of the forms."""
+    line = [family2._on_line(f, (1, 0, 0), (0, 1, 0)) for f in forms]
+    _, line_fail, line_bad = family2._line_zeros(line)
+    _, chart_fail, chart_bad = family2._chart_points(*forms)
+    return FAIL if line_fail or chart_fail or len(line_bad) > 1 or len(chart_bad) > 1 else PASS
+
+
+def _assert_longer_lists_match_oracle(inst, seed):
+    """P, R, the two differences and one or two further forms, five or six in all."""
+    d1, d2 = inst.Q1 - inst.Q3, inst.Q2 - inst.Q3
+    rng = random.Random(seed)
+    # a random form, which usually leaves no common zero, and a form of the
+    # ideal of the differences, which keeps every one
+    stray = random_hompoly(rng, 3, inst.Q1.degree, 4, 5)
+    kept = d1 * random_hompoly(rng, 3, 1, 3, 3) + d2 * random_hompoly(rng, 3, 1, 3, 3)
+    for extra in ((inst.Q1 - inst.Q2,), (stray,), (d1, d2), (kept, d1 - d2)):
+        assert _solver_verdict(inst.P, inst.R, d1, d2, *extra) == _oracle_verdict(inst, *extra)
+
+
+@pytest.mark.parametrize("dp, dq, seed", PREFLIGHT_CATALOGUE + [(2, 3, 11)])
+def test_line_solver_matches_oracle_on_longer_lists(dp, dq, seed):
+    _assert_longer_lists_match_oracle(random_family(dp, dq, 5, seed), seed)
+
+
+def test_line_solver_matches_oracle_on_longer_failing_lists(line_fail, chart_fail):
+    for inst in (line_fail, chart_fail):
+        assert _solver_verdict(inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3) == FAIL
+        _assert_longer_lists_match_oracle(inst, 0)
+    # w + t meets P = 0 over z = ±sqrt2, so the resultants keep those fibres,
+    # but misses the failing points (±sqrt2, 1): the Euclid must fold it in
+    d1, d2 = chart_fail.Q1 - chart_fail.Q3, chart_fail.Q2 - chart_fail.Q3
+    extra = (pp("w + t"), d1 - d2)
+    assert _solver_verdict(chart_fail.P, chart_fail.R, d1, d2, *extra) == PASS
+    assert _oracle_verdict(chart_fail, *extra) == PASS
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1, 0, 0), (0, 1, 0)),
+    ((0, 1, 0), (Fraction(-3, 2), 0, 1)),
+    ((0, 1, 0), (0, 0, 1)),
+    # sample_divisor_points solving for w, and for t with z drawn as 0
+    ((0, 1, 0), (Fraction(7), Fraction(0), Fraction(-4))),
+    ((0, 0, 1), (Fraction(0), Fraction(5), Fraction(0))),
+], ids=["t=0", "fibre", "fibre-z0=0", "solve-w", "solve-t"])
+def test_on_line_matches_sympy_substitution(a, b):
+    z, w, t, s, u = sympy.symbols("z w t s u")
+    rng = random.Random(5)
+    forms = [random_hompoly(rng, 3, deg, 6, 9) for deg in (1, 2, 3, 5)]
+    line = {x: s * sympy.Rational(ai) + u * sympy.Rational(bi)
+            for x, ai, bi in zip((z, w, t), a, b)}
+    # t^2 - z*t is zero on t = 0, and w^4 is a single power
+    for f in forms + [pp("t^2 - z*t"), pp("w^4")]:
+        expr = sympy.Add(*(sympy.Rational(c) * z**e[0] * w**e[1] * t**e[2] for e, c in f.terms))
+        expect = sympy.Poly(expr.subs(line, simultaneous=True), s, u).as_dict()
+        got = family2._on_line(f, a, b)
+        assert dict(got.terms) == {m: Fraction(int(c.p), int(c.q)) for m, c in expect.items()}
+        assert got.is_zero or got.degree == f.degree
+
+
+def test_intersection_pins_the_seed_1_corner_failure():
+    """The only failing point [0:1:0] is listed once, though the fibre z = -t passes through it."""
+    inst = random_family(2, 3, 5, 1)
+    rep = check_intersection_conditions(inst)
+    assert rep.verdict == FAIL
+    assert rep.rational_points == ((0, 1, 0), (-1, 0, 1))
+    assert rep.failure_witnesses == ((0, 1, 0),)
+    forms = (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
+    fibre = [family2._on_line(f, (0, 1, 0), (-1, 0, 1)) for f in forms]
+    zeros, failing, _ = family2._line_zeros(fibre)
+    # [1:0] on the fibre is [0:1:0]: keeping it would list the point twice
+    assert (1, 0) in zeros and (1, 0) in failing
+    assert zeros == [(1, 0), (0, 1)]
 
 
 # -- rank and pencil ----------------------------------------------------------
