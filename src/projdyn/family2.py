@@ -24,9 +24,9 @@ the pencil kernel) and the squarefree parts stay in Z, and every univariate
 gcd is `poly_gcd` on binary forms.  The Euclid over Q[z]/(h) takes
 pseudo-remainders, so it inverts nothing mod h; Fractions enter only in
 its reductions mod h, in the rational roots and in the fibres over
-them.  The rational points come from lines through [0:1:0], each
-solved as binary forms by one gcd solver: first t = 0, then the
-rational fibres z = z0 t.  The Euclid over Q[z]/(h) decides the rest.
+them.  The rational points come from lines through [0:1:0], read off
+the forms' coefficients and solved as binary forms by one gcd solver:
+first t = 0, then the rational fibres z = z0 t.  The Euclid decides the rest.
 """
 
 import itertools
@@ -42,6 +42,7 @@ from .mapiter import (
     _default_names,
     _directives,
     _echelon,
+    _extract,
     _jacobian,
     _jacobian_at,
     make_map,
@@ -386,17 +387,17 @@ def _sylvester_resultant(A, B):
 # -- second check: the difference forms on {P=0} n {R=0} ------------------------------
 
 
-def _on_line(f: HomPoly, a, b) -> HomPoly:
-    """The binary form f(s a + u b) in (s, u), expanded term by term."""
-    out = [0] * (f.degree + 1)
+def _on_line(f: HomPoly, x: int, b) -> HomPoly:
+    """The binary form f(s e_x + u b) in (s, u), where b[x] = 0.
+
+    A term c y^e adds c prod_{i != x} b_i^e_i to the coefficient of s^e_x u^(d - e_x).
+    """
+    d = f.degree
+    out = [0] * (d + 1)
+    b = [1 if i == x else bi for i, bi in enumerate(b)]
     for e, c in f.terms:
-        acc = [c]
-        for ai, bi, k in zip(a, b, e):
-            for _ in range(k):
-                acc = _umul(acc, [bi, ai])
-        for j, x in enumerate(acc):
-            out[j] += x
-    return HomPoly(2, (((j, f.degree - j), x) for j, x in enumerate(out) if x))
+        out[e[x]] += c * math.prod(map(pow, b, e))
+    return HomPoly._new(2, {(j, d - j): v for j, v in enumerate(out)}, d)
 
 
 def _dehom_binary(g: HomPoly):
@@ -490,7 +491,7 @@ def _chart_points(p, r, *ds):
         work.append((h, b, a, rest))
     points, failing = [], []
     for z0 in _urational_roots(res):
-        zeros, fails, fibre_bad = _line_zeros([_on_line(f, (0, 1, 0), (z0, 0, 1)) for f in forms])
+        zeros, fails, fibre_bad = _line_zeros([_on_line(f, 1, (z0, 0, 1)) for f in forms])
         points += [(z0, w0, Fraction(1)) for w0, u in zeros if u]
         fails = [(z0, w0, Fraction(1)) for w0, u in fails if u]
         failing += fails
@@ -520,7 +521,7 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
     forms = tuple(
         int_primitive(f).primitive for f in (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
     )
-    line, line_fail, line_bad = _line_zeros([_on_line(f, (1, 0, 0), (0, 1, 0)) for f in forms])
+    line, line_fail, line_bad = _line_zeros([_on_line(f, 0, (0, 1, 0)) for f in forms])
     line, line_fail = ([(z0, w0, Fraction(0)) for z0, w0 in pts] for pts in (line, line_fail))
     chart, chart_fail, chart_bad = _chart_points(*forms)
     witnesses = line_fail + chart_fail + [
@@ -718,7 +719,7 @@ def sample_divisor_points(inst: FamilyInstance, count: int, seed: int = 0):
         tries += 1
         vals = [rng.randint(-20, 20) for _ in range(3)]
         vals[x] = 0
-        line = _on_line(P, [int(y == x) for y in range(3)], vals)  # [s:1] is vals + s e_x
+        line = _on_line(P, x, vals)  # [s:1] is vals + s e_x
         roots = _urational_roots(_dehom_binary(line)[0]) if line else []
         if not roots:
             continue
@@ -740,8 +741,8 @@ _FAMILY_KEYS = ("P", "Q1", "Q2", "Q3", "R")
 def parse_family_text(text: str) -> FamilyInstance:
     """Parse a family file: vars line, optional map lines, and the five forms.
 
-    When map lines are present they must agree with the map rebuilt
-    from the forms.
+    Map lines, when present, must agree with the map built from the
+    forms once normalized by `_extract`, as `make_map` normalizes.
     """
     names = None
     maps = []
@@ -753,18 +754,16 @@ def parse_family_text(text: str) -> FamilyInstance:
             names = tuple(body.split())
             if len(names) != 3:
                 raise ParseError(f"line {lineno}: need exactly three variables")
-        elif head == "map":
-            if names is None:
-                raise ParseError(f"line {lineno}: vars line must come first")
-            maps.append(parse_poly(body, names))
-        elif head in _FAMILY_KEYS:
-            if names is None:
-                raise ParseError(f"line {lineno}: vars line must come first")
-            if head in forms:
-                raise ParseError(f"line {lineno}: duplicate {head} line")
-            forms[head] = parse_poly(body, names)
-        else:
+        elif head != "map" and head not in _FAMILY_KEYS:
             raise ParseError(f"line {lineno}: unexpected directive {head!r}")
+        elif names is None:
+            raise ParseError(f"line {lineno}: vars line must come first")
+        elif head == "map":
+            maps.append(parse_poly(body, names))
+        elif head in forms:
+            raise ParseError(f"line {lineno}: duplicate {head} line")
+        else:
+            forms[head] = parse_poly(body, names)
     if names is None:
         raise ParseError("missing vars line")
     missing = [k for k in _FAMILY_KEYS if k not in forms]
@@ -774,8 +773,9 @@ def parse_family_text(text: str) -> FamilyInstance:
     if maps:
         if len(maps) != 3:
             raise ParseError("a family file needs exactly three map lines when present")
-        built = make_map(maps, names)
-        if built.components != inst.map.components:
+        if not any(maps):
+            raise ParseError("all components are zero")
+        if _extract(tuple(maps), HomPoly.one(3))[1] != inst.map.components:
             raise ParseError("map lines disagree with the map induced by the forms")
     return inst
 

@@ -449,7 +449,7 @@ def test_intersection_matches_oracle_on_fixtures(reference, stable, twisted, lin
 
 def _solver_verdict(*forms):
     """FAIL iff `_line_zeros` on t = 0 or `_chart_points` finds a common zero of the forms."""
-    line = [family2._on_line(f, (1, 0, 0), (0, 1, 0)) for f in forms]
+    line = [family2._on_line(f, 0, (0, 1, 0)) for f in forms]
     _, line_fail, line_bad = family2._line_zeros(line)
     _, chart_fail, chart_bad = family2._chart_points(*forms)
     return FAIL if line_fail or chart_fail or len(line_bad) > 1 or len(chart_bad) > 1 else PASS
@@ -484,25 +484,25 @@ def test_line_solver_matches_oracle_on_longer_failing_lists(line_fail, chart_fai
     assert _oracle_verdict(chart_fail, *extra) == PASS
 
 
-@pytest.mark.parametrize("a, b", [
-    ((1, 0, 0), (0, 1, 0)),
-    ((0, 1, 0), (Fraction(-3, 2), 0, 1)),
-    ((0, 1, 0), (0, 0, 1)),
+@pytest.mark.parametrize("x, b", [
+    (0, (0, 1, 0)),
+    (1, (Fraction(-3, 2), 0, 1)),
+    (1, (0, 0, 1)),
     # sample_divisor_points solving for w, and for t with z drawn as 0
-    ((0, 1, 0), (Fraction(7), Fraction(0), Fraction(-4))),
-    ((0, 0, 1), (Fraction(0), Fraction(5), Fraction(0))),
+    (1, (Fraction(7), Fraction(0), Fraction(-4))),
+    (2, (Fraction(0), Fraction(5), Fraction(0))),
 ], ids=["t=0", "fibre", "fibre-z0=0", "solve-w", "solve-t"])
-def test_on_line_matches_sympy_substitution(a, b):
+def test_on_line_matches_sympy_substitution(x, b):
     z, w, t, s, u = sympy.symbols("z w t s u")
     rng = random.Random(5)
     forms = [random_hompoly(rng, 3, deg, 6, 9) for deg in (1, 2, 3, 5)]
-    line = {x: s * sympy.Rational(ai) + u * sympy.Rational(bi)
-            for x, ai, bi in zip((z, w, t), a, b)}
+    line = {y: s * int(i == x) + u * sympy.Rational(bi)
+            for i, (y, bi) in enumerate(zip((z, w, t), b))}
     # t^2 - z*t is zero on t = 0, and w^4 is a single power
     for f in forms + [pp("t^2 - z*t"), pp("w^4")]:
         expr = sympy.Add(*(sympy.Rational(c) * z**e[0] * w**e[1] * t**e[2] for e, c in f.terms))
         expect = sympy.Poly(expr.subs(line, simultaneous=True), s, u).as_dict()
-        got = family2._on_line(f, a, b)
+        got = family2._on_line(f, x, b)
         assert dict(got.terms) == {m: Fraction(int(c.p), int(c.q)) for m, c in expect.items()}
         assert got.is_zero or got.degree == f.degree
 
@@ -515,7 +515,7 @@ def test_intersection_pins_the_seed_1_corner_failure():
     assert rep.rational_points == ((0, 1, 0), (-1, 0, 1))
     assert rep.failure_witnesses == ((0, 1, 0),)
     forms = (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
-    fibre = [family2._on_line(f, (0, 1, 0), (-1, 0, 1)) for f in forms]
+    fibre = [family2._on_line(f, 1, (-1, 0, 1)) for f in forms]
     zeros, failing, _ = family2._line_zeros(fibre)
     # [1:0] on the fibre is [0:1:0]: keeping it would list the point twice
     assert (1, 0) in zeros and (1, 0) in failing
@@ -778,3 +778,38 @@ def test_family_file_rejects_inconsistent_map_lines(reference, stable):
     ]
     with pytest.raises(ParseError, match="disagree"):
         parse_family_text("\n".join(mixed))
+
+
+def test_load_family_builds_the_map_once(stable, tmp_path, monkeypatch):
+    path = tmp_path / "stable.family"
+    family2.save_family(stable, path)
+    calls = []
+    make_map = family2.make_map
+    monkeypatch.setattr(family2, "make_map", lambda *args: calls.append(args) or make_map(*args))
+    assert family2.load_family(path) == stable
+    assert len(calls) == 1
+
+
+def _with_map_lines(inst, comps):
+    lines = [l for l in family_to_text(inst).splitlines() if not l.startswith("map ")]
+    return "\n".join(lines[:1] + ["map " + poly_to_text(c, V) for c in comps] + lines[1:])
+
+
+@pytest.mark.parametrize("change, fragment", [
+    (lambda cs: [c * 2 for c in cs], None),
+    (lambda cs: [c * pp("z") for c in cs], None),
+    (lambda cs: [cs[1], cs[0], cs[2]], "disagree"),
+    # not dominant, a zero component, components of two degrees: none
+    # normalizes to the map of the forms
+    (lambda cs: [cs[0]] * 3, "disagree"),
+    (lambda cs: [cs[0], cs[1] * 0, cs[2]], "disagree"),
+    (lambda cs: [cs[0] * pp("z"), cs[1], cs[2]], "disagree"),
+    (lambda cs: [c * 0 for c in cs], "components are zero"),
+], ids=["scaled", "times-z", "swapped", "equal", "one-zero", "two-degrees", "all-zero"])
+def test_family_file_map_lines_are_checked_by_extraction(stable, change, fragment):
+    text = _with_map_lines(stable, change(list(stable.map.components)))
+    if fragment is None:
+        assert parse_family_text(text) == stable
+    else:
+        with pytest.raises(ParseError, match=fragment):
+            parse_family_text(text)
