@@ -510,7 +510,12 @@ def check_intersection_conditions(inst: FamilyInstance) -> IntersectionReport:
     t = 1.  Each of the two lists its rational points, the failing ones
     among them and a witness for the failing points it does not list.
     """
-    if check_coprimality(inst) == FAIL:
+    return _intersection_conditions(inst, check_coprimality(inst))
+
+
+def _intersection_conditions(inst: FamilyInstance, coprimality: str) -> IntersectionReport:
+    """`check_intersection_conditions` given the verdict of `check_coprimality`."""
+    if coprimality == FAIL:
         return IntersectionReport(
             verdict=FAIL,
             rational_points=(),
@@ -633,7 +638,7 @@ def check_rank_and_pencil(inst: FamilyInstance):
 def run_preflight(inst: FamilyInstance) -> PreflightReport:
     """All three checks; overall is PASS iff every verdict is PASS."""
     cop = check_coprimality(inst)
-    inter = check_intersection_conditions(inst)
+    inter = _intersection_conditions(inst, cop)
     rank, pencil = check_rank_and_pencil(inst)
     ok = all(v == PASS for v in (cop, inter.verdict, rank.verdict, pencil.verdict))
     return PreflightReport(

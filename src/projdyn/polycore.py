@@ -9,11 +9,14 @@ into one int, so a monomial product is an int add.  A product of two
 homogeneous operands with int coefficients and at least 2000 term pairs
 is instead one big-int multiply by Kronecker substitution, when its
 dense exponent grid takes no more bytes than there are term pairs; any
-other product falls back to the packed loop.  Terms are kept in
-descending graded-lexicographic order, which for a homogeneous
-polynomial reduces to descending lexicographic order on the exponent
-tuples, so equal polynomials compare equal structurally and printing is
-canonical.
+other product falls back to the packed loop.  Composition by few-term
+substitutes and exact division of int forms by a primitive one run on
+rows, each of which holds the coefficients that share the exponents of
+x_0 .. x_{n-3} in one int, so their inner loops are big-int arithmetic.
+Terms are kept in descending graded-lexicographic order, which for a
+homogeneous polynomial reduces to descending lexicographic order on the
+exponent tuples, so equal polynomials compare equal structurally and
+printing is canonical.
 
 The module provides construction, ring arithmetic, composition, formal
 partial derivatives, exact evaluation, a strict text grammar with a
@@ -361,7 +364,12 @@ class HomPoly:
         All substituted polynomials must share an arity and (when
         nonzero) a common degree, so the result stays homogeneous.
         The sum is formed by Horner's rule in each variable in turn
-        (`_horner`), whatever the term counts of either side.
+        (`_horner`).  A form with int coefficients and more terms than
+        every substitute, such as a lifting composed with the map, runs
+        it on rows (`_row_compose`) when the substitutes have int
+        coefficients and two or more variables; any other form, such as
+        a map component over a lifting, multiplies packed term dicts,
+        whose large products take the Kronecker route of `_pmul`.
         """
         comps = tuple(comps)
         if len(comps) != self.nvars:
@@ -386,7 +394,20 @@ class HomPoly:
         # every intermediate below is homogeneous of degree <= out_deg
         width = _field_width(out_deg)
         powers = [{0: {0: 1}, 1: _pack_dict(dict(q.terms), width)} for q in comps]
-        acc = _horner(self.terms, 0, len(self.terms), 0, powers, width, nv2)
+        if (
+            nv2 > 1
+            and len(self.terms) > max(len(q.terms) for q in comps)
+            and all(type(c) is int for _, c in chain(self.terms, *(q.terms for q in comps)))
+        ):
+            return HomPoly._new(nv2, _row_compose(self.terms, powers, width, nv2, out_deg), out_deg)
+
+        def times(acc, i, k):
+            return _pmul(acc, _ppower(powers[i], k, width, nv2), width, nv2)
+
+        def leaf(i, k, c):
+            return {key: c * v for key, v in _ppower(powers[i], k, width, nv2).items()}
+
+        acc = _horner(self.terms, 0, len(self.terms), 0, times, leaf)
         return HomPoly._new(nv2, _unpack_dict(acc, nv2, width), out_deg)
 
     def partial(self, index: int) -> "HomPoly":
@@ -463,6 +484,29 @@ def _unpack_dict(d: dict, nvars: int, width: int) -> dict:
     return dict(zip(zip(*[[k >> s & mask for k in d] for s in shifts]), d.values()))
 
 
+def _slot_bytes(bound: int) -> int:
+    """The fewest bytes s per slot with 2^(8s-1) > bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _slot_int(cells, size: int, s: int) -> int:
+    """The int sum of c * 2^(8*s*i) over the (i, c) in cells: distinct i < size, |c| < 2^(8s)."""
+    pos = bytearray(size * s)
+    neg = bytearray(len(pos))
+    for i, c in cells:
+        if c > 0:
+            pos[i * s : i * s + s] = c.to_bytes(s, "little")
+        else:
+            neg[i * s : i * s + s] = (-c).to_bytes(s, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _slot_bias(size: int, s: int) -> tuple[int, int]:
+    """(half, bias): adding bias makes each of size slots of s bytes hold c + half >= 0."""
+    half = 1 << 8 * s - 1
+    return half, int.from_bytes(half.to_bytes(s, "little") * size, "little")
+
+
 # the fewest term pairs for which _pmul tries the Kronecker route
 _KRONECKER_MIN_PAIRS = 2000
 
@@ -528,7 +572,7 @@ def _kmul(a: dict, b: dict, width: int, nvars: int) -> dict | None:
     top = sum(k >> sh & mask for k in (next(iter(a)), next(iter(b))) for sh in chain(shifts, [0]))
     base = top + 1
     bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    s = bound.bit_length() // 8 + 1
+    s = _slot_bytes(bound)
     slots = base ** (nvars - 1)
     size = slots * s
     if size > len(a) * len(b):
@@ -538,17 +582,9 @@ def _kmul(a: dict, b: dict, width: int, nvars: int) -> dict | None:
         idx = [0] * len(d)
         for sh in shifts:
             idx = [i * base + (k >> sh & mask) for i, k in zip(idx, d)]
-        pos = bytearray((max(idx) + 1) * s)
-        neg = bytearray(len(pos))
-        for i, c in zip(idx, d.values()):
-            if c > 0:
-                pos[i * s : i * s + s] = c.to_bytes(s, "little")
-            else:
-                neg[i * s : i * s + s] = (-c).to_bytes(s, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        return _slot_int(zip(idx, d.values()), max(idx) + 1, s)
 
-    half = 1 << 8 * s - 1
-    bias = int.from_bytes(half.to_bytes(s, "little") * slots, "little")
+    half, bias = _slot_bias(slots, s)
     x = pack(a)
     # CPython squares an int faster than it multiplies two
     product = x * x if a is b else x * pack(b)
@@ -592,18 +628,19 @@ def _ppower(powers: dict, k: int, width: int, nvars: int) -> dict:
     return p
 
 
-def _horner(terms, lo: int, hi: int, i: int, powers: list, width: int, nvars: int) -> dict:
-    """Packed sum of c * prod_{j >= i} q_j^(e_j) over terms[lo:hi].
+def _horner(terms, lo: int, hi: int, i: int, times, leaf) -> dict:
+    """Sum of c * prod_{j >= i} q_j^(e_j) over terms[lo:hi].
 
     The slice is in descending order and its exponents agree before slot
     i, so it splits into runs of equal e_i.  Horner's rule in variable i
-    multiplies the running sum by a power of q_i between runs.  In the
-    last slot homogeneity leaves a single term, scaled from q_last^(e_last).
-    Powers are memoised in powers[i] by `_ppower`.
+    multiplies the running sum by a power of q_i between runs, as
+    times(acc, i, k) = acc * q_i^k.  In the last slot homogeneity leaves
+    a single term, leaf(i, e_i, c) = c * q_i^(e_i).  The two callbacks
+    fix the representation: packed term dicts or rows.
     """
-    if i == len(powers) - 1:
+    if i == len(terms[lo][0]) - 1:
         e, c = terms[lo]
-        return {k: c * v for k, v in _ppower(powers[i], e[i], width, nvars).items()}
+        return leaf(i, e[i], c)
     acc: dict = {}
     prev = 0
     j = lo
@@ -612,15 +649,111 @@ def _horner(terms, lo: int, hi: int, i: int, powers: list, width: int, nvars: in
         m = j + 1
         while m < hi and terms[m][0][i] == k:
             m += 1
-        inner = _horner(terms, j, m, i + 1, powers, width, nvars)
+        inner = _horner(terms, j, m, i + 1, times, leaf)
         if j == lo:
             acc = inner
         else:
-            acc = _pmul(acc, _ppower(powers[i], prev - k, width, nvars), width, nvars)
+            acc = times(acc, i, prev - k)
             _pacc(acc, inner)
         prev = k
         j = m
-    return _pmul(acc, _ppower(powers[i], prev, width, nvars), width, nvars) if prev else acc
+    return times(acc, i, prev) if prev else acc
+
+
+# -- rows: a homogeneous int polynomial as Kronecker images of binary forms ---
+#
+# A row holds the terms that share the exponents of x_0 .. x_{n-3}.  Its
+# key is the packed key of the term without the last two fields, and its
+# value is the int sum of c * 2^(8*s*j) over its terms, where j is the
+# exponent of x_{n-2} and s is the slot width in bytes; homogeneity fixes
+# the exponent of x_{n-1}.  Substituting x_{n-2} = 2^(8s), x_{n-1} = 1 is a
+# ring homomorphism, so sums and products of rows are exact int sums and
+# products whatever their slots hold on the way; a row decodes back to
+# its coefficients when each lies in (-2^(8s-1), 2^(8s-1)).
+
+
+def _row_ints(d: dict, width: int, s: int) -> dict:
+    """The rows, with slots of s bytes, of a packed homogeneous int dict."""
+    mask, head = (1 << width) - 1, 2 * width
+    cells: dict = {}
+    for k, c in d.items():
+        cells.setdefault(k >> head, []).append((k >> width & mask, c))
+    return {
+        key: _slot_int(cs, max(j for j, _ in cs) + 1, s) for key, cs in cells.items()
+    }
+
+
+def _row_terms(d: dict, width: int, s: int) -> list:
+    """(row key, shift of the slot in bits, coefficient) for each term of a packed dict."""
+    mask, head = (1 << width) - 1, 2 * width
+    return [(k >> head, 8 * s * (k >> width & mask), c) for k, c in d.items()]
+
+
+def _row_decode(rows: dict, width: int, nvars: int, top: int, s: int) -> dict | None:
+    """Tuple-keyed terms of degree top from rows; None when a row does not decode.
+
+    A row whose leading exponents sum above top, or whose int does not
+    fit its slots with every coefficient in (-2^(8s-1), 2^(8s-1)), is
+    not the image of a form of degree top.
+    """
+    mask = (1 << width) - 1
+    shifts = range(width * (nvars - 3), -1, -width)
+    out = {}
+    for key, v in rows.items():
+        head = tuple(key >> sh & mask for sh in shifts)
+        m = top - sum(head)
+        if m < 0:
+            return None
+        half, bias = _slot_bias(m + 1, s)
+        v += bias
+        if v < 0 or v >> 8 * s * (m + 1):
+            return None
+        buf = v.to_bytes(s * (m + 1), "little")
+        slots = (int.from_bytes(buf[i : i + s], "little") - half for i in range(0, len(buf), s))
+        out.update((head + (j, m - j), c) for j, c in enumerate(slots) if c)
+    return out
+
+
+def _row_compose(terms, powers: list, width: int, nvars: int, top: int) -> dict:
+    """Tuple-keyed sum of c * prod_i q_i^(e_i) over terms, by Horner's rule on rows.
+
+    powers[i] holds the packed q_i^0 and q_i^1 (`_ppower`'s memo); every
+    coefficient is an int and the output has degree top in nvars >= 2
+    variables.  Each output coefficient is at most
+    B = sum |c| prod_i max(1, ||q_i||_1)^(e_i), as the 1-norm is
+    submultiplicative, so slots of s bytes with 2^(8s-1) > B decode the
+    result once at the end; the same B bounds every coefficient of a leaf
+    q_last^e.  Multiplying the running sum by a power of q_i shifts and
+    adds its rows once per term of the power, which is few for the
+    few-term substitutes this route is taken for.
+    """
+    norms = [max(1, sum(map(abs, p[1].values()))) for p in powers]
+    bound = sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in terms)
+    s = _slot_bytes(bound)
+    shifted = [{} for _ in powers]
+    leaves: dict = {}
+
+    def times(acc, i, k):
+        pw = shifted[i].get(k)
+        if pw is None:
+            pw = shifted[i][k] = _row_terms(_ppower(powers[i], k, width, nvars), width, s)
+        out: dict = {}
+        get = out.get
+        for kb, sh, c in pw:
+            for ka, v in acc.items():
+                key = ka + kb
+                out[key] = get(key, 0) + (v * c << sh)
+        return out
+
+    def leaf(i, k, c):
+        rows = leaves.get(k)
+        if rows is None:
+            rows = leaves[k] = _row_ints(_ppower(powers[i], k, width, nvars), width, s)
+        return {key: c * v for key, v in rows.items()}
+
+    out = _row_decode(_horner(terms, 0, len(terms), 0, times, leaf), width, nvars, top, s)
+    assert out is not None, "composition outgrew its slot bound"
+    return out
 
 
 def _dmul(a: dict, b: dict) -> dict:
@@ -655,24 +788,110 @@ def _dadd(a: dict, b: dict) -> dict:
     return out
 
 
+def _guard_bits(width: int, fields: int) -> int:
+    """The guard bit (see `_field_width`) of each of fields packed fields."""
+    return sum(1 << width * i + width - 1 for i in range(fields))
+
+
+def _row_div(num: dict, den: dict, width: int, nvars: int, s: int) -> dict | None:
+    """Long division over rows of packed homogeneous int dicts; None when den does not divide num.
+
+    The rows are images under x_{n-2} = 2^(8s), x_{n-1} = 1, a ring
+    homomorphism onto polynomials in x_0 .. x_{n-3} over Z.  If den
+    divides num, the quotient has int coefficients by Gauss's lemma
+    (den is primitive), so the images divide too, and long division by
+    the leading row cancels each leading row of the remainder by one
+    exact divmod, with no borrow in the packed key and no field above
+    the dividend's degree.  A nonzero remainder or such a key therefore
+    proves that den does not divide num, whatever s is; otherwise the
+    quotient rows are returned, for `_dexact_div` to decode and check.
+    Each term of den outside its leading row takes its multiple of a
+    quotient row off the remainder as one shifted product by a small
+    int, which costs less than a product of rows when den's coefficients
+    are narrower than the slots.
+    """
+    guard = _guard_bits(width, nvars - 2)
+    terms = _row_terms(den, width, s)
+    lt = max(key for key, _, _ in terms)
+    lv = sum(c << sh for key, sh, c in terms if key == lt)
+    rest = [t for t in terms if t[0] != lt]
+    rem = _row_ints(num, width, s)
+    quo: dict = {}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    while heap:
+        k = -heapq.heappop(heap)
+        v = rem.pop(k, 0)
+        if not v:
+            continue
+        qk = (k | guard) - lt
+        if (qk & guard) != guard:
+            return None
+        qk ^= guard
+        qv, r = divmod(v, lv)
+        if r:
+            return None
+        quo[qk] = qv
+        for k2, sh, c in rest:
+            t = qk + k2
+            if t & guard:
+                return None
+            if t not in rem:
+                heapq.heappush(heap, -t)
+                rem[t] = -(qv * c << sh)
+            else:
+                rem[t] -= qv * c << sh
+    return quo
+
+
 def _dexact_div(num: dict, den: dict):
     """Exact division of tuple-keyed term dicts; None when den does not divide num.
 
-    Cancels leading terms in lexicographic order, which is integer order
-    on packed keys; that decides divisibility because leading terms are
-    multiplicative in an integral domain under a monomial order.  With
-    every guard bit set, one subtraction gives k - lt field by field,
-    and a field with k_i < lt_i clears its guard bit.
+    Homogeneous int dicts in two or more variables with a primitive den
+    are divided over rows (`_row_div`), with slots wide enough for a
+    quotient whose coefficients are no larger than num's.  With q decoded
+    from the quotient rows, num - den*q maps to zero row by row; its
+    coefficients are at most ||num|| + min(|q|, |den|) ||den|| ||q||
+    (sup norms, as at most min(|q|, |den|) term pairs meet in one
+    monomial), so when that is below 2^(8s-1) each of its rows is a zero
+    image of coefficients inside the slots, hence zero, and num = den*q
+    with no check product.  Everything else, and a row quotient that
+    does not decode or fails that bound, goes to the heap loop below
+    (Monagan and Pearce, JSC 2011).  It cancels leading terms in
+    lexicographic order, which is integer order on packed keys; that
+    decides divisibility because leading terms are multiplicative in an
+    integral domain under a monomial order.  With every guard bit set,
+    one subtraction gives k - lt field by field, and a field with
+    k_i < lt_i clears its guard bit.
     """
     if not den:
         raise DivisionByZero("division by the zero polynomial")
     if not num:
         return {}
     nvars = len(next(iter(den)))
-    width = _field_width(max(max(map(sum, num)), max(map(sum, den))))
-    guard = 0
-    for _ in range(nvars):
-        guard = guard << width | 1 << (width - 1)
+    num_degs, den_degs = set(map(sum, num)), set(map(sum, den))
+    width = _field_width(max(max(num_degs), max(den_degs)))
+    if (
+        nvars > 1
+        and len(num_degs) == len(den_degs) == 1
+        and all(type(c) is int for c in chain(num.values(), den.values()))
+        and math.gcd(*den.values()) == 1
+    ):
+        top = num_degs.pop() - den_degs.pop()
+        if top < 0:
+            return None
+        norm, den_norm = max(map(abs, num.values())), max(map(abs, den.values()))
+        # slots for a quotient no larger than num, by the check below
+        s = _slot_bytes(norm + min(len(den), _monomial_bound(top, nvars)) * den_norm * norm)
+        rows = _row_div(_pack_dict(num, width), _pack_dict(den, width), width, nvars, s)
+        if rows is None:
+            return None
+        q = _row_decode(rows, width, nvars, top, s)
+        if q is not None and not (
+            norm + min(len(q), len(den)) * den_norm * max(map(abs, q.values()))
+        ) >> 8 * s - 1:
+            return q
+    guard = _guard_bits(width, nvars)
     den = _pack_dict(den, width)
     lt = max(den)
     lc = den[lt]

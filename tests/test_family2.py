@@ -621,6 +621,20 @@ def test_preflight_chart_failure_fails_overall(chart_fail):
     assert rep.overall == FAIL
 
 
+def test_preflight_checks_coprimality_once(stable, monkeypatch):
+    # the intersection check takes run_preflight's coprimality verdict
+    shared = build_family_map(pp("z"), pp("w^2"), pp("z^2"), pp("z^2 + z*w - w^2"), pp("w^2*t"))
+    calls = []
+    check = family2.check_coprimality
+    monkeypatch.setattr(family2, "check_coprimality", lambda inst: calls.append(inst) or check(inst))
+    for inst, verdict in ((stable, PASS), (shared, FAIL)):
+        calls.clear()
+        rep = run_preflight(inst)
+        assert rep.coprimality == verdict and len(calls) == 1
+        assert rep.intersection == check_intersection_conditions(inst)
+        assert len(calls) == 2
+
+
 def test_preflight_passing_instance_is_certified_stable(stable):
     trace = iterate_degrees(stable.map, 3)
     res = infer_qas(trace)

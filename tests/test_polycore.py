@@ -669,16 +669,20 @@ def test_exact_div_matches_sympy(nvars):
                     exact_div(num, b)
 
 
+# each dividend term is larger than the divisor's leading term as a packed
+# key while one of its exponents is smaller
+BORROW_CASES = (
+    ("z^2*t", "z*w"),
+    ("z^3 + w^3", "z*w"),
+    ("z^2*w + z*w^2 + t^3", "z*w"),  # leading terms divide, then t^3 borrows
+    ("z^2*t - w^2*t", "z*w - w*t"),
+    ("z^5 + w^5", "z*w^4 + t^5"),
+    ("w^2*t", "z*t^2"),  # one divisor row, 1 at x_{n-2} = 2^(8s): only the borrow refutes it there
+)
+
+
 def test_exact_div_borrow_cases():
-    # each dividend term is larger than the divisor's leading term as a
-    # packed key while one of its exponents is smaller
-    for num, den in (
-        ("z^2*t", "z*w"),
-        ("z^3 + w^3", "z*w"),
-        ("z^2*w + z*w^2 + t^3", "z*w"),  # leading terms divide, then t^3 borrows
-        ("z^2*t - w^2*t", "z*w - w*t"),
-        ("z^5 + w^5", "z*w^4 + t^5"),
-    ):
+    for num, den in BORROW_CASES:
         with pytest.raises(NotDivisible):
             exact_div(P(num), P(den))
         assert _dexact_div(P(num).as_dict(), P(den).as_dict()) is None
@@ -930,6 +934,26 @@ def kronecker(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def rows(monkeypatch):
+    """Count the row compositions, and record what each row division returned."""
+    seen = {"compose": 0, "div": []}
+    compose, div = polycore._row_compose, polycore._row_div
+
+    def compose_spy(*args):
+        seen["compose"] += 1
+        return compose(*args)
+
+    def div_spy(num, den, width, nvars, s):
+        out = div(num, den, width, nvars, s)
+        seen["div"].append((out, width, s))
+        return out
+
+    monkeypatch.setattr(polycore, "_row_compose", compose_spy)
+    monkeypatch.setattr(polycore, "_row_div", div_spy)
+    return seen
+
+
 def _monomials(nvars, degree):
     if nvars == 1:
         return [(degree,)]
@@ -1064,14 +1088,17 @@ def test_inhomogeneous_product_stays_on_the_loop(kronecker):
         (4, False, ((6, 3, 9), (3, None, 3))),
     ],
 )
-def test_compose_through_kronecker_matches_sympy(kronecker, nvars, many_term_form, shape):
+def test_compose_through_kronecker_matches_sympy(kronecker, rows, nvars, many_term_form, shape):
+    # a many-term form goes to the rows; any other form runs Horner's
+    # rule on packed dicts, whose products reach the Kronecker multiply
     rng = random.Random(65 + nvars)
     (pd, pn, pb), (qd, qn, qb) = shape
     p = _form(rng, nvars, pd, _signed(pb), pn)
     qs = [_form(rng, nvars, qd, _signed(qb), qn) for _ in range(nvars)]
     assert (len(p.terms) > max(len(q.terms) for q in qs)) == many_term_form
     got = p.compose(qs)
-    assert any(kronecker)
+    assert rows["compose"] == int(many_term_form)
+    assert many_term_form or any(kronecker)
     R, xs = _ring_of(nvars)
     want = _in_ring(R, p).compose(list(zip(xs, (_in_ring(R, q) for q in qs))))
     assert _ring_dict(got) == dict(want)
@@ -1098,3 +1125,141 @@ def test_pow_term_cap():
             _ = P("z + w + t") ** 12
     finally:
         set_term_cap(old)
+
+
+# -- row kernels -------------------------------------------------------------------
+
+
+def _int_form(rng, nvars, degree, bound, count):
+    """A form on up to count monomials of the degree, int coefficients up to bound."""
+    return _form(rng, nvars, degree, _signed(bound), min(count, len(_monomials(nvars, degree))))
+
+
+def _ring_compose(p: HomPoly, qs):
+    R, xs = _ring_of(p.nvars)
+    return dict(_in_ring(R, p).compose(list(zip(xs, (_in_ring(R, q) for q in qs)))))
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_row_compose_matches_sympy(rows, nvars):
+    rng = random.Random(70 + nvars)
+    for degree, bound in ((4, 9), (3, 2**80)):
+        p = _int_form(rng, nvars, degree, bound, 40)
+        qs = [_int_form(rng, nvars, 2, bound, 3) for _ in range(nvars)]
+        assert len(p.terms) > 3
+        assert _ring_dict(p.compose(qs)) == _ring_compose(p, qs)
+    assert rows["compose"] == 2
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_row_compose_cancels_terms_and_takes_zero_substitutes(rows, nvars):
+    rng = random.Random(75 + nvars)
+    x0, x1 = HomPoly.variable(nvars, 0), HomPoly.variable(nvars, 1)
+    # (x0 - x1) g vanishes when q_0 = q_1, and is -m g(q) when q_1 = q_0 + m
+    p = (x0 - x1) * _int_form(rng, nvars, 3, 2**40, 20)
+    q = _int_form(rng, nvars, 2, 5, 2)
+    m = HomPoly.monomial(nvars, (0,) * (nvars - 1) + (2,), 3)
+    others = [_int_form(rng, nvars, 2, 5, 2) for _ in range(nvars - 2)]
+    assert p.compose([q, q, *others]).is_zero
+    cases = [[q, q + m, *others]]
+    for j in range(nvars):
+        cases.append([HomPoly.zero(nvars) if i == j else s for i, s in enumerate(cases[0])])
+    for qs in cases:
+        assert _ring_dict(p.compose(qs)) == _ring_compose(p, qs)
+    assert rows["compose"] == 2 + nvars
+
+
+def test_row_compose_leaves_fraction_coefficients_to_the_packed_horner(rows):
+    rng = random.Random(79)
+    p = _int_form(rng, 3, 4, 9, 15)
+    qs = [_int_form(rng, 3, 2, 9, 3) for _ in range(3)]
+    third = HomPoly(3, [(e, Fraction(c, 3)) for e, c in qs[0].terms])
+    for p2, qs2 in ((p * Fraction(1, 2), qs), (p, [third, *qs[1:]])):
+        assert _ring_dict(p2.compose(qs2)) == _ring_compose(p2, qs2)
+    assert rows["compose"] == 0
+    assert _ring_dict(p.compose(qs)) == _ring_compose(p, qs) and rows["compose"] == 1
+
+
+def _ring_div(num: HomPoly, den: HomPoly):
+    """The quotient by sympy's division, or None when it leaves a remainder."""
+    R, _ = _ring_of(num.nvars)
+    q, r = _in_ring(R, num).div(_in_ring(R, den))
+    return None if r else dict(q)
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_row_div_matches_sympy(rows, nvars):
+    rng = random.Random(80 + nvars)
+    for _ in range(4):
+        a = _int_form(rng, nvars, rng.randint(1, 4), 2**30, 12)
+        b = int_primitive(_int_form(rng, nvars, rng.randint(1, 3), 2**20, 6)).primitive
+        c = _int_form(rng, nvars, a.degree + b.degree, 9, 3)
+        assert _ring_div(a * b, b) == _ring_dict(a) == _ring_dict(exact_div(a * b, b))
+        assert _ring_div(a * b + c, b) is None
+        with pytest.raises(NotDivisible):
+            exact_div(a * b + c, b)
+    # every division was decided over rows: found, then refuted
+    assert [out is not None for out, *_ in rows["div"]] == [True, False] * 4
+
+
+def test_row_div_leaves_fractions_and_non_primitive_divisors_to_the_heap(rows):
+    rng = random.Random(85)
+    a = _int_form(rng, 3, 3, 2**30, 10)
+    b = int_primitive(_int_form(rng, 3, 2, 2**20, 6)).primitive
+    half = a * Fraction(1, 2)
+    for num, den in (
+        (half * b, b),  # a Fraction in the dividend
+        (a * b, b * Fraction(1, 3)),  # and in the divisor
+        (a * b, b * 2),  # a divisor with content 2
+        (a * 3, HomPoly.constant(3, 3)),  # of degree 0
+    ):
+        assert _ring_dict(exact_div(num, den)) == _ring_div(num, den)
+    assert rows["div"] == []
+    # a degree-0 divisor is primitive when it is 1 or -1
+    assert exact_div(a, HomPoly.constant(3, -1)) == -a
+    assert len(rows["div"]) == 1 and rows["div"][0][0] is not None
+
+
+def test_row_div_decides_the_borrow_cases(rows):
+    for num, den in BORROW_CASES:
+        rows["div"].clear()
+        assert _dexact_div(P(num).as_dict(), P(den).as_dict()) is None
+        assert [out for out, *_ in rows["div"]] == [None]
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_row_div_falls_back_on_a_quotient_too_wide_for_its_slots(rows, nvars):
+    # num = (u^200 - v^200)^2 and den = (u - v)^2 have coefficients up to 2,
+    # so the rows get one-byte slots, but the quotient (u^199 + .. + v^199)^2
+    # has coefficients up to 200: its rows decode to a wrong form, which the
+    # bound check refuses, and the heap divides
+    u, v = HomPoly.variable(nvars, 0), HomPoly.variable(nvars, nvars - 1)
+    geometric = HomPoly(nvars, [((199 - i,) + (0,) * (nvars - 2) + (i,), 1) for i in range(200)])
+    num, den = (u**200 - v**200) ** 2, (u - v) ** 2
+    q = exact_div(num, den)
+    assert q == geometric**2 and max(c for _, c in q.terms) == 200
+    [(out, width, s)] = rows["div"]
+    assert s == 1 and out is not None
+    assert polycore._row_decode(out, width, nvars, q.degree, s) != q.as_dict()
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5])
+def test_row_div_with_a_forced_narrow_slot(rows, monkeypatch, nvars):
+    # one-byte slots hold num = (x_0 - x_{n-1}) a, whose coefficients are
+    # differences of a's and at most 250, but not the quotient a, whose
+    # coefficients are 150 .. 250: its rows are refused, and the heap divides
+    monkeypatch.setattr(polycore, "_slot_bytes", lambda bound: 1)
+    rng = random.Random(90 + nvars)
+    den = HomPoly.variable(nvars, 0) - HomPoly.variable(nvars, nvars - 1)
+    for _ in range(3):
+        degree = rng.randint(2, 4)
+        count = min(12, len(_monomials(nvars, degree)))
+        a = _form(rng, nvars, degree, lambda r: r.randint(150, 250), count)
+        c = _int_form(rng, nvars, degree + 1, 3, 2)
+        assert max(abs(v) for _, v in (a * den + c).terms) < 256
+        assert exact_div(a * den, den) == a
+        assert _ring_div(a * den + c, den) is None
+        with pytest.raises(NotDivisible):
+            exact_div(a * den + c, den)
+    assert all(s == 1 for _, _, s in rows["div"]) and len(rows["div"]) == 6
+    assert all(out is not None for out, _, _ in rows["div"][::2])
