@@ -31,6 +31,7 @@ first t = 0, then the rational fibres z = z0 t.  The Euclid decides the rest.
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,17 +44,17 @@ from .mapiter import (
     _directives,
     _echelon,
     _extract,
-    _jacobian,
-    _jacobian_at,
     make_map,
     map_to_text,
 )
 from .polycore import (
     HomPoly,
     ParseError,
+    _TOP_PRIME,
     _dint_normalize,
     _is_prime,
     _modp_gcd,
+    _point_rng,
     _quo,
     _utrim,
     coprime_certificate,
@@ -546,21 +547,21 @@ def _intersection_conditions(inst: FamilyInstance, coprimality: str) -> Intersec
 # -- third check: rank and pencil -----------------------------------------------------
 
 
-def _pencil_kernel_witness(inst: FamilyInstance):
-    """Exact witness (a, b, c) with P dividing a Q1 + b Q2 + c Q3, or None."""
-    dp, dq = inst.P.degree, inst.Q1.degree
+def _pencil_kernel_witness(P: HomPoly, Qs):
+    """Exact witness (a, b, c) with P dividing a Q1 + b Q2 + c Q3, or None.
+
+    The forms have int coefficients, so the elimination stays in Z: its
+    divisions are exact, and only the back-substitution takes Fractions.
+    """
+    dp, dq = P.degree, Qs[0].degree
     if dp > dq:
         return None
-    lmons = _monomials(dq - dp)
-    cols = []
-    for q in (inst.Q1, inst.Q2, inst.Q3):
-        cols.append({e: Fraction(c) for e, c in q.terms})
-    for m in lmons:
-        prod = inst.P * HomPoly.monomial(3, m)
-        cols.append({e: -Fraction(c) for e, c in prod.terms})
+    cols = [dict(q.terms) for q in Qs]
+    for m in _monomials(dq - dp):
+        cols.append({e: -c for e, c in (P * HomPoly.monomial(3, m)).terms})
     rows_idx = sorted({e for col in cols for e in col})
-    mat = [[col.get(e, Fraction(0)) for col in cols] for e in rows_idx]
-    ech, pivots, _ = _echelon(mat)
+    mat = [[col.get(e, 0) for col in cols] for e in rows_idx]
+    ech, pivots, _ = _echelon(mat, operator.floordiv)
     free = [c for c in range(len(cols)) if c not in pivots]
     if not free:
         return None
@@ -571,7 +572,7 @@ def _pencil_kernel_witness(inst: FamilyInstance):
     vec = [Fraction(0)] * len(cols)
     vec[free[0]] = Fraction(1)
     for row, pc in reversed(list(zip(ech, pivots))):
-        vec[pc] = -sum(x * v for x, v in zip(row[pc + 1 :], vec[pc + 1 :]) if v) / row[pc]
+        vec[pc] = Fraction(-sum(x * v for x, v in zip(row[pc + 1 :], vec[pc + 1 :]) if v), row[pc])
     head = {-i: x for i, x in enumerate(vec[:3]) if x}
     assert head, "kernel vector with zero pencil part"
     # coprime ints whose first nonzero entry, the largest key, is positive
@@ -601,26 +602,41 @@ _PENCIL_SAMPLES = 40
 def check_rank_and_pencil(inst: FamilyInstance):
     """Exact jacobian rank at (1,1,1) and pencil coprimality check.
 
-    The rank is computed in rational arithmetic (and must be exactly 2
-    to PASS; 3 is impossible since every row annihilates (1,1,1)).
-    The pencil check first solves exactly for any member divisible by
-    P.  For linear P, sharing a factor with P means being divisible by
-    it, so the kernel solve decides the pencil.  Otherwise gcds are
-    sampled at fixed axis triples plus `_PENCIL_SAMPLES` random triples
-    drawn from a fixed seed; any hit is an exact FAIL with the witness
-    triple, and a PASS is only as strong as the sampling.
+    The rank is computed over Z (and must be exactly 2 to PASS; 3 is
+    impossible since every row annihilates (1,1,1)).  The pencil check
+    first solves exactly for any member divisible by P.  For linear P,
+    sharing a factor with P means being divisible by it, so the kernel
+    solve decides the pencil.  Otherwise fixed axis triples and
+    `_PENCIL_SAMPLES` random triples drawn from a fixed seed are
+    sampled; any hit is an exact FAIL with the witness triple, and a
+    PASS is only as strong as the sampling.
+
+    A sampled member is decided on the line s (1,1,1) + b over
+    GF(2^61 - 1), with b drawn once per instance.  A form's leading
+    coefficient in s there is its value at (1,1,1).  The value there of
+    each integer factor of the integer-primitive P divides the nonzero
+    int P(1,1,1), so when p does not divide P(1,1,1), each common factor
+    of P and a member keeps its degree on the line, and a constant gcd
+    of the two images proves them coprime.  Only a member whose image
+    gcd is not constant, and every member when p divides P(1,1,1), is
+    built and goes to `poly_gcd`.
     """
-    rows = _jacobian_at(_jacobian(inst.map.components), (1, 1, 1))
+    # the jacobian at (1,1,1): d f / d x_i there is the sum of c e_i over the terms c x^e
+    rows = [[sum(c * e[i] for e, c in f.terms) for i in range(3)] for f in inst.map.components]
     for row in rows:
         assert sum(row) == 0, "jacobian row not orthogonal to (1,1,1)"
-    rank = len(_echelon(rows)[1])
+    rank = len(_echelon(rows, operator.floordiv)[1])
     assert rank <= 2
     rank_report = RankReport(rank=rank, verdict=PASS if rank == 2 else FAIL)
 
-    witness = _pencil_kernel_witness(inst)
+    # one common scale of the Q_j keeps every member's gcd with P
+    P = int_primitive(inst.P).primitive
+    den = math.lcm(*(c.denominator for q in (inst.Q1, inst.Q2, inst.Q3) for _, c in q.terms))
+    Qs = [q * den for q in (inst.Q1, inst.Q2, inst.Q3)]
+    witness = _pencil_kernel_witness(P, Qs)
     if witness is not None:
         return rank_report, PencilReport(verdict=FAIL, witness=witness, method="kernel")
-    if inst.P.degree == 1:
+    if P.degree == 1:
         return rank_report, PencilReport(verdict=PASS, witness=None, method="kernel")
     rng = random.Random(0)
     triples = list(_AXIS_TRIPLES)
@@ -628,9 +644,21 @@ def check_rank_and_pencil(inst: FamilyInstance):
         t = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
         if any(t):
             triples.append(t)
+    p = _TOP_PRIME
+    line = [HomPoly(2, (((1, 0), 1), ((0, 1), _point_rng(p).randrange(p)))) for _ in range(3)]
+    imgs = []
+    for f in (P, *Qs):
+        terms = dict(f.compose(line).terms)
+        imgs.append([terms.get((j, f.degree - j), 0) % p for j in range(f.degree + 1)])
+    # the images at u = 1, low degree first; P's top one is P(1,1,1) mod p
+    p_img, *q_imgs = imgs
     for a, b, c in triples:
-        member = inst.Q1 * a + inst.Q2 * b + inst.Q3 * c
-        if member.is_zero or poly_gcd(inst.P, member).degree > 0:
+        if p_img[-1]:
+            img = [a * x + b * y + c * z for x, y, z in zip(*q_imgs)]
+            if len(_modp_gcd(p_img, img, p)) == 1:
+                continue
+        member = Qs[0] * a + Qs[1] * b + Qs[2] * c
+        if member.is_zero or poly_gcd(P, member).degree > 0:
             return rank_report, PencilReport(verdict=FAIL, witness=(a, b, c), method="sampled")
     return rank_report, PencilReport(verdict=PASS, witness=None, method="randomized")
 

@@ -39,7 +39,7 @@ from projdyn import (
     sample_divisor_points,
 )
 import projdyn.family2 as family2
-from projdyn.mapiter import NotDominant, _jacobian, _jacobian_at
+from projdyn.mapiter import NotDominant, _echelon, _jacobian, _jacobian_at
 from projdyn.polycore import random_hompoly
 
 V = ("z", "w", "t")
@@ -591,6 +591,135 @@ def test_pencil_pass_is_only_sampled_for_nonlinear_p(line_fail):
     _, pencil = check_rank_and_pencil(line_fail)
     assert pencil.verdict == PASS
     assert pencil.method == "randomized"
+
+
+# -- the pencil scan against a member-by-member reference ---------------------
+
+
+def _reference_kernel_witness(inst):
+    """The pencil kernel over Q: a Fraction elimination and back-substitution."""
+    dp, dq = inst.P.degree, inst.Q1.degree
+    if dp > dq:
+        return None
+    cols = [{e: Fraction(c) for e, c in q.terms} for q in (inst.Q1, inst.Q2, inst.Q3)]
+    for m in family2._monomials(dq - dp):
+        cols.append({e: -Fraction(c) for e, c in (inst.P * HomPoly.monomial(3, m)).terms})
+    rows_idx = sorted({e for col in cols for e in col})
+    ech, pivots, _ = _echelon([[col.get(e, Fraction(0)) for col in cols] for e in rows_idx])
+    free = [c for c in range(len(cols)) if c not in pivots]
+    if not free:
+        return None
+    vec = [Fraction(0)] * len(cols)
+    vec[free[0]] = Fraction(1)
+    for row, pc in reversed(list(zip(ech, pivots))):
+        vec[pc] = -sum(x * v for x, v in zip(row[pc + 1 :], vec[pc + 1 :]) if v) / row[pc]
+    head = [x * math.lcm(*(v.denominator for v in vec[:3])) for x in vec[:3]]
+    g = math.gcd(*map(int, head))
+    sign = 1 if next(x for x in head if x) > 0 else -1
+    return tuple(int(x) // (sign * g) for x in head)
+
+
+def _reference_rank_and_pencil(inst):
+    """The rank over Q, the kernel over Q and a `poly_gcd` call for every sampled member."""
+    rank = len(_echelon(_jacobian_at(_jacobian(inst.map.components), (1, 1, 1)))[1])
+    rank_report = family2.RankReport(rank=rank, verdict=PASS if rank == 2 else FAIL)
+    witness = _reference_kernel_witness(inst)
+    if witness is not None:
+        return rank_report, family2.PencilReport(verdict=FAIL, witness=witness, method="kernel")
+    if inst.P.degree == 1:
+        return rank_report, family2.PencilReport(verdict=PASS, witness=None, method="kernel")
+    rng = random.Random(0)
+    triples = list(family2._AXIS_TRIPLES)
+    while len(triples) < len(family2._AXIS_TRIPLES) + family2._PENCIL_SAMPLES:
+        t = (rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
+        if any(t):
+            triples.append(t)
+    for a, b, c in triples:
+        member = inst.Q1 * a + inst.Q2 * b + inst.Q3 * c
+        if member.is_zero or poly_gcd(inst.P, member).degree > 0:
+            pencil = family2.PencilReport(verdict=FAIL, witness=(a, b, c), method="sampled")
+            return rank_report, pencil
+    return rank_report, family2.PencilReport(verdict=PASS, witness=None, method="randomized")
+
+
+@pytest.fixture(scope="module")
+def nonlinear_catalogue():
+    degrees = ((2, 2), (2, 3), (3, 2), (3, 3))
+    return {(dp, dq, s): random_family(dp, dq, 5, s) for dp, dq in degrees for s in range(40)}
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The poly_gcd calls of the pencil scan, as a list of their operands."""
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(family2, "poly_gcd", counting_gcd)
+    return calls
+
+
+def test_pencil_scan_matches_the_member_by_member_reference(nonlinear_catalogue):
+    methods = {}
+    for inst in nonlinear_catalogue.values():
+        report = check_rank_and_pencil(inst)
+        assert report == _reference_rank_and_pencil(inst)
+        key = (report[1].verdict, report[1].method)
+        methods[key] = methods.get(key, 0) + 1
+    assert methods == {(PASS, "randomized"): 155, (FAIL, "sampled"): 5}
+
+
+def test_pencil_report_ignores_rational_scales(reference, line_fail):
+    # P/2, Q_j/3 and R/6 keep the calibration and every member's factors
+    for inst in (reference, line_fail):
+        scaled = build_family_map(
+            inst.P * Fraction(1, 2),
+            *(q * Fraction(1, 3) for q in (inst.Q1, inst.Q2, inst.Q3)),
+            inst.R * Fraction(1, 6),
+        )
+        assert check_rank_and_pencil(scaled) == check_rank_and_pencil(inst)
+
+
+def test_pencil_pass_makes_no_gcd_call(line_fail, nonlinear_catalogue, gcd_calls):
+    for inst in (line_fail, nonlinear_catalogue[2, 3, 0], nonlinear_catalogue[3, 3, 1]):
+        gcd_calls.clear()
+        _, pencil = check_rank_and_pencil(inst)
+        assert pencil == family2.PencilReport(verdict=PASS, witness=None, method="randomized")
+        assert gcd_calls == []
+
+
+def test_pencil_sampled_fail_sends_only_the_shared_member_to_gcd(nonlinear_catalogue, gcd_calls):
+    # P and Q2 share the factor w; (1, 0, 0) comes first and is decided on the line
+    inst = nonlinear_catalogue[3, 3, 4]
+    _, pencil = check_rank_and_pencil(inst)
+    assert pencil == family2.PencilReport(verdict=FAIL, witness=(0, 1, 0), method="sampled")
+    assert len(gcd_calls) == 1
+    assert poly_gcd(*gcd_calls[0]) == pp("w")
+
+
+def test_pencil_scan_goes_member_by_member_when_p_divides_p_at_one(gcd_calls):
+    p = (1 << 61) - 1
+    inst = build_family_map(
+        pp(f"z^2 + {p - 1}*w*t"), pp("w^2"), pp("t^2"), pp("z^2 - z*w + w*t"), pp(f"{p}*t^4")
+    )
+    assert inst.P.evaluate((1, 1, 1)) == p
+    report = check_rank_and_pencil(inst)
+    assert report[1] == family2.PencilReport(verdict=PASS, witness=None, method="randomized")
+    assert len(gcd_calls) == 49
+    assert report == _reference_rank_and_pencil(inst)
+
+
+def test_pencil_scan_survives_an_unlucky_line(
+    line_fail, nonlinear_catalogue, gcd_calls, monkeypatch
+):
+    # a nonconstant image gcd on every member, as on a line through a common zero
+    monkeypatch.setattr(family2, "_modp_gcd", lambda a, b, p: [0, 1])
+    for inst, calls in ((line_fail, 49), (nonlinear_catalogue[3, 3, 4], 2)):
+        gcd_calls.clear()
+        assert check_rank_and_pencil(inst) == _reference_rank_and_pencil(inst)
+        assert len(gcd_calls) == calls
 
 
 # -- preflight aggregation ----------------------------------------------------
