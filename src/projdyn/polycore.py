@@ -10,9 +10,12 @@ homogeneous operands with int coefficients and at least 2000 term pairs
 is instead one big-int multiply by Kronecker substitution, when its
 dense exponent grid takes no more bytes than there are term pairs; any
 other product falls back to the packed loop.  Composition by few-term
-substitutes and exact division of int forms by a primitive one run on
-rows, each of which holds the coefficients that share the exponents of
-x_0 .. x_{n-3} in one int, so their inner loops are big-int arithmetic.
+substitutes and exact division in two or more variables run on rows,
+each of which holds the coefficients that share the exponents of
+x_0 .. x_{n-3} in one int, so their inner loops are big-int arithmetic;
+a division first scales both forms to primitive int forms, and when the
+quotient outgrows the slots sized from the dividend it is divided once
+more in slots sized from Mahler's bound on any factor of the dividend.
 Terms are kept in descending graded-lexicographic order, which for a
 homogeneous polynomial reduces to descending lexicographic order on the
 exponent tuples, so equal polynomials compare equal structurally and
@@ -845,85 +848,69 @@ def _row_div(num: dict, den: dict, width: int, nvars: int, s: int) -> dict | Non
 
 
 def _dexact_div(num: dict, den: dict):
-    """Exact division of tuple-keyed term dicts; None when den does not divide num.
+    """Exact division of homogeneous tuple-keyed term dicts; None when den does not divide num.
 
-    Homogeneous int dicts in two or more variables with a primitive den
-    are divided over rows (`_row_div`), with slots wide enough for a
-    quotient whose coefficients are no larger than num's.  With q decoded
-    from the quotient rows, num - den*q maps to zero row by row; its
-    coefficients are at most ||num|| + min(|q|, |den|) ||den|| ||q||
-    (sup norms, as at most min(|q|, |den|) term pairs meet in one
-    monomial), so when that is below 2^(8s-1) each of its rows is a zero
-    image of coefficients inside the slots, hence zero, and num = den*q
-    with no check product.  Everything else, and a row quotient that
-    does not decode or fails that bound, goes to the heap loop below
-    (Monagan and Pearce, JSC 2011).  It cancels leading terms in
-    lexicographic order, which is integer order on packed keys; that
-    decides divisibility because leading terms are multiplicative in an
-    integral domain under a monomial order.  With every guard bit set,
-    one subtraction gives k - lt field by field, and a field with
-    k_i < lt_i clears its guard bit.
+    With num = cn*N and den = cd*D for primitive int dicts N and D
+    (`_dint_normalize`), den divides num iff D divides N over Z, by
+    Gauss's lemma, and then num / den = (cn/cd) * N/D.  One-variable
+    forms are monomials and divide directly.  Otherwise N / D is long
+    division over rows (`_row_div`), whose None proves that D does not
+    divide N.  With q decoded from the quotient rows, N - D*q maps to
+    zero row by row; its coefficients are at most
+    ||N|| + min(|q|, |D|) ||D|| ||q|| (sup norms, as at most
+    min(|q|, |D|) term pairs meet in one monomial), so when that is
+    below 2^(8s-1) each of its rows is a zero image of coefficients
+    inside the slots, hence zero, and N = D*q with no check product.
+
+    The first pass sizes the slots for a quotient no larger than N.  If
+    its rows do not decode or fail that bound, the second sizes them for
+    B = 2^((n-1)*top) ||N||_2, with top the degree of the quotient.  A
+    factor q of N has Mahler measure M(q) <= M(N) <= ||N||_2, since a
+    nonzero int polynomial has measure at least 1; setting x_{n-1} = 1
+    keeps q's coefficients and leaves each of its n - 1 partial degrees
+    at most top, so each coefficient is at most 2^((n-1)*top) M(q)
+    (Mahler 1962; Mignotte).  A true quotient therefore decodes in the
+    second slots and passes the bound, and a second failure proves that
+    den does not divide num.  An inhomogeneous dict raises
+    `NonHomogeneous`; `_modular_gcd` rehomogenizes its candidate before
+    its trial divisions.
     """
     if not den:
         raise DivisionByZero("division by the zero polynomial")
     if not num:
         return {}
-    nvars = len(next(iter(den)))
     num_degs, den_degs = set(map(sum, num)), set(map(sum, den))
-    width = _field_width(max(max(num_degs), max(den_degs)))
-    if (
-        nvars > 1
-        and len(num_degs) == len(den_degs) == 1
-        and all(type(c) is int for c in chain(num.values(), den.values()))
-        and math.gcd(*den.values()) == 1
-    ):
-        top = num_degs.pop() - den_degs.pop()
-        if top < 0:
-            return None
-        norm, den_norm = max(map(abs, num.values())), max(map(abs, den.values()))
-        # slots for a quotient no larger than num, by the check below
-        s = _slot_bytes(norm + min(len(den), _monomial_bound(top, nvars)) * den_norm * norm)
-        rows = _row_div(_pack_dict(num, width), _pack_dict(den, width), width, nvars, s)
+    if len(num_degs) > 1 or len(den_degs) > 1:
+        raise NonHomogeneous("exact division needs homogeneous dicts")
+    degree = num_degs.pop()
+    top = degree - den_degs.pop()
+    if top < 0:
+        return None
+    nvars = len(next(iter(den)))
+    if nvars == 1:
+        [c], [lc] = num.values(), den.values()
+        return {(top,): _quo(c, lc)}
+    cn, num = _dint_normalize(num)
+    cd, den = _dint_normalize(den)
+    width = _field_width(degree)
+    pnum, pden = _pack_dict(num, width), _pack_dict(den, width)
+    norm, den_norm = max(map(abs, num.values())), max(map(abs, den.values()))
+    pairs = min(len(den), _monomial_bound(top, nvars))
+    # slots for a quotient no larger than N, then for any factor of N (B above)
+    for qnorm in (norm, None):
+        if qnorm is None:
+            qnorm = math.isqrt(sum(c * c for c in num.values())) + 1 << (nvars - 1) * top
+        s = _slot_bytes(norm + pairs * den_norm * qnorm)
+        rows = _row_div(pnum, pden, width, nvars, s)
         if rows is None:
             return None
         q = _row_decode(rows, width, nvars, top, s)
         if q is not None and not (
             norm + min(len(q), len(den)) * den_norm * max(map(abs, q.values()))
         ) >> 8 * s - 1:
-            return q
-    guard = _guard_bits(width, nvars)
-    den = _pack_dict(den, width)
-    lt = max(den)
-    lc = den[lt]
-    rest = [(e, c) for e, c in den.items() if e != lt]
-    rem = _pack_dict(num, width)
-    quo: dict = {}
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    while heap:
-        k = -heapq.heappop(heap)
-        c = rem.pop(k, 0)
-        if not c:
-            continue
-        qe = (k | guard) - lt
-        if (qe & guard) != guard:
-            return None
-        qe ^= guard
-        qc = quo[qe] = _quo(c, lc)
-        for e2, c2 in rest:
-            t = qe + e2
-            if t & guard:
-                # an exponent outgrew the dividend's degree, which no
-                # term of an exact quotient times den can reach
-                return None
-            s = rem.get(t, 0) - qc * c2
-            if s:
-                if t not in rem:
-                    heapq.heappush(heap, -t)
-                rem[t] = s
-            elif t in rem:
-                del rem[t]
-    return None if rem else _unpack_dict(quo, nvars, width)
+            n, d = (cn / cd).as_integer_ratio()
+            return q if n == d == 1 else {e: _quo(c * n, d) for e, c in q.items()}
+    return None
 
 
 def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
@@ -933,7 +920,8 @@ def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
     sign of the coefficient at the largest key (the graded-lex leading
     term of a homogeneous dict), so that coefficient of the returned
     dict is positive.  Any ordered keys will do: `mapiter` normalizes a
-    whole lifting tuple under (-index, exponents).
+    whole lifting tuple under (-index, exponents).  An int dict that is
+    already that integer dict is returned itself, not copied.
     """
     if not d:
         raise DivisionByZero("zero polynomial has no primitive form")
@@ -949,6 +937,8 @@ def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
             denom_lcm = denom_lcm * q // gcd(denom_lcm, q)
             num_gcd = gcd(num_gcd, c.numerator)
     div = num_gcd if d[max(d)] > 0 else -num_gcd
+    if denom_lcm == 1:
+        return Fraction(div), d if div == 1 else {e: c // div for e, c in d.items()}
     out = {
         e: (c * denom_lcm if type(c) is int else c.numerator * (denom_lcm // c.denominator)) // div
         for e, c in d.items()
@@ -1282,12 +1272,6 @@ def exact_div(a: HomPoly, b: HomPoly) -> HomPoly:
     if not isinstance(a, HomPoly) or not isinstance(b, HomPoly):
         raise TypeError("exact_div expects HomPoly operands")
     a._check_arity(b)
-    if b.is_zero:
-        raise DivisionByZero("division by the zero polynomial")
-    if a.is_zero:
-        return HomPoly.zero(a.nvars)
-    if a._degree < b._degree:
-        raise NotDivisible(f"degree {a._degree} not divisible by degree {b._degree}")
     q = _dexact_div(dict(a.terms), dict(b.terms))
     if q is None:
         raise NotDivisible("remainder is nonzero")

@@ -241,6 +241,22 @@ def test_exact_div_by_zero():
         exact_div(P("z^2"), HomPoly.zero(3))
 
 
+def test_exact_div_in_one_variable():
+    # one-variable forms are monomials, divided without rows
+    x = HomPoly.variable(1, 0)
+    assert exact_div(285 * x**6, -3 * x) == -95 * x**5
+    assert exact_div(Fraction(3, 4) * x**3, Fraction(-9, 2) * x) == Fraction(-1, 6) * x**2
+    assert exact_div(HomPoly.constant(1, 6), HomPoly.constant(1, 4)) == HomPoly.constant(
+        1, Fraction(3, 2)
+    )
+    with pytest.raises(NotDivisible):
+        exact_div(7 * x**2, x**3)
+    assert exact_div(HomPoly.zero(1), x) == HomPoly.zero(1)
+    q = _dexact_div({(6,): 285}, {(1,): -3})
+    assert q == {(5,): -95} and type(q[(5,)]) is int
+    assert _dexact_div({(2,): 6}, {(2,): 4}) == {(0,): Fraction(3, 2)}
+
+
 def test_int_primitive_reconstructs_and_is_canonical():
     p = parse_poly("(4/6)*z^2 - (8/6)*w^2", NAMES)
     ip = int_primitive(p)
@@ -652,13 +668,14 @@ def test_compose_identity_substitution():
         assert p.compose([HomPoly.variable(nvars, i) for i in range(nvars)]) == p
 
 
-@pytest.mark.parametrize("nvars", [2, 3, 4])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
 def test_exact_div_matches_sympy(nvars):
     rng = random.Random(3000 + nvars)
     xs = _symbols(nvars)
     for _ in range(8):
         a = _random_form(rng, nvars, rng.randint(1, 4), 12)
-        b = _random_form(rng, nvars, rng.randint(1, 3), 6)
+        # a divisor with content, integral or not
+        b = _random_form(rng, nvars, rng.randint(1, 3), 6) * rng.choice((1, 6, Fraction(-10, 3)))
         c = _random_form(rng, nvars, a.degree + b.degree, 3)
         for num in (a * b, a * b + c):
             q, r = sympy.div(_to_sympy(num, xs), _to_sympy(b, xs), *xs)
@@ -687,9 +704,8 @@ def test_exact_div_borrow_cases():
             exact_div(P(num), P(den))
         assert _dexact_div(P(num).as_dict(), P(den).as_dict()) is None
     assert exact_div(P("z^2*w + z*w^2"), P("z*w")) == P("z + w")
-    # the gcd code divides inhomogeneous dicts, where a remainder exponent
-    # can outgrow its packed field; a carry would fake this quotient
-    assert _dexact_div({(2, 1): 1, (3, 4): -1}, {(1, 0): 1, (0, 5): -1}) is None
+    with pytest.raises(NonHomogeneous):
+        _dexact_div({(2, 1): 1, (3, 4): -1}, {(1, 0): 1, (0, 5): -1})
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 8, 15, 16])
@@ -1202,7 +1218,7 @@ def test_row_div_matches_sympy(rows, nvars):
     assert [out is not None for out, *_ in rows["div"]] == [True, False] * 4
 
 
-def test_row_div_leaves_fractions_and_non_primitive_divisors_to_the_heap(rows):
+def test_row_div_takes_fractions_and_non_primitive_divisors(rows):
     rng = random.Random(85)
     a = _int_form(rng, 3, 3, 2**30, 10)
     b = int_primitive(_int_form(rng, 3, 2, 2**20, 6)).primitive
@@ -1212,12 +1228,13 @@ def test_row_div_leaves_fractions_and_non_primitive_divisors_to_the_heap(rows):
         (a * b, b * Fraction(1, 3)),  # and in the divisor
         (a * b, b * 2),  # a divisor with content 2
         (a * 3, HomPoly.constant(3, 3)),  # of degree 0
+        (a, HomPoly.constant(3, -1)),
     ):
+        rows["div"].clear()
         assert _ring_dict(exact_div(num, den)) == _ring_div(num, den)
-    assert rows["div"] == []
-    # a degree-0 divisor is primitive when it is 1 or -1
-    assert exact_div(a, HomPoly.constant(3, -1)) == -a
-    assert len(rows["div"]) == 1 and rows["div"][0][0] is not None
+        # the primitive parts divide in one row pass
+        [(out, _, _)] = rows["div"]
+        assert out is not None
 
 
 def test_row_div_decides_the_borrow_cases(rows):
@@ -1230,25 +1247,38 @@ def test_row_div_decides_the_borrow_cases(rows):
 @pytest.mark.parametrize("nvars", [2, 3, 4, 5])
 def test_row_div_falls_back_on_a_quotient_too_wide_for_its_slots(rows, nvars):
     # num = (u^200 - v^200)^2 and den = (u - v)^2 have coefficients up to 2,
-    # so the rows get one-byte slots, but the quotient (u^199 + .. + v^199)^2
-    # has coefficients up to 200: its rows decode to a wrong form, which the
-    # bound check refuses, and the heap divides
+    # so the first rows get one-byte slots, but the quotient
+    # (u^199 + .. + v^199)^2 has coefficients up to 200: its rows decode to
+    # a wrong form, which the bound check refuses, and the second pass,
+    # with slots for any factor of num, decodes it
     u, v = HomPoly.variable(nvars, 0), HomPoly.variable(nvars, nvars - 1)
     geometric = HomPoly(nvars, [((199 - i,) + (0,) * (nvars - 2) + (i,), 1) for i in range(200)])
     num, den = (u**200 - v**200) ** 2, (u - v) ** 2
     q = exact_div(num, den)
     assert q == geometric**2 and max(c for _, c in q.terms) == 200
-    [(out, width, s)] = rows["div"]
-    assert s == 1 and out is not None
-    assert polycore._row_decode(out, width, nvars, q.degree, s) != q.as_dict()
+    [(first, width, s), (second, _, wide)] = rows["div"]
+    assert s == 1 and first is not None
+    assert polycore._row_decode(first, width, nvars, q.degree, s) != q.as_dict()
+    assert wide > 1 and polycore._row_decode(second, width, nvars, q.degree, wide) == q.as_dict()
 
 
 @pytest.mark.parametrize("nvars", [2, 3, 4, 5])
 def test_row_div_with_a_forced_narrow_slot(rows, monkeypatch, nvars):
-    # one-byte slots hold num = (x_0 - x_{n-1}) a, whose coefficients are
-    # differences of a's and at most 250, but not the quotient a, whose
-    # coefficients are 150 .. 250: its rows are refused, and the heap divides
-    monkeypatch.setattr(polycore, "_slot_bytes", lambda bound: 1)
+    # one-byte first slots hold num = (x_0 - x_{n-1}) a, whose coefficients
+    # are differences of a's and at most 250, but not the quotient a, whose
+    # coefficients are 150 .. 250: its rows are refused, and the second pass
+    # divides
+    slot_bytes, first = polycore._slot_bytes, []
+
+    def narrow_first(bound):
+        return 1 if first and first.pop() else slot_bytes(bound)
+
+    def divide(num, den):
+        rows["div"].clear()
+        first.append(True)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(polycore, "_slot_bytes", narrow_first)
     rng = random.Random(90 + nvars)
     den = HomPoly.variable(nvars, 0) - HomPoly.variable(nvars, nvars - 1)
     for _ in range(3):
@@ -1257,9 +1287,10 @@ def test_row_div_with_a_forced_narrow_slot(rows, monkeypatch, nvars):
         a = _form(rng, nvars, degree, lambda r: r.randint(150, 250), count)
         c = _int_form(rng, nvars, degree + 1, 3, 2)
         assert max(abs(v) for _, v in (a * den + c).terms) < 256
-        assert exact_div(a * den, den) == a
+        assert divide(a * den, den) == a
+        [(out, _, s), (_, _, wide)] = rows["div"]
+        assert s == 1 < wide and out is not None
         assert _ring_div(a * den + c, den) is None
         with pytest.raises(NotDivisible):
-            exact_div(a * den + c, den)
-    assert all(s == 1 for _, _, s in rows["div"]) and len(rows["div"]) == 6
-    assert all(out is not None for out, _, _ in rows["div"][::2])
+            divide(a * den + c, den)
+        assert rows["div"][0][2] == 1
