@@ -62,6 +62,11 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
+
+class _ResidualOrbitLimit(Exception):
+    """A residual orbit failed other than at a singular locus; it runs at 53 bits whatever --precision is."""
+
+
 # -- formatting helpers --------------------------------------------------------
 
 
@@ -325,7 +330,12 @@ def _run_green_grid(args):
 
 
 def _residual_suite(f, cert, rep, seed, precision):
-    """Deterministic functional-equation and telescope residual medians."""
+    """Deterministic functional-equation and telescope residual medians.
+
+    A sample point whose orbit meets the indeterminacy locus or the
+    divisor is skipped; any other OrbitError (a lost normalization or
+    height) raises _ResidualOrbitLimit, exit 3.
+    """
     rng = random.Random(seed)
 
     def unit_point():
@@ -345,8 +355,12 @@ def _residual_suite(f, cert, rep, seed, precision):
                                                 precision=precision))
             ts.append(gp.telescope_residual(f, cert, rep, z, 2, n_iters=48,
                                             precision=precision))
-        except gp.OrbitError:
+        except (gp.OrbitHitIndeterminacy, gp.OrbitHitDivisor):
             continue
+        except gp.OrbitError as exc:
+            raise _ResidualOrbitLimit(
+                f"{exc} at {precision} bits in a residual orbit; the residual orbits run at "
+                f"{precision} bits whatever --precision is") from exc
     if not fe:
         raise DegenerateLambda("no residual sample point escaped the singular loci")
     fe.sort()
@@ -524,7 +538,7 @@ def main(argv=None) -> int:
     except (ParseError, InsufficientData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GenerationExhausted, ResourceLimit, PrecisionExhausted) as exc:
+    except (GenerationExhausted, ResourceLimit, PrecisionExhausted, _ResidualOrbitLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except DegenerateLambda as exc:

@@ -162,12 +162,13 @@ def _chunked_sum(name, start, parts):
 
 # run()'s orbit: the entry check, then per plan row the step's lines inline, run()'s
 # checks in its order and the γ update (str.format: {{n}} is an f-string's {n} in the
-# source); γ − γ is nan only for a non-finite γ, even an int γ that float() refuses
+# source); {check} computes nrm and checks it, at every step or only under a guard
+# (see _generate; _float_code's is nf == INF, as for a finite nf the quotient's computed
+# norm lies within (2n+4)·2^-53 of 1); γ − γ is nan only for a non-finite γ, even an int
+# γ that float() refuses
 _ORBIT = """
 def orbit(w, gamma, plan):
 {entry}
-    if abs(nrm - 1.0) > 1e-6:
-        raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step=0)
     if gamma - gamma:
         raise OrbitError("non-finite log-height", step=0)
     gammas, increments, hs = [gamma], [], []
@@ -195,8 +196,7 @@ def orbit(w, gamma, plan):
         g = num {div} b
         increments.append(abs(g - gamma))
         gamma = g
-        if abs(nrm - 1.0) > 1e-6:
-            raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step=n)
+{check}
         if gamma - gamma:
             raise OrbitError("non-finite log-height", step=n)
         gammas.append(gamma)
@@ -204,25 +204,33 @@ def orbit(w, gamma, plan):
 """
 
 
-def _generate(head, quot, ns, **update):
+def _generate(head, quot, ns, norm_when=None, **update):
     """The step, with the whole orbit as its attribute .orbit, from the same lines.
 
     head binds nf = ‖F(w)‖ and hv = H(w) at the point w, and quot the
     quotient w and its norm nrm, in its last two lines "w = (...)" and
     "nrm = ...".  The orbit checks its entry point by these two lines,
-    the first turned round to unpack w, then runs head and quot inline
-    per plan row and returns what run() does.  update is the code of
-    the γ update's log nf (log_f), log|H| (log_h) and division (div).
+    the first turned round to unpack w, then runs head and quot, less
+    its nrm line, inline per plan row and returns what run() does.
+    Each step computes nrm and checks it after the γ update; given
+    norm_when, only when that condition holds.  A generator passes one
+    only where nrm provably passes the check whenever the condition is
+    false, so the orbit raises the same error at the same step as with
+    the check on every step.  update is the code of the γ update's
+    log nf (log_f), log|H| (log_h) and division (div).
     """
     ns.update(OrbitError=OrbitError, OrbitHitDivisor=OrbitHitDivisor,
               OrbitHitIndeterminacy=OrbitHitIndeterminacy, ldexp=math.ldexp)
     body = lambda lines, pad: "\n".join(pad + ln for ln in lines)
-    entry = [quot[-2].removeprefix("w = ") + " = w", quot[-1]]
+    lost = 'raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step={})'
+    check = lambda step: [quot[-1], "if abs(nrm - 1.0) > 1e-6:", "    " + lost.format(step)]
+    entry = [quot[-2].removeprefix("w = ") + " = w"] + check(0)
+    loop = check("n") if norm_when is None else [f"if {norm_when}:"] + ["    " + ln for ln in check("n")]
     exec("def step(w):\n" + body(head, "    ")
          + "\n    if nf < TOL:\n        return nf, None, 0.0, hv\n"
          + body(quot, "    ") + "\n    return nf, w, nrm, hv\n"
          + _ORBIT.format(entry=body(entry, "    "), head=body(head, " " * 8),
-                         quot=body(quot, " " * 8), **update), ns)
+                         quot=body(quot[:-1], " " * 8), check=body(loop, " " * 8), **update), ns)
     ns["step"].orbit = ns["orbit"]
     return ns["step"]
 
@@ -238,30 +246,58 @@ def _float_code(polys, nvars, div=None):
     The step maps a point w to (‖F(w)‖, F(w)/‖F(w)‖, norm of that quotient,
     H(w)): the quotient is None when ‖F(w)‖ is below the singular
     tolerance, and H(w) is the divisor polynomial div at the point the
-    step leaves (None without div).  The float operations are those of
-    a per-term loop, so values are bit-identical to it: each value
-    starts at 0j and adds c·x_i**k_i (left to right, ** for k ≥ 2) in
-    p.terms order, and a norm is one complex sum of conjugate products,
-    which rounds as the loop's per-coordinate squares (see _norm_code).
-    Powers x_i**k are shared across the polynomials and div.
+    step leaves (None without div).  Each value starts at 0j and adds
+    or subtracts, in p.terms order, the term |c|·x_i**k_i··· multiplied
+    left to right: |c| is left out when it is 1, x_i**2 is x_i * x_i,
+    and every other power k ≥ 2 stays x_i**k (above k = 100 CPython's **
+    takes exp/log).  A norm is one complex sum of conjugate products,
+    which rounds as per-coordinate squares (see _norm_code).  Powers
+    are shared across the polynomials and div, and so is each product
+    |c|·monomial, evaluated once under one name.
+
+    The values are bit-identical to a per-term loop that starts at 0j
+    and adds c·x_i**k_i··· with ** for every k ≥ 2, wherever every
+    monomial is finite, as at every point of an orbit, which is a unit
+    vector.  CPython computes x**2 as 1·(x·x), and 1·v is v but for the
+    sign of a zero part, as is −(|c|·m) against (−|c|)·m: negation
+    commutes with rounding to nearest, and a − t is a + (−t).  A zero
+    part only multiplies into zero parts, and a sum that starts at +0
+    never holds −0 (x + y is −0 only when both are), so the sign of a
+    zero part never reaches a value.
+
+    The orbit computes nrm, and checks it, only when nf is inf.  For a
+    finite nf ≥ TOL the computed norm of the n quotients fl(y/nf) lies
+    within (2n+4)·2^-53 of 1: the sum of 2n squares and its square root
+    give nf, and then the norm, a relative error below (n+1)·2^-53
+    each, and each quotient adds one of 2^-53.  That is far inside the
+    check's 1e-6, and a nan nf fails the check's comparison as well.  So
+    the check can fire only where the squares of ‖F(w)‖ overflow (a
+    10^160 coefficient does it), and there it raises the same
+    OrbitError at the same step as a check on every step.
     """
-    ns = {"sqrt": math.sqrt, "log": math.log, "TOL": _SINGULAR_TOL}
+    ns = {"sqrt": math.sqrt, "log": math.log, "TOL": _SINGULAR_TOL, "INF": math.inf}
     xs = [f"x{i}" for i in range(nvars)]
-    powers, values = {}, []
-    for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, _to_complex)):
-        prods = ["+ " + " * ".join([c] + [xs[i] if k == 1 else powers.setdefault((i, k), f"p{i}_{k}")
-                                          for i, k in factors])
-                 for _, c, factors in terms]
-        values += _chunked_sum(f"y{j}", "0j", prods)
+    powers, shared, values = {}, {}, []
+    for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, lambda c: _to_complex(abs(c)))):
+        parts = []
+        for c, name, factors in terms:
+            prod = [name] * (abs(c) != 1 or not factors)
+            prod += [xs[i] if k == 1 else powers.setdefault((i, k), f"p{i}_{k}") for i, k in factors]
+            term = " * ".join(prod)
+            if len(prod) > 1:
+                term = shared.setdefault((abs(c), factors), (f"t{len(shared)}", term))[0]
+            parts.append(("- " if c < 0 else "+ ") + term)
+        values += _chunked_sum(f"y{j}", "0j", parts)
     lines = [", ".join(xs) + ", = w"]
-    lines += [f"{name} = x{i}**{k}" for (i, k), name in powers.items()]
+    lines += [f"{name} = x{i} * x{i}" if k == 2 else f"{name} = x{i}**{k}" for (i, k), name in powers.items()]
+    lines += [f"{name} = {term}" for name, term in shared.values()]
     lines += values
     ys, us = [f"y{j}" for j in range(len(polys))], [f"u{j}" for j in range(len(polys))]
     lines.append(f"hv = y{len(polys)}" if div is not None else "hv = None")
     lines.append("nf = " + _norm_code(ys))
     quot = [f"{u} = {y} / nf" for u, y in zip(us, ys)]
     quot += [f"w = ({', '.join(us)},)", "nrm = " + _norm_code(us)]
-    return _generate(lines, quot, ns, log_f="log(nf)", log_h="log(ah)", div="/")
+    return _generate(lines, quot, ns, norm_when="nf == INF", log_f="log(nf)", log_h="log(ah)", div="/")
 
 
 # -log2 of the singular tolerance, rounded up: 47

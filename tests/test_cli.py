@@ -58,6 +58,7 @@ def files(tmp_path_factory):
         "id_map": root / "id.map",
         "mono_map": root / "mono.map",
         "huge_coeff_map": root / "huge_coeff.map",
+        "lost_norm_map": root / "lost_norm.map",
         "linear_map": root / "linear.map",
         "no_growth_map": root / "no_growth.map",
         "stable_fam": root / "stable.fam",
@@ -72,6 +73,8 @@ def files(tmp_path_factory):
     save_map(make_map([pp("t^2"), pp("-z*w - z*t"), pp("-z*w")]), paths["no_growth_map"])
     # F(1, 0.5, 0.3) has a norm near 1e200, whose square overflows a float
     save_map(make_map([pp("z^2") * 10**200, pp("w^2"), pp("t^2")]), paths["huge_coeff_map"])
+    # AS; at 53 bits the squares of |F(w)| overflow at most points of the unit sphere
+    save_map(make_map([pp(f"{10**160}*z^2 + w*t"), pp("w^2"), pp("t^2 + z*w")]), paths["lost_norm_map"])
     save_family(stable, paths["stable_fam"])
     return paths
 
@@ -523,6 +526,15 @@ class TestVerifyAll:
         payload = json.loads(out)
         validate(payload, schema("verify-all"))
         assert payload["verdict"] == "NotQAS" and payload["passed"] is False
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_lost_normalization_in_a_residual_orbit_is_a_precision_limit(self, files, capsys, precision):
+        # only an orbit that meets a singular locus skips its sample point
+        code, out, err = run(capsys, "verify-all", "--map", files["lost_norm_map"], "--n", 3,
+                             "--precision", precision)
+        assert (code, out) == (3, "")
+        assert err == ("error: orbit point lost normalization (norm 0.0) at 53 bits in a residual "
+                       "orbit; the residual orbits run at 53 bits whatever --precision is\n")
 
     def test_degree_one_map_trivially_passes(self, files, capsys):
         code, out, _ = run(

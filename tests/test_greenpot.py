@@ -10,6 +10,7 @@ recursion and both residual identities.
 import cmath
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -45,6 +46,14 @@ def stable():
     cert = infer_qas(iterate_degrees(inst.map, 3)).certificate
     rep = char_poly_roots(DegreeRecurrence(d=3, h=1, n0=1))
     return inst.map, cert, rep
+
+
+@pytest.fixture(scope="module")
+def family():
+    """The QAS map random_family(1, 2, 5, 1): ±1 coefficients and terms shared between components."""
+    f = random_family(1, 2, 5, 1).map
+    cert = infer_qas(iterate_degrees(f, 3)).certificate
+    return f, cert, char_poly_roots(DegreeRecurrence(d=cert.d, h=cert.h, n0=cert.n0))
 
 
 @pytest.fixture(scope="module")
@@ -533,9 +542,12 @@ class TestGrid:
          "c85998701ff524c9eb06c178ae042ab94422220fea1a37914ff56a96bb839680"),
         ((0.3 + 0.1j, 1, 0.4), (1, 0, 0), (0, 0, 1), False,
          "69a75a14a30f13a5190e7d882d363501963e325e39d4ff6e6477c9281a2d2c49"),
+        # the family map with its certificate: OK, HitDivisor and HitIndeterminacy nodes
+        ((0, 1, 0.5), (1, 0, 0), (0, 0, 1), "family",
+         "e9e6c5e04b3cd19ca0210e0ff4c671953e09a07e18901103931001d8a43bdf25"),
     ])
-    def test_csv_bytes_pinned(self, stable, tmp_path, base, e1, e2, with_cert, sha):
-        f, cert, rep = stable
+    def test_csv_bytes_pinned(self, stable, family, tmp_path, base, e1, e2, with_cert, sha):
+        f, cert, rep = family if with_cert == "family" else stable
         sl = gp.GridSlice(base=base, e1=e1, e2=e2)
         g = gp.grid_sample(f, cert if with_cert else None, rep, sl, 9, n_iters=32)
         gp.export_grid_csv(g, tmp_path / "g.csv")
@@ -774,6 +786,24 @@ def random_poly(rng, nvars, degree):
     return HomPoly(nvars, terms.items())
 
 
+def sharing_polys(rng, nvars, degree):
+    """Components P·Q_j − R with ±1 coefficients, and one monomial at c in the first, −c in the last.
+
+    The terms of R recur across the components, and so do products that
+    P·Q_j and P·Q_k have in common: the generator's shared terms.
+    """
+    signs = lambda p: HomPoly(nvars, [(e, rng.choice((1, -1, c))) for e, c in p.terms])
+    a = rng.randint(1, degree)
+    P, R = signs(random_poly(rng, nvars, a)), signs(random_poly(rng, nvars, degree))
+    comps = [dict((P * signs(random_poly(rng, nvars, degree - a)) - R).terms) for _ in range(nvars)]
+    m = [0] * nvars
+    for _ in range(degree):
+        m[rng.randrange(nvars)] += 1
+    c = rng.choice([1, rng.randint(2, 9), Fraction(rng.randint(1, 20), rng.randint(2, 13))])
+    comps[0][tuple(m)], comps[-1][tuple(m)] = c, -c
+    return tuple(HomPoly(nvars, terms.items()) for terms in comps)
+
+
 class TestGeneratedStep:
     ZEROS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0))
 
@@ -786,13 +816,15 @@ class TestGeneratedStep:
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_matches_loop_evaluator(self, nvars):
-        rng = random.Random(100 + nvars)
-        for degree in (1, 2, 3, 5):
-            polys = tuple(random_poly(rng, nvars, degree) for _ in range(nvars))
+        rng, shared = random.Random(100 + nvars), random.Random(200 + nvars)
+        inputs = [(rng, lambda degree: tuple(random_poly(rng, nvars, degree) for _ in range(nvars))),
+                  (shared, lambda degree: sharing_polys(shared, nvars, degree))]
+        for degree, (prng, make) in itertools.product((1, 2, 3, 5), inputs):
+            polys = make(degree)
             plain = gp._float_code(polys, nvars)
             step = gp._float_code(polys, nvars, polys[0])
             for _ in range(40):
-                w = self.point(rng, nvars)
+                w = self.point(prng, nvars)
                 nf, u, nrm, h = step(w)
                 assert repr(h) == repr(loop_evaluator(polys[0])(w))
                 assert (repr(nf), repr(u)) == tuple(map(repr, loop_step(polys, w)))
@@ -841,9 +873,12 @@ class TestGeneratedStep:
     def test_exponents_zero_one_and_large(self):
         p = HomPoly(2, [((0, 7), Fraction(-1, 3)), ((1, 6), 2), ((7, 0), Fraction(5, 2)), ((3, 4), -1)])
         q = HomPoly(2, [((2, 5), 1), ((0, 7), -4)])
+        # a divisor of degree 0: its one term is the bare coefficient
+        minus_one = HomPoly(2, [((0, 0), -1)])
         for w in ((1.5 - 0.25j, -0.0 + 0.5j), (complex(-0.0, -0.0), 1 + 0j), (0.75 + 0j, -1.25 - 0j)):
-            nf, u, _, _ = gp._float_code((p, q), 2)(w)
+            nf, u, _, h = gp._float_code((p, q), 2, minus_one)(w)
             assert (repr(nf), repr(u)) == tuple(map(repr, loop_step([p, q], w)))
+            assert repr(h) == repr(loop_evaluator(minus_one)(w))
 
     def test_ten_thousand_terms(self):
         # one flat sum this long exceeds the compiler's recursion limit
@@ -875,13 +910,16 @@ class TestGeneratedStep:
 
 
 class TestGeneratedOrbit:
-    @staticmethod
-    def maps(stable, extracting, mono):
-        fam = random_family(1, 2, 5, 1).map
+    # the squares of ‖F(w)‖ overflow at 53 bits, and the orbit loses its normalization
+    LOST_NORM = make_map([pp(f"{10**160}*z^2 + w*t"), pp("w^2"), pp("t^2 + z*w")])
+
+    @classmethod
+    def maps(cls, stable, extracting, mono, family):
         yield stable[:2]
         yield extracting, None
         yield mono, None
-        yield fam, infer_qas(iterate_degrees(fam, 3)).certificate
+        yield family[:2]
+        yield cls.LOST_NORM, None
 
     @staticmethod
     def points():
@@ -893,18 +931,26 @@ class TestGeneratedOrbit:
         yield Z_FROZEN
         for _ in range(6):
             yield tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
+        yield from ((1, 0.5, 0.25), (0.001, 1, 1))
 
     @pytest.mark.parametrize("precision", [53, 64, 128])
-    def test_matches_reference_loop(self, stable, extracting, mono, precision):
-        kinds = set()
-        for f, cert in self.maps(stable, extracting, mono):
+    def test_matches_reference_loop(self, stable, extracting, mono, family, precision):
+        outcomes = {}
+        for f, cert in self.maps(stable, extracting, mono, family):
             runner = gp._OrbitRunner(f, cert, 32, precision)
             for z in self.points():
                 w, gamma = runner.start(z)
                 want = outcome(reference_run, runner, w, gamma)
                 assert outcome(gp._OrbitRunner.run, runner, w, gamma) == want
-                kinds.add(want[0] if isinstance(want, tuple) else "OK")
-        assert kinds == {"OK", gp.OrbitHitDivisor, gp.OrbitHitIndeterminacy}
+                outcomes[f, z] = want
+        kinds = {want[0] if isinstance(want, tuple) else "OK" for want in outcomes.values()}
+        if precision > 53:
+            assert kinds == {"OK", gp.OrbitHitDivisor, gp.OrbitHitIndeterminacy}
+            return
+        assert kinds == {"OK", gp.OrbitHitDivisor, gp.OrbitHitIndeterminacy, gp.OrbitError}
+        lost = "orbit point lost normalization (norm 0.0)"
+        assert outcomes[self.LOST_NORM, (1, 0.5, 0.25)] == (gp.OrbitError, 1, lost)
+        assert outcomes[self.LOST_NORM, (0.001, 1, 1)] == (gp.OrbitError, 2, lost)
 
     @pytest.mark.parametrize("precision", [53, 128])
     def test_plain_runner_and_not_converged(self, stable, precision):
