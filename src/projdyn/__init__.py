@@ -25,6 +25,7 @@ from .polycore import (
     ZeroPolynomialDegree,
     coprime_certificate,
     coprime_certificate_many,
+    compose_all,
     exact_div,
     get_term_cap,
     int_primitive,

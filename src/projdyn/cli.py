@@ -329,13 +329,15 @@ def _run_green_grid(args):
     return EXIT_OK, payload, "\n".join(lines) + "\n"
 
 
-def _residual_suite(f, cert, rep, seed, precision):
+def _residual_suite(f, cert, rep, seed):
     """Deterministic functional-equation and telescope residual medians.
 
-    A sample point whose orbit meets the indeterminacy locus or the
+    Every residual orbit runs at 53 bits, whatever --precision is.  A
+    sample point whose orbit meets the indeterminacy locus or the
     divisor is skipped; any other OrbitError (a lost normalization or
     height) raises _ResidualOrbitLimit, exit 3.
     """
+    bits = 53
     rng = random.Random(seed)
 
     def unit_point():
@@ -351,16 +353,14 @@ def _residual_suite(f, cert, rep, seed, precision):
         attempts += 1
         z = unit_point()
         try:
-            fe.append(gp.functional_eq_residual(f, cert, rep, z, n_iters=40,
-                                                precision=precision))
-            ts.append(gp.telescope_residual(f, cert, rep, z, 2, n_iters=48,
-                                            precision=precision))
+            fe.append(gp.functional_eq_residual(f, cert, rep, z, n_iters=40, precision=bits))
+            ts.append(gp.telescope_residual(f, cert, rep, z, 2, n_iters=48, precision=bits))
         except (gp.OrbitHitIndeterminacy, gp.OrbitHitDivisor):
             continue
         except gp.OrbitError as exc:
             raise _ResidualOrbitLimit(
-                f"{exc} at {precision} bits in a residual orbit; the residual orbits run at "
-                f"{precision} bits whatever --precision is") from exc
+                f"{exc} at {bits} bits in a residual orbit; the residual orbits run at "
+                f"{bits} bits whatever --precision is") from exc
     if not fe:
         raise DegenerateLambda("no residual sample point escaped the singular loci")
     fe.sort()
@@ -428,7 +428,7 @@ def _run_verify_all(args):
     checks["sn_identity"] = PASS if sn_ok else FAIL
     passed &= sn_ok
 
-    fe_med, ts_med = _residual_suite(f, cert, rep, args.seed, 53)
+    fe_med, ts_med = _residual_suite(f, cert, rep, args.seed)
     checks["residual_median"] = repr(float(fe_med))
     checks["telescope_median"] = repr(float(ts_med))
     resid_ok = float(fe_med) < 1e-8 and float(ts_med) < 1e-6
@@ -532,6 +532,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with '-', such as --point -1,2,3,
+    # as an option; a vector option takes the next word as its value
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--point", "--base", "--e1", "--e2"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         code, payload, text = globals()[args.run](args)

@@ -24,6 +24,7 @@ from .polycore import (
     NotDivisible,
     ParseError,
     _dint_normalize,
+    compose_all,
     exact_div,
     int_primitive,
     parse_poly,
@@ -324,7 +325,7 @@ def compose_extract(f: ProjMap, lifting: Sequence[HomPoly], hint: Optional[HomPo
     lifting = tuple(lifting)
     if lifting[0].nvars != f.nvars:
         raise ArityMismatch("lifting arity does not match the map")
-    quot = tuple(c.compose(lifting) for c in f.components)
+    quot = compose_all(f.components, lifting)
     g = HomPoly.one(f.nvars)
     if hint is not None and not hint.is_zero and hint.degree > 0:
         h = int_primitive(hint).primitive
@@ -434,7 +435,7 @@ def verify_lifting_recurrence(
         raise IndexOutOfRange(
             f"step {n} outside the verified range ({cert.n0}, {cert.verified_to}]"
         )
-    lhs = tuple(c.compose(f.components) for c in trace.lifting(n - 1))
+    lhs = compose_all(trace.lifting(n - 1), f.components)
     divisor = cert.H ** cert.degrees[n - cert.n0 - 1]
     try:
         quot = _tuple_primitive(tuple(exact_div(left, divisor) for left in lhs))[1]

@@ -63,6 +63,7 @@ __all__ = [
     "DivisionByZero",
     "ZeroPolynomialDegree",
     "ResourceLimit",
+    "compose_all",
     "parse_poly",
     "poly_to_text",
     "poly_gcd",
@@ -362,56 +363,8 @@ class HomPoly:
     # -- composition, derivative, evaluation ---------------------------------------
 
     def compose(self, comps: Sequence["HomPoly"]) -> "HomPoly":
-        """Substitute ``comps[i]`` for variable ``i``.
-
-        All substituted polynomials must share an arity and (when
-        nonzero) a common degree, so the result stays homogeneous.
-        The sum is formed by Horner's rule in each variable in turn
-        (`_horner`).  A form with int coefficients and more terms than
-        every substitute, such as a lifting composed with the map, runs
-        it on rows (`_row_compose`) when the substitutes have int
-        coefficients and two or more variables; any other form, such as
-        a map component over a lifting, multiplies packed term dicts,
-        whose large products take the Kronecker route of `_pmul`.
-        """
-        comps = tuple(comps)
-        if len(comps) != self.nvars:
-            raise ArityMismatch(
-                f"{self.nvars} variables need {self.nvars} substitutes, got {len(comps)}"
-            )
-        nv2 = comps[0].nvars
-        for q in comps:
-            if q.nvars != nv2:
-                raise ArityMismatch("substituted polynomials disagree on arity")
-        degs = {q._degree for q in comps if not q.is_zero}
-        if len(degs) > 1:
-            raise DegreeMismatch(f"substituted degrees differ: {sorted(degs)}")
-        if self.is_zero:
-            return HomPoly.zero(nv2)
-        if not degs:
-            # every substitute is zero: only a constant survives
-            const = [c for e, c in self.terms if sum(e) == 0]
-            return HomPoly.constant(nv2, const[0]) if const else HomPoly.zero(nv2)
-        out_deg = self._degree * degs.pop()
-        _guard(_monomial_bound(out_deg, nv2))
-        # every intermediate below is homogeneous of degree <= out_deg
-        width = _field_width(out_deg)
-        powers = [{0: {0: 1}, 1: _pack_dict(dict(q.terms), width)} for q in comps]
-        if (
-            nv2 > 1
-            and len(self.terms) > max(len(q.terms) for q in comps)
-            and all(type(c) is int for _, c in chain(self.terms, *(q.terms for q in comps)))
-        ):
-            return HomPoly._new(nv2, _row_compose(self.terms, powers, width, nv2, out_deg), out_deg)
-
-        def times(acc, i, k):
-            return _pmul(acc, _ppower(powers[i], k, width, nv2), width, nv2)
-
-        def leaf(i, k, c):
-            return {key: c * v for key, v in _ppower(powers[i], k, width, nv2).items()}
-
-        acc = _horner(self.terms, 0, len(self.terms), 0, times, leaf)
-        return HomPoly._new(nv2, _unpack_dict(acc, nv2, width), out_deg)
+        """Substitute ``comps[i]`` for variable ``i``: the one-form case of `compose_all`."""
+        return compose_all((self,), comps)[0]
 
     def partial(self, index: int) -> "HomPoly":
         """Formal partial derivative with respect to variable ``index``."""
@@ -449,6 +402,57 @@ class HomPoly:
         if total is None:
             return Fraction(0) if exact else 0.0
         return Fraction(total) if exact else total
+
+
+def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tuple:
+    """``tuple(f.compose(substitutes) for f in forms)``, composed in one pass.
+
+    ``substitutes[i]`` replaces variable ``i`` of every form.  The
+    substitutes must share an arity and (when nonzero) a common degree,
+    so each result stays homogeneous.  Each sum is formed by Horner's
+    rule in each variable in turn (`_horner_all`).  A form with int
+    coefficients and more terms than every substitute, such as a lifting
+    composed with the map, runs it on rows (`_row_compose`) when the
+    substitutes have int coefficients and two or more variables; any
+    other form, such as a map component over a lifting, multiplies
+    packed term dicts, whose large products take the Kronecker route of
+    `_pmul`.  The forms share one table of the substitutes' packed
+    powers, the row forms one slot width, and the forms of each route
+    the unscaled product of every single-term run.
+    """
+    forms, comps = tuple(forms), tuple(substitutes)
+    for f in forms:
+        if f.nvars != len(comps):
+            raise ArityMismatch(f"{f.nvars} variables need {f.nvars} substitutes, got {len(comps)}")
+    nv2 = comps[0].nvars
+    for q in comps:
+        if q.nvars != nv2:
+            raise ArityMismatch("substituted polynomials disagree on arity")
+    degs = {q._degree for q in comps if not q.is_zero}
+    if len(degs) > 1:
+        raise DegreeMismatch(f"substituted degrees differ: {sorted(degs)}")
+    # with every substitute zero, every sum but a constant form's is empty
+    d = max(degs, default=0)
+    tops = [f._degree * d for f in forms]
+    terms = [f.terms for f in forms]
+    _guard(_monomial_bound(max(tops, default=0), nv2))
+    # every intermediate below is homogeneous of degree <= max(tops)
+    width = _field_width(max(tops, default=0))
+    powers = [{0: {0: 1}, 1: _pack_dict(dict(q.terms), width)} for q in comps]
+    ints = nv2 > 1 and all(type(c) is int for _, c in chain(*(q.terms for q in comps)))
+    most = max(len(q.terms) for q in comps)
+    on_rows = [ints and len(t) > most and all(type(c) is int for _, c in t) for t in terms]
+    row_forms = [(t, top) for t, top, r in zip(terms, tops, on_rows) if r]
+    rows = iter(_row_compose(row_forms, powers, width, nv2) if row_forms else ())
+
+    def times(acc, i, k):
+        return _pmul(acc, _ppower(powers[i], k, width, nv2), width, nv2)
+
+    packed = iter(_horner_all([t for t, r in zip(terms, on_rows) if not r], times))
+    return tuple(
+        HomPoly._new(nv2, next(rows) if r else _unpack_dict(next(packed), nv2, width), top)
+        for r, top in zip(on_rows, tops)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +641,14 @@ def _horner(terms, lo: int, hi: int, i: int, times, leaf) -> dict:
     The slice is in descending order and its exponents agree before slot
     i, so it splits into runs of equal e_i.  Horner's rule in variable i
     multiplies the running sum by a power of q_i between runs, as
-    times(acc, i, k) = acc * q_i^k.  In the last slot homogeneity leaves
-    a single term, leaf(i, e_i, c) = c * q_i^(e_i).  The two callbacks
-    fix the representation: packed term dicts or rows.
+    times(acc, i, k) = acc * q_i^k.  A single term, which homogeneity
+    leaves in the last slot, is leaf(e, i, c) = c * prod_{j >= i}
+    q_j^(e_j).  The two callbacks fix the representation: packed term
+    dicts or rows.
     """
-    if i == len(terms[lo][0]) - 1:
+    if hi - lo == 1:
         e, c = terms[lo]
-        return leaf(i, e[i], c)
+        return leaf(e, i, c)
     acc: dict = {}
     prev = 0
     j = lo
@@ -661,6 +666,31 @@ def _horner(terms, lo: int, hi: int, i: int, times, leaf) -> dict:
         prev = k
         j = m
     return times(acc, i, prev) if prev else acc
+
+
+def _horner_all(forms, times) -> list:
+    """`_horner` over each tuple of terms in forms, with one leaf product per distinct tail.
+
+    The leaf of a single term c * x_i^(e_i) ... x_{n-1}^(e_{n-1}) is c
+    times P(e_i, ..., e_{n-1}) = prod_{j >= i} q_j^(e_j).  P is formed
+    once across the forms and memoised, as times(P(e_{i+1}, ...), i,
+    e_i) from P() = 1, which is {0: 1} both packed and as rows.
+    """
+    memo = {(): {0: 1}}
+
+    def product(e, i):
+        p = memo.get(e[i:])
+        if p is None:
+            p = product(e, i + 1)
+            if e[i]:
+                p = times(p, i, e[i])
+            memo[e[i:]] = p
+        return p
+
+    def leaf(e, i, c):
+        return {key: c * v for key, v in product(e, i).items()}
+
+    return [_horner(terms, 0, len(terms), 0, times, leaf) for terms in forms]
 
 
 # -- rows: a homogeneous int polynomial as Kronecker images of binary forms ---
@@ -717,24 +747,23 @@ def _row_decode(rows: dict, width: int, nvars: int, top: int, s: int) -> dict | 
     return out
 
 
-def _row_compose(terms, powers: list, width: int, nvars: int, top: int) -> dict:
-    """Tuple-keyed sum of c * prod_i q_i^(e_i) over terms, by Horner's rule on rows.
+def _row_compose(forms, powers: list, width: int, nvars: int) -> list:
+    """Tuple-keyed sums of c * prod_i q_i^(e_i) over each form's terms, by Horner's rule on rows.
 
-    powers[i] holds the packed q_i^0 and q_i^1 (`_ppower`'s memo); every
-    coefficient is an int and the output has degree top in nvars >= 2
-    variables.  Each output coefficient is at most
-    B = sum |c| prod_i max(1, ||q_i||_1)^(e_i), as the 1-norm is
-    submultiplicative, so slots of s bytes with 2^(8s-1) > B decode the
-    result once at the end; the same B bounds every coefficient of a leaf
-    q_last^e.  Multiplying the running sum by a power of q_i shifts and
-    adds its rows once per term of the power, which is few for the
-    few-term substitutes this route is taken for.
+    forms holds (terms, top) pairs; powers[i] holds the packed q_i^0 and
+    q_i^1 (`_ppower`'s memo); every coefficient is an int and each
+    output has degree top in nvars >= 2 variables.  Each output
+    coefficient is at most B = sum |c| prod_i max(1, ||q_i||_1)^(e_i),
+    as the 1-norm is submultiplicative, so slots of s bytes with
+    2^(8s-1) above every form's B decode each result once at the end.
+    Multiplying the running sum by a power of q_i shifts and adds its
+    rows once per term of the power, which is few for the few-term
+    substitutes this route is taken for.
     """
     norms = [max(1, sum(map(abs, p[1].values()))) for p in powers]
-    bound = sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in terms)
+    bound = max(sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in t) for t, _ in forms)
     s = _slot_bytes(bound)
     shifted = [{} for _ in powers]
-    leaves: dict = {}
 
     def times(acc, i, k):
         pw = shifted[i].get(k)
@@ -748,14 +777,9 @@ def _row_compose(terms, powers: list, width: int, nvars: int, top: int) -> dict:
                 out[key] = get(key, 0) + (v * c << sh)
         return out
 
-    def leaf(i, k, c):
-        rows = leaves.get(k)
-        if rows is None:
-            rows = leaves[k] = _row_ints(_ppower(powers[i], k, width, nvars), width, s)
-        return {key: c * v for key, v in rows.items()}
-
-    out = _row_decode(_horner(terms, 0, len(terms), 0, times, leaf), width, nvars, top, s)
-    assert out is not None, "composition outgrew its slot bound"
+    sums = _horner_all([t for t, _ in forms], times)
+    out = [_row_decode(rows, width, nvars, top, s) for rows, (_, top) in zip(sums, forms)]
+    assert None not in out, "composition outgrew its slot bound"
     return out
 
 
@@ -1175,19 +1199,23 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
     divide a lex-leading coefficient; gamma times the monic image mod p
     is combined by CRT in the symmetric range with earlier images of the
     same lex-leading monomial.  An image with a larger monomial is
-    dropped and a smaller one restarts.  Once the CRT result stops
-    changing, its primitive part G, rehomogenized, is tried against
-    every member by exact division.
+    dropped and a smaller one restarts.  Once the CRT result has
+    coefficients below the square root of the modulus, already after
+    the first prime when they are small, or stops changing, its
+    primitive part G, rehomogenized, is tried against every member by
+    exact division; a candidate that fails, a wrong one or one from an
+    unlucky prime, costs only that division, and the next prime follows.
 
-    Maximality.  Let g be the gcd over Z.  At a prime p that divides
-    no lex-leading coefficient, p does not divide lc(g), so g mod p
-    keeps the lex-leading monomial LM(g), and it divides the gcd mod p;
-    `_modp_gcd_mv` returns that gcd or a polynomial with a larger
-    monomial.  So LM(g) <= L, the monomial of the images behind G, and
-    LM(G) = L because the CRT coefficient there is gamma, which no prime
-    used divides.  G divides every member, hence g, so g / G has
-    lex-leading monomial LM(g) / L = 1 and is a constant.  For the same
-    reason a constant image proves the gcd constant.  `poly_gcd_many`
+    Maximality, after any number of primes, one included.  Let g be the
+    gcd over Z.  At a prime p that divides no lex-leading coefficient,
+    p does not divide lc(g), so g mod p keeps the lex-leading monomial
+    LM(g), and it divides the gcd mod p; `_modp_gcd_mv` returns that
+    gcd or a polynomial with a larger monomial.  So LM(g) <= L, the
+    monomial of the images behind G, even with one image, and LM(G) = L
+    because the CRT coefficient there is gamma, which no prime used
+    divides.  G divides every member, hence g, so g / G has lex-leading
+    monomial LM(g) / L = 1 and is a constant.  For the same reason a
+    constant image proves the gcd constant.  `poly_gcd_many`
     calls the engine only when `_coprime_image` declines: that needs no
     leading-coefficient gcd, interpolation bound or content, as a pure
     power prime to p keeps the gcd's degree in a single univariate image.
@@ -1217,7 +1245,7 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
             if c:
                 new[e] = c - mod * p if 2 * c > mod * p else c
         mod *= p
-        if new == acc:
+        if new == acc or max(map(abs, new.values())) ** 2 < mod:
             _, g = _dint_normalize(new)
             top = max(map(sum, g))
             g = {e + (top - sum(e),): c for e, c in g.items()}

@@ -393,6 +393,13 @@ class TestGreenPoint:
         code, out, err = run(capsys, *args, f"--tol={tol}")
         assert code == 2 and out == "" and "converge_tol" in err
 
+    def test_point_that_starts_with_a_minus(self, files, capsys):
+        # argparse alone reads "-1,2,3" as an option and exits 2 with "expected one argument"
+        spaced = run(capsys, "green-point", "--map", files["stable_map"], "--point", "-1,2,3")
+        joined = run(capsys, "green-point", "--map", files["stable_map"], "--point=-1,2,3")
+        assert spaced == joined
+        assert spaced[0] == 0 and "u 1.224508559749691\n" in spaced[1]
+
 
 class TestGreenGrid:
     def test_grid_run_with_exports(self, files, capsys):
@@ -446,6 +453,16 @@ class TestGreenGrid:
         payload = json.loads(out)
         validate(payload, schema("green-grid"))
         assert sum(int(v) for v in payload["counts"].values()) == 9
+
+    def test_vectors_that_start_with_a_minus(self, files, capsys):
+        vectors = {"--base": "-0.5,0,1", "--e1": "-1,0,0", "--e2": "0,-1,0"}
+        tail = ("--resolution", 5, "--json")
+        spaced = run(capsys, "green-grid", "--map", files["stable_map"],
+                     *(w for pair in vectors.items() for w in pair), *tail)
+        joined = run(capsys, "green-grid", "--map", files["stable_map"],
+                     *(f"{k}={v}" for k, v in vectors.items()), *tail)
+        assert spaced == joined and spaced[0] == 0
+        assert json.loads(spaced[1])["counts"] == {"HitDivisor": "4", "HitIndeterminacy": "1", "OK": "20"}
 
     def test_orbit_beyond_the_precision_is_a_resource_limit(self, files, capsys):
         code, out, err = run(

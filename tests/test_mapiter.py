@@ -614,6 +614,21 @@ def test_digest_frozen_and_stable(cubic_lag1):
     assert certificate_digest(iterate_degrees(cubic_lag1, 3), h) == d
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("cubic_extracting", "a49820c7e4fee0ea337e03201bc8d8d1c1db3d9fc5f4f674d9943d52e171c70f"),
+        ("cubic_lag1", "afc37759779bef6b1a3f6eb353239ee987afe395409d98ea841294a25a3d3189"),
+    ],
+)
+def test_digest_at_depth_four_is_pinned(request, name, digest):
+    # as verify-all --n 4 prints it: every lifting and the certificate's
+    # divisor, if any, printed canonically
+    tr = iterate_degrees(request.getfixturevalue(name), 4)
+    cert = infer_qas(tr).certificate
+    assert certificate_digest(tr, cert.H if cert else None) == digest
+
+
 def test_digest_depends_on_divisor(cubic_lag1):
     tr = iterate_degrees(cubic_lag1, 3)
     assert certificate_digest(tr, p("z")) != certificate_digest(tr, None)

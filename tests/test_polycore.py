@@ -20,6 +20,7 @@ from projdyn import (
     ZeroPolynomialDegree,
     coprime_certificate,
     coprime_certificate_many,
+    compose_all,
     exact_div,
     get_term_cap,
     int_primitive,
@@ -32,6 +33,8 @@ from projdyn import (
     set_term_cap,
 )
 from projdyn import polycore
+from projdyn.family2 import random_family
+from projdyn.mapiter import iterate_degrees, make_map
 from projdyn.polycore import (
     _KRONECKER_MIN_PAIRS,
     _dadd,
@@ -923,6 +926,48 @@ def test_image_declines_without_a_pure_power(routes):
     assert routes["image"] == [False, False] and routes["engine"] == 2
 
 
+@pytest.fixture
+def primes(monkeypatch):
+    """The distinct primes the modular engine worked at, in order, through a spy on `_modp_gcd_mv`."""
+    seen = []
+    image = polycore._modp_gcd_mv
+
+    def spy(polys, p):
+        if p not in seen:
+            seen.append(p)
+        return image(polys, p)
+
+    monkeypatch.setattr(polycore, "_modp_gcd_mv", spy)
+    return seen
+
+
+def test_engine_proves_a_small_gcd_on_its_first_prime(routes, primes):
+    # as in test_image_declines_without_a_pure_power, the engine decides; the
+    # gcd's coefficients are small against 2^61 - 1, so the first image's
+    # candidate divides every member and the run ends there
+    q, r1, r2 = P("z*w + w*t + 2*z*t"), P("z*w - 3*w*t + z*t"), P("2*z*w + w*t - z*t")
+    members = [q * r1, q * r2, q * r1 * r2]
+    assert poly_gcd_many(members) == q
+    assert routes["engine"] == 1 and primes == [(1 << 61) - 1]
+    xs = _symbols(3)
+    expect = sympy.gcd_list([_to_sympy(m, xs) for m in members])
+    assert same_up_to_scalar(q, HomPoly(3, _from_sympy(expect, xs).items()))
+
+
+def test_engine_goes_on_past_a_candidate_too_large_for_one_prime(routes, primes):
+    # q's coefficient 2^70 + 3 does not fit the symmetric range mod 2^61 - 1:
+    # one image gives a wrong candidate, and further primes give q exactly
+    q = P(f"z + {2**70 + 3}*w - 3*t")
+    rng = random.Random(4242)
+    members = [q * _int_form(rng, 3, 3, 9, 6) for _ in range(3)]
+    got = poly_gcd_many(members)
+    assert got == q
+    assert routes["engine"] == 1 and len(primes) > 1
+    xs = _symbols(3)
+    expect = sympy.gcd_list([_to_sympy(m, xs) for m in members])
+    assert same_up_to_scalar(got, HomPoly(3, _from_sympy(expect, xs).items()))
+
+
 def test_is_prime_matches_sympy():
     # strong pseudoprimes to the bases 2..7, 2..13 and 2..23, then Carmichael
     # numbers (6k+1)(12k+1)(18k+1) with factors above 37, where a witness can
@@ -1294,3 +1339,81 @@ def test_row_div_with_a_forced_narrow_slot(rows, monkeypatch, nvars):
         with pytest.raises(NotDivisible):
             divide(a * den + c, den)
         assert rows["div"][0][2] == 1
+
+
+# -- one-pass composition of several forms -----------------------------------------
+
+
+def _exact(polys):
+    """Each polynomial's terms with the type of each coefficient, for a term-for-term comparison."""
+    return [[(e, type(c), c) for e, c in p.terms] for p in polys]
+
+
+def _one_by_one(forms, subs):
+    return tuple(f.compose(subs) for f in forms)
+
+
+@pytest.fixture(scope="module")
+def maps():
+    """The stable cubic with its depth-3 lifting, and a quartic family map with its depth-2 one.
+
+    The quartic's depth-3 lifting has 1586 terms a component, and one
+    composition with it takes most of a minute.
+    """
+    stable = make_map([P("z^2*t + z*w^2 - 2*w^2*t"), P("z^2*w + z*t^2 - 2*w^2*t"),
+                       P("2*z*w*t - 2*w^2*t")])
+    quartic = random_family(1, 3, 5, 0).map
+    return [(stable, iterate_degrees(stable, 3).lifting(3)),
+            (quartic, iterate_degrees(quartic, 2).lifting(2))]
+
+
+def test_compose_all_of_a_map_over_its_lifting(maps, rows):
+    # few-term forms over many-term substitutes: packed Horner, where the
+    # family map's components P*Q_j - R share the terms of R
+    for f, lifting in maps:
+        assert _exact(compose_all(f.components, lifting)) == _exact(_one_by_one(f.components, lifting))
+    assert rows["compose"] == 0
+
+
+def test_compose_all_of_a_lifting_over_its_map(maps, rows):
+    # many-term forms over few-term substitutes: one row pass, in slots wide
+    # enough for the form with the largest bound; a multiple of a component
+    # by 2^100 needs wider slots than the others
+    for f, lifting in maps:
+        forms = (*lifting, lifting[0] * 2**100)
+        norms = [sum(abs(c) for _, c in q.terms) for q in f.components]
+        bounds = [sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in g.terms) for g in forms]
+        assert len(set(bounds[:3])) > 1 and len({b.bit_length() // 8 for b in bounds}) > 1
+        got = compose_all(forms, f.components)
+        assert rows["compose"] == 1
+        assert _exact(got) == _exact(_one_by_one(forms, f.components))
+        rows["compose"] = 0
+
+
+def test_compose_all_mixes_routes_zero_forms_and_fractions(maps):
+    f, lifting = maps[0]
+    forms = (lifting[0], HomPoly.zero(3), lifting[1] * Fraction(2, 3), HomPoly.constant(3, -5),
+             f.components[2] * Fraction(1, 7))
+    got = compose_all(forms, f.components)
+    assert got[1] == HomPoly.zero(3) and got[3] == HomPoly.constant(3, -5)
+    assert _exact(got) == _exact(_one_by_one(forms, f.components))
+    zeros = [HomPoly.zero(2)] * 3
+    assert compose_all(forms, zeros) == (HomPoly.zero(2),) * 3 + (HomPoly.constant(2, -5), HomPoly.zero(2))
+
+
+def test_compose_all_rejects_substitutes_of_mixed_degree(maps):
+    f, lifting = maps[0]
+    with pytest.raises(DegreeMismatch):
+        compose_all(f.components, (lifting[0], lifting[1], P("z")))
+    with pytest.raises(ArityMismatch):
+        compose_all((f.components[0], HomPoly.variable(2, 0)), lifting)
+
+
+def test_compose_all_matches_sympy():
+    rng = random.Random(3001)
+    xs = _symbols(3)
+    forms = [_random_form(rng, 3, 3, 6) for _ in range(3)] + [_random_form(rng, 3, 2, 25)]
+    qs = [_random_form(rng, 3, 2, 4) for _ in range(3)]
+    sub = dict(zip(xs, (_to_sympy(q, xs) for q in qs)))
+    for got, form in zip(compose_all(forms, qs), forms):
+        _assert_same(got, sympy.expand(_to_sympy(form, xs).xreplace(sub)), xs)
