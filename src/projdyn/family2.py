@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .mapiter import (
+    MapError,
     NotDominant,
     ProjMap,
     _default_names,
@@ -50,6 +51,7 @@ from .mapiter import (
 from .polycore import (
     HomPoly,
     ParseError,
+    PolyError,
     _TOP_PRIME,
     _dint_normalize,
     _is_prime,
@@ -219,15 +221,21 @@ def build_family_map(P, Q1, Q2, Q3, R, names: Optional[Sequence[str]] = None) ->
     comps = tuple(P * q - R for q in (Q1, Q2, Q3))
     if any(c.is_zero for c in comps):
         raise CommonFactor("a component P*Qj - R vanishes identically")
-    g = poly_gcd_many(comps)
+    # make_map records the factor it divides out; when it refuses the map, a
+    # shared factor is still the error reported.  No d = deg P + deg Q1 < 2
+    # gets past make_map: by Euler's identity and the calibration the Jacobian
+    # at (1, 1, 1) kills (1, 1, 1), and for d <= 1 it is constant
+    try:
+        f = make_map(comps, names)
+    except (MapError, PolyError):
+        if (g := poly_gcd_many(comps)).degree == 0:
+            raise
+    else:
+        g = f.normalization.primitive
     if g.degree > 0:
         raise CommonFactor(
             f"components share the factor {poly_to_text(g, names or _default_names(3))}"
         )
-    # no d = deg P + deg Q1 < 2 gets past make_map: by Euler's identity and
-    # the calibration the Jacobian at (1, 1, 1) kills (1, 1, 1), and for
-    # d <= 1 it is constant, so the map is not dominant
-    f = make_map(comps, names)
     rec = DegreeRecurrence(d=P.degree + dq, h=P.degree, n0=1)
     return FamilyInstance(P=P, Q1=Q1, Q2=Q2, Q3=Q3, R=R, map=f, recurrence=rec)
 
@@ -774,8 +782,8 @@ _FAMILY_KEYS = ("P", "Q1", "Q2", "Q3", "R")
 def parse_family_text(text: str) -> FamilyInstance:
     """Parse a family file: vars line, optional map lines, and the five forms.
 
-    Map lines, when present, must agree with the map built from the
-    forms once normalized by `_extract`, as `make_map` normalizes.
+    Map lines, when present, must equal the map built from the forms as
+    `family_to_text` writes it, or once normalized by `_extract`.
     """
     names = None
     maps = []
@@ -808,7 +816,8 @@ def parse_family_text(text: str) -> FamilyInstance:
             raise ParseError("a family file needs exactly three map lines when present")
         if not any(maps):
             raise ParseError("all components are zero")
-        if _extract(tuple(maps), HomPoly.one(3))[1] != inst.map.components:
+        maps, comps = tuple(maps), inst.map.components
+        if maps != comps and _extract(maps, HomPoly.one(3))[1] != comps:
             raise ParseError("map lines disagree with the map induced by the forms")
     return inst
 

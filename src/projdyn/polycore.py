@@ -1002,16 +1002,18 @@ def _specialize_univar(d: dict, x: int, vals: dict[int, int], p: int) -> list[in
 
 
 def _modp_gcd(A: list[int], B: list[int], p: int) -> list[int]:
-    """Monic gcd of two univariate polynomials over GF(p), low-to-high coefficients."""
-    a = [c % p for c in A]
-    b = [c % p for c in B]
-    a, b = _utrim(a), _utrim(b)
+    """Monic gcd of two univariate polynomials over GF(p), low-to-high coefficients.
+
+    The divisors of the Euclid steps are not made monic: the inverse of
+    each one's leading coefficient scales its subtraction factor.
+    """
+    a = _utrim([c % p for c in A])
+    b = _utrim([c % p for c in B])
     while b:
         inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
         while len(a) >= len(b):
-            # subtract a[-1] * x^off * b; the top coefficient cancels
-            f, off = a[-1], len(a) - len(b)
+            # subtract (a[-1] / b[-1]) * x^off * b; the top coefficient cancels
+            f, off = a[-1] * inv % p, len(a) - len(b)
             a[off:] = [(x - f * y) % p for x, y in zip(a[off:-1], b)]
             _utrim(a)
         a, b = b, a
@@ -1375,17 +1377,13 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    """(kind, text) tokens, the kind named by the group of `_TOKEN` that matched."""
     out = []
     for m in _TOKEN.finditer(text):
-        num, name, op, bad = m.groups()
-        if bad is not None:
-            raise ParseError(f"unexpected character {bad!r} at offset {m.start()}")
-        if num is not None:
-            out.append(("int", num))
-        elif name is not None:
-            out.append(("name", name))
-        else:
-            out.append(("op", op))
+        kind = ("int", "name", "op", "bad")[m.lastindex - 1]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r} at offset {m.start()}")
+        out.append((kind, m.group()))
     out.append(("end", ""))
     return out
 
@@ -1397,6 +1395,11 @@ class _Parser:
     term     := factor ('*' factor)*
     factor   := rational | var ['^' uint] | '(' expr ')'
     rational := uint ['/' uint]
+
+    A term's rationals and variable powers collect into one coefficient
+    and one exponent vector, and `expr` adds each term into one dict in
+    place, so a parse is linear in its terms.  Only parenthesised
+    factors multiply dicts; the monomial multiplies their product last.
     """
 
     def __init__(self, text: str, names: Sequence[str]):
@@ -1414,83 +1417,66 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
-
-    def parse(self) -> dict:
-        d = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input starting at {val!r}")
-        return d
-
     def expr(self) -> dict:
-        kind, val = self.peek()
-        negate = kind == "op" and val == "-"
-        if negate:
+        acc: dict = {}
+        sign = 1
+        if self.peek() == ("op", "-"):
             self.take()
-        d = self.term()
-        if negate:
-            d = {e: -c for e, c in d.items()}
+            sign = -1
         while True:
+            self.term(acc, sign)
             kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                t = self.term()
-                if val == "-":
-                    t = {e: -c for e, c in t.items()}
-                d = _dadd(d, t)
-            else:
-                return d
+            if kind != "op" or val not in "+-":
+                return acc
+            self.take()
+            sign = 1 if val == "+" else -1
 
-    def term(self) -> dict:
-        d = self.factor()
+    def term(self, acc: dict, sign: int) -> None:
+        """Add sign times the next term into acc, in place."""
+        c, e, d = sign, [0] * self.nvars, None
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                d = _dmul(d, self.factor())
-            else:
-                return d
-
-    def factor(self) -> dict:
-        kind, val = self.take()
-        if kind == "int":
-            num = int(val)
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3 = self.take()
-                if k3 != "int":
-                    raise ParseError(f"expected denominator digits, found {v3!r}")
-                den = int(v3)
+            kind, val = self.take()
+            if kind == "int":
+                den = self.digits("/", "denominator")
                 if den == 0:
                     raise ParseError("zero denominator")
-                c = Fraction(num, den)
+                c *= int(val) if den is None else Fraction(int(val), den)
+            elif kind == "name":
+                if val not in self.index:
+                    raise UnknownVariable(f"unknown variable {val!r}; have {self.names}")
+                k = self.digits("^", "exponent")
+                e[self.index[val]] += 1 if k is None else k
             else:
-                c = num
-            return {(0,) * self.nvars: c} if c else {}
-        if kind == "name":
-            if val not in self.index:
-                raise UnknownVariable(f"unknown variable {val!r}; have {self.names}")
-            i = self.index[val]
-            e = 1
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "^":
-                self.take()
-                k3, v3 = self.take()
-                if k3 != "int":
-                    raise ParseError(f"expected exponent digits, found {v3!r}")
-                e = int(v3)
-            exps = tuple(e if j == i else 0 for j in range(self.nvars))
-            return {exps: 1}
-        if kind == "op" and val == "(":
-            d = self.expr()
-            self.expect_op(")")
-            return d
-        raise ParseError(f"unexpected token {val!r}")
+                sub = self.factor(kind, val)
+                d = sub if d is None else _dmul(d, sub)
+            if self.peek() != ("op", "*"):
+                break
+            self.take()
+        if d is None:
+            d = {tuple(e): c}
+        elif c != 1 or any(e):
+            d = _dmul(d, {tuple(e): c})
+        _pacc(acc, d)
+
+    def digits(self, op: str, what: str) -> int | None:
+        """The uint after an optional op, None without the op."""
+        if self.peek() != ("op", op):
+            return None
+        self.take()
+        kind, val = self.take()
+        if kind != "int":
+            raise ParseError(f"expected {what} digits, found {val!r}")
+        return int(val)
+
+    def factor(self, kind: str, val: str) -> dict:
+        """The parenthesised factor that the token (kind, val) opens."""
+        if kind != "op" or val != "(":
+            raise ParseError(f"unexpected token {val!r}")
+        d = self.expr()
+        kind, val = self.take()
+        if kind != "op" or val != ")":
+            raise ParseError(f"expected ')', found {val!r}")
+        return d
 
 
 def parse_poly(text: str, names: Sequence[str]) -> HomPoly:
@@ -1502,7 +1488,11 @@ def parse_poly(text: str, names: Sequence[str]) -> HomPoly:
     """
     if len(set(names)) != len(tuple(names)):
         raise ParseError(f"duplicate variable names in {list(names)}")
-    d = _Parser(text, names).parse()
+    parser = _Parser(text, names)
+    d = parser.expr()
+    kind, val = parser.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input starting at {val!r}")
     degrees = {sum(e) for e in d}
     if len(degrees) > 1:
         raise NonHomogeneous(

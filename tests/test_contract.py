@@ -1,0 +1,84 @@
+"""The command-line contract under seeded random inputs.
+
+Every input either works or gets its documented exit code: 0 or 1 for
+a verdict, 2 for an input the command refuses, 3 for a precision or
+resource limit, and never 4.  A fixed seed draws family instances and
+maps; every JSON payload validates against its schema under
+docs/schemas/, and a second run of the same commands prints the same
+bytes and writes the same files.
+"""
+
+import json
+import random
+from pathlib import Path
+
+from jsonschema import validate
+
+from projdyn.cli import main
+from projdyn.family2 import random_family
+from projdyn.mapiter import map_to_text
+from projdyn.polycore import poly_to_text, random_hompoly
+
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+NAMES = ("z", "w", "t")
+
+
+def _random_map_text(rng, i: int) -> str:
+    """A P^2 map: every fourth one a family instance's, the others of degree 2
+    or 3 with 1 to 4 terms per component, sometimes with coefficients up to
+    10^20 or a common linear factor."""
+    if i % 4 == 0:
+        return map_to_text(random_family(rng.randint(1, 2), 2, 5, rng.randrange(100)).map)
+    deg = rng.randint(2, 3)
+    bound = rng.choice((3, 50, 10**20))
+    comps = [random_hompoly(rng, 3, deg, rng.randint(1, 4), bound) for _ in range(3)]
+    if rng.random() < 0.25:
+        common = random_hompoly(rng, 3, 1, 2, 5)
+        comps = [c * common for c in comps]
+    return "vars z w t\n" + "".join(f"map {poly_to_text(c, NAMES)}\n" for c in comps)
+
+
+def _commands(seed: int, root: Path) -> list[list]:
+    """20 family-gen and family-check pairs and 20 maps under degrees and infer-qas."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(20):
+        fam = root / f"family{i}.txt"
+        out.append(["family-gen", "--deg-p", rng.randint(1, 3), "--deg-q", rng.choice((1, 2, 2, 3, 3)),
+                    "--coeff-bound", rng.choice((1, 5, 50)), "--seed", rng.randrange(100), "--out", fam])
+        out.append(["family-check", "--family", fam])
+    for i in range(20):
+        path = root / f"map{i}.map"
+        path.write_text(_random_map_text(rng, i))
+        out.append(["degrees", "--map", path, "--n", 3])
+        out.append(["infer-qas", "--map", path, "--n", 3])
+    return out
+
+
+def _run(capsys, argv) -> tuple:
+    code = main([str(a) for a in argv] + ["--json"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_random_inputs_keep_the_exit_codes_schemas_and_bytes(tmp_path, capsys):
+    commands = _commands(2037, tmp_path)
+    schemas = {
+        name: json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
+        for name in {argv[0] for argv in commands}
+    }
+    first = [_run(capsys, argv) for argv in commands]
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    codes = {}
+    for argv, (code, out, err) in zip(commands, first):
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        codes.setdefault(argv[0], set()).add(code)
+        if code in (0, 1):
+            validate(json.loads(out), schemas[argv[0]])
+        else:
+            assert out == "" and err.startswith("error: "), (argv, out, err)
+    # the draw reaches verdicts on every command and refusals on some
+    assert all(codes[name] & {0, 1} for name in schemas), codes
+    assert 2 in set().union(*codes.values()), codes
+    assert [_run(capsys, argv) for argv in commands] == first
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files

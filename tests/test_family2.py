@@ -39,6 +39,8 @@ from projdyn import (
     sample_divisor_points,
 )
 import projdyn.family2 as family2
+import projdyn.mapiter as mapiter
+from projdyn.cli import main
 from projdyn.mapiter import NotDominant, _echelon, _jacobian, _jacobian_at
 from projdyn.polycore import random_hompoly
 
@@ -930,6 +932,61 @@ def test_load_family_builds_the_map_once(stable, tmp_path, monkeypatch):
     make_map = family2.make_map
     monkeypatch.setattr(family2, "make_map", lambda *args: calls.append(args) or make_map(*args))
     assert family2.load_family(path) == stable
+    assert len(calls) == 1
+
+
+@pytest.fixture
+def gcd_many_calls(monkeypatch):
+    """The member tuples of every `poly_gcd_many` call from family2 and mapiter."""
+    calls = []
+    gcd_many = family2.poly_gcd_many
+
+    def spy(members):
+        calls.append(tuple(members))
+        return gcd_many(members)
+
+    monkeypatch.setattr(family2, "poly_gcd_many", spy)
+    monkeypatch.setattr(mapiter, "poly_gcd_many", spy)
+    return calls
+
+
+@pytest.mark.parametrize("forms, factor, gcds", [
+    # w divides each component and the quotient map is dominant, so make_map
+    # extracts w and records it
+    (("z", "w^2", "w*t", "z*w", "w^2*t"), "w", 1),
+    # Q1 = Q2 = Q3: the components are equal, their quotient (1, 1, 1) is not
+    # dominant, so make_map refuses it and the gcd is taken again
+    (("z", "w^2", "w^2", "w^2", "w^2*t"), "z*w^2 - w^2*t", 2),
+], ids=["dominant-quotient", "constant-quotient"])
+def test_shared_factor_is_named_whether_or_not_make_map_accepts(gcd_many_calls, forms, factor, gcds):
+    P, Q1, Q2, Q3, R = (pp(f) for f in forms)
+    comps = tuple(P * q - R for q in (Q1, Q2, Q3))
+    with pytest.raises(CommonFactor) as exc:
+        build_family_map(P, Q1, Q2, Q3, R)
+    assert str(exc.value) == f"components share the factor {factor}"
+    assert gcd_many_calls == [comps] * gcds
+
+
+@pytest.mark.parametrize("dp, dq, seed", [(1, 2, 0), (2, 2, 1), (2, 3, 3), (3, 3, 4)])
+def test_a_family_map_takes_one_gcd_of_its_components(gcd_many_calls, dp, dq, seed):
+    inst = random_family(dp, dq, 5, seed)
+    gcd_many_calls.clear()
+    forms = (inst.P, inst.Q1, inst.Q2, inst.Q3, inst.R)
+    assert build_family_map(*forms) == inst
+    assert gcd_many_calls == [tuple(inst.P * q - inst.R for q in forms[1:4])]
+
+
+def test_written_map_lines_are_compared_before_they_are_normalized(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "gen.fam"
+    assert main(["family-gen", "--seed", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    calls = []
+    extract = family2._extract
+    monkeypatch.setattr(family2, "_extract", lambda *args: calls.append(args) or extract(*args))
+    inst = family2.load_family(path)
+    assert calls == []
+    # lines that differ from the components, here by a scalar, are normalized once
+    assert parse_family_text(_with_map_lines(inst, [c * 2 for c in inst.map.components])) == inst
     assert len(calls) == 1
 
 

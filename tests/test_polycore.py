@@ -1,5 +1,6 @@
 """Exact polynomial layer: parsing, arithmetic, division, GCD, certificates."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -98,6 +99,127 @@ def test_parse_rejects_garbage():
 def test_parse_errors_name_the_fault(text, names, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_poly(text, names)
+
+
+@pytest.mark.parametrize("text, names, error", [
+    ("z $ w", NAMES, "ParseError: unexpected character '$' at offset 2"),
+    ("z^2 + 1/0*w^2", NAMES, "ParseError: zero denominator"),
+    ("1/z", NAMES, "ParseError: expected denominator digits, found 'z'"),
+    ("z^w", NAMES, "ParseError: expected exponent digits, found 'w'"),
+    ("z^", NAMES, "ParseError: expected exponent digits, found ''"),
+    ("(z + w", NAMES, "ParseError: expected ')', found ''"),
+    ("(z + w w", NAMES, "ParseError: expected ')', found 'w'"),
+    ("z)", NAMES, "ParseError: trailing input starting at ')'"),
+    ("z w", NAMES, "ParseError: trailing input starting at 'w'"),
+    ("* w", NAMES, "ParseError: unexpected token '*'"),
+    ("z +", NAMES, "ParseError: unexpected token ''"),
+    ("z + -w", NAMES, "ParseError: unexpected token '-'"),
+    ("z*-w", NAMES, "ParseError: unexpected token '-'"),
+    ("--z", NAMES, "ParseError: unexpected token '-'"),
+    ("()", NAMES, "ParseError: unexpected token ')'"),
+    ("", NAMES, "ParseError: unexpected token ''"),
+    ("z", ("z", "z", "t"), "ParseError: duplicate variable names in ['z', 'z', 't']"),
+    ("z^2 + u*w", NAMES, "UnknownVariable: unknown variable 'u'; have ['z', 'w', 't']"),
+    ("0*u", NAMES, "UnknownVariable: unknown variable 'u'; have ['z', 'w', 't']"),
+    ("z^2 + (w", NAMES, "ParseError: expected ')', found ''"),
+    ("z^2 + w", NAMES, "NonHomogeneous: 'z^2 + w' collects terms of degrees [1, 2]"),
+])
+def test_parse_error_messages_are_pinned(text, names, error):
+    with pytest.raises(polycore.PolyError) as exc:
+        parse_poly(text, names)
+    assert f"{type(exc.value).__name__}: {exc.value}" == error
+
+
+def _nested_text(rng, degree, depth):
+    """Random text of the grammar whose terms all have the given degree.
+
+    Terms mix rationals, zeros, repeated and zeroth powers and
+    parenthesised sums, with unary minus at the head of any sum.
+    """
+    terms = []
+    for k in range(rng.randint(1, 4)):
+        factors, left = [], degree
+        if rng.random() < 0.3:
+            factors.append(rng.choice(("0", "2", "3/2", "7/3", "1/5", "12")))
+        while left:
+            step = rng.randint(1, left)
+            if depth and rng.random() < 0.35:
+                factors.append(f"({_nested_text(rng, step, depth - 1)})")
+            else:
+                v = rng.choice(NAMES)
+                factors.append(v if step == 1 and rng.random() < 0.5 else f"{v}^{step}")
+            left -= step
+        if rng.random() < 0.15:
+            factors.append(rng.choice(NAMES) + "^0")
+        if rng.random() < 0.1:
+            factors.append("0")
+        rng.shuffle(factors)
+        body = "*".join(factors or ["1"])
+        if k == 0:
+            terms.append(("-" if rng.random() < 0.4 else "") + body)
+        else:
+            terms.append(rng.choice((" + ", " - ")) + body)
+    return "".join(terms)
+
+
+def _nested_cases(seed, count):
+    """Nested texts, a fifth with a stray term of degree 1 and a tenth with one character changed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = _nested_text(rng, rng.randint(0, 4), 3)
+        if rng.random() < 0.2:
+            text += f" + {rng.choice(NAMES)}"
+        if rng.random() < 0.1:
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice("+-*/^() $0u") + text[i + 1:]
+        out.append(text)
+    return out
+
+
+def _outcome(text):
+    try:
+        return poly_to_text(parse_poly(text, NAMES), NAMES)
+    except polycore.PolyError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# sha256 of the outcomes of `_nested_cases(1, 400)`, one line each, as the
+# parser that multiplied every factor as a dict gave them
+NESTED_SHA256 = "1af50df73e1b77d95bc890cb842fd4a6faf415ccad3237795a28b6ae9431bdd3"
+
+
+def test_parse_nested_text_matches_sympy_and_is_pinned():
+    xs = sympy.symbols(NAMES)
+    cases = _nested_cases(1, 400)
+    outcomes = [_outcome(text) for text in cases]
+    kinds = {o.split(":")[0] for o in outcomes if ":" in o}
+    assert {"NonHomogeneous", "ParseError"} <= kinds
+    checked = 0
+    for text, out in zip(cases, outcomes):
+        try:
+            expr = sympy.sympify(text.replace("^", "**"), locals=dict(zip(NAMES, xs)))
+        except (sympy.SympifyError, SyntaxError, TypeError):
+            assert ":" in out
+            continue
+        if ":" not in out:
+            _assert_same(parse_poly(text, NAMES), expr, xs)
+            checked += 1
+    assert checked > 250
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == NESTED_SHA256
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("comps", [
+    ("z^2*t + z*w^2 - 2*w^2*t", "z^2*w + z*t^2 - 2*w^2*t", "2*z*w*t - 2*w^2*t"),
+    ("z*w^2 - w^2*t", "z*t^2 - w^2*t", "z^2*w - w^2*t"),
+], ids=["stable", "extracting"])
+def test_parse_round_trips_the_depth_five_liftings(comps):
+    lifting = iterate_degrees(make_map([P(c) for c in comps]), 5).lifting(5)
+    assert sum(len(c.terms) for c in lifting) > 500
+    for c in lifting:
+        assert parse_poly(poly_to_text(c, NAMES), NAMES) == c
 
 
 @pytest.mark.parametrize("p, text", [
@@ -789,6 +911,41 @@ def test_gcd_many_matches_sympy_on_larger_families(nvars):
             assert got == HomPoly.one(nvars)
         elif kind == 2:
             assert got == int_primitive(g).primitive
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 31])
+def test_univariate_modp_gcd_matches_sympy(p):
+    """The monic gcd over GF(p) against sympy's: for each degree 0..60 of the
+    first member, a random pair, mostly coprime, and from degree 1 a pair
+    with a planted common factor."""
+    rng = random.Random(p)
+    x = sympy.Symbol("x")
+
+    def rand(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    def gf(u):
+        return sympy.Poly(u[::-1], x, modulus=p)
+
+    def mul(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                out[i + j] = (out[i + j] + a * b) % p
+        return out
+
+    coprime = 0
+    for deg in range(61):
+        pairs = [(rand(deg), rand(rng.randint(0, 60)))]
+        if deg:
+            g = rand(k := rng.randint(1, deg))
+            pairs.append((mul(g, rand(deg - k)), mul(g, rand(rng.randint(0, 20)))))
+        for u, v in pairs:
+            want = [int(c) % p for c in gf(u).gcd(gf(v)).monic().all_coeffs()[::-1]]
+            assert polycore._modp_gcd(u, v, p) == want
+            assert polycore._modp_gcd(v, u, p) == want
+            coprime += want == [1]
+    assert coprime >= 55
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
