@@ -3,19 +3,18 @@
 A polynomial is stored as a sorted tuple of ``(exponents, coefficient)``
 pairs.  Exponent vectors are plain tuples of non-negative ints, one slot
 per variable; coefficients are exact (`int` when the denominator is 1,
-`fractions.Fraction` otherwise) and never zero.  Inside the multiply,
-exact-division and composition kernels each exponent vector is packed
-into one int, so a monomial product is an int add.  A product of two
-homogeneous operands with int coefficients and at least 2000 term pairs
-is instead one big-int multiply by Kronecker substitution, when its
-dense exponent grid takes no more bytes than there are term pairs; any
-other product falls back to the packed loop.  Composition by few-term
-substitutes and exact division in two or more variables run on rows,
-each of which holds the coefficients that share the exponents of
-x_0 .. x_{n-3} in one int, so their inner loops are big-int arithmetic;
-a division first scales both forms to primitive int forms, and when the
-quotient outgrows the slots sized from the dividend it is divided once
-more in slots sized from Mahler's bound on any factor of the dividend.
+`fractions.Fraction` otherwise) and never zero.  Inside the kernels each
+exponent vector is packed into one int, so a monomial product is an int
+add.  Homogeneous int forms in two or more variables are multiplied,
+raised to powers, composed and divided on rows, the one big-int layout
+(Kronecker substitution): a row holds the coefficients that share the
+exponents of x_0 .. x_{n-3} in one int, so the inner loops are big-int
+arithmetic.  A product goes to rows from 2000 term pairs, when its rows
+are full enough to pay; a division first scales both forms to primitive
+int forms, and when the quotient outgrows the slots sized from the
+dividend it is divided once more in slots sized from Mahler's bound on
+any factor of the dividend.  Fraction coefficients, one-variable forms
+and smaller products take the term loop over packed dicts.
 Terms are kept in descending graded-lexicographic order, which for a
 homogeneous polynomial reduces to descending lexicographic order on the
 exponent tuples, so equal polynomials compare equal structurally and
@@ -357,8 +356,14 @@ class HomPoly:
         # degree top or multisets of n terms of self
         _guard(min(_monomial_bound(top, nv), math.comb(n + len(self.terms) - 1, n)))
         width = _field_width(top)
-        powers = {0: {0: 1}, 1: _pack_dict(dict(self.terms), width)}
-        return HomPoly._new(nv, _unpack_dict(_ppower(powers, n, width, nv), nv, width), top)
+        d = _pack_dict(dict(self.terms), width)
+        if nv > 1 and all(type(c) is int for c in d.values()):
+            # the 1-norm is submultiplicative, so it bounds every coefficient of q^n
+            s = _slot_bytes(sum(map(abs, d.values())) ** n)
+            rows = _ppower({0: {0: 1}, 1: _row_ints(d, width, s)}, n, _row_mul)
+            return HomPoly._new(nv, _row_decode(rows, width, nv, top, s), top)
+        out = _ppower({0: {0: 1}, 1: d}, n, _pmul)
+        return HomPoly._new(nv, _unpack_dict(out, nv, width), top)
 
     # -- composition, derivative, evaluation ---------------------------------------
 
@@ -411,14 +416,13 @@ def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tup
     substitutes must share an arity and (when nonzero) a common degree,
     so each result stays homogeneous.  Each sum is formed by Horner's
     rule in each variable in turn (`_horner_all`).  A form with int
-    coefficients and more terms than every substitute, such as a lifting
-    composed with the map, runs it on rows (`_row_compose`) when the
-    substitutes have int coefficients and two or more variables; any
-    other form, such as a map component over a lifting, multiplies
-    packed term dicts, whose large products take the Kronecker route of
-    `_pmul`.  The forms share one table of the substitutes' packed
-    powers, the row forms one slot width, and the forms of each route
-    the unscaled product of every single-term run.
+    coefficients over int substitutes in two or more variables runs it
+    on rows (`_row_compose`); any other form, one with a Fraction
+    coefficient or over one-variable or Fraction substitutes, multiplies
+    packed term dicts by the term loop of `_pmul`.  The row forms share
+    one slot width and one table of the substitutes' powers as rows, and
+    the forms of each route the unscaled product of every single-term
+    run.
     """
     forms, comps = tuple(forms), tuple(substitutes)
     for f in forms:
@@ -438,15 +442,15 @@ def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tup
     _guard(_monomial_bound(max(tops, default=0), nv2))
     # every intermediate below is homogeneous of degree <= max(tops)
     width = _field_width(max(tops, default=0))
-    powers = [{0: {0: 1}, 1: _pack_dict(dict(q.terms), width)} for q in comps]
-    ints = nv2 > 1 and all(type(c) is int for _, c in chain(*(q.terms for q in comps)))
-    most = max(len(q.terms) for q in comps)
-    on_rows = [ints and len(t) > most and all(type(c) is int for _, c in t) for t in terms]
+    subs = [_pack_dict(dict(q.terms), width) for q in comps]
+    ints = nv2 > 1 and all(type(c) is int for q in subs for c in q.values())
+    on_rows = [ints and all(type(c) is int for _, c in t) for t in terms]
     row_forms = [(t, top) for t, top, r in zip(terms, tops, on_rows) if r]
-    rows = iter(_row_compose(row_forms, powers, width, nv2) if row_forms else ())
+    rows = iter(_row_compose(row_forms, subs, width, nv2) if row_forms else ())
+    powers = [{0: {0: 1}, 1: q} for q in subs]
 
     def times(acc, i, k):
-        return _pmul(acc, _ppower(powers[i], k, width, nv2), width, nv2)
+        return _pmul(acc, _ppower(powers[i], k, _pmul))
 
     packed = iter(_horner_all([t for t, r in zip(terms, on_rows) if not r], times))
     return tuple(
@@ -514,33 +518,18 @@ def _slot_bias(size: int, s: int) -> tuple[int, int]:
     return half, int.from_bytes(half.to_bytes(s, "little") * size, "little")
 
 
-# the fewest term pairs for which _pmul tries the Kronecker route
-_KRONECKER_MIN_PAIRS = 2000
+def _pmul(a: dict, b: dict) -> dict:
+    """Product of packed term dicts by the term loop, dropping cancelled terms once at the end.
 
-
-def _pmul(a: dict, b: dict, width: int = 0, nvars: int = 0) -> dict:
-    """Product of packed term dicts, dropping cancelled terms once at the end.
-
-    A caller whose operands are both homogeneous passes their field width
-    and arity.  Then, if every coefficient is an int and the operands
-    make at least _KRONECKER_MIN_PAIRS term pairs, `_kmul` multiplies
-    them as two big ints (Kronecker substitution), unless its grid would
-    take more bytes than there are term pairs.  Every other product, and
-    always one with a Fraction coefficient, falls back to the packed loop
-    below, which multiplies each pair of terms and sums by key.
+    It multiplies each pair of terms and sums by key.  Products of
+    homogeneous int forms in two or more variables with at least
+    _ROW_MIN_PAIRS term pairs, and every int power and composition in
+    two or more variables, run on rows instead.
     """
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if (
-        nvars
-        and len(a) * len(b) >= _KRONECKER_MIN_PAIRS
-        and all(type(c) is int for c in chain(a.values(), b.values()))
-    ):
-        out = _kmul(a, b, width, nvars)
-        if out is not None:
-            return out
     items = iter(a.items())
     ea, ca = next(items)
     # shifting by one monomial is injective: the first row needs no lookups
@@ -556,59 +545,6 @@ def _pmul(a: dict, b: dict, width: int = 0, nvars: int = 0) -> dict:
     return out
 
 
-def _kmul(a: dict, b: dict, width: int, nvars: int) -> dict | None:
-    """Product of homogeneous packed int dicts by Kronecker substitution.
-
-    Harvey, "Faster polynomial multiplication via multipoint Kronecker
-    substitution" (2009).  The exponents (e_0, .., e_{n-2}) index a dense
-    grid of base B = D + 1, where D is the output degree.  Homogeneity
-    fixes e_{n-1}, and a sum of two operand exponents is at most D, so
-    grid indices add without carry.  Each slot takes s bytes, where
-    2^(8s-1) exceeds every output coefficient, since at most
-    min(|a|, |b|) term pairs meet in one slot.  Each operand is written
-    into bytes and read back as one int (positive minus negative part),
-    and the two ints are multiplied once.  A bias of 0x80.. per slot
-    makes every slot of the product non-negative, so one to_bytes call
-    decodes them all.  Returns None when the grid would take more bytes
-    than there are term pairs, where the loop of `_pmul` is faster.
-    """
-    mask = (1 << width) - 1
-    # the fields of e_0 .. e_{n-2}; the output degree sums all n fields of
-    # one key of each operand
-    shifts = range(width * (nvars - 1), 0, -width)
-    top = sum(k >> sh & mask for k in (next(iter(a)), next(iter(b))) for sh in chain(shifts, [0]))
-    base = top + 1
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    s = _slot_bytes(bound)
-    slots = base ** (nvars - 1)
-    size = slots * s
-    if size > len(a) * len(b):
-        return None
-
-    def pack(d: dict) -> int:
-        idx = [0] * len(d)
-        for sh in shifts:
-            idx = [i * base + (k >> sh & mask) for i, k in zip(idx, d)]
-        return _slot_int(zip(idx, d.values()), max(idx) + 1, s)
-
-    half, bias = _slot_bias(slots, s)
-    x = pack(a)
-    # CPython squares an int faster than it multiplies two
-    product = x * x if a is b else x * pack(b)
-    buf = (product + bias).to_bytes(size, "little")
-    # grid index, packed key prefix and remaining degree of each exponent
-    # vector of degree D, one variable at a time
-    cells = [(0, 0, top)]
-    for _ in shifts:
-        cells = [(i * base + e, k << width | e, r - e) for i, k, r in cells for e in range(r + 1)]
-    out = {}
-    for i, k, r in cells:
-        c = int.from_bytes(buf[i * s : i * s + s], "little") - half
-        if c:
-            out[k << width | r] = c
-    return out
-
-
 def _pacc(acc: dict, d: dict) -> None:
     """acc += d in place, for term dicts with packed or tuple keys."""
     get = acc.get
@@ -620,17 +556,18 @@ def _pacc(acc: dict, d: dict) -> None:
             del acc[k]
 
 
-def _ppower(powers: dict, k: int, width: int, nvars: int) -> dict:
+def _ppower(powers: dict, k: int, mul) -> dict:
     """q^k by repeated squaring, memoised in powers, which holds q^0 and q^1.
 
-    q is homogeneous in nvars variables, packed with the given field width.
+    mul multiplies two packed term dicts (`_pmul`) or two row dicts
+    (`_row_mul`) of homogeneous forms.
     """
     p = powers.get(k)
     if p is None:
-        half = _ppower(powers, k // 2, width, nvars)
-        p = _pmul(half, half, width, nvars)
+        half = _ppower(powers, k // 2, mul)
+        p = mul(half, half)
         if k & 1:
-            p = _pmul(p, powers[1], width, nvars)
+            p = mul(p, powers[1])
         powers[k] = p
     return p
 
@@ -716,10 +653,33 @@ def _row_ints(d: dict, width: int, s: int) -> dict:
     }
 
 
-def _row_terms(d: dict, width: int, s: int) -> list:
-    """(row key, shift of the slot in bits, coefficient) for each term of a packed dict."""
-    mask, head = (1 << width) - 1, 2 * width
-    return [(k >> head, 8 * s * (k >> width & mask), c) for k, c in d.items()]
+def _row_mul(a: dict, b: dict) -> dict:
+    """Product of rows: each pair of rows multiplies as two ints, and keys add.
+
+    Each row is multiplied without its empty low slots, which are shifted
+    back onto the product, so a row with few terms, such as a row of a
+    sparse substitute, costs about as much as its terms times an int.
+    A square takes each unordered pair of rows once.
+    """
+    def strip(d):
+        # v = u << t with u odd; zero rows add nothing
+        return [(k, v >> (t := (v & -v).bit_length() - 1), t) for k, v in d.items() if v]
+
+    out: dict = {}
+    get = out.get
+    if a is b:
+        rows = strip(a)
+        for i, (ka, ua, ta) in enumerate(rows):
+            out[ka + ka] = get(ka + ka, 0) + (ua * ua << 2 * ta)
+            ua <<= 1
+            for kb, ub, tb in rows[i + 1 :]:
+                out[ka + kb] = get(ka + kb, 0) + (ua * ub << ta + tb)
+        return out
+    row = strip(b)
+    for ka, ua, ta in strip(a):
+        for kb, ub, tb in row:
+            out[ka + kb] = get(ka + kb, 0) + (ua * ub << ta + tb)
+    return out
 
 
 def _row_decode(rows: dict, width: int, nvars: int, top: int, s: int) -> dict | None:
@@ -747,35 +707,27 @@ def _row_decode(rows: dict, width: int, nvars: int, top: int, s: int) -> dict | 
     return out
 
 
-def _row_compose(forms, powers: list, width: int, nvars: int) -> list:
+def _row_compose(forms, subs: list, width: int, nvars: int) -> list:
     """Tuple-keyed sums of c * prod_i q_i^(e_i) over each form's terms, by Horner's rule on rows.
 
-    forms holds (terms, top) pairs; powers[i] holds the packed q_i^0 and
-    q_i^1 (`_ppower`'s memo); every coefficient is an int and each
-    output has degree top in nvars >= 2 variables.  Each output
-    coefficient is at most B = sum |c| prod_i max(1, ||q_i||_1)^(e_i),
-    as the 1-norm is submultiplicative, so slots of s bytes with
-    2^(8s-1) above every form's B decode each result once at the end.
-    Multiplying the running sum by a power of q_i shifts and adds its
-    rows once per term of the power, which is few for the few-term
-    substitutes this route is taken for.
+    forms holds (terms, top) pairs; subs[i] is q_i as a packed dict;
+    every coefficient is an int and each output has degree top in
+    nvars >= 2 variables.  Each output coefficient is at most
+    B = sum |c| prod_i max(1, ||q_i||_1)^(e_i), as the 1-norm is
+    submultiplicative, so slots of s bytes with 2^(8s-1) above every
+    form's B, and above each ||q_i||_1 for the rows of q_i, decode each
+    result once at the end.  Multiplying the running sum by a power of
+    q_i is a product of rows, with the powers of each q_i as rows
+    memoised across the forms.
     """
-    norms = [max(1, sum(map(abs, p[1].values()))) for p in powers]
-    bound = max(sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in t) for t, _ in forms)
+    norms = [max(1, sum(map(abs, q.values()))) for q in subs]
+    # the slots hold each q_i too, though a q_i that no form involves adds nothing to B
+    bound = max(chain(norms, (sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in t) for t, _ in forms)))
     s = _slot_bytes(bound)
-    shifted = [{} for _ in powers]
+    powers = [{0: {0: 1}, 1: _row_ints(q, width, s)} for q in subs]
 
     def times(acc, i, k):
-        pw = shifted[i].get(k)
-        if pw is None:
-            pw = shifted[i][k] = _row_terms(_ppower(powers[i], k, width, nvars), width, s)
-        out: dict = {}
-        get = out.get
-        for kb, sh, c in pw:
-            for ka, v in acc.items():
-                key = ka + kb
-                out[key] = get(key, 0) + (v * c << sh)
-        return out
+        return _row_mul(acc, _ppower(powers[i], k, _row_mul))
 
     sums = _horner_all([t for t, _ in forms], times)
     out = [_row_decode(rows, width, nvars, top, s) for rows, (_, top) in zip(sums, forms)]
@@ -783,10 +735,23 @@ def _row_compose(forms, powers: list, width: int, nvars: int) -> list:
     return out
 
 
+# _dmul multiplies homogeneous int forms on rows from this many term pairs,
+# when each pair of rows stands for at least _ROW_MIN_FILL term pairs
+_ROW_MIN_PAIRS = 2000
+_ROW_MIN_FILL = 6
+
+
 def _dmul(a: dict, b: dict) -> dict:
     """Product of tuple-keyed term dicts (homogeneous or not).
 
-    Two homogeneous operands may take the Kronecker route of `_pmul`.
+    A one-term operand shifts the other's keys.  Two homogeneous int
+    operands in two or more variables with at least _ROW_MIN_PAIRS term
+    pairs multiply on rows, in slots of s bytes with 2^(8s-1) above
+    min(|a|, |b|) max|a| max|b|, which bounds every output coefficient,
+    as at most min(|a|, |b|) term pairs meet in one monomial.  Each pair
+    of rows is one int product, so rows that hold few terms each, as
+    sparse forms in four or more variables do, multiply faster by the
+    term loop of `_pmul`, as does any other product.
     """
     if not a or not b:
         return {}
@@ -804,9 +769,18 @@ def _dmul(a: dict, b: dict) -> dict:
         [(e, c)], other = (a.items(), b) if len(a) == 1 else (b.items(), a)
         return {tuple(map(add, k, e)): p for k, v in other.items() if (p := c * v)}
     width = _field_width(top)
-    homogeneous = len(degs_a) == len(degs_b) == 1
-    packed = _pmul(_pack_dict(a, width), _pack_dict(b, width), width, nv if homogeneous else 0)
-    return _unpack_dict(packed, nv, width)
+    pa, pb = _pack_dict(a, width), _pack_dict(b, width)
+    if (
+        nv > 1
+        and pairs >= _ROW_MIN_PAIRS
+        and len(degs_a) == len(degs_b) == 1
+        and all(type(c) is int for c in chain(a.values(), b.values()))
+    ):
+        s = _slot_bytes(min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values())))
+        ra, rb = _row_ints(pa, width, s), _row_ints(pb, width, s)
+        if _ROW_MIN_FILL * len(ra) * len(rb) <= pairs:
+            return _row_decode(_row_mul(ra, rb), width, nv, top, s)
+    return _unpack_dict(_pmul(pa, pb), nv, width)
 
 
 def _dadd(a: dict, b: dict) -> dict:
@@ -838,7 +812,9 @@ def _row_div(num: dict, den: dict, width: int, nvars: int, s: int) -> dict | Non
     are narrower than the slots.
     """
     guard = _guard_bits(width, nvars - 2)
-    terms = _row_terms(den, width, s)
+    mask, head = (1 << width) - 1, 2 * width
+    # (row key, shift of the slot in bits, coefficient) of each term of den
+    terms = [(k >> head, 8 * s * (k >> width & mask), c) for k, c in den.items()]
     lt = max(key for key, _, _ in terms)
     lv = sum(c << sh for key, sh, c in terms if key == lt)
     rest = [t for t in terms if t[0] != lt]

@@ -21,6 +21,7 @@ from projdyn.polycore import poly_to_text, random_hompoly
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 NAMES = ("z", "w", "t")
+P3_NAMES = ("x", "y", "z", "t")
 
 
 def _random_map_text(rng, i: int) -> str:
@@ -55,20 +56,33 @@ def _commands(seed: int, root: Path) -> list[list]:
     return out
 
 
+def _p3_map_text(rng) -> str:
+    """A quadratic map of P^3 with 1 to 5 terms per component, sometimes with
+    coefficients up to 10^20, a common linear factor or a repeated component."""
+    bound = rng.choice((3, 50, 10**20))
+    comps = [random_hompoly(rng, 4, 2, rng.randint(1, 5), bound) for _ in range(4)]
+    if rng.random() < 0.2:
+        common = random_hompoly(rng, 4, 1, 2, 5)
+        comps = [c * common for c in comps]
+    if rng.random() < 0.1:
+        comps[3] = comps[0]
+    return "vars x y z t\n" + "".join(f"map {poly_to_text(c, P3_NAMES)}\n" for c in comps)
+
+
 def _run(capsys, argv) -> tuple:
     code = main([str(a) for a in argv] + ["--json"])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def test_random_inputs_keep_the_exit_codes_schemas_and_bytes(tmp_path, capsys):
-    commands = _commands(2037, tmp_path)
+def _check(capsys, commands, root: Path) -> dict:
+    """Run the commands twice; check exit codes, schemas, stderr and bytes; return the codes by command."""
     schemas = {
         name: json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
         for name in {argv[0] for argv in commands}
     }
     first = [_run(capsys, argv) for argv in commands]
-    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    files = {p.name: p.read_bytes() for p in root.iterdir()}
     codes = {}
     for argv, (code, out, err) in zip(commands, first):
         assert code in (0, 1, 2, 3), (argv, code, err)
@@ -77,8 +91,25 @@ def test_random_inputs_keep_the_exit_codes_schemas_and_bytes(tmp_path, capsys):
             validate(json.loads(out), schemas[argv[0]])
         else:
             assert out == "" and err.startswith("error: "), (argv, out, err)
-    # the draw reaches verdicts on every command and refusals on some
+    # the draw reaches verdicts on every command
     assert all(codes[name] & {0, 1} for name in schemas), codes
-    assert 2 in set().union(*codes.values()), codes
     assert [_run(capsys, argv) for argv in commands] == first
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == files
+    return codes
+
+
+def test_random_inputs_keep_the_exit_codes_schemas_and_bytes(tmp_path, capsys):
+    codes = _check(capsys, _commands(2037, tmp_path), tmp_path)
+    # and refusals on some
+    assert 2 in set().union(*codes.values()), codes
+
+
+def test_random_maps_of_p3_keep_the_exit_codes_schemas_and_bytes(tmp_path, capsys):
+    rng = random.Random(2038)
+    commands = []
+    for i in range(20):
+        path = tmp_path / f"p3map{i}.map"
+        path.write_text(_p3_map_text(rng))
+        commands += [["degrees", "--map", path, "--n", 3], ["infer-qas", "--map", path, "--n", 3]]
+    codes = _check(capsys, commands, tmp_path)
+    assert 2 in codes["degrees"], codes

@@ -5,9 +5,12 @@ with a primitive pseudo-remainder-sequence GCD (the reference kept in
 tests/test_polycore.py) and are frozen here as exact values.
 """
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -632,3 +635,39 @@ def test_digest_at_depth_four_is_pinned(request, name, digest):
 def test_digest_depends_on_divisor(cubic_lag1):
     tr = iterate_degrees(cubic_lag1, 3)
     assert certificate_digest(tr, p("z")) != certificate_digest(tr, None)
+
+
+def test_trace_pickles_and_deep_copies(cubic_lag1):
+    # a trace of the stable map, with its liftings, factors and map, through
+    # HomPoly.__getstate__ and __setstate__
+    tr = iterate_degrees(cubic_lag1, 3)
+    cert = infer_qas(tr).certificate
+    for back in (pickle.loads(pickle.dumps(tr)), copy.deepcopy(tr)):
+        assert back is not tr and back == tr
+        assert back.degrees == (1, 3, 8, 21) and back.E(2) == tr.E(2)
+        assert [c.degree for c in back.lifting(3)] == [21] * 3
+        assert certificate_digest(back, cert.H) == certificate_digest(tr, cert.H)
+        assert infer_qas(back).certificate == cert
+
+
+# -- a map of P^3 ------------------------------------------------------------------
+
+
+P3_QAS = Path(__file__).parent / "fixtures" / "p3_qas.map"
+
+
+def test_p3_qas_fixture():
+    # P linear, Q1..Q4 quadratic and R cubic in four variables, each P*Qi - R
+    # vanishing at (1, 1, 1, 1); the digest was recorded before the int
+    # products and compositions moved onto rows
+    f = load_map(P3_QAS)
+    assert f.k == 3 and f.degree == 3
+    assert all(c.evaluate((1, 1, 1, 1)) == 0 for c in f.components)
+    tr = iterate_degrees(f, 3)
+    assert tr.degrees == (1, 3, 8, 21)
+    res = infer_qas(tr)
+    assert res.verdict == "QAS" and res.certificate.n0 == 1
+    assert res.certificate.H == parse_poly("3*y + 2*t", f.names)
+    assert certificate_digest(tr, res.certificate.H) == (
+        "801cf17701cdbcc722d10e387068e8a71cea4d0f12ae6dd24f8bdc0f842c9b5b"
+    )

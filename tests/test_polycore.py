@@ -1,7 +1,9 @@
 """Exact polynomial layer: parsing, arithmetic, division, GCD, certificates."""
 
+import copy
 import hashlib
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ from projdyn import polycore
 from projdyn.family2 import random_family
 from projdyn.mapiter import iterate_degrees, make_map
 from projdyn.polycore import (
-    _KRONECKER_MIN_PAIRS,
+    _ROW_MIN_PAIRS,
     _dadd,
     _deg_in,
     _dexact_div,
@@ -251,6 +253,19 @@ def test_ring_identities_randomised():
         assert a - a == HomPoly.zero(3)
         assert a * c == c * a
         assert (a + b) * c == a * c + b * c
+
+
+def test_pickle_and_deepcopy_round_trip():
+    # HomPoly has slots and refuses attribute writes, so both go through
+    # __getstate__ and __setstate__
+    forms = (P("3*z^2*w - 1/2*t^3"), HomPoly.zero(3), HomPoly.constant(2, Fraction(-7, 3)))
+    for p in forms:
+        for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert back is not p and back == p and hash(back) == hash(p)
+            assert (back.nvars, back.terms, back._degree) == (p.nvars, p.terms, p._degree)
+            with pytest.raises(AttributeError):
+                back.nvars = 4
+    assert pickle.loads(pickle.dumps(forms[0])) * P("z") == forms[0] * P("z")
 
 
 def test_degree_mismatch_on_add():
@@ -692,7 +707,7 @@ def test_term_cap_counts_output_monomials_not_pairs():
 
 
 def test_single_term_product_matches_the_packed_route():
-    # _dmul shifts the keys when one operand has one term; the packed loop
+    # _dmul shifts the keys when one operand has one term; the term loop
     # of _pmul must give the same terms in the same order
     rng = random.Random(28)
     coeff = lambda: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-20, 20), rng.randint(1, 13))))
@@ -708,8 +723,7 @@ def test_single_term_product_matches_the_packed_route():
             one = {tuple(rng.randint(0, 3) for _ in range(nv)): coeff() or Fraction(1, 3)}
             for a, b in ((one, many), (many, one)):
                 width = _field_width(max(map(sum, a)) + max(map(sum, b)))
-                homogeneous = len(set(map(sum, a))) == len(set(map(sum, b))) == 1
-                packed = _pmul(_pack_dict(a, width), _pack_dict(b, width), width, nv if homogeneous else 0)
+                packed = _pmul(_pack_dict(a, width), _pack_dict(b, width))
                 want = _unpack_dict(packed, nv, width)
                 assert list(_dmul(a, b).items()) == list(want.items())
     # a zero coefficient, as the parser reads 0*z, gives no term
@@ -1134,21 +1148,20 @@ def test_is_prime_matches_sympy():
         assert _is_prime(n) == sympy.isprime(n)
 
 
-# -- Kronecker-substitution multiply ---------------------------------------------
+# -- Kronecker-substitution multiply: products of rows ----------------------------
 
 
 @pytest.fixture
 def kronecker(monkeypatch):
-    """Record, per call of the Kronecker kernel, whether it gave the product."""
+    """Record True for each product of rows (`_row_mul`), the Kronecker route of every int product."""
     calls = []
-    kmul = polycore._kmul
+    row_mul = polycore._row_mul
 
-    def spy(a, b, width, nvars):
-        out = kmul(a, b, width, nvars)
-        calls.append(out is not None)
-        return out
+    def spy(a, b):
+        calls.append(True)
+        return row_mul(a, b)
 
-    monkeypatch.setattr(polycore, "_kmul", spy)
+    monkeypatch.setattr(polycore, "_row_mul", spy)
     return calls
 
 
@@ -1191,10 +1204,20 @@ def _signed(bound):
 
 
 def _both_routes(a: HomPoly, b: HomPoly):
-    """The packed product by the term loop and by the homogeneous route of _pmul."""
+    """The product by the term loop of _pmul, and by _dmul, which routes it."""
     width = _field_width(a.degree + b.degree)
     pa, pb = _pack_dict(a.as_dict(), width), _pack_dict(b.as_dict(), width)
-    return _pmul(pa, pb), _pmul(pa, pb, width, a.nvars)
+    return _unpack_dict(_pmul(pa, pb), a.nvars, width), _dmul(a.as_dict(), b.as_dict())
+
+
+def _row_product(a: HomPoly, b: HomPoly) -> dict:
+    """a * b by one product of rows, whichever route _dmul would take."""
+    top = a.degree + b.degree
+    width = _field_width(top)
+    bound = min(len(a.terms), len(b.terms)) * max(abs(c) for _, c in a.terms) * max(abs(c) for _, c in b.terms)
+    s = polycore._slot_bytes(bound)
+    ra, rb = (polycore._row_ints(_pack_dict(p.as_dict(), width), width, s) for p in (a, b))
+    return polycore._row_decode(polycore._row_mul(ra, rb), width, a.nvars, top, s)
 
 
 def _ring_of(nvars):
@@ -1212,10 +1235,10 @@ def _in_ring(R, p: HomPoly):
 
 def test_kronecker_route_at_and_above_the_threshold(kronecker):
     rng = random.Random(61)
-    # 40 x 50 term pairs, exactly the threshold; one pair fewer stays on the loop
+    # 40 x 50 term pairs, exactly the threshold; one term fewer stays on the loop
     a = _form(rng, 3, 8, _signed(2**18), 40)
     b = _form(rng, 3, 9, _signed(2**18), 50)
-    assert len(a.terms) * len(b.terms) == _KRONECKER_MIN_PAIRS
+    assert len(a.terms) * len(b.terms) == _ROW_MIN_PAIRS
     loop, routed = _both_routes(a, b)
     assert kronecker == [True] and routed == loop
     short = HomPoly(3, b.terms[1:])
@@ -1228,6 +1251,18 @@ def test_kronecker_route_at_and_above_the_threshold(kronecker):
         loop, routed = _both_routes(a, b)
         assert routed == loop
     assert kronecker == [True] * 4
+    # five variables: full forms of degree 6 fill 84 rows of up to 7 slots
+    # each, and go to the rows; sparse forms above the threshold, with
+    # about one term a row, stay on the loop, and rows give the same product
+    R, _ = _ring_of(5)
+    dense = [_form(rng, 5, 6, _signed(2**40)) for _ in range(2)]
+    sparse = [_form(rng, 5, 12, _signed(9), 60) for _ in range(2)]
+    for (a, b), route in ((dense, [True]), (sparse, [])):
+        kronecker.clear()
+        assert len(a.terms) * len(b.terms) >= _ROW_MIN_PAIRS
+        loop, routed = _both_routes(a, b)
+        assert kronecker == route and routed == loop == _row_product(a, b)
+        assert _ring_dict(a * b) == dict(_in_ring(R, a) * _in_ring(R, b))
 
 
 @pytest.mark.parametrize("bits", [63, 64])
@@ -1262,16 +1297,28 @@ def test_kronecker_drops_cancelled_terms(kronecker):
 
 
 def test_kronecker_with_a_one_term_operand(kronecker):
-    # a constant times a full binary form of degree 2000 fills the grid at
-    # one byte per slot; a one-term operand of positive degree cannot
+    # _dmul shifts the keys of a full binary form of degree 2000 by a
+    # constant or by a one-term operand of positive degree; as rows, that
+    # operand is one row with one nonzero slot, whose empty low slots
+    # _row_mul shifts back onto the product
     rng = random.Random(63)
     b = _form(rng, 2, 2000, _signed(9))
-    for a, kernel in ((HomPoly.constant(2, -7), True), (HomPoly.monomial(2, (1, 0), 3), False)):
+    for a in (HomPoly.constant(2, -7), HomPoly.monomial(2, (1, 0), 3), HomPoly.monomial(2, (0, 5), -2)):
         kronecker.clear()
         loop, routed = _both_routes(a, b)
-        assert kronecker == [kernel] and routed == loop
+        assert kronecker == [] and routed == loop
+        assert _row_product(a, b) == _row_product(b, a) == loop
         assert a * b == HomPoly(2, [((e0 + x0, e1 + x1), c * d) for (e0, e1), c in a.terms
                                     for (x0, x1), d in b.terms])
+    # a power of a one-term form, and a form composed with one-term substitutes, on rows
+    kronecker.clear()
+    m = HomPoly.monomial(4, (2, 0, 1, 0), -3)
+    assert m**7 == HomPoly.monomial(4, (14, 0, 7, 0), (-3) ** 7) and kronecker
+    kronecker.clear()
+    p = _form(rng, 4, 5, _signed(2**40), 30)
+    qs = [HomPoly.monomial(4, e, c) for e, c in
+          (((1, 1, 0, 0), 2), ((0, 0, 2, 0), -5), ((0, 2, 0, 0), 7), ((0, 0, 0, 2), 1))]
+    assert _ring_dict(p.compose(qs)) == _ring_compose(p, qs) and kronecker
 
 
 def test_fraction_operand_stays_on_the_loop(kronecker):
@@ -1304,19 +1351,21 @@ def test_inhomogeneous_product_stays_on_the_loop(kronecker):
         (3, False, ((9, 2, 2**70), (4, None, 30))),
         (4, True, ((4, None, 3), (5, 30, 2))),
         (4, False, ((6, 3, 9), (3, None, 3))),
+        # sparse forms in five variables, spread over many rows
+        (5, True, ((4, 40, 2**70), (3, 4, 9))),
+        (5, False, ((3, 2, 9), (4, 25, 2**30))),
     ],
 )
 def test_compose_through_kronecker_matches_sympy(kronecker, rows, nvars, many_term_form, shape):
-    # a many-term form goes to the rows; any other form runs Horner's
-    # rule on packed dicts, whose products reach the Kronecker multiply
+    # every int form runs Horner's rule on rows, many-term or not, and
+    # multiplies by powers of the substitutes as products of rows
     rng = random.Random(65 + nvars)
     (pd, pn, pb), (qd, qn, qb) = shape
     p = _form(rng, nvars, pd, _signed(pb), pn)
     qs = [_form(rng, nvars, qd, _signed(qb), qn) for _ in range(nvars)]
     assert (len(p.terms) > max(len(q.terms) for q in qs)) == many_term_form
     got = p.compose(qs)
-    assert rows["compose"] == int(many_term_form)
-    assert many_term_form or any(kronecker)
+    assert rows["compose"] == 1 and kronecker
     R, xs = _ring_of(nvars)
     want = _in_ring(R, p).compose(list(zip(xs, (_in_ring(R, q) for q in qs))))
     assert _ring_dict(got) == dict(want)
@@ -1327,7 +1376,12 @@ def test_pow_takes_the_kronecker_route(kronecker):
     a = _form(rng, 3, 5, _signed(9))
     R, _ = _ring_of(3)
     assert _ring_dict(a**9) == dict(_in_ring(R, a) ** 9)
-    assert any(kronecker)
+    assert kronecker
+    # a full form in five variables, and a sparse one spread over many rows
+    for b in (_form(rng, 5, 2, _signed(2**30)), _form(rng, 5, 6, _signed(2**40), 5)):
+        kronecker.clear()
+        R, _ = _ring_of(5)
+        assert _ring_dict(b**5) == dict(_in_ring(R, b) ** 5) and kronecker
 
 
 def test_pow_term_cap():
@@ -1385,6 +1439,17 @@ def test_row_compose_cancels_terms_and_takes_zero_substitutes(rows, nvars):
     for qs in cases:
         assert _ring_dict(p.compose(qs)) == _ring_compose(p, qs)
     assert rows["compose"] == 2 + nvars
+
+
+def test_row_compose_holds_a_substitute_that_no_form_involves(rows):
+    # the forms leave out x_1, so their bound B ignores q_1, whose
+    # coefficients near 10^20 still need slots wide enough to hold them
+    x0, x2 = HomPoly.variable(3, 0), HomPoly.variable(3, 2)
+    forms = (x0 * x0 - x0 * x2 * 3, HomPoly.constant(3, 2), x2)
+    qs = [P("z + w"), P("z") * 10**20 - P("t") * (10**20 + 1), P("w - 2*t")]
+    got = compose_all(forms, qs)
+    assert rows["compose"] == 1
+    assert [_ring_dict(g) for g in got] == [_ring_compose(f, qs) for f in forms]
 
 
 def test_row_compose_leaves_fraction_coefficients_to_the_packed_horner(rows):
@@ -1525,11 +1590,13 @@ def maps():
 
 
 def test_compose_all_of_a_map_over_its_lifting(maps, rows):
-    # few-term forms over many-term substitutes: packed Horner, where the
-    # family map's components P*Q_j - R share the terms of R
+    # few-term forms over many-term substitutes: one row pass as well, where
+    # the family map's components P*Q_j - R share the terms of R
     for f, lifting in maps:
-        assert _exact(compose_all(f.components, lifting)) == _exact(_one_by_one(f.components, lifting))
-    assert rows["compose"] == 0
+        got = compose_all(f.components, lifting)
+        assert rows["compose"] == 1
+        assert _exact(got) == _exact(_one_by_one(f.components, lifting))
+        rows["compose"] = 0
 
 
 def test_compose_all_of_a_lifting_over_its_map(maps, rows):
