@@ -59,6 +59,7 @@ from .polycore import (
     _point_rng,
     _quo,
     _utrim,
+    compose_all,
     coprime_certificate,
     int_primitive,
     parse_poly,
@@ -655,8 +656,8 @@ def check_rank_and_pencil(inst: FamilyInstance):
     p = _TOP_PRIME
     line = [HomPoly(2, (((1, 0), 1), ((0, 1), _point_rng(p).randrange(p)))) for _ in range(3)]
     imgs = []
-    for f in (P, *Qs):
-        terms = dict(f.compose(line).terms)
+    for f, g in zip((P, *Qs), compose_all((P, *Qs), line)):
+        terms = dict(g.terms)
         imgs.append([terms.get((j, f.degree - j), 0) % p for j in range(f.degree + 1)])
     # the images at u = 1, low degree first; P's top one is P(1,1,1) mod p
     p_img, *q_imgs = imgs

@@ -9,12 +9,14 @@ add.  Homogeneous int forms in two or more variables are multiplied,
 raised to powers, composed and divided on rows, the one big-int layout
 (Kronecker substitution): a row holds the coefficients that share the
 exponents of x_0 .. x_{n-3} in one int, so the inner loops are big-int
-arithmetic.  A product goes to rows from 2000 term pairs, when its rows
-are full enough to pay; a division first scales both forms to primitive
-int forms, and when the quotient outgrows the slots sized from the
-dividend it is divided once more in slots sized from Mahler's bound on
-any factor of the dividend.  Fraction coefficients, one-variable forms
-and smaller products take the term loop over packed dicts.
+arithmetic.  Powers and compositions always run on rows: Fraction data
+is first scaled to int forms, and one-variable data is one term, so it
+is evaluated exactly.  A product goes to rows from 2000 term pairs, when
+its rows are full enough to pay, and otherwise takes the term loop over
+packed dicts; a division first scales both forms to primitive int
+forms, and when the quotient outgrows the slots sized from the dividend
+it is divided once more in slots sized from Mahler's bound on any
+factor of the dividend.
 Terms are kept in descending graded-lexicographic order, which for a
 homogeneous polynomial reduces to descending lexicographic order on the
 exponent tuples, so equal polynomials compare equal structurally and
@@ -44,7 +46,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, groupby
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
@@ -352,18 +354,20 @@ class HomPoly:
         if self.is_zero:
             return HomPoly.zero(self.nvars)
         nv, top = self.nvars, self._degree * n
+        if nv == 1:
+            [(_, c)] = self.terms
+            return HomPoly._new(1, {(top,): c**n}, top)
         # no power on the way has more terms than there are monomials of
         # degree top or multisets of n terms of self
         _guard(min(_monomial_bound(top, nv), math.comb(n + len(self.terms) - 1, n)))
+        # (F/den)^n = F^n/den^n for the int form F
+        den, (terms,) = _int_terms(self.terms)
         width = _field_width(top)
-        d = _pack_dict(dict(self.terms), width)
-        if nv > 1 and all(type(c) is int for c in d.values()):
-            # the 1-norm is submultiplicative, so it bounds every coefficient of q^n
-            s = _slot_bytes(sum(map(abs, d.values())) ** n)
-            rows = _ppower({0: {0: 1}, 1: _row_ints(d, width, s)}, n, _row_mul)
-            return HomPoly._new(nv, _row_decode(rows, width, nv, top, s), top)
-        out = _ppower({0: {0: 1}, 1: d}, n, _pmul)
-        return HomPoly._new(nv, _unpack_dict(out, nv, width), top)
+        d = _pack_dict(dict(terms), width)
+        # the 1-norm is submultiplicative, so it bounds every coefficient of F^n
+        s = _slot_bytes(sum(map(abs, d.values())) ** n)
+        rows = _ppower({0: {0: 1}, 1: _row_ints(d, width, s)}, n)
+        return HomPoly._new(nv, _unscale(_row_decode(rows, width, nv, top, s), den**n), top)
 
     # -- composition, derivative, evaluation ---------------------------------------
 
@@ -414,15 +418,14 @@ def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tup
 
     ``substitutes[i]`` replaces variable ``i`` of every form.  The
     substitutes must share an arity and (when nonzero) a common degree,
-    so each result stays homogeneous.  Each sum is formed by Horner's
-    rule in each variable in turn (`_horner_all`).  A form with int
-    coefficients over int substitutes in two or more variables runs it
-    on rows (`_row_compose`); any other form, one with a Fraction
-    coefficient or over one-variable or Fraction substitutes, multiplies
-    packed term dicts by the term loop of `_pmul`.  The row forms share
-    one slot width and one table of the substitutes' powers as rows, and
-    the forms of each route the unscaled product of every single-term
-    run.
+    so each result stays homogeneous.  One-variable substitutes are
+    c_i x^d, so f(q) = f(c) x^(d deg f) by exact `evaluate`.  Otherwise
+    a form f = F/den over substitutes q_i = Q_i/D, with F and the Q_i
+    int forms (`_int_terms`; int data passes as it is), gives
+    f(q) = F(Q) / (den D^(deg f)), and every F(Q) is formed by Horner's
+    rule on rows in one pass (`_row_compose`), with one slot width, one
+    table of the powers of the Q_i as rows and the product of every
+    single-term run shared across the forms.
     """
     forms, comps = tuple(forms), tuple(substitutes)
     for f in forms:
@@ -438,24 +441,19 @@ def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tup
     # with every substitute zero, every sum but a constant form's is empty
     d = max(degs, default=0)
     tops = [f._degree * d for f in forms]
-    terms = [f.terms for f in forms]
+    if nv2 == 1:
+        c = [q.terms[0][1] if q.terms else 0 for q in comps]
+        return tuple(HomPoly._new(1, {(top,): f.evaluate(c)}, top) for f, top in zip(forms, tops))
     _guard(_monomial_bound(max(tops, default=0), nv2))
     # every intermediate below is homogeneous of degree <= max(tops)
     width = _field_width(max(tops, default=0))
-    subs = [_pack_dict(dict(q.terms), width) for q in comps]
-    ints = nv2 > 1 and all(type(c) is int for q in subs for c in q.values())
-    on_rows = [ints and all(type(c) is int for _, c in t) for t in terms]
-    row_forms = [(t, top) for t, top, r in zip(terms, tops, on_rows) if r]
-    rows = iter(_row_compose(row_forms, subs, width, nv2) if row_forms else ())
-    powers = [{0: {0: 1}, 1: q} for q in subs]
-
-    def times(acc, i, k):
-        return _pmul(acc, _ppower(powers[i], k, _pmul))
-
-    packed = iter(_horner_all([t for t, r in zip(terms, on_rows) if not r], times))
+    D, qs = _int_terms(*(q.terms for q in comps))
+    scaled = [_int_terms(f.terms) for f in forms]
+    subs = [_pack_dict(dict(q), width) for q in qs]
+    sums = _row_compose([(t, top) for (_, (t,)), top in zip(scaled, tops)], subs, width, nv2)
     return tuple(
-        HomPoly._new(nv2, next(rows) if r else _unpack_dict(next(packed), nv2, width), top)
-        for r, top in zip(on_rows, tops)
+        HomPoly._new(nv2, _unscale(out, den * D**f._degree), top)
+        for out, (den, _), f, top in zip(sums, scaled, forms, tops)
     )
 
 
@@ -521,10 +519,9 @@ def _slot_bias(size: int, s: int) -> tuple[int, int]:
 def _pmul(a: dict, b: dict) -> dict:
     """Product of packed term dicts by the term loop, dropping cancelled terms once at the end.
 
-    It multiplies each pair of terms and sums by key.  Products of
-    homogeneous int forms in two or more variables with at least
-    _ROW_MIN_PAIRS term pairs, and every int power and composition in
-    two or more variables, run on rows instead.
+    It multiplies each pair of terms and sums by key.  Only `_dmul`
+    calls it, for the products that it leaves off rows; powers and
+    compositions always run on rows.
     """
     if not a or not b:
         return {}
@@ -556,78 +553,32 @@ def _pacc(acc: dict, d: dict) -> None:
             del acc[k]
 
 
-def _ppower(powers: dict, k: int, mul) -> dict:
-    """q^k by repeated squaring, memoised in powers, which holds q^0 and q^1.
-
-    mul multiplies two packed term dicts (`_pmul`) or two row dicts
-    (`_row_mul`) of homogeneous forms.
-    """
+def _ppower(powers: dict, k: int) -> dict:
+    """q^k by repeated squaring of rows, memoised in powers, which holds q^0 and q^1."""
     p = powers.get(k)
     if p is None:
-        half = _ppower(powers, k // 2, mul)
-        p = mul(half, half)
+        half = _ppower(powers, k // 2)
+        p = _row_mul(half, half)
         if k & 1:
-            p = mul(p, powers[1])
+            p = _row_mul(p, powers[1])
         powers[k] = p
     return p
 
 
-def _horner(terms, lo: int, hi: int, i: int, times, leaf) -> dict:
-    """Sum of c * prod_{j >= i} q_j^(e_j) over terms[lo:hi].
+def _int_terms(*terms) -> tuple:
+    """(D, (D t for t in terms)) for tuples t of (key, coefficient) pairs, D the lcm of every denominator.
 
-    The slice is in descending order and its exponents agree before slot
-    i, so it splits into runs of equal e_i.  Horner's rule in variable i
-    multiplies the running sum by a power of q_i between runs, as
-    times(acc, i, k) = acc * q_i^k.  A single term, which homogeneity
-    leaves in the last slot, is leaf(e, i, c) = c * prod_{j >= i}
-    q_j^(e_j).  The two callbacks fix the representation: packed term
-    dicts or rows.
+    With every coefficient an int, D is 1 and each tuple is passed as it is.
     """
-    if hi - lo == 1:
-        e, c = terms[lo]
-        return leaf(e, i, c)
-    acc: dict = {}
-    prev = 0
-    j = lo
-    while j < hi:
-        k = terms[j][0][i]
-        m = j + 1
-        while m < hi and terms[m][0][i] == k:
-            m += 1
-        inner = _horner(terms, j, m, i + 1, times, leaf)
-        if j == lo:
-            acc = inner
-        else:
-            acc = times(acc, i, prev - k)
-            _pacc(acc, inner)
-        prev = k
-        j = m
-    return times(acc, i, prev) if prev else acc
+    den = math.lcm(*(c.denominator for t in terms for _, c in t if type(c) is not int))
+    if den == 1:
+        return 1, terms
+    return den, tuple(tuple((e, (c * den).numerator) for e, c in t) for t in terms)
 
 
-def _horner_all(forms, times) -> list:
-    """`_horner` over each tuple of terms in forms, with one leaf product per distinct tail.
-
-    The leaf of a single term c * x_i^(e_i) ... x_{n-1}^(e_{n-1}) is c
-    times P(e_i, ..., e_{n-1}) = prod_{j >= i} q_j^(e_j).  P is formed
-    once across the forms and memoised, as times(P(e_{i+1}, ...), i,
-    e_i) from P() = 1, which is {0: 1} both packed and as rows.
-    """
-    memo = {(): {0: 1}}
-
-    def product(e, i):
-        p = memo.get(e[i:])
-        if p is None:
-            p = product(e, i + 1)
-            if e[i]:
-                p = times(p, i, e[i])
-            memo[e[i:]] = p
-        return p
-
-    def leaf(e, i, c):
-        return {key: c * v for key, v in product(e, i).items()}
-
-    return [_horner(terms, 0, len(terms), 0, times, leaf) for terms in forms]
+def _unscale(d: dict, den: int) -> dict:
+    """d / den for an int den, d itself when den is 1."""
+    return d if den == 1 else {e: Fraction(c, den) for e, c in d.items()}
 
 
 # -- rows: a homogeneous int polynomial as Kronecker images of binary forms ---
@@ -716,21 +667,50 @@ def _row_compose(forms, subs: list, width: int, nvars: int) -> list:
     B = sum |c| prod_i max(1, ||q_i||_1)^(e_i), as the 1-norm is
     submultiplicative, so slots of s bytes with 2^(8s-1) above every
     form's B, and above each ||q_i||_1 for the rows of q_i, decode each
-    result once at the end.  Multiplying the running sum by a power of
-    q_i is a product of rows, with the powers of each q_i as rows
-    memoised across the forms.
+    result once at the end.
+
+    A form's terms are in descending order, so those that agree before
+    slot i split into runs of equal e_i.  Horner's rule in variable i
+    multiplies the running sum by a power of q_i between runs, a product
+    of rows, with the powers of each q_i as rows memoised across the
+    forms.  A single term c x_i^(e_i) .. x_{n-1}^(e_{n-1}), which
+    homogeneity leaves in the last slot, is c times
+    P(e_i, ..., e_{n-1}) = prod_{j >= i} q_j^(e_j), formed once across
+    the forms as P(e_{i+1}, ...) q_i^(e_i) from P() = 1.
     """
     norms = [max(1, sum(map(abs, q.values()))) for q in subs]
     # the slots hold each q_i too, though a q_i that no form involves adds nothing to B
     bound = max(chain(norms, (sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in t) for t, _ in forms)))
     s = _slot_bytes(bound)
     powers = [{0: {0: 1}, 1: _row_ints(q, width, s)} for q in subs]
+    products = {(): {0: 1}}
 
-    def times(acc, i, k):
-        return _row_mul(acc, _ppower(powers[i], k, _row_mul))
+    def product(e, i):
+        p = products.get(e[i:])
+        if p is None:
+            p = product(e, i + 1)
+            if e[i]:
+                p = _row_mul(p, _ppower(powers[i], e[i]))
+            products[e[i:]] = p
+        return p
 
-    sums = _horner_all([t for t, _ in forms], times)
-    out = [_row_decode(rows, width, nvars, top, s) for rows, (_, top) in zip(sums, forms)]
+    def horner(terms, i):
+        # the sum over terms, whose exponents agree before slot i
+        if len(terms) == 1:
+            [(e, c)] = terms
+            return {key: c * v for key, v in product(e, i).items()}
+        acc, prev = None, 0
+        for k, run in groupby(terms, lambda t: t[0][i]):
+            inner = horner(tuple(run), i + 1)
+            if acc is None:
+                acc = inner
+            else:
+                acc = _row_mul(acc, _ppower(powers[i], prev - k))
+                _pacc(acc, inner)
+            prev = k
+        return _row_mul(acc, _ppower(powers[i], prev)) if prev else acc
+
+    out = [_row_decode(horner(t, 0) if t else {}, width, nvars, top, s) for t, top in forms]
     assert None not in out, "composition outgrew its slot bound"
     return out
 
@@ -751,7 +731,8 @@ def _dmul(a: dict, b: dict) -> dict:
     as at most min(|a|, |b|) term pairs meet in one monomial.  Each pair
     of rows is one int product, so rows that hold few terms each, as
     sparse forms in four or more variables do, multiply faster by the
-    term loop of `_pmul`, as does any other product.
+    term loop of `_pmul`, as does any other product; this is the one
+    product with two routes and the one caller of that loop.
     """
     if not a or not b:
         return {}

@@ -560,6 +560,29 @@ class TestVerifyAll:
         assert code == 0
         assert json.loads(out)["lambda"] == "1"
 
+    def test_p3_qas_fixture_end_to_end(self, capsys):
+        # the committed QAS map of P^3 through verify-all, green-point at 53
+        # and 128 bits, and green-grid on a complex line
+        p3 = Path(__file__).parent / "fixtures" / "p3_qas.map"
+        code, out, _ = run(capsys, "verify-all", "--map", p3, "--n", 3, "--json")
+        payload = json.loads(out)
+        validate(payload, schema("verify-all"))
+        assert code == 0 and payload["passed"] is True
+        assert payload["checks"]["lifting_recurrence"] == payload["checks"]["residuals"] == "PASS"
+        assert payload["digest"] == "801cf17701cdbcc722d10e387068e8a71cea4d0f12ae6dd24f8bdc0f842c9b5b"
+        values = []
+        for precision in (53, 128):
+            code, out, _ = run(capsys, "green-point", "--map", p3, "--point", "1,2,3,4",
+                               "--precision", precision)
+            assert code == 0 and out.splitlines()[1] == "status OK"
+            values.append(out.splitlines()[0])
+        assert values[0] == "u 2.2473498182454126"
+        # the 128-bit digits are not pinned: only their agreement with 53 bits
+        assert abs(Decimal(values[1][2:]) - Decimal(values[0][2:])) < Decimal("1e-14")
+        code, out, _ = run(capsys, "green-grid", "--map", p3, "--base=1,2,3,4", "--e1=1,0.5,0,0",
+                           "--e2=1j,0.5j,0,0", "--resolution", 16)
+        assert (code, out) == (0, "resolution 16\nOK 256\n")
+
 
 class TestTextOutput:
     @pytest.mark.parametrize("argv, code, text", [

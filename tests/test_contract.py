@@ -69,6 +69,26 @@ def _p3_map_text(rng) -> str:
     return "vars x y z t\n" + "".join(f"map {poly_to_text(c, P3_NAMES)}\n" for c in comps)
 
 
+def _green_commands(seed: int, root: Path) -> list[list]:
+    """green-point and green-grid on 20 maps of P^2, at drawn precisions, depths and resolutions."""
+    rng = random.Random(seed)
+
+    def vector():
+        # small ints and complex numbers with imaginary part 1
+        coords = (rng.choice((rng.randint(-3, 3), complex(rng.randint(-3, 3), 1))) for _ in range(3))
+        return ",".join(map(str, coords))
+
+    out = []
+    for i in range(20):
+        path = root / f"green{i}.map"
+        path.write_text(_random_map_text(rng, i))
+        common = ["--precision", rng.choice((24, 53, 64, 128, 300)), "--n", rng.randint(1, 200)]
+        out.append(["green-point", "--map", path, f"--point={vector()}", *common])
+        out.append(["green-grid", "--map", path, f"--base={vector()}", f"--e1={vector()}",
+                    f"--e2={vector()}", "--resolution", rng.randint(1, 4), *common])
+    return out
+
+
 def _run(capsys, argv) -> tuple:
     code = main([str(a) for a in argv] + ["--json"])
     captured = capsys.readouterr()
@@ -87,7 +107,8 @@ def _check(capsys, commands, root: Path) -> dict:
     for argv, (code, out, err) in zip(commands, first):
         assert code in (0, 1, 2, 3), (argv, code, err)
         codes.setdefault(argv[0], set()).add(code)
-        if code in (0, 1):
+        # the Green commands refuse a map with no divisor to certify by exit 1 on stderr alone
+        if code == 0 or code == 1 and (out or argv[0] not in ("green-point", "green-grid")):
             validate(json.loads(out), schemas[argv[0]])
         else:
             assert out == "" and err.startswith("error: "), (argv, out, err)
@@ -99,7 +120,7 @@ def _check(capsys, commands, root: Path) -> dict:
 
 
 def test_random_inputs_keep_the_exit_codes_schemas_and_bytes(tmp_path, capsys):
-    codes = _check(capsys, _commands(2037, tmp_path), tmp_path)
+    codes = _check(capsys, _commands(2037, tmp_path) + _green_commands(2039, tmp_path), tmp_path)
     # and refusals on some
     assert 2 in set().union(*codes.values()), codes
 

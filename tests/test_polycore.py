@@ -1382,6 +1382,17 @@ def test_pow_takes_the_kronecker_route(kronecker):
         kronecker.clear()
         R, _ = _ring_of(5)
         assert _ring_dict(b**5) == dict(_in_ring(R, b) ** 5) and kronecker
+    # (F/den)^n is F^n/den^n on rows; a one-variable power is one term, off the rows
+    R, _ = _ring_of(3)
+    R1, _ = _ring_of(1)
+    frac = _form(rng, 3, 3, lambda rng: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)), 6)
+    line = HomPoly(1, [((2,), Fraction(-7, 3))])
+    for n in range(7):
+        kronecker.clear()
+        assert _ring_dict(frac**n) == dict(_in_ring(R, frac) ** n)
+        assert bool(kronecker) == (n > 1)
+        kronecker.clear()
+        assert _ring_dict(line**n) == dict(_in_ring(R1, line) ** n) and not kronecker
 
 
 def test_pow_term_cap():
@@ -1452,15 +1463,16 @@ def test_row_compose_holds_a_substitute_that_no_form_involves(rows):
     assert [_ring_dict(g) for g in got] == [_ring_compose(f, qs) for f in forms]
 
 
-def test_row_compose_leaves_fraction_coefficients_to_the_packed_horner(rows):
+def test_row_compose_scales_fraction_coefficients_to_int_rows(rows):
+    # a Fraction form or substitute is scaled to an int one and composed
+    # on rows like any int form: one row pass a call
     rng = random.Random(79)
     p = _int_form(rng, 3, 4, 9, 15)
     qs = [_int_form(rng, 3, 2, 9, 3) for _ in range(3)]
     third = HomPoly(3, [(e, Fraction(c, 3)) for e, c in qs[0].terms])
-    for p2, qs2 in ((p * Fraction(1, 2), qs), (p, [third, *qs[1:]])):
+    for n, (p2, qs2) in enumerate(((p * Fraction(1, 2), qs), (p, [third, *qs[1:]]), (p, qs)), 1):
         assert _ring_dict(p2.compose(qs2)) == _ring_compose(p2, qs2)
-    assert rows["compose"] == 0
-    assert _ring_dict(p.compose(qs)) == _ring_compose(p, qs) and rows["compose"] == 1
+        assert rows["compose"] == n
 
 
 def _ring_div(num: HomPoly, den: HomPoly):
@@ -1635,9 +1647,21 @@ def test_compose_all_rejects_substitutes_of_mixed_degree(maps):
 
 def test_compose_all_matches_sympy():
     rng = random.Random(3001)
-    xs = _symbols(3)
+    xs, (y,) = _symbols(3), _symbols(1)
     forms = [_random_form(rng, 3, 3, 6) for _ in range(3)] + [_random_form(rng, 3, 2, 25)]
+    ints = [random_hompoly(rng, 3, 3, 8, 9) for _ in range(2)] + [HomPoly.constant(3, 4)]
     qs = [_random_form(rng, 3, 2, 4) for _ in range(3)]
-    sub = dict(zip(xs, (_to_sympy(q, xs) for q in qs)))
-    for got, form in zip(compose_all(forms, qs), forms):
-        _assert_same(got, sympy.expand(_to_sympy(form, xs).xreplace(sub)), xs)
+    int_qs = [random_hompoly(rng, 3, 2, 4, 9) for _ in range(3)]
+    cases = [
+        (forms, qs, xs),
+        # int forms over substitutes with denominators 2, 3 and 5
+        (ints, [q * Fraction(1, d) for q, d in zip(int_qs, (2, 3, 5))], xs),
+        # Fraction forms over int substitutes
+        (forms, int_qs, xs),
+        # one-variable substitutes c_i y^2, one of them zero
+        (forms + ints, [HomPoly(1, [((2,), Fraction(-3, 2))]), HomPoly.zero(1), HomPoly(1, [((2,), 5)])], (y,)),
+    ]
+    for fs, subs, ys in cases:
+        sub = dict(zip(xs, (_to_sympy(q, ys) for q in subs)))
+        for got, form in zip(compose_all(fs, subs), fs):
+            _assert_same(got, sympy.expand(_to_sympy(form, xs).xreplace(sub)), ys)
