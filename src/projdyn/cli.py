@@ -22,8 +22,6 @@ import random
 import sys
 from typing import Optional
 
-from mpmath import mp, workprec
-
 from . import greenpot as gp
 from .family2 import (
     FAIL,
@@ -79,9 +77,11 @@ def _numstr(x, precision_bits: int = 53) -> str:
 
     High-precision values are printed as they are; recasting through
     mp.mpf at the ambient precision would silently round them down.
+    A float is its repr, so only a non-float value loads mpmath.
     """
     if isinstance(x, float):
         return repr(x)
+    from mpmath import mp, workprec
     dps = max(17, int(precision_bits * 0.3010299957) - 2)
     with workprec(precision_bits + 8):
         if not isinstance(x, mp.mpf):

@@ -30,8 +30,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import libmp, mp, workprec
-
 from .mapiter import ProjMap, QASCertificate, ZeroVector, map_to_text
 from .polycore import poly_to_text
 from .specdeg import DegreeRecurrence, extend_degrees
@@ -162,10 +160,10 @@ def _chunked_sum(name, start, parts):
 
 # run()'s orbit: the entry check, then per plan row the step's lines inline, run()'s
 # checks in its order and the γ update (str.format: {{n}} is an f-string's {n} in the
-# source); {check} computes nrm and checks it, at every step or only under a guard
-# (see _generate; _float_code's is nf == INF, as for a finite nf the quotient's computed
-# norm lies within (2n+4)·2^-53 of 1); γ − γ is nan only for a non-finite γ, even an int
-# γ that float() refuses
+# source); {check} computes nrm and checks it under a guard, or is empty (see _generate:
+# _float_code's guard is nf == INF, as for a finite nf the quotient's computed norm lies
+# within (2n+4)·2^-53 of 1, and _fixed_code's check cannot fire past the entry); γ − γ is
+# nan only for a non-finite γ, even an int γ that float() refuses
 _ORBIT = """
 def orbit(w, gamma, plan):
 {entry}
@@ -212,11 +210,11 @@ def _generate(head, quot, ns, norm_when=None, **update):
     "nrm = ...".  The orbit checks its entry point by these two lines,
     the first turned round to unpack w, then runs head and quot, less
     its nrm line, inline per plan row and returns what run() does.
-    Each step computes nrm and checks it after the γ update; given
-    norm_when, only when that condition holds.  A generator passes one
-    only where nrm provably passes the check whenever the condition is
-    false, so the orbit raises the same error at the same step as with
-    the check on every step.  update is the code of the γ update's
+    After the γ update a step computes nrm and checks it only when the
+    condition norm_when holds, and without one never.  A generator
+    leaves the check out only where nrm provably passes it, so the
+    orbit raises the same error at the same step as with the check on
+    every step.  update is the code of the γ update's
     log nf (log_f), log|H| (log_h) and division (div).
     """
     ns.update(OrbitError=OrbitError, OrbitHitDivisor=OrbitHitDivisor,
@@ -225,7 +223,7 @@ def _generate(head, quot, ns, norm_when=None, **update):
     lost = 'raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step={})'
     check = lambda step: [quot[-1], "if abs(nrm - 1.0) > 1e-6:", "    " + lost.format(step)]
     entry = [quot[-2].removeprefix("w = ") + " = w"] + check(0)
-    loop = check("n") if norm_when is None else [f"if {norm_when}:"] + ["    " + ln for ln in check("n")]
+    loop = [] if norm_when is None else [f"if {norm_when}:"] + ["    " + ln for ln in check("n")]
     exec("def step(w):\n" + body(head, "    ")
          + "\n    if nf < TOL:\n        return nf, None, 0.0, hv\n"
          + body(quot, "    ") + "\n    return nf, w, nrm, hv\n"
@@ -357,6 +355,14 @@ def _fixed_code(polys, nvars, scale, div=None):
     The norm of q divides the int Σ q² by the int 2^(2S): int/int
     division is correctly rounded at any size, where a float of the sum
     overflows once 2S > 1024.
+
+    The orbit checks that norm at its entry alone.  Past it, every
+    accepted nf = isqrt(Σ y²) is at least TOL > 2^(S−47), so
+    ‖y‖·2^S/nf lies in [2^S, 2^S·(1 + 2^(47−S))), and each part of q is
+    within one unit below that of y·2^S/nf: ‖q‖/2^S is within about
+    2^-(S−48) of 1, and the float norm adds two roundings of 2^-53.
+    S ≥ 54 + 52, so that is far inside the check's 1e-6, which cannot
+    fire, and int values leave no inf or nan to catch.
     """
     S = scale
     ns = {"isqrt": math.isqrt, "sqrt": math.sqrt, "log": _int_log, "S": S,
@@ -377,10 +383,14 @@ def _fixed_code(polys, nvars, scale, div=None):
         else:
             a, b, name = mono(factors[:-1]), mono(factors[-1:]), f"m{len(monos)}"
         (ar, ai), (br, bi) = a, b
-        lines.append(f"{name}r = ({ar} * {br} - {ai} * {bi}) >> {S}")
-        # a square's imaginary part 2·re·im, shifted by S, is re·im shifted by S-1
-        lines.append(f"{name}i = ({ar} * {ai}) >> {S - 1}" if a == b else
-                     f"{name}i = ({ar} * {bi} + {ai} * {br}) >> {S}")
+        if a == b:
+            # a square: re² − im² is (re + im)(re − im), one multiply fewer, and
+            # 2·re·im shifted by S is re·im shifted by S-1
+            lines.append(f"{name}r = (({ar} + {ai}) * ({ar} - {ai})) >> {S}")
+            lines.append(f"{name}i = ({ar} * {ai}) >> {S - 1}")
+        else:
+            lines.append(f"{name}r = ({ar} * {br} - {ai} * {bi}) >> {S}")
+            lines.append(f"{name}i = ({ar} * {bi} + {ai} * {br}) >> {S}")
         monos[factors] = f"{name}r", f"{name}i"
         return monos[factors]
 
@@ -416,6 +426,7 @@ def _log_table(W):
     Built once per W by mpmath at W + 30 bits, each entry floored: the
     only mpmath calls of the fixed-point logarithm.
     """
+    from mpmath import libmp
     table = tuple(libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(256 + j, -8), W + 30), W)
                   for j in range(256))
     return libmp.ln2_fixed(W + 64), table
@@ -505,6 +516,7 @@ def _ratios(z, scale):
                 raise ValueError("point coordinates must be finite")
             parts += (x.real.as_integer_ratio(), x.imag.as_integer_ratio())
         else:
+            from mpmath import libmp, mp, workprec
             with workprec(scale):
                 c = mp.mpc(mp.mpmathify(x))
             if not mp.isfinite(c):
@@ -558,7 +570,10 @@ class _OrbitRunner:
     log-heights γₙ of its unit vectors wₙ.  Each step also evaluates H
     at the point it leaves; the orbit keeps these values and reads the
     lagged one, n0+1 steps back, and abs() of a value is |H(w)| in the
-    units of the step's norm and of tol.
+    units of the step's norm and of tol.  real(x) turns a height or
+    logarithm of the runner into a number: a float at 53 bits and below,
+    an mpf rounded at the precision above, whose mpmath names set-up
+    binds once; a 53-bit runner never loads mpmath.
     """
 
     def __init__(self, f: ProjMap, cert, n_iters: int, precision: int):
@@ -576,7 +591,7 @@ class _OrbitRunner:
         spec = DegreeRecurrence(d=f.degree, h=h, n0=n0)
         spec.check_viable()
         if precision <= 53:
-            self.scale, self.tol, self.log = None, _SINGULAR_TOL, math.log
+            self.scale, self.tol, self.log, self.real = None, _SINGULAR_TOL, math.log, float
             self.step = _float_code(f.components, f.nvars, cert and cert.H)
         else:
             polys = f.components + ((cert.H,) if cert else ())
@@ -584,14 +599,10 @@ class _OrbitRunner:
             self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
             self.log = lambda r: _int_log(r, 1 << S, S)
             self.step = _fixed_code(f.components, f.nvars, S, cert and cert.H)
+            from mpmath import libmp, mp
+            self.real = lambda x: mp.make_mpf(libmp.from_man_exp(x, -S, precision, libmp.round_nearest))
         self.nvars, self.precision, self.spec = f.nvars, precision, spec
         self.plan = _plan(spec, n_iters, precision <= 53)
-
-    def real(self, x):
-        """A height or logarithm of this runner as a number: float, or mpf at the precision."""
-        if self.scale is None:
-            return float(x)
-        return mp.make_mpf(libmp.from_man_exp(x, -self.scale, self.precision, libmp.round_nearest))
 
     def start(self, z):
         """Unit vector and log-height of the input point."""
@@ -706,6 +717,7 @@ def _lambda(orbit: _OrbitRunner, lambda_report):
         lam = lambda_report.lambda_
     if precision <= 53:
         return float(lam)
+    from mpmath import mp, workprec
     with workprec(precision):
         return mp.mpf(lam)
 
@@ -736,6 +748,7 @@ def functional_eq_residual(
     if w1 is None:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
     u_fz = orbit.real(orbit.run(w1, orbit.log(nf))[0][-1])
+    from mpmath import workprec
     with workprec(precision):
         if cert is None:
             return abs(u_fz - lam * u_z)
@@ -781,6 +794,7 @@ def telescope_residual(
     u_z = orbit.real(orbit.value(w)[0])
     u_wn = orbit.real(orbit.value(w_n)[0])
     d, real = f.degree, orbit.real
+    from mpmath import workprec
     with workprec(precision):
         u_fnz = real(d**n * gammas[n]) + u_wn
         if cert is None:

@@ -9,7 +9,9 @@ exactly whether a root above 1 exists (`DegreeRecurrence.check_viable`),
 certifies the dominant root and its multiplicity, reads the
 subexponential factor off the residue of the generating function
 sum d_n x^n = 1/(1 - d x + h x^{n0+1}) at 1/lambda, and verifies the
-asymptotic statements numerically as residuals.
+asymptotic statements numerically as residuals.  The recurrence and its
+exact extension use ints and Fractions alone; the spectral functions and
+the checks import mpmath when called, so exact work never loads it.
 
 For h > 0, P falls on (0, t*) and rises after its one positive critical
 point t* = d n0/(n0+1), and by Descartes' rule it has at most two
@@ -35,8 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-from mpmath import mp, mpc, mpf, workprec
 
 __all__ = [
     "SpectralError",
@@ -187,6 +187,7 @@ def _tangent_estimates(n0):
     float's rounding (18 do for n0 <= 500), 32 bits at least, and each
     Newton step on s^n0 (n0 + 1 - n0 s) - 1 doubles the bits.
     """
+    from mpmath import mp, mpc
     out = []
     for j in range(1, n0):
         wj, s = cmath.exp(2j * cmath.pi * j / n0), 0j
@@ -216,6 +217,7 @@ def _tangent_rho(n0, precision_bits):
     which puts each root within a relative 2^-precision_bits of its
     estimate, `PrecisionExhausted` is raised.
     """
+    from mpmath import mp, mpf
     roots, coeffs, S, m = _tangent_estimates(n0), range(n0, 0, -1), precision_bits + 16, n0 - 1
     Z = [tuple(int(mp.nint(mp.ldexp(x, S))) for x in (mp.re(z), mp.im(z))) for z in roots]
     top = max((x * x + y * y for x, y in Z), default=0)
@@ -244,6 +246,7 @@ def _descend(update, x):
     keeps a step from moving x toward it, so that step ends the
     iteration; the loop bound is a backstop.
     """
+    from mpmath import mp
     step = None
     for _ in range(mp.prec):
         new = x - update(x)
@@ -285,6 +288,7 @@ def _scaled_gap(spec: DegreeRecurrence, lam, precision_bits: int):
     precision however small it is, where lambda - t* taken from lambda
     loses the bits of lambda/(lambda - t*).
     """
+    from mpmath import mp, mpf
     d, n0 = spec.d, spec.n0
     a = d * n0
     g = [math.comb(n0 + 1, k) * a ** (n0 + 1 - k)
@@ -335,6 +339,7 @@ def char_poly_roots(spec: DegreeRecurrence, precision_bits: int = 128) -> Spectr
     S(u) = sum_{j<n0} (n0 - j) u^j, so 1/Q = A/(1 - u)^2 + B/(1 - u) + ...
     with A = n0/S(1), B = n0 S'(1)/S(1)^2 and Q_fit = (A + B, A).
     """
+    from mpmath import mp, mpf, workprec
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     spec.check_viable()
@@ -375,6 +380,7 @@ def check_asymptotics(degrees: Sequence[int], report: SpectralReport) -> Asympto
     sequence, independently of the report's residue fit Q_fit, so
     the two routes cross-check each other.
     """
+    from mpmath import mp, mpf, workprec
     if len(degrees) < 10:
         raise InsufficientData("need at least 10 degree values")
     spec = _recurrence_from_charpoly(report.charpoly)
@@ -405,6 +411,7 @@ def check_growth_bounds(degrees: Sequence[int], lam) -> tuple:
     partial-sum ratio sum_{j<=n} d_j / d_n; both are returned exactly as
     scanned, so a stable map yields C1 = 0.
     """
+    from mpmath import mpf
     if len(degrees) < 10:
         raise ValueError("need at least 10 degree values")
     lam = mpf(lam) if not isinstance(lam, mpf) else lam
@@ -427,6 +434,7 @@ def check_sn_identity(spec: DegreeRecurrence, lam, degrees: Sequence[int], n_max
     polynomial; the returned maximum is the numeric witness, bounded
     by the precision of the supplied lam.
     """
+    from mpmath import mp, mpf
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if len(degrees) <= n_max:

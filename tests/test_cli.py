@@ -6,6 +6,8 @@ against the schemas shipped under docs/schemas/.
 
 import hashlib
 import json
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -652,3 +654,54 @@ class TestErrorPaths:
             capsys, "green-point", "--map", files["drops_map"], "--point", "1,2,3"
         )
         assert code == 1 and "error" in err
+
+
+# run in a fresh interpreter: import projdyn.cli from argv[1], note the mpmath modules
+# that loaded, make mpmath unimportable, run each command of argv[2:] (a JSON list)
+# and print those modules and each exit code and stdout as JSON
+NO_MPMATH = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import projdyn.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")
+sys.modules["mpmath"] = None
+runs = []
+for arg in sys.argv[2:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = projdyn.cli.main(json.loads(arg))
+    runs.append([code, out.getvalue()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+class TestWithoutMpmath:
+    """The exact commands and the 53-bit Green commands need no mpmath."""
+
+    def test_commands_print_the_same_bytes_without_mpmath(self, files, capsys, tmp_path, monkeypatch):
+        commands = [
+            ["degrees", "--map", files["stable_map"], "--n", 4],
+            ["infer-qas", "--map", files["stable_map"], "--n", 3],
+            ["family-gen", "--deg-p", 2, "--seed", 5, "--out", "gen.fam"],
+            ["family-check", "--family", files["stable_fam"]],
+            ["green-point", "--map", files["stable_map"], "--point", "1,2,3"],
+            ["green-grid", "--map", files["stable_map"], "--base", "0,1,0.5", "--e1", "1,0,0",
+             "--e2", "0,0,1", "--resolution", 5, "--csv", "g.csv", "--pgm", "g.pgm"],
+        ]
+        commands = [[str(a) for a in argv] + ["--json"] for argv in commands]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        alone, here = tmp_path / "alone", tmp_path / "here"
+        alone.mkdir()
+        here.mkdir()
+        done = subprocess.run([sys.executable, "-c", NO_MPMATH, src, *map(json.dumps, commands)],
+                              cwd=alone, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        assert got["loaded"] == []
+        monkeypatch.chdir(here)
+        want = [list(run(capsys, *argv)[:2]) for argv in commands]
+        assert [code for code, _ in want] == [0, 0, 0, 0, 0, 0]
+        assert got["runs"] == want
+        written = {p.name: p.read_bytes() for p in here.iterdir()}
+        assert sorted(written) == ["g.csv", "g.pgm", "g.pgm.json", "gen.fam"]
+        assert {p.name: p.read_bytes() for p in alone.iterdir()} == written

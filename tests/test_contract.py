@@ -89,6 +89,17 @@ def _green_commands(seed: int, root: Path) -> list[list]:
     return out
 
 
+def _verify_commands(seed: int, root: Path) -> list[list]:
+    """verify-all --n 3 on 20 maps of P^2, at drawn precisions."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(20):
+        path = root / f"verify{i}.map"
+        path.write_text(_random_map_text(rng, i))
+        out.append(["verify-all", "--map", path, "--n", 3, "--precision", rng.choice((64, 128, 300))])
+    return out
+
+
 def _run(capsys, argv) -> tuple:
     code = main([str(a) for a in argv] + ["--json"])
     captured = capsys.readouterr()
@@ -120,7 +131,8 @@ def _check(capsys, commands, root: Path) -> dict:
 
 
 def test_random_inputs_keep_the_exit_codes_schemas_and_bytes(tmp_path, capsys):
-    codes = _check(capsys, _commands(2037, tmp_path) + _green_commands(2039, tmp_path), tmp_path)
+    commands = _commands(2037, tmp_path) + _green_commands(2039, tmp_path) + _verify_commands(2040, tmp_path)
+    codes = _check(capsys, commands, tmp_path)
     # and refusals on some
     assert 2 in set().union(*codes.values()), codes
 

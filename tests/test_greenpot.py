@@ -15,6 +15,7 @@ import json
 import math
 import random
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1147,9 +1148,9 @@ class TestFixedPointStep:
         f, cert, _ = stable
         runner = gp._OrbitRunner(f, cert, 40, 128)
         want = runner.run(*runner.start(Z_FROZEN))[0][-1]
-        # the log table is built: start and run now need no mpmath
-        monkeypatch.setattr(gp, "mp", None)
-        monkeypatch.setattr(gp, "libmp", None)
+        # the log table is built: start and run now import no mpmath
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        monkeypatch.setitem(sys.modules, "mpmath.libmp", None)
         assert runner.run(*runner.start(Z_FROZEN))[0][-1] == want
 
 
