@@ -33,9 +33,8 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .mapiter import (
     MapError,
@@ -120,8 +119,7 @@ class GenerationExhausted(FamilyError):
     """Rejection sampling hit its attempt cap without a valid instance."""
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """Validated family data plus the induced map and its expected recurrence."""
 
     P: HomPoly
@@ -137,8 +135,7 @@ class FamilyInstance:
         return self.map.names
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(NamedTuple):
     """Outcome of the pointwise check on {P=0} n {R=0}.
 
     The verdict is exact: PASS or FAIL.  rational_points lists every
@@ -158,14 +155,12 @@ class IntersectionReport:
     unresolved: int
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     rank: int
     verdict: str
 
 
-@dataclass(frozen=True)
-class PencilReport:
+class PencilReport(NamedTuple):
     """Coprimality of P against the Q-pencil.
 
     A FAIL carries the exact witness triple (a, b, c).  method records
@@ -181,8 +176,7 @@ class PencilReport:
     method: str
 
 
-@dataclass(frozen=True)
-class PreflightReport:
+class PreflightReport(NamedTuple):
     """The reports of all preflight checks; overall is PASS iff each verdict is."""
 
     coprimality: str

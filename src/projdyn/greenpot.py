@@ -21,14 +21,13 @@ Grid sampling and CSV/PGM export support visual inspection of u along
 """
 
 import cmath
+import contextlib
 import functools
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .mapiter import ProjMap, QASCertificate, ZeroVector, map_to_text
 from .polycore import poly_to_text
@@ -722,6 +721,14 @@ def _lambda(orbit: _OrbitRunner, lambda_report):
         return mp.mpf(lam)
 
 
+def _workprec(precision: int):
+    """mpmath's working precision above 53 bits; below, every operand is a float and needs none."""
+    if precision <= 53:
+        return contextlib.nullcontext()
+    from mpmath import workprec
+    return workprec(precision)
+
+
 def functional_eq_residual(
     f: ProjMap,
     cert: Optional[QASCertificate],
@@ -748,8 +755,7 @@ def functional_eq_residual(
     if w1 is None:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
     u_fz = orbit.real(orbit.run(w1, orbit.log(nf))[0][-1])
-    from mpmath import workprec
-    with workprec(precision):
+    with _workprec(precision):
         if cert is None:
             return abs(u_fz - lam * u_z)
         ah = abs(hw)
@@ -794,8 +800,7 @@ def telescope_residual(
     u_z = orbit.real(orbit.value(w)[0])
     u_wn = orbit.real(orbit.value(w_n)[0])
     d, real = f.degree, orbit.real
-    from mpmath import workprec
-    with workprec(precision):
+    with _workprec(precision):
         u_fnz = real(d**n * gammas[n]) + u_wn
         if cert is None:
             return abs(u_fnz - lam**n * u_z) / lam**n
@@ -813,8 +818,7 @@ def telescope_residual(
 # -- grid sampling ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSlice:
+class GridSlice(NamedTuple):
     """A 2-plane window base + x·e1 + y·e2 over a real parameter box."""
 
     base: tuple
@@ -824,15 +828,14 @@ class GridSlice:
     y_range: tuple = (-1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class GreenGrid:
+class GreenGrid(NamedTuple):
     """Sampled potential values over a slice; values are None off-status."""
 
     slice: GridSlice
     resolution: int
     values: tuple
     status: tuple
-    meta: dict = field(compare=False)
+    meta: dict
 
 
 def _independent(e1, e2) -> bool:
@@ -848,6 +851,7 @@ def _independent(e1, e2) -> bool:
 
 
 def _grid_digest(f: ProjMap, cert: Optional[QASCertificate]) -> str:
+    import hashlib
     blob = map_to_text(f)
     if cert is None:
         blob += "mode=plain"

@@ -10,11 +10,9 @@ all live here, as does `_echelon`, the one exact elimination behind
 the dominance test and the family preflight.
 """
 
-import hashlib
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .polycore import (
     ArityMismatch,
@@ -120,8 +118,7 @@ def _extract(comps: tuple, factor: HomPoly) -> tuple:
     return IntPrimitiveForm(content, factor), comps
 
 
-@dataclass(frozen=True)
-class ProjMap:
+class ProjMap(NamedTuple):
     """A dominant rational self-map of P^k via its primitive lifting."""
 
     k: int
@@ -139,8 +136,7 @@ class ProjMap:
         return f"ProjMap(P^{self.k}, degree {self.degree}: [{comps}])"
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """Liftings F_0..F_N, degrees, and extracted factors E_1..E_N.
 
     extracted[n-1] holds E_n as an IntPrimitiveForm; the exact
@@ -168,8 +164,7 @@ class IterationTrace:
         return self.liftings[n]
 
 
-@dataclass(frozen=True)
-class QASCertificate:
+class QASCertificate(NamedTuple):
     """Witnessed quasi-stability data: lag n0, divisor H of degree h."""
 
     n0: int
@@ -180,8 +175,7 @@ class QASCertificate:
     degrees: tuple
 
 
-@dataclass(frozen=True)
-class InferResult:
+class InferResult(NamedTuple):
     """Stability verdict drawn from a finite trace.
 
     verdict is one of "AS", "QAS", "NotQAS", "Inconclusive".  A QAS
@@ -198,8 +192,7 @@ class InferResult:
     H: Optional[HomPoly] = None
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(NamedTuple):
     """Image of a rational point, or its membership in the indeterminacy set."""
 
     indeterminate: bool
@@ -530,6 +523,7 @@ def certificate_digest(trace: IterationTrace, H: Optional[HomPoly] = None) -> st
     mathematical content of the trace, so reruns reproduce it
     byte-for-byte.
     """
+    import hashlib
     names = trace.map.names
     hasher = hashlib.sha256()
     for lifting in trace.liftings:

@@ -44,11 +44,10 @@ import heapq
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, groupby
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 __all__ = [
@@ -1218,8 +1217,12 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntPrimitiveForm:
+class _IntPrimitiveFields(NamedTuple):
+    content: Fraction
+    primitive: HomPoly
+
+
+class IntPrimitiveForm(_IntPrimitiveFields):
     """Canonical scaling of a nonzero polynomial.
 
     ``content * primitive`` reproduces the input exactly.  The
@@ -1230,11 +1233,16 @@ class IntPrimitiveForm:
     leading coefficient, so the sign lives in the content).
     """
 
-    content: Fraction
-    primitive: HomPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert not self.primitive.is_zero
+    def __new__(cls, content, primitive):
+        assert not primitive.is_zero
+        return super().__new__(cls, content, primitive)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*fields)
 
 
 def int_primitive(p: HomPoly) -> IntPrimitiveForm:

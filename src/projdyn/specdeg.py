@@ -34,9 +34,8 @@ Braess-Hadeler inclusion discs prove it (see `_tangent_rho`).
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "SpectralError",
@@ -75,25 +74,34 @@ class InsufficientData(SpectralError):
     """Too few degree values for a meaningful fit."""
 
 
-@dataclass(frozen=True)
-class DegreeRecurrence:
+class _RecurrenceFields(NamedTuple):
+    d: int
+    h: int
+    n0: int
+
+
+class DegreeRecurrence(_RecurrenceFields):
     """Parameters (d, h, n0) of the lagged degree recurrence.
 
     h = 0 encodes the stable case where no factor is ever extracted
     and the sequence is exactly geometric.
     """
 
-    d: int
-    h: int
-    n0: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 2):
+    def __new__(cls, d, h, n0):
+        if not (isinstance(d, int) and d >= 2):
             raise ValueError("d must be an integer >= 2")
-        if not (isinstance(self.h, int) and self.h >= 0):
+        if not (isinstance(h, int) and h >= 0):
             raise ValueError("h must be an integer >= 0")
-        if not (isinstance(self.n0, int) and self.n0 >= 1):
+        if not (isinstance(n0, int) and n0 >= 1):
             raise ValueError("n0 must be an integer >= 1")
+        return super().__new__(cls, d, h, n0)
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*fields)
 
     def charpoly(self) -> tuple:
         """Integer coefficients of t^{n0+1} - d t^{n0} + h, high to low."""
@@ -117,8 +125,7 @@ class DegreeRecurrence:
             raise DegenerateLambda("no real root above 1; the recurrence has no exponential rate")
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     """Dominant-root data of a degree recurrence.
 
     lambda_ is the dominant root (real, > 1), exact as a double root
@@ -143,8 +150,7 @@ class SpectralReport:
     precision_bits: int
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
+class AsymptoticsReport(NamedTuple):
     """Tail-fitted subexponential factor and per-index relative residuals."""
 
     Q: tuple

@@ -18,7 +18,8 @@ from jsonschema import validate
 from projdyn import cli
 from projdyn.cli import main
 from projdyn.family2 import build_family_map, load_family, run_preflight, save_family
-from projdyn.mapiter import make_map, save_map
+from projdyn.greenpot import functional_eq_residual, telescope_residual
+from projdyn.mapiter import load_map, make_map, save_map
 from projdyn.polycore import parse_poly
 
 NAMES = ("z", "w", "t")
@@ -663,27 +664,40 @@ NO_MPMATH = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import projdyn.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")
+from projdyn import functional_eq_residual, load_map, telescope_residual
+LEAN = ("mpmath", "dataclasses", "inspect", "hashlib")
+def loaded():  # a blocked module's entry is None
+    return sorted(m for m, mod in sys.modules.items() if mod and m.split(".")[0] in LEAN)
+at_import = loaded()
 sys.modules["mpmath"] = None
-runs = []
-for arg in sys.argv[2:]:
+runs, after = [], []
+for arg in sys.argv[3:]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = projdyn.cli.main(json.loads(arg))
     runs.append([code, out.getvalue()])
-print(json.dumps({"loaded": loaded, "runs": runs}))
+    after.append(loaded())
+f = load_map(sys.argv[2])
+residuals = [functional_eq_residual(f, None, None, (1, 2, 3), precision=53),
+             telescope_residual(f, None, None, (1, 2, 3), 3, precision=53)]
+print(json.dumps({"loaded": at_import, "runs": runs, "after": after, "residuals": residuals}))
 """
 
 
 class TestWithoutMpmath:
-    """The exact commands and the 53-bit Green commands need no mpmath."""
+    """The exact commands and the 53-bit Green commands need no mpmath.
+
+    A fresh `import projdyn.cli` loads neither mpmath nor dataclasses
+    (nor the inspect module it pulls in) nor hashlib, which only the
+    commands that print a digest load.
+    """
 
     def test_commands_print_the_same_bytes_without_mpmath(self, files, capsys, tmp_path, monkeypatch):
         commands = [
-            ["degrees", "--map", files["stable_map"], "--n", 4],
-            ["infer-qas", "--map", files["stable_map"], "--n", 3],
             ["family-gen", "--deg-p", 2, "--seed", 5, "--out", "gen.fam"],
             ["family-check", "--family", files["stable_fam"]],
+            ["degrees", "--map", files["stable_map"], "--n", 4],
+            ["infer-qas", "--map", files["stable_map"], "--n", 3],
             ["green-point", "--map", files["stable_map"], "--point", "1,2,3"],
             ["green-grid", "--map", files["stable_map"], "--base", "0,1,0.5", "--e1", "1,0,0",
              "--e2", "0,0,1", "--resolution", 5, "--csv", "g.csv", "--pgm", "g.pgm"],
@@ -693,15 +707,21 @@ class TestWithoutMpmath:
         alone, here = tmp_path / "alone", tmp_path / "here"
         alone.mkdir()
         here.mkdir()
-        done = subprocess.run([sys.executable, "-c", NO_MPMATH, src, *map(json.dumps, commands)],
+        done = subprocess.run([sys.executable, "-c", NO_MPMATH, src, str(files["stable_map"]),
+                               *map(json.dumps, commands)],
                               cwd=alone, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         got = json.loads(done.stdout)
         assert got["loaded"] == []
+        # the family commands make no digest; degrees prints one
+        assert got["after"][:3] == [[], [], ["hashlib"]]
         monkeypatch.chdir(here)
         want = [list(run(capsys, *argv)[:2]) for argv in commands]
         assert [code for code, _ in want] == [0, 0, 0, 0, 0, 0]
         assert got["runs"] == want
+        f = load_map(files["stable_map"])
+        assert got["residuals"] == [functional_eq_residual(f, None, None, (1, 2, 3), precision=53),
+                                    telescope_residual(f, None, None, (1, 2, 3), 3, precision=53)]
         written = {p.name: p.read_bytes() for p in here.iterdir()}
         assert sorted(written) == ["g.csv", "g.pgm", "g.pgm.json", "gen.fam"]
         assert {p.name: p.read_bytes() for p in alone.iterdir()} == written

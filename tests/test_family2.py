@@ -1,6 +1,5 @@
 """Tests for the normalized family: construction, preflight checks, generation."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -182,7 +181,7 @@ def test_coprimality_fails_on_shared_difference_factor():
 def test_coprimality_checks_p_against_r(reference):
     # sharing a factor between P and R cannot survive construction (it
     # would divide every component), so exercise the clause directly
-    tampered = dataclasses.replace(reference, R=pp("z*w*t"))
+    tampered = reference._replace(R=pp("z*w*t"))
     assert check_coprimality(tampered) == FAIL
 
 
@@ -201,7 +200,7 @@ def test_intersection_reference_exact_points(reference):
     assert rep.unresolved == 0
     # both points share a z-coordinate whose denominator is above 10^9
     P = pp(f"{10**10 + 19}*z - {10**12 + 39}*t")
-    inst = dataclasses.replace(reference, P=P, R=pp("w^2 - w*t - 2*t^2") + pp("w") * P)
+    inst = reference._replace(P=P, R=pp("w^2 - w*t - 2*t^2") + pp("w") * P)
     rep = check_intersection_conditions(inst)
     z0 = Fraction(10**12 + 39, 10**10 + 19)
     assert rep.verdict == PASS == _oracle_verdict(inst)
@@ -263,7 +262,7 @@ def test_chart_euclid_splits_at_zero_divisors(forms):
 ])
 def test_intersection_witnesses(reference, forms, witnesses):
     P, R, D1, D2 = (pp(f) for f in forms)
-    inst = dataclasses.replace(reference, P=P, R=R, Q1=D1, Q2=D2, Q3=HomPoly.zero(3))
+    inst = reference._replace(P=P, R=R, Q1=D1, Q2=D2, Q3=HomPoly.zero(3))
     rep = check_intersection_conditions(inst)
     assert rep.verdict == FAIL == _oracle_verdict(inst)
     assert rep.failure_witnesses == witnesses
@@ -283,7 +282,7 @@ def test_intersection_witnesses(reference, forms, witnesses):
 ], ids=["partly-listed-fibre", "corner"])
 def test_intersection_lists_each_failure_once(reference, forms, witnesses, points):
     P, R, D1, D2 = (pp(f) for f in forms)
-    inst = dataclasses.replace(reference, P=P, R=R, Q1=D1, Q2=D2, Q3=HomPoly.zero(3))
+    inst = reference._replace(P=P, R=R, Q1=D1, Q2=D2, Q3=HomPoly.zero(3))
     rep = check_intersection_conditions(inst)
     assert rep.verdict == FAIL == _oracle_verdict(inst)
     assert rep.failure_witnesses == witnesses

@@ -8,7 +8,6 @@ recursion and both residual identities.
 """
 
 import cmath
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -180,7 +179,7 @@ class TestGreenEval:
 
     def test_certificate_and_point_validation(self, mono, stable):
         f, cert, rep = stable
-        flat = dataclasses.replace(cert, H=parse_poly("x", ("x", "y")))
+        flat = cert._replace(H=parse_poly("x", ("x", "y")))
         with pytest.raises(ValueError, match="divisor arity"):
             gp.green_eval(f, flat, None, Z_FROZEN)
         with pytest.raises(ValueError, match="finite"):
@@ -428,7 +427,7 @@ class TestResiduals:
         # λ moved off the root by 2^-100 gives residuals near 1e-30, which
         # only arithmetic at the precision resolves
         with workprec(256):
-            off = dataclasses.replace(rep, lambda_=rep.lambda_ + mpf(2) ** -100)
+            off = rep._replace(lambda_=rep.lambda_ + mpf(2) ** -100)
         for residual in (lambda p: gp.functional_eq_residual(f, cert, off, Z_FROZEN, n_iters=100, precision=p),
                          lambda p: gp.telescope_residual(f, cert, off, Z_FROZEN, 4, precision=p, n_iters=100)):
             r128, r256 = residual(128), residual(256)
