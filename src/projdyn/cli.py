@@ -22,37 +22,7 @@ import random
 import sys
 from typing import Optional
 
-from . import greenpot as gp
-from .family2 import (
-    FAIL,
-    PASS,
-    FamilyError,
-    GenerationExhausted,
-    load_family,
-    random_family,
-    run_preflight,
-    save_family,
-)
-from .mapiter import (
-    MapError,
-    certificate_digest,
-    infer_qas,
-    iterate_degrees,
-    load_map,
-    verify_lifting_recurrence,
-)
-from .polycore import ParseError, PolyError, ResourceLimit, poly_to_text
-from .specdeg import (
-    DegenerateLambda,
-    DegreeRecurrence,
-    InsufficientData,
-    PrecisionExhausted,
-    char_poly_roots,
-    check_asymptotics,
-    check_growth_bounds,
-    check_sn_identity,
-    extend_degrees,
-)
+# Each runner imports the layers it uses, so a command loads only those.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -94,13 +64,20 @@ def _emit_json(payload: dict) -> str:
 
 
 def _poly_str(p, names) -> Optional[str]:
+    from .polycore import poly_to_text
     return None if p is None else poly_to_text(p, names)
+
+
+def _pass(ok) -> str:
+    """family2's PASS or FAIL, spelled here so that verify-all need not load family2."""
+    return "PASS" if ok else "FAIL"
 
 
 # -- subcommand runners ---------------------------------------------------------
 
 
 def _run_degrees(args):
+    from .mapiter import certificate_digest, iterate_degrees, load_map
     trace = iterate_degrees(load_map(args.map), args.n)
     degs = [_istr(d) for d in trace.degrees]
     payload = {"degrees": degs, "digest": certificate_digest(trace, None)}
@@ -108,6 +85,7 @@ def _run_degrees(args):
 
 
 def _run_infer_qas(args):
+    from .mapiter import certificate_digest, infer_qas, iterate_degrees, load_map
     f = load_map(args.map)
     trace = iterate_degrees(f, args.n)
     res = infer_qas(trace)
@@ -134,6 +112,7 @@ def _run_infer_qas(args):
 
 
 def _run_lambda(args):
+    from .specdeg import DegreeRecurrence, char_poly_roots
     spec = DegreeRecurrence(d=args.d, h=args.h, n0=args.n0)
     rep = char_poly_roots(spec, precision_bits=args.precision)
     bits = args.precision
@@ -158,6 +137,8 @@ def _run_lambda(args):
 
 
 def _run_family_gen(args):
+    from .family2 import random_family, save_family
+    from .polycore import poly_to_text
     inst = random_family(
         deg_p=args.deg_p,
         deg_q=args.deg_q,
@@ -185,6 +166,7 @@ def _run_family_gen(args):
 
 
 def _run_family_check(args):
+    from .family2 import PASS, load_family, run_preflight
     rep = run_preflight(load_family(args.family))
     inter, rank, pencil = rep.intersection, rep.rank, rep.pencil
     payload = {
@@ -217,21 +199,27 @@ def _run_family_check(args):
 
 
 def _certificate_for(f, depth: int):
-    """(cert, trace) by infer_qas at depth (ValueError below 2): QAS or AS, else DegenerateLambda.
+    """(cert, trace, verdict) by infer_qas at depth (ValueError below 2).
 
-    AS, which proves degrees d^n up to the depth, gives plain mode
-    (cert None).  The orbit runner raises DegenerateLambda for a
-    recurrence with no root above 1.
+    QAS gives its certificate; AS, which proves degrees d^n up to the
+    depth, gives plain mode (cert None).  Any other verdict leaves no
+    divisor to certify, and the runner refuses by _uncertified.  The
+    orbit runner raises DegenerateLambda for a recurrence with no root
+    above 1.
     """
+    from .mapiter import infer_qas, iterate_degrees
     trace = iterate_degrees(f, depth)
     res = infer_qas(trace)
-    if res.verdict == "QAS":
-        return res.certificate, trace
-    if res.verdict == "AS":
-        return None, trace
-    raise DegenerateLambda(
-        f"cannot certify a divisor at depth {depth}: verdict {res.verdict}"
-    )
+    return res.certificate, trace, res.verdict
+
+
+def _uncertified(verdict, trace, depth, fields):
+    """Exit 1 with the verdict, the trace's digest and the value fields null."""
+    from .mapiter import certificate_digest
+    print(f"error: cannot certify a divisor at depth {depth}: verdict {verdict}", file=sys.stderr)
+    payload = {**dict.fromkeys(fields), "verdict": verdict,
+               "digest": certificate_digest(trace, None)}
+    return EXIT_NEGATIVE, payload, f"verdict {verdict}\n"
 
 
 def _parse_point(text: str, nvars: int):
@@ -249,8 +237,12 @@ def _parse_point(text: str, nvars: int):
 
 
 def _run_green_point(args):
+    from . import greenpot as gp
+    from .mapiter import certificate_digest, load_map
     f = load_map(args.map)
-    cert, trace = _certificate_for(f, args.cert_depth)
+    cert, trace, verdict = _certificate_for(f, args.cert_depth)
+    if verdict not in ("AS", "QAS"):
+        return _uncertified(verdict, trace, args.cert_depth, ("u", "status", "step", "mode"))
     z = _parse_point(args.point, f.nvars)
     digest = certificate_digest(trace, cert.H if cert else None)
     mode = "QAS" if cert else "plain"
@@ -287,8 +279,13 @@ def _parse_range(text: str):
 
 
 def _run_green_grid(args):
+    from . import greenpot as gp
+    from .mapiter import load_map
     f = load_map(args.map)
-    cert, trace = _certificate_for(f, args.cert_depth)
+    cert, trace, verdict = _certificate_for(f, args.cert_depth)
+    if verdict not in ("AS", "QAS"):
+        fields = ("resolution", "counts", "depth", "precision", "csv", "pgm")
+        return _uncertified(verdict, trace, args.cert_depth, fields)
     slice_spec = gp.GridSlice(
         base=_parse_point(args.base, f.nvars),
         e1=_parse_point(args.e1, f.nvars),
@@ -337,6 +334,8 @@ def _residual_suite(f, cert, rep, seed):
     divisor is skipped; any other OrbitError (a lost normalization or
     height) raises _ResidualOrbitLimit, exit 3.
     """
+    from . import greenpot as gp
+    from .specdeg import DegenerateLambda
     bits = 53
     rng = random.Random(seed)
 
@@ -369,6 +368,10 @@ def _residual_suite(f, cert, rep, seed):
 
 
 def _run_verify_all(args):
+    from .mapiter import (certificate_digest, infer_qas, iterate_degrees, load_map,
+                          verify_lifting_recurrence)
+    from .specdeg import (DegreeRecurrence, char_poly_roots, check_asymptotics, check_growth_bounds,
+                          check_sn_identity, extend_degrees)
     f = load_map(args.map)
     trace = iterate_degrees(f, args.n)
     res = infer_qas(trace)
@@ -405,7 +408,7 @@ def _run_verify_all(args):
             verify_lifting_recurrence(f, cert, trace, m)
             for m in range(cert.n0 + 1, top + 1)
         )
-    checks["lifting_recurrence"] = PASS if lift_ok else FAIL
+    checks["lifting_recurrence"] = _pass(lift_ok)
     passed &= lift_ok
 
     asym = check_asymptotics(long_degrees, rep)
@@ -415,7 +418,7 @@ def _run_verify_all(args):
     checks["asymptotics_max_residual"] = _numstr(asym.max_residual, args.precision)
     checks["asymptotics_tail_residual"] = _numstr(tail, args.precision)
     asym_ok = float(tail) < 1e-6
-    checks["asymptotics"] = PASS if asym_ok else FAIL
+    checks["asymptotics"] = _pass(asym_ok)
     passed &= asym_ok
 
     c1, c2 = check_growth_bounds(long_degrees, rep.lambda_)
@@ -425,14 +428,14 @@ def _run_verify_all(args):
     sn = check_sn_identity(spec, rep.lambda_, long_degrees, 40)
     checks["sn_identity_max"] = _numstr(sn, args.precision)
     sn_ok = float(sn) < 1e-12
-    checks["sn_identity"] = PASS if sn_ok else FAIL
+    checks["sn_identity"] = _pass(sn_ok)
     passed &= sn_ok
 
     fe_med, ts_med = _residual_suite(f, cert, rep, args.seed)
     checks["residual_median"] = repr(float(fe_med))
     checks["telescope_median"] = repr(float(ts_med))
     resid_ok = float(fe_med) < 1e-8 and float(ts_med) < 1e-6
-    checks["residuals"] = PASS if resid_ok else FAIL
+    checks["residuals"] = _pass(resid_ok)
     passed &= resid_ok
 
     payload = {
@@ -446,7 +449,7 @@ def _run_verify_all(args):
     lines = [f"verdict {res.verdict}", f"lambda {payload['lambda']}", f"r {payload['r']}"]
     for key in ("lifting_recurrence", "asymptotics", "sn_identity", "residuals"):
         lines.append(f"{key} {checks[key]}")
-    lines.append(f"overall {'PASS' if passed else 'FAIL'}")
+    lines.append(f"overall {_pass(passed)}")
     return code, payload, "\n".join(lines) + "\n"
 
 
@@ -531,6 +534,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _raised(*names):
+    """The exception classes named "layer.Class" whose layer is loaded.
+
+    A layer that the runner did not load raised none of its classes, so
+    main sorts an exception without loading a layer.
+    """
+    found = []
+    for name in names:
+        layer, cls = name.split(".")
+        mod = sys.modules.get(f"{__package__}.{layer}")
+        if mod:
+            found.append(getattr(mod, cls))
+    return tuple(found)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value that starts with '-', such as --point -1,2,3,
@@ -539,21 +557,24 @@ def main(argv=None) -> int:
         if argv[i] in ("--point", "--base", "--e1", "--e2"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
+    # an except clause's classes are looked up only when an exception reaches it
     try:
         code, payload, text = globals()[args.run](args)
-    except (ParseError, InsufficientData) as exc:
+    except _raised("polycore.ParseError", "specdeg.InsufficientData") as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GenerationExhausted, ResourceLimit, PrecisionExhausted, _ResidualOrbitLimit) as exc:
+    except (_ResidualOrbitLimit, *_raised("family2.GenerationExhausted", "polycore.ResourceLimit",
+                                          "specdeg.PrecisionExhausted")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except DegenerateLambda as exc:
+    except _raised("specdeg.DegenerateLambda") as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (OSError, FamilyError, MapError, PolyError, ValueError) as exc:
+    except (OSError, ValueError, *_raised("family2.FamilyError", "mapiter.MapError",
+                                          "polycore.PolyError")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except gp.OrbitError as exc:
+    except _raised("greenpot.OrbitError") as exc:
         # a lost normalization or a non-finite height: the orbit outgrew its precision
         print(f"error: {exc} at {args.precision} bits; rerun with a higher --precision",
               file=sys.stderr)

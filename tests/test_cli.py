@@ -13,12 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from jsonschema import validate
+from jsonschema import ValidationError, validate
 
+import projdyn
 from projdyn import cli
 from projdyn.cli import main
 from projdyn.family2 import build_family_map, load_family, run_preflight, save_family
-from projdyn.greenpot import functional_eq_residual, telescope_residual
+from projdyn.greenpot import OrbitError, functional_eq_residual, telescope_residual
 from projdyn.mapiter import load_map, make_map, save_map
 from projdyn.polycore import parse_poly
 
@@ -641,7 +642,7 @@ class TestErrorPaths:
 
     def test_bare_orbit_error_is_a_precision_limit(self, files, capsys, monkeypatch):
         def lost(args):
-            raise cli.gp.OrbitError("orbit point lost normalization")
+            raise OrbitError("orbit point lost normalization")
 
         monkeypatch.setattr(cli, "_run_green_point", lost)
         code, out, err = run(capsys, "green-point", "--map", files["stable_map"],
@@ -651,10 +652,34 @@ class TestErrorPaths:
                        "rerun with a higher --precision\n")
 
     def test_uncertifiable_green_point(self, files, capsys):
-        code, _, err = run(
+        refusal = "error: cannot certify a divisor at depth 3: verdict NotQAS\n"
+        code, out, err = run(
             capsys, "green-point", "--map", files["drops_map"], "--point", "1,2,3"
         )
-        assert code == 1 and "error" in err
+        assert (code, out, err) == (1, "verdict NotQAS\n", refusal)
+        # the refusal carries the verdict and the digest of the trace at the certificate depth
+        digest = json.loads(run(capsys, "verify-all", "--map", files["drops_map"], "--n", 3,
+                                "--json")[1])["digest"]
+        code, out, err = run(
+            capsys, "green-point", "--map", files["drops_map"], "--point", "1,2,3", "--json"
+        )
+        assert (code, err) == (1, refusal)
+        payload = json.loads(out)
+        validate(payload, schema("green-point"))
+        assert payload == {"u": None, "status": None, "step": None, "mode": None,
+                           "verdict": "NotQAS", "digest": digest}
+        code, out, err = run(
+            capsys, "green-grid", "--map", files["drops_map"], "--base", "1,0,0",
+            "--e1", "0,1,0", "--e2", "0,0,1", "--resolution", 2, "--json",
+        )
+        assert (code, err) == (1, refusal)
+        payload = json.loads(out)
+        validate(payload, schema("green-grid"))
+        assert payload == {"resolution": None, "counts": None, "depth": None, "precision": None,
+                           "csv": None, "pgm": None, "verdict": "NotQAS", "digest": digest}
+        # a refusal is no sample: a payload with a verdict and a value fails the schema
+        with pytest.raises(ValidationError):
+            validate({**payload, "counts": {"OK": "4"}}, schema("green-grid"))
 
 
 # run in a fresh interpreter: import projdyn.cli from argv[1], note the mpmath modules
@@ -725,3 +750,112 @@ class TestWithoutMpmath:
         written = {p.name: p.read_bytes() for p in here.iterdir()}
         assert sorted(written) == ["g.csv", "g.pgm", "g.pgm.json", "gen.fam"]
         assert {p.name: p.read_bytes() for p in alone.iterdir()} == written
+
+
+
+# run in a fresh interpreter: import projdyn.cli from argv[1], run the command
+# argv[2:] and print as JSON the layers loaded by the import and after the
+# command, and its exit code, stdout and stderr
+FRESH = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import projdyn.cli
+def layers():
+    return sorted(m.split(".")[1] for m in sys.modules if m.startswith("projdyn.") and m != "projdyn.cli")
+at_import = layers()
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = projdyn.cli.main(sys.argv[2:])
+print(json.dumps({"import": at_import, "layers": layers(), "run": [code, out.getvalue(), err.getvalue()]}))
+"""
+
+# run in a fresh interpreter: the package namespace before and after a star import
+NAMESPACE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import projdyn
+def layers():
+    return sorted(m for m in sys.modules if m.startswith("projdyn."))
+before, listed = layers(), dir(projdyn)
+try:
+    projdyn.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+scope = {}
+exec("from projdyn import *", scope)
+bound = sorted(n for n in scope if n != "__builtins__")
+print(json.dumps({"before": before, "dir": listed, "unknown": unknown, "bound": bound,
+                  "all": sorted(projdyn.__all__), "after": layers()}))
+"""
+
+EXACT = ["mapiter", "polycore"]
+FAMILY = ["family2", "mapiter", "polycore", "specdeg"]
+GREEN = ["greenpot", "mapiter", "polycore", "specdeg"]
+GRID = ["--base", "0,1,0.5", "--e1", "1,0,0", "--e2", "0,0,1", "--resolution", 5]
+
+# name -> (argv, the layers it loads, exit code); a word naming a file of the
+# files fixture stands for its path
+STARTS = {
+    "degrees": (["degrees", "--map", "stable_map", "--n", 3, "--json"], EXACT, 0),
+    "infer-qas": (["infer-qas", "--map", "stable_map", "--json"], EXACT, 0),
+    "lambda": (["lambda", "--d", 3, "--h", 1, "--n0", 1, "--json"], ["specdeg"], 0),
+    "family-gen": (["family-gen", "--deg-p", 2, "--seed", 5, "--out", "gen.fam", "--json"],
+                   FAMILY, 0),
+    "family-check": (["family-check", "--family", "stable_fam", "--json"], FAMILY, 0),
+    "green-point": (["green-point", "--map", "stable_map", "--point", "1,2,3", "--json"], GREEN, 0),
+    "green-grid": (["green-grid", "--map", "stable_map", *GRID, "--csv", "g.csv", "--pgm", "g.pgm"],
+                   GREEN, 0),
+    "verify-all": (["verify-all", "--map", "stable_map", "--n", 3, "--json"], GREEN, 0),
+    # refusals, whose exception classes main looks up only when one is raised
+    "green-point-uncertifiable": (["green-point", "--map", "drops_map", "--point", "1,2,3",
+                                   "--json"], GREEN, 1),
+    "green-grid-uncertifiable": (["green-grid", "--map", "drops_map", *GRID, "--json"], GREEN, 1),
+    "cert-depth-1": (["green-point", "--map", "stable_map", "--point", "1,2,3", "--cert-depth", 1],
+                     GREEN, 2),
+    "malformed-map": (["degrees", "--map", "bad_map"], EXACT, 2),
+    "map-as-family": (["family-check", "--family", "stable_map"], FAMILY, 2),
+    "lambda-d-1": (["lambda", "--d", 1, "--h", 0, "--n0", 1], ["specdeg"], 2),
+    "residual-orbit-at-53-bits": (["verify-all", "--map", "lost_norm_map", "--n", 3], GREEN, 3),
+    "orbit-at-53-bits": (["green-point", "--map", "lost_norm_map", "--point", "1,2,3"], GREEN, 3),
+}
+
+
+class TestStartUp:
+    """A fresh `import projdyn.cli` loads no layer, and each command only the layers it runs."""
+
+    @staticmethod
+    def fresh(script, cwd, *args):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", script, src, *map(str, args)],
+                              cwd=cwd, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    @pytest.mark.parametrize("name", STARTS)
+    def test_a_command_loads_only_its_layers(self, files, capsys, tmp_path, monkeypatch, name):
+        argv, layers, code = STARTS[name]
+        paths = {**files, "bad_map": files["root"] / "bad.map"}
+        paths["bad_map"].write_text("vars z w t\nmap z^2 +\nmap w^2\nmap t^2\n")
+        argv = [paths.get(a, a) if isinstance(a, str) else a for a in argv]
+        alone, here = tmp_path / "alone", tmp_path / "here"
+        alone.mkdir()
+        here.mkdir()
+        got = self.fresh(FRESH, alone, *argv)
+        assert got["import"] == []
+        assert got["layers"] == layers
+        monkeypatch.chdir(here)
+        want = list(run(capsys, *argv))
+        assert got["run"] == want and want[0] == code
+        assert {p.name: p.read_bytes() for p in alone.iterdir()} == \
+            {p.name: p.read_bytes() for p in here.iterdir()}
+
+    def test_the_namespace_resolves_on_first_access(self, tmp_path):
+        got = self.fresh(NAMESPACE, tmp_path)
+        assert got["before"] == []
+        assert set(got["all"]) <= set(got["dir"])
+        assert got["unknown"] == "module 'projdyn' has no attribute 'no_such_name'"
+        assert got["bound"] == got["all"] == sorted(projdyn.__all__)
+        assert got["after"] == [f"projdyn.{layer}" for layer in sorted(GREEN + ["family2"])]
+        assert len(projdyn.__all__) == len(set(projdyn.__all__)) == 100
+        assert projdyn.greenpot.OrbitError is OrbitError

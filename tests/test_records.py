@@ -22,8 +22,10 @@ from projdyn import (
     run_preflight,
 )
 
+# through getattr, as the package imports each name on first access
 RECORDS = sorted(
-    (obj for obj in vars(projdyn).values() if isinstance(obj, type) and issubclass(obj, tuple)),
+    (obj for obj in (getattr(projdyn, name) for name in projdyn.__all__)
+     if isinstance(obj, type) and issubclass(obj, tuple)),
     key=lambda cls: cls.__name__,
 )
 
@@ -48,6 +50,14 @@ def records():
         window, grid_sample(inst.map, qas.certificate, spectral, window, 3),
     ]
     return {type(rec).__name__: rec for rec in out}
+
+
+def test_the_package_exports_all_16_record_types():
+    assert [cls.__name__ for cls in RECORDS] == [
+        "AsymptoticsReport", "DegreeRecurrence", "FamilyInstance", "GreenGrid", "GridSlice",
+        "InferResult", "IntPrimitiveForm", "IntersectionReport", "IterationTrace", "PencilReport",
+        "PointClass", "PreflightReport", "ProjMap", "QASCertificate", "RankReport", "SpectralReport",
+    ]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
