@@ -19,9 +19,10 @@ from .polycore import (
     DegreeMismatch,
     HomPoly,
     IntPrimitiveForm,
-    NotDivisible,
     ParseError,
+    _compose_divide,
     _dint_normalize,
+    _poly_text,
     compose_all,
     exact_div,
     int_primitive,
@@ -313,20 +314,20 @@ def compose_extract(f: ProjMap, lifting: Sequence[HomPoly], hint: Optional[HomPo
     as in `make_map`.  `hint` is an optional divisor candidate: if it
     divides every composed component, E.primitive is its primitive part
     times the gcd of the quotients, canonical by Gauss's lemma; a hint
-    that does not divide is dropped and only costs time.
+    that does not divide is dropped and only costs time.  With a hint
+    the lifting must be int, as those of `iterate_degrees` are: each
+    component is divided on its composition's rows (`_compose_divide`).
     """
     lifting = tuple(lifting)
     if lifting[0].nvars != f.nvars:
         raise ArityMismatch("lifting arity does not match the map")
-    quot = compose_all(f.components, lifting)
     g = HomPoly.one(f.nvars)
     if hint is not None and not hint.is_zero and hint.degree > 0:
         h = int_primitive(hint).primitive
-        try:
-            quot = tuple(exact_div(q, h) for q in quot)
-            g = h
-        except NotDivisible:
-            pass
+        quot, divided = _compose_divide(f.components, lifting, h)
+        g = h if divided else g
+    else:
+        quot = compose_all(f.components, lifting)
     return _extract(quot, g)
 
 
@@ -422,19 +423,19 @@ def verify_lifting_recurrence(
     Tests that F_{n-1} composed after F equals H^{d(f^{n-n0-1})} times
     F_n, component-wise, up to one common rational scalar: the
     quotients, put in the canonical tuple form of `_tuple_primitive`,
-    must equal the stored F_n, which is already in that form.
+    must equal the stored F_n, which is already in that form.  Each is
+    divided on its composition's rows (`_compose_divide`).
     """
     if not cert.n0 < n <= min(cert.verified_to, trace.depth):
         raise IndexOutOfRange(
             f"step {n} outside the verified range ({cert.n0}, {cert.verified_to}]"
         )
-    lhs = compose_all(trace.lifting(n - 1), f.components)
     divisor = cert.H ** cert.degrees[n - cert.n0 - 1]
+    quot, divided = _compose_divide(trace.lifting(n - 1), f.components, divisor)
     try:
-        quot = _tuple_primitive(tuple(exact_div(left, divisor) for left in lhs))[1]
-    except (NotDivisible, AllZero):
+        return divided and _tuple_primitive(quot)[1] == trace.lifting(n)
+    except AllZero:
         return False
-    return quot == trace.lifting(n)
 
 
 # -- point evaluation -----------------------------------------------------------
@@ -525,12 +526,13 @@ def certificate_digest(trace: IterationTrace, H: Optional[HomPoly] = None) -> st
     """
     import hashlib
     names = trace.map.names
-    hasher = hashlib.sha256()
+    # one exponents -> monomial text memo for the whole trace
+    hasher, monomials = hashlib.sha256(), {}
     for lifting in trace.liftings:
         for comp in lifting:
-            hasher.update(poly_to_text(comp, names).encode())
+            hasher.update(_poly_text(comp.terms, names, monomials).encode())
             hasher.update(b"|")
         hasher.update(b";")
     hasher.update(b"H=")
-    hasher.update(poly_to_text(H, names).encode() if H is not None else b"1")
+    hasher.update(_poly_text(H.terms, names, monomials).encode() if H is not None else b"1")
     return hasher.hexdigest()

@@ -215,12 +215,10 @@ class HomPoly:
     def _new(cls, nvars: int, mapping: dict, degree: int) -> "HomPoly":
         """Build from a dict produced by internal arithmetic (already homogeneous)."""
         self = object.__new__(cls)
-        items = sorted(
-            ((e, _canon_coeff(c)) for e, c in mapping.items() if c),
-            key=lambda t: t[0],
-            reverse=True,
-        )
-        assert all(sum(e) == degree for e, _ in items), "internal homogeneity drift"
+        # unique keys: the pairs sort by exponents, and `_row_decode`'s order in one pass
+        pairs = [(e, c if type(c) is int else _canon_coeff(c)) for e, c in mapping.items() if c]
+        items = sorted(pairs, reverse=True)
+        assert set(map(sum, mapping)) <= {degree}, "internal homogeneity drift"
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", tuple(items))
         object.__setattr__(self, "_degree", degree if items else 0)
@@ -427,19 +425,8 @@ def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tup
     single-term run shared across the forms.
     """
     forms, comps = tuple(forms), tuple(substitutes)
-    for f in forms:
-        if f.nvars != len(comps):
-            raise ArityMismatch(f"{f.nvars} variables need {f.nvars} substitutes, got {len(comps)}")
+    tops = _composed_degrees(forms, comps)
     nv2 = comps[0].nvars
-    for q in comps:
-        if q.nvars != nv2:
-            raise ArityMismatch("substituted polynomials disagree on arity")
-    degs = {q._degree for q in comps if not q.is_zero}
-    if len(degs) > 1:
-        raise DegreeMismatch(f"substituted degrees differ: {sorted(degs)}")
-    # with every substitute zero, every sum but a constant form's is empty
-    d = max(degs, default=0)
-    tops = [f._degree * d for f in forms]
     if nv2 == 1:
         c = [q.terms[0][1] if q.terms else 0 for q in comps]
         return tuple(HomPoly._new(1, {(top,): f.evaluate(c)}, top) for f, top in zip(forms, tops))
@@ -449,11 +436,62 @@ def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tup
     D, qs = _int_terms(*(q.terms for q in comps))
     scaled = [_int_terms(f.terms) for f in forms]
     subs = [_pack_dict(dict(q), width) for q in qs]
-    sums = _row_compose([(t, top) for (_, (t,)), top in zip(scaled, tops)], subs, width, nv2)
+    sums, _, s = _row_compose([(t, top) for (_, (t,)), top in zip(scaled, tops)], subs, width)
+    outs = [_row_decode(rows, width, nv2, top, s) for rows, top in zip(sums, tops)]
+    assert None not in outs, "composition outgrew its slot bound"
     return tuple(
         HomPoly._new(nv2, _unscale(out, den * D**f._degree), top)
-        for out, (den, _), f, top in zip(sums, scaled, forms, tops)
+        for out, (den, _), f, top in zip(outs, scaled, forms, tops)
     )
+
+
+def _composed_degrees(forms: tuple, comps: tuple) -> list:
+    """The degree of each form composed with comps, after checking that the composition is defined."""
+    for f in forms:
+        if f.nvars != len(comps):
+            raise ArityMismatch(f"{f.nvars} variables need {f.nvars} substitutes, got {len(comps)}")
+    if any(q.nvars != comps[0].nvars for q in comps):
+        raise ArityMismatch("substituted polynomials disagree on arity")
+    degs = {q._degree for q in comps if not q.is_zero}
+    if len(degs) > 1:
+        raise DegreeMismatch(f"substituted degrees differ: {sorted(degs)}")
+    # with every substitute zero, every sum but a constant form's is empty
+    return [f._degree * max(degs, default=0) for f in forms]
+
+
+def _compose_divide(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly], den: HomPoly) -> tuple:
+    """(the quotients f(q) / den, True) when den divides every f(q), else (the f(q), False).
+
+    Int forms in two or more variables, as `mapiter`'s liftings are.
+    Each N = f(q) is divided on its rows from `_row_compose`, in their
+    slots of s bytes, and only the quotient q is decoded.  The bound B
+    of f is at least every coefficient of N, so it stands in for ||N||
+    in `_dexact_div`'s proof that B + min(|q|, |den|) ||den|| ||q|| below
+    2^(8s-1) gives N = den * q.  On a row remainder, a quotient that does
+    not decode or a failed bound, N is decoded from the rows and divided
+    by `_dexact_div`, with its second pass and refutation: nothing is
+    composed twice.
+    """
+    forms, comps = tuple(forms), tuple(substitutes)
+    tops, nv = _composed_degrees(forms, comps), den.nvars
+    den._check_arity(comps[0])
+    if not all(type(c) is int for p in (*forms, *comps, den) for _, c in p.terms):
+        raise TypeError("composition with division takes int forms")
+    _guard(_monomial_bound(max(tops), nv))
+    width = _field_width(max(tops))
+    subs = [_pack_dict(dict(q.terms), width) for q in comps]
+    sums, bounds, s = _row_compose([(f.terms, top) for f, top in zip(forms, tops)], subs, width)
+    dd, quots = dict(den.terms), []
+    pden, den_norm = _pack_dict(dd, width), max(map(abs, dd.values()))
+    for rows, bound, top in zip(sums, bounds, tops):
+        q = _row_div(rows, pden, width, nv, s)
+        q = None if q is None else _row_decode(q, width, nv, top - den._degree, s)
+        if q is None or (bound + min(len(q), len(dd)) * den_norm * max(map(abs, q.values()), default=0)) >> 8 * s - 1:
+            q = _dexact_div(_row_decode(rows, width, nv, top, s), dd)
+        if q is None:
+            return tuple(HomPoly._new(nv, _row_decode(r, width, nv, t, s), t) for r, t in zip(sums, tops)), False
+        quots.append(HomPoly._new(nv, q, top - den._degree))
+    return tuple(quots), True
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +627,9 @@ def _unscale(d: dict, den: int) -> dict:
 # the exponent of x_{n-1}.  Substituting x_{n-2} = 2^(8s), x_{n-1} = 1 is a
 # ring homomorphism, so sums and products of rows are exact int sums and
 # products whatever their slots hold on the way; a row decodes back to
-# its coefficients when each lies in (-2^(8s-1), 2^(8s-1)).
+# its coefficients when each lies in (-2^(8s-1), 2^(8s-1)).  A composition
+# is divided on its rows (`_compose_divide`): its slot bound B is at least
+# each of its coefficients, so B stands in for the dividend's sup norm.
 
 
 def _row_ints(d: dict, width: int, s: int) -> dict:
@@ -633,40 +673,42 @@ def _row_mul(a: dict, b: dict) -> dict:
 
 
 def _row_decode(rows: dict, width: int, nvars: int, top: int, s: int) -> dict | None:
-    """Tuple-keyed terms of degree top from rows; None when a row does not decode.
+    """Tuple-keyed terms of degree top from rows, in descending order; None when a row does not decode.
 
     A row whose leading exponents sum above top, or whose int does not
     fit its slots with every coefficient in (-2^(8s-1), 2^(8s-1)), is
-    not the image of a form of degree top.
+    not the image of a form of degree top.  Reading the rows by descending
+    key, each from its top slot, gives the order of `HomPoly.terms`.
     """
     mask = (1 << width) - 1
     shifts = range(width * (nvars - 3), -1, -width)
     out = {}
-    for key, v in rows.items():
+    for key in sorted(rows, reverse=True):
         head = tuple(key >> sh & mask for sh in shifts)
         m = top - sum(head)
         if m < 0:
             return None
         half, bias = _slot_bias(m + 1, s)
-        v += bias
+        v = rows[key] + bias
         if v < 0 or v >> 8 * s * (m + 1):
             return None
-        buf = v.to_bytes(s * (m + 1), "little")
-        slots = (int.from_bytes(buf[i : i + s], "little") - half for i in range(0, len(buf), s))
-        out.update((head + (j, m - j), c) for j, c in enumerate(slots) if c)
+        buf = v.to_bytes(s * (m + 1), "big")
+        for j, i in zip(range(m, -1, -1), range(0, len(buf), s)):
+            if c := int.from_bytes(buf[i : i + s], "big") - half:
+                out[head + (j, m - j)] = c
     return out
 
 
-def _row_compose(forms, subs: list, width: int, nvars: int) -> list:
-    """Tuple-keyed sums of c * prod_i q_i^(e_i) over each form's terms, by Horner's rule on rows.
+def _row_compose(forms, subs: list, width: int) -> tuple:
+    """(rows, bounds, s): the sums of c * prod_i q_i^(e_i) over each form's terms as rows, by Horner's rule.
 
     forms holds (terms, top) pairs; subs[i] is q_i as a packed dict;
-    every coefficient is an int and each output has degree top in
-    nvars >= 2 variables.  Each output coefficient is at most
-    B = sum |c| prod_i max(1, ||q_i||_1)^(e_i), as the 1-norm is
+    every coefficient is an int and each sum has degree top in two or
+    more variables.  Each of its coefficients is at most the form's
+    bound B = sum |c| prod_i max(1, ||q_i||_1)^(e_i), as the 1-norm is
     submultiplicative, so slots of s bytes with 2^(8s-1) above every
     form's B, and above each ||q_i||_1 for the rows of q_i, decode each
-    result once at the end.
+    sum once at the end (`_row_decode` at degree top).
 
     A form's terms are in descending order, so those that agree before
     slot i split into runs of equal e_i.  Horner's rule in variable i
@@ -678,9 +720,9 @@ def _row_compose(forms, subs: list, width: int, nvars: int) -> list:
     the forms as P(e_{i+1}, ...) q_i^(e_i) from P() = 1.
     """
     norms = [max(1, sum(map(abs, q.values()))) for q in subs]
+    bounds = [sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in t) for t, _ in forms]
     # the slots hold each q_i too, though a q_i that no form involves adds nothing to B
-    bound = max(chain(norms, (sum(abs(c) * math.prod(map(pow, norms, e)) for e, c in t) for t, _ in forms)))
-    s = _slot_bytes(bound)
+    s = _slot_bytes(max(chain(norms, bounds)))
     powers = [{0: {0: 1}, 1: _row_ints(q, width, s)} for q in subs]
     products = {(): {0: 1}}
 
@@ -709,9 +751,7 @@ def _row_compose(forms, subs: list, width: int, nvars: int) -> list:
             prev = k
         return _row_mul(acc, _ppower(powers[i], prev)) if prev else acc
 
-    out = [_row_decode(horner(t, 0) if t else {}, width, nvars, top, s) for t, top in forms]
-    assert None not in out, "composition outgrew its slot bound"
-    return out
+    return [horner(t, 0) if t else {} for t, _ in forms], bounds, s
 
 
 # _dmul multiplies homogeneous int forms on rows from this many term pairs,
@@ -775,7 +815,7 @@ def _guard_bits(width: int, fields: int) -> int:
 
 
 def _row_div(num: dict, den: dict, width: int, nvars: int, s: int) -> dict | None:
-    """Long division over rows of packed homogeneous int dicts; None when den does not divide num.
+    """Long division of the rows num by a packed homogeneous int dict den; None when den does not divide num.
 
     The rows are images under x_{n-2} = 2^(8s), x_{n-1} = 1, a ring
     homomorphism onto polynomials in x_0 .. x_{n-3} over Z.  If den
@@ -785,7 +825,7 @@ def _row_div(num: dict, den: dict, width: int, nvars: int, s: int) -> dict | Non
     exact divmod, with no borrow in the packed key and no field above
     the dividend's degree.  A nonzero remainder or such a key therefore
     proves that den does not divide num, whatever s is; otherwise the
-    quotient rows are returned, for `_dexact_div` to decode and check.
+    quotient rows are returned, for the caller to decode and check.
     Each term of den outside its leading row takes its multiple of a
     quotient row off the remainder as one shifted product by a small
     int, which costs less than a product of rows when den's coefficients
@@ -798,7 +838,7 @@ def _row_div(num: dict, den: dict, width: int, nvars: int, s: int) -> dict | Non
     lt = max(key for key, _, _ in terms)
     lv = sum(c << sh for key, sh, c in terms if key == lt)
     rest = [t for t in terms if t[0] != lt]
-    rem = _row_ints(num, width, s)
+    rem = dict(num)
     quo: dict = {}
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -881,7 +921,7 @@ def _dexact_div(num: dict, den: dict):
         if qnorm is None:
             qnorm = math.isqrt(sum(c * c for c in num.values())) + 1 << (nvars - 1) * top
         s = _slot_bytes(norm + pairs * den_norm * qnorm)
-        rows = _row_div(pnum, pden, width, nvars, s)
+        rows = _row_div(_row_ints(pnum, width, s), pden, width, nvars, s)
         if rows is None:
             return None
         q = _row_decode(rows, width, nvars, top, s)
@@ -1473,34 +1513,29 @@ def poly_to_text(p: HomPoly, names: Sequence[str] | None = None) -> str:
         names = [f"x{i}" for i in range(p.nvars)]
     if len(names) != p.nvars:
         raise ArityMismatch(f"{p.nvars} variables need {p.nvars} names")
-    if p.is_zero:
+    return _poly_text(p.terms, names, {})
+
+
+def _poly_text(terms: tuple, names: Sequence[str], monomials: dict) -> str:
+    """`poly_to_text` of the terms; monomials memoises exponents -> "z^2*w" across calls."""
+    if not terms:
         return "0"
     pieces = []
-    for k, (exps, coeff) in enumerate(p.terms):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        vars_part = "*".join(
-            names[i] if e == 1 else f"{names[i]}^{e}"
-            for i, e in enumerate(exps)
-            if e
-        )
-        if not vars_part:
-            body = _coeff_text(mag)
-        elif mag == 1:
-            body = vars_part
+    for exps, coeff in terms:
+        mono = monomials.get(exps)
+        if mono is None:
+            mono = monomials[exps] = "*".join(
+                names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e
+            )
+        # a canonical coefficient prints as "3" or "3/2"
+        sign, mag = (" - ", -coeff) if coeff < 0 else (" + ", coeff)
+        if mag == 1 and mono:
+            pieces.append(sign + mono)
         else:
-            body = f"{_coeff_text(mag)}*{vars_part}"
-        if k == 0:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f" - {body}" if neg else f" + {body}")
-    return "".join(pieces)
-
-
-def _coeff_text(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c))
+            pieces.append(f"{sign}{mag}*{mono}" if mono else f"{sign}{mag}")
+    text = "".join(pieces)
+    # the first term takes a bare sign
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # ---------------------------------------------------------------------------

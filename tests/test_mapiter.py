@@ -671,3 +671,64 @@ def test_p3_qas_fixture():
     assert certificate_digest(tr, res.certificate.H) == (
         "801cf17701cdbcc722d10e387068e8a71cea4d0f12ae6dd24f8bdc0f842c9b5b"
     )
+
+
+# -- a d = 4 map with a quadratic divisor ---------------------------------------------
+
+
+QUARTIC_QAS = Path(__file__).parent / "fixtures" / "quartic_qas.map"
+
+
+@pytest.fixture(scope="module")
+def quartic_trace():
+    """The quartic family map, traced to depth 3, with every call of the fused division it made."""
+    seen = []
+
+    def spy(forms, substitutes, den):
+        out = fused(forms, substitutes, den)
+        seen.append(out[1])
+        return out
+
+    fused = mapiter._compose_divide
+    mapiter._compose_divide = spy
+    try:
+        f = load_map(QUARTIC_QAS)
+        tr = iterate_degrees(f, 3)
+        res = infer_qas(tr)
+        ok = [verify_lifting_recurrence(f, res.certificate, tr, n) for n in (2, 3)]
+    finally:
+        mapiter._compose_divide = fused
+    return f, tr, res, ok, seen
+
+
+def test_quartic_qas_fixture(quartic_trace):
+    # the family instance of family-gen --deg-p 2 --deg-q 2 --seed 0: d = 4 and
+    # H = P quadratic; the digest is the one degrees --n 3 --json prints
+    f, tr, res, ok, seen = quartic_trace
+    assert f.degree == 4 and tr.degrees == (1, 4, 14, 48)
+    assert certificate_digest(tr, None) == (
+        "2bbfbad1175880a1a961fd6170e4eae52ecd51a074f6daf50c8e30a6fc250150"
+    )
+    assert res.verdict == "QAS" and res.certificate.n0 == 1
+    assert res.certificate.H == -parse_poly("-2*z*w + 2*z*t + 4*w^2 + 3*w*t", f.names)
+    # E_2 proposes H, so the hint of step 3 and both recurrence checks
+    # divided every composed component by a power of H
+    assert ok == [True, True] and seen == [True] * 3
+
+
+def test_quartic_recurrence_rejects_a_changed_coefficient_or_power(quartic_trace):
+    f, tr, res, _, _ = quartic_trace
+    cert = res.certificate
+    for n in (2, 3):
+        for m in (n - 1, n):
+            # one coefficient of F_{n-1}, which is composed, or of F_n, which is compared
+            (e, c), *rest = tr.lifting(m)[1].terms
+            changed = HomPoly(3, [(e, c + 1), *rest])
+            comps = tr.lifting(m)[:1] + (changed,) + tr.lifting(m)[2:]
+            assert not verify_lifting_recurrence(f, cert, _with_lifting(tr, m, comps), n)
+        # H^(d_{n-2}) is the divisor; one power more or less is not
+        for shift in (-1, 1):
+            degrees = list(cert.degrees)
+            degrees[n - 2] += shift
+            assert not verify_lifting_recurrence(f, cert._replace(degrees=tuple(degrees)), tr, n)
+        assert verify_lifting_recurrence(f, cert, tr, n)

@@ -1575,6 +1575,77 @@ def test_row_div_with_a_forced_narrow_slot(rows, monkeypatch, nvars):
         assert rows["div"][0][2] == 1
 
 
+# -- composition divided on its own rows ---------------------------------------------
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_compose_divide_matches_compose_all_and_exact_div(rows, nvars):
+    # forms h*g over substitutes q, divided by the primitive part of h(q):
+    # one division on the rows of each composition, in its own slots
+    rng = random.Random(110 + nvars)
+    for trial in range(3):
+        qs = [_int_form(rng, nvars, 2, 9, 4) for _ in range(nvars)]
+        h = _int_form(rng, nvars, rng.randint(1, 2), 5, 3)
+        forms = [h * _int_form(rng, nvars, rng.randint(1, 2), 9, 6) for _ in range(3)]
+        den = int_primitive(h.compose(qs)).primitive
+        rows["div"].clear()
+        got, divided = polycore._compose_divide(forms, qs, den)
+        assert divided and len(rows["div"]) == 3 and None not in [out for out, *_ in rows["div"]]
+        composed = compose_all(forms, qs)
+        assert _exact(got) == _exact([exact_div(n, den) for n in composed])
+        if trial == 0:
+            assert [_ring_dict(q) for q in got] == [_ring_div(n, den) for n in composed]
+    with pytest.raises(TypeError):
+        polycore._compose_divide([forms[0] * Fraction(1, 2)], qs, den)
+
+
+def test_compose_divide_returns_the_compositions_when_the_divisor_does_not_divide(rows):
+    rng = random.Random(120)
+    qs = [_int_form(rng, 3, 2, 9, 4) for _ in range(3)]
+    h = _int_form(rng, 3, 1, 5, 3)
+    den = int_primitive(h.compose(qs)).primitive
+    # den divides the first composition and not the second
+    forms = [h * _int_form(rng, 3, 1, 99, 3), _int_form(rng, 3, 2, 99, 6), h * h]
+    composed = compose_all(forms, qs)
+    assert _ring_div(composed[1], den) is None
+    rows["div"].clear()
+    got, divided = polycore._compose_divide(forms, qs, den)
+    assert not divided and _exact(got) == _exact(composed)
+    # the second is refuted on its rows, then by _dexact_div, and the third is never divided
+    assert [out is not None for out, *_ in rows["div"]] == [True, False, False]
+    old = get_term_cap()
+    set_term_cap(10)
+    try:
+        with pytest.raises(ResourceLimit):
+            polycore._compose_divide(forms, qs, den)
+    finally:
+        set_term_cap(old)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_compose_divide_hands_an_unproved_quotient_to_exact_div(rows, nvars):
+    x = [HomPoly.variable(nvars, i) for i in range(nvars)]
+    u, v = x[0], x[-1]
+    # N = (u - 10^4 v)(u + v) has B = 2 (1 + 10^4), which two-byte slots
+    # hold, but B + 2 * 10^4 * ||u + v|| is above 2^15: the quotient decodes
+    # and is not proved, and _dexact_div, in slots sized from N, divides
+    den = u - v * 10**4
+    got, divided = polycore._compose_divide([x[0] * x[1]], [den] + [u + v] * (nvars - 1), den)
+    assert divided and got == (u + v,)
+    [(fused, _, s), (first, _, wide)] = rows["div"]
+    assert fused is not None and first is not None and s == 2 < wide
+    # N = (u^200 - v^200)^2 has B = 4 and one-byte slots, and the quotient by
+    # (u - v)^2 has coefficients up to 200: neither those slots nor the first
+    # pass of _dexact_div hold it, and its second pass, sized for any factor
+    # of N, divides
+    rows["div"].clear()
+    num = u**200 - v**200
+    got, divided = polycore._compose_divide([x[0] ** 2], [num] + [u**200] * (nvars - 1), (u - v) ** 2)
+    [(_, _, s), (_, _, first), (second, _, wide)] = rows["div"]
+    assert s == first == 1 < wide and second is not None
+    assert divided and got == (exact_div(num**2, (u - v) ** 2),)
+
+
 # -- one-pass composition of several forms -----------------------------------------
 
 
