@@ -23,7 +23,6 @@ from .polycore import (
     _compose_divide,
     _dint_normalize,
     _poly_text,
-    compose_all,
     exact_div,
     int_primitive,
     parse_poly,
@@ -314,21 +313,18 @@ def compose_extract(f: ProjMap, lifting: Sequence[HomPoly], hint: Optional[HomPo
     as in `make_map`.  `hint` is an optional divisor candidate: if it
     divides every composed component, E.primitive is its primitive part
     times the gcd of the quotients, canonical by Gauss's lemma; a hint
-    that does not divide is dropped and only costs time.  With a hint
-    the lifting must be int, as those of `iterate_degrees` are: each
-    component is divided on its composition's rows (`_compose_divide`).
+    that does not divide is dropped and only costs time.  The components
+    are composed, and divided by the hint on their own rows, in one call
+    of `_compose_divide`, for int and Fraction liftings alike.
     """
     lifting = tuple(lifting)
     if lifting[0].nvars != f.nvars:
         raise ArityMismatch("lifting arity does not match the map")
-    g = HomPoly.one(f.nvars)
+    h = None
     if hint is not None and not hint.is_zero and hint.degree > 0:
         h = int_primitive(hint).primitive
-        quot, divided = _compose_divide(f.components, lifting, h)
-        g = h if divided else g
-    else:
-        quot = compose_all(f.components, lifting)
-    return _extract(quot, g)
+    quot, divided = _compose_divide(f.components, lifting, h)
+    return _extract(quot, h if divided else HomPoly.one(f.nvars))
 
 
 def iterate_degrees(f: ProjMap, N: int) -> IterationTrace:

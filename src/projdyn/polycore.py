@@ -16,7 +16,9 @@ its rows are full enough to pay, and otherwise takes the term loop over
 packed dicts; a division first scales both forms to primitive int
 forms, and when the quotient outgrows the slots sized from the dividend
 it is divided once more in slots sized from Mahler's bound on any
-factor of the dividend.
+factor of the dividend.  One routine composes, and divides each
+composition on its own rows when given a divisor (`compose_all` is its
+case with none), and one proof checks every quotient decoded from rows.
 Terms are kept in descending graded-lexicographic order, which for a
 homogeneous polynomial reduces to descending lexicographic order on the
 exponent tuples, so equal polynomials compare equal structurally and
@@ -411,87 +413,73 @@ class HomPoly:
 
 
 def compose_all(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly]) -> tuple:
-    """``tuple(f.compose(substitutes) for f in forms)``, composed in one pass.
+    """``tuple(f.compose(substitutes) for f in forms)``, composed in one pass: `_compose_divide` with no divisor."""
+    return _compose_divide(forms, substitutes)[0]
 
-    ``substitutes[i]`` replaces variable ``i`` of every form.  The
-    substitutes must share an arity and (when nonzero) a common degree,
-    so each result stays homogeneous.  One-variable substitutes are
-    c_i x^d, so f(q) = f(c) x^(d deg f) by exact `evaluate`.  Otherwise
-    a form f = F/den over substitutes q_i = Q_i/D, with F and the Q_i
-    int forms (`_int_terms`; int data passes as it is), gives
-    f(q) = F(Q) / (den D^(deg f)), and every F(Q) is formed by Horner's
-    rule on rows in one pass (`_row_compose`), with one slot width, one
-    table of the powers of the Q_i as rows and the product of every
-    single-term run shared across the forms.
+
+def _compose_divide(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly], den: HomPoly | None = None) -> tuple:
+    """(the f(q) / den for f in forms, True) when den divides every f(q), else (the f(q), False).
+
+    ``substitutes[i]`` replaces variable ``i`` of every form; they must
+    share an arity and (when nonzero) a degree.  With den None nothing is
+    divided.  One-variable substitutes are c_i x^d, so f(q) = f(c)
+    x^(d deg f) by exact `evaluate`, divided by `exact_div`.  Otherwise a
+    form f = F/den_f over q_i = Q_i/D, with F and the Q_i int forms
+    (`_int_terms`; int data passes as it is), gives
+    f(q) = F(Q) / (den_f D^(deg f)), and every F(Q) is formed by Horner's
+    rule on rows in one pass, which shares its slot width, powers and
+    products across the forms (`_row_compose`).  By Gauss's lemma the
+    primitive part of den divides f(q) iff it divides F(Q) over Z, so
+    F(Q) is divided on its own rows and only the quotient is decoded
+    (`_row_quotient`, with the bound B of f, at least every coefficient
+    of F(Q), as its norm).  A row remainder proves that den does not
+    divide; a quotient that does not decode or is not proved hands the
+    decoded F(Q) to `_dexact_div`: nothing is composed twice.
     """
     forms, comps = tuple(forms), tuple(substitutes)
-    tops = _composed_degrees(forms, comps)
-    nv2 = comps[0].nvars
-    if nv2 == 1:
-        c = [q.terms[0][1] if q.terms else 0 for q in comps]
-        return tuple(HomPoly._new(1, {(top,): f.evaluate(c)}, top) for f, top in zip(forms, tops))
-    _guard(_monomial_bound(max(tops, default=0), nv2))
-    # every intermediate below is homogeneous of degree <= max(tops)
-    width = _field_width(max(tops, default=0))
-    D, qs = _int_terms(*(q.terms for q in comps))
-    scaled = [_int_terms(f.terms) for f in forms]
-    subs = [_pack_dict(dict(q), width) for q in qs]
-    sums, _, s = _row_compose([(t, top) for (_, (t,)), top in zip(scaled, tops)], subs, width)
-    outs = [_row_decode(rows, width, nv2, top, s) for rows, top in zip(sums, tops)]
-    assert None not in outs, "composition outgrew its slot bound"
-    return tuple(
-        HomPoly._new(nv2, _unscale(out, den * D**f._degree), top)
-        for out, (den, _), f, top in zip(outs, scaled, forms, tops)
-    )
-
-
-def _composed_degrees(forms: tuple, comps: tuple) -> list:
-    """The degree of each form composed with comps, after checking that the composition is defined."""
     for f in forms:
         if f.nvars != len(comps):
             raise ArityMismatch(f"{f.nvars} variables need {f.nvars} substitutes, got {len(comps)}")
-    if any(q.nvars != comps[0].nvars for q in comps):
+    nv = comps[0].nvars
+    if any(q.nvars != nv for q in comps):
         raise ArityMismatch("substituted polynomials disagree on arity")
     degs = {q._degree for q in comps if not q.is_zero}
     if len(degs) > 1:
         raise DegreeMismatch(f"substituted degrees differ: {sorted(degs)}")
     # with every substitute zero, every sum but a constant form's is empty
-    return [f._degree * max(degs, default=0) for f in forms]
-
-
-def _compose_divide(forms: Sequence[HomPoly], substitutes: Sequence[HomPoly], den: HomPoly) -> tuple:
-    """(the quotients f(q) / den, True) when den divides every f(q), else (the f(q), False).
-
-    Int forms in two or more variables, as `mapiter`'s liftings are.
-    Each N = f(q) is divided on its rows from `_row_compose`, in their
-    slots of s bytes, and only the quotient q is decoded.  The bound B
-    of f is at least every coefficient of N, so it stands in for ||N||
-    in `_dexact_div`'s proof that B + min(|q|, |den|) ||den|| ||q|| below
-    2^(8s-1) gives N = den * q.  On a row remainder, a quotient that does
-    not decode or a failed bound, N is decoded from the rows and divided
-    by `_dexact_div`, with its second pass and refutation: nothing is
-    composed twice.
-    """
-    forms, comps = tuple(forms), tuple(substitutes)
-    tops, nv = _composed_degrees(forms, comps), den.nvars
-    den._check_arity(comps[0])
-    if not all(type(c) is int for p in (*forms, *comps, den) for _, c in p.terms):
-        raise TypeError("composition with division takes int forms")
-    _guard(_monomial_bound(max(tops), nv))
-    width = _field_width(max(tops))
-    subs = [_pack_dict(dict(q.terms), width) for q in comps]
-    sums, bounds, s = _row_compose([(f.terms, top) for f, top in zip(forms, tops)], subs, width)
-    dd, quots = dict(den.terms), []
-    pden, den_norm = _pack_dict(dd, width), max(map(abs, dd.values()))
-    for rows, bound, top in zip(sums, bounds, tops):
-        q = _row_div(rows, pden, width, nv, s)
-        q = None if q is None else _row_decode(q, width, nv, top - den._degree, s)
-        if q is None or (bound + min(len(q), len(dd)) * den_norm * max(map(abs, q.values()), default=0)) >> 8 * s - 1:
-            q = _dexact_div(_row_decode(rows, width, nv, top, s), dd)
-        if q is None:
-            return tuple(HomPoly._new(nv, _row_decode(r, width, nv, t, s), t) for r, t in zip(sums, tops)), False
-        quots.append(HomPoly._new(nv, q, top - den._degree))
-    return tuple(quots), True
+    tops = [f._degree * max(degs, default=0) for f in forms]
+    if den is not None:
+        den._check_arity(comps[0])
+    if nv == 1:
+        c = [q.terms[0][1] if q.terms else 0 for q in comps]
+        outs = tuple(HomPoly._new(1, {(top,): f.evaluate(c)}, top) for f, top in zip(forms, tops))
+        try:
+            return (outs, False) if den is None else (tuple(exact_div(p, den) for p in outs), True)
+        except NotDivisible:
+            return outs, False
+    _guard(_monomial_bound(max(tops, default=0), nv))
+    # every intermediate below is homogeneous of degree <= max(tops)
+    width = _field_width(max(tops, default=0))
+    D, qs = _int_terms(*(q.terms for q in comps))
+    scaled = [_int_terms(f.terms) for f in forms]
+    subs = [_pack_dict(dict(q), width) for q in qs]
+    sums, bounds, s = _row_compose([(t, top) for (_, (t,)), top in zip(scaled, tops)], subs, width)
+    scales = [fden * D**f._degree for (fden, _), f in zip(scaled, forms)]
+    if den is not None:
+        cd, dd = _dint_normalize(dict(den.terms))
+        pden, quots = _pack_dict(dd, width), []
+        for rows, bound, top, k in zip(sums, bounds, tops, scales):
+            q = _row_quotient(rows, pden, bound, width, nv, top - den._degree, s)
+            if q is False:
+                q = _dexact_div(_row_decode(rows, width, nv, top, s), dd)
+            if q is None:
+                break
+            quots.append(HomPoly._new(nv, _unscale(q, k * cd), top - den._degree))
+        else:
+            return tuple(quots), True
+    outs = [_row_decode(rows, width, nv, top, s) for rows, top in zip(sums, tops)]
+    assert None not in outs, "composition outgrew its slot bound"
+    return tuple(HomPoly._new(nv, _unscale(out, k), top) for out, k, top in zip(outs, scales, tops)), False
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +601,8 @@ def _int_terms(*terms) -> tuple:
     return den, tuple(tuple((e, (c * den).numerator) for e, c in t) for t in terms)
 
 
-def _unscale(d: dict, den: int) -> dict:
-    """d / den for an int den, d itself when den is 1."""
+def _unscale(d: dict, den) -> dict:
+    """d / den for a rational den, d itself when den is 1."""
     return d if den == 1 else {e: Fraction(c, den) for e, c in d.items()}
 
 
@@ -627,9 +615,10 @@ def _unscale(d: dict, den: int) -> dict:
 # the exponent of x_{n-1}.  Substituting x_{n-2} = 2^(8s), x_{n-1} = 1 is a
 # ring homomorphism, so sums and products of rows are exact int sums and
 # products whatever their slots hold on the way; a row decodes back to
-# its coefficients when each lies in (-2^(8s-1), 2^(8s-1)).  A composition
-# is divided on its rows (`_compose_divide`): its slot bound B is at least
-# each of its coefficients, so B stands in for the dividend's sup norm.
+# its coefficients when each lies in (-2^(8s-1), 2^(8s-1)).  Every quotient
+# of rows is decoded and proved by `_row_quotient` from a norm of the
+# dividend: its sup norm in `_dexact_div`, and in `_compose_divide` the
+# composition's slot bound B, which is at least each of its coefficients.
 
 
 def _row_ints(d: dict, width: int, s: int) -> dict:
@@ -867,6 +856,29 @@ def _row_div(num: dict, den: dict, width: int, nvars: int, s: int) -> dict | Non
     return quo
 
 
+def _row_quotient(rows: dict, den: dict, norm: int, width: int, nvars: int, top: int, s: int):
+    """The quotient q of the rows of N by a packed primitive int dict den, decoded at degree top and proved.
+
+    None when `_row_div` leaves a remainder, which proves that den does
+    not divide N; False when q does not decode or is not proved, as the
+    slots may be too narrow for it.  With norm at least every coefficient
+    of N, N - den*q maps to zero row by row and has coefficients at most
+    norm + min(|q|, |den|) ||den|| ||q|| (sup norms: at most min(|q|, |den|)
+    term pairs meet in one monomial), so when that is below 2^(8s-1) each
+    of its rows is a zero image of coefficients inside the slots, hence
+    zero, and N = den*q with no check product.
+    """
+    quo = _row_div(rows, den, width, nvars, s)
+    if quo is None:
+        return None
+    q = _row_decode(quo, width, nvars, top, s)
+    if q is None or (
+        norm + min(len(q), len(den)) * max(map(abs, den.values())) * max(map(abs, q.values()), default=0)
+    ) >> 8 * s - 1:
+        return False
+    return q
+
+
 def _dexact_div(num: dict, den: dict):
     """Exact division of homogeneous tuple-keyed term dicts; None when den does not divide num.
 
@@ -874,13 +886,8 @@ def _dexact_div(num: dict, den: dict):
     (`_dint_normalize`), den divides num iff D divides N over Z, by
     Gauss's lemma, and then num / den = (cn/cd) * N/D.  One-variable
     forms are monomials and divide directly.  Otherwise N / D is long
-    division over rows (`_row_div`), whose None proves that D does not
-    divide N.  With q decoded from the quotient rows, N - D*q maps to
-    zero row by row; its coefficients are at most
-    ||N|| + min(|q|, |D|) ||D|| ||q|| (sup norms, as at most
-    min(|q|, |D|) term pairs meet in one monomial), so when that is
-    below 2^(8s-1) each of its rows is a zero image of coefficients
-    inside the slots, hence zero, and N = D*q with no check product.
+    division over rows, decoded and proved by `_row_quotient` with
+    norm ||N||.
 
     The first pass sizes the slots for a quotient no larger than N.  If
     its rows do not decode or fail that bound, the second sizes them for
@@ -921,13 +928,10 @@ def _dexact_div(num: dict, den: dict):
         if qnorm is None:
             qnorm = math.isqrt(sum(c * c for c in num.values())) + 1 << (nvars - 1) * top
         s = _slot_bytes(norm + pairs * den_norm * qnorm)
-        rows = _row_div(_row_ints(pnum, width, s), pden, width, nvars, s)
-        if rows is None:
+        q = _row_quotient(_row_ints(pnum, width, s), pden, norm, width, nvars, top, s)
+        if q is None:
             return None
-        q = _row_decode(rows, width, nvars, top, s)
-        if q is not None and not (
-            norm + min(len(q), len(den)) * den_norm * max(map(abs, q.values()))
-        ) >> 8 * s - 1:
+        if q is not False:
             n, d = (cn / cd).as_integer_ratio()
             return q if n == d == 1 else {e: _quo(c * n, d) for e, c in q.items()}
     return None

@@ -681,12 +681,13 @@ QUARTIC_QAS = Path(__file__).parent / "fixtures" / "quartic_qas.map"
 
 @pytest.fixture(scope="module")
 def quartic_trace():
-    """The quartic family map, traced to depth 3, with every call of the fused division it made."""
+    """The quartic family map, traced to depth 3, with every call of the fused division it made with a divisor."""
     seen = []
 
     def spy(forms, substitutes, den):
         out = fused(forms, substitutes, den)
-        seen.append(out[1])
+        if den is not None:
+            seen.append(out[1])
         return out
 
     fused = mapiter._compose_divide
@@ -732,3 +733,15 @@ def test_quartic_recurrence_rejects_a_changed_coefficient_or_power(quartic_trace
             degrees[n - 2] += shift
             assert not verify_lifting_recurrence(f, cert._replace(degrees=tuple(degrees)), tr, n)
         assert verify_lifting_recurrence(f, cert, tr, n)
+
+
+def test_quartic_compose_extract_takes_a_fraction_lifting_with_a_hint(quartic_trace):
+    # by Gauss's lemma the hint divides f(F_2 / 3) iff it divides f(F_2):
+    # the extraction is the same, with content 3^-4 of the int lifting's
+    f, tr, res, _, _ = quartic_trace
+    hint = res.certificate.H.compose(tr.lifting(1))
+    E, nxt = compose_extract(f, tr.lifting(2), hint)
+    assert E.primitive == tr.E(3).primitive and nxt == tr.lifting(3)
+    Ef, nxtf = compose_extract(f, [q * Fraction(1, 3) for q in tr.lifting(2)], hint)
+    assert Ef.primitive == E.primitive and nxtf == nxt
+    assert Ef.content == E.content / 81

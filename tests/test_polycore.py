@@ -1595,8 +1595,16 @@ def test_compose_divide_matches_compose_all_and_exact_div(rows, nvars):
         assert _exact(got) == _exact([exact_div(n, den) for n in composed])
         if trial == 0:
             assert [_ring_dict(q) for q in got] == [_ring_div(n, den) for n in composed]
-    with pytest.raises(TypeError):
-        polycore._compose_divide([forms[0] * Fraction(1, 2)], qs, den)
+    # Fraction forms over Fraction substitutes, by den and by a Fraction
+    # multiple of it: F(Q) is divided on its rows, one division a form
+    fracs = [g * Fraction(1, 2 + i) for i, g in enumerate(forms)]
+    qf = [q * Fraction(2, 3) for q in qs]
+    composed = compose_all(fracs, qf)
+    for d in (den, den * Fraction(-3, 2)):
+        rows["div"].clear()
+        got, divided = polycore._compose_divide(fracs, qf, d)
+        assert divided and len(rows["div"]) == 3
+        assert _exact(got) == _exact([exact_div(n, d) for n in composed])
 
 
 def test_compose_divide_returns_the_compositions_when_the_divisor_does_not_divide(rows):
@@ -1611,8 +1619,8 @@ def test_compose_divide_returns_the_compositions_when_the_divisor_does_not_divid
     rows["div"].clear()
     got, divided = polycore._compose_divide(forms, qs, den)
     assert not divided and _exact(got) == _exact(composed)
-    # the second is refuted on its rows, then by _dexact_div, and the third is never divided
-    assert [out is not None for out, *_ in rows["div"]] == [True, False, False]
+    # the second is refuted on its rows, with no second division, and the third is never divided
+    assert [out is not None for out, *_ in rows["div"]] == [True, False]
     old = get_term_cap()
     set_term_cap(10)
     try:
@@ -1644,6 +1652,18 @@ def test_compose_divide_hands_an_unproved_quotient_to_exact_div(rows, nvars):
     [(_, _, s), (_, _, first), (second, _, wide)] = rows["div"]
     assert s == first == 1 < wide and second is not None
     assert divided and got == (exact_div(num**2, (u - v) ** 2),)
+
+
+def test_compose_divide_divides_over_one_variable_substitutes():
+    # one-variable substitutes are c_i x^d, so each f(q) is one term, which
+    # a one-variable divisor divides exactly or not at all
+    x = HomPoly.variable(1, 0)
+    qs = [x * 2, x * Fraction(-3, 4), HomPoly.zero(1)]
+    forms = [P("z^2 - w^2"), P("z*w + t^2") * Fraction(1, 3), P("t^2")]
+    composed = compose_all(forms, qs)
+    got, divided = polycore._compose_divide(forms, qs, x * 5)
+    assert divided and got == tuple(exact_div(p, x * 5) for p in composed)
+    assert polycore._compose_divide(forms, qs, x**3) == (composed, False)
 
 
 # -- one-pass composition of several forms -----------------------------------------
