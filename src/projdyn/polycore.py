@@ -5,14 +5,13 @@ pairs.  Exponent vectors are plain tuples of non-negative ints, one slot
 per variable; coefficients are exact (`int` when the denominator is 1,
 `fractions.Fraction` otherwise) and never zero.  Inside the kernels each
 exponent vector is packed into one int, so a monomial product is an int
-add.  Homogeneous int forms in two or more variables are multiplied,
-raised to powers, composed and divided on rows, the one big-int layout
-(Kronecker substitution): a row holds the coefficients that share the
-exponents of x_0 .. x_{n-3} in one int, so the inner loops are big-int
-arithmetic.  Powers and compositions always run on rows: Fraction data
-is first scaled to int forms, and one-variable data is one term, so it
-is evaluated exactly.  A product goes to rows from 2000 term pairs, when
-its rows are full enough to pay, and otherwise takes the term loop over
+add.  Homogeneous int forms in two or more variables are raised to
+powers, composed and divided on rows, the one big-int layout (Kronecker
+substitution): a row holds the coefficients that share the exponents of
+x_0 .. x_{n-3} in one int, so the inner loops are big-int arithmetic.
+Powers and compositions always run on rows: Fraction data is first
+scaled to int forms, and one-variable data is one term, so it is
+evaluated exactly.  A product of two forms takes the term loop over
 packed dicts; a division first scales both forms to primitive int
 forms, and when the quotient outgrows the slots sized from the dividend
 it is divided once more in slots sized from Mahler's bound on any
@@ -190,7 +189,7 @@ class HomPoly:
                 raise ArityMismatch(
                     f"exponent vector {exps} does not have {nvars} entries"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative ints: {exps}")
             c = acc.get(exps, 0) + Fraction(coeff)
             if c:
@@ -545,8 +544,8 @@ def _pmul(a: dict, b: dict) -> dict:
     """Product of packed term dicts by the term loop, dropping cancelled terms once at the end.
 
     It multiplies each pair of terms and sums by key.  Only `_dmul`
-    calls it, for the products that it leaves off rows; powers and
-    compositions always run on rows.
+    calls it, for every product of two forms with more than one term
+    each; powers and compositions run on rows.
     """
     if not a or not b:
         return {}
@@ -743,24 +742,11 @@ def _row_compose(forms, subs: list, width: int) -> tuple:
     return [horner(t, 0) if t else {} for t, _ in forms], bounds, s
 
 
-# _dmul multiplies homogeneous int forms on rows from this many term pairs,
-# when each pair of rows stands for at least _ROW_MIN_FILL term pairs
-_ROW_MIN_PAIRS = 2000
-_ROW_MIN_FILL = 6
-
-
 def _dmul(a: dict, b: dict) -> dict:
     """Product of tuple-keyed term dicts (homogeneous or not).
 
-    A one-term operand shifts the other's keys.  Two homogeneous int
-    operands in two or more variables with at least _ROW_MIN_PAIRS term
-    pairs multiply on rows, in slots of s bytes with 2^(8s-1) above
-    min(|a|, |b|) max|a| max|b|, which bounds every output coefficient,
-    as at most min(|a|, |b|) term pairs meet in one monomial.  Each pair
-    of rows is one int product, so rows that hold few terms each, as
-    sparse forms in four or more variables do, multiply faster by the
-    term loop of `_pmul`, as does any other product; this is the one
-    product with two routes and the one caller of that loop.
+    A one-term operand shifts the other's keys; every other product is
+    the term loop of `_pmul` on packed keys.
     """
     if not a or not b:
         return {}
@@ -778,18 +764,7 @@ def _dmul(a: dict, b: dict) -> dict:
         [(e, c)], other = (a.items(), b) if len(a) == 1 else (b.items(), a)
         return {tuple(map(add, k, e)): p for k, v in other.items() if (p := c * v)}
     width = _field_width(top)
-    pa, pb = _pack_dict(a, width), _pack_dict(b, width)
-    if (
-        nv > 1
-        and pairs >= _ROW_MIN_PAIRS
-        and len(degs_a) == len(degs_b) == 1
-        and all(type(c) is int for c in chain(a.values(), b.values()))
-    ):
-        s = _slot_bytes(min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values())))
-        ra, rb = _row_ints(pa, width, s), _row_ints(pb, width, s)
-        if _ROW_MIN_FILL * len(ra) * len(rb) <= pairs:
-            return _row_decode(_row_mul(ra, rb), width, nv, top, s)
-    return _unpack_dict(_pmul(pa, pb), nv, width)
+    return _unpack_dict(_pmul(_pack_dict(a, width), _pack_dict(b, width)), nv, width)
 
 
 def _dadd(a: dict, b: dict) -> dict:
@@ -1549,8 +1524,8 @@ def _poly_text(terms: tuple, names: Sequence[str], monomials: dict) -> str:
 
 def random_hompoly(rng, nvars: int, degree: int, max_terms: int, coeff_bound: int) -> HomPoly:
     """A random nonzero homogeneous polynomial driven by the given rng."""
-    if degree < 0 or max_terms < 1 or coeff_bound < 1:
-        raise ValueError("degree >= 0, max_terms >= 1, coeff_bound >= 1 required")
+    if nvars < 1 or degree < 0 or max_terms < 1 or coeff_bound < 1:
+        raise ValueError("nvars >= 1, degree >= 0, max_terms >= 1, coeff_bound >= 1 required")
     acc: dict = {}
     while not acc:
         for _ in range(max_terms):

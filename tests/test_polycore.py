@@ -39,7 +39,6 @@ from projdyn import polycore
 from projdyn.family2 import random_family
 from projdyn.mapiter import iterate_degrees, make_map
 from projdyn.polycore import (
-    _ROW_MIN_PAIRS,
     _dadd,
     _deg_in,
     _dexact_div,
@@ -316,6 +315,9 @@ def test_constructor_validation():
         HomPoly(2, [((1, 0, 0), 1)])
     with pytest.raises(ValueError, match="non-negative"):
         HomPoly(2, [((2, -1), 1)])
+    for bad in ("a", None):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            HomPoly(2, [((bad, 1), 1)])
     with pytest.raises(NonHomogeneous):
         HomPoly(2, [((1, 0), 1), ((1, 1), 1)])
     with pytest.raises(ArityMismatch):
@@ -349,6 +351,9 @@ def test_operation_validation():
         poly_to_text(z, ("z", "w"))
     with pytest.raises(ValueError):
         random_hompoly(random.Random(0), 3, -1, 4, 5)
+    for nvars in (0, -1):
+        with pytest.raises(ValueError, match="nvars"):
+            random_hompoly(random.Random(0), nvars, 2, 3, 5)
 
 
 def test_term_cap_must_be_positive():
@@ -1153,7 +1158,7 @@ def test_is_prime_matches_sympy():
 
 @pytest.fixture
 def kronecker(monkeypatch):
-    """Record True for each product of rows (`_row_mul`), the Kronecker route of every int product."""
+    """Record True for each product of rows (`_row_mul`), which only powers and compositions make."""
     calls = []
     row_mul = polycore._row_mul
 
@@ -1203,15 +1208,13 @@ def _signed(bound):
     return lambda rng: rng.choice((-1, 1)) * rng.randint(1, bound)
 
 
-def _both_routes(a: HomPoly, b: HomPoly):
-    """The product by the term loop of _pmul, and by _dmul, which routes it."""
-    width = _field_width(a.degree + b.degree)
-    pa, pb = _pack_dict(a.as_dict(), width), _pack_dict(b.as_dict(), width)
-    return _unpack_dict(_pmul(pa, pb), a.nvars, width), _dmul(a.as_dict(), b.as_dict())
-
-
 def _row_product(a: HomPoly, b: HomPoly) -> dict:
-    """a * b by one product of rows, whichever route _dmul would take."""
+    """a * b by one product of rows (`_row_mul`, `_row_decode`), the kernels of powers and compositions.
+
+    Its slots have 2^(8s-1) above min(|a|, |b|) max|a| max|b|, which
+    bounds every output coefficient, as at most min(|a|, |b|) term
+    pairs meet in one monomial.
+    """
     top = a.degree + b.degree
     width = _field_width(top)
     bound = min(len(a.terms), len(b.terms)) * max(abs(c) for _, c in a.terms) * max(abs(c) for _, c in b.terms)
@@ -1233,64 +1236,54 @@ def _in_ring(R, p: HomPoly):
     return R(_ring_dict(p))
 
 
-def test_kronecker_route_at_and_above_the_threshold(kronecker):
+def test_products_match_rows_and_sympy():
     rng = random.Random(61)
-    # 40 x 50 term pairs, exactly the threshold; one term fewer stays on the loop
+    # 40 x 50 and 40 x 49 term pairs in three variables
     a = _form(rng, 3, 8, _signed(2**18), 40)
     b = _form(rng, 3, 9, _signed(2**18), 50)
-    assert len(a.terms) * len(b.terms) == _ROW_MIN_PAIRS
-    loop, routed = _both_routes(a, b)
-    assert kronecker == [True] and routed == loop
-    short = HomPoly(3, b.terms[1:])
-    loop, routed = _both_routes(a, short)
-    assert kronecker == [True] and routed == loop
+    for other in (b, HomPoly(3, b.terms[1:])):
+        assert (a * other).as_dict() == _row_product(a, other)
     # mixed signs above 2^64 in 231 x 231 terms: 27-byte slots
     for _ in range(3):
         a = _form(rng, 3, 20, _signed(2**100))
         b = _form(rng, 3, 20, _signed(2**70))
-        loop, routed = _both_routes(a, b)
-        assert routed == loop
-    assert kronecker == [True] * 4
+        assert (a * b).as_dict() == _row_product(a, b)
     # five variables: full forms of degree 6 fill 84 rows of up to 7 slots
-    # each, and go to the rows; sparse forms above the threshold, with
-    # about one term a row, stay on the loop, and rows give the same product
+    # each; sparse forms have about one term a row
     R, _ = _ring_of(5)
     dense = [_form(rng, 5, 6, _signed(2**40)) for _ in range(2)]
     sparse = [_form(rng, 5, 12, _signed(9), 60) for _ in range(2)]
-    for (a, b), route in ((dense, [True]), (sparse, [])):
-        kronecker.clear()
-        assert len(a.terms) * len(b.terms) >= _ROW_MIN_PAIRS
-        loop, routed = _both_routes(a, b)
-        assert kronecker == route and routed == loop == _row_product(a, b)
+    for a, b in (dense, sparse):
+        assert (a * b).as_dict() == _row_product(a, b)
         assert _ring_dict(a * b) == dict(_in_ring(R, a) * _in_ring(R, b))
 
 
 @pytest.mark.parametrize("bits", [63, 64])
 @pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
-def test_kronecker_output_at_the_slot_bound(kronecker, signs, bits):
+def test_kronecker_output_at_the_slot_bound(signs, bits):
     # a has every monomial of degree 8, so every one of its 45 terms meets
     # z^8*w^8*t^8 in b's degree 16: that coefficient is 45 * c^2, the bound
-    # the slot width is taken from.  With 63 bits it fills 8-byte slots up
-    # to the sign bit; with 64 bits the sign bit needs a ninth byte
+    # _row_product takes the slot width from.  With 63 bits it fills
+    # 8-byte slots up to the sign bit; with 64 bits the sign bit needs a
+    # ninth byte
     c = math.isqrt((2**bits - 1) // 45)
     a = _form(None, 3, 8, lambda _: signs[0] * c)
     b = _form(None, 3, 16, lambda _: signs[1] * c)
     assert (45 * c * c).bit_length() == bits
-    loop, routed = _both_routes(a, b)
-    assert kronecker == [True] and routed == loop
+    assert (a * b).as_dict() == _row_product(a, b)
     assert (a * b).as_dict()[(8, 8, 8)] == signs[0] * signs[1] * 45 * c * c
     R, _ = _ring_of(3)
     assert _ring_dict(a * b) == dict(_in_ring(R, a) * _in_ring(R, b))
 
 
-def test_kronecker_drops_cancelled_terms(kronecker):
-    # f(z, w, t) * f(z, -w, t) is even in w: every odd power of w cancels
+def test_product_drops_cancelled_terms():
+    # f(z, w, t) * f(z, -w, t) is even in w: every odd power of w cancels,
+    # on the term loop and on rows
     rng = random.Random(62)
     f = _form(rng, 3, 20, _signed(2**80))
     g = HomPoly(3, [(e, -c if e[1] % 2 else c) for e, c in f.terms])
-    loop, routed = _both_routes(f, g)
-    assert kronecker == [True] and routed == loop
     fg = f * g
+    assert fg.as_dict() == _row_product(f, g)
     assert fg.terms and all(e[1] % 2 == 0 for e, _ in fg.terms)
     R, _ = _ring_of(3)
     assert _ring_dict(fg) == dict(_in_ring(R, f) * _in_ring(R, g))
@@ -1305,9 +1298,9 @@ def test_kronecker_with_a_one_term_operand(kronecker):
     b = _form(rng, 2, 2000, _signed(9))
     for a in (HomPoly.constant(2, -7), HomPoly.monomial(2, (1, 0), 3), HomPoly.monomial(2, (0, 5), -2)):
         kronecker.clear()
-        loop, routed = _both_routes(a, b)
-        assert kronecker == [] and routed == loop
-        assert _row_product(a, b) == _row_product(b, a) == loop
+        ab = (a * b).as_dict()
+        assert kronecker == []
+        assert _row_product(a, b) == _row_product(b, a) == ab
         assert a * b == HomPoly(2, [((e0 + x0, e1 + x1), c * d) for (e0, e1), c in a.terms
                                     for (x0, x1), d in b.terms])
     # a power of a one-term form, and a form composed with one-term substitutes, on rows
@@ -1326,20 +1319,19 @@ def test_fraction_operand_stays_on_the_loop(kronecker):
     a = _form(rng, 3, 20, _signed(2**70))
     b = _form(rng, 3, 20, _signed(9))
     b = HomPoly(3, b.terms[1:] + ((b.terms[0][0], Fraction(1, 3)),))
-    loop, routed = _both_routes(a, b)
-    assert kronecker == [] and routed == loop
+    ab = a * b
+    assert kronecker == []
     R, _ = _ring_of(3)
-    assert _ring_dict(a * b) == dict(_in_ring(R, a) * _in_ring(R, b))
+    assert _ring_dict(ab) == dict(_in_ring(R, a) * _in_ring(R, b))
 
 
-def test_inhomogeneous_product_stays_on_the_loop(kronecker):
+def test_inhomogeneous_product_is_the_sum_of_its_parts():
     rng = random.Random(65)
     a = _form(rng, 3, 20, _signed(9))
     b = _form(rng, 3, 20, _signed(9))
     # degrees 20 and 1, as the gcd code builds them
     u = a.as_dict() | {(1, 0, 0): 1}
     assert _dmul(u, b.as_dict()) == _dadd((a * b).as_dict(), (P("z") * b).as_dict())
-    assert kronecker == [True]
 
 
 @pytest.mark.parametrize(
