@@ -21,12 +21,13 @@ from .polycore import (
     IntPrimitiveForm,
     ParseError,
     _compose_divide,
-    _dint_normalize,
+    _content,
+    _gcd_cofactors,
     _poly_text,
+    _primitive_terms,
     exact_div,
     int_primitive,
     parse_poly,
-    poly_gcd_many,
     poly_to_text,
     same_up_to_scalar,
 )
@@ -86,21 +87,20 @@ def _default_names(nvars: int) -> tuple:
 def _tuple_primitive(comps: Sequence[HomPoly]) -> tuple:
     """Normalize a lifting tuple: (common rational content, primitive tuple).
 
-    All terms of the tuple are normalized as one dict keyed by
-    (-index, exponents), so the returned components have integer
-    coefficients with gcd 1 across the tuple, and the key's maximum,
-    the leading term of the first nonzero component, is positive.
-    content * tuple == input.
+    One pass over every coefficient gives the content, so the returned
+    components have integer coefficients with gcd 1 across the tuple,
+    and the leading term of the first nonzero component is positive.
+    content * tuple == input; with content 1 the input is returned.
     """
-    d = {(-i, e): c for i, comp in enumerate(comps) for e, c in comp.terms}
-    if not d:
+    lead = next((c.terms[0][1] for c in comps if c.terms), None)
+    if lead is None:
         raise AllZero("all components are zero")
-    content, ints = _dint_normalize(d)
-    out = tuple(
-        HomPoly._new(c.nvars, {e: ints[-i, e] for e, _ in c.terms}, c._degree)
-        for i, c in enumerate(comps)
+    div, den = _content((v for c in comps for _, v in c.terms), lead)
+    if div == den == 1:
+        return Fraction(1), comps
+    return Fraction(div, den), tuple(
+        HomPoly._new(c.nvars, _primitive_terms(c.terms, div, den), c._degree) for c in comps
     )
-    return content, out
 
 
 def _extract(comps: tuple, factor: HomPoly) -> tuple:
@@ -108,12 +108,12 @@ def _extract(comps: tuple, factor: HomPoly) -> tuple:
 
     `factor` is what the caller has already divided out of comps.
     Returns (E, primitive tuple) with E.primitive = factor * gcd, so
-    E.content * E.primitive * tuple == factor * comps.
+    E.content * E.primitive * tuple == factor * comps.  The quotients
+    by the gcd are the cofactors `_gcd_cofactors` returns with it.
     """
-    rest = poly_gcd_many(comps)
+    rest, comps = _gcd_cofactors(comps)
     if rest.degree > 0:
         factor = factor * rest
-        comps = tuple(exact_div(c, rest) for c in comps)
     content, comps = _tuple_primitive(comps)
     return IntPrimitiveForm(content, factor), comps
 

@@ -46,7 +46,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import chain, count, groupby
+from itertools import chain, count, groupby, takewhile
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -918,31 +918,41 @@ def _dint_normalize(d: dict) -> tuple[Fraction, dict]:
     The integer dict has coprime coefficients; the content carries the
     sign of the coefficient at the largest key (the graded-lex leading
     term of a homogeneous dict), so that coefficient of the returned
-    dict is positive.  Any ordered keys will do: `mapiter` normalizes a
-    whole lifting tuple under (-index, exponents).  An int dict that is
-    already that integer dict is returned itself, not copied.
+    dict is positive.  An int dict that is already that integer dict is
+    returned itself, not copied.
     """
     if not d:
         raise DivisionByZero("zero polynomial has no primitive form")
+    div, denom_lcm = _content(d.values(), d[max(d)])
+    if div == denom_lcm == 1:
+        return Fraction(1), d
+    return Fraction(div, denom_lcm), _primitive_terms(d.items(), div, denom_lcm)
+
+
+def _content(coeffs: Iterable, lead) -> tuple[int, int]:
+    """(g, l): the gcd of the coefficients' numerators, signed as lead, and the lcm of their denominators."""
     # one pass: type() first, since isinstance on the Fraction ABC is slow for ints
     gcd = math.gcd
     denom_lcm = 1
     num_gcd = 0
-    for c in d.values():
+    for c in coeffs:
         if type(c) is int:
             num_gcd = gcd(num_gcd, c)
         else:
             q = c.denominator
             denom_lcm = denom_lcm * q // gcd(denom_lcm, q)
             num_gcd = gcd(num_gcd, c.numerator)
-    div = num_gcd if d[max(d)] > 0 else -num_gcd
+    return (num_gcd if lead > 0 else -num_gcd), denom_lcm
+
+
+def _primitive_terms(items: Iterable, div: int, denom_lcm: int) -> dict:
+    """The int dict {e: c * denom_lcm / div} of (e, c) pairs whose content is div / denom_lcm."""
     if denom_lcm == 1:
-        return Fraction(div), d if div == 1 else {e: c // div for e, c in d.items()}
-    out = {
+        return {e: c // div for e, c in items}
+    return {
         e: (c * denom_lcm if type(c) is int else c.numerator * (denom_lcm // c.denominator)) // div
-        for e, c in d.items()
+        for e, c in items
     }
-    return Fraction(div, denom_lcm), out
 
 
 # -- modular GCD (Brown, JACM 18, 1971) ----------------------------------------
@@ -1167,8 +1177,9 @@ def _coprime_image(members: Sequence[dict]) -> bool:
     return len(_modp_content((_specialize_univar(d, j, vals, p) for d in members), p)) == 1
 
 
-def _modular_gcd(polys: Sequence[dict]) -> dict:
-    """Primitive gcd of two or more homogeneous integer dicts that no variable divides.
+def _modular_gcd(polys: Sequence[dict]) -> tuple[dict, list]:
+    """(G, quotients): the primitive gcd G of two or more homogeneous
+    primitive integer dicts that no variable divides, and each dict / G.
 
     Dehomogenizing the last variable preserves the gcd, because it
     divides no member.  Let gamma be the gcd of the members' lex-leading
@@ -1180,8 +1191,8 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
     coefficients below the square root of the modulus, already after
     the first prime when they are small, or stops changing, its
     primitive part G, rehomogenized, is tried against every member by
-    exact division; a candidate that fails, a wrong one or one from an
-    unlucky prime, costs only that division, and the next prime follows.
+    exact division, whose quotients it returns; a candidate that fails,
+    a wrong one or one from an unlucky prime, costs only that division.
 
     Maximality, after any number of primes, one included.  Let g be the
     gcd over Z.  At a prime p that divides no lex-leading coefficient,
@@ -1192,7 +1203,7 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
     because the CRT coefficient there is gamma, which no prime used
     divides.  G divides every member, hence g, so g / G has lex-leading
     monomial LM(g) / L = 1 and is a constant.  For the same reason a
-    constant image proves the gcd constant.  `poly_gcd_many`
+    constant image proves the gcd constant.  `_gcd_cofactors`
     calls the engine only when `_coprime_image` declines: that needs no
     leading-coefficient gcd, interpolation bound or content, as a pure
     power prime to p keeps the gcd's degree in a single univariate image.
@@ -1209,7 +1220,7 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
         img = _modp_gcd_mv([{e: v for e, c in d.items() if (v := c % p)} for d in ds], p)
         lm = max(img)
         if not any(lm):
-            return {(0,) * (k + 1): 1}
+            return {(0,) * (k + 1): 1}, polys
         if best is None or lm < best:
             best, acc, mod = lm, {}, 1
         elif lm > best:
@@ -1226,8 +1237,9 @@ def _modular_gcd(polys: Sequence[dict]) -> dict:
             _, g = _dint_normalize(new)
             top = max(map(sum, g))
             g = {e + (top - sum(e),): c for e, c in g.items()}
-            if all(_dexact_div(d, g) is not None for d in polys):
-                return g
+            quots = list(takewhile(lambda q: q is not None, (_dexact_div(d, g) for d in polys)))
+            if len(quots) == len(polys):
+                return g, quots
         acc = new
 
 
@@ -1301,18 +1313,25 @@ def poly_gcd(a: HomPoly, b: HomPoly) -> HomPoly:
 
 
 def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:
-    """GCD in canonical primitive form (unit content, positive leading coefficient).
+    """GCD in canonical primitive form (unit content, positive leading
+    coefficient): the first element of `_gcd_cofactors`."""
+    return _gcd_cofactors(polys)[0]
 
-    Zero members are dropped, since they divide everything.  Each other
-    member loses its monomial content and is normalized once.  A member
-    that is then constant leaves only the shared monomial.  So does a
-    constant gcd of the members' univariate images over GF(2^61 - 1) in
-    a variable x_j, the others fixed, when some member of degree D has
-    an x_j^D coefficient prime to 2^61 - 1 (`_coprime_image`).
-    Otherwise one run of the modular engine `_modular_gcd` over every
-    member, which checks its answer by exact division of each and also
-    proves a constant gcd, gives the rest.  Nothing unverified is ever
-    returned.
+
+def _gcd_cofactors(polys: Sequence[HomPoly]) -> tuple:
+    """(G, cofactors): the gcd G of `poly_gcd_many`, and each member divided by G.
+
+    Zero members are dropped, since they divide everything; their
+    cofactors are zero.  Each other member loses its monomial content
+    and is normalized once.  A member that is then constant leaves only
+    the shared monomial.  So does a constant gcd of the members'
+    univariate images over GF(2^61 - 1) in a variable x_j, the others
+    fixed, when some member of degree D has an x_j^D coefficient prime
+    to 2^61 - 1 (`_coprime_image`).  Otherwise one run of the modular
+    engine `_modular_gcd` gives the rest: it proves its answer by exact
+    division of each member, whose quotients are the cofactors, and also
+    proves a constant gcd.  Other cofactors are the normalized members
+    times their content and unshared monomial: no cofactor costs a division.
     """
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
@@ -1322,20 +1341,31 @@ def poly_gcd_many(polys: Sequence[HomPoly]) -> HomPoly:
         nonzero[0]._check_arity(p)
     lows = [tuple(map(min, zip(*(e for e, _ in p.terms)))) for p in nonzero]
     shared = tuple(map(min, zip(*lows)))
-    members = [
-        _dint_normalize({tuple(map(sub, e, low)): c for e, c in p.terms})[1]
+    norms = [
+        _dint_normalize({tuple(map(sub, e, low)): c for e, c in p.terms} if any(low) else dict(p.terms))
         for p, low in zip(nonzero, lows)
     ]
+    members, one = [m for _, m in norms], (0,) * nv
     if len(members) == 1:
-        g = members[0]
+        g, quots = members[0], [{one: 1}]
     elif any(len(d) == 1 for d in members) or _coprime_image(members):
-        g = {(0,) * nv: 1}
+        g, quots = {one: 1}, members
     else:
-        g = _modular_gcd(members)
+        g, quots = _modular_gcd(members)
     # the engine's answer is primitive with a positive leading
     # coefficient, and a monomial factor keeps both
     gp = HomPoly._new(nv, g, sum(next(iter(g))))
-    return gp * HomPoly.monomial(nv, shared) if any(shared) else gp
+    G = gp * HomPoly.monomial(nv, shared) if any(shared) else gp
+    if one in g and not any(shared):  # a constant gcd: each member is its own cofactor
+        cofactors = iter(nonzero)
+    else:  # p = c * x^low * m and m = g * q, so p / G = c * x^(low - shared) * q
+        cofactors = (
+            HomPoly._new(nv, q if c == 1 and low == shared else {
+                tuple(map(add, e, map(sub, low, shared))): _canon_coeff(c) * v for e, v in q.items()
+            }, p._degree - G._degree)
+            for p, (c, _), low, q in zip(nonzero, norms, lows, quots)
+        )
+    return G, tuple(next(cofactors) if p else p for p in polys)
 
 
 def coprime_certificate(a: HomPoly, b: HomPoly) -> bool:

@@ -133,6 +133,25 @@ class TestInferQas:
         assert payload["verdict"] == "NotQAS"
         assert payload["witness"] == "3"
 
+    @pytest.mark.parametrize("name, depth, degrees, digest", [
+        ("n0_2_qas.map", 4, [1, 3, 9, 26, 75],
+         "9698a9e1398d201b3f73899c17e3b6ebb4af33c193c0fe8dc65121370fe33e78"),
+        ("n0_3_qas.map", 5, [1, 3, 9, 27, 80, 237],
+         "4c3e44d50d1925e1173c89bc80a75c03ded87f4f1d369b929720974c0a60864a"),
+    ])
+    def test_twisted_fixtures_are_qas_with_their_lag(self, capsys, name, depth, degrees, digest):
+        # the stable cubic twisted so that its contracted curve meets I(f)
+        # n0 - 1 steps later; each is QAS with H = z from depth n0 + 2
+        path = Path(__file__).parent / "fixtures" / name
+        code, out, _ = run(capsys, "infer-qas", "--map", path, "--n", depth, "--json")
+        payload = json.loads(out)
+        validate(payload, schema("infer-qas"))
+        assert code == 0
+        assert payload == {
+            "H": "z", "d": "3", "degrees": [str(d) for d in degrees], "digest": digest, "h": "1",
+            "n0": str(depth - 2), "verdict": "QAS", "verified_to": str(depth), "witness": None,
+        }
+
 
 class TestLambda:
     def test_golden_recurrence(self, files, capsys):

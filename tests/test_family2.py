@@ -936,16 +936,21 @@ def test_load_family_builds_the_map_once(stable, tmp_path, monkeypatch):
 
 @pytest.fixture
 def gcd_many_calls(monkeypatch):
-    """The member tuples of every `poly_gcd_many` call from family2 and mapiter."""
+    """The member tuples of every gcd that family2 and mapiter take.
+
+    family2 calls `poly_gcd_many`; mapiter's `_extract` calls
+    `_gcd_cofactors`, which returns that gcd with the cofactors.
+    """
     calls = []
-    gcd_many = family2.poly_gcd_many
 
-    def spy(members):
-        calls.append(tuple(members))
-        return gcd_many(members)
+    def spy(gcd):
+        def counted(members):
+            calls.append(tuple(members))
+            return gcd(members)
+        return counted
 
-    monkeypatch.setattr(family2, "poly_gcd_many", spy)
-    monkeypatch.setattr(mapiter, "poly_gcd_many", spy)
+    monkeypatch.setattr(family2, "poly_gcd_many", spy(family2.poly_gcd_many))
+    monkeypatch.setattr(mapiter, "_gcd_cofactors", spy(mapiter._gcd_cofactors))
     return calls
 
 

@@ -9,11 +9,13 @@ import copy
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.rings import ring
 
 from projdyn import mapiter, polycore
 from projdyn.polycore import (
@@ -21,6 +23,7 @@ from projdyn.polycore import (
     DegreeMismatch,
     HomPoly,
     ParseError,
+    _dint_normalize,
     get_term_cap,
     parse_poly,
     poly_gcd_many,
@@ -307,6 +310,40 @@ def test_extracting_cubic_gcd_is_one_engine_run(cubic_extracting, monkeypatch):
     assert len(calls) == 1
 
 
+def _caller(frame):
+    """The name of the function a frame runs in, past its generator expressions."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def test_extraction_divides_only_to_prove_a_gcd_or_a_hint(cubic_extracting, monkeypatch):
+    # _extract takes each quotient from the gcd: the only exact divisions
+    # left are the engine's proof of a gcd and the divisor hint's, and a
+    # monomial gcd, E_2 = z*w here, makes none
+    divisions, steps = [], []
+    dexact, cofactors = polycore._dexact_div, mapiter._gcd_cofactors
+
+    def spy_division(num, den):
+        divisions.append(_caller(sys._getframe(1)))
+        return dexact(num, den)
+
+    def spy_gcd(comps):
+        before = len(divisions)
+        out = cofactors(comps)
+        steps.append((out[0], divisions[before:]))
+        return out
+
+    monkeypatch.setattr(polycore, "_dexact_div", spy_division)
+    monkeypatch.setattr(mapiter, "_gcd_cofactors", spy_gcd)
+    assert iterate_degrees(cubic_extracting, 4).degrees == (1, 3, 7, 16, 37)
+    assert set(divisions) <= {"_modular_gcd", "_compose_divide"}
+    assert [(G.degree, len(G.terms) == 1) for G, _ in steps] == [(0, True), (2, True), (5, False), (11, False)]
+    assert steps[1] == (p("z*w"), [])
+    # the engine proved E_3 and E_4 with one division per component
+    assert [len(d) for _, d in steps[2:]] == [3, 3]
+
+
 def test_extracting_cubic_is_not_quasi_stable(cubic_extracting):
     res = infer_qas(iterate_degrees(cubic_extracting, 4))
     assert res.verdict == "NotQAS"
@@ -440,10 +477,13 @@ def test_power_divisor_recurrence_rejects_other_zero_pattern(cubic_lag1):
          HomPoly(3, [((2, 0, 0), 20), ((1, 0, 1), Fraction(-25, 3))])),
         # integers only, the first component negative and the later ones positive
         (HomPoly(3, [((0, 1, 0), -6)]), HomPoly(3, [((1, 0, 0), 4)]), HomPoly(3, [((0, 0, 1), 10)])),
+        # already primitive, behind a zero component
+        (HomPoly.zero(3), HomPoly(3, [((0, 1, 0), 2)]), HomPoly(3, [((1, 0, 0), -3)])),
     ],
 )
 def test_tuple_primitive_normal_form(comps):
     content, prim = _tuple_primitive(comps)
+    assert (content, prim) == _tuple_primitive_reference(comps)
     assert tuple(c * content for c in prim) == comps
     coeffs = [c for q in prim for _, c in q.terms]
     assert all(type(c) is int for c in coeffs)
@@ -454,6 +494,52 @@ def test_tuple_primitive_normal_form(comps):
     assert lead > 0
     first = next(c for c in comps if not c.is_zero).terms[0][1]
     assert (content > 0) == (first > 0)
+
+
+def _tuple_primitive_reference(comps):
+    """The tuple normalization as one dict keyed by (-index, exponents): the key's maximum is the leading term of the first nonzero component."""
+    d = {(-i, e): c for i, comp in enumerate(comps) for e, c in comp.terms}
+    if not d:
+        raise AllZero("all components are zero")
+    content, ints = _dint_normalize(d)
+    return content, tuple(
+        HomPoly._new(c.nvars, {e: ints[-i, e] for e, _ in c.terms}, c._degree)
+        for i, c in enumerate(comps)
+    )
+
+
+def _random_tuple(rng, scale):
+    """Three random int forms of one degree, each times scale, a fifth of them zero."""
+    deg = rng.randint(1, 3)
+    return tuple(
+        HomPoly.zero(3) if rng.random() < 0.2 else random_hompoly(rng, 3, deg, 6, 9) * scale
+        for _ in range(3)
+    )
+
+
+def test_tuple_primitive_matches_the_dict_reference():
+    rng = random.Random(4600)
+    scales = (1, -3, 6, Fraction(-5, 12), Fraction(7, 4))
+    kinds = dict.fromkeys(("content 1", "zero component", "negative lead", "fraction"), 0)
+    for i in range(100):
+        comps = _random_tuple(rng, scales[i % len(scales)])
+        if all(c.is_zero for c in comps):
+            continue
+        content, prim = _tuple_primitive(comps)
+        ref_content, ref = _tuple_primitive_reference(comps)
+        assert content == ref_content and type(content) is Fraction
+        # the same terms, in the same order, with coefficients of the same type
+        assert [[(e, type(c), c) for e, c in q.terms] for q in prim] == [
+            [(e, type(c), c) for e, c in q.terms] for q in ref
+        ]
+        assert [q._degree for q in prim] == [r._degree for r in ref]
+        # content 1: the input comes back, not a copy
+        assert (prim is comps) == (content == 1)
+        kinds["content 1"] += content == 1
+        kinds["zero component"] += any(c.is_zero for c in comps)
+        kinds["negative lead"] += content < 0
+        kinds["fraction"] += content.denominator > 1
+    assert all(kinds.values()), kinds
 
 
 def test_tuple_primitive_of_zeros_raises():
@@ -671,6 +757,42 @@ def test_p3_qas_fixture():
     assert certificate_digest(tr, res.certificate.H) == (
         "801cf17701cdbcc722d10e387068e8a71cea4d0f12ae6dd24f8bdc0f842c9b5b"
     )
+
+
+# -- the stable cubic twisted to n0 = 2 and 3 --------------------------------------
+
+
+# each fixture's A, as its header gives it, and its exact degrees to depth 3
+TWISTED = {
+    "n0_2_qas.map": ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], (1, 3, 9, 26)),
+    "n0_3_qas.map": ([[2, 0, 0], [0, 0, -2], [1, -1, 0]], (1, 3, 9, 27)),
+}
+
+
+def _sympy_degrees(f, depth):
+    """The degrees of f's iterates to depth, each lifting composed over ZZ by sympy and divided by its gcd."""
+    R, *xs = ring(",".join(f.names), sympy.ZZ)
+    comps = [R.from_dict(dict(c.terms)) for c in f.components]
+    lifting, degrees = xs, [1]
+    for _ in range(depth):
+        lifting = [c.compose(list(zip(xs, lifting))) for c in comps]
+        g = lifting[0].gcd(lifting[1]).gcd(lifting[2])
+        lifting = [c.exquo(g) for c in lifting]
+        degrees.append(max(map(sum, lifting[0].monoms())))
+    return tuple(degrees)
+
+
+@pytest.mark.parametrize("name", TWISTED)
+def test_twisted_fixture_is_a_times_the_stable_cubic(cubic_lag1, name):
+    # the header's A times the stable cubic is the fixture's lifting, and
+    # sympy's degrees to depth 3 are the engine's
+    A, degrees = TWISTED[name]
+    path = Path(__file__).parent / "fixtures" / name
+    assert f"A = {A}".replace(", ", ",") in path.read_text()
+    f = load_map(path)
+    twisted = tuple(sum((a * c for a, c in zip(row, cubic_lag1.components)), HomPoly.zero(3)) for row in A)
+    assert _tuple_primitive(twisted)[1] == f.components
+    assert iterate_degrees(f, 3).degrees == _sympy_degrees(f, 3) == degrees
 
 
 # -- a d = 4 map with a quadratic divisor ---------------------------------------------

@@ -45,6 +45,7 @@ from projdyn.polycore import (
     _dint_normalize,
     _dmul,
     _field_width,
+    _gcd_cofactors,
     _is_prime,
     _modp_gcd_mv,
     _pack_dict,
@@ -1052,10 +1053,9 @@ def routes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("nvars", [2, 3, 4])
-def test_gcd_image_and_engine_match_sympy(routes, nvars):
+def _gcd_families(nvars):
+    """16 seeded member lists in nvars variables, of four kinds in turn."""
     rng = random.Random(6000 + nvars)
-    xs = _symbols(nvars)
     for i in range(16):
         kind = i % 4
         members = [_random_form(rng, nvars, rng.randint(1, 3), 5) for _ in range(rng.randint(2, 4))]
@@ -1070,6 +1070,13 @@ def test_gcd_image_and_engine_match_sympy(routes, nvars):
             ]
         elif kind == 3:  # a member that is a multiple of another
             members.append(members[0] * _random_form(rng, nvars, 1, 3))
+        yield members
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_image_and_engine_match_sympy(routes, nvars):
+    xs = _symbols(nvars)
+    for members in _gcd_families(nvars):
         expect = sympy.gcd_list([_to_sympy(m, xs) for m in members])
         got = poly_gcd_many(members)
         assert got == int_primitive(got).primitive
@@ -1079,6 +1086,31 @@ def test_gcd_image_and_engine_match_sympy(routes, nvars):
     decided = sum(routes["image"])
     assert decided >= 4 and routes["engine"] >= 4
     assert decided + routes["engine"] == len(routes["image"])
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_cofactors_are_the_quotients(nvars):
+    # the members of the test above, with a zero member at either end: each
+    # cofactor is the member divided by the gcd, as exact_div and sympy
+    # divide it, and a coprime family is its own cofactors, not copies
+    xs = _symbols(nvars)
+    zero = HomPoly.zero(nvars)
+    for i, members in enumerate(_gcd_families(nvars)):
+        members = [zero, *members] if i % 2 else [*members, zero]
+        G, cofactors = _gcd_cofactors(members)
+        assert G == poly_gcd_many(members)
+        assert len(cofactors) == len(members)
+        for m, q in zip(members, cofactors):
+            assert G * q == m
+            if G.degree == 0:
+                assert q is m
+            if m.is_zero:
+                assert q.is_zero
+                continue
+            assert q == exact_div(m, G)
+            quo, rem = sympy.div(_to_sympy(m, xs), _to_sympy(G, xs), *xs)
+            assert rem == 0
+            _assert_same(q, quo, xs)
 
 
 def test_image_takes_a_pure_power_prime_to_p():
