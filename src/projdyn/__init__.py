@@ -1,10 +1,11 @@
 """Exact and numeric tooling for iterating dominant rational self-maps of P^k.
 
-The package is organised as six layers:
+The package is organised as seven layers:
 
 - `polycore`: exact homogeneous-polynomial arithmetic (parser, GCD, division)
 - `mapiter`: projective maps, iteration traces, stability certificates
 - `specdeg`: degree recurrences and the spectral data of their characteristic polynomial
+- `plane`: exact common zeros of plane forms (resultants, rational roots, line and chart solvers)
 - `family2`: a generator/validator for a certified family of plane maps
 - `greenpot`: numeric Green potential evaluation, residual diagnostics, grids
 - `cli`: the `projdyn` command line

@@ -552,9 +552,9 @@ def _raised(*names):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value that starts with '-', such as --point -1,2,3,
-    # as an option; a vector option takes the next word as its value
+    # as an option; a vector or range option takes the next word as its value
     for i in range(len(argv) - 2, -1, -1):
-        if argv[i] in ("--point", "--base", "--e1", "--e2"):
+        if argv[i] in ("--point", "--base", "--e1", "--e2", "--x-range", "--y-range"):
             argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     # an except clause's classes are looked up only when an exception reaches it

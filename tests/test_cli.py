@@ -456,6 +456,19 @@ class TestGreenGrid:
         code_b, out_b, _ = run(capsys, *args)
         assert (code_a, out_a) == (code_b, out_b)
 
+    def test_ranges_that_start_with_a_minus(self, files, capsys):
+        # the default range -1,1 spelled out: argparse alone reads "-1,1" as an option
+        csv_path = files["root"] / "ranges.csv"
+        args = ("green-grid", "--map", files["stable_map"], "--base", "1,0.3,0.5",
+                "--e1", "0,1,0", "--e2", "0,0,1", "--resolution", 4, "--n", 25, "--csv", csv_path)
+        spaced = run(capsys, *args, "--x-range", "-1,1", "--y-range", "-0.5,0.25")
+        spaced_csv = csv_path.read_bytes()
+        joined = run(capsys, *args, "--x-range=-1,1", "--y-range=-0.5,0.25")
+        assert spaced == joined and spaced[0] == 0
+        assert csv_path.read_bytes() == spaced_csv
+        rows = spaced_csv.decode().splitlines()[1:]
+        assert sorted({float(r.split(",")[1]) for r in rows}) == [-0.5, -0.25, 0.0, 0.25]
+
     def test_pgm_payload_identical(self, files, capsys):
         p1 = files["root"] / "r1.pgm"
         p2 = files["root"] / "r2.pgm"
@@ -605,6 +618,22 @@ class TestVerifyAll:
         code, out, _ = run(capsys, "green-grid", "--map", p3, "--base=1,2,3,4", "--e1=1,0.5,0,0",
                            "--e2=1j,0.5j,0,0", "--resolution", 16)
         assert (code, out) == (0, "resolution 16\nOK 256\n")
+
+
+    def test_n0_2_fixture_end_to_end(self, capsys):
+        # the stable cubic twisted to n0 = 2 through verify-all and green-point
+        # at depth n0 + 2, the first that certifies it
+        tw = Path(__file__).parent / "fixtures" / "n0_2_qas.map"
+        code, out, _ = run(capsys, "verify-all", "--map", tw, "--n", 4, "--json")
+        payload = json.loads(out)
+        validate(payload, schema("verify-all"))
+        assert code == 0 and payload["passed"] is True
+        assert payload["checks"]["lifting_recurrence"] == "PASS"
+        assert payload["lambda"] == "2.87938524157181676810821855464946294"
+        values = [run(capsys, "green-point", "--map", tw, "--point", "1,2,3", "--cert-depth", 4,
+                      "--precision", precision) for precision in (53, 128)]
+        assert values == [(0, "u 0.9964779680105392\nstatus OK\n", ""),
+                          (0, "u 0.996477968010540214945977166747919004\nstatus OK\n", "")]
 
 
 class TestTextOutput:
@@ -809,7 +838,7 @@ print(json.dumps({"before": before, "dir": listed, "unknown": unknown, "bound": 
 """
 
 EXACT = ["mapiter", "polycore"]
-FAMILY = ["family2", "mapiter", "polycore", "specdeg"]
+FAMILY = ["family2", "mapiter", "plane", "polycore", "specdeg"]
 GREEN = ["greenpot", "mapiter", "polycore", "specdeg"]
 GRID = ["--base", "0,1,0.5", "--e1", "1,0,0", "--e2", "0,0,1", "--resolution", 5]
 
@@ -875,6 +904,6 @@ class TestStartUp:
         assert set(got["all"]) <= set(got["dir"])
         assert got["unknown"] == "module 'projdyn' has no attribute 'no_such_name'"
         assert got["bound"] == got["all"] == sorted(projdyn.__all__)
-        assert got["after"] == [f"projdyn.{layer}" for layer in sorted(GREEN + ["family2"])]
+        assert got["after"] == [f"projdyn.{layer}" for layer in sorted(GREEN + ["family2", "plane"])]
         assert len(projdyn.__all__) == len(set(projdyn.__all__)) == 100
         assert projdyn.greenpot.OrbitError is OrbitError

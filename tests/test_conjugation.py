@@ -10,11 +10,13 @@ coefficient, so its values agree to the truncation of the orbit, which
 the final increments measure.
 """
 
+from pathlib import Path
+
 import pytest
 
 from projdyn.family2 import build_family_map, random_family
 from projdyn.greenpot import green_eval
-from projdyn.mapiter import infer_qas, iterate_degrees, make_map
+from projdyn.mapiter import infer_qas, iterate_degrees, load_map, make_map
 from projdyn.polycore import HomPoly, parse_poly, same_up_to_scalar
 
 NAMES = ("z", "w", "t")
@@ -76,11 +78,17 @@ def _family():
     return random_family(1, 2, 5, 1).map
 
 
+def _twisted():
+    """The stable cubic twisted to QAS with n0 = 2, certified from depth 4."""
+    return load_map(Path(__file__).parent / "fixtures" / "n0_2_qas.map")
+
+
 # map builder, depth, verdict at that depth
 MAPS = {
     "stable": (_stable, 3, "QAS"),
     "extracting": (_extracting, 4, "NotQAS"),
     "family-1-2-1": (_family, 3, "QAS"),
+    "n0-2": (_twisted, 4, "QAS"),
 }
 QAS_MAPS = sorted(k for k, (_, _, verdict) in MAPS.items() if verdict == "QAS")
 CONJUGATIONS = {"shear": (SHEAR, SHEAR_INV), "cycle": (CYCLE, CYCLE_INV)}

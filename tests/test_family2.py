@@ -39,6 +39,7 @@ from projdyn import (
 )
 import projdyn.family2 as family2
 import projdyn.mapiter as mapiter
+import projdyn.plane as plane
 from projdyn.cli import main
 from projdyn.mapiter import NotDominant, _echelon, _jacobian, _jacobian_at
 from projdyn.polycore import random_hompoly
@@ -248,7 +249,7 @@ def test_intersection_chart_failure_is_exact(chart_fail):
 ], ids=["passing-factor", "failing-factor"])
 def test_chart_euclid_splits_at_zero_divisors(forms):
     """P, R, D1, D2 with h = (z^2 - 2)(z^2 - 3); all four vanish only at (±sqrt2, 0)."""
-    _, _, bad = family2._chart_points(*(pp(f) for f in forms))
+    _, _, bad = plane._chart_points(*(pp(f) for f in forms))
     assert bad == [Fraction(-2), Fraction(0), Fraction(1)]
 
 
@@ -302,20 +303,20 @@ def test_intersection_fails_fast_without_finiteness():
 def test_rational_roots_of_large_height():
     # (x - r)(x^2 + 1)
     r = Fraction(10**12 + 39, 7)
-    assert family2._urational_roots([-r, Fraction(1), -r, Fraction(1)]) == [r]
+    assert plane._urational_roots([-r, Fraction(1), -r, Fraction(1)]) == [r]
 
 
 def _planted(*factors):
     """Product of factors given as integer coefficient lists, low degree first."""
     out = [Fraction(1)]
     for f in factors:
-        out = family2._umul(out, [Fraction(c) for c in f])
+        out = plane._umul(out, [Fraction(c) for c in f])
     return out
 
 
 def _catalogue_resultant():
     inst = random_family(3, 3, 5, 0)
-    return family2._sylvester_resultant(family2._rows(inst.P), family2._rows(inst.R))
+    return plane._sylvester_resultant(plane._rows(inst.P), plane._rows(inst.R))
 
 
 @pytest.mark.parametrize("make", [
@@ -338,7 +339,7 @@ def test_rational_roots_match_sympy(make):
     x = sympy.Symbol("x")
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
     expect = sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
-    assert family2._urational_roots(coeffs) == expect
+    assert plane._urational_roots(coeffs) == expect
 
 
 def _primitive(u):
@@ -363,15 +364,15 @@ def test_ugcd_and_squarefree_match_sympy(a, b):
     z = sympy.Symbol("z")
 
     def coeffs(poly):
-        return family2._utrim([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+        return plane._utrim([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
 
     polys = [sympy.Poly(sympy.sympify(e), z) for e in (a, b)]
     ua, ub = map(coeffs, polys)
-    got = family2._ugcd(ua, ub)
+    got = plane._ugcd(ua, ub)
     assert all(type(c) is int for c in got)
     assert got == _primitive(coeffs(sympy.gcd(*polys)))
     for u, poly in zip((ua, ub), polys):
-        assert _primitive(family2._usquarefree(u)) == _primitive(coeffs(sympy.sqf_part(poly)))
+        assert _primitive(plane._usquarefree(u)) == _primitive(coeffs(sympy.sqf_part(poly)))
 
 
 def test_sylvester_resultant_matches_sympy():
@@ -391,16 +392,16 @@ def test_sylvester_resultant_matches_sympy():
             row = out[k[elim]]
             row += [0] * (k[1 - elim] + 1 - len(row))
             row[k[1 - elim]] = c
-        return [family2._utrim(r) for r in out]
+        return [plane._utrim(r) for r in out]
 
     for _ in range(40):
         d, e = rand_bi(), rand_bi()
         for elim, var, other in ((1, w, z), (0, z, w)):
-            got = family2._sylvester_resultant(rows(d, elim), rows(e, elim))
+            got = plane._sylvester_resultant(rows(d, elim), rows(e, elim))
             D, E = (sympy.Add(*(sympy.Rational(c) * z**i * w**j for (i, j), c in f.items()))
                     for f in (d, e))
             expect = sympy.Poly(sympy.resultant(D, E, var), other).all_coeffs()[::-1]
-            expect = family2._utrim([Fraction(int(c.p), int(c.q)) for c in expect])
+            expect = plane._utrim([Fraction(int(c.p), int(c.q)) for c in expect])
             # sympy's sign can differ from the Sylvester determinant's;
             # the check uses only the zeros
             assert got in (expect, [-c for c in expect])
@@ -450,9 +451,9 @@ def test_intersection_matches_oracle_on_fixtures(reference, stable, twisted, lin
 
 def _solver_verdict(*forms):
     """FAIL iff `_line_zeros` on t = 0 or `_chart_points` finds a common zero of the forms."""
-    line = [family2._on_line(f, 0, (0, 1, 0)) for f in forms]
-    _, line_fail, line_bad = family2._line_zeros(line)
-    _, chart_fail, chart_bad = family2._chart_points(*forms)
+    line = [plane._on_line(f, 0, (0, 1, 0)) for f in forms]
+    _, line_fail, line_bad = plane._line_zeros(line)
+    _, chart_fail, chart_bad = plane._chart_points(*forms)
     return FAIL if line_fail or chart_fail or len(line_bad) > 1 or len(chart_bad) > 1 else PASS
 
 
@@ -503,7 +504,7 @@ def test_on_line_matches_sympy_substitution(x, b):
     for f in forms + [pp("t^2 - z*t"), pp("w^4")]:
         expr = sympy.Add(*(sympy.Rational(c) * z**e[0] * w**e[1] * t**e[2] for e, c in f.terms))
         expect = sympy.Poly(expr.subs(line, simultaneous=True), s, u).as_dict()
-        got = family2._on_line(f, x, b)
+        got = plane._on_line(f, x, b)
         assert dict(got.terms) == {m: Fraction(int(c.p), int(c.q)) for m, c in expect.items()}
         assert got.is_zero or got.degree == f.degree
 
@@ -516,11 +517,32 @@ def test_intersection_pins_the_seed_1_corner_failure():
     assert rep.rational_points == ((0, 1, 0), (-1, 0, 1))
     assert rep.failure_witnesses == ((0, 1, 0),)
     forms = (inst.P, inst.R, inst.Q1 - inst.Q3, inst.Q2 - inst.Q3)
-    fibre = [family2._on_line(f, 1, (-1, 0, 1)) for f in forms]
-    zeros, failing, _ = family2._line_zeros(fibre)
+    fibre = [plane._on_line(f, 1, (-1, 0, 1)) for f in forms]
+    zeros, failing, _ = plane._line_zeros(fibre)
     # [1:0] on the fibre is [0:1:0]: keeping it would list the point twice
     assert (1, 0) in zeros and (1, 0) in failing
     assert zeros == [(1, 0), (0, 1)]
+
+
+def test_each_line_takes_one_rational_root_search(monkeypatch):
+    """One search on t = 0, one for the rational fibres and one on each fibre.
+
+    The failing zeros of a line are those of the gcd of all its forms,
+    which divides the gcd of the first two, so they are found among the
+    listed zeros by division, with no second search.
+    """
+    inst = random_family(2, 3, 5, 1)
+    z, w = sympy.symbols("z w")
+    P, R = (sympy.Add(*(sympy.Rational(c) * z**e[0] * w**e[1] for e, c in f.terms))
+            for f in (inst.P, inst.R))
+    fibres = sympy.Poly(sympy.resultant(P, R, w), z).ground_roots()
+    assert len(fibres) == 2
+    searches = []
+    roots = plane._urational_roots
+    monkeypatch.setattr(plane, "_urational_roots", lambda a: searches.append(a) or roots(a))
+    rep = family2._intersection_conditions(inst, check_coprimality(inst))
+    assert rep.rational_points == ((0, 1, 0), (-1, 0, 1))
+    assert len(searches) == 1 + 1 + len(fibres)
 
 
 # -- rank and pencil ----------------------------------------------------------
