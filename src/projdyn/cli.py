@@ -45,9 +45,9 @@ def _istr(v) -> str:
 def _numstr(x, precision_bits: int = 53) -> str:
     """Decimal rendering with enough digits for the working precision.
 
-    High-precision values are printed as they are; recasting through
-    mp.mpf at the ambient precision would silently round them down.
-    A float is its repr, so only a non-float value loads mpmath.
+    Values print as they are, never recast at the ambient precision: an
+    mpf as it is, a Fraction n/2^k of greenpot (n of precision_bits bits
+    at most) exactly.  A float is its repr; only other values load mpmath.
     """
     if isinstance(x, float):
         return repr(x)
@@ -55,7 +55,7 @@ def _numstr(x, precision_bits: int = 53) -> str:
     dps = max(17, int(precision_bits * 0.3010299957) - 2)
     with workprec(precision_bits + 8):
         if not isinstance(x, mp.mpf):
-            x = mp.mpf(x)
+            x = mp.mpf(x.numerator) / x.denominator
         return mp.nstr(x, dps, strip_zeros=True)
 
 

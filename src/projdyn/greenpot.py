@@ -21,7 +21,6 @@ Grid sampling and CSV/PGM export support visual inspection of u along
 """
 
 import cmath
-import contextlib
 import functools
 import json
 import math
@@ -95,9 +94,10 @@ class AmplificationOverflow(OrbitError):
 
 def _to_complex(x):
     # the exact types skip the slow ABC check of Fraction: grid nodes call this per coordinate
-    if type(x) not in (complex, float, int) and isinstance(x, Fraction):
-        return complex(float(x))
-    return complex(x)
+    try:
+        return complex(float(x) if type(x) not in (complex, float, int) and isinstance(x, Fraction) else x)
+    except OverflowError:
+        raise ValueError("point coordinates must be finite") from None
 
 
 def _float_norm(v):
@@ -275,7 +275,7 @@ def _float_code(polys, nvars, div=None):
     ns = {"sqrt": math.sqrt, "log": math.log, "TOL": _SINGULAR_TOL, "INF": math.inf}
     xs = [f"x{i}" for i in range(nvars)]
     powers, shared, values = {}, {}, []
-    for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, lambda c: _to_complex(abs(c)))):
+    for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, lambda c: complex(abs(c)))):
         parts = []
         for c, name, factors in terms:
             prod = [name] * (abs(c) != 1 or not factors)
@@ -418,17 +418,31 @@ def _fixed_code(polys, nvars, scale, div=None):
     return _generate(lines, quot, ns, log_f="log(nf, ONE if hd is None else ah, S)", log_h="0", div="//")
 
 
+def _atanh(num, den, P):
+    """atanh(s), s = num/den floored at 2^P, by Σ s^(2k+1)/(2k+1) at 2^P until a term floors to 0."""
+    s = (num << P) // den
+    s2 = s * s >> P
+    acc, t, m = s, s, 3
+    while t:
+        t = t * s2 >> P
+        acc += t // m
+        m += 2
+    return acc
+
+
 @functools.lru_cache(maxsize=32)
 def _log_table(W):
     """ln 2 at scale 2^(W+64), and log(1 + j/256) at scale 2^W for j < 256.
 
-    Built once per W by mpmath at W + 30 bits, each entry floored: the
-    only mpmath calls of the fixed-point logarithm.
+    Floored from atanh series: ln 2 = 2·atanh(1/3) at 30 guard bits, and log(1 + j/256) as
+    the running sum of 2·atanh(1/(511 + 2k)) over k = 1..j at 64: its error, about 2^15
+    units at W = 1100, floors j = 117 at W = 1086 one unit low from 30.
     """
-    from mpmath import libmp
-    table = tuple(libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(256 + j, -8), W + 30), W)
-                  for j in range(256))
-    return libmp.ln2_fixed(W + 64), table
+    logs, acc = [0], 0
+    for k in range(1, 256):
+        acc += 2 * _atanh(1, 511 + 2 * k, W + 64)
+        logs.append(acc >> 64)
+    return 2 * _atanh(1, 3, W + 94) >> 30, tuple(logs)
 
 
 def _int_log(num, den, S):
@@ -437,13 +451,12 @@ def _int_log(num, den, S):
     With e = bitlen(num) − bitlen(den) (less one when needed) and
     W = S + G, G = bitlen(S), y = num/(den·2^e) is floored into [1, 2)
     at 2^W.  Its top 8 fraction bits pick b = 1 + j/256, and
-    log y = log b + 2·atanh(s) with s = (y − b)/(y + b), 0 ≤ s < 2^-9.
-    The series Σ s^(2k+1)/(2k+1) runs until its term floors to 0, about
-    W/18 terms.  Error, in units of 2^-W: under 1 from y, 2 from s, 3
-    per series term (two floors, doubled; the tail included), 1 from
-    the table and 1 + |e|·2^-64 from e·ln 2, so at most W/6 + 9, below
-    1.5·2^G as 2^G > S ≥ 24; the final rounding shift by G adds half a
-    unit of 2^-S.
+    log y = log b + 2·atanh(s) with s = (y − b)/(y + b), 0 ≤ s < 2^-9,
+    about W/18 series terms.  Error, in units of 2^-W: under 1 from y,
+    2 from s, 3 per term (two floors, doubled; the tail included), 1
+    from the table and 1 + |e|·2^-64 from e·ln 2, so at most W/6 + 9,
+    below 1.5·2^G as 2^G > S ≥ 24; the final rounding shift by G adds
+    half a unit of 2^-S.
     """
     G = S.bit_length()
     W = S + G
@@ -458,14 +471,7 @@ def _int_log(num, den, S):
         e -= 1
     i = Y >> (W - 8)
     B = i << (W - 8)
-    s = ((Y - B) << W) // (Y + B)
-    s2 = s * s >> W
-    acc, t, m = s, s, 3
-    while t:
-        t = t * s2 >> W
-        acc += t // m
-        m += 2
-    return (2 * acc + table[i - 256] + (e * ln2 >> 64) + (1 << (G - 1))) >> G
+    return (2 * _atanh(Y - B, Y + B, W) + table[i - 256] + (e * ln2 >> 64) + (1 << (G - 1))) >> G
 
 
 # -- core orbit evaluation ----------------------------------------------------
@@ -499,8 +505,8 @@ def _ratios(z, scale):
 
     A coordinate given as an (re, im) int pair is a point of a
     fixed-point orbit at scale 2^scale; a string is a complex literal,
-    read exactly (see _literal_ratios), and mpmath numbers are read at
-    that scale.  nan and inf are input errors.
+    read exactly (see _literal_ratios).  nan, inf and any other type
+    are input errors.
     """
     parts = []
     for x in z:
@@ -515,12 +521,7 @@ def _ratios(z, scale):
                 raise ValueError("point coordinates must be finite")
             parts += (x.real.as_integer_ratio(), x.imag.as_integer_ratio())
         else:
-            from mpmath import libmp, mp, workprec
-            with workprec(scale):
-                c = mp.mpc(mp.mpmathify(x))
-            if not mp.isfinite(c):
-                raise ValueError("point coordinates must be finite")
-            parts += map(libmp.to_rational, c._mpc_)
+            raise ValueError(f"a point coordinate is a number or a complex literal, not {type(x).__name__}")
     return parts
 
 
@@ -557,11 +558,11 @@ class _OrbitRunner:
     plan of per-step weights (see _plan) and takes the generated step
     and orbit: straight-line float code at 53 bits or less, fixed-point
     int code above (see _fixed_code).  There the points, the heights γₙ
-    and their logarithms are ints at one scale 2^S, S = precision + g,
-    and no step calls mpmath: a step with a divisor term takes one
-    _int_log of ‖F(w)‖/|H(w)|, since both enter γₙ with unit weight, and
-    real() alone rounds outputs at the precision.  With the guard bits g
-    of _guard_bits every accepted norm ‖F(w)‖ and value |H(w)| is
+    and their logarithms are ints at one scale 2^S, S = precision + g:
+    a step with a divisor term takes one _int_log of ‖F(w)‖/|H(w)|,
+    since both enter γₙ with unit weight, and real() alone rounds
+    outputs at the precision.  With the guard bits g of _guard_bits
+    every accepted norm ‖F(w)‖ and value |H(w)| is
     relatively accurate to 2^-(precision+3), and each logarithm is
     within 2 units of 2^-S, so no other path is needed.  start() and
     run() then cost one orbit per point, and run() is one call of the
@@ -571,8 +572,7 @@ class _OrbitRunner:
     lagged one, n0+1 steps back, and abs() of a value is |H(w)| in the
     units of the step's norm and of tol.  real(x) turns a height or
     logarithm of the runner into a number: a float at 53 bits and below,
-    an mpf rounded at the precision above, whose mpmath names set-up
-    binds once; a 53-bit runner never loads mpmath.
+    an exact Fraction above (see _round).
     """
 
     def __init__(self, f: ProjMap, cert, n_iters: int, precision: int):
@@ -598,8 +598,7 @@ class _OrbitRunner:
             self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
             self.log = lambda r: _int_log(r, 1 << S, S)
             self.step = _fixed_code(f.components, f.nvars, S, cert and cert.H)
-            from mpmath import libmp, mp
-            self.real = lambda x: mp.make_mpf(libmp.from_man_exp(x, -S, precision, libmp.round_nearest))
+            self.real = lambda x: _round(x, S, precision)
         self.nvars, self.precision, self.spec = f.nvars, precision, spec
         self.plan = _plan(spec, n_iters, precision <= 53)
 
@@ -663,6 +662,15 @@ class _OrbitRunner:
         return gammas[-1], increments
 
 
+def _round(x, S, precision):
+    """x/2^S rounded half to even at precision significant bits, on the grid that |x| sets, as a Fraction."""
+    n = max(abs(x).bit_length() - precision, 0)
+    q, r = divmod(x, 1 << n)
+    if 2 * r > 1 << n or (2 * r == 1 << n and q & 1):
+        q += 1
+    return Fraction(q << n, 1 << S)
+
+
 def _check_tol(converge_tol):
     """None or inf turns the check off; NaN or a negative tolerance is an input error."""
     if converge_tol is not None and not converge_tol >= 0:
@@ -685,7 +693,7 @@ def green_eval(
     stable, since nothing here sees its degrees (the command line takes
     plain mode only from an AS verdict of infer_qas).  Returns
     (u, history) where history[n-1] = |γₙ − γ_{n−1}|: floats at 53 bits
-    and below, mpf values rounded at the precision above.  The
+    and below, exact Fractions rounded to the precision above.  The
     final iterate is reported as the estimate; when converge_tol is
     given and the last increment exceeds it, NotConverged is raised
     instead of returning a value silently off target; a NaN or negative
@@ -705,7 +713,9 @@ def _lambda(orbit: _OrbitRunner, lambda_report):
     """λ from the report of the runner's recurrence, or d in plain mode without a report.
 
     ValueError for a missing report with a certificate or a report of
-    another recurrence.  A float at 53 bits and below, an mpf above.
+    another recurrence.  A float at 53 bits and below, above it the
+    report's value as an exact Fraction: an mpf's from the (sign,
+    mantissa, exponent, bits) of its _mpf_, any other number's as it is.
     """
     spec, precision = orbit.spec, orbit.precision
     if lambda_report is None and not spec.h:
@@ -716,17 +726,8 @@ def _lambda(orbit: _OrbitRunner, lambda_report):
         lam = lambda_report.lambda_
     if precision <= 53:
         return float(lam)
-    from mpmath import mp, workprec
-    with workprec(precision):
-        return mp.mpf(lam)
-
-
-def _workprec(precision: int):
-    """mpmath's working precision above 53 bits; below, every operand is a float and needs none."""
-    if precision <= 53:
-        return contextlib.nullcontext()
-    from mpmath import workprec
-    return workprec(precision)
+    sign, man, exp, _ = getattr(lam, "_mpf_", (0, lam, 0, None))
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def functional_eq_residual(
@@ -745,7 +746,7 @@ def functional_eq_residual(
     (h = 0) mode the residual is |u(F(z)) − d·u(z)| and λ defaults to
     the degree; with a certificate lambda_report must be the report of
     its recurrence (ValueError otherwise, see _lambda).  A float at 53
-    bits and below, an mpf at the precision above.
+    bits and below, an exact Fraction above, from the rounded values.
     """
     orbit = _OrbitRunner(f, cert, n_iters, precision)
     lam = _lambda(orbit, lambda_report)
@@ -755,14 +756,13 @@ def functional_eq_residual(
     if w1 is None:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
     u_fz = orbit.real(orbit.run(w1, orbit.log(nf))[0][-1])
-    with _workprec(precision):
-        if cert is None:
-            return abs(u_fz - lam * u_z)
-        ah = abs(hw)
-        if ah < orbit.tol:
-            raise OrbitHitDivisor("input point lies on the extracted divisor", step=0)
-        coef = (f.degree - lam) / cert.h
-        return abs(u_fz - lam * u_z - coef * orbit.real(orbit.log(ah)))
+    if cert is None:
+        return abs(u_fz - lam * u_z)
+    ah = abs(hw)
+    if ah < orbit.tol:
+        raise OrbitHitDivisor("input point lies on the extracted divisor", step=0)
+    coef = (f.degree - lam) / cert.h
+    return abs(u_fz - lam * u_z - coef * orbit.real(orbit.log(ah)))
 
 
 def telescope_residual(
@@ -782,7 +782,7 @@ def telescope_residual(
     is unit-normalized first; orbit heights stay in normalized (γ, w)
     form, so nothing overflows even though log‖Fᵐ(z)‖ grows like dᵐ.
     λ comes from lambda_report as in functional_eq_residual.  A float
-    at 53 bits and below, an mpf at the precision above.
+    at 53 bits and below, an exact Fraction above.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -800,19 +800,18 @@ def telescope_residual(
     u_z = orbit.real(orbit.value(w)[0])
     u_wn = orbit.real(orbit.value(w_n)[0])
     d, real = f.degree, orbit.real
-    with _workprec(precision):
-        u_fnz = real(d**n * gammas[n]) + u_wn
-        if cert is None:
-            return abs(u_fnz - lam**n * u_z) / lam**n
-        acc = 0 * lam
-        for j in range(1, n + 1):
-            m = n - j
-            ah = abs(hs[m])
-            if ah < orbit.tol:
-                raise OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
-            acc += lam ** (j - 1) * real(cert.h * d**m * gammas[m] + orbit.log(ah))
-        coef = (d - lam) / cert.h
-        return abs(u_fnz - lam**n * u_z - coef * acc) / lam**n
+    u_fnz = real(d**n * gammas[n]) + u_wn
+    if cert is None:
+        return abs(u_fnz - lam**n * u_z) / lam**n
+    acc = 0 * lam
+    for j in range(1, n + 1):
+        m = n - j
+        ah = abs(hs[m])
+        if ah < orbit.tol:
+            raise OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
+        acc += lam ** (j - 1) * real(cert.h * d**m * gammas[m] + orbit.log(ah))
+    coef = (d - lam) / cert.h
+    return abs(u_fnz - lam**n * u_z - coef * acc) / lam**n
 
 
 # -- grid sampling ------------------------------------------------------------

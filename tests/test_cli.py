@@ -19,7 +19,7 @@ import projdyn
 from projdyn import cli
 from projdyn.cli import main
 from projdyn.family2 import build_family_map, load_family, run_preflight, save_family
-from projdyn.greenpot import OrbitError, functional_eq_residual, telescope_residual
+from projdyn.greenpot import OrbitError, functional_eq_residual, green_eval, telescope_residual
 from projdyn.mapiter import load_map, make_map, save_map
 from projdyn.polycore import parse_poly
 
@@ -737,7 +737,7 @@ NO_MPMATH = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import projdyn.cli
-from projdyn import functional_eq_residual, load_map, telescope_residual
+from projdyn import functional_eq_residual, green_eval, load_map, telescope_residual
 LEAN = ("mpmath", "dataclasses", "inspect", "hashlib")
 def loaded():  # a blocked module's entry is None
     return sorted(m for m, mod in sys.modules.items() if mod and m.split(".")[0] in LEAN)
@@ -753,12 +753,17 @@ for arg in sys.argv[3:]:
 f = load_map(sys.argv[2])
 residuals = [functional_eq_residual(f, None, None, (1, 2, 3), precision=53),
              telescope_residual(f, None, None, (1, 2, 3), 3, precision=53)]
-print(json.dumps({"loaded": at_import, "runs": runs, "after": after, "residuals": residuals}))
+# above 53 bits the values are Fractions, compared as their str
+u, hist = green_eval(f, None, None, (1, 2, 3), precision=128)
+exact = list(map(str, (u, *hist, functional_eq_residual(f, None, None, (1, 2, 3), precision=128),
+                       telescope_residual(f, None, None, (1, 2, 3), 3, precision=128))))
+print(json.dumps({"loaded": at_import, "runs": runs, "after": after, "residuals": residuals,
+                  "exact": exact}))
 """
 
 
 class TestWithoutMpmath:
-    """The exact commands and the 53-bit Green commands need no mpmath.
+    """The exact commands, the 53-bit Green commands and green-grid at any precision need no mpmath.
 
     A fresh `import projdyn.cli` loads neither mpmath nor dataclasses
     (nor the inspect module it pulls in) nor hashlib, which only the
@@ -774,6 +779,8 @@ class TestWithoutMpmath:
             ["green-point", "--map", files["stable_map"], "--point", "1,2,3"],
             ["green-grid", "--map", files["stable_map"], "--base", "0,1,0.5", "--e1", "1,0,0",
              "--e2", "0,0,1", "--resolution", 5, "--csv", "g.csv", "--pgm", "g.pgm"],
+            ["green-grid", "--map", files["stable_map"], "--base", "0,1,0.5", "--e1", "1,0,0",
+             "--e2", "0,0,1", "--resolution", 5, "--precision", 96, "--csv", "g96.csv", "--pgm", "g96.pgm"],
         ]
         commands = [[str(a) for a in argv] + ["--json"] for argv in commands]
         src = str(Path(cli.__file__).resolve().parent.parent)
@@ -790,13 +797,18 @@ class TestWithoutMpmath:
         assert got["after"][:3] == [[], [], ["hashlib"]]
         monkeypatch.chdir(here)
         want = [list(run(capsys, *argv)[:2]) for argv in commands]
-        assert [code for code, _ in want] == [0, 0, 0, 0, 0, 0]
+        assert [code for code, _ in want] == [0, 0, 0, 0, 0, 0, 0]
         assert got["runs"] == want
         f = load_map(files["stable_map"])
         assert got["residuals"] == [functional_eq_residual(f, None, None, (1, 2, 3), precision=53),
                                     telescope_residual(f, None, None, (1, 2, 3), 3, precision=53)]
+        u, hist = green_eval(f, None, None, (1, 2, 3), precision=128)
+        assert got["exact"] == list(map(str, (u, *hist,
+                                              functional_eq_residual(f, None, None, (1, 2, 3), precision=128),
+                                              telescope_residual(f, None, None, (1, 2, 3), 3, precision=128))))
         written = {p.name: p.read_bytes() for p in here.iterdir()}
-        assert sorted(written) == ["g.csv", "g.pgm", "g.pgm.json", "gen.fam"]
+        assert sorted(written) == ["g.csv", "g.pgm", "g.pgm.json", "g96.csv", "g96.pgm", "g96.pgm.json",
+                                   "gen.fam"]
         assert {p.name: p.read_bytes() for p in alone.iterdir()} == written
 
 

@@ -7,6 +7,7 @@ quadratically stable cubic instance exercises the divisor-corrected
 recursion and both residual identities.
 """
 
+import ast
 import cmath
 import hashlib
 import itertools
@@ -15,10 +16,12 @@ import math
 import random
 import struct
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import libmp, mp, mpf, workprec
 
 from projdyn.family2 import build_family_map, random_family
 from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, make_map
@@ -67,6 +70,33 @@ def mono_closed_form(z):
 
 
 Z_FROZEN = (0.9 + 0.3j, -1.1 + 0.4j, 0.5 - 0.7j)
+
+
+def mpf_of(x):
+    """A Fraction as an mpf at the ambient precision: exact for a value of greenpot that fits it."""
+    return mpf(x.numerator) / x.denominator
+
+
+def fraction_of(x):
+    """The exact rational value of an mpf."""
+    return Fraction(*libmp.to_rational(x._mpf_))
+
+
+def digits(x, n=41):
+    """A Fraction to n significant decimal digits, correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = n
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
+
+
+def mp_residuals(monkeypatch, f, cert, rep, z, precision):
+    """Both residuals from the same rounded inputs, as mpf, with every operation at 4x the precision."""
+    exact = gp._round
+    with monkeypatch.context() as m, workprec(4 * precision):
+        m.setattr(gp, "_round", lambda x, S, p: mpf_of(exact(x, S, p)))
+        m.setattr(gp, "_lambda", lambda orbit, report: +report.lambda_)
+        return (gp.functional_eq_residual(f, cert, rep, z, n_iters=40, precision=precision),
+                gp.telescope_residual(f, cert, rep, z, 3, precision=precision, n_iters=48))
 
 
 class TestGreenEval:
@@ -123,30 +153,42 @@ class TestGreenEval:
         ts = gp.telescope_residual(f, cert, rep, Z_FROZEN, 3, n_iters=48)
         assert repr(ts) == "2.4748243454926748e-17"
 
-    def test_128_bit_values_pinned(self, stable):
+    def test_128_bit_values_pinned(self, stable, monkeypatch):
         # the fixed-point step: QAS maps with H = z and with H = 3z + w + 7t,
         # the second with non-unit coefficients in the map and the divisor
         fam = random_family(1, 2, 5, 1).map
         fam_cert = infer_qas(iterate_degrees(fam, 3)).certificate
         fam_rep = char_poly_roots(DegreeRecurrence(d=fam_cert.d, h=fam_cert.h, n0=fam_cert.n0))
         assert fam_cert.H == pp("3*z + w + 7*t")
+        # u and the last increment: 128-bit values, read exactly from their mpf repr;
+        # the residuals: their exact values to 41 digits, and the values the residuals
+        # took when they were mpf sums rounded at 128 bits
         pins = (
             (stable, ("0.55792861133668126694591565666326375475949",
-                      "1.417711476177933807783877859682513490287e-17",
-                      "1.2919779865152401641254904312685346970518e-17",
-                      "3.5314063916209448862724626357096903017852e-21")),
+                      "1.417711476177933807783877859682513490287e-17"),
+             ("1.2919779865152401641255168163060717296080E-17",
+              "3.5314063916209448858878922039393298361612E-21"),
+             ("1.2919779865152401641254904312685346970518e-17",
+              "3.5314063916209448862724626357096903017852e-21")),
             ((fam, fam_cert, fam_rep), ("2.0658896040128289798371908020299852587728",
-                                        "5.1102233342822947593556897751487217701338e-17",
-                                        "4.7804608374864018328771880841938667932328e-17",
-                                        "1.2998077920609004481452637149659443276405e-20")),
+                                        "5.1102233342822947593556897751487217701338e-17"),
+             ("4.7804608374864018328770611050424504578758E-17",
+              "1.2998077920609004477887061225837757955195E-20"),
+             ("4.7804608374864018328771880841938667932328e-17",
+              "1.2998077920609004481452637149659443276405e-20")),
         )
-        for (f, cert, rep), want in pins:
+        for (f, cert, rep), values, exact, rounded in pins:
             u, hist = gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=40, precision=128)
             fe = gp.functional_eq_residual(f, cert, rep, Z_FROZEN, n_iters=40, precision=128)
             ts = gp.telescope_residual(f, cert, rep, Z_FROZEN, 3, precision=128, n_iters=48)
-            # repr at the ambient 53 bits shows 17 digits; at 128 it pins the value
+            assert all(isinstance(x, Fraction) for x in (u, hist[-1], fe, ts))
             with workprec(128):
-                assert tuple(repr(x) for x in (u, hist[-1], fe, ts)) == tuple(f"mpf('{v}')" for v in want)
+                assert (u, hist[-1]) == tuple(fraction_of(mpf(v)) for v in values)
+            assert (digits(fe), digits(ts)) == exact
+            for got, want, old in zip((fe, ts), mp_residuals(monkeypatch, f, cert, rep, Z_FROZEN, 128),
+                                      rounded):
+                assert abs(got - fraction_of(want)) < Fraction(1, 2**500)
+                assert abs(got - Fraction(old)) < Fraction(1, 2**120)
 
     def test_long_orbit_at_53_bits(self, stable):
         # beyond step ~737 the exact degrees pass the float range
@@ -183,7 +225,7 @@ class TestGreenEval:
         with pytest.raises(ValueError, match="divisor arity"):
             gp.green_eval(f, flat, None, Z_FROZEN)
         with pytest.raises(ValueError, match="finite"):
-            gp.green_eval(mono, None, None, (mp.mpf("inf"), 1, 1), precision=128)
+            gp.green_eval(mono, None, None, ("-inf+1j", 1, 1), precision=128)
 
     @pytest.mark.parametrize("precision", [53, 128])
     def test_degree_one_map_is_refused(self, precision):
@@ -218,6 +260,18 @@ class TestGreenEval:
         grid = gp.grid_sample(f, None, None, sl, resolution=2, precision=precision)
         assert grid.resolution == 2
 
+    def test_coordinates_beyond_the_float_range_at_53_bits(self, mono):
+        # an int or Fraction that no float holds is an input error, as inf is
+        for big in (10**400, -10**400, Fraction(10**400, 3), Fraction(2**1030, 3)):
+            with pytest.raises(ValueError, match="point coordinates must be finite"):
+                gp.green_eval(mono, None, None, (big, 1, 1))
+            sl = gp.GridSlice(base=(big, 1, 1), e1=(1, 0, 0), e2=(0, 1, 0))
+            with pytest.raises(ValueError, match="finite"):
+                gp.grid_sample(mono, None, None, sl, 2)
+        # above 53 bits the same point is read exactly: u is log(10^400)
+        u, _ = gp.green_eval(mono, None, None, (10**400, 1, 1), precision=128)
+        assert abs(float(u) - 400 * math.log(10)) < 1e-9
+
     def test_huge_point_at_53_bits(self, mono, stable):
         # the squares of 1e300 overflow; the norm is taken after a 2^-k scaling
         f, cert, rep = stable
@@ -236,27 +290,26 @@ class TestGreenEval:
         huge = tuple(complex(math.ldexp(c.real, 997), math.ldexp(c.imag, 997)) for c in Z_FROZEN)
         u2, _ = gp.green_eval(f, cert, None, huge, n_iters=40, precision=128)
         with workprec(256):
-            assert abs(u2 - u1 - 997 * mp.log(2)) < tol * abs(u2)
+            assert abs(mpf_of(u2 - u1) - 997 * mp.log(2)) < tol * mpf_of(abs(u2))
         z0 = (Fraction(3, 2), Fraction(-2, 3), Fraction(1, 4))
         big = tuple(x * 10**400 for x in z0)
         u3, _ = gp.green_eval(f, cert, None, z0, n_iters=40, precision=128)
         u4, _ = gp.green_eval(f, cert, None, big, n_iters=40, precision=128)
         with workprec(256):
-            assert abs(u4 - u3 - 400 * mp.log(10)) < tol * abs(u4)
+            assert abs(mpf_of(u4 - u3) - 400 * mp.log(10)) < tol * mpf_of(abs(u4))
             want = mp_reference_u(f, cert, z0, 40, 256)
-            assert abs(u3 - want) < tol
+            assert abs(mpf_of(u3) - want) < tol
 
     def test_mpmath_and_string_points_above_53_bits(self, stable):
-        # both are read exactly at the orbit's scale: an mpc of a float is that float
+        # a string is read exactly at the orbit's scale; an mpmath number is no coordinate
         f, cert, rep = stable
-        want, _ = gp.green_eval(f, cert, None, Z_FROZEN, n_iters=40, precision=128)
-        got, _ = gp.green_eval(f, cert, None, tuple(map(mp.mpc, Z_FROZEN)), n_iters=40,
-                               precision=128)
-        assert got == want
+        for x in (mp.mpc(0.9 + 0.3j), mpf(1), mpf("inf")):
+            with pytest.raises(ValueError, match="number or a complex literal, not mp"):
+                gp.green_eval(f, cert, None, (x, 1, 1), n_iters=40, precision=128)
         z = ("0.9", "-1.1", "0.5")
         u, _ = gp.green_eval(f, cert, None, z, n_iters=40, precision=128)
         with workprec(256):
-            assert abs(u - mp_reference_u(f, cert, z, 40, 256)) < mpf(2) ** -110
+            assert abs(mpf_of(u) - mp_reference_u(f, cert, z, 40, 256)) < mpf(2) ** -110
 
     def test_literal_syntax_is_complex_syntax(self):
         cases = {
@@ -280,7 +333,7 @@ class TestGreenEval:
         # a string coordinate may be a complex literal at every precision
         u, _ = gp.green_eval(mono, None, None, ("2+0j", "1", "1"), precision=128)
         with workprec(128):
-            assert abs(u - mp.log(2)) < mpf(2) ** -120
+            assert abs(mpf_of(u) - mp.log(2)) < mpf(2) ** -120
         got, _ = gp.green_eval(mono, None, None, ("2+1j", "1", "1"), precision=128)
         want, _ = gp.green_eval(mono, None, None, (2 + 1j, 1, 1), precision=128)
         assert got == want
@@ -417,22 +470,21 @@ class TestResiduals:
         assert float(r) < 1e-9
 
     def test_residuals_round_at_the_precision(self, stable):
-        # λ, the coefficient and every sum are mpf at the precision
+        # the potentials are rounded at the precision, and λ, the coefficient
+        # and every sum are exact Fractions
         f, cert, rep = stable
         fe = gp.functional_eq_residual(f, cert, rep, Z_FROZEN, n_iters=100, precision=128)
         ts = gp.telescope_residual(f, cert, rep, Z_FROZEN, 4, precision=128, n_iters=100)
-        assert mp.prec == 53
-        assert isinstance(fe, mpf) and isinstance(ts, mpf)
-        assert fe < mpf(2) ** -120 and ts < mpf(2) ** -120
+        assert isinstance(fe, Fraction) and isinstance(ts, Fraction)
+        assert fe < Fraction(1, 2**120) and ts < Fraction(1, 2**120)
         # λ moved off the root by 2^-100 gives residuals near 1e-30, which
-        # only arithmetic at the precision resolves
+        # only arithmetic beyond 53 bits resolves
         with workprec(256):
             off = rep._replace(lambda_=rep.lambda_ + mpf(2) ** -100)
         for residual in (lambda p: gp.functional_eq_residual(f, cert, off, Z_FROZEN, n_iters=100, precision=p),
                          lambda p: gp.telescope_residual(f, cert, off, Z_FROZEN, 4, precision=p, n_iters=100)):
             r128, r256 = residual(128), residual(256)
-            with workprec(256):
-                assert r256 > mpf(2) ** -110 and abs(r128 - r256) < mpf(2) ** -120
+            assert r256 > Fraction(1, 2**110) and abs(r128 - r256) < Fraction(1, 2**120)
 
     def test_telescope_amplification_guard(self, stable):
         f, cert, rep = stable
@@ -1081,14 +1133,14 @@ class TestFixedPointStep:
                                for _ in range(20)]
         for fn, ct in ((f, cert), (extracting, None), (mono, None)):
             for z in points:
-                # the ambient precision is left at 53 bits
-                assert mp.prec == 53
                 u, hist = gp.green_eval(fn, ct, None, z, n_iters=40, precision=precision)
-                assert isinstance(u, mpf) and all(isinstance(x, mpf) for x in hist)
-                assert u._mpf_[3] <= precision and all(x._mpf_[3] <= precision for x in hist)
+                # dyadic values of at most precision significant bits
+                for x in (u, *hist):
+                    assert isinstance(x, Fraction) and x.denominator & (x.denominator - 1) == 0
+                    assert abs(x.numerator).bit_length() <= precision
                 want = mp_reference_u(fn, ct, z, 40, 2 * precision)
                 with workprec(2 * precision):
-                    assert abs(u - want) <= mpf(2) ** (2 - precision) * max(1, abs(want))
+                    assert abs(mpf_of(u) - want) <= mpf(2) ** (2 - precision) * max(1, abs(want))
 
     def check_step(self, polys, nvars, v):
         polys = tuple(polys)
@@ -1143,17 +1195,60 @@ class TestFixedPointStep:
                 want = self.check_step(polys, 2, (a, a - delta))
                 assert gp._SINGULAR_TOL * ratio * 0.9 < want < gp._SINGULAR_TOL * ratio * 1.1
 
-    def test_orbit_calls_no_mpmath(self, stable, monkeypatch):
-        f, cert, _ = stable
-        runner = gp._OrbitRunner(f, cert, 40, 128)
-        want = runner.run(*runner.start(Z_FROZEN))[0][-1]
-        # the log table is built: start and run now import no mpmath
+    def test_greenpot_calls_no_mpmath(self, stable, monkeypatch):
+        # greenpot imports no mpmath, and with mpmath unimportable the values above
+        # 53 bits, log tables built afresh included, are those of a normal run
+        tree = ast.parse(Path(gp.__file__).read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not {m for m in imported if m and m.split(".")[0] == "mpmath"}
+        f, cert, rep = stable
+        calls = [lambda p: gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=40, precision=p),
+                 lambda p: gp.functional_eq_residual(f, cert, rep, Z_FROZEN, n_iters=40, precision=p),
+                 lambda p: gp.telescope_residual(f, cert, rep, Z_FROZEN, 3, precision=p, n_iters=48)]
+        precisions = (96, 128, 256)
+        want = [call(p) for p in precisions for call in calls]
+        gp._log_table.cache_clear()
         monkeypatch.setitem(sys.modules, "mpmath", None)
         monkeypatch.setitem(sys.modules, "mpmath.libmp", None)
-        assert runner.run(*runner.start(Z_FROZEN))[0][-1] == want
+        assert [call(p) for p in precisions for call in calls] == want
+
+    def test_real_rounds_as_mpmath(self):
+        # real() above 53 bits is x/2^S rounded half to even at the precision,
+        # libmp.from_man_exp(x, -S, precision, round_nearest) as an exact Fraction
+        rng = random.Random(54)
+        cases = [(0, 128, 60), (1, 128, 60), (-1, 128, 60)]
+        for _ in range(3000):
+            precision = rng.choice((54, 64, 96, 128, 257))
+            S = precision + rng.randint(40, 70)
+            x = rng.getrandbits(rng.randint(1, S + 80))
+            cases.append((x, S, precision))
+            # exact ties, below and above, and carries through ones
+            n = rng.randint(1, 80)
+            tie = (rng.getrandbits(precision) << n) | (1 << (n - 1))
+            cases += [(tie, S, precision), (tie - 1, S, precision), (tie + 1, S, precision),
+                      (((1 << precision) - 1 << n) | (1 << (n - 1)), S, precision)]
+        for x, S, precision in cases + [(-x, S, precision) for x, S, precision in cases]:
+            want = libmp.from_man_exp(x, -S, precision, libmp.round_nearest)
+            got = gp._round(x, S, precision)
+            assert isinstance(got, Fraction)
+            assert got == Fraction(*libmp.to_rational(want)), (x, S, precision)
 
 
 class TestIntLog:
+    def test_table_matches_mpmath(self, stable, mono):
+        # every table width W = S + bitlen(S), S = precision + guard bits, at
+        # precisions 54-1024 on the stable map with its H and on the monomial map,
+        # against the table mpmath built: its logs at W + 30 bits, floored at 2^W
+        f, cert, _ = stable
+        widths = {S + S.bit_length() for polys in (f.components + (cert.H,), mono.components)
+                  for S in range(54 + gp._guard_bits(polys), 1025 + gp._guard_bits(polys))}
+        for W in sorted(widths):
+            ln2, table = gp._log_table(W)
+            assert ln2 == libmp.ln2_fixed(W + 64), W
+            assert table == tuple(libmp.to_fixed(libmp.mpf_log(libmp.from_man_exp(256 + j, -8), W + 30), W)
+                                  for j in range(256)), W
+
     @staticmethod
     def error(num, den, S):
         got = gp._int_log(num, den, S)
