@@ -17,7 +17,8 @@ it runs.
 
 import importlib
 
-# the public names of each layer; __all__, __dir__ and __getattr__ read this table
+# the public names of each layer, and the only list of them: each layer's __all__ is
+# its entry, and __all__, __dir__ and __getattr__ here read the table too
 _EXPORTS = {
     "polycore": (
         "ArityMismatch", "DegreeMismatch", "DivisionByZero", "HomPoly", "IntPrimitiveForm",

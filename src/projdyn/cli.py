@@ -11,7 +11,8 @@ Exit codes: 0 success; 1 negative analysis verdict (NotQAS, FAIL,
 an orbit hitting the divisor or an indeterminacy point, no
 convergence); 2 input error; 3 resource or precision limit (an orbit
 that lost its normalization or its finite height at the working
-precision); 4 internal invariant violation.
+precision, or a map coefficient beyond the float range at 53 bits and
+below); 4 internal invariant violation.
 """
 
 import argparse

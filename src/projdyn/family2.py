@@ -23,6 +23,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from . import _EXPORTS
 from .mapiter import (
     MapError,
     NotDominant,
@@ -55,31 +56,7 @@ from .polycore import (
 )
 from .specdeg import DegreeRecurrence
 
-__all__ = [
-    "PASS",
-    "FAIL",
-    "FamilyError",
-    "DegreeConstraintViolated",
-    "NormalizationViolated",
-    "CommonFactor",
-    "GenerationExhausted",
-    "FamilyInstance",
-    "IntersectionReport",
-    "RankReport",
-    "PencilReport",
-    "PreflightReport",
-    "build_family_map",
-    "check_coprimality",
-    "check_intersection_conditions",
-    "check_rank_and_pencil",
-    "run_preflight",
-    "random_family",
-    "sample_divisor_points",
-    "parse_family_text",
-    "family_to_text",
-    "load_family",
-    "save_family",
-]
+__all__ = list(_EXPORTS["family2"])
 
 PASS = "PASS"
 FAIL = "FAIL"

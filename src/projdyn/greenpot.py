@@ -28,29 +28,12 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from . import _EXPORTS
 from .mapiter import ProjMap, QASCertificate, ZeroVector, map_to_text
 from .polycore import poly_to_text
 from .specdeg import DegreeRecurrence, extend_degrees
 
-__all__ = [
-    "STATUS_OK",
-    "STATUS_INDETERMINACY",
-    "STATUS_DIVISOR",
-    "STATUS_NOT_CONVERGED",
-    "OrbitError",
-    "OrbitHitIndeterminacy",
-    "OrbitHitDivisor",
-    "NotConverged",
-    "AmplificationOverflow",
-    "GridSlice",
-    "GreenGrid",
-    "green_eval",
-    "functional_eq_residual",
-    "telescope_residual",
-    "grid_sample",
-    "export_grid_csv",
-    "export_grid_pgm",
-]
+__all__ = list(_EXPORTS["greenpot"])
 
 STATUS_OK = "OK"
 STATUS_INDETERMINACY = "HitIndeterminacy"
@@ -556,8 +539,9 @@ class _OrbitRunner:
     above 1 (DegenerateLambda, from DegreeRecurrence.check_viable; plain
     mode, h = 0, always passes), extends the exact degrees into the
     plan of per-step weights (see _plan) and takes the generated step
-    and orbit: straight-line float code at 53 bits or less, fixed-point
-    int code above (see _fixed_code).  There the points, the heights γₙ
+    and orbit: straight-line float code at 53 bits or less, which
+    refuses a coefficient beyond the float range with OrbitError at
+    step 0, fixed-point int code above (see _fixed_code).  There the points, the heights γₙ
     and their logarithms are ints at one scale 2^S, S = precision + g:
     a step with a divisor term takes one _int_log of ‖F(w)‖/|H(w)|,
     since both enter γₙ with unit weight, and real() alone rounds
@@ -589,11 +573,17 @@ class _OrbitRunner:
         h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
         spec = DegreeRecurrence(d=f.degree, h=h, n0=n0)
         spec.check_viable()
+        polys = f.components + ((cert.H,) if cert else ())
         if precision <= 53:
             self.scale, self.tol, self.log, self.real = None, _SINGULAR_TOL, math.log, float
-            self.step = _float_code(f.components, f.nvars, cert and cert.H)
+            try:
+                self.step = _float_code(f.components, f.nvars, cert and cert.H)
+            except OverflowError:
+                # a coefficient of 2^1024 or more has no float: name the largest
+                big = max(abs(c) for p in polys for _, c in p.terms)
+                raise OrbitError(f"coefficient {Decimal(big.numerator) / big.denominator:.3e} "
+                                 "of the map is beyond the float range", step=0) from None
         else:
-            polys = f.components + ((cert.H,) if cert else ())
             S = self.scale = precision + _guard_bits(polys)
             self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
             self.log = lambda r: _int_log(r, 1 << S, S)

@@ -14,6 +14,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from . import _EXPORTS
 from .polycore import (
     ArityMismatch,
     DegreeMismatch,
@@ -32,30 +33,7 @@ from .polycore import (
     same_up_to_scalar,
 )
 
-__all__ = [
-    "MapError",
-    "NotDominant",
-    "AllZero",
-    "ZeroVector",
-    "IndexOutOfRange",
-    "ProjMap",
-    "IterationTrace",
-    "QASCertificate",
-    "InferResult",
-    "PointClass",
-    "make_map",
-    "compose_extract",
-    "iterate_degrees",
-    "infer_qas",
-    "verify_lifting_recurrence",
-    "point_class",
-    "jacobian_det",
-    "parse_map_text",
-    "map_to_text",
-    "load_map",
-    "save_map",
-    "certificate_digest",
-]
+__all__ = list(_EXPORTS["mapiter"])
 
 
 class MapError(Exception):

@@ -50,34 +50,9 @@ from itertools import chain, count, groupby, takewhile
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _EXPORTS
 
-__all__ = [
-    "HomPoly",
-    "IntPrimitiveForm",
-    "PolyError",
-    "ArityMismatch",
-    "DegreeMismatch",
-    "NonHomogeneous",
-    "UnknownVariable",
-    "ParseError",
-    "NotDivisible",
-    "DivisionByZero",
-    "ZeroPolynomialDegree",
-    "ResourceLimit",
-    "compose_all",
-    "parse_poly",
-    "poly_to_text",
-    "poly_gcd",
-    "poly_gcd_many",
-    "coprime_certificate",
-    "coprime_certificate_many",
-    "exact_div",
-    "int_primitive",
-    "same_up_to_scalar",
-    "random_hompoly",
-    "set_term_cap",
-    "get_term_cap",
-]
+__all__ = list(_EXPORTS["polycore"])
 
 
 class PolyError(Exception):

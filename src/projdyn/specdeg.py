@@ -37,21 +37,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-__all__ = [
-    "SpectralError",
-    "NonPositiveDegree",
-    "DegenerateLambda",
-    "PrecisionExhausted",
-    "InsufficientData",
-    "DegreeRecurrence",
-    "SpectralReport",
-    "AsymptoticsReport",
-    "extend_degrees",
-    "char_poly_roots",
-    "check_asymptotics",
-    "check_growth_bounds",
-    "check_sn_identity",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["specdeg"])
 
 
 class SpectralError(Exception):

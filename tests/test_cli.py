@@ -62,6 +62,7 @@ def files(tmp_path_factory):
         "id_map": root / "id.map",
         "mono_map": root / "mono.map",
         "huge_coeff_map": root / "huge_coeff.map",
+        "beyond_float_map": root / "beyond_float.map",
         "lost_norm_map": root / "lost_norm.map",
         "linear_map": root / "linear.map",
         "no_growth_map": root / "no_growth.map",
@@ -77,6 +78,8 @@ def files(tmp_path_factory):
     save_map(make_map([pp("t^2"), pp("-z*w - z*t"), pp("-z*w")]), paths["no_growth_map"])
     # F(1, 0.5, 0.3) has a norm near 1e200, whose square overflows a float
     save_map(make_map([pp("z^2") * 10**200, pp("w^2"), pp("t^2")]), paths["huge_coeff_map"])
+    # a coefficient above 2^1024 has no float, so the 53-bit runner refuses the map
+    save_map(make_map([pp("z^2") * 10**400, pp("w^2"), pp("t^2")]), paths["beyond_float_map"])
     # AS; at 53 bits the squares of |F(w)| overflow at most points of the unit sphere
     save_map(make_map([pp(f"{10**160}*z^2 + w*t"), pp("w^2"), pp("t^2 + z*w")]), paths["lost_norm_map"])
     save_family(stable, paths["stable_fam"])
@@ -358,6 +361,15 @@ class TestGreenPoint:
         assert payload["status"] == "OK"
         assert abs(float(payload["u"]) - 460.51701859839028) < 1e-9
 
+    def test_coefficient_beyond_the_float_range_is_a_precision_limit(self, files, capsys):
+        args = ("green-point", "--map", files["beyond_float_map"], "--point", "1,2,3")
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, "")
+        assert err == ("error: coefficient 1.000e+400 of the map is beyond the float range at 53 "
+                       "bits; rerun with a higher --precision\n")
+        code, out, _ = run(capsys, *args, "--precision", 128)
+        assert (code, out) == (0, "u 921.03403719678059803021281794864824\nstatus OK\n")
+
     def test_nan_point_is_input_error(self, files, capsys):
         code, out, err = run(
             capsys, "green-point", "--map", files["stable_map"], "--point=nan,1,1"
@@ -507,6 +519,15 @@ class TestGreenGrid:
         )
         assert code == 3 and out == "" and "higher --precision" in err
 
+    def test_coefficient_beyond_the_float_range_is_a_precision_limit(self, files, capsys):
+        args = ("green-grid", "--map", files["beyond_float_map"], "--base", "1,2,3",
+                "--e1", "1,0,0", "--e2", "0,1,0", "--resolution", 2)
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, "")
+        assert err == ("error: coefficient 1.000e+400 of the map is beyond the float range at 53 "
+                       "bits; rerun with a higher --precision\n")
+        assert run(capsys, *args, "--precision", 128) == (0, "resolution 2\nOK 4\n", "")
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_nan_or_negative_tol_is_input_error(self, files, capsys, tol):
         args = ("green-grid", "--map", files["mono_map"], "--base", "1.5,1,1",
@@ -588,6 +609,15 @@ class TestVerifyAll:
         assert (code, out) == (3, "")
         assert err == ("error: orbit point lost normalization (norm 0.0) at 53 bits in a residual "
                        "orbit; the residual orbits run at 53 bits whatever --precision is\n")
+
+    @pytest.mark.parametrize("precision", [64, 256])
+    def test_coefficient_beyond_the_float_range_in_a_residual_orbit(self, files, capsys, precision):
+        code, out, err = run(capsys, "verify-all", "--map", files["beyond_float_map"], "--n", 3,
+                             "--precision", precision)
+        assert (code, out) == (3, "")
+        assert err == ("error: coefficient 1.000e+400 of the map is beyond the float range at 53 "
+                       "bits in a residual orbit; the residual orbits run at 53 bits whatever "
+                       "--precision is\n")
 
     def test_degree_one_map_trivially_passes(self, files, capsys):
         code, out, _ = run(
@@ -849,6 +879,18 @@ print(json.dumps({"before": before, "dir": listed, "unknown": unknown, "bound": 
                   "all": sorted(projdyn.__all__), "after": layers()}))
 """
 
+# run in a fresh interpreter: the names each layer's star import binds
+STAR = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+bound = {}
+for layer in sys.argv[2:]:
+    scope = {}
+    exec(f"from projdyn.{layer} import *", scope)
+    bound[layer] = sorted(n for n in scope if n != "__builtins__")
+print(json.dumps(bound))
+"""
+
 EXACT = ["mapiter", "polycore"]
 FAMILY = ["family2", "mapiter", "plane", "polycore", "specdeg"]
 GREEN = ["greenpot", "mapiter", "polycore", "specdeg"]
@@ -919,3 +961,7 @@ class TestStartUp:
         assert got["after"] == [f"projdyn.{layer}" for layer in sorted(GREEN + ["family2", "plane"])]
         assert len(projdyn.__all__) == len(set(projdyn.__all__)) == 100
         assert projdyn.greenpot.OrbitError is OrbitError
+
+    def test_a_layers_star_import_binds_its_table_entry(self, tmp_path):
+        got = self.fresh(STAR, tmp_path, *projdyn._EXPORTS)
+        assert got == {layer: sorted(names) for layer, names in projdyn._EXPORTS.items()}

@@ -408,6 +408,21 @@ class TestOrbitErrors:
             gp.green_eval(big, None, None, (1, 0, 0), n_iters=4)
         assert exc.value.step == 1 and "normalization" in str(exc.value)
 
+    def test_coefficient_beyond_the_float_range_is_an_orbit_error(self):
+        # a coefficient above 2^1024 has no float: the 53-bit runner refuses it at set-up,
+        # naming the largest, and the fixed-point runner takes it
+        huge = make_map([pp("z^2") * 10**400, pp("w^2") * (3 * 10**399), pp("t^2")])
+        sl = gp.GridSlice(base=(1, 2, 3), e1=(1, 0, 0), e2=(0, 1, 0))
+        runs = (lambda p: gp.green_eval(huge, None, None, (1, 2, 3), n_iters=8, precision=p),
+                lambda p: gp.grid_sample(huge, None, None, sl, 2, n_iters=8, precision=p))
+        for sample in runs:
+            for precision in (24, 53):
+                with pytest.raises(gp.OrbitError) as exc:
+                    sample(precision)
+                assert (exc.value.step, str(exc.value)) == \
+                    (0, "coefficient 1.000e+400 of the map is beyond the float range")
+            assert sample(128)
+
 
 class TestResiduals:
     def test_monomial_functional_eq(self, mono):

@@ -1,7 +1,10 @@
-"""The package source itself: no dead private helpers."""
+"""The package source itself: no dead private helpers, and one list of public names."""
 
 import ast
+import importlib
 from pathlib import Path
+
+from projdyn import _EXPORTS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "projdyn"
 
@@ -11,7 +14,7 @@ def _private(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """Module-level private functions, classes and constants, with their lines."""
+    """Module-level functions, classes and assigned constants, with their lines; no imported name."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -20,7 +23,7 @@ def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 out.extend((n.id, node.lineno) for n in ast.walk(target) if isinstance(n, ast.Name))
-    return [(name, line) for name, line in out if _private(name)]
+    return out
 
 
 def _uses(tree: ast.Module) -> set[str]:
@@ -47,6 +50,16 @@ def test_every_private_helper_is_used():
         f"{module}:{line} {name}"
         for module, tree in trees.items()
         for name, line in _definitions(tree)
-        if name not in used
+        if _private(name) and name not in used
     ]
     assert not dead, f"private names defined but never read in src/: {dead}"
+
+
+def test_the_package_table_lists_each_layers_public_definitions():
+    # _EXPORTS is the only list of public names: each layer's __all__ is its entry
+    for layer, names in _EXPORTS.items():
+        tree = ast.parse((SRC / f"{layer}.py").read_text())
+        public = {name for name, _ in _definitions(tree) if not name.startswith("_")}
+        assert set(names) == public, layer
+        assert len(names) == len(public)
+        assert importlib.import_module(f"projdyn.{layer}").__all__ == list(names)
