@@ -27,12 +27,13 @@ The module provides construction, ring arithmetic, composition, formal
 partial derivatives, exact evaluation, a strict text grammar with a
 canonical printer, exact division, and a multivariate GCD of any
 number of members.  The GCD strips each member's monomial content,
-proves a constant gcd from one univariate image mod p when a member has
-a pure power prime to p, and otherwise makes one run of a dense modular
-engine over every member (Brown's algorithm over GF(p), combined by
-CRT), whose answer divides each member exactly and is proved maximal
-from leading monomials; a member that divides the others is found the
-same way.  Coprimality is decided by the same GCD.
+proves a constant gcd from univariate images mod p, one when a member
+has a pure power prime to p and else one per variable but the last, and
+otherwise makes one run of a dense modular engine over every member
+(Brown's algorithm over GF(p) in a chart chosen from the first member's
+leading coefficients, combined by CRT), whose answer divides each
+member exactly and is proved maximal from leading monomials; a member
+that divides the others is found the same way.  Coprimality is decided by the same GCD.
 
 Everything here is immutable and deterministic.  Operations whose
 result would exceed a configurable term cap abort with `ResourceLimit`
@@ -46,8 +47,8 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import chain, count, groupby, takewhile
-from operator import add, mul, sub
+from itertools import chain, count, groupby, permutations, takewhile
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -947,15 +948,16 @@ def _utrim(u: list) -> list:
 
 
 def _specialize_univar(d: dict, x: int, vals: dict[int, int], p: int) -> list[int]:
-    """Coefficients over GF(p) of d in x, every other variable fixed by vals."""
-    powers = {}
+    """Coefficients over GF(p) of d in x, each variable in vals fixed at its value, any other at 1."""
+    powers = []
     for i, v in vals.items():
-        pw = powers[i] = [1] * (_deg_in(d, i) + 1)
+        pw = [1] * (_deg_in(d, i) + 1)
         for j in range(1, len(pw)):
             pw[j] = pw[j - 1] * v % p
+        powers.append((i, pw))
     coeffs = [0] * (_deg_in(d, x) + 1)
     for e, c in d.items():
-        for i, pw in powers.items():
+        for i, pw in powers:
             c *= pw[e[i]]
         coeffs[e[x]] += c
     return [c % p for c in coeffs]
@@ -1128,63 +1130,97 @@ def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
 
 
 def _coprime_image(members: Sequence[dict]) -> bool:
-    """True when one univariate image mod 2^61 - 1 proves the homogeneous members coprime.
+    """True when univariate images mod p = 2^61 - 1 prove the homogeneous members coprime.
 
-    Let a member of degree D have an x_j^D coefficient prime to p.  The
-    members' gcd G, of some degree k, divides it, and a pure power of a
-    product is the product of pure powers, so G's x_j^k coefficient is
-    prime to p too.  With every other variable fixed at a point, G's
-    image over GF(p) therefore keeps degree k and divides every member's
-    image, and a constant gcd of the images forces k = 0.  False, and
-    nothing proved, when no member has such a pure power or the images
-    share a factor.
+    The members' gcd G divides each member A, so A's leading coefficient
+    in x_j is G's times that of A / G.  At a point of the other
+    variables where A's is prime to p, so is G's: G's image over GF(p)
+    keeps its degree in x_j and divides every member's image, and a
+    constant gcd of the images gives deg_j G = 0.  The members are
+    forms, so x_{n-1}, unless it is x_j, is fixed at 1 and only the
+    rest are drawn.  When a member of degree D has an x_j^D coefficient
+    prime to p, that leading coefficient is a constant, so G's is one
+    too and deg_j G is G's whole degree: one image, with that member as
+    A, decides.  Otherwise one image is taken in each of x_0 .. x_{n-2},
+    with the first member as A; G is then a power of x_{n-1}, which
+    divides no member, as their monomial content is stripped, so G is
+    constant.  False, and nothing proved, at the first image whose gcd
+    is not constant or whose point drops A's degree.
     """
     p, nv = _TOP_PRIME, len(next(iter(members[0])))
     tops = [sum(next(iter(d))) for d in members]
-    for j in range(nv):
-        pure = [(0,) * j + (D,) + (0,) * (nv - j - 1) for D in tops]
-        if any(d.get(e, 0) % p for d, e in zip(members, pure)):
-            break
-    else:
-        return False
+    pure = [
+        (j, d) for j in range(nv) for d, D in zip(members, tops)
+        if d.get((0,) * j + (D,) + (0,) * (nv - j - 1), 0) % p
+    ]
     rng = _point_rng(p)
-    vals = {i: rng.randrange(p) for i in range(nv) if i != j}
-    return len(_modp_content((_specialize_univar(d, j, vals, p) for d in members), p)) == 1
+    for j, ref in pure[:1] or [(j, members[0]) for j in range(nv - 1)]:
+        vals = {i: rng.randrange(p) for i in range(nv - 1) if i != j}
+        head = _specialize_univar(ref, j, vals, p)
+        rest = (_specialize_univar(d, j, vals, p) for d in members if d is not ref)
+        if not head[-1] or len(_modp_content(chain([head], rest), p)) > 1:
+            return False
+    return True
+
+
+def _chart(d: dict) -> tuple:
+    """The variable order of `_modular_gcd` for its first member d: the
+    inner variable x_i, the others in their order, then the evaluated
+    x_v and the chart x_c.
+
+    (i, v) is the first pair whose leading coefficient of d in x_i has
+    the lowest degree in x_v.  That degree bounds the degree of lam in
+    `_modp_gcd_mv`, and so the number of points beyond deg_v G it takes.
+    """
+    nv = len(next(iter(d)))
+    if nv < 3:
+        return tuple(range(nv))
+    tops = map(max, zip(*d))
+    leads = [list(map(max, zip(*(e for e in d if e[i] == top)))) for i, top in enumerate(tops)]
+    i, v = min(permutations(range(nv), 2), key=lambda iv: leads[iv[0]][iv[1]])
+    *mid, c = (x for x in range(nv) if x != i and x != v)
+    return (i, *mid, v, c)
 
 
 def _modular_gcd(polys: Sequence[dict]) -> tuple[dict, list]:
     """(G, quotients): the primitive gcd G of two or more homogeneous
     primitive integer dicts that no variable divides, and each dict / G.
 
-    Dehomogenizing the last variable preserves the gcd, because it
-    divides no member.  Let gamma be the gcd of the members' lex-leading
-    coefficients.  Primes p run down from 2^61 - 1, skipping those that
-    divide a lex-leading coefficient; gamma times the monic image mod p
-    is combined by CRT in the symmetric range with earlier images of the
-    same lex-leading monomial.  An image with a larger monomial is
-    dropped and a smaller one restarts.  Once the CRT result has
-    coefficients below the square root of the modulus, already after
-    the first prime when they are small, or stops changing, its
-    primitive part G, rehomogenized, is tried against every member by
-    exact division, whose quotients it returns; a candidate that fails,
-    a wrong one or one from an unlucky prime, costs only that division.
+    The variables are reordered by `_chart`, and dehomogenizing the
+    chart variable, the last, preserves the gcd, because it divides no
+    member.  Let gamma be the gcd of the members' lex-leading
+    coefficients in that order.  Primes p run down from 2^61 - 1,
+    skipping those that divide a lex-leading coefficient; gamma times
+    the monic image mod p is combined by CRT in the symmetric range with
+    earlier images of the same lex-leading monomial.  An image with a
+    larger monomial is dropped and a smaller one restarts.  Once the CRT
+    result has coefficients below the square root of the modulus,
+    already after the first prime when they are small, or stops
+    changing, its primitive part G, rehomogenized at the chart variable,
+    put back in the original order and signed by its graded-lex leading
+    term, is tried against every member by exact division, whose
+    quotients it returns; a candidate that fails, a wrong one or one
+    from an unlucky prime, costs only that division.
 
-    Maximality, after any number of primes, one included.  Let g be the
-    gcd over Z.  At a prime p that divides no lex-leading coefficient,
-    p does not divide lc(g), so g mod p keeps the lex-leading monomial
-    LM(g), and it divides the gcd mod p; `_modp_gcd_mv` returns that
-    gcd or a polynomial with a larger monomial.  So LM(g) <= L, the
-    monomial of the images behind G, even with one image, and LM(G) = L
-    because the CRT coefficient there is gamma, which no prime used
-    divides.  G divides every member, hence g, so g / G has lex-leading
-    monomial LM(g) / L = 1 and is a constant.  For the same reason a
-    constant image proves the gcd constant.  `_gcd_cofactors`
-    calls the engine only when `_coprime_image` declines: that needs no
-    leading-coefficient gcd, interpolation bound or content, as a pure
-    power prime to p keeps the gcd's degree in a single univariate image.
+    Maximality, after any number of primes, one included, and in any
+    order whose chart variable divides no member.  Let g be the gcd over
+    Z.  At a prime p that divides no lex-leading coefficient, p does not
+    divide lc(g), so g mod p keeps the lex-leading monomial LM(g), and
+    it divides the gcd mod p; `_modp_gcd_mv` returns that gcd or a
+    polynomial with a larger monomial.  So LM(g) <= L, the monomial of
+    the images behind G, even with one image, and LM(G) = L because the
+    CRT coefficient there is gamma, which no prime used divides.  G
+    divides every member, hence g, so g / G has lex-leading monomial
+    LM(g) / L = 1 and is a constant.  For the same reason a constant
+    image proves the gcd constant.  `_gcd_cofactors` calls the engine
+    only when `_coprime_image` declines, which needs no interpolation:
+    a univariate image keeps the gcd's degree in its variable wherever a
+    member's leading coefficient in it does not vanish mod p.
     """
-    k = len(next(iter(polys[0]))) - 1
-    ds = [{e[:k]: c for e, c in d.items()} for d in polys]
+    order = _chart(polys[0])
+    k, perm = len(order) - 1, itemgetter(*order)
+    back = itemgetter(*map(order.index, range(k + 1)))
+    ds = [{perm(e)[:k]: c for e, c in d.items()} for d in polys]
     lcs = [d[max(d)] for d in ds]
     gamma = math.gcd(*lcs)
     best, acc, mod = None, {}, 1
@@ -1211,7 +1247,9 @@ def _modular_gcd(polys: Sequence[dict]) -> tuple[dict, list]:
         if new == acc or max(map(abs, new.values())) ** 2 < mod:
             _, g = _dint_normalize(new)
             top = max(map(sum, g))
-            g = {e + (top - sum(e),): c for e, c in g.items()}
+            g = {back(e + (top - sum(e),)): c for e, c in g.items()}
+            if g[max(g)] < 0:
+                g = {e: -c for e, c in g.items()}
             quots = list(takewhile(lambda q: q is not None, (_dexact_div(d, g) for d in polys)))
             if len(quots) == len(polys):
                 return g, quots
@@ -1299,14 +1337,16 @@ def _gcd_cofactors(polys: Sequence[HomPoly]) -> tuple:
     Zero members are dropped, since they divide everything; their
     cofactors are zero.  Each other member loses its monomial content
     and is normalized once.  A member that is then constant leaves only
-    the shared monomial.  So does a constant gcd of the members'
-    univariate images over GF(2^61 - 1) in a variable x_j, the others
-    fixed, when some member of degree D has an x_j^D coefficient prime
-    to 2^61 - 1 (`_coprime_image`).  Otherwise one run of the modular
-    engine `_modular_gcd` gives the rest: it proves its answer by exact
-    division of each member, whose quotients are the cofactors, and also
-    proves a constant gcd.  Other cofactors are the normalized members
-    times their content and unshared monomial: no cofactor costs a division.
+    the shared monomial.  So do constant gcds of the members' univariate
+    images over GF(2^61 - 1), the other variables fixed at points where
+    a member keeps its degree: one image in x_j when some member of
+    degree D has an x_j^D coefficient prime to 2^61 - 1, else one in
+    each variable but the last (`_coprime_image`).  Otherwise one run
+    of the modular engine `_modular_gcd` gives the rest: it proves its
+    answer by exact division of each member, whose quotients are the
+    cofactors, and also proves a constant gcd.  Other cofactors are the
+    normalized members times their content and unshared monomial: no
+    cofactor costs a division.
     """
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:

@@ -1,7 +1,9 @@
 """Exact polynomial layer: parsing, arithmetic, division, GCD, certificates."""
 
 import copy
+import functools
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -1127,11 +1129,149 @@ def test_image_takes_a_pure_power_prime_to_p():
 
 def test_image_declines_without_a_pure_power(routes):
     # every term has two variables, and so does every term of a product of
-    # such forms: no member has a pure power, and the engine decides
+    # such forms: no member has a pure power, so one image in z and one in
+    # w prove q and r1 coprime, and the planted factor goes to the engine
     q, r1, r2 = P("z*w + w*t + 2*z*t"), P("z*w - 3*w*t + z*t"), P("2*z*w + w*t - z*t")
     assert poly_gcd(q, r1) == HomPoly.one(3)
     assert poly_gcd_many([q * r1, q * r2, q * r1 * r2]) == q
-    assert routes["image"] == [False, False] and routes["engine"] == 2
+    assert routes["image"] == [True, False] and routes["engine"] == 1
+
+
+def _no_pure_power_form(rng, nvars, degree):
+    """A form of the degree, at least 2, with two or more terms and no pure power."""
+    while True:
+        terms = [(e, c) for e, c in _int_form(rng, nvars, degree, 9, 6).terms if max(e) < degree]
+        if len(terms) >= 2:
+            return HomPoly(nvars, terms)
+
+
+def _no_pure_power_families(nvars):
+    """8 seeded member lists in nvars variables, each member a product of
+    forms with no pure power, so none has one; the odd ones share a
+    planted factor that is not a monomial."""
+    rng = random.Random(6100 + nvars)
+    for i in range(8):
+        members = [
+            _no_pure_power_form(rng, nvars, rng.randint(2, 3)) * _no_pure_power_form(rng, nvars, 2)
+            for _ in range(rng.randint(2, 3))
+        ]
+        if i % 2:
+            q = _no_pure_power_form(rng, nvars, rng.randint(2, 3))
+            members = [q * m for m in members]
+        yield members
+
+
+def _extracting_gcd_inputs():
+    """The components of F(F_2) and F(F_3) for the extracting cubic, whose gcds are E_3 and E_4."""
+    f = make_map([P("z*w^2 - w^2*t"), P("z*t^2 - w^2*t"), P("z^2*w - w^2*t")])
+    liftings = iterate_degrees(f, 3).liftings
+    return [[c.compose(liftings[n - 1]) for c in f.components] for n in (3, 4)]
+
+
+def _permuted(p: HomPoly, order) -> HomPoly:
+    """p with x_order[i] renamed x_i."""
+    return HomPoly(p.nvars, [(tuple(e[j] for j in order), c) for e, c in p.terms])
+
+
+_GCD_INPUTS = {
+    "families3": lambda: _gcd_families(3),
+    "families4": lambda: _gcd_families(4),
+    "no_pure_power3": lambda: _no_pure_power_families(3),
+    "no_pure_power4": lambda: _no_pure_power_families(4),
+    "extracting": _extracting_gcd_inputs,
+}
+
+
+@pytest.mark.parametrize("source", list(_GCD_INPUTS))
+def test_gcd_cofactors_agree_in_every_variable_order(source):
+    # the engine picks its chart from the first member's exponents, so a
+    # renaming of the variables can take another chart; the gcd, signed by
+    # its graded-lex leading term, and the cofactors must not move
+    for members in _GCD_INPUTS[source]():
+        nv = members[0].nvars
+        xs = _symbols(nv)
+        G, cofactors = _gcd_cofactors(members)
+        assert G == int_primitive(G).primitive
+        polys = [sympy.Poly(_to_sympy(m, xs), *xs) for m in members]
+        expect = functools.reduce(lambda a, b: a.gcd(b), polys)
+        assert same_up_to_scalar(G, HomPoly(nv, _from_sympy(expect.as_expr(), xs).items()))
+        for order in itertools.permutations(range(nv)):
+            back = sorted(range(nv), key=order.__getitem__)
+            H, cof = _gcd_cofactors([_permuted(m, order) for m in members])
+            assert H == int_primitive(H).primitive
+            H, cof = _permuted(H, back), [_permuted(q, back) for q in cof]
+            if H != G:  # the leading term of the renamed gcd may carry the other sign
+                H, cof = -H, [-q for q in cof]
+            assert H == G
+            assert cof == list(cofactors)
+
+
+@pytest.fixture
+def univariate_images(monkeypatch):
+    """The count of univariate gcd images the modular engine takes, through a spy on `_modp_gcd_mv`."""
+    seen = [0]
+    image = polycore._modp_gcd_mv
+
+    def spy(polys, p):
+        seen[0] += len(next(iter(polys[0]))) == 1
+        return image(polys, p)
+
+    monkeypatch.setattr(polycore, "_modp_gcd_mv", spy)
+    return seen
+
+
+def test_extracting_gcd_takes_few_images(routes, univariate_images):
+    # in the chart t = 1, with z inner and w evaluated, the gcd of E_4's
+    # inputs has a leading coefficient gcd of degree 15 in w, and takes 24
+    # images; the chart from the first member's exponents takes 7
+    e3, e4 = _extracting_gcd_inputs()
+    routes["engine"] = univariate_images[0] = 0
+    assert poly_gcd_many(e4).degree == 11
+    assert routes["engine"] == 1 and univariate_images[0] <= 8
+    univariate_images[0] = 0
+    assert poly_gcd_many(e3) == P("z^2*w*t^2 - z*w^3*t - z*w*t^3 + w^3*t^2")
+    assert univariate_images[0] <= 4
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_image_never_proves_a_planted_factor_coprime(routes, nvars):
+    for members in itertools.islice(_no_pure_power_families(nvars), 1, None, 2):
+        poly_gcd_many(members)
+    assert routes["image"] == [False] * 4 and routes["engine"] == 4
+
+
+class _Ones(random.Random):
+    """A point generator that draws 1 every time."""
+
+    def randrange(self, *args):
+        return 1
+
+
+def test_image_declines_where_the_leading_coefficients_vanish(monkeypatch):
+    # G's leading coefficients are w - t in z and z - t in w, and a member's
+    # are G's times a form: at w = t = 1 and at z = t = 1 every member's
+    # vanishes, G's image is the constant 1, and the members' images are
+    # coprime, so only the degree check keeps the images from proving G = 1
+    G = P("z*w - z*t - w*t + 2*t^2")
+    members = [G * P("z*w + 2*w*t - z*t"), G * P("3*z*w - w*t + 2*z*t")]
+    dicts, p = [dict(m.terms) for m in members], (1 << 61) - 1
+    for j in (0, 1):
+        images = [polycore._specialize_univar(d, j, {i: 1 for i in range(3) if i != j}, p) for d in dicts]
+        assert not any(u[-1] for u in images)
+        assert len(polycore._modp_content(images, p)) == 1
+    with monkeypatch.context() as patched:
+        patched.setattr(polycore, "_point_rng", lambda p: _Ones())
+        assert polycore._coprime_image(dicts) is False
+    assert poly_gcd_many(members) == G
+
+
+def test_stable_map_quotients_are_proved_coprime_by_images(routes):
+    # past step 1 each step divides by the hint H(F_{n-2}), and the quotients,
+    # which have no pure power, are proved coprime without the engine
+    f = make_map([P("z^2*t + z*w^2 - 2*w^2*t"), P("z^2*w + z*t^2 - 2*w^2*t"), P("2*z*w*t - 2*w^2*t")])
+    routes["image"].clear()
+    assert iterate_degrees(f, 4).degrees == (1, 3, 8, 21, 55)
+    assert routes["image"] == [True] * 4 and routes["engine"] == 0
 
 
 @pytest.fixture
