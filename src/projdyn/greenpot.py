@@ -313,8 +313,9 @@ def _fixed_code(polys, nvars, scale, div=None):
     multiplies and a floor shift by S, each shared across the
     polynomials and div and reused as the prefix of longer monomials.
     An integer coefficient c multiplies its monomial m at 2^S as it is
-    (c = ±1 as a bare sign); any other c is the int floor(c·2^S), so
-    c·m is exact at 2^(2S), and the sum of these terms is shifted down
+    (c = ±1 as a bare sign, c = ±2^k as a shift of m by k); any other c
+    is the int floor(c·2^S), so c·m is exact at 2^(2S), and the sum of
+    these terms is shifted down
     once per value (p.terms order, 64-term chunks, coefficients bound
     as names).  As floor(c·2^S) = c·2^S for an integer c and
     (2^S·A + B) >> S = A + (B >> S), each value is the one shift of the
@@ -385,9 +386,14 @@ def _fixed_code(polys, nvars, scale, div=None):
             if not factors:
                 re.append(f"+ ({name} << {S})")
                 continue
-            op, mul = ("- " if c < 0 else "+ ", "") if c in (1, -1) else ("+ ", f"{name} * ")
+            if isinstance(c, int) and not abs(c) & (abs(c) - 1):
+                # c = ±2^k: a bare sign, or a shift by k
+                k = abs(c).bit_length() - 1
+                op, fmt = "- " if c < 0 else "+ ", f"({{}} << {k})" if k else "{}"
+            else:
+                op, fmt = "+ ", f"{name} * {{}}"
             for part, m in zip((re, im), mono(factors)):
-                part.append(op + mul + m)
+                part.append(op + fmt.format(m))
         for y, ws, fs in zip((f"y{j}r", f"y{j}i"), whole, frac):
             lines += _chunked_sum(y, None, fs) if fs else []
             lines += _chunked_sum(y, f"({y} >> {S})" if fs else None, ws)
@@ -401,31 +407,66 @@ def _fixed_code(polys, nvars, scale, div=None):
     return _generate(lines, quot, ns, log_f="log(nf, ONE if hd is None else ah, S)", log_h="0", div="//")
 
 
-def _atanh(num, den, P):
-    """atanh(s), s = num/den floored at 2^P, by Σ s^(2k+1)/(2k+1) at 2^P until a term floors to 0."""
-    s = (num << P) // den
-    s2 = s * s >> P
-    acc, t, m = s, s, 3
+def _atanh_inv(k, P):
+    """atanh(1/k) for an int k ≥ 2 at 2^P, below the true value by less than its term count + 1 units.
+
+    The numerators t_n = floor(2^P/k^(2n+1)) are exact (a floor of a
+    floor by ints is one floor), each term t_n // (2n+1) is less than
+    one unit low, and the terms left once t_n is 0 add up to under one.
+    """
+    t = (1 << P) // k
+    k2, acc, m = k * k, t, 3
     while t:
-        t = t * s2 >> P
+        t //= k2
         acc += t // m
         m += 2
     return acc
 
 
+# ln p = Σ c·atanh(1/k) over k = 251, 449, 4801, 8749 for the primes p ≤ 7 (Machin-like formulas)
+_MACHIN_K = (251, 449, 4801, 8749)
+_MACHIN = {2: (144, 54, -38, 62), 3: (228, 86, -60, 98), 5: (334, 126, -88, 144), 7: (404, 152, -106, 174)}
+
+
 @functools.lru_cache(maxsize=32)
 def _log_table(W):
-    """ln 2 at scale 2^(W+64), and log(1 + j/256) at scale 2^W for j < 256.
+    """ln 2 at scale 2^(W+64), and log(1 + j/256) at scale 2^W for j < 256, both floored.
 
-    Floored from atanh series: ln 2 = 2·atanh(1/3) at 30 guard bits, and log(1 + j/256) as
-    the running sum of 2·atanh(1/(511 + 2k)) over k = 1..j at 64: its error, about 2^15
-    units at W = 1100, floors j = 117 at W = 1086 one unit low from 30.
+    Every log n, 2 ≤ n < 512, is built as an int at 2^P, P = W + 104:
+    ln 2, ln 3, ln 5 and ln 7 by the Machin-like formulas of _MACHIN, a
+    composite n as log p + log(n/p) for its least prime factor p, and
+    any other prime p as (log(p − 1) + log(p + 1) + 2·atanh(1/(2p² − 1)))/2,
+    as p²/(p² − 1) = (1 + x)/(1 − x) for x = 1/(2p² − 1); p + 1 is
+    2·(p + 1)/2, whose factors are below p.  log(1 + j/256) is
+    log(256 + j) − 8 ln 2.  The 93 series of the primes from 11 on have
+    P/32 terms on average, each a division by an int of one or two
+    digits.
+
+    Error, in units of 2^-P: each _atanh_inv is low by less than its
+    term count + 1, each halving adds half a unit, and summed over the
+    formulas that is under 19·P in ln 2 and under 310·P in each
+    log(256 + j) − 8 ln 2 for every W ≥ 24 (2^14.3 and 2^18.4 at
+    W = 1095).  So ln 2 floored at 2^(W+64) is off only for a true value
+    within 2^-25 of a unit step, and a table entry at 2^W only within
+    2^-85; the tests compare every table the orbits use with mpmath's.
     """
-    logs, acc = [0], 0
-    for k in range(1, 256):
-        acc += 2 * _atanh(1, 511 + 2 * k, W + 64)
-        logs.append(acc >> 64)
-    return 2 * _atanh(1, 3, W + 94) >> 30, tuple(logs)
+    P = W + 104
+    atanhs = [_atanh_inv(k, P) for k in _MACHIN_K]
+    # least prime factors below 512: each prime up to √511 from p² on, the largest first
+    lpf = list(range(512))
+    for p in (19, 17, 13, 11, 7, 5, 3, 2):
+        lpf[p * p::p] = [p] * len(range(p * p, 512, p))
+    logs = [0] * 512
+    for n in range(2, 512):
+        p = lpf[n]
+        if p < n:
+            logs[n] = logs[p] + logs[n // p]
+        elif n in _MACHIN:
+            logs[n] = sum(c * a for c, a in zip(_MACHIN[n], atanhs))
+        else:
+            logs[n] = (logs[n - 1] + logs[2] + logs[(n + 1) // 2] + 2 * _atanh_inv(2 * n * n - 1, P)) >> 1
+    ln2 = logs[2]
+    return ln2 >> 40, tuple((logs[256 + j] - 8 * ln2) >> 104 for j in range(256))
 
 
 def _int_log(num, den, S):
@@ -435,11 +476,13 @@ def _int_log(num, den, S):
     W = S + G, G = bitlen(S), y = num/(den·2^e) is floored into [1, 2)
     at 2^W.  Its top 8 fraction bits pick b = 1 + j/256, and
     log y = log b + 2·atanh(s) with s = (y − b)/(y + b), 0 ≤ s < 2^-9,
-    about W/18 series terms.  Error, in units of 2^-W: under 1 from y,
+    about W/18 terms of the series Σ s^(2k+1)/(2k+1), run inline at 2^W
+    until a term floors to 0: s and s² floored, and per term
+    t·s² and t/(2k+1).  Error, in units of 2^-W: under 1 from y,
     2 from s, 3 per term (two floors, doubled; the tail included), 1
     from the table and 1 + |e|·2^-64 from e·ln 2, so at most W/6 + 9,
     below 1.5·2^G as 2^G > S ≥ 24; the final rounding shift by G adds
-    half a unit of 2^-S.
+    half a unit of 2^-S.  All of it is int arithmetic.
     """
     G = S.bit_length()
     W = S + G
@@ -454,7 +497,15 @@ def _int_log(num, den, S):
         e -= 1
     i = Y >> (W - 8)
     B = i << (W - 8)
-    return (2 * _atanh(Y - B, Y + B, W) + table[i - 256] + (e * ln2 >> 64) + (1 << (G - 1))) >> G
+    s = ((Y - B) << W) // (Y + B)
+    s2 = s * s >> W
+    acc = t = s
+    m = 3
+    while t:
+        t = t * s2 >> W
+        acc += t // m
+        m += 2
+    return (2 * acc + table[i - 256] + (e * ln2 >> 64) + (1 << (G - 1))) >> G
 
 
 # -- core orbit evaluation ----------------------------------------------------
@@ -508,11 +559,13 @@ def _ratios(z, scale):
     return parts
 
 
+@functools.lru_cache(maxsize=32)
 def _plan(spec, n_iters, fast):
-    """The orbit's rows (n, a, b, hd, k, lag) for steps 1..n_iters of the recurrence spec.
+    """The orbit's rows (n, a, b, hd, k, lag) for steps 1..n_iters of the recurrence spec, as a tuple.
 
     a, b and hd weigh γ_{n-1}, γₙ and γ_lag, lag = n − n0 − 1 (hd None
     when h = 0 or lag < 0), divided by 2^k; floats when fast, else ints.
+    Memoised like the generated code: the tuple cannot be changed.
     """
     d, h, n0 = spec.d, spec.h, spec.n0
     degrees = extend_degrees(spec, n_iters)
@@ -529,24 +582,67 @@ def _plan(spec, n_iters, fast):
             s = 1 << k
             a, b, hd = a / s, b / s, None if hd is None else hd / s
         plan.append((n, a, b, hd, k, lag))
-    return plan
+    return tuple(plan)
+
+
+@functools.lru_cache(maxsize=32)
+def _prepare(f: ProjMap, cert, n_iters: int, precision: int):
+    """The set-up of _OrbitRunner(f, cert, n_iters, precision), memoised on the four arguments.
+
+    Returns (spec, scale, tol, log, real, step, plan): immutable values,
+    functions and the plan's tuple, so a runner built from it cannot
+    change it.  An exception is raised afresh on every call.
+    """
+    if cert is not None and cert.d != f.degree:
+        raise ValueError(f"certificate degree {cert.d} does not match the map degree {f.degree}")
+    if cert is not None and cert.H.nvars != f.nvars:
+        raise ValueError("certificate divisor arity does not match the map")
+    if n_iters < 1:
+        raise ValueError("n_iters must be at least 1")
+    if precision < 24:
+        raise ValueError("precision below 24 bits is not meaningful here")
+    if f.degree < 2:
+        raise ValueError("the Green potential needs a map of degree at least 2")
+    h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
+    spec = DegreeRecurrence(d=f.degree, h=h, n0=n0)
+    spec.check_viable()
+    polys = f.components + ((cert.H,) if cert else ())
+    if precision <= 53:
+        try:
+            step = _float_code(f.components, f.nvars, cert and cert.H)
+        except OverflowError:
+            # a coefficient of 2^1024 or more has no float: name the largest
+            big = max(abs(c) for p in polys for _, c in p.terms)
+            raise OrbitError(f"coefficient {Decimal(big.numerator) / big.denominator:.3e} "
+                             "of the map is beyond the float range", step=0) from None
+        return spec, None, _SINGULAR_TOL, math.log, float, step, _plan(spec, n_iters, True)
+    S = precision + _guard_bits(polys)
+    one = 1 << S
+    return (spec, S, math.ceil(Fraction(_SINGULAR_TOL) * 2**S), lambda r: _int_log(r, one, S),
+            lambda x: _round(x, S, precision), _fixed_code(f.components, f.nvars, S, cert and cert.H),
+            _plan(spec, n_iters, False))
 
 
 class _OrbitRunner:
-    """The normalized recursion, prepared once for (f, cert, n_iters, precision).
+    """The normalized recursion for (f, cert, n_iters, precision), prepared once per process.
 
-    Set-up checks the certificate, refuses a recurrence with no root
-    above 1 (DegenerateLambda, from DegreeRecurrence.check_viable; plain
-    mode, h = 0, always passes), extends the exact degrees into the
-    plan of per-step weights (see _plan) and takes the generated step
-    and orbit: straight-line float code at 53 bits or less, which
-    refuses a coefficient beyond the float range with OrbitError at
-    step 0, fixed-point int code above (see _fixed_code).  There the points, the heights γₙ
-    and their logarithms are ints at one scale 2^S, S = precision + g:
-    a step with a divisor term takes one _int_log of ‖F(w)‖/|H(w)|,
-    since both enter γₙ with unit weight, and real() alone rounds
-    outputs at the precision.  With the guard bits g of _guard_bits
-    every accepted norm ‖F(w)‖ and value |H(w)| is
+    Set-up is _prepare's, memoised in a bounded cache on the four
+    arguments, so a call with arguments equal to an earlier one's builds
+    no code and no plan; the runner takes the set-up's values and a
+    list copy of the plan of its own.  No orbit is kept: every call of
+    start() and run() computes its own.  Set-up checks the certificate,
+    refuses a recurrence with no root above 1 (DegenerateLambda, from
+    DegreeRecurrence.check_viable; plain mode, h = 0, always passes),
+    extends the exact degrees into the plan of per-step weights (see
+    _plan) and takes the generated step and orbit: straight-line float
+    code at 53 bits or less, which refuses a coefficient beyond the
+    float range with OrbitError at step 0, fixed-point int code above
+    (see _fixed_code).  There the points, the heights γₙ and their
+    logarithms are ints at one scale 2^S, S = precision + g: a step
+    with a divisor term takes one _int_log of ‖F(w)‖/|H(w)|, since both
+    enter γₙ with unit weight, and real() alone rounds outputs at the
+    precision, by shift and mask (see _round).  With the guard bits g
+    of _guard_bits every accepted norm ‖F(w)‖ and value |H(w)| is
     relatively accurate to 2^-(precision+3), and each logarithm is
     within 2 units of 2^-S, so no other path is needed.  start() and
     run() then cost one orbit per point, and run() is one call of the
@@ -556,41 +652,13 @@ class _OrbitRunner:
     lagged one, n0+1 steps back, and abs() of a value is |H(w)| in the
     units of the step's norm and of tol.  real(x) turns a height or
     logarithm of the runner into a number: a float at 53 bits and below,
-    an exact Fraction above (see _round).
+    an exact Fraction above.
     """
 
     def __init__(self, f: ProjMap, cert, n_iters: int, precision: int):
-        if cert is not None and cert.d != f.degree:
-            raise ValueError(f"certificate degree {cert.d} does not match the map degree {f.degree}")
-        if cert is not None and cert.H.nvars != f.nvars:
-            raise ValueError("certificate divisor arity does not match the map")
-        if n_iters < 1:
-            raise ValueError("n_iters must be at least 1")
-        if precision < 24:
-            raise ValueError("precision below 24 bits is not meaningful here")
-        if f.degree < 2:
-            raise ValueError("the Green potential needs a map of degree at least 2")
-        h, n0 = (0, 1) if cert is None else (cert.h, cert.n0)
-        spec = DegreeRecurrence(d=f.degree, h=h, n0=n0)
-        spec.check_viable()
-        polys = f.components + ((cert.H,) if cert else ())
-        if precision <= 53:
-            self.scale, self.tol, self.log, self.real = None, _SINGULAR_TOL, math.log, float
-            try:
-                self.step = _float_code(f.components, f.nvars, cert and cert.H)
-            except OverflowError:
-                # a coefficient of 2^1024 or more has no float: name the largest
-                big = max(abs(c) for p in polys for _, c in p.terms)
-                raise OrbitError(f"coefficient {Decimal(big.numerator) / big.denominator:.3e} "
-                                 "of the map is beyond the float range", step=0) from None
-        else:
-            S = self.scale = precision + _guard_bits(polys)
-            self.tol = math.ceil(Fraction(_SINGULAR_TOL) * 2**S)
-            self.log = lambda r: _int_log(r, 1 << S, S)
-            self.step = _fixed_code(f.components, f.nvars, S, cert and cert.H)
-            self.real = lambda x: _round(x, S, precision)
-        self.nvars, self.precision, self.spec = f.nvars, precision, spec
-        self.plan = _plan(spec, n_iters, precision <= 53)
+        self.spec, self.scale, self.tol, self.log, self.real, self.step, plan = _prepare(
+            f, cert, n_iters, precision)
+        self.nvars, self.precision, self.plan = f.nvars, precision, list(plan)
 
     def start(self, z):
         """Unit vector and log-height of the input point."""
@@ -653,10 +721,16 @@ class _OrbitRunner:
 
 
 def _round(x, S, precision):
-    """x/2^S rounded half to even at precision significant bits, on the grid that |x| sets, as a Fraction."""
-    n = max(abs(x).bit_length() - precision, 0)
-    q, r = divmod(x, 1 << n)
-    if 2 * r > 1 << n or (2 * r == 1 << n and q & 1):
+    """x/2^S rounded half to even at precision significant bits, on the grid that |x| sets, as a Fraction.
+
+    The int x splits by shift and mask into q = x >> n and the dropped
+    bits r = x mod 2^n, as divmod would, n = bitlen|x| − precision.
+    """
+    n = abs(x).bit_length() - precision
+    if n <= 0:
+        return Fraction(x, 1 << S)
+    q, r, half = x >> n, x & ((1 << n) - 1), 1 << (n - 1)
+    if r > half or (r == half and q & 1):
         q += 1
     return Fraction(q << n, 1 << S)
 
@@ -717,7 +791,8 @@ def _lambda(orbit: _OrbitRunner, lambda_report):
     if precision <= 53:
         return float(lam)
     sign, man, exp, _ = getattr(lam, "_mpf_", (0, lam, 0, None))
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
+    man = -man if sign else man
+    return Fraction(man, 1 << -exp) if exp < 0 else Fraction(man << exp)
 
 
 def functional_eq_residual(
@@ -786,13 +861,15 @@ def telescope_residual(
     # plain composition on the runner's own step: heights scale by d^m, no extraction
     plan = _plan(DegreeRecurrence(d=f.degree, h=0, n0=1), n, precision <= 53)
     w, _ = orbit.start(z)
-    gammas, _, hs, w_n = orbit.step.orbit(*orbit.start(w), plan)
-    u_z = orbit.real(orbit.value(w)[0])
+    # u(z) runs its orbit from the same start as the plain orbit
+    w0, gamma0 = orbit.start(w)
+    gammas, _, hs, w_n = orbit.step.orbit(w0, gamma0, plan)
+    u_z = orbit.real(orbit.run(w0, gamma0)[0][-1])
     u_wn = orbit.real(orbit.value(w_n)[0])
-    d, real = f.degree, orbit.real
+    d, real, lam_n = f.degree, orbit.real, lam**n
     u_fnz = real(d**n * gammas[n]) + u_wn
     if cert is None:
-        return abs(u_fnz - lam**n * u_z) / lam**n
+        return abs(u_fnz - lam_n * u_z) / lam_n
     acc = 0 * lam
     for j in range(1, n + 1):
         m = n - j
@@ -801,7 +878,7 @@ def telescope_residual(
             raise OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
         acc += lam ** (j - 1) * real(cert.h * d**m * gammas[m] + orbit.log(ah))
     coef = (d - lam) / cert.h
-    return abs(u_fnz - lam**n * u_z - coef * acc) / lam**n
+    return abs(u_fnz - lam_n * u_z - coef * acc) / lam_n
 
 
 # -- grid sampling ------------------------------------------------------------

@@ -297,19 +297,40 @@ def _scaled_gap(spec: DegreeRecurrence, lam, precision_bits: int):
     return _descend(step, (n0 + 1) * lam * (1 + mpf(2) ** -precision_bits) - a)
 
 
+def _p_sign(spec: DegreeRecurrence, N: int, K: int) -> int:
+    """The sign (-1, 0 or 1) of P(N/2^K) for ints N and K >= 0, decided in integers.
+
+    2^{K(n0+1)} P(N/2^K) = N^{n0+1} - d N^{n0} 2^K + h 2^{K(n0+1)}.
+    """
+    d, h, n0 = spec
+    top = N**n0
+    v = top * N - (d * top << K) + (h << K * (n0 + 1))
+    return (v > 0) - (v < 0)
+
+
+def _brackets(x, precision_bits: int):
+    """(N_a, N_b, K), K >= 0, with N_a/2^K and N_b/2^K equal to x (1 -+ 2^-precision_bits) for a positive mpf x."""
+    man, exp = x.man_exp
+    K = precision_bits - exp
+    na, nb = man * ((1 << precision_bits) - 1), man * ((1 << precision_bits) + 1)
+    if K < 0:
+        return na << -K, nb << -K, 0
+    return na, nb, K
+
+
 def _proved_root(spec: DegreeRecurrence, lo: Fraction, hi: Fraction, start, precision_bits: int):
     """The root of P in (lo, hi), where P is monotone, proved to a relative 2^-precision_bits.
 
     With a, b = x (1 -+ 2^-precision_bits) for the value x that `_newton`
-    reaches from start, exact rational arithmetic checks lo < a, b < hi
-    and that P changes sign between a and b, so the one root in (lo, hi)
-    lies in (a, b).  A failed check raises `PrecisionExhausted`.
+    reaches from start (see `_brackets`), exact integer arithmetic checks
+    lo < a, b < hi and that P changes sign between a and b (see
+    `_p_sign`), so the one root in (lo, hi) lies in (a, b).  A failed
+    check raises `PrecisionExhausted`.
     """
     x = _newton(spec, start)
-    man, exp = x.man_exp
-    exact, eps = man * Fraction(2) ** exp, Fraction(1, 2**precision_bits)
-    a, b = exact * (1 - eps), exact * (1 + eps)
-    if not (lo < a and b < hi and (spec.p_at(a) < 0) != (spec.p_at(b) < 0)):
+    na, nb, K = _brackets(x, precision_bits)
+    inside = lo.numerator << K < na * lo.denominator and nb * hi.denominator < hi.numerator << K
+    if not (inside and (_p_sign(spec, na, K) < 0) != (_p_sign(spec, nb, K) < 0)):
         raise PrecisionExhausted(f"root is not bracketed to 2^-{precision_bits}")
     return x
 

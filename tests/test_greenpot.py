@@ -25,7 +25,7 @@ from mpmath import libmp, mp, mpf, workprec
 
 from projdyn.family2 import build_family_map, random_family
 from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, make_map
-from projdyn.polycore import HomPoly, parse_poly
+from projdyn.polycore import HomPoly, parse_poly, poly_to_text
 from projdyn.specdeg import DegenerateLambda, DegreeRecurrence, char_poly_roots, extend_degrees
 from projdyn import greenpot as gp
 
@@ -1049,6 +1049,85 @@ class TestGeneratedOrbit:
         want = outcome(reference_run, runner, w, gamma)
         assert want == (gp.OrbitError, 1, "non-finite log-height")
         assert outcome(gp._OrbitRunner.run, runner, w, gamma) == want
+
+
+class TestPreparedRunners:
+    """Runner set-up is memoised once per process; each call still runs its own orbits."""
+
+    @staticmethod
+    def fresh(call):
+        # the call with the set-up and plan caches emptied, so its runners are built anew
+        gp._prepare.cache_clear()
+        gp._plan.cache_clear()
+        return call()
+
+    @staticmethod
+    def twin(stable):
+        # an equal map, certificate and report, every object rebuilt from text
+        f, cert, rep = stable
+        g = make_map([pp(poly_to_text(c, NAMES)) for c in f.components])
+        twin_cert = cert._replace(H=pp(poly_to_text(cert.H, NAMES)), degrees=tuple(list(cert.degrees)))
+        twin_rep = char_poly_roots(DegreeRecurrence(d=cert.d, h=cert.h, n0=cert.n0))
+        assert (g, twin_cert) == (f, cert) and g is not f and g.components[0] is not f.components[0]
+        assert twin_cert.H is not cert.H and twin_rep is not rep
+        return g, twin_cert, twin_rep
+
+    @pytest.mark.parametrize("precision", [53, 128, 256])
+    def test_memoised_calls_equal_fresh_runners(self, stable, precision):
+        f, cert, rep = stable
+        twin = self.twin(stable)
+        rng = random.Random(precision)
+        points = [Z_FROZEN] + [tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3))
+                               for _ in range(2)]
+
+        def calls(f, cert, rep, z):
+            return repr((gp.green_eval(f, cert, rep, z, n_iters=40, precision=precision),
+                         gp.functional_eq_residual(f, cert, rep, z, n_iters=40, precision=precision),
+                         gp.telescope_residual(f, cert, rep, z, 2, precision=precision, n_iters=48)))
+
+        want = [self.fresh(lambda: calls(f, cert, rep, z)) for z in points]
+        plane = gp.GridSlice((0, 0, 1), (1, 0, 0), (0, 1, 0))
+        grid = self.fresh(lambda: gp.grid_sample(f, cert, rep, plane, 3, precision=precision))
+        before = gp._prepare.cache_info()
+        for z, w in zip(points, want):
+            assert calls(f, cert, rep, z) == w
+            assert calls(*twin, z) == w
+            # calls that raised OrbitError leave no state behind
+            with pytest.raises(gp.OrbitHitDivisor):
+                gp.functional_eq_residual(f, cert, rep, (0, 1, 0.7), n_iters=40, precision=precision)
+            with pytest.raises(gp.NotConverged):
+                gp.green_eval(*twin, z, n_iters=3, precision=precision, converge_tol=0)
+            assert calls(*twin, z) == w
+            assert gp.grid_sample(*twin, plane, 3, precision=precision) == grid
+            assert calls(f, cert, rep, z) == w
+        # one set-up each for depths 40, 48 and 3; the twin's calls and the grid's found theirs
+        after = gp._prepare.cache_info()
+        assert after.misses - before.misses == 3
+        assert after.hits - before.hits == 15 * len(points) - 3
+
+    def test_refused_set_up_is_not_cached(self, stable, mono):
+        f, cert, rep = stable
+        before = gp._prepare.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n_iters"):
+                gp.green_eval(f, cert, rep, Z_FROZEN, n_iters=0, precision=128)
+            with pytest.raises(ValueError, match="degree"):
+                gp._OrbitRunner(mono, cert, 40, 53)
+        after = gp._prepare.cache_info()
+        assert (after.misses - before.misses, after.currsize) == (4, before.currsize)
+        assert after.maxsize == gp._plan.cache_info().maxsize == 32
+
+    def test_a_runner_writes_only_its_own_plan(self, mono):
+        # test_non_finite_height_is_refused writes a runner's plan in place: the
+        # memoised plan is a tuple, and the next runner starts from it unchanged
+        want = self.fresh(lambda: gp._OrbitRunner(mono, None, 3, 53).plan)
+        runner = gp._OrbitRunner(mono, None, 3, 53)
+        runner.plan[0] = (1, math.inf, 1.0, None, 0, -1)
+        assert gp._OrbitRunner(mono, None, 3, 53).plan == want
+        plan = gp._plan(DegreeRecurrence(d=2, h=0, n0=1), 3, True)
+        assert isinstance(plan, tuple) and list(plan) == want
+        with pytest.raises(TypeError):
+            plan[0] = runner.plan[0]
 
 
 def value_bound(polys):

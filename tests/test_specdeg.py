@@ -211,6 +211,50 @@ def test_lambda_outside_the_proved_bracket_is_refused(monkeypatch, bits, sign):
         char_poly_roots(S311, bits)
 
 
+def simple_specs():
+    # the recurrences with two simple positive roots: P(t*) < 0 and a root above 1
+    for d in range(2, 9):
+        for h in range(1, 9):
+            for n0 in (1, 2, 3, 5, 8):
+                spec = DegreeRecurrence(d, h, n0)
+                if spec.p_at(Fraction(d * n0, n0 + 1)) < 0 and (1 - d + h < 0 or d * n0 > n0 + 1):
+                    yield spec
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+def test_bracket_signs_match_p_at(bits):
+    # at both brackets of lambda and of lambda2 the integer sign of P is p_at's
+    specs, signs = list(simple_specs()), set()
+    assert len(specs) > 150
+    for spec in specs:
+        with workprec(2 * bits):
+            roots = (specdeg._newton(spec, mpf(0)),
+                     specdeg._newton(spec, mp.root(mpf(spec.d) / spec.h, spec.n0)))
+        for x in roots:
+            na, nb, K = specdeg._brackets(x, bits)
+            exact = x.man * Fraction(2) ** x.exp
+            assert (Fraction(na, 2**K), Fraction(nb, 2**K)) == (exact * (1 - Fraction(1, 2**bits)),
+                                                                  exact * (1 + Fraction(1, 2**bits)))
+            for n in (na, nb):
+                want = spec.p_at(Fraction(n, 2**K))
+                assert specdeg._p_sign(spec, n, K) == (want > 0) - (want < 0), (spec, bits, n, K)
+                signs.add(want > 0)
+    assert signs == {True, False}
+
+
+def test_integer_sign_at_exact_roots_and_large_values():
+    # P = (t - 1)(t - 2) for (3, 2, 1): zero at 1 and 2 at any K, and the sign at
+    # dyadics beside them and at a K < 0 bracket, where N carries the exponent
+    spec = DegreeRecurrence(3, 2, 1)
+    for K in (0, 1, 70):
+        assert [specdeg._p_sign(spec, n << K, K) for n in (1, 2)] == [0, 0]
+    for K in (1, 70):
+        assert [specdeg._p_sign(spec, (n << K) + e, K) for n in (1, 2) for e in (-1, 1)] == [1, -1, -1, 1]
+    na, nb, K = specdeg._brackets(mpf(2) ** 80, 64)
+    assert K == 0 and (na, nb) == ((2**64 - 1) << 16, (2**64 + 1) << 16)
+    assert specdeg._p_sign(spec, na, K) == specdeg._p_sign(spec, nb, K) == 1
+
+
 def test_q_fit_ignores_the_subdominant_roots(monkeypatch):
     # Q_fit is the residue at 1/lambda: moving lambda2, which the Newton
     # stage finds from a start x > 0, by a relative 2^-(3p/2), inside its
