@@ -32,6 +32,7 @@ from .mapiter import (
     _directives,
     _echelon,
     _extract,
+    _jacobian_at,
     make_map,
     map_to_text,
 )
@@ -330,8 +331,7 @@ def check_rank_and_pencil(inst: FamilyInstance):
     gcd is not constant, and every member when p divides P(1,1,1), is
     built and goes to `poly_gcd`.
     """
-    # the jacobian at (1,1,1): d f / d x_i there is the sum of c e_i over the terms c x^e
-    rows = [[sum(c * e[i] for e, c in f.terms) for i in range(3)] for f in inst.map.components]
+    rows = _jacobian_at(inst.map.components, (1, 1, 1))
     for row in rows:
         assert sum(row) == 0, "jacobian row not orthogonal to (1,1,1)"
     rank = len(_echelon(rows, operator.floordiv)[1])

@@ -7,9 +7,12 @@ where F(F_{n-1}) = E_n * F_n component-wise and exactly.  The degree
 sequence, stability inference (algebraically stable, quasi
 algebraically stable, or neither) and the power-divisor cross-check
 all live here, as does `_echelon`, the one exact elimination behind
-the dominance test and the family preflight.
+the dominance test and the family preflight.  Dominance is probed on
+the integer jacobian at fixed integer points (`_jacobian_at`); only a
+miss at every one builds the symbolic jacobian.
 """
 
+import math
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -191,21 +194,40 @@ def _jacobian(comps: Sequence[HomPoly]) -> list:
     return [[c.partial(j) for j in range(len(comps))] for c in comps]
 
 
-def _jacobian_at(rows, point) -> list:
-    """The exact Fraction values of a matrix of polynomials at a rational point."""
-    return [[entry.evaluate(point) for entry in row] for row in rows]
+def _jacobian_at(comps: Sequence[HomPoly], point) -> list:
+    """The int matrix of partial derivatives of int forms at an int point.
+
+    Each entry is read straight from the terms: a term c x^e adds
+    c e_j x^(e - u_j) to the derivative in x_j, with every power taken
+    from one table per coordinate.
+    """
+    deg = max(f.degree for f in comps)
+    pows = [[x**k for k in range(deg + 1)] for x in point]
+    out = []
+    for f in comps:
+        row = [0] * len(point)
+        for e, c in f.terms:
+            vals = [pw[k] for pw, k in zip(pows, e)]
+            for j, k in enumerate(e):
+                if k:
+                    vals[j] = c * k * pows[j][k - 1]
+                    row[j] += math.prod(vals)
+                    vals[j] = pows[j][k]
+        out.append(row)
+    return out
 
 
-def _echelon(rows, div=operator.truediv, mul=operator.mul, sub=operator.sub):
+def _echelon(rows, div=operator.truediv):
     """Fraction-free row echelon form by Bareiss elimination (Math. Comp. 22, 1968).
 
-    The ring's operations are passed in, those of Fraction by default;
-    `div` is only asked for exact quotients.  The pivot of each row is
-    the first nonzero entry at or below it in the next column that has
-    one, so the pivot columns are the first independent columns.  Every
-    entry is a minor of the input; the last entry of a square matrix,
-    times the sign of the row swaps, is its determinant.  Returns
-    (rows, pivot columns, sign).
+    The entries are Fractions, ints or forms, with `div` their exact
+    quotient: `truediv` by default, `floordiv` over Z and `exact_div` on
+    forms; it is only asked for quotients that exist.  The pivot of each
+    row is the first nonzero entry at or below it in the next column
+    that has one, so the pivot columns are the first independent columns.
+    Every entry is a minor of the input; the last entry of a square
+    matrix, times the sign of the row swaps, is its determinant.
+    Returns (rows, pivot columns, sign).
     """
     m = [list(r) for r in rows]
     pivots, sign, prev = [], 1, None
@@ -220,9 +242,9 @@ def _echelon(rows, div=operator.truediv, mul=operator.mul, sub=operator.sub):
         for row in m[r + 1 :]:
             f = row[c]
             for j in range(c + 1, len(row)):
-                x = sub(mul(top[c], row[j]), mul(f, top[j]))
+                x = top[c] * row[j] - f * top[j]
                 row[j] = div(x, prev) if prev is not None and x else x
-            row[c] = sub(f, f)
+            row[c] = f - f
         prev = top[c]
         pivots.append(c)
     return m, pivots, sign
@@ -231,16 +253,23 @@ def _echelon(rows, div=operator.truediv, mul=operator.mul, sub=operator.sub):
 _PROBE_POINTS = ((2, 3, 5, 7, 11, 13), (-7, 11, -13, 17, 19, -23), (5, -2, 9, -4, 3, 8))
 
 
-def _is_dominant(comps: Sequence[HomPoly]) -> bool:
-    n = len(comps)
-    rows = _jacobian(comps)
-    # a full-rank jacobian at any rational point settles it; maps of P^6
-    # and up take nonzero coordinates past the sixth by a fixed rule
+def _probe_points(n: int):
+    """The dominance probe points in n coordinates; past the sixth, a fixed rule."""
     for k, pt in enumerate(_PROBE_POINTS):
-        pt = pt[:n] + tuple((-1) ** (i + k) * (i * i + k) for i in range(len(pt), n))
-        if len(_echelon(_jacobian_at(rows, pt))[1]) == n:
+        yield pt[:n] + tuple((-1) ** (i + k) * (i * i + k) for i in range(len(pt), n))
+
+
+def _is_dominant(comps: Sequence[HomPoly]) -> bool:
+    """Whether the jacobian of int forms has full rank.
+
+    A full-rank integer jacobian at any probe point settles it; only a
+    miss at every one builds the symbolic jacobian and eliminates it.
+    """
+    n = len(comps)
+    for pt in _probe_points(n):
+        if len(_echelon(_jacobian_at(comps, pt), operator.floordiv)[1]) == n:
             return True
-    return len(_echelon(rows, exact_div)[1]) == n
+    return len(_echelon(_jacobian(comps), exact_div)[1]) == n
 
 
 def make_map(components: Sequence[HomPoly], names: Optional[Sequence[str]] = None) -> ProjMap:

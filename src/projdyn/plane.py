@@ -7,9 +7,11 @@ modular engine's, through `poly_gcd` on binary forms.  The GF(p) lists
 are `polycore`'s, which the gcd engine runs on.
 
 The solver works on the integer primitive parts of its forms, so the
-chart rows, the resultants (Sylvester determinants by the fraction-free
-`mapiter._echelon`) and the squarefree parts stay in Z, and every
-univariate gcd is `poly_gcd` on binary forms.  The Euclid over
+chart rows, the resultants and the squarefree parts stay in Z, and every
+univariate gcd is `poly_gcd` on binary forms.  A resultant is one
+integer determinant: Kronecker substitution packs its polynomial
+entries into ints, which the fraction-free `mapiter._echelon`
+eliminates with exact integer division.  The Euclid over
 Q[z]/(h) takes pseudo-remainders, so it inverts nothing mod h; Fractions
 enter only in its reductions mod h, in the rational roots and in the
 fibres over them.  The rational points come from lines through [0:1:0],
@@ -20,6 +22,7 @@ The Euclid decides the rest (`_chart_points`).
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .mapiter import _echelon
@@ -130,24 +133,60 @@ def _rows(f: HomPoly):
 
 
 def _sylvester_resultant(A, B):
-    """Resultant in w of two polys given as rows (`_rows`), as a poly in z."""
+    """Resultant in w of two polys given as rows (`_rows`), as a poly in z.
+
+    One integer determinant by Kronecker substitution (von zur Gathen
+    and Gerhard, Modern Computer Algebra, 8.4).  Rows over Q are first
+    scaled to Z by the lcms a and b of their denominators, and
+    Res(aA, bB) = a^db b^da Res(A, B) undoes it.  Every entry of the
+    Sylvester matrix is then evaluated at z = 2^k and the integer
+    determinant is Res(2^k), read off as balanced base-2^k digits.  The
+    digits are the coefficients c_m of Res(z) once each |c_m| < 2^(k-1).
+    By Cauchy's formula c_m is the mean of Res(z) z^-m over |z| = 1, so
+    |c_m| <= max |Res(z)| there, and at |z| = 1 each entry A_j(z) has
+    modulus at most ||A_j||_1, so Hadamard's inequality bounds that
+    determinant by the product of the row norms,
+    sqrt(sum_j ||A_j||_1^2)^db sqrt(sum_j ||B_j||_1^2)^da; k is chosen
+    with 2^(k-1) above it.  A rank-deficient matrix has resultant 0 ([]).
+    """
     da, db = len(A) - 1, len(B) - 1
     if da < 0 or db < 0:
         return []
     if da == 0 and db == 0:
         return [1]
+    scale = bound2 = 1  # bound2 is the square of the Hadamard bound
+    blocks = []
+    for rows, power in ((A, db), (B, da)):
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        rows = [[int(c * den) for c in row] for row in rows]
+        scale *= den**power
+        bound2 *= sum(sum(map(abs, row)) ** 2 for row in rows) ** power
+        blocks.append(rows)
+    k = (bound2.bit_length() + 1) // 2 + 1  # so 4^(k-1) >= 2^bit_length > bound2
+
+    def at(row):
+        v = 0
+        for c in reversed(row):
+            v = (v << k) + c
+        return v
+
     size = da + db
-    mat = [[[] for _ in range(size)] for _ in range(size)]
-    for s in range(db):
-        for k in range(da + 1):
-            mat[s][s + k] = list(A[da - k])
-    for s in range(da):
-        for k in range(db + 1):
-            mat[db + s][s + k] = list(B[db - k])
-    rows, _, sign = _echelon(
-        mat, lambda a, b: _udivmod(a, b)[0], _umul, lambda a, b: _uadd(a, _uscale(b, -1))
-    )
-    return _uscale(rows[-1][-1], sign)
+    mat = [[0] * size for _ in range(size)]
+    for rows, first, count in ((blocks[0], 0, db), (blocks[1], db, da)):
+        vals = [at(row) for row in reversed(rows)]
+        for s in range(count):
+            mat[first + s][s : s + len(vals)] = vals
+    ech, pivots, sign = _echelon(mat, operator.floordiv)
+    if len(pivots) < size:
+        return []
+    v, out = sign * ech[-1][-1], []
+    while v:
+        c = v & ((1 << k) - 1)
+        if c >> (k - 1):
+            c -= 1 << k
+        out.append(_quo(c, scale))
+        v = (v - c) >> k
+    return out
 
 
 # -- common zeros on a line and in the chart t = 1 -------------------------------------

@@ -41,7 +41,7 @@ import projdyn.family2 as family2
 import projdyn.mapiter as mapiter
 import projdyn.plane as plane
 from projdyn.cli import main
-from projdyn.mapiter import NotDominant, _echelon, _jacobian, _jacobian_at
+from projdyn.mapiter import NotDominant, _echelon, _jacobian_at
 from projdyn.polycore import random_hompoly
 
 V = ("z", "w", "t")
@@ -407,11 +407,105 @@ def test_sylvester_resultant_matches_sympy():
             assert got in (expect, [-c for c in expect])
 
 
-# -- the intersection verdict against a Groebner-basis oracle -------------------------
-
 PREFLIGHT_CATALOGUE = [
     (dp, dq, s) for dp, dq in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)) for s in range(5)
 ] + [(1, 2, 5), (1, 2, 6), (1, 2, 7)]
+
+
+class _ZPoly(list):
+    """A coefficient list in z with the ring operations of `_echelon`."""
+
+    def __mul__(self, other):
+        return _ZPoly(plane._umul(self, other))
+
+    def __sub__(self, other):
+        return _ZPoly(plane._uadd(self, plane._uscale(other, -1)))
+
+
+def _bareiss_resultant(A, B):
+    """The Sylvester determinant by Bareiss elimination over Z[z], on coefficient lists."""
+    da, db = len(A) - 1, len(B) - 1
+    if da < 0 or db < 0:
+        return []
+    if da == 0 and db == 0:
+        return [1]
+    size = da + db
+    mat = [[_ZPoly() for _ in range(size)] for _ in range(size)]
+    for s in range(db):
+        for k in range(da + 1):
+            mat[s][s + k] = _ZPoly(A[da - k])
+    for s in range(da):
+        for k in range(db + 1):
+            mat[db + s][s + k] = _ZPoly(B[db - k])
+    rows, _, sign = _echelon(mat, lambda a, b: _ZPoly(plane._udivmod(a, b)[0]))
+    return plane._uscale(rows[-1][-1], sign)
+
+
+def test_kronecker_resultant_matches_bareiss_on_chart_resultants(monkeypatch):
+    """Every resultant the chart solver takes over the catalogue and seeds 0-7 of each degree pair."""
+    pairs = []
+    kernel = plane._sylvester_resultant
+    monkeypatch.setattr(plane, "_sylvester_resultant", lambda A, B: pairs.append((A, B)) or kernel(A, B))
+    seeds = {(dp, dq, s) for dp, dq, _ in PREFLIGHT_CATALOGUE for s in range(8)}
+    for dp, dq, seed in sorted(seeds | set(PREFLIGHT_CATALOGUE)):
+        run_preflight(random_family(dp, dq, 5, seed))
+    assert len(pairs) > 100
+    for A, B in pairs:
+        assert kernel(A, B) == _bareiss_resultant(A, B)
+
+
+def _rows_of(poly):
+    """Rows (`plane._rows`) of a dict {(z-power, w-power): int}."""
+    out = [[0] * (max(i for i, _ in poly) + 1) for _ in range(max(j for _, j in poly) + 1)]
+    for (i, j), c in poly.items():
+        out[j][i] = c
+    return [plane._utrim(r) for r in out]
+
+
+def test_kronecker_resultant_matches_bareiss_on_large_rows():
+    rng = random.Random(80)
+    big = 2**80
+    cases = [
+        # orthogonal rows meet Hadamard's bound: |Res| = 2ab, in the constant and in the z term
+        ([[big + 1], [big + 1]], [[big - 3], [-(big - 3)]]),
+        ([[0, big + 1], [big + 1]], [[0, big - 3], [-(big - 3)]]),
+        # (w + z)(w - 2) and (w + z)(3w + z^2) share w + z: resultant zero
+        (_rows_of({(1, 0): -2, (0, 1): -2, (1, 1): 1, (0, 2): 1}),
+         _rows_of({(3, 0): 1, (1, 1): 3, (2, 1): 1, (0, 2): 3})),
+    ]
+
+    def near_big():
+        return rng.choice((1, -1)) * (big + rng.randint(-big // 8, big // 8))
+
+    for _ in range(30):
+        # w-degrees 0 to 6, z-degrees 0 to 3
+        a, b = ({(rng.randint(0, 3), rng.randint(0, dw)): near_big() for _ in range(rng.randint(1, 8))}
+                for dw in (rng.randint(0, 6), rng.randint(0, 6)))
+        cases.append((_rows_of(a), _rows_of(b)))
+    for A, B in cases:
+        got = plane._sylvester_resultant(A, B)
+        assert all(type(c) is int for c in got)
+        assert got == _bareiss_resultant(A, B)
+    assert plane._sylvester_resultant(*cases[0]) == [2 * (big + 1) * (big - 3)]
+    assert plane._sylvester_resultant(*cases[2]) == []
+
+
+def test_preflight_eliminates_over_z(monkeypatch):
+    """The resultants, the dominance probes, the rank and the pencil kernel all run on ints."""
+    entries = []
+
+    def spy(rows, *div):
+        entries.extend(x for row in rows for x in row)
+        return _echelon(rows, *div)
+
+    for mod in (mapiter, plane, family2):
+        monkeypatch.setattr(mod, "_echelon", spy)
+    for dp, dq, seed in PREFLIGHT_CATALOGUE:
+        run_preflight(random_family(dp, dq, 5, seed))
+    assert entries and all(type(x) is int for x in entries)
+
+
+# -- the intersection verdict against a Groebner-basis oracle -------------------------
 
 
 def _oracle_verdict(inst, *extra):
@@ -549,7 +643,7 @@ def test_each_line_takes_one_rational_root_search(monkeypatch):
 
 
 def test_jacobian_rows_and_rank_reference(reference):
-    rows = _jacobian_at(_jacobian(reference.map.components), (1, 1, 1))
+    rows = _jacobian_at(reference.map.components, (1, 1, 1))
     assert rows == [
         [Fraction(1), Fraction(0), Fraction(-1)],
         [Fraction(1), Fraction(-2), Fraction(1)],
@@ -644,7 +738,8 @@ def _reference_kernel_witness(inst):
 
 def _reference_rank_and_pencil(inst):
     """The rank over Q, the kernel over Q and a `poly_gcd` call for every sampled member."""
-    rank = len(_echelon(_jacobian_at(_jacobian(inst.map.components), (1, 1, 1)))[1])
+    jac = _jacobian_at(inst.map.components, (1, 1, 1))
+    rank = len(_echelon([[Fraction(x) for x in row] for row in jac])[1])
     rank_report = family2.RankReport(rank=rank, verdict=PASS if rank == 2 else FAIL)
     witness = _reference_kernel_witness(inst)
     if witness is not None:

@@ -7,6 +7,7 @@ tests/test_polycore.py) and are frozen here as exact values.
 
 import copy
 import math
+import operator
 import pickle
 import random
 import sys
@@ -116,9 +117,8 @@ def test_zero_component_is_not_dominant():
 )
 def test_dominance_falls_back_to_the_symbolic_determinant(texts, dominant):
     comps = [p(s) for s in texts]
-    rows = mapiter._jacobian(comps)
     assert all(
-        len(mapiter._echelon(mapiter._jacobian_at(rows, pt[:3]))[1]) < 3
+        len(mapiter._echelon(mapiter._jacobian_at(comps, pt[:3]), operator.floordiv)[1]) < 3
         for pt in mapiter._PROBE_POINTS
     )
     x = sympy.symbols(NAMES)
@@ -189,6 +189,26 @@ def test_jacobian_det_matches_sympy(nvars):
         got = jacobian_det(comps)
         assert sympy.expand(as_sympy(got) - want) == 0
         assert got.is_zero == (k == 2)
+
+
+def _fraction_jacobian_at(comps, point):
+    """The symbolic jacobian evaluated entry by entry in Fractions."""
+    return [[entry.evaluate(point) for entry in row] for row in mapiter._jacobian(comps)]
+
+
+@pytest.mark.parametrize("nvars", range(3, 9))
+def test_jacobian_at_matches_the_symbolic_jacobian(nvars):
+    """The int jacobian at every probe point, P^6 and up included, and at points with zeros."""
+    rng = random.Random(70 + nvars)
+    for _ in range(4):
+        deg = rng.randint(1, 4)
+        comps = [random_hompoly(rng, nvars, deg, 6, 10**6) for _ in range(nvars)]
+        points = list(mapiter._probe_points(nvars))
+        points += [tuple(rng.choice((0, 1, -1, rng.randint(-50, 50))) for _ in range(nvars))]
+        for pt in points:
+            got = mapiter._jacobian_at(comps, pt)
+            assert all(type(x) is int for row in got for x in row)
+            assert got == _fraction_jacobian_at(comps, pt)
 
 
 @pytest.mark.parametrize("nvars", [7, 8])
