@@ -4,17 +4,20 @@ The potential u(z) = lim log‖Fₙ(z)‖ / dₙ is evaluated through a
 normalized orbit recursion that never forms the huge lifted vectors:
 the orbit keeps unit vectors wₙ and per-degree log-heights
 γₙ = log‖Fₙ(z)‖ / dₙ, so all floating quantities stay bounded while
-the exact integer degrees dₙ carry the growth.  The limit needs λ > 1,
-so every entry point refuses a map of degree 1 with ValueError, and a
-certificate whose degree recurrence has no root above 1 with
-DegenerateLambda.
+the exact integer degrees dₙ carry the growth.  An orbit is a run of
+points, which records ‖F(w)‖ and H(w) at each, and a fold of the γ
+update over those records.  The limit needs λ > 1, so every entry
+point refuses a map of degree 1 with ValueError, and a certificate
+whose degree recurrence has no root above 1 with DegenerateLambda.
 
 Residual operations check the two identities the potential must
 satisfy: the one-step functional equation
 u(F(z)) = λ·u(z) + ((d−λ)/h)·log|H(z)| and its n-step telescoped
 form.  Both are evaluated at the unit-normalized input point, which
 pins the additive normalization; the identities then hold with no
-floating constant.
+floating constant.  The potentials they compare sit at points of one
+orbit, and the step is a pure function of the point, so within one call
+they fold over one run wherever their starts coincide bit for bit.
 
 Grid sampling and CSV/PGM export support visual inspection of u along
 2-plane slices.
@@ -140,21 +143,42 @@ def _chunked_sum(name, start, parts):
     return lines
 
 
-# run()'s orbit: the entry check, then per plan row the step's lines inline, run()'s
-# checks in its order and the γ update (str.format: {{n}} is an f-string's {n} in the
-# source); {check} computes nrm and checks it under a guard, or is empty (see _generate:
+# An orbit is a run of points, then a fold of the γ update over its records.  points():
+# the entry check, then n times the step's lines inline, recording ‖F(w)‖ and H(w) at each
+# point; it stops at a point where F vanishes (nf < TOL, no quotient), or when {check}
+# finds the quotient's norm lost, and returns (nfs, hs, last point or None, that norm or
+# None).  {check} computes nrm and checks it under a guard, or is empty (see _generate:
 # _float_code's guard is nf == INF, as for a finite nf the quotient's computed norm lies
-# within (2n+4)·2^-53 of 1, and _fixed_code's check cannot fire past the entry); γ − γ is
-# nan only for a non-finite γ, even an int γ that float() refuses
-_ORBIT = """
-def orbit(w, gamma, plan):
+# within (2n+4)·2^-53 of 1, and _fixed_code's check cannot fire past the entry).
+_POINTS = """
+def points(w, n):
 {entry}
+    nfs, hs = [], []
+    for _ in range(n):
+{head}
+        nfs.append(nf)
+        hs.append(hv)
+        if nf < TOL:
+            return nfs, hs, None, None
+{quot}
+{check}
+    return nfs, hs, w, None
+"""
+
+# heights(): the γ update per plan row over the records of a run, with the per-step checks
+# in the order of a step (str.format: {{n}} is an f-string's {n} in the source).  A lost
+# norm is raised at the step that made the point: step 0 when the records start from it.
+# A run that stopped ends in a step that raises, so the rows never outrun the records.
+# γ − γ is nan only for a non-finite γ, even an int γ that float() refuses
+_HEIGHTS = """
+def heights(gamma, plan, run, log):
+    nfs, hs, _, lost = run
+    if lost is not None and not nfs:
+        raise OrbitError(f"orbit point lost normalization (norm {{lost}})", step=0)
     if gamma - gamma:
         raise OrbitError("non-finite log-height", step=0)
-    gammas, increments, hs = [gamma], [], []
-    for n, a, b, hd, k, lag in plan:
-{head}
-        hs.append(hv)
+    gammas, increments = [gamma], []
+    for (n, a, b, hd, k, lag), nf in zip(plan, nfs):
         if hd is not None:
             # dividing by the lagged |H| forms step n: it outranks a vanishing F(w)
             ah = abs(hs[lag])
@@ -162,7 +186,6 @@ def orbit(w, gamma, plan):
                 raise OrbitHitDivisor(f"orbit met the extracted divisor at step {{n}}", step=n)
         if nf < TOL:
             raise OrbitHitIndeterminacy(f"orbit met an indeterminate point at step {{n}}", step=n)
-{quot}
         lg = {log_f}
         if hd is not None:
             lh = {log_h}
@@ -176,42 +199,45 @@ def orbit(w, gamma, plan):
         g = num {div} b
         increments.append(abs(g - gamma))
         gamma = g
-{check}
+        if lost is not None and n == len(nfs):
+            raise OrbitError(f"orbit point lost normalization (norm {{lost}})", step=n)
         if gamma - gamma:
             raise OrbitError("non-finite log-height", step=n)
         gammas.append(gamma)
-    return gammas, increments, hs, w
+    return gammas, increments
 """
 
 
 def _generate(head, quot, ns, norm_when=None, **update):
-    """The step, with the whole orbit as its attribute .orbit, from the same lines.
+    """The step, with its run and fold as the attributes .points and .heights, from the same lines.
 
     head binds nf = ‖F(w)‖ and hv = H(w) at the point w, and quot the
     quotient w and its norm nrm, in its last two lines "w = (...)" and
-    "nrm = ...".  The orbit checks its entry point by these two lines,
-    the first turned round to unpack w, then runs head and quot, less
-    its nrm line, inline per plan row and returns what run() does.
-    After the γ update a step computes nrm and checks it only when the
-    condition norm_when holds, and without one never.  A generator
-    leaves the check out only where nrm provably passes it, so the
-    orbit raises the same error at the same step as with the check on
-    every step.  update is the code of the γ update's
-    log nf (log_f), log|H| (log_h) and division (div).
+    "nrm = ...".  points(w, n) checks its entry point by these two
+    lines, the first turned round to unpack w, then runs head and quot,
+    less its nrm line, inline n times (see _POINTS).  After each
+    quotient it computes nrm and checks it only when the condition
+    norm_when holds, and without one never.  A generator leaves the
+    check out only where nrm provably passes it, so a fold raises the
+    same error at the same step as with the check on every step.
+    heights(γ, plan, run, log) folds the γ update over the records of
+    a run (see _HEIGHTS); update is the code of its log nf (log_f),
+    log|H| (log_h) and division (div), in terms of its argument log.
     """
     ns.update(OrbitError=OrbitError, OrbitHitDivisor=OrbitHitDivisor,
               OrbitHitIndeterminacy=OrbitHitIndeterminacy, ldexp=math.ldexp)
     body = lambda lines, pad: "\n".join(pad + ln for ln in lines)
-    lost = 'raise OrbitError(f"orbit point lost normalization (norm {{nrm}})", step={})'
-    check = lambda step: [quot[-1], "if abs(nrm - 1.0) > 1e-6:", "    " + lost.format(step)]
-    entry = [quot[-2].removeprefix("w = ") + " = w"] + check(0)
-    loop = [] if norm_when is None else [f"if {norm_when}:"] + ["    " + ln for ln in check("n")]
+    lost = 'raise OrbitError(f"orbit point lost normalization (norm {nrm})", step=0)'
+    entry = [quot[-2].removeprefix("w = ") + " = w", quot[-1], "if abs(nrm - 1.0) > 1e-6:", "    " + lost]
+    loop = [] if norm_when is None else [
+        f"if {norm_when}:", "    " + quot[-1], "    if abs(nrm - 1.0) > 1e-6:", "        return nfs, hs, None, nrm"]
     exec("def step(w):\n" + body(head, "    ")
          + "\n    if nf < TOL:\n        return nf, None, 0.0, hv\n"
          + body(quot, "    ") + "\n    return nf, w, nrm, hv\n"
-         + _ORBIT.format(entry=body(entry, "    "), head=body(head, " " * 8),
-                         quot=body(quot[:-1], " " * 8), check=body(loop, " " * 8), **update), ns)
-    ns["step"].orbit = ns["orbit"]
+         + _POINTS.format(entry=body(entry, "    "), head=body(head, " " * 8),
+                          quot=body(quot[:-1], " " * 8), check=body(loop, " " * 8))
+         + _HEIGHTS.format(**update), ns)
+    ns["step"].points, ns["step"].heights = ns["points"], ns["heights"]
     return ns["step"]
 
 
@@ -220,8 +246,9 @@ def _float_code(polys, nvars, div=None):
     """Straight-line 53-bit step and orbit for the tuple polys, generated once per map.
 
     The code is pure, so it is memoised on the arguments and every
-    runner of the map shares it; the orbit (see _generate) inlines the
-    step's lines and takes math.log of ‖F(w)‖ and of |H(w)| apart.
+    runner of the map shares it; the run (see _generate) inlines the
+    step's lines, and the fold takes math.log of ‖F(w)‖ and of |H(w)|
+    apart.
 
     The step maps a point w to (‖F(w)‖, F(w)/‖F(w)‖, norm of that quotient,
     H(w)): the quotient is None when ‖F(w)‖ is below the singular
@@ -245,17 +272,17 @@ def _float_code(polys, nvars, div=None):
     never holds −0 (x + y is −0 only when both are), so the sign of a
     zero part never reaches a value.
 
-    The orbit computes nrm, and checks it, only when nf is inf.  For a
+    The run computes nrm, and checks it, only when nf is inf.  For a
     finite nf ≥ TOL the computed norm of the n quotients fl(y/nf) lies
     within (2n+4)·2^-53 of 1: the sum of 2n squares and its square root
     give nf, and then the norm, a relative error below (n+1)·2^-53
     each, and each quotient adds one of 2^-53.  That is far inside the
     check's 1e-6, and a nan nf fails the check's comparison as well.  So
     the check can fire only where the squares of ‖F(w)‖ overflow (a
-    10^160 coefficient does it), and there it raises the same
+    10^160 coefficient does it), and there the fold raises the same
     OrbitError at the same step as a check on every step.
     """
-    ns = {"sqrt": math.sqrt, "log": math.log, "TOL": _SINGULAR_TOL, "INF": math.inf}
+    ns = {"sqrt": math.sqrt, "TOL": _SINGULAR_TOL, "INF": math.inf}
     xs = [f"x{i}" for i in range(nvars)]
     powers, shared, values = {}, {}, []
     for j, terms in enumerate(_term_walk(polys + (div,) * (div is not None), ns, lambda c: complex(abs(c)))):
@@ -305,7 +332,7 @@ def _guard_bits(polys):
 def _fixed_code(polys, nvars, scale, div=None):
     """Straight-line fixed-point step and orbit for the tuple polys at the scale S = scale.
 
-    Memoised on the arguments like _float_code.  The orbit takes one
+    Memoised on the arguments like _float_code.  The fold takes one
     _int_log of ‖F(w)‖/|H(w)| per step with a divisor term, as both
     enter the int γ at 2^S with unit weight.  A point is a tuple of
     (re, im) int pairs, each coordinate x read as (re + i·im)/2^S.
@@ -339,7 +366,7 @@ def _fixed_code(polys, nvars, scale, div=None):
     division is correctly rounded at any size, where a float of the sum
     overflows once 2S > 1024.
 
-    The orbit checks that norm at its entry alone.  Past it, every
+    The run checks that norm at its entry alone.  Past it, every
     accepted nf = isqrt(Σ y²) is at least TOL > 2^(S−47), so
     ‖y‖·2^S/nf lies in [2^S, 2^S·(1 + 2^(47−S))), and each part of q is
     within one unit below that of y·2^S/nf: ‖q‖/2^S is within about
@@ -348,7 +375,7 @@ def _fixed_code(polys, nvars, scale, div=None):
     fire, and int values leave no inf or nan to catch.
     """
     S = scale
-    ns = {"isqrt": math.isqrt, "sqrt": math.sqrt, "log": _int_log, "S": S,
+    ns = {"isqrt": math.isqrt, "sqrt": math.sqrt, "S": S,
           "TOL": math.ceil(Fraction(_SINGULAR_TOL) * 2**S), "ONE": 1 << S, "ONE2": 1 << 2 * S}
     xs = [(f"r{i}", f"i{i}") for i in range(nvars)]
     lines = [", ".join(f"({r}, {i})" for r, i in xs) + ", = w"]
@@ -589,7 +616,7 @@ def _plan(spec, n_iters, fast):
 def _prepare(f: ProjMap, cert, n_iters: int, precision: int):
     """The set-up of _OrbitRunner(f, cert, n_iters, precision), memoised on the four arguments.
 
-    Returns (spec, scale, tol, log, real, step, plan): immutable values,
+    Returns (spec, scale, tol, real, step, plan): immutable values,
     functions and the plan's tuple, so a runner built from it cannot
     change it.  An exception is raised afresh on every call.
     """
@@ -615,12 +642,10 @@ def _prepare(f: ProjMap, cert, n_iters: int, precision: int):
             big = max(abs(c) for p in polys for _, c in p.terms)
             raise OrbitError(f"coefficient {Decimal(big.numerator) / big.denominator:.3e} "
                              "of the map is beyond the float range", step=0) from None
-        return spec, None, _SINGULAR_TOL, math.log, float, step, _plan(spec, n_iters, True)
+        return spec, None, _SINGULAR_TOL, float, step, _plan(spec, n_iters, True)
     S = precision + _guard_bits(polys)
-    one = 1 << S
-    return (spec, S, math.ceil(Fraction(_SINGULAR_TOL) * 2**S), lambda r: _int_log(r, one, S),
-            lambda x: _round(x, S, precision), _fixed_code(f.components, f.nvars, S, cert and cert.H),
-            _plan(spec, n_iters, False))
+    return (spec, S, math.ceil(Fraction(_SINGULAR_TOL) * 2**S), lambda x: _round(x, S, precision),
+            _fixed_code(f.components, f.nvars, S, cert and cert.H), _plan(spec, n_iters, False))
 
 
 class _OrbitRunner:
@@ -629,36 +654,50 @@ class _OrbitRunner:
     Set-up is _prepare's, memoised in a bounded cache on the four
     arguments, so a call with arguments equal to an earlier one's builds
     no code and no plan; the runner takes the set-up's values and a
-    list copy of the plan of its own.  No orbit is kept: every call of
-    start() and run() computes its own.  Set-up checks the certificate,
-    refuses a recurrence with no root above 1 (DegenerateLambda, from
+    list copy of the plan of its own.  No orbit is kept: a runner lives
+    for one public call, and every call of start() and run() computes
+    its own.  Set-up checks the certificate, refuses a recurrence with
+    no root above 1 (DegenerateLambda, from
     DegreeRecurrence.check_viable; plain mode, h = 0, always passes),
     extends the exact degrees into the plan of per-step weights (see
-    _plan) and takes the generated step and orbit: straight-line float
-    code at 53 bits or less, which refuses a coefficient beyond the
-    float range with OrbitError at step 0, fixed-point int code above
-    (see _fixed_code).  There the points, the heights γₙ and their
-    logarithms are ints at one scale 2^S, S = precision + g: a step
-    with a divisor term takes one _int_log of ‖F(w)‖/|H(w)|, since both
-    enter γₙ with unit weight, and real() alone rounds outputs at the
-    precision, by shift and mask (see _round).  With the guard bits g
-    of _guard_bits every accepted norm ‖F(w)‖ and value |H(w)| is
+    _plan) and takes the generated step, run and fold: straight-line
+    float code at 53 bits or less, which refuses a coefficient beyond
+    the float range with OrbitError at step 0, fixed-point int code
+    above (see _fixed_code).  There the points, the heights γₙ and
+    their logarithms are ints at one scale 2^S, S = precision + g: a
+    step with a divisor term takes one _int_log of ‖F(w)‖/|H(w)|, since
+    both enter γₙ with unit weight, and real() alone rounds outputs at
+    the precision, by shift and mask (see _round).  With the guard bits
+    g of _guard_bits every accepted norm ‖F(w)‖ and value |H(w)| is
     relatively accurate to 2^-(precision+3), and each logarithm is
-    within 2 units of 2^-S, so no other path is needed.  start() and
-    run() then cost one orbit per point, and run() is one call of the
-    generated orbit, which checks its entry and keeps the per-degree
-    log-heights γₙ of its unit vectors wₙ.  Each step also evaluates H
-    at the point it leaves; the orbit keeps these values and reads the
-    lagged one, n0+1 steps back, and abs() of a value is |H(w)| in the
-    units of the step's norm and of tol.  real(x) turns a height or
-    logarithm of the runner into a number: a float at 53 bits and below,
-    an exact Fraction above.
+    within 2 units of 2^-S, so no other path is needed.
+
+    An orbit is two generated calls (see _generate): step.points(w, n)
+    evaluates F at n points from w, recording ‖F(w)‖ and H(w) at each
+    and the last point, and heights() folds the γ update of a plan over
+    those records, so the per-degree log-heights γₙ of the unit vectors
+    wₙ read the lagged H value, n0+1 steps back, from the records; abs()
+    of a value is |H(w)| in the units of the step's norm and of tol.
+    run() is one of each.  The step is a pure function of w, so the run
+    from a point that an earlier run reached is the rest of that run:
+    the residuals fold two potentials over one run where their starts
+    coincide.  A runner made with memo=True (the residuals' above 53
+    bits) takes each _int_log of its folds and of log() from a memo
+    that lives as long as the runner, so a logarithm that two folds
+    share is computed once.  real(x) turns a height or logarithm of the
+    runner into a number: a float at 53 bits and below, an exact
+    Fraction above.
     """
 
-    def __init__(self, f: ProjMap, cert, n_iters: int, precision: int):
-        self.spec, self.scale, self.tol, self.log, self.real, self.step, plan = _prepare(
-            f, cert, n_iters, precision)
+    def __init__(self, f: ProjMap, cert, n_iters: int, precision: int, memo: bool = False):
+        self.spec, self.scale, self.tol, self.real, self.step, plan = _prepare(f, cert, n_iters, precision)
         self.nvars, self.precision, self.plan = f.nvars, precision, list(plan)
+        # the logarithm that heights() takes: math.log at 53 bits, else _int_log(num, den, S)
+        self.ln = math.log if self.scale is None else functools.cache(_int_log) if memo else _int_log
+
+    def log(self, r):
+        """log r of a norm r in the runner's numbers (an int at 2^S above 53 bits)."""
+        return self.ln(r) if self.scale is None else self.ln(r, 1 << self.scale, self.scale)
 
     def start(self, z):
         """Unit vector and log-height of the input point."""
@@ -694,21 +733,37 @@ class _OrbitRunner:
         w = tuple(((r << S) // nz, (i << S) // nz) for r, i in zip(X[::2], X[1::2]))
         return w, self.log(nz)
 
+    def heights(self, gamma, run, plan=None):
+        """(gammas, increments) of plan, the runner's own by default, folded over a run from γ.
+
+        run is what step.points returned, or its records from a later
+        point on; gammas[-1] is the estimate after len(plan) steps and
+        increments[n-1] = |γₙ − γ_{n−1}|, in the runner's own numbers.
+        """
+        return self.step.heights(gamma, self.plan if plan is None else plan, run, self.ln)
+
+    def estimate(self, gamma, run):
+        """The u estimate of the runner's plan folded over a run from γ, as a number (see real())."""
+        return self.real(self.heights(gamma, run)[0][-1])
+
     def run(self, w, gamma):
         """Orbit from unit vector w at height γ: (gammas, increments, hs, last point).
 
-        One call of the generated orbit (see _generate), which checks the
-        entry and runs the plan: gammas[-1] is the u estimate after
-        n_iters steps and increments[n-1] = |γₙ − γ_{n−1}|, both in the
-        runner's own numbers (ints at scale 2^S above 53 bits, see
-        real()); hs[m] is the divisor value at the orbit's point m as the
-        step returns it.  A bad entry raises OrbitError at step 0.
+        One run of the plan's length from w, folded once: gammas[-1] is
+        the u estimate after n_iters steps and increments[n-1] =
+        |γₙ − γ_{n−1}|, both in the runner's own numbers (ints at scale
+        2^S above 53 bits, see real()); hs[m] is the divisor value at the
+        orbit's point m as the step returns it.  A bad entry raises
+        OrbitError at step 0.
         """
-        return self.step.orbit(w, gamma, self.plan)
+        run = self.step.points(w, len(self.plan))
+        return self.heights(gamma, run) + run[1:3]
 
     def value(self, z, converge_tol=None):
         """(u, increments) at z, in the runner's numbers; NotConverged past converge_tol."""
-        gammas, increments, _, _ = self.run(*self.start(z))
+        # run()'s two calls, made directly: a grid node pays for no more
+        w, gamma = self.start(z)
+        gammas, increments = self.step.heights(gamma, self.plan, self.step.points(w, len(self.plan)), self.ln)
         if converge_tol is not None:
             last = self.real(increments[-1])
             if last > converge_tol:
@@ -795,6 +850,11 @@ def _lambda(orbit: _OrbitRunner, lambda_report):
     return Fraction(man, 1 << -exp) if exp < 0 else Fraction(man << exp)
 
 
+def _same(v, w):
+    """v and w bit for bit (== alone takes −0.0 for 0.0), so that a run from one is a run from the other."""
+    return v == w and repr(v) == repr(w)
+
+
 def functional_eq_residual(
     f: ProjMap,
     cert: Optional[QASCertificate],
@@ -805,25 +865,32 @@ def functional_eq_residual(
 ):
     """|u(F(z)) − λ·u(z) − ((d−λ)/h)·log|H(z)|| at the unit-normalized z.
 
-    Both potentials are evaluated with the same normalization (the
-    input is scaled to the unit sphere first), which is what makes the
-    identity hold without a floating additive constant.  In plain
+    The input is scaled to the unit sphere first, giving w.  u(F(z))
+    runs its orbit from the quotient F(w)/‖F(w)‖ at height log‖F(w)‖,
+    and u(z) from start(w), w normalized once more, as green_eval would
+    take it; so F(z) and z carry the one normalization of w, which is
+    what makes the identity hold without a floating additive constant.
+    When start(w) is w bit for bit, u(z)'s orbit is the first n_iters
+    steps of one run of n_iters + 1 points from w, and u(F(z)) folds
+    the rest of it; otherwise u(z) takes a run of its own.  In plain
     (h = 0) mode the residual is |u(F(z)) − d·u(z)| and λ defaults to
     the degree; with a certificate lambda_report must be the report of
     its recurrence (ValueError otherwise, see _lambda).  A float at 53
     bits and below, an exact Fraction above, from the rounded values.
     """
-    orbit = _OrbitRunner(f, cert, n_iters, precision)
+    orbit = _OrbitRunner(f, cert, n_iters, precision, memo=True)
     lam = _lambda(orbit, lambda_report)
     w, _ = orbit.start(z)
-    u_z = orbit.real(orbit.value(w)[0])
-    nf, w1, _, hw = orbit.step(w)
-    if w1 is None:
+    w0, gamma0 = orbit.start(w)
+    # u(F(z)) folds the run from w past its first point, and u(z) its start when start(w) is w
+    nfs, hs, last, lost = run = orbit.step.points(w, n_iters + 1)
+    u_z = orbit.estimate(gamma0, run if _same(w0, w) else orbit.step.points(w0, n_iters))
+    if nfs[0] < orbit.tol:
         raise OrbitHitIndeterminacy("F vanishes at the input point", step=0)
-    u_fz = orbit.real(orbit.run(w1, orbit.log(nf))[0][-1])
+    u_fz = orbit.estimate(orbit.log(nfs[0]), (nfs[1:], hs[1:], last, lost))
     if cert is None:
         return abs(u_fz - lam * u_z)
-    ah = abs(hw)
+    ah = abs(hs[0])
     if ah < orbit.tol:
         raise OrbitHitDivisor("input point lies on the extracted divisor", step=0)
     coef = (f.degree - lam) / cert.h
@@ -846,12 +913,14 @@ def telescope_residual(
     is the telescoping that unrolls the one-step equation.  The input
     is unit-normalized first; orbit heights stay in normalized (γ, w)
     form, so nothing overflows even though log‖Fᵐ(z)‖ grows like dᵐ.
-    λ comes from lambda_report as in functional_eq_residual.  A float
-    at 53 bits and below, an exact Fraction above.
+    The plain orbit and u(z) fold one run; u(Fⁿ(z)) folds its
+    continuation when start(wₙ) is wₙ bit for bit, and a run of its own
+    otherwise.  λ comes from lambda_report as in functional_eq_residual.
+    A float at 53 bits and below, an exact Fraction above.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    orbit = _OrbitRunner(f, cert, n_iters, precision)
+    orbit = _OrbitRunner(f, cert, n_iters, precision, memo=True)
     lam = _lambda(orbit, lambda_report)
     digits = precision * math.log10(2)
     if n * math.log10(max(float(lam), 1.0 + 1e-9)) > digits - 6:
@@ -861,11 +930,17 @@ def telescope_residual(
     # plain composition on the runner's own step: heights scale by d^m, no extraction
     plan = _plan(DegreeRecurrence(d=f.degree, h=0, n0=1), n, precision <= 53)
     w, _ = orbit.start(z)
-    # u(z) runs its orbit from the same start as the plain orbit
+    # u(z) runs its orbit from the same start as the plain orbit, and its run continues the plain one's
     w0, gamma0 = orbit.start(w)
-    gammas, _, hs, w_n = orbit.step.orbit(w0, gamma0, plan)
-    u_z = orbit.real(orbit.run(w0, gamma0)[0][-1])
-    u_wn = orbit.real(orbit.value(w_n)[0])
+    head = orbit.step.points(w0, n)
+    gammas = orbit.heights(gamma0, head, plan)[0]
+    _, hs, w_n, _ = head
+    v, gamma_n = orbit.start(w_n)
+    # when start(w_n) is w_n, u(Fⁿ(z)) folds the tail of u(z)'s run, which then runs n_iters past w_n
+    shared = _same(v, w_n)
+    tail = orbit.step.points(w_n, n_iters if shared else max(n_iters - n, 0))
+    u_z = orbit.estimate(gamma0, (head[0] + tail[0], hs + tail[1]) + tail[2:])
+    u_wn = orbit.estimate(gamma_n, tail if shared else orbit.step.points(v, n_iters))
     d, real, lam_n = f.degree, orbit.real, lam**n
     u_fnz = real(d**n * gammas[n]) + u_wn
     if cert is None:

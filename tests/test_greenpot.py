@@ -9,6 +9,7 @@ recursion and both residual identities.
 
 import ast
 import cmath
+import collections
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ import pytest
 from mpmath import libmp, mp, mpf, workprec
 
 from projdyn.family2 import build_family_map, random_family
-from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, make_map
+from projdyn.mapiter import ZeroVector, infer_qas, iterate_degrees, load_map, make_map
 from projdyn.polycore import HomPoly, parse_poly, poly_to_text
 from projdyn.specdeg import DegenerateLambda, DegreeRecurrence, char_poly_roots, extend_degrees
 from projdyn import greenpot as gp
@@ -828,6 +829,64 @@ def outcome(run, runner, w, gamma):
         return type(exc), exc.step, str(exc)
 
 
+def reference_functional_eq(f, cert, rep, z, n_iters=40, precision=53):
+    """functional_eq_residual with an orbit of its own for each potential, each by reference_run."""
+    orbit = gp._OrbitRunner(f, cert, n_iters, precision)
+    lam = gp._lambda(orbit, rep)
+    w, _ = orbit.start(z)
+    u_z = orbit.real(reference_run(orbit, *orbit.start(w))[0][-1])
+    nf, w1, _, hw = orbit.step(w)
+    if w1 is None:
+        raise gp.OrbitHitIndeterminacy("F vanishes at the input point", step=0)
+    u_fz = orbit.real(reference_run(orbit, w1, orbit.log(nf))[0][-1])
+    if cert is None:
+        return abs(u_fz - lam * u_z)
+    ah = abs(hw)
+    if ah < orbit.tol:
+        raise gp.OrbitHitDivisor("input point lies on the extracted divisor", step=0)
+    coef = (f.degree - lam) / cert.h
+    return abs(u_fz - lam * u_z - coef * orbit.real(orbit.log(ah)))
+
+
+def reference_telescope(f, cert, rep, z, n, precision=53, n_iters=48):
+    """telescope_residual with an orbit of its own for the plain orbit, u(z) and u(Fⁿ(z)), by reference_run."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    orbit = gp._OrbitRunner(f, cert, n_iters, precision)
+    lam = gp._lambda(orbit, rep)
+    if n * math.log10(max(float(lam), 1.0 + 1e-9)) > precision * math.log10(2) - 6:
+        raise gp.AmplificationOverflow(f"lambda^{n} exceeds the usable precision ({precision} bits)", step=n)
+    plain = gp._OrbitRunner(f, cert, n_iters, precision)
+    plain.plan = list(gp._plan(DegreeRecurrence(d=f.degree, h=0, n0=1), n, precision <= 53))
+    w, _ = orbit.start(z)
+    w0, gamma0 = orbit.start(w)
+    gammas, _, hs, w_n = reference_run(plain, w0, gamma0)
+    u_z = orbit.real(reference_run(orbit, w0, gamma0)[0][-1])
+    u_wn = orbit.real(reference_run(orbit, *orbit.start(w_n))[0][-1])
+    d, real, lam_n = f.degree, orbit.real, lam**n
+    u_fnz = real(d**n * gammas[n]) + u_wn
+    if cert is None:
+        return abs(u_fnz - lam_n * u_z) / lam_n
+    acc = 0 * lam
+    for j in range(1, n + 1):
+        m = n - j
+        ah = abs(hs[m])
+        if ah < orbit.tol:
+            raise gp.OrbitHitDivisor(f"orbit met the divisor at step {m}", step=m)
+        acc += lam ** (j - 1) * real(cert.h * d**m * gammas[m] + orbit.log(ah))
+    coef = (d - lam) / cert.h
+    return abs(u_fnz - lam_n * u_z - coef * acc) / lam_n
+
+
+def result_of(call):
+    """(value, repr of the value) of call(), or the class, step and message of the OrbitError it raises."""
+    try:
+        value = call()
+        return value, repr(value)
+    except gp.OrbitError as exc:
+        return type(exc), exc.step, str(exc)
+
+
 def ltr_sum(values):
     """Float sum left to right, as the generated norms add; sum() compensates from Python 3.12."""
     total = 0.0
@@ -968,9 +1027,9 @@ class TestGeneratedStep:
         gp._fixed_code.cache_clear()
         gp._float_code(polys, 3, div)
         gp._fixed_code(polys, 3, 180, div)
-        # one source per map: the step and the orbit that inlines its lines
+        # one source per map: the step, the run that inlines its lines, and the fold
         assert len(sources) == 2
-        assert all("def step(w):" in src and "def orbit(" in src for src in sources)
+        assert all("def step(w):" in src and "def points(" in src and "def heights(" in src for src in sources)
         shown = ["12345", "7/3", "2.33", "54321", "11/7", "1.57"]
         shown += [str(math.floor(c * 2**180)) for c in (Fraction(7, 3), Fraction(11, 7))]
         assert not any(c in src for src in sources for c in shown)
@@ -1049,6 +1108,179 @@ class TestGeneratedOrbit:
         want = outcome(reference_run, runner, w, gamma)
         assert want == (gp.OrbitError, 1, "non-finite log-height")
         assert outcome(gp._OrbitRunner.run, runner, w, gamma) == want
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="module")
+def fixture_maps():
+    """The n0 = 2, quartic and P^3 fixtures with their certificates and lambda reports."""
+    maps = []
+    for name, depth in (("n0_2_qas.map", 4), ("quartic_qas.map", 3), ("p3_qas.map", 3)):
+        f = load_map(FIXTURES / name)
+        cert = infer_qas(iterate_degrees(f, depth)).certificate
+        maps.append((f, cert, char_poly_roots(DegreeRecurrence(d=cert.d, h=cert.h, n0=cert.n0))))
+    return maps
+
+
+def reference_green(f, cert, z, n_iters, precision):
+    """green_eval without a tolerance, by reference_run."""
+    runner = gp._OrbitRunner(f, cert, n_iters, precision)
+    gammas, increments, _, _ = reference_run(runner, *runner.start(z))
+    return runner.real(gammas[-1]), tuple(map(runner.real, increments))
+
+
+class TestSharedRuns:
+    """The residuals fold two potentials over one run where their starts coincide; outputs stay bit for bit."""
+
+    @staticmethod
+    def branches(monkeypatch):
+        # counts of _same's answers: True where a residual folds a potential over a run it shares
+        real, seen = gp._same, collections.Counter()
+
+        def same(v, w):
+            seen[sys._getframe(1).f_code.co_name, real(v, w)] += 1
+            return real(v, w)
+
+        monkeypatch.setattr(gp, "_same", same)
+        return seen
+
+    @staticmethod
+    def counted(monkeypatch, step):
+        # the points each run of step evaluates F at, per call of step.points
+        runs, real = [], step.points
+
+        def points(w, n):
+            run = real(w, n)
+            runs.append(len(run[0]))
+            return run
+
+        monkeypatch.setattr(step, "points", points)
+        return runs
+
+    @pytest.mark.parametrize("precision", [24, 53, 64, 128, 256])
+    def test_matches_the_frozen_reference(self, monkeypatch, stable, extracting, mono, family,
+                                          fixture_maps, precision):
+        maps = [stable, (extracting, None, None), (mono, None, None), family] + fixture_maps
+        seen = self.branches(monkeypatch)
+        plane = gp.GridSlice((0, 0, 1), (1, 0, 0), (0, 1, 0))
+        for f, cert, rep in maps:
+            pad = (0.5,) * (f.nvars - 3)
+            for z in TestGeneratedOrbit.points():
+                z += pad
+                assert result_of(lambda: gp.green_eval(f, cert, rep, z, n_iters=12, precision=precision)) == \
+                    result_of(lambda: reference_green(f, cert, z, 12, precision))
+                assert result_of(lambda: gp.functional_eq_residual(f, cert, rep, z, n_iters=12, precision=precision)) == \
+                    result_of(lambda: reference_functional_eq(f, cert, rep, z, n_iters=12, precision=precision))
+                for n, n_iters in ((2, 14), (3, 2)):
+                    assert result_of(lambda: gp.telescope_residual(f, cert, rep, z, n, precision, n_iters)) == \
+                        result_of(lambda: reference_telescope(f, cert, rep, z, n, precision, n_iters))
+            sl = plane._replace(base=plane.base + pad, e1=plane.e1 + pad, e2=plane.e2 + pad)
+            grid = gp.grid_sample(f, cert, rep, sl, 3, n_iters=12, precision=precision)
+            with monkeypatch.context() as m:
+                m.setattr(gp._OrbitRunner, "run", reference_run)
+                want = gp.grid_sample(f, cert, rep, sl, 3, n_iters=12, precision=precision)
+            assert grid == want and repr(grid) == repr(want)
+        if precision in (53, 128):
+            assert all(seen[residual, shared] for residual in ("functional_eq_residual", "telescope_residual")
+                       for shared in (True, False))
+
+    def test_runs_share_only_bit_for_bit_starts(self):
+        # == takes -0.0 for 0.0, and a zero's sign can reach a value through x**k, k > 100
+        assert gp._same((0.5 + 0j, 1j), (0.5 + 0j, 1j))
+        assert (0.5 + 0j, 0j) == (0.5 + 0j, complex(0.0, -0.0))
+        assert not gp._same((0.5 + 0j, 0j), (0.5 + 0j, complex(0.0, -0.0)))
+        assert not gp._same((0.5 + 0j, 1j), (0.5 + 0j, 1.0000000000000002j))
+        assert gp._same(((3, 4), (0, -1)), ((3, 4), (0, -1))) and not gp._same(((3, 4),), ((3, 5),))
+
+    def test_fold_from_a_point_that_lost_its_normalization(self):
+        # the run stops at the quotient whose norm was lost; a fold of the records after it
+        # starts from that point and raises at its entry, as an orbit from the point does
+        runner = gp._OrbitRunner(TestGeneratedOrbit.LOST_NORM, None, 3, 53)
+        w, _ = runner.start((1, 0.5, 0.25))
+        nfs, hs, last, lost = runner.step.points(w, 4)
+        assert (len(nfs), last, lost) == (1, None, 0.0)
+        nf, w1, _, _ = runner.step(w)
+        want = outcome(reference_run, runner, w1, runner.log(nf))
+        assert want == (gp.OrbitError, 0, "orbit point lost normalization (norm 0.0)")
+        with pytest.raises(gp.OrbitError) as exc:
+            runner.heights(runner.log(nfs[0]), (nfs[1:], hs[1:], last, lost))
+        assert (type(exc.value), exc.value.step, str(exc.value)) == want
+
+    @pytest.mark.parametrize("precision", [53, 128])
+    def test_point_counts(self, monkeypatch, stable, precision):
+        # F is evaluated at 41 points for the functional equation when start(w) is w, else
+        # at 41 + 40; at 2 + 48 for the telescope when start(w_2) is w_2, else 2 + 46 + 48
+        f, cert, rep = stable
+        runner = gp._OrbitRunner(f, cert, 40, precision)
+        runs = self.counted(monkeypatch, runner.step)
+        is_start = lambda w: repr(runner.start(w)[0]) == repr(w)
+        rng = random.Random(precision)
+        kinds = collections.Counter()
+        for _ in range(24):
+            z = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3))
+            w, _ = runner.start(z)
+            w_2 = runner.step(runner.step(runner.start(w)[0])[1])[1]
+            want = [("fe", [41] if is_start(w) else [41, 40]),
+                    ("ts", [2, 48] if is_start(w_2) else [2, 46, 48]),
+                    ("green", [40])]
+            kinds.update(name + str(len(counts)) for name, counts in want)
+            # two calls in a row: the second runs every point again
+            for _ in range(2):
+                got = []
+                for call in (lambda: gp.functional_eq_residual(f, cert, rep, z, n_iters=40, precision=precision),
+                             lambda: gp.telescope_residual(f, cert, rep, z, 2, precision=precision, n_iters=48),
+                             lambda: gp.green_eval(f, cert, rep, z, n_iters=40, precision=precision)):
+                    runs.clear()
+                    call()
+                    got.append(list(runs))
+                assert got == [counts for _, counts in want]
+        assert set(kinds) == {"fe1", "fe2", "ts2", "ts3", "green1"}
+
+    @pytest.mark.parametrize("precision", [53, 128])
+    def test_error_paths_of_shared_runs(self, monkeypatch, stable, precision):
+        f, cert, rep = stable
+        seen = self.branches(monkeypatch)
+        residual = lambda g, c, r, z, n_iters: result_of(
+            lambda: gp.functional_eq_residual(g, c, r, z, n_iters=n_iters, precision=precision))
+        reference = lambda g, c, r, z, n_iters: result_of(
+            lambda: reference_functional_eq(g, c, r, z, n_iters=n_iters, precision=precision))
+        divisor = "orbit met the extracted divisor at step {}"
+        # per case: the map, z, n_iters, the failure, and the run's point where F vanishes
+        # at the step that raises, if any
+        cases = [
+            # F(z) lies on the divisor z = 0, which F maps into I(f): at step 2 of u(F(z)), the
+            # run's last, the lagged divisor check outranks the indeterminacy check
+            (stable, (-2, -1, 1), 2, (gp.OrbitHitDivisor, 2, divisor.format(2)), 2),
+            # F(z) = (0, 0, -6) is a point of I(f): step 1 of u(F(z)), the run's step 2
+            (stable, (-2, 1, 1), 1, (gp.OrbitHitIndeterminacy, 1, "orbit met an indeterminate point at step 1"), 1),
+            # z on the divisor: u(z) meets it at step 2, where F vanishes too
+            (stable, (0, 1, 0.7), 40, (gp.OrbitHitDivisor, 2, divisor.format(2)), 1),
+        ]
+        if precision == 53:
+            cases += [
+                # the squares of ‖F(F(z))‖ overflow: the run's step 2 loses the normalization
+                ((TestGeneratedOrbit.LOST_NORM, None, None), (0.0015902012064902642, 2.271716009271806, 3.231118465312296),
+                 1, (gp.OrbitError, 1, "orbit point lost normalization (norm 0.0)"), None),
+            ]
+        for (g, c, r), z, n_iters, want, vanishing in cases:
+            seen.clear()
+            assert residual(g, c, r, z, n_iters) == reference(g, c, r, z, n_iters) == want
+            assert seen == {("functional_eq_residual", True): 1}
+            if vanishing is not None:
+                runner = gp._OrbitRunner(g, c, n_iters, precision)
+                nfs = runner.step.points(runner.start(z)[0], n_iters + 1)[0]
+                assert nfs[vanishing] < runner.tol
+        if precision == 53:
+            # ‖F(w)‖ is below the tolerance at w and above it at start(w), which is not w: u(z)
+            # runs from start(w), and F(z) has no quotient
+            z = ((1.3653020944735599+2.0866998250573602e-14j), (1.3653020944735539+1.1292287101224718e-14j),
+                 (1.3653020944735457-1.2473799639778826e-14j))
+            seen.clear()
+            want = (gp.OrbitHitIndeterminacy, 0, "F vanishes at the input point")
+            assert residual(*stable, z, 40) == reference(*stable, z, 40) == want
+            assert seen == {("functional_eq_residual", False): 1}
 
 
 class TestPreparedRunners:
