@@ -333,7 +333,10 @@ def _residual_suite(f, cert, rep, seed):
     Every residual orbit runs at 53 bits, whatever --precision is.  A
     sample point whose orbit meets the indeterminacy locus or the
     divisor is skipped; any other OrbitError (a lost normalization or
-    height) raises _ResidualOrbitLimit, exit 3.
+    height) raises _ResidualOrbitLimit, exit 3.  When every sample point
+    is skipped, DegenerateLambda (exit 1) names the tolerance: a large
+    coefficient next to small ones can carry every 53-bit orbit within
+    it, which says nothing about the map.
     """
     from . import greenpot as gp
     from .specdeg import DegenerateLambda
@@ -362,7 +365,11 @@ def _residual_suite(f, cert, rep, seed):
                 f"{exc} at {bits} bits in a residual orbit; the residual orbits run at "
                 f"{bits} bits whatever --precision is") from exc
     if not fe:
-        raise DegenerateLambda("no residual sample point escaped the singular loci")
+        raise DegenerateLambda(
+            f"no residual sample point escaped the singular loci: the orbits of all {attempts} "
+            f"sample points came within the absolute tolerance {gp._SINGULAR_TOL:g} of the "
+            f"indeterminacy locus or the divisor at {bits} bits; this is a tolerance event of "
+            f"the {bits}-bit residual orbits, not a property of the map")
     fe.sort()
     ts.sort()
     return fe[len(fe) // 2], ts[len(ts) // 2]

@@ -321,13 +321,15 @@ def check_rank_and_pencil(inst: FamilyInstance):
     sampled; any hit is an exact FAIL with the witness triple, and a
     PASS is only as strong as the sampling.
 
-    A sampled member is decided on the line s (1,1,1) + b over
-    GF(2^61 - 1), with b drawn once per instance.  A form's leading
-    coefficient in s there is its value at (1,1,1).  The value there of
-    each integer factor of the integer-primitive P divides the nonzero
-    int P(1,1,1), so when p does not divide P(1,1,1), each common factor
-    of P and a member keeps its degree on the line, and a constant gcd
-    of the two images proves them coprime.  Only a member whose image
+    A sampled member is decided on the line s (1,1,1) + b over GF(p),
+    p = `_TOP_PRIME`, the largest prime below 2^30 (one CPython digit
+    per residue; any prime is exact here), with b drawn once per
+    instance.  A form's leading coefficient in s there is its value at
+    (1,1,1).  The value there of each integer factor of the
+    integer-primitive P divides the nonzero int P(1,1,1), so when p does
+    not divide P(1,1,1), each common factor of P and a member keeps its
+    degree on the line, and a constant gcd of the two images proves them
+    coprime.  Only a member whose image
     gcd is not constant, and every member when p divides P(1,1,1), is
     built and goes to `poly_gcd`.
     """

@@ -933,7 +933,11 @@ def _primitive_terms(items: Iterable, div: int, denom_lcm: int) -> dict:
 
 # -- modular GCD (Brown, JACM 18, 1971) ----------------------------------------
 
-_TOP_PRIME = (1 << 61) - 1  # Mersenne prime, the engine's first modulus
+# The engine's first modulus, the largest prime below 2^30: a residue is one
+# 30-bit CPython digit (sys.int_info.bits_per_digit) and a product of two fits
+# two, so the GF(p) loops stay on CPython's small-int paths.  Any prime is
+# correct, as every use is a proof; at 15-bit digits this one is only slower.
+_TOP_PRIME = 1073741789
 
 
 def _deg_in(d: dict, x: int) -> int:
@@ -1130,7 +1134,11 @@ def _modp_gcd_mv(polys: Sequence[dict], p: int) -> dict:
 
 
 def _coprime_image(members: Sequence[dict]) -> bool:
-    """True when univariate images mod p = 2^61 - 1 prove the homogeneous members coprime.
+    """True when univariate images mod p = `_TOP_PRIME` prove the homogeneous members coprime.
+
+    Any prime works here, as an image that keeps A's degree proves what
+    it shows; p sits below 2^30 so that each residue is one CPython
+    digit.
 
     The members' gcd G divides each member A, so A's leading coefficient
     in x_j is G's times that of A / G.  At a point of the other
@@ -1189,18 +1197,19 @@ def _modular_gcd(polys: Sequence[dict]) -> tuple[dict, list]:
     The variables are reordered by `_chart`, and dehomogenizing the
     chart variable, the last, preserves the gcd, because it divides no
     member.  Let gamma be the gcd of the members' lex-leading
-    coefficients in that order.  Primes p run down from 2^61 - 1,
-    skipping those that divide a lex-leading coefficient; gamma times
-    the monic image mod p is combined by CRT in the symmetric range with
-    earlier images of the same lex-leading monomial.  An image with a
-    larger monomial is dropped and a smaller one restarts.  Once the CRT
-    result has coefficients below the square root of the modulus,
-    already after the first prime when they are small, or stops
-    changing, its primitive part G, rehomogenized at the chart variable,
-    put back in the original order and signed by its graded-lex leading
-    term, is tried against every member by exact division, whose
-    quotients it returns; a candidate that fails, a wrong one or one
-    from an unlucky prime, costs only that division.
+    coefficients in that order.  Primes p run down from `_TOP_PRIME`,
+    the largest prime below 2^30, so that a residue is one CPython digit
+    and a product two, skipping those that divide a lex-leading
+    coefficient; gamma times the monic image mod p is combined by CRT in
+    the symmetric range with earlier images of the same lex-leading
+    monomial.  An image with a larger monomial is dropped and a smaller
+    one restarts.  Once the CRT result has coefficients below the square
+    root of the modulus, already after the first prime when they are
+    below 2^15, or stops changing, its primitive part G, rehomogenized
+    at the chart variable, put back in the original order and signed by
+    its graded-lex leading term, is tried against every member by exact
+    division, whose quotients it returns; a candidate that fails, a
+    wrong one or one from an unlucky prime, costs only that division.
 
     Maximality, after any number of primes, one included, and in any
     order whose chart variable divides no member.  Let g be the gcd over
@@ -1338,9 +1347,10 @@ def _gcd_cofactors(polys: Sequence[HomPoly]) -> tuple:
     cofactors are zero.  Each other member loses its monomial content
     and is normalized once.  A member that is then constant leaves only
     the shared monomial.  So do constant gcds of the members' univariate
-    images over GF(2^61 - 1), the other variables fixed at points where
+    images over GF(p), p = `_TOP_PRIME` (the largest prime below 2^30,
+    one CPython digit), the other variables fixed at points where
     a member keeps its degree: one image in x_j when some member of
-    degree D has an x_j^D coefficient prime to 2^61 - 1, else one in
+    degree D has an x_j^D coefficient prime to p, else one in
     each variable but the last (`_coprime_image`).  Otherwise one run
     of the modular engine `_modular_gcd` gives the rest: it proves its
     answer by exact division of each member, whose quotients are the

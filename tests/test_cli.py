@@ -610,6 +610,24 @@ class TestVerifyAll:
         assert err == ("error: orbit point lost normalization (norm 0.0) at 53 bits in a residual "
                        "orbit; the residual orbits run at 53 bits whatever --precision is\n")
 
+    def test_residual_orbits_all_within_the_tolerance_is_a_tolerance_event(self, tmp_path, capsys):
+        # every monomial has w-degree at most 1, so F vanishes to second order at [0:1:0], and
+        # the term c*z^2*t carries a generic point within about 1/c of it: at c = 3456789012 the
+        # next |F| is near 1/c^2 < 1e-14 on every sample point, while at c = 2 the map passes
+        def verify(c):
+            path = tmp_path / f"tol{c}.map"
+            save_map(make_map([pp("z^3 + w*t^2"), pp(f"{c}*z^2*t + w*z^2"), pp("t^3 + z*w*t")]), path)
+            return run(capsys, "verify-all", "--map", path, "--n", 3)
+
+        code, out, _ = verify(2)
+        assert (code, out.splitlines()[0]) == (0, "verdict AS")
+        code, out, err = verify(3456789012)
+        assert (code, out) == (1, "")
+        assert err == ("error: no residual sample point escaped the singular loci: the orbits of all "
+                       "60 sample points came within the absolute tolerance 1e-14 of the "
+                       "indeterminacy locus or the divisor at 53 bits; this is a tolerance event of "
+                       "the 53-bit residual orbits, not a property of the map\n")
+
     @pytest.mark.parametrize("precision", [64, 256])
     def test_coefficient_beyond_the_float_range_in_a_residual_orbit(self, files, capsys, precision):
         code, out, err = run(capsys, "verify-all", "--map", files["beyond_float_map"], "--n", 3,

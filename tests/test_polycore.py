@@ -55,6 +55,10 @@ from projdyn.polycore import (
     _unpack_dict,
 )
 
+# the gcd engine's first two primes
+P1 = polycore._TOP_PRIME
+P2 = sympy.prevprime(P1)
+
 NAMES = ("z", "w", "t")
 
 
@@ -426,7 +430,7 @@ def test_same_up_to_scalar():
 # -- GCD ------------------------------------------------------------------------
 
 
-def test_gcd_hand_cases():
+def test_gcd_hand_cases(primes):
     assert poly_gcd(P("z^2 - w^2"), P("z^2 + 2*z*w + w^2")) == P("z + w")
     assert poly_gcd(P("z^2*w"), P("z*w^2")) == P("z*w")
     assert poly_gcd(P("z^3"), P("w^3")).degree == 0
@@ -438,16 +442,18 @@ def test_gcd_hand_cases():
     b = P("-12*z^2*w*t - 6*z*w^2*t + 6*z*w*t^2 + 3*w^2*t^2")
     assert poly_gcd(a, b) == P("2*z*w*t - w*t^2")
     # coefficients above 2^100 need more than one prime; a lex-leading
-    # coefficient of 2^61 - 1 makes the engine skip its first prime
-    for lead in (2**101 + 3, 2**61 - 1):
+    # coefficient equal to the first prime makes the engine skip it
+    for lead in (2**101 + 3, P1):
+        primes.clear()
         g = HomPoly(3, [((2, 0, 0), lead), ((1, 1, 0), -(2**100) - 7), ((0, 1, 1), 5)])
         assert poly_gcd(g * P("z - w + t"), g * P("w^2 + 3*z*t")) == g
+        assert len(primes) > 1 and (P1 in primes) == (lead != P1)
     # z + t + q*w and z + t agree mod every prime factor of q, which is
-    # unlucky: the first prime (2^61 - 1; a constant gcd, then g restarts),
-    # the second (2^61 - 31; dropped), or both, whose CRT result settles on
-    # g * (z + t) and fails the trial division
+    # unlucky: the first prime (P1; a constant gcd, then g restarts), the
+    # second (P2; dropped), or both, whose CRT result settles on g * (z + t)
+    # and fails the trial division
     g = P("w + 2*t")
-    for q in (2**61 - 1, 2**61 - 31, (2**61 - 1) * (2**61 - 31)):
+    for q in (P1, P2, P1 * P2):
         a = P("z + t") + q * P("w")
         assert poly_gcd(a, P("z + t")) == HomPoly.one(3)
         assert poly_gcd(g * a, g * P("z + t")) == g
@@ -935,7 +941,7 @@ def test_gcd_many_matches_sympy_on_larger_families(nvars):
             assert got == int_primitive(g).primitive
 
 
-@pytest.mark.parametrize("p", [2**61 - 1, 31])
+@pytest.mark.parametrize("p", [P1, 2**61 - 1, 31])
 def test_univariate_modp_gcd_matches_sympy(p):
     """The monic gcd over GF(p) against sympy's: for each degree 0..60 of the
     first member, a random pair, mostly coprime, and from degree 1 a pair
@@ -1116,10 +1122,10 @@ def test_gcd_cofactors_are_the_quotients(nvars):
 
 
 def test_image_takes_a_pure_power_prime_to_p():
-    # G's x-coefficient is p = 2^61 - 1, so its image in x over GF(p) would be
-    # a constant, and the members' images in x could be coprime; each
+    # G's x-coefficient is the modulus p, so its image in x over GF(p) would
+    # be a constant, and the members' images in x could be coprime; each
     # member's x^3 coefficient is p, so only y may carry the image
-    p = (1 << 61) - 1
+    p = P1
     x, y, z = (HomPoly.variable(3, i) for i in range(3))
     G = p * x + y
     a, b = G * (x * x + y * y + z * z), G * (x * y + 2 * z * z + y * y)
@@ -1254,7 +1260,7 @@ def test_image_declines_where_the_leading_coefficients_vanish(monkeypatch):
     # coprime, so only the degree check keeps the images from proving G = 1
     G = P("z*w - z*t - w*t + 2*t^2")
     members = [G * P("z*w + 2*w*t - z*t"), G * P("3*z*w - w*t + 2*z*t")]
-    dicts, p = [dict(m.terms) for m in members], (1 << 61) - 1
+    dicts, p = [dict(m.terms) for m in members], P1
     for j in (0, 1):
         images = [polycore._specialize_univar(d, j, {i: 1 for i in range(3) if i != j}, p) for d in dicts]
         assert not any(u[-1] for u in images)
@@ -1291,20 +1297,22 @@ def primes(monkeypatch):
 
 def test_engine_proves_a_small_gcd_on_its_first_prime(routes, primes):
     # as in test_image_declines_without_a_pure_power, the engine decides; the
-    # gcd's coefficients are small against 2^61 - 1, so the first image's
-    # candidate divides every member and the run ends there
+    # gcd's coefficients are below 2^15, the square root of the first prime,
+    # so the first image's candidate divides every member and the run ends
+    # there
     q, r1, r2 = P("z*w + w*t + 2*z*t"), P("z*w - 3*w*t + z*t"), P("2*z*w + w*t - z*t")
     members = [q * r1, q * r2, q * r1 * r2]
     assert poly_gcd_many(members) == q
-    assert routes["engine"] == 1 and primes == [(1 << 61) - 1]
+    assert routes["engine"] == 1 and primes == [P1]
     xs = _symbols(3)
     expect = sympy.gcd_list([_to_sympy(m, xs) for m in members])
     assert same_up_to_scalar(q, HomPoly(3, _from_sympy(expect, xs).items()))
 
 
 def test_engine_goes_on_past_a_candidate_too_large_for_one_prime(routes, primes):
-    # q's coefficient 2^70 + 3 does not fit the symmetric range mod 2^61 - 1:
-    # one image gives a wrong candidate, and further primes give q exactly
+    # q's coefficient 2^70 + 3 does not fit the symmetric range mod one
+    # prime: one image gives a wrong candidate, and further primes give q
+    # exactly
     q = P(f"z + {2**70 + 3}*w - 3*t")
     rng = random.Random(4242)
     members = [q * _int_form(rng, 3, 3, 9, 6) for _ in range(3)]
@@ -1316,12 +1324,34 @@ def test_engine_goes_on_past_a_candidate_too_large_for_one_prime(routes, primes)
     assert same_up_to_scalar(got, HomPoly(3, _from_sympy(expect, xs).items()))
 
 
+def test_engine_takes_two_primes_for_a_coefficient_above_2_15(routes, primes):
+    # 40009 lies between 2^15 and 2^30: one image mod P1 gives it in the
+    # symmetric range, but 40009^2 > P1 leaves the candidate unproved
+    # until a second prime leaves it unchanged
+    q = P("z + 40009*w - 3*t")
+    rng = random.Random(4343)
+    members = [q * _int_form(rng, 3, 3, 9, 6) for _ in range(3)]
+    got = poly_gcd_many(members)
+    assert got == q
+    assert routes["engine"] == 1 and len(primes) >= 2 and primes[:2] == [P1, P2]
+    xs = _symbols(3)
+    expect = sympy.gcd_list([_to_sympy(m, xs) for m in members])
+    assert same_up_to_scalar(got, HomPoly(3, _from_sympy(expect, xs).items()))
+
+
+def test_top_prime_is_the_largest_prime_below_2_30():
+    # below 2^30 a residue is one CPython digit
+    assert P1 == sympy.prevprime(2**30)
+
+
 def test_is_prime_matches_sympy():
     # strong pseudoprimes to the bases 2..7, 2..13 and 2..23, then Carmichael
     # numbers (6k+1)(12k+1)(18k+1) with factors above 37, where a witness can
     # reach 1 without passing n - 1
     hard = [3215031751, 3474749660383, 3825123056546413051, 118901521, 2301745249]
-    for n in [*range(2000), *range(2**61 - 2000, 2**61 + 2), *hard]:
+    # the engine's walk over primes runs down from just below 2^30
+    around = [*range(2**30 - 2000, 2**30 + 2), *range(2**61 - 2000, 2**61 + 2)]
+    for n in [*range(2000), *around, *hard]:
         assert _is_prime(n) == sympy.isprime(n)
 
 
